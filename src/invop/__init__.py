@@ -18,6 +18,7 @@ from .errors import (
     InvopError,
     NonAdmissibleCoefficient,
     NonAdmissiblePerturbation,
+    NonFiniteValue,
     OutOfRange,
     PropertyViolation,
     RangeViolation,

@@ -17,6 +17,10 @@ class DimensionMismatch(InvopError):
     """Array shapes or mesh sizes are inconsistent."""
 
 
+class NonFiniteValue(InvopError):
+    """An array that must be finite holds a NaN or an infinity."""
+
+
 class OutOfRange(InvopError):
     """Argument outside the admissible interval."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteValue
 
 
 class SpaceKind(enum.Enum):
@@ -35,7 +35,7 @@ class GridFunction:
                 f"expected {self.n_cells + 1} nodal values, got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise DimensionMismatch("nodal values must be finite")
+            raise NonFiniteValue("nodal values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property

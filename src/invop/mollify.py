@@ -3,7 +3,10 @@
 The kernel is C^inf, supported in [-xi, xi], and normalized to unit mass;
 functions are extended by zero outside [0, 1] before convolving, so a
 boundary layer of width xi is smoothed toward zero.  The convolution is a
-composite trapezoid rule on a uniform refinement of the mesh.
+composite trapezoid rule on a uniform refinement of the mesh.  The
+kernel's normalization constant was taken from ``scipy.integrate.quad``
+and is kept as a literal, so the package does not import
+``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import PropertyViolation, WidthTooLarge
 from .grid import GridFunction, SpaceKind, norm
@@ -23,12 +25,11 @@ from .grid import GridFunction, SpaceKind, norm
 POINTS_PER_WIDTH = 64
 
 
-@lru_cache(maxsize=1)
 def _normalization() -> float:
-    """Constant C with integral of C*exp(1/(s^2-1)) over (-1, 1) equal to 1."""
-    val, _ = quad(lambda s: math.exp(1.0 / (s * s - 1.0)), -1.0, 1.0,
-                  epsabs=1e-14, epsrel=1e-14)
-    return 1.0 / val
+    """Constant C with integral of C*exp(1/(s^2-1)) over (-1, 1) equal to 1:
+    ``1 / quad(..., -1, 1, epsabs=1e-14, epsrel=1e-14)``, which the tests
+    recompute and require to be this exact float."""
+    return 2.2522836210435817
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange
+from .errors import DimensionMismatch, NonFiniteValue, OutOfRange
 from .grid import GridFunction
 
 
@@ -178,7 +178,7 @@ class NeuralOperatorCoeffs:
         for name, arr in (("alpha", alpha), ("w", w), ("theta", theta),
                           ("w_vec", w_vec), ("zeta", zeta), ("s_points", s)):
             if not np.all(np.isfinite(arr)):
-                raise DimensionMismatch(f"non-finite entries in {name}")
+                raise NonFiniteValue(f"non-finite entries in {name}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "w_vec", w_vec)

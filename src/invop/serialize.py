@@ -3,12 +3,18 @@
 Format: a header line ``invop 1 <KIND>``, then one field per record as
 ``<name> <type> <dims...>`` followed by the numeric payload in row-major
 order, one leading-index row per line, terminated by ``end``.  All floats
-are written with 17 significant digits, so write-then-read reproduces the
-decimal representation exactly.
+are written with 17 significant digits, so write-then-read reproduces every
+finite value bit for bit.  Array entries equal to +0.0 are written as ``0``,
+the text ``.17g`` gives them, and only the other entries (-0.0 included) are
+formatted one by one: the branch weights are almost all zero.  Each array
+payload is parsed in one call.  A truncated file, or a payload with the
+wrong number of rows or entries, raises :class:`ConfigInvalid` naming the
+file and the field.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +50,10 @@ def _write_field(lines: list, name: str, value):
         dims = " ".join(str(d) for d in a.shape)
         lines.append(f"{name} array{a.ndim} {dims}")
         rows = a.reshape(-1, a.shape[-1]) if a.ndim > 1 else a.reshape(1, -1)
-        for row in rows:
-            lines.append(" ".join(_fmt(v) for v in row))
+        text = np.full(rows.shape, "0", dtype=object)
+        nonzero = (rows != 0.0) | np.signbit(rows)
+        text[nonzero] = [_fmt(v) for v in rows[nonzero].tolist()]
+        lines.extend(" ".join(row) for row in text.tolist())
 
 
 def _write(path, kind: str, fields):
@@ -72,25 +80,39 @@ def _read(path, expect_kind: str) -> dict:
             return fields
         if not line:
             continue
-        parts = line.split()
-        name, typ = parts[0], parts[1]
-        if typ == "str":
-            fields[name] = line.split(None, 2)[2]
-        elif typ == "int":
-            fields[name] = int(parts[2])
-        elif typ == "real":
-            fields[name] = float(parts[2])
-        elif typ.startswith("array"):
-            shape = tuple(int(d) for d in parts[2:])
-            n_rows = 1 if len(shape) == 1 else int(np.prod(shape[:-1]))
-            data = []
-            for _ in range(n_rows):
-                data.extend(float(v) for v in lines[i].split())
-                i += 1
-            fields[name] = np.array(data).reshape(shape)
-        else:
-            raise ConfigInvalid(f"{path}: unknown field type {typ!r}")
+        name = line.split()[0]
+        try:
+            fields[name], i = _read_field(line, lines, i)
+        except (IndexError, ValueError) as err:
+            raise ConfigInvalid(f"{path}: field {name!r} is truncated or malformed: {err}") from None
     raise ConfigInvalid(f"{path}: missing end marker")
+
+
+def _read_field(line: str, lines: list, i: int):
+    """Value of the field whose header is ``line`` and the index of the line
+    after its payload, which starts at ``lines[i]``."""
+    parts = line.split()
+    typ = parts[1]
+    if typ == "str":
+        return line.split(None, 2)[2], i
+    if typ == "int":
+        return int(parts[2]), i
+    if typ == "real":
+        return float(parts[2]), i
+    if not typ.startswith("array"):
+        raise ValueError(f"unknown field type {typ!r}")
+    shape = tuple(int(d) for d in parts[2:])
+    if len(shape) != int(typ[len("array"):]):
+        raise ValueError(f"{typ} with dimensions {shape}")
+    n_rows = 1 if len(shape) == 1 else math.prod(shape[:-1])
+    block = lines[i:i + n_rows]
+    if len(block) != n_rows:
+        raise ValueError(f"expected {n_rows} payload rows, found {len(block)}")
+    data = np.loadtxt(block, ndmin=2)
+    size = math.prod(shape)
+    if data.size != size:
+        raise ValueError(f"expected {size} entries, found {data.size}")
+    return data.reshape(shape), i + n_rows
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,11 @@ class StudyConfig:
             raise ConfigInvalid("problem must be 'a' or 'c'")
         if self.surrogate not in ("fem", "rank", "neural"):
             raise ConfigInvalid("surrogate must be fem, rank or neural")
+        if self.study == "reg_rate" and (self.problem == "a") != (self.surrogate == "fem"):
+            raise ConfigInvalid(
+                "reg_rate runs problem 'a' with surrogate 'fem' and problem 'c' "
+                f"with 'rank' or 'neural', not {self.problem!r} with {self.surrogate!r}"
+            )
         lad = tuple(self.ladder) if self.ladder else self.default_ladder()
         object.__setattr__(self, "ladder", lad)
         if len(lad) < 4:

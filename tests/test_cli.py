@@ -131,3 +131,58 @@ delta = 0.001
 
     assert strip_runtime(out1) == strip_runtime(out2)
     assert strip_runtime(out1)[12] == "5"
+
+
+_SMALL_GENERATE = """
+[generate]
+problem = c
+n_cells = 32
+load = 50.0
+
+[perturbation]
+count = 2
+seed = 3
+"""
+
+
+def _small_build(tmp_path, training):
+    return _write(tmp_path / "build.cfg",
+                  f"[build]\ntraining = {training}\nn_quad = 32\nn_trunk = 4\n")
+
+
+def test_truncated_surrogate_file_exits_one(tmp_path, capsys):
+    gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
+    ts_path, surr_path = tmp_path / "train.txt", tmp_path / "surr.txt"
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
+    assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
+                     "--out", str(surr_path), "--quiet"]) == 0
+    text = surr_path.read_text()
+    surr_path.write_text(text[:len(text) // 2])
+    solve_cfg = _write(tmp_path / "solve.cfg", f"""
+[solve]
+problem = c
+surrogate = neural
+surrogate_file = {surr_path}
+n_cells = 32
+load = 50.0
+""")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", solve_cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(surr_path) in err and "field" in err
+
+
+def test_non_finite_training_value_reported_by_name(tmp_path, capsys):
+    gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
+    ts_path = tmp_path / "train.txt"
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
+    lines = ts_path.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("pair1.y.values "))
+    values = lines[i + 1].split()
+    values[1] = "nan"
+    lines[i + 1] = " ".join(values)
+    ts_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
+                     "--out", str(tmp_path / "surr.txt"), "--quiet"]) == 2
+    assert "NonFiniteValue" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invop.errors import DimensionMismatch
+from invop.errors import DimensionMismatch, NonFiniteValue
 from invop.grid import GridFunction, SpaceKind, gram_apply, gram_solve, inner, norm, trapezoid_weights
 
 
@@ -85,6 +85,14 @@ def test_arithmetic_requires_matching_mesh():
     b = GridFunction.zero(16)
     with pytest.raises(DimensionMismatch):
         _ = a + b
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad):
+    values = np.ones(9)
+    values[4] = bad
+    with pytest.raises(NonFiniteValue):
+        GridFunction(8, values)
 
 
 def test_sample_evaluates_interpolant():

@@ -34,6 +34,13 @@ def test_normalization_constant_against_independent_quadrature():
     p = MollifierParams(0.1)
     assert p.normalization == pytest.approx(1.0 / _reference_mass(), rel=1e-9)
     assert p.normalization == pytest.approx(2.2522836210435817, rel=1e-12)
+    # the package stores the constant as a literal; it must be the exact
+    # float that scipy's adaptive quadrature gives with these settings
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda s: math.exp(1.0 / (s * s - 1.0)), -1.0, 1.0,
+                  epsabs=1e-14, epsrel=1e-14)
+    assert p.normalization == 1.0 / val
 
 
 def test_kernel_has_unit_mass_and_compact_support():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invop.errors import DimensionMismatch, OutOfRange
+from invop.errors import DimensionMismatch, NonFiniteValue, OutOfRange
 from invop.grid import GridFunction
 from invop.neural import (
     ActivationKind,
@@ -183,5 +183,21 @@ def test_operator_rejects_out_of_range_sample_points():
             w_vec=rng.standard_normal(1),
             theta=rng.standard_normal((1, 1)),
             s_points=np.array([0.0, 1.5]),
+            zeta=rng.standard_normal(1),
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_rejects_non_finite_coefficients(bad):
+    rng = np.random.default_rng(7)
+    theta = rng.standard_normal((1, 1))
+    theta[0, 0] = bad
+    with pytest.raises(NonFiniteValue, match="theta"):
+        NeuralOperatorCoeffs(
+            alpha=rng.standard_normal((1, 1)),
+            w=rng.standard_normal((1, 1, 2)),
+            w_vec=rng.standard_normal(1),
+            theta=theta,
+            s_points=np.array([0.0, 1.0]),
             zeta=rng.standard_normal(1),
         )

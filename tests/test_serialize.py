@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from invop import serialize
 from invop.errors import ConfigInvalid
 from invop.fem import ProblemKind, ProblemTag
 from invop.grid import GridFunction
@@ -106,3 +107,110 @@ def test_truncated_file_rejected(pipeline, tmp_path):
     (tmp_path / "cut.txt").write_text("\n".join(text[:-1]) + "\n")  # drop "end"
     with pytest.raises(ConfigInvalid):
         load_training_set(tmp_path / "cut.txt")
+
+
+# -- bitwise round trip and the reference writer ----------------------------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_extreme_and_random_values_round_trip_bitwise(tmp_path):
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 2.2250738585072014e-308])
+    rng = np.random.default_rng(11)
+    patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(float)
+    flat = np.concatenate([special, patterns[np.isfinite(patterns)][:99_000]])
+    square = flat[:300 * 330].reshape(300, 330)
+    p = tmp_path / "values.txt"
+    serialize._write(p, "Values", [("flat", flat), ("square", square),
+                                   ("special", special)])
+    f = serialize._read(p, "Values")
+    assert f["square"].shape == (300, 330)
+    for name, a in (("flat", flat), ("square", square), ("special", special)):
+        assert np.array_equal(_bits(f[name]), _bits(a)), name
+    assert p.read_text().splitlines()[-2] == (
+        "-0 0 4.9406564584124654e-324 -4.9406564584124654e-324 "
+        "1.7976931348623157e+308 -1.7976931348623157e+308 "
+        "2.2250738585072014e-308")
+
+
+def _reference_write_field(lines, name, value):
+    """The writer as it was before zeros were special-cased: every entry
+    formatted on its own."""
+    if isinstance(value, str):
+        lines.append(f"{name} str {value}")
+    elif isinstance(value, (int, np.integer)):
+        lines.append(f"{name} int {int(value)}")
+    elif isinstance(value, float):
+        lines.append(f"{name} real {float(value):.17g}")
+    else:
+        a = np.asarray(value, dtype=float)
+        dims = " ".join(str(d) for d in a.shape)
+        lines.append(f"{name} array{a.ndim} {dims}")
+        rows = a.reshape(-1, a.shape[-1]) if a.ndim > 1 else a.reshape(1, -1)
+        for row in rows:
+            lines.append(" ".join(f"{float(v):.17g}" for v in row))
+
+
+def test_writer_text_matches_per_entry_reference(pipeline, tmp_path, monkeypatch):
+    ts, ls, coeffs = pipeline
+    assert coeffs.n_terms >= 2
+    saves = ((save_structured, coeffs), (save_linear_surrogate, ls),
+             (save_training_set, ts))
+    for i, (save, obj) in enumerate(saves):
+        save(tmp_path / f"new{i}.txt", obj)
+    monkeypatch.setattr(serialize, "_write_field", _reference_write_field)
+    for i, (save, obj) in enumerate(saves):
+        save(tmp_path / f"ref{i}.txt", obj)
+        assert (tmp_path / f"new{i}.txt").read_bytes() == (tmp_path / f"ref{i}.txt").read_bytes()
+
+
+# -- damaged files ------------------------------------------------------------
+
+
+def _damaged(tmp_path, text: str):
+    p = tmp_path / "damaged.txt"
+    p.write_text(text)
+    return p
+
+
+def test_file_cut_mid_payload_names_path_and_field(pipeline, tmp_path):
+    _, _, coeffs = pipeline
+    p = tmp_path / "st.txt"
+    save_structured(p, coeffs)
+    text = p.read_text()
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("term1.branch.w "))
+    cut_rows = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n")
+    with pytest.raises(ConfigInvalid, match=r"damaged\.txt.*'term1\.branch\.w'"):
+        load_structured(cut_rows)
+    cut_line = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n" + lines[header + 3][:40])
+    with pytest.raises(ConfigInvalid, match="'term1.branch.w'"):
+        load_structured(cut_line)
+    cut_header = _damaged(tmp_path, "\n".join(lines[:header]) + "\nterm1.branch.w array2 5")
+    with pytest.raises(ConfigInvalid, match="'term1.branch.w'"):
+        load_structured(cut_header)
+    cut_bytes = _damaged(tmp_path, text[:len(text) // 3])
+    with pytest.raises(ConfigInvalid, match="damaged.txt"):
+        load_structured(cut_bytes)
+
+
+def test_ragged_or_short_payload_rejected(pipeline, tmp_path):
+    ts, _, _ = pipeline
+    p = tmp_path / "ts.txt"
+    save_training_set(p, ts)
+    lines = p.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("pair0.x.values "))
+    short_row = lines.copy()
+    short_row[i + 1] = short_row[i + 1].rsplit(" ", 1)[0]
+    with pytest.raises(ConfigInvalid, match="'pair0.x.values'"):
+        load_training_set(_damaged(tmp_path, "\n".join(short_row) + "\n"))
+    long_row = lines.copy()
+    long_row[i + 1] += " 1"
+    with pytest.raises(ConfigInvalid, match="'pair0.x.values'"):
+        load_training_set(_damaged(tmp_path, "\n".join(long_row) + "\n"))
+    missing_row = lines[:i + 1] + lines[i + 2:]
+    with pytest.raises(ConfigInvalid):
+        load_training_set(_damaged(tmp_path, "\n".join(missing_row) + "\n"))

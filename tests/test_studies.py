@@ -83,6 +83,14 @@ def test_bad_problem_rejected():
         StudyConfig("reg_rate", problem="z")
 
 
+def test_reg_rate_rejects_problem_surrogate_mismatch():
+    for problem, surrogate in (("c", "fem"), ("a", "rank"), ("a", "neural")):
+        with pytest.raises(ConfigInvalid, match="reg_rate"):
+            StudyConfig("reg_rate", problem=problem, surrogate=surrogate)
+    for problem, surrogate in (("a", "fem"), ("c", "rank"), ("c", "neural")):
+        StudyConfig("reg_rate", problem=problem, surrogate=surrogate)
+
+
 def test_default_ladders_validate():
     for study in ("fem_rate", "surrogate_error", "reg_rate", "mollify_rate"):
         cfg = StudyConfig(study)
