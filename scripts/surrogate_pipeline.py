@@ -10,48 +10,26 @@ Usage: python scripts/surrogate_pipeline.py [delta]
 
 import sys
 
-import numpy as np
-
 from invop import (
-    ActivationKind,
-    GridFunction,
-    PerturbationSpec,
-    ProblemKind,
-    ProblemTag,
     RUN_COLUMNS,
     SpaceKind,
+    StudyConfig,
     SurrogateHandle,
     TikhonovConfig,
     add_noise,
-    assemble_neural_surrogate,
-    build_linear_surrogate,
-    center_training_set,
     choose_parameters,
-    generate_training_set,
-    perturbation_shape,
+    fem_rho,
     solve_forward_reference,
     solve_inverse_problem,
 )
-from invop.studies import _source_target_c, fem_rho
+from invop.studies import c_example_setup
 
 
 def main():
     delta = float(sys.argv[1]) if len(sys.argv) > 1 else 1e-3
-    n = 256
-    prob = ProblemKind(ProblemTag.C_EXAMPLE)
-    f = GridFunction.constant(50.0, n)
-    x0 = GridFunction.constant(1.0, n)
-
-    ts = generate_training_set(prob, f, x0, PerturbationSpec("sine", 0.1, 6, seed=3))
-    ls = build_linear_surrogate(center_training_set(ts))
-    xt = _source_target_c(x0, ls, n)
-    modes = [perturbation_shape(PerturbationSpec("sine", 1.0, 6), l, n)
-             for l in range(1, 7)]
-    probes = [x0 + 0.1 * m for m in modes] + [xt]
-    coeffs, diag = assemble_neural_surrogate(
-        ls, 512, 14, ActivationKind.LOGISTIC, seed=1,
-        problem=prob, f=f, probes=probes,
-    )
+    ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
+    prob, f, x0, xt, diag = ex.problem, ex.load, ex.x0, ex.xt, ex.diag
+    n = x0.n_cells
     print(f"diagnostics: nu_N={diag.nu_N:.3e}  q_N={diag.q_N:.3e}  "
           f"r_N={diag.r_N:.3e}  rho_bound={diag.rho_bound:.3e}")
 
@@ -59,8 +37,8 @@ def main():
     yd = add_noise(y, delta, seed=7)
     handles = [
         SurrogateHandle.fem(prob, f, n),
-        SurrogateHandle.rank(ls),
-        SurrogateHandle.neural(coeffs, ls.center, diag),
+        SurrogateHandle.rank(ex.ls),
+        SurrogateHandle.neural(ex.coeffs, ex.ls.center),
     ]
     print(",".join(RUN_COLUMNS))
     for h in handles:

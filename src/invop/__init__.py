@@ -71,7 +71,6 @@ from .training import (
     PerturbationSpec,
     SurrogateDiagnostics,
     TrainingSet,
-    apply_linear_surrogate,
     assemble_neural_surrogate,
     build_linear_surrogate,
     center_training_set,

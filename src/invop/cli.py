@@ -29,10 +29,18 @@ from .config import (
 )
 from .errors import ConfigInvalid, InvopError
 from .fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
-from .grid import GridFunction, SpaceKind, norm
+from .grid import GridFunction, SpaceKind, inner, norm
 from .mollify import mollify
 from .neural import ActivationKind
-from .studies import RateTable, StudyConfig, analytic_cases, fem_rho, run_study
+from .studies import (
+    RateTable,
+    StudyConfig,
+    analytic_cases,
+    c_example_setup,
+    fem_rho,
+    run_study,
+    source_target_a,
+)
 from .tikhonov import (
     RUN_COLUMNS,
     SurrogateHandle,
@@ -88,6 +96,8 @@ def _cmd_build(args) -> int:
     if "training" not in sec:
         raise ConfigInvalid("[build] needs training = <path to training set>")
     ts = serialize.load_training_set(str(sec["training"]))
+    if ts.load is None:
+        raise ConfigInvalid(f"{sec['training']}: training set has no load to estimate nu_N")
     ls = build_linear_surrogate(center_training_set(ts))
     seed = args.seed if args.seed is not None else int(sec.get("seed", 1))
     coeffs, diag = assemble_neural_surrogate(
@@ -96,12 +106,14 @@ def _cmd_build(args) -> int:
         int(sec.get("n_trunk", 14)),
         ActivationKind(str(sec.get("activation", "logistic"))),
         seed=seed,
+        problem=ts.problem,
+        f=ts.load,
     )
     out = _require(args, "out")
     serialize.save_structured(out, coeffs)
-    serialize.save_linear_surrogate(str(out) + ".rank", ls)
+    serialize.save_linear_surrogate(str(out) + ".rank", ls, diag)
     _say(args, f"wrote surrogate ({coeffs.n_terms} terms, "
-               f"trunk residual {diag.r_N:.3e}) to {out}")
+               f"rho_bound {diag.rho_bound:.3e}) to {out}")
     return 0
 
 
@@ -124,11 +136,12 @@ def _cmd_solve(args) -> int:
         if "surrogate_file" not in sec:
             raise ConfigInvalid(f"[solve] surrogate={kind} needs surrogate_file")
         base = str(sec["surrogate_file"])
-        ls = serialize.load_linear_surrogate(base + ".rank")
+        ls, diag = serialize.load_linear_surrogate(base + ".rank")
+        rho = diag.rho_bound
         if kind == "rank":
-            h, rho = SurrogateHandle.rank(ls), 0.0
+            h = SurrogateHandle.rank(ls)
         else:
-            h, rho = SurrogateHandle.neural(serialize.load_structured(base), ls.center), 0.0
+            h = SurrogateHandle.neural(serialize.load_structured(base), ls.center)
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 
@@ -136,8 +149,7 @@ def _cmd_solve(args) -> int:
     space = SpaceKind(str(sec.get("space", space.value)))
     target = str(sec.get("target", "source"))
     if target == "source":
-        from .studies import _source_target_a
-        xt = _source_target_a(prob, x0, f, n)
+        xt = source_target_a(prob, x0, f, n)
     elif target == "prior":
         xt = x0
     else:
@@ -193,23 +205,33 @@ def _verify_groups():
         assert abs(lvl - 1e-3) <= 1e-14 * 1e-3, lvl
 
     def grp_gradient():
+        # a tiny alpha keeps the H1 penalty along the rough direction d from
+        # hiding the misfit gradient; the directional derivatives are about
+        # 1e-5, so the tolerance is relative to the analytic value
         f = GridFunction.constant(1.0, n)
         x0 = GridFunction.constant(1.0, n)
-        h = SurrogateHandle.fem(prob_a, f, n)
-        y = solve_forward_fem(prob_a, x0, f, n)
-        yd = add_noise(y, 1e-3, 1)
-        cfg = TikhonovConfig(alpha=1e-3, delta=1e-3, eta=1e-6, xi=0.0, x0=x0,
-                             space=SpaceKind.H1, nu=prob_a.nu)
+        ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural",
+                                         n_cells=n, n_train=3, n_quad=n, n_trunk=8))
+        y0, nu_c = ex.ls.center[1], ex.problem.nu
+        cases = [
+            (SurrogateHandle.fem(prob_a, f, n), solve_forward_fem(prob_a, x0, f, n),
+             SpaceKind.H1, prob_a.nu),
+            (SurrogateHandle.rank(ex.ls), y0, SpaceKind.L2, nu_c),
+            (SurrogateHandle.neural(ex.coeffs, ex.ls.center), y0, SpaceKind.L2, nu_c),
+        ]
         rng = np.random.default_rng(2)
         x = GridFunction(n, 1.0 + 0.05 * rng.standard_normal(n + 1))
         d = GridFunction(n, rng.standard_normal(n + 1))
-        v, g = tikhonov_value_and_gradient(h, x, yd, cfg)
-        eps = 1e-6
-        fd = (tikhonov_value(h, x + eps * d, yd, cfg)
-              - tikhonov_value(h, x - eps * d, yd, cfg)) / (2 * eps)
-        from .grid import inner
-        an = inner(g, d, SpaceKind.H1)
-        assert abs(fd - an) <= 1e-4 * max(1.0, abs(an)), (fd, an)
+        eps = 1e-5
+        for h, y, space, nu in cases:
+            yd = add_noise(y, 1e-3, 1)
+            cfg = TikhonovConfig(alpha=1e-8, delta=1e-3, eta=1e-6, xi=0.0, x0=x0,
+                                 space=space, nu=nu)
+            _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
+            fd = (tikhonov_value(h, x + eps * d, yd, cfg)
+                  - tikhonov_value(h, x - eps * d, yd, cfg)) / (2 * eps)
+            an = inner(g, d, space)
+            assert abs(fd - an) <= 1e-4 * abs(an), (h.label, fd, an)
 
     def grp_mollifier():
         x = GridFunction.from_callable(lambda s: np.sin(np.pi * s) ** 2, n)

@@ -122,22 +122,6 @@ def norm(x: GridFunction, space: SpaceKind = SpaceKind.L2) -> float:
     return float(np.sqrt(max(inner(x, x, space), 0.0)))
 
 
-def gram_matrix(n_cells: int, space: SpaceKind) -> np.ndarray:
-    """Dense Gram matrix of the discrete inner product on nodal vectors."""
-    w = trapezoid_weights(n_cells)
-    G = np.diag(w)
-    if space is SpaceKind.H1:
-        h = 1.0 / n_cells
-        n = n_cells + 1
-        main = np.zeros(n)
-        main[1:] += 1.0 / h
-        main[:-1] += 1.0 / h
-        G += np.diag(main) - np.diag(np.full(n - 1, 1.0 / h), 1) - np.diag(
-            np.full(n - 1, 1.0 / h), -1
-        )
-    return G
-
-
 def gram_apply(v: np.ndarray, n_cells: int, space: SpaceKind) -> np.ndarray:
     """Apply the Gram matrix without forming it."""
     w = trapezoid_weights(n_cells)

@@ -25,11 +25,10 @@ from .grid import GridFunction, SpaceKind
 from .neural import (
     ActivationKind,
     BranchCoeffs,
-    NeuralOperatorCoeffs,
     StructuredSurrogateCoeffs,
     TrunkCoeffs,
 )
-from .training import LinearSurrogate, PerturbationSpec, TrainingSet
+from .training import LinearSurrogate, PerturbationSpec, SurrogateDiagnostics, TrainingSet
 
 MAGIC = "invop 1"
 
@@ -132,27 +131,6 @@ def _get_grid(fields: dict, prefix: str) -> GridFunction:
 # operator coefficients
 
 
-def save_neural_operator(path, c: NeuralOperatorCoeffs):
-    _write(path, "NeuralOperatorCoeffs", [
-        ("activation", c.activation.value),
-        ("alpha", c.alpha),
-        ("w", np.asarray(c.w)),
-        ("w_vec", c.w_vec),
-        ("theta", np.asarray(c.theta)),
-        ("s_points", c.s_points),
-        ("zeta", c.zeta),
-    ])
-
-
-def load_neural_operator(path) -> NeuralOperatorCoeffs:
-    f = _read(path, "NeuralOperatorCoeffs")
-    return NeuralOperatorCoeffs(
-        alpha=f["alpha"], w=f["w"], w_vec=f["w_vec"], theta=f["theta"],
-        s_points=f["s_points"], zeta=f["zeta"],
-        activation=ActivationKind(f["activation"]),
-    )
-
-
 def save_structured(path, s: StructuredSurrogateCoeffs):
     fields = [("activation", s.activation.value), ("n_terms", s.n_terms)]
     for i, (b, t, pts) in enumerate(zip(s.branches, s.trunks, s.s_points)):
@@ -231,7 +209,11 @@ def load_training_set(path) -> TrainingSet:
     )
 
 
-def save_linear_surrogate(path, ls: LinearSurrogate):
+#: the surrogate error diagnostics ``invop build`` stores with the rank-N surrogate
+DIAGNOSTIC_FIELDS = ("nu_N", "q_N", "r_N", "rho_bound")
+
+
+def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagnostics):
     fields = [
         ("space", ls.space.value),
         ("n_terms", ls.n_terms),
@@ -243,15 +225,22 @@ def save_linear_surrogate(path, ls: LinearSurrogate):
     if ls.center is not None:
         _put_grid(fields, "center.x", ls.center[0])
         _put_grid(fields, "center.y", ls.center[1])
+    fields += [(name, float(getattr(diagnostics, name))) for name in DIAGNOSTIC_FIELDS]
     _write(path, "LinearSurrogate", fields)
 
 
-def load_linear_surrogate(path) -> LinearSurrogate:
+def load_linear_surrogate(path):
+    """(surrogate, diagnostics); a file without the diagnostics raises
+    :class:`ConfigInvalid` naming the first missing field."""
     f = _read(path, "LinearSurrogate")
+    for name in DIAGNOSTIC_FIELDS:
+        if name not in f:
+            raise ConfigInvalid(f"{path}: missing field {name!r}; rebuild the surrogate")
     n = f["n_terms"]
     basis = tuple(_get_grid(f, f"basis{i}") for i in range(n))
     induced = tuple(_get_grid(f, f"induced{i}") for i in range(n))
     center = None
     if "center.x.n_cells" in f:
         center = (_get_grid(f, "center.x"), _get_grid(f, "center.y"))
-    return LinearSurrogate(basis, induced, f["transform"], SpaceKind(f["space"]), center)
+    ls = LinearSurrogate(basis, induced, f["transform"], SpaceKind(f["space"]), center)
+    return ls, SurrogateDiagnostics(*(f[name] for name in DIAGNOSTIC_FIELDS), n_terms=n)

@@ -9,6 +9,7 @@ emits the full per-run record described in :mod:`invop.tikhonov`.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -234,22 +235,6 @@ def _run_fem_rate(cfg: StudyConfig, rows: list):
     return ("case", "n", "error_L2"), worst[1], worst[2], tuple(slopes)
 
 
-def _c_example_setup(cfg: StudyConfig):
-    """Shared construction for the neural-surrogate studies on the c-example."""
-    n = cfg.n_cells
-    prob = ProblemKind(ProblemTag.C_EXAMPLE)
-    f = GridFunction.constant(50.0, n)
-    x0 = GridFunction.constant(1.0, n)
-    spec = PerturbationSpec("sine", 0.1, cfg.n_train, seed=3)
-    ts = generate_training_set(prob, f, x0, spec)
-    ls = build_linear_surrogate(center_training_set(ts))
-    modes = [
-        perturbation_shape(PerturbationSpec("sine", 1.0, cfg.n_train), ell, n)
-        for ell in range(1, cfg.n_train + 1)
-    ]
-    return prob, f, x0, ls, modes
-
-
 def _smooth_integrands():
     """Products coefficient * basis direction as they appear inside the
     branch functionals, all smooth on [0, 1]."""
@@ -282,7 +267,7 @@ def _run_surrogate_error(cfg: StudyConfig, rows: list):
     return ("n_quad", "quad_error"), slope, stderr, ()
 
 
-def _source_target_a(prob, x0, f, n):
+def source_target_a(prob, x0, f, n):
     """Target with a genuine source representation: prior offset equal to the
     adjoint of a step load, scaled to a 0.2 amplitude."""
     s = x0.nodes
@@ -291,7 +276,7 @@ def _source_target_a(prob, x0, f, n):
     return x0 + (0.2 / np.max(np.abs(g.values))) * g
 
 
-def _source_target_c(x0, ls, n):
+def source_target_c(x0, ls, n):
     """Target whose coefficients along the training span track the surrogate
     spectrum, confined to the three best-resolved directions."""
     sig = np.array([norm(y, SpaceKind.L2) for y in ls.induced])
@@ -303,6 +288,33 @@ def _source_target_c(x0, ls, n):
     return GridFunction(n, x0.values + gp)
 
 
+#: the c-example inversion setup that ``c_example_setup`` returns
+CExample = namedtuple("CExample", "problem load x0 ls xt probes coeffs diag")
+
+
+def c_example_setup(cfg: StudyConfig) -> CExample:
+    """The c-example built from the config's sizes and seed; the diagnostics
+    are measured on the unit training modes at amplitude 0.1 and on xt."""
+    n = cfg.n_cells
+    prob = ProblemKind(ProblemTag.C_EXAMPLE)
+    f = GridFunction.constant(50.0, n)
+    x0 = GridFunction.constant(1.0, n)
+    spec = PerturbationSpec("sine", 0.1, cfg.n_train, seed=3)
+    ts = generate_training_set(prob, f, x0, spec)
+    ls = build_linear_surrogate(center_training_set(ts))
+    xt = source_target_c(x0, ls, n)
+    modes = [
+        perturbation_shape(PerturbationSpec("sine", 1.0, cfg.n_train), ell, n)
+        for ell in range(1, cfg.n_train + 1)
+    ]
+    probes = tuple(x0 + 0.1 * m for m in modes) + (xt,)
+    coeffs, diag = assemble_neural_surrogate(
+        ls, cfg.n_quad, cfg.n_trunk, ActivationKind.LOGISTIC, seed=cfg.seed + 1,
+        problem=prob, f=f, probes=probes,
+    )
+    return CExample(prob, f, x0, ls, xt, probes, coeffs, diag)
+
+
 def _run_reg_rate(cfg: StudyConfig, rows: list):
     n = cfg.n_cells
     deltas = [float(d) for d in cfg.ladder]
@@ -310,23 +322,18 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         prob = ProblemKind(ProblemTag.A_EXAMPLE)
         f = GridFunction.constant(1.0, n)
         x0 = GridFunction.constant(1.0, n)
-        xt = _source_target_a(prob, x0, f, n)
+        xt = source_target_a(prob, x0, f, n)
         h = SurrogateHandle.fem(prob, f, n)
         space, nu, rho, xi, label = SpaceKind.H1, prob.nu, fem_rho(prob, n), cfg.xi, "a"
         max_it = min(cfg.max_iterations, 4000)
     else:
-        prob, f, x0, ls, modes = _c_example_setup(cfg)
-        xt = _source_target_c(x0, ls, n)
-        probes = [x0 + 0.1 * m for m in modes] + [xt]
-        coeffs, diag = assemble_neural_surrogate(
-            ls, cfg.n_quad, cfg.n_trunk, ActivationKind.LOGISTIC, seed=cfg.seed + 1,
-            problem=prob, f=f, probes=probes,
-        )
+        ex = c_example_setup(cfg)
+        prob, f, x0, xt = ex.problem, ex.load, ex.x0, ex.xt
         if cfg.surrogate == "rank":
-            h = SurrogateHandle.rank(ls)
+            h = SurrogateHandle.rank(ex.ls)
         else:
-            h = SurrogateHandle.neural(coeffs, ls.center, diag)
-        space, nu, rho, xi, label = SpaceKind.L2, prob.nu, diag.rho_bound, cfg.xi, "c"
+            h = SurrogateHandle.neural(ex.coeffs, ex.ls.center)
+        space, nu, rho, xi, label = SpaceKind.L2, prob.nu, ex.diag.rho_bound, cfg.xi, "c"
         max_it = cfg.max_iterations
 
     y_true = solve_forward_reference(prob, xt, f)

@@ -39,7 +39,7 @@ from .neural import (
     eval_structured,
     eval_structured_with_gradient,
 )
-from .training import LinearSurrogate, SurrogateDiagnostics
+from .training import LinearSurrogate
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
@@ -94,7 +94,6 @@ class SurrogateHandle:
     ls: Optional[LinearSurrogate] = None
     coeffs: Optional[StructuredSurrogateCoeffs] = None
     center: Optional[tuple] = None  # (x_hat0, y_hat0)
-    diagnostics: Optional[SurrogateDiagnostics] = None
 
     @staticmethod
     def fem(problem: ProblemKind, load: GridFunction, n: int) -> "SurrogateHandle":
@@ -107,13 +106,8 @@ class SurrogateHandle:
         return SurrogateHandle("rank", ls=ls, center=ls.center)
 
     @staticmethod
-    def neural(
-        coeffs: StructuredSurrogateCoeffs,
-        center: tuple,
-        diagnostics: Optional[SurrogateDiagnostics] = None,
-    ) -> "SurrogateHandle":
-        return SurrogateHandle("neural", coeffs=coeffs, center=center,
-                               diagnostics=diagnostics)
+    def neural(coeffs: StructuredSurrogateCoeffs, center: tuple) -> "SurrogateHandle":
+        return SurrogateHandle("neural", coeffs=coeffs, center=center)
 
     @property
     def label(self) -> str:
@@ -213,11 +207,15 @@ def _smoothed(x: GridFunction, cfg: TikhonovConfig) -> GridFunction:
     return mollify(x, cfg.xi) if cfg.xi > 0 else x
 
 
+def _check_admissible(x: GridFunction, cfg: TikhonovConfig):
+    if float(np.min(x.values)) < cfg.nu - 1e-12:
+        raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
+
+
 def tikhonov_value(
     h: SurrogateHandle, x: GridFunction, y_delta: GridFunction, cfg: TikhonovConfig
 ) -> float:
-    if float(np.min(x.values)) < cfg.nu - 1e-12:
-        raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
+    _check_admissible(x, cfg)
     v = _smoothed(x, cfg)
     r = h.forward(v) - y_delta.resample(h.data_cells(x))
     d = x - cfg.x0.resample(x.n_cells)
@@ -228,6 +226,7 @@ def tikhonov_value_and_gradient(
     h: SurrogateHandle, x: GridFunction, y_delta: GridFunction, cfg: TikhonovConfig
 ):
     """Functional value and its gradient in the configured solution space."""
+    _check_admissible(x, cfg)
     v = _smoothed(x, cfg)
     misfit, gz = h.misfit_and_gradient(v, y_delta)
     if cfg.xi > 0:
@@ -247,7 +246,6 @@ class Certificate:
     gradient_norm: float
     eta_bound: float
     iterations: int
-    reference_gap: Optional[float] = None
 
 
 @dataclass(frozen=True)

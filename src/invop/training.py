@@ -109,9 +109,8 @@ def generate_training_set(
     f: GridFunction,
     center_x: GridFunction,
     perturbation: PerturbationSpec,
-    space: Optional[SpaceKind] = None,
 ) -> TrainingSet:
-    space = problem.image_space if space is None else space
+    space = problem.image_space
     n_cells = center_x.n_cells
     shapes = [
         perturbation_shape(perturbation, ell, n_cells)
@@ -187,11 +186,8 @@ class LinearSurrogate:
         return len(self.basis)
 
 
-def build_linear_surrogate(
-    c: CenteredTrainingSet, space: Optional[SpaceKind] = None
-) -> LinearSurrogate:
-    space = c.space if space is None else space
-    basis, transform = gram_schmidt([p[0] for p in c.pairs], space)
+def build_linear_surrogate(c: CenteredTrainingSet) -> LinearSurrogate:
+    basis, transform = gram_schmidt([p[0] for p in c.pairs], c.space)
     ys = [p[1] for p in c.pairs]
     induced = []
     for j in range(len(basis)):
@@ -199,15 +195,7 @@ def build_linear_surrogate(
         for i in range(j + 1):
             acc += transform[j, i] * ys[i].values
         induced.append(GridFunction(ys[0].n_cells, acc))
-    return LinearSurrogate(tuple(basis), tuple(induced), transform, space, c.center)
-
-
-def apply_linear_surrogate(ls: LinearSurrogate, x: GridFunction) -> GridFunction:
-    x = x.resample(ls.basis[0].n_cells)
-    out = np.zeros_like(ls.induced[0].values)
-    for b, y in zip(ls.basis, ls.induced):
-        out += inner(x, b, ls.space) * y.values
-    return GridFunction(ls.induced[0].n_cells, out)
+    return LinearSurrogate(tuple(basis), tuple(induced), transform, c.space, c.center)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +232,8 @@ def quadrature_nodes(n_k: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_k + 1)
 
 
-def quadrature_weights(n_k: int) -> np.ndarray:
-    """Trapezoid weights: 1/(2 N_k) at the endpoints, 1/N_k inside."""
-    w = np.full(n_k + 1, 1.0 / n_k)
-    w[0] = w[-1] = 0.5 / n_k
-    return w
+#: the branch sample rule is the trapezoid rule on the N_k-interval grid
+quadrature_weights = trapezoid_weights
 
 
 def _build_branch(
@@ -353,27 +338,6 @@ def build_branch_prior(
     )
 
 
-def build_branch_linearized(
-    x_underline: GridFunction,
-    n_k: int,
-    activation_kind: ActivationKind,
-    rescale: RescalePrior,
-    space: SpaceKind,
-) -> BranchCoeffs:
-    """Near-linear branch for the centered functional <x - anchor, basis>.
-
-    The functional weights come from the discrete inner product of the
-    chosen space on the N_k-node submesh, so both the L2 and the H1 pairing
-    are realized; the remaining error is the O(N_k^-2) quadrature error of
-    the coarse mesh plus the O(eps^2) sigmoid linearization error.
-    """
-    g = gram_apply(x_underline.resample(n_k).values, n_k, space)
-    return _build_branch(
-        n_k, activation_kind, rescale, x_underline.sample(quadrature_nodes(n_k)),
-        g, 0.0, use_products=False,
-    )
-
-
 # ---------------------------------------------------------------------------
 # trunk fit
 
@@ -458,34 +422,39 @@ def estimate_nu_N(ls: LinearSurrogate, problem: ProblemKind, f: GridFunction, pr
     return worst
 
 
-def _default_rescale(ls: LinearSurrogate) -> RescalePrior:
-    """Rescale window covering the center plus/minus the training deviations."""
+def _training_deviations(ls: LinearSurrogate):
+    """The original training deviations from the center, recovered from the
+    orthonormal basis through the inverse of the Gram-Schmidt transform."""
     x0 = ls.center[0]
     inv = solve_triangular(ls.transform, np.eye(ls.n_terms), lower=True)
-    lo, hi = float(np.min(x0.values)), float(np.max(x0.values))
+    devs = []
     for j in range(ls.n_terms):
         orig = np.zeros_like(x0.values)
         for i in range(j + 1):
             orig += inv[j, i] * ls.basis[i].values
+        devs.append(orig)
+    return devs
+
+
+def _default_rescale(ls: LinearSurrogate) -> RescalePrior:
+    """Rescale window covering the center plus/minus the training deviations."""
+    x0 = ls.center[0]
+    lo, hi = float(np.min(x0.values)), float(np.max(x0.values))
+    for orig in _training_deviations(ls):
         lo = min(lo, float(np.min(x0.values - np.abs(orig))))
         hi = max(hi, float(np.max(x0.values + np.abs(orig))))
     return RescalePrior(lo, hi, x0)
 
 
 def _default_probes(ls: LinearSurrogate):
-    """Center plus each original training deviation and one mixed combination."""
+    """The center shifted by each original training deviation, and by one
+    mixed combination of them with alternating signs."""
     x0 = ls.center[0]
-    inv = solve_triangular(ls.transform, np.eye(ls.n_terms), lower=True)
-    probes = []
+    devs = _training_deviations(ls)
     mix = np.zeros_like(x0.values)
-    for j in range(ls.n_terms):
-        orig = np.zeros_like(x0.values)
-        for i in range(j + 1):
-            orig += inv[j, i] * ls.basis[i].values
-        probes.append(GridFunction(x0.n_cells, x0.values + orig))
+    for j, orig in enumerate(devs):
         mix += (0.6 if j % 2 == 0 else -0.6) * orig
-    probes.append(GridFunction(x0.n_cells, x0.values + mix))
-    return probes
+    return [GridFunction(x0.n_cells, x0.values + d) for d in devs + [mix]]
 
 
 def assemble_neural_surrogate(
@@ -494,44 +463,32 @@ def assemble_neural_surrogate(
     n_j: int,
     activation_kind: ActivationKind = ActivationKind.LOGISTIC,
     seed: int = 0,
-    rescale: Optional[RescalePrior] = None,
-    branch_mode: str = "linearized",
     problem: Optional[ProblemKind] = None,
     f: Optional[GridFunction] = None,
     probes=None,
 ):
     """Branch/trunk realization of the rank-N surrogate with diagnostics.
 
-    Each term pairs a branch for the coefficient functional
-    <x - center, basis_ell> with a trunk fitted to the induced data
-    function.  ``branch_mode`` selects the anchored quadrature prior
-    ("anchored", first-order accurate near the anchor) or the near-linear
-    realization ("linearized", accurate to quadrature error everywhere).
+    Each term pairs a near-linear branch for the coefficient functional
+    <x - center, basis_ell>, accurate to quadrature error everywhere, with
+    a trunk fitted to the induced data function.  q_N is measured on
+    ``probes``, by default the center shifted by each training deviation
+    and by one mix of them; nu_N is estimated on the same probes when
+    ``problem`` and ``f`` are given, and is zero otherwise.
     Returns (coefficients, diagnostics).
     """
-    if branch_mode not in ("anchored", "linearized"):
-        raise ValueError(f"unknown branch mode {branch_mode!r}")
     if ls.center is None:
         raise DimensionMismatch("surrogate does not carry a center pair")
-    if rescale is None:
-        rescale = _default_rescale(ls)
+    rescale = _default_rescale(ls)
     x0 = ls.center[0]
     t = quadrature_nodes(n_k)
-    cq = quadrature_weights(n_k)
 
     branches, trunks, residuals = [], [], []
     for ell, (xb, yb) in enumerate(zip(ls.basis, ls.induced)):
         g = gram_apply(xb.resample(n_k).values, n_k, ls.space)
-        if branch_mode == "anchored":
-            branch = _build_branch(
-                n_k, activation_kind, rescale, xb.sample(t), g, 0.0,
-                use_products=True,
-            )
-        else:
-            branch = _build_branch(
-                n_k, activation_kind, rescale, xb.sample(t), g, 0.0,
-                use_products=False,
-            )
+        branch = _build_branch(
+            n_k, activation_kind, rescale, xb.sample(t), g, 0.0, use_products=False,
+        )
         trunk, res = fit_trunk(yb, n_j, activation_kind, seed + 7 * ell)
         branches.append(branch)
         trunks.append(trunk)
@@ -541,9 +498,9 @@ def assemble_neural_surrogate(
         tuple(branches), tuple(trunks), tuple(t for _ in branches), activation_kind
     )
 
-    q_probes = list(probes) if probes is not None else _default_probes(ls)
+    probes = list(probes) if probes is not None else _default_probes(ls)
     q_n = 0.0
-    for x in q_probes:
+    for x in probes:
         x = x.resample(x0.n_cells)
         xs = x.sample(t)
         for branch, xb in zip(branches, ls.basis):
@@ -551,7 +508,7 @@ def assemble_neural_surrogate(
             q_n = max(q_n, abs(eval_branch(branch, activation_kind, xs) - exact))
 
     r_n = max(residuals)
-    if problem is not None and f is not None and probes is not None:
+    if problem is not None and f is not None:
         nu_n = estimate_nu_N(ls, problem, f, probes)
     else:
         nu_n = 0.0

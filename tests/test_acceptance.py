@@ -17,7 +17,14 @@ from invop.fem import (
 from invop.grid import GridFunction, SpaceKind, inner, norm
 from invop.mollify import mollify
 from invop.neural import ActivationKind
-from invop.studies import StudyConfig, analytic_cases, fem_rho, fit_slope, run_study
+from invop.studies import (
+    StudyConfig,
+    analytic_cases,
+    c_example_setup,
+    fem_rho,
+    fit_slope,
+    run_study,
+)
 from invop.tikhonov import (
     SurrogateHandle,
     TikhonovConfig,
@@ -31,7 +38,6 @@ from invop.tikhonov import (
 from invop.training import (
     CenteredTrainingSet,
     PerturbationSpec,
-    apply_linear_surrogate,
     assemble_neural_surrogate,
     build_linear_surrogate,
     center_training_set,
@@ -46,22 +52,7 @@ C = ProblemKind(ProblemTag.C_EXAMPLE)
 @pytest.fixture(scope="module")
 def c_surrogate():
     """The trained c-example surrogate shared by criteria 3 and 6."""
-    n = 256
-    f = GridFunction.constant(50.0, n)
-    x0 = GridFunction.constant(1.0, n)
-    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 6, seed=3))
-    ls = build_linear_surrogate(center_training_set(ts))
-    from invop.studies import _source_target_c
-
-    xt = _source_target_c(x0, ls, n)
-    modes = [perturbation_shape(PerturbationSpec("sine", 1.0, 6), l, n)
-             for l in range(1, 7)]
-    probes = [x0 + 0.1 * m for m in modes] + [xt]
-    coeffs, diag = assemble_neural_surrogate(
-        ls, 512, 14, ActivationKind.LOGISTIC, seed=1,
-        problem=C, f=f, probes=probes,
-    )
-    return dict(n=n, f=f, x0=x0, ls=ls, xt=xt, coeffs=coeffs, diag=diag)
+    return c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
 
 
 def test_criterion_1_fem_convergence_rate():
@@ -95,17 +86,17 @@ def test_criterion_3_regularization_rate_c_example(c_surrogate):
 
     # additive smoothing term: errors at two widths differ by <= 3x the gap
     s = c_surrogate
-    h = SurrogateHandle.neural(s["coeffs"], s["ls"].center, s["diag"])
-    y_true = solve_forward_reference(C, s["xt"], s["f"])
+    h = SurrogateHandle.neural(s.coeffs, s.ls.center)
+    y_true = solve_forward_reference(C, s.xt, s.load)
     delta = deltas[2]
     yd = add_noise(y_true, delta, seed=205)
     errs = []
     for xi_k in (1e-4, 2e-4):
-        alpha, eta = choose_parameters(delta, s["diag"].rho_bound, 0.15)
+        alpha, eta = choose_parameters(delta, s.diag.rho_bound, 0.15)
         cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=xi_k,
-                             x0=s["x0"], space=SpaceKind.L2, nu=C.nu,
-                             max_iterations=20000, x_true=s["xt"])
-        errs.append(solve_inverse_problem(h, yd, cfg, s["x0"]).error_X)
+                             x0=s.x0, space=SpaceKind.L2, nu=C.nu,
+                             max_iterations=20000, x_true=s.xt)
+        errs.append(solve_inverse_problem(h, yd, cfg, s.x0).error_X)
     assert abs(errs[1] - errs[0]) <= 3.0 * (2e-4 - 1e-4), errs
 
 
@@ -128,12 +119,13 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     for c, d in zip(rng.standard_normal(n_terms), dirs):
         span = span + float(c) * d
     expect = derivative_apply(C, x0, span, f, n)
-    got = apply_linear_surrogate(ls, span)
+    rank = SurrogateHandle.rank(ls)  # zero data at the center x0
+    got = rank.forward(x0 + span)
     assert norm(got - expect, SpaceKind.L2) <= 1e-9 * norm(expect, SpaceKind.L2)
 
     scale = max(norm(y, SpaceKind.L2) for _, y in pairs)
     ortho = perturbation_shape(spec, n_terms + 1, n)  # L2-orthogonal mode
-    annihilated = apply_linear_surrogate(ls, ortho)
+    annihilated = rank.forward(x0 + ortho)
     assert norm(annihilated, SpaceKind.L2) <= 1e-9 * scale
 
 
@@ -149,7 +141,8 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     surrogate forward error never exceeds rho_bound + 10 r_N on 20 seeded
     trials of random admissible probes."""
     s = c_surrogate
-    n, f, x0, ls = s["n"], s["f"], s["x0"], s["ls"]
+    f, x0, ls = s.load, s.x0, s.ls
+    n = x0.n_cells
     modes = [perturbation_shape(PerturbationSpec("sine", 1.0, 8), l, n)
              for l in range(1, 9)]
 
@@ -167,7 +160,7 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     )
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
 
-    h = SurrogateHandle.neural(coeffs, ls.center, diag)
+    h = SurrogateHandle.neural(coeffs, ls.center)
     bound = diag.rho_bound + 10.0 * diag.r_N
     worst = 0.0
     for trial in range(20):
@@ -241,7 +234,7 @@ def test_criterion_8_optimization_soundness():
 
     # gradient consistency on every surrogate kind
     handles = [SurrogateHandle.fem(C, f, n), h_rank,
-               SurrogateHandle.neural(coeffs, ls.center, diag)]
+               SurrogateHandle.neural(coeffs, ls.center)]
     x = GridFunction(n, 1.0 + 0.03 * rng.standard_normal(n + 1))
     d = GridFunction(n, rng.standard_normal(n + 1))
     for h in handles:

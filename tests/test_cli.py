@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from invop.cli import cli_main
-from invop.serialize import load_structured, load_training_set
+from invop.serialize import load_linear_surrogate, load_structured, load_training_set
+from invop.tikhonov import SurrogateHandle
 
 
 def _write(path, text):
@@ -186,3 +187,82 @@ def test_non_finite_training_value_reported_by_name(tmp_path, capsys):
     assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
                      "--out", str(tmp_path / "surr.txt"), "--quiet"]) == 2
     assert "NonFiniteValue" in capsys.readouterr().err
+
+
+def _small_surrogate(tmp_path):
+    gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
+    ts_path, surr_path = tmp_path / "train.txt", tmp_path / "surr.txt"
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
+    assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
+                     "--out", str(surr_path), "--quiet"]) == 0
+    return surr_path
+
+
+def _small_solve(tmp_path, kind, surr_path, delta):
+    return _write(tmp_path / f"solve_{kind}.cfg", f"""
+[solve]
+problem = c
+surrogate = {kind}
+surrogate_file = {surr_path}
+n_cells = 32
+load = 50.0
+delta = {delta!r}
+constant = 0.5
+target = prior
+space = L2
+max_iterations = 20
+""")
+
+
+def test_solve_uses_surrogate_error_from_build(tmp_path):
+    surr_path = _small_surrogate(tmp_path)
+    _, diag = load_linear_surrogate(str(surr_path) + ".rank")
+    assert diag.nu_N > 0.0
+    assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
+    delta = 1e-7
+    assert diag.rho_bound > delta  # so alpha = constant * rho, not constant * delta
+    for kind in ("rank", "neural"):
+        out = tmp_path / f"{kind}.csv"
+        assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, delta),
+                         "--out", str(out), "--quiet"]) == 0
+        header, row = out.read_text().splitlines()
+        alpha = float(row.split(",")[header.split(",").index("alpha")])
+        assert alpha == 0.5 * diag.rho_bound, kind
+
+
+def test_solve_without_stored_diagnostics_names_field(tmp_path, capsys):
+    surr_path = _small_surrogate(tmp_path)
+    rank_path = tmp_path / "surr.txt.rank"
+    lines = rank_path.read_text().splitlines()
+    rank_path.write_text("\n".join(line for line in lines if not line.startswith("nu_N ")) + "\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "rank", surr_path, 1e-3),
+                     "--quiet"]) == 1
+    assert "'nu_N'" in capsys.readouterr().err
+
+
+def test_build_without_load_exits_one(tmp_path, capsys):
+    gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
+    ts_path = tmp_path / "train.txt"
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
+    lines = ts_path.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("load.n_cells "))
+    ts_path.write_text("\n".join(lines[:i] + lines[i + 3:]) + "\n")  # load header and payload
+    capsys.readouterr()
+    assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
+                     "--out", str(tmp_path / "surr.txt"), "--quiet"]) == 1
+    assert "no load" in capsys.readouterr().err
+
+
+def test_verify_checks_neural_gradient(monkeypatch, capsys):
+    misfit_and_gradient = SurrogateHandle.misfit_and_gradient
+
+    def off_by_a_permille(self, x, y_delta):
+        value, grad = misfit_and_gradient(self, x, y_delta)
+        return value, grad * 1.001 if self.kind == "neural" else grad
+
+    monkeypatch.setattr(SurrogateHandle, "misfit_and_gradient", off_by_a_permille)
+    assert cli_main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL gradient" in captured.err and "NeuralOperator" in captured.err
+    assert "ok gradient" not in captured.out

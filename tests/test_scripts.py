@@ -1,0 +1,29 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import invop
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_surrogate_pipeline_prints_one_row_per_map():
+    src = str(Path(invop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, str(SCRIPTS / "surrogate_pipeline.py"), "0.05"],
+                         capture_output=True, text=True, check=True, timeout=300, env=env)
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("diagnostics: nu_N=")
+    assert tuple(lines[1].split(",")) == invop.RUN_COLUMNS
+    assert [row.split(",")[1] for row in lines[2:]] == [
+        "FemForward", "LinearRankN", "NeuralOperator"]
+
+
+def test_scripts_import_only_public_names():
+    for path in sorted(SCRIPTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("invop"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, node.module, private)

@@ -5,14 +5,12 @@ from invop import serialize
 from invop.errors import ConfigInvalid
 from invop.fem import ProblemKind, ProblemTag
 from invop.grid import GridFunction
-from invop.neural import ActivationKind, eval_structured, flatten_structured
+from invop.neural import ActivationKind, eval_structured
 from invop.serialize import (
     load_linear_surrogate,
-    load_neural_operator,
     load_structured,
     load_training_set,
     save_linear_surrogate,
-    save_neural_operator,
     save_structured,
     save_training_set,
 )
@@ -34,12 +32,13 @@ def pipeline():
     x0 = GridFunction.constant(1.0, N)
     ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 3, seed=3))
     ls = build_linear_surrogate(center_training_set(ts))
-    coeffs, _ = assemble_neural_surrogate(ls, 96, 10, ActivationKind.LOGISTIC, seed=1)
-    return ts, ls, coeffs
+    coeffs, diag = assemble_neural_surrogate(ls, 96, 10, ActivationKind.LOGISTIC, seed=1,
+                                             problem=C, f=f)
+    return ts, ls, coeffs, diag
 
 
 def test_training_set_round_trip_bitwise(pipeline, tmp_path):
-    ts, _, _ = pipeline
+    ts, _, _, _ = pipeline
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
     ts2 = load_training_set(p)
@@ -52,10 +51,11 @@ def test_training_set_round_trip_bitwise(pipeline, tmp_path):
 
 
 def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
-    _, ls, _ = pipeline
+    _, ls, _, diag = pipeline
     p = tmp_path / "ls.txt"
-    save_linear_surrogate(p, ls)
-    ls2 = load_linear_surrogate(p)
+    save_linear_surrogate(p, ls, diag)
+    ls2, diag2 = load_linear_surrogate(p)
+    assert diag.nu_N > 0.0 and diag2 == diag
     assert np.array_equal(ls.transform, ls2.transform)
     assert ls2.space == ls.space
     for b, b2 in zip(ls.basis, ls2.basis):
@@ -64,7 +64,7 @@ def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
 
 
 def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
-    _, _, coeffs = pipeline
+    _, _, coeffs, _ = pipeline
     p = tmp_path / "st.txt"
     save_structured(p, coeffs)
     c2 = load_structured(p)
@@ -73,19 +73,8 @@ def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
     assert np.array_equal(eval_structured(coeffs, x, t), eval_structured(c2, x, t))
 
 
-def test_flat_operator_round_trip_bitwise(pipeline, tmp_path):
-    _, _, coeffs = pipeline
-    flat = flatten_structured(coeffs)
-    p = tmp_path / "flat.txt"
-    save_neural_operator(p, flat)
-    f2 = load_neural_operator(p)
-    for name in ("alpha", "w", "w_vec", "theta", "s_points", "zeta"):
-        assert np.array_equal(np.asarray(getattr(flat, name)),
-                              np.asarray(getattr(f2, name))), name
-
-
 def test_wrong_kind_rejected(pipeline, tmp_path):
-    ts, _, _ = pipeline
+    ts, _, _, _ = pipeline
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
     with pytest.raises(ConfigInvalid):
@@ -100,7 +89,7 @@ def test_garbage_file_rejected(tmp_path):
 
 
 def test_truncated_file_rejected(pipeline, tmp_path):
-    ts, _, _ = pipeline
+    ts, _, _, _ = pipeline
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
     text = p.read_text().splitlines()
@@ -155,15 +144,15 @@ def _reference_write_field(lines, name, value):
 
 
 def test_writer_text_matches_per_entry_reference(pipeline, tmp_path, monkeypatch):
-    ts, ls, coeffs = pipeline
+    ts, ls, coeffs, diag = pipeline
     assert coeffs.n_terms >= 2
-    saves = ((save_structured, coeffs), (save_linear_surrogate, ls),
-             (save_training_set, ts))
-    for i, (save, obj) in enumerate(saves):
-        save(tmp_path / f"new{i}.txt", obj)
+    saves = ((save_structured, (coeffs,)), (save_linear_surrogate, (ls, diag)),
+             (save_training_set, (ts,)))
+    for i, (save, args) in enumerate(saves):
+        save(tmp_path / f"new{i}.txt", *args)
     monkeypatch.setattr(serialize, "_write_field", _reference_write_field)
-    for i, (save, obj) in enumerate(saves):
-        save(tmp_path / f"ref{i}.txt", obj)
+    for i, (save, args) in enumerate(saves):
+        save(tmp_path / f"ref{i}.txt", *args)
         assert (tmp_path / f"new{i}.txt").read_bytes() == (tmp_path / f"ref{i}.txt").read_bytes()
 
 
@@ -177,7 +166,7 @@ def _damaged(tmp_path, text: str):
 
 
 def test_file_cut_mid_payload_names_path_and_field(pipeline, tmp_path):
-    _, _, coeffs = pipeline
+    _, _, coeffs, _ = pipeline
     p = tmp_path / "st.txt"
     save_structured(p, coeffs)
     text = p.read_text()
@@ -198,7 +187,7 @@ def test_file_cut_mid_payload_names_path_and_field(pipeline, tmp_path):
 
 
 def test_ragged_or_short_payload_rejected(pipeline, tmp_path):
-    ts, _, _ = pipeline
+    ts, _, _, _ = pipeline
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
     lines = p.read_text().splitlines()

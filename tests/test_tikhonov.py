@@ -42,7 +42,7 @@ def handles():
     return {
         "fem": SurrogateHandle.fem(C, f, N),
         "rank": SurrogateHandle.rank(ls),
-        "neural": SurrogateHandle.neural(coeffs, ls.center, diag),
+        "neural": SurrogateHandle.neural(coeffs, ls.center),
         "f": f,
         "x0": x0,
     }
@@ -144,6 +144,14 @@ def test_value_rejects_inadmissible_point(handles):
     bad = GridFunction.constant(0.05, N)
     with pytest.raises(NonAdmissibleCoefficient):
         tikhonov_value(handles["fem"], bad, handles["x0"], cfg)
+
+
+@pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
+def test_value_and_gradient_rejects_inadmissible_point(handles, kind):
+    cfg = _config(handles["x0"], SpaceKind.L2)
+    bad = GridFunction.constant(0.05, N)
+    with pytest.raises(NonAdmissibleCoefficient):
+        tikhonov_value_and_gradient(handles[kind], bad, handles["x0"], cfg)
 
 
 # -- minimization -----------------------------------------------------------
