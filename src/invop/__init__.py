@@ -19,9 +19,7 @@ from .errors import (
     NonAdmissibleCoefficient,
     NonAdmissiblePerturbation,
     NonFiniteValue,
-    OutOfRange,
     PropertyViolation,
-    RangeViolation,
     SingularSystem,
     Stalled,
     WidthTooLarge,

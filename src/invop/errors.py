@@ -21,20 +21,12 @@ class NonFiniteValue(InvopError):
     """An array that must be finite holds a NaN or an infinity."""
 
 
-class OutOfRange(InvopError):
-    """Argument outside the admissible interval."""
-
-
 class NonAdmissiblePerturbation(InvopError):
     """Perturbation amplitude exceeds the admissibility margin of the center."""
 
 
 class DependentImages(InvopError):
     """Training images are (numerically) linearly dependent."""
-
-
-class RangeViolation(InvopError):
-    """Rescaled values left the open interval (0, 1) required by the prior."""
 
 
 class IllConditionedFit(InvopError):

@@ -166,7 +166,8 @@ def adjoint_apply(
     The image-space pairing is H1 for the diffusion problem and L2 for the
     reaction problem; the final step applies the corresponding Riesz map.
     """
-    z = misfit_gradient_nodal(kind, x, r, f, n)
+    y = solve_forward_fem(kind, x, f, n)
+    z = misfit_gradient_nodal(kind, x, y, r, n)
     g = gram_solve(z, n, kind.image_space)
     return GridFunction(n, g)
 
@@ -174,19 +175,20 @@ def adjoint_apply(
 def misfit_gradient_nodal(
     kind: ProblemKind,
     x: GridFunction,
+    y: GridFunction,
     r: GridFunction,
-    f: GridFunction,
     n: int,
 ) -> np.ndarray:
     """Euclidean-gradient form of the adjoint, before the Riesz map.
 
-    Returns z with z_j = <F'[x] e_j, r>_L2 for nodal directions e_j.
+    ``y`` is the forward solution solve_forward_fem(kind, x, f, n), which
+    the caller has already computed.  Returns z with
+    z_j = <F'[x] e_j, r>_L2 for nodal directions e_j.
     """
     kind.check_admissible(x)
     xv = x.resample(n).values
     rv = r.resample(n).values
-    y = solve_forward_fem(kind, x, f, n)
-    yv = y.values
+    yv = y.resample(n).values
     h = 1.0 / n
 
     w = trapezoid_weights(n)

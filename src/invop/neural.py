@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, OutOfRange
+from .errors import DimensionMismatch, NonFiniteValue
 from .grid import GridFunction
 
 
@@ -49,21 +49,6 @@ def activation_derivative(kind: ActivationKind, t):
         out = 0.5 / np.cosh(t) ** 2
     else:
         out = 1.0 / (np.pi * (1.0 + t * t))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def activation_inverse(kind: ActivationKind, v):
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0) or np.any(v >= 1.0):
-        raise OutOfRange("activation inverse requires values in the open (0, 1)")
-    if kind is ActivationKind.LOGISTIC:
-        out = np.log(v) - np.log1p(-v)
-    elif kind is ActivationKind.TANH_RESCALED:
-        out = np.arctanh(2.0 * v - 1.0)
-    else:
-        out = np.tan(np.pi * (v - 0.5))
     if out.ndim == 0:
         return float(out)
     return out

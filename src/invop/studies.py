@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, DegenerateFit
 from .fem import ProblemKind, ProblemTag, adjoint_apply, solve_forward_fem, solve_forward_reference
-from .grid import GridFunction, SpaceKind, inner, norm
+from .grid import GridFunction, SpaceKind, inner, norm, trapezoid_weights
 from .mollify import mollify
 from .neural import ActivationKind
 from .tikhonov import (
@@ -37,6 +37,7 @@ from .training import (
     center_training_set,
     generate_training_set,
     perturbation_shape,
+    quadrature_nodes,
 )
 
 STUDY_KINDS = ("fem_rate", "surrogate_error", "reg_rate", "mollify_rate")
@@ -247,16 +248,14 @@ def _smooth_integrands():
 
 
 def _run_surrogate_error(cfg: StudyConfig, rows: list):
-    from .training import quadrature_nodes, quadrature_weights
-
     integrands = _smooth_integrands()
     fine = quadrature_nodes(1 << 16)
-    fine_w = quadrature_weights(1 << 16)
+    fine_w = trapezoid_weights(1 << 16)
     refs = [float(np.dot(fine_w, g(fine))) for g in integrands]
     errs = []
     for n_k in cfg.ladder:
         nodes = quadrature_nodes(int(n_k))
-        w = quadrature_weights(int(n_k))
+        w = trapezoid_weights(int(n_k))
         e = max(
             abs(float(np.dot(w, g(nodes))) - ref)
             for g, ref in zip(integrands, refs)

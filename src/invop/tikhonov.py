@@ -122,7 +122,7 @@ class SurrogateHandle:
             return self.coeffs.n_terms
         return 0
 
-    def data_cells(self, x: GridFunction) -> int:
+    def data_cells(self) -> int:
         if self.kind == "fem":
             return self.n
         return self.center[1].n_cells
@@ -151,7 +151,7 @@ class SurrogateHandle:
             y = self.forward(x)
             r = y - y_delta.resample(self.n)
             value = inner(r, r, SpaceKind.L2)
-            grad = 2.0 * misfit_gradient_nodal(self.problem, x, r, self.load, self.n)
+            grad = 2.0 * misfit_gradient_nodal(self.problem, x, y, r, self.n)
             return value, grad
         if self.kind == "rank":
             x0, y0 = self.center
@@ -217,7 +217,7 @@ def tikhonov_value(
 ) -> float:
     _check_admissible(x, cfg)
     v = _smoothed(x, cfg)
-    r = h.forward(v) - y_delta.resample(h.data_cells(x))
+    r = h.forward(v) - y_delta.resample(h.data_cells())
     d = x - cfg.x0.resample(x.n_cells)
     return inner(r, r, SpaceKind.L2) + cfg.alpha * inner(d, d, cfg.space)
 

@@ -21,7 +21,6 @@ from .errors import (
     EmptyProbeSet,
     IllConditionedFit,
     NonAdmissiblePerturbation,
-    RangeViolation,
 )
 from .fem import ProblemKind, solve_forward_reference
 from .grid import GridFunction, SpaceKind, gram_apply, inner, norm, trapezoid_weights
@@ -32,7 +31,6 @@ from .neural import (
     TrunkCoeffs,
     activation,
     activation_derivative,
-    activation_inverse,
     eval_branch,
     eval_trunk,
 )
@@ -202,139 +200,31 @@ def build_linear_surrogate(c: CenteredTrainingSet) -> LinearSurrogate:
 # branch construction
 
 
-@dataclass(frozen=True)
-class RescalePrior:
-    """Affine map u -> margin + (1 - 2 margin)(u - lo)/(hi - lo) taking the
-    value range of the input family into (0, 1), plus the center function
-    the prior is anchored at."""
-
-    lo: float
-    hi: float
-    anchor: GridFunction
-    margin: float = 0.05
-
-    def __post_init__(self):
-        if not self.hi > self.lo:
-            raise RangeViolation("rescale interval is empty")
-        if not 0.0 < self.margin < 0.5:
-            raise RangeViolation("margin must lie in (0, 0.5)")
-
-    @property
-    def scale(self) -> float:
-        return (1.0 - 2.0 * self.margin) / (self.hi - self.lo)
-
-    @property
-    def offset(self) -> float:
-        return self.margin - self.scale * self.lo
-
-
 def quadrature_nodes(n_k: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_k + 1)
 
 
-#: the branch sample rule is the trapezoid rule on the N_k-interval grid
-quadrature_weights = trapezoid_weights
-
-
-def _build_branch(
-    n_k: int,
-    kind: ActivationKind,
-    rescale: RescalePrior,
-    v: np.ndarray,
-    target_slopes: np.ndarray,
-    anchor_value: float,
-    use_products: bool,
+def _near_linear_branch(
+    kind: ActivationKind, slopes: np.ndarray, anchor_vals: np.ndarray
 ) -> BranchCoeffs:
-    """Sigmoid functional of the samples x(t_k) with prescribed behavior.
+    """Sigmoid functional sum_k slopes_k (x(t_k) - anchor_k), zero at the anchor.
 
-    The branch realizes sum_k target_slopes_k x(t_k) + const with the
-    constant fixed so the output at the anchor equals anchor_value to
-    rounding.  With ``use_products`` the quadrature-weighted product nodes
-    of the anchored prior carry the trapezoid part of the functional and
-    near-linear nodes supply the affine-rescale remainder; without, the
-    near-linear nodes carry the whole functional.
+    One near-linear node per sample carries the slope; one constant node
+    cancels the nodes' value at the anchor samples to rounding.
     """
-    t = quadrature_nodes(n_k)
-    cq = quadrature_weights(n_k)
-    a, b, m = rescale.scale, rescale.offset, rescale.margin
-    anchor_vals = rescale.anchor.sample(t)
-    u_ref = a * anchor_vals + b
-    if np.any(u_ref < m - 1e-12) or np.any(u_ref > 1.0 - m + 1e-12):
-        raise RangeViolation("anchor leaves the rescale window")
-
-    rows_c, rows_w, rows_theta = [], [], []
-    lo2, hi2 = float(np.min(v)), float(np.max(v))
-    degenerate = hi2 - lo2 < 1e-12
-
-    if use_products and not degenerate:
-        a2 = (1.0 - 2.0 * m) / (hi2 - lo2)
-        b2 = m - a2 * lo2
-        v_r = a2 * v + b2
-        products = u_ref * v_r
-        if np.any(products <= 0.0) or np.any(products >= 1.0):
-            raise RangeViolation("rescaled products leave (0, 1)")
-        g = activation_inverse(kind, products)
-        w_min = g * u_ref / (u_ref**2 + 1.0)
-        theta_min = g / (u_ref**2 + 1.0)
-        w_prod = np.zeros((n_k + 1, n_k + 1))
-        # the input rescale is folded into the stored weights, so the node
-        # argument is w_min * psi(x_k) + theta_min for raw samples x_k
-        np.fill_diagonal(w_prod, w_min * a)
-        rows_c.append(cq / (a * a2))
-        rows_w.append(w_prod)
-        rows_theta.append(theta_min + w_min * b)
-        # the product block represents trap(x v) + (b2/a2) trap(x) + const;
-        # leave the difference from the target to the near-linear nodes
-        lin_slopes = target_slopes - cq * v - (b2 / a2) * cq
-    else:
-        lin_slopes = target_slopes
-
+    n = anchor_vals.size
     eps = LINEAR_NODE_EPS
-    d0 = activation_derivative(kind, 0.0)
-    w_lin = np.zeros((n_k + 1, n_k + 1))
-    np.fill_diagonal(w_lin, eps)
-    rows_c.append(lin_slopes / (d0 * eps))
-    rows_w.append(w_lin)
-    rows_theta.append(-eps * anchor_vals)
-
+    w = np.zeros((n, n))
+    np.fill_diagonal(w, eps)
     partial = BranchCoeffs(
-        np.concatenate(rows_c), np.vstack(rows_w), np.concatenate(rows_theta)
+        slopes / (activation_derivative(kind, 0.0) * eps), w, -eps * anchor_vals
     )
-    at_anchor = eval_branch(partial, kind, anchor_vals)
-    c0 = (anchor_value - at_anchor) / activation(kind, 0.0)
+    # 0.0 - v, not -v: an exact cancellation gives c0 = +0.0
+    c0 = (0.0 - eval_branch(partial, kind, anchor_vals)) / activation(kind, 0.0)
     return BranchCoeffs(
         np.concatenate([partial.c, [c0]]),
-        np.vstack([partial.w, np.zeros(n_k + 1)]),
+        np.vstack([partial.w, np.zeros(n)]),
         np.concatenate([partial.theta, [0.0]]),
-    )
-
-
-def build_branch_prior(
-    x_underline: GridFunction,
-    n_k: int,
-    activation_kind: ActivationKind,
-    rescale: RescalePrior,
-) -> BranchCoeffs:
-    """Anchored quadrature prior for the functional x -> trapezoid of x * basis.
-
-    Product nodes carry the trapezoid weights and the minimum-Euclidean-norm
-    anchored weights of the closed-form sigmoid relation; near-linear
-    companion nodes and one constant node unfold the affine rescale, which
-    keeps the construction defined for sign-changing basis functions and
-    exact at the anchor.
-    """
-    t = quadrature_nodes(n_k)
-    cq = quadrature_weights(n_k)
-    v = x_underline.sample(t)
-    anchor_vals = rescale.anchor.sample(t)
-    return _build_branch(
-        n_k,
-        activation_kind,
-        rescale,
-        v,
-        cq * v,
-        float(np.dot(cq * v, anchor_vals)),
-        use_products=True,
     )
 
 
@@ -422,9 +312,11 @@ def estimate_nu_N(ls: LinearSurrogate, problem: ProblemKind, f: GridFunction, pr
     return worst
 
 
-def _training_deviations(ls: LinearSurrogate):
-    """The original training deviations from the center, recovered from the
-    orthonormal basis through the inverse of the Gram-Schmidt transform."""
+def _default_probes(ls: LinearSurrogate):
+    """The center shifted by each original training deviation, and by one
+    mixed combination of them with alternating signs.  The deviations are
+    recovered from the orthonormal basis through the inverse of the
+    Gram-Schmidt transform."""
     x0 = ls.center[0]
     inv = solve_triangular(ls.transform, np.eye(ls.n_terms), lower=True)
     devs = []
@@ -433,24 +325,6 @@ def _training_deviations(ls: LinearSurrogate):
         for i in range(j + 1):
             orig += inv[j, i] * ls.basis[i].values
         devs.append(orig)
-    return devs
-
-
-def _default_rescale(ls: LinearSurrogate) -> RescalePrior:
-    """Rescale window covering the center plus/minus the training deviations."""
-    x0 = ls.center[0]
-    lo, hi = float(np.min(x0.values)), float(np.max(x0.values))
-    for orig in _training_deviations(ls):
-        lo = min(lo, float(np.min(x0.values - np.abs(orig))))
-        hi = max(hi, float(np.max(x0.values + np.abs(orig))))
-    return RescalePrior(lo, hi, x0)
-
-
-def _default_probes(ls: LinearSurrogate):
-    """The center shifted by each original training deviation, and by one
-    mixed combination of them with alternating signs."""
-    x0 = ls.center[0]
-    devs = _training_deviations(ls)
     mix = np.zeros_like(x0.values)
     for j, orig in enumerate(devs):
         mix += (0.6 if j % 2 == 0 else -0.6) * orig
@@ -479,16 +353,14 @@ def assemble_neural_surrogate(
     """
     if ls.center is None:
         raise DimensionMismatch("surrogate does not carry a center pair")
-    rescale = _default_rescale(ls)
     x0 = ls.center[0]
     t = quadrature_nodes(n_k)
+    anchor_vals = x0.sample(t)
 
     branches, trunks, residuals = [], [], []
     for ell, (xb, yb) in enumerate(zip(ls.basis, ls.induced)):
         g = gram_apply(xb.resample(n_k).values, n_k, ls.space)
-        branch = _build_branch(
-            n_k, activation_kind, rescale, xb.sample(t), g, 0.0, use_products=False,
-        )
+        branch = _near_linear_branch(activation_kind, g, anchor_vals)
         trunk, res = fit_trunk(yb, n_j, activation_kind, seed + 7 * ell)
         branches.append(branch)
         trunks.append(trunk)

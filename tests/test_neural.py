@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invop.errors import DimensionMismatch, NonFiniteValue, OutOfRange
+from invop.errors import DimensionMismatch, NonFiniteValue
 from invop.grid import GridFunction
 from invop.neural import (
     ActivationKind,
@@ -13,7 +13,6 @@ from invop.neural import (
     TrunkCoeffs,
     activation,
     activation_derivative,
-    activation_inverse,
     eval_branch,
     eval_branch_gradient,
     eval_neural_operator,
@@ -42,17 +41,6 @@ def test_activation_derivative_matches_fd(kind):
     eps = 1e-6
     fd = (activation(kind, t + eps) - activation(kind, t - eps)) / (2 * eps)
     assert activation_derivative(kind, t) == pytest.approx(fd, abs=1e-9)
-
-
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
-def test_activation_inverse_round_trip(kind):
-    v = np.linspace(0.01, 0.99, 25)
-    assert activation(kind, activation_inverse(kind, v)) == pytest.approx(v, abs=1e-12)
-
-
-def test_activation_inverse_rejects_saturated_values():
-    with pytest.raises(OutOfRange):
-        activation_inverse(ActivationKind.LOGISTIC, 1.0)
 
 
 @settings(max_examples=50, deadline=None)

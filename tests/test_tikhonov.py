@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invop.fem
+import invop.tikhonov
 from invop.errors import DegenerateScale, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, ProblemTag, solve_forward_fem
 from invop.grid import GridFunction, SpaceKind, inner, norm
@@ -137,6 +139,23 @@ def test_gradient_with_mollification(handles):
           - tikhonov_value(h, x - eps * d, yd, cfg)) / (2 * eps)
     an = inner(g, d, SpaceKind.L2)
     assert abs(fd - an) <= 1e-4 * max(1.0, abs(an))
+
+
+def test_fem_misfit_gradient_solves_forward_once(handles, monkeypatch):
+    h = handles["fem"]
+    x = 1.02 * handles["x0"]
+    yd = add_noise(h.forward(handles["x0"]), 1e-3, seed=5)
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve_forward_fem(*args)
+
+    # patch both bindings: the handle's forward and the gradient kernel
+    monkeypatch.setattr(invop.tikhonov, "solve_forward_fem", counting_solve)
+    monkeypatch.setattr(invop.fem, "solve_forward_fem", counting_solve)
+    h.misfit_and_gradient(x, yd)
+    assert len(calls) == 1
 
 
 def test_value_rejects_inadmissible_point(handles):

@@ -7,15 +7,14 @@ from invop.errors import (
     NonAdmissiblePerturbation,
 )
 from invop.fem import ProblemKind, ProblemTag, derivative_apply, solve_forward_reference
-from invop.grid import GridFunction, SpaceKind, inner, norm
+from invop.grid import GridFunction, SpaceKind, inner, norm, trapezoid_weights
 from invop.neural import ActivationKind, eval_branch
+from invop.studies import StudyConfig, c_example_setup
 from invop.tikhonov import SurrogateHandle
 from invop.training import (
     LinearSurrogate,
     PerturbationSpec,
-    RescalePrior,
     assemble_neural_surrogate,
-    build_branch_prior,
     build_linear_surrogate,
     center_training_set,
     fit_trunk,
@@ -23,7 +22,6 @@ from invop.training import (
     gram_schmidt,
     perturbation_shape,
     quadrature_nodes,
-    quadrature_weights,
 )
 
 A = ProblemKind(ProblemTag.A_EXAMPLE)
@@ -139,22 +137,19 @@ def test_surrogate_matches_linearization_on_span(c_setup):
 
 
 def test_quadrature_weights_sum_to_one():
-    w = quadrature_weights(17)
+    w = trapezoid_weights(17)
     assert w.sum() == pytest.approx(1.0, abs=1e-15)
     assert len(quadrature_nodes(17)) == 18
 
 
-def test_anchored_branch_exact_at_anchor(c_setup):
-    f, x0, ts, ls = c_setup
-    rescale = RescalePrior(0.8, 1.2, x0)
-    n_k = 64
-    nodes = quadrature_nodes(n_k)
-    wq = quadrature_weights(n_k)
-    for b in ls.basis[:3]:
-        branch = build_branch_prior(b, n_k, ActivationKind.LOGISTIC, rescale)
-        got = eval_branch(branch, ActivationKind.LOGISTIC, x0.sample(nodes))
-        expect = float(np.dot(wq, x0.sample(nodes) * b.sample(nodes)))
-        assert abs(got - expect) < 1e-12
+def test_assembled_branches_vanish_at_center():
+    # each branch realizes <x - center, basis_ell>, so it is zero at the center
+    ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
+    x0 = ex.ls.center[0]
+    assert ex.coeffs.n_terms == 6
+    for branch, pts in zip(ex.coeffs.branches, ex.coeffs.s_points):
+        at_center = eval_branch(branch, ex.coeffs.activation, x0.sample(pts))
+        assert abs(at_center) <= 1e-12 * np.sum(np.abs(branch.c))
 
 
 def test_trunk_fit_residual_small(c_setup):
