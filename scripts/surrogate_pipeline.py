@@ -12,9 +12,11 @@ import sys
 
 from invop import (
     RUN_COLUMNS,
+    FemMap,
+    NeuralMap,
+    RankMap,
     SpaceKind,
     StudyConfig,
-    SurrogateHandle,
     TikhonovConfig,
     add_noise,
     choose_parameters,
@@ -36,13 +38,13 @@ def main():
     y = solve_forward_reference(prob, xt, f)
     yd = add_noise(y, delta, seed=7)
     handles = [
-        SurrogateHandle.fem(prob, f, n),
-        SurrogateHandle.rank(ex.ls),
-        SurrogateHandle.neural(ex.coeffs, ex.ls.center),
+        FemMap(prob, f, n),
+        RankMap(ex.ls),
+        NeuralMap(ex.coeffs, ex.ls.center),
     ]
     print(",".join(RUN_COLUMNS))
     for h in handles:
-        rho = fem_rho(prob, n) if h.kind == "fem" else diag.rho_bound
+        rho = fem_rho(prob, n) if isinstance(h, FemMap) else diag.rho_bound
         alpha, eta = choose_parameters(delta, rho, 0.15)
         cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=1e-4,
                              x0=x0, space=SpaceKind.L2, nu=prob.nu,

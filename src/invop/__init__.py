@@ -53,6 +53,9 @@ from .tikhonov import (
     RUN_COLUMNS,
     ApproximateMinimizer,
     Certificate,
+    FemMap,
+    NeuralMap,
+    RankMap,
     RegularizationRun,
     SurrogateHandle,
     TikhonovConfig,

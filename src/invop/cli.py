@@ -30,7 +30,7 @@ from .config import (
 from .errors import ConfigInvalid, InvopError
 from .fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, inner, norm
-from .mollify import mollify
+from .mollify import mollification_report
 from .neural import ActivationKind
 from .studies import (
     RateTable,
@@ -43,7 +43,9 @@ from .studies import (
 )
 from .tikhonov import (
     RUN_COLUMNS,
-    SurrogateHandle,
+    FemMap,
+    NeuralMap,
+    RankMap,
     TikhonovConfig,
     add_noise,
     choose_parameters,
@@ -130,7 +132,7 @@ def _cmd_solve(args) -> int:
 
     kind = str(sec.get("surrogate", "fem"))
     if kind == "fem":
-        h = SurrogateHandle.fem(prob, f, n)
+        h = FemMap(prob, f, n)
         rho = fem_rho(prob, n)
     elif kind in ("rank", "neural"):
         if "surrogate_file" not in sec:
@@ -139,14 +141,13 @@ def _cmd_solve(args) -> int:
         ls, diag = serialize.load_linear_surrogate(base + ".rank")
         rho = diag.rho_bound
         if kind == "rank":
-            h = SurrogateHandle.rank(ls)
+            h = RankMap(ls)
         else:
-            h = SurrogateHandle.neural(serialize.load_structured(base), ls.center)
+            h = NeuralMap(serialize.load_structured(base), ls.center)
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 
-    space = prob.image_space if kind != "fem" else SpaceKind.H1
-    space = SpaceKind(str(sec.get("space", space.value)))
+    space = SpaceKind(str(sec.get("space", prob.image_space.value)))
     target = str(sec.get("target", "source"))
     if target == "source":
         xt = source_target_a(prob, x0, f, n)
@@ -214,10 +215,10 @@ def _verify_groups():
                                          n_cells=n, n_train=3, n_quad=n, n_trunk=8))
         y0, nu_c = ex.ls.center[1], ex.problem.nu
         cases = [
-            (SurrogateHandle.fem(prob_a, f, n), solve_forward_fem(prob_a, x0, f, n),
+            (FemMap(prob_a, f, n), solve_forward_fem(prob_a, x0, f, n),
              SpaceKind.H1, prob_a.nu),
-            (SurrogateHandle.rank(ex.ls), y0, SpaceKind.L2, nu_c),
-            (SurrogateHandle.neural(ex.coeffs, ex.ls.center), y0, SpaceKind.L2, nu_c),
+            (RankMap(ex.ls), y0, SpaceKind.L2, nu_c),
+            (NeuralMap(ex.coeffs, ex.ls.center), y0, SpaceKind.L2, nu_c),
         ]
         rng = np.random.default_rng(2)
         x = GridFunction(n, 1.0 + 0.05 * rng.standard_normal(n + 1))
@@ -235,13 +236,7 @@ def _verify_groups():
 
     def grp_mollifier():
         x = GridFunction.from_callable(lambda s: np.sin(np.pi * s) ** 2, n)
-        prev = None
-        for xi in (0.2, 0.1, 0.05):
-            xm = mollify(x, xi)
-            assert norm(xm, SpaceKind.L2) <= norm(x, SpaceKind.L2) * (1 + 1e-8)
-            e = norm(xm - x, SpaceKind.L2)
-            assert prev is None or e <= prev + 1e-12
-            prev = e
+        mollification_report(x, (0.2, 0.1, 0.05))
 
     def grp_schema():
         assert RUN_COLUMNS == (

@@ -51,8 +51,8 @@ class ProblemKind:
         # the stricter reference bound nu is reported in diagnostics only.
         return self.nu if self.tag is ProblemTag.A_EXAMPLE else 0.0
 
-    def check_admissible(self, x: GridFunction, strict: bool = False):
-        bound = self.nu if strict else self.fem_lower_bound()
+    def check_admissible(self, x: GridFunction):
+        bound = self.fem_lower_bound()
         lo = float(np.min(x.values))
         if lo < bound:
             raise NonAdmissibleCoefficient(
@@ -121,11 +121,9 @@ def solve_forward_fem(
     return GridFunction(n, y)
 
 
-def solve_forward_reference(
-    kind: ProblemKind, x: GridFunction, f: GridFunction, n_ref: int = REFERENCE_CELLS
-) -> GridFunction:
+def solve_forward_reference(kind: ProblemKind, x: GridFunction, f: GridFunction) -> GridFunction:
     """High-resolution FEM oracle, resampled back to the mesh of x."""
-    y = solve_forward_fem(kind, x, f, n_ref)
+    y = solve_forward_fem(kind, x, f, REFERENCE_CELLS)
     return y.resample(x.n_cells)
 
 

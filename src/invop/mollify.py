@@ -59,11 +59,11 @@ def mollifier_kernel(p: MollifierParams, s) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _mollify_matrix(n_cells: int, xi: float, ppw: int) -> np.ndarray:
+def _mollify_matrix(n_cells: int, xi: float) -> np.ndarray:
     """Nodal matrix A with (A x)_i = trapezoid of kernel(s_i - t) x(t) dt."""
     p = MollifierParams(xi)
     h = 1.0 / n_cells
-    refine = max(1, math.ceil(ppw * h / xi))
+    refine = max(1, math.ceil(POINTS_PER_WIDTH * h / xi))
     delta = h / refine
     m = n_cells * refine  # refined grid t_q = q * delta, q = 0..m
     A = np.zeros((n_cells + 1, n_cells + 1))
@@ -84,17 +84,17 @@ def _mollify_matrix(n_cells: int, xi: float, ppw: int) -> np.ndarray:
     return A
 
 
-def mollify_matrix(n_cells: int, xi: float, ppw: int = POINTS_PER_WIDTH) -> np.ndarray:
+def mollify_matrix(n_cells: int, xi: float) -> np.ndarray:
     """Linear operator of mollification on nodal values (read-only view)."""
     if xi >= 0.5:
         raise WidthTooLarge(f"width {xi} too large for the unit interval")
-    A = _mollify_matrix(n_cells, float(xi), int(ppw))
+    A = _mollify_matrix(n_cells, float(xi))
     A.setflags(write=False)
     return A
 
 
-def mollify(x: GridFunction, xi: float, ppw: int = POINTS_PER_WIDTH) -> GridFunction:
-    return GridFunction(x.n_cells, mollify_matrix(x.n_cells, xi, ppw) @ x.values)
+def mollify(x: GridFunction, xi: float) -> GridFunction:
+    return GridFunction(x.n_cells, mollify_matrix(x.n_cells, xi) @ x.values)
 
 
 def mollification_report(x: GridFunction, xis) -> list:

@@ -24,7 +24,9 @@ from .mollify import mollify
 from .neural import ActivationKind
 from .tikhonov import (
     RUN_COLUMNS,
-    SurrogateHandle,
+    FemMap,
+    NeuralMap,
+    RankMap,
     TikhonovConfig,
     add_noise,
     choose_parameters,
@@ -204,13 +206,14 @@ def _fem_case_error(case, n: int) -> float:
     return norm(y.resample(_FINE_CELLS) - fine, SpaceKind.L2)
 
 
-def calibrate_fem_rho(problem: ProblemKind, ladder=(16, 32, 64, 128, 256)) -> float:
-    """Constant c with discretization error <= c / n^2 on the analytic cases."""
+def calibrate_fem_rho(problem: ProblemKind) -> float:
+    """Constant c with discretization error <= c / n^2 on the analytic cases,
+    fitted on meshes of 16 to 256 cells."""
     c = 0.0
-    for n in ladder:
+    for n in (16, 32, 64, 128, 256):
         for case in analytic_cases():
             if case[1].tag is problem.tag:
-                c = max(c, _fem_case_error(case, int(n)) * n * n)
+                c = max(c, _fem_case_error(case, n) * n * n)
     return c
 
 
@@ -322,16 +325,16 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         f = GridFunction.constant(1.0, n)
         x0 = GridFunction.constant(1.0, n)
         xt = source_target_a(prob, x0, f, n)
-        h = SurrogateHandle.fem(prob, f, n)
+        h = FemMap(prob, f, n)
         space, nu, rho, xi, label = SpaceKind.H1, prob.nu, fem_rho(prob, n), cfg.xi, "a"
         max_it = min(cfg.max_iterations, 4000)
     else:
         ex = c_example_setup(cfg)
         prob, f, x0, xt = ex.problem, ex.load, ex.x0, ex.xt
         if cfg.surrogate == "rank":
-            h = SurrogateHandle.rank(ex.ls)
+            h = RankMap(ex.ls)
         else:
-            h = SurrogateHandle.neural(ex.coeffs, ex.ls.center)
+            h = NeuralMap(ex.coeffs, ex.ls.center)
         space, nu, rho, xi, label = SpaceKind.L2, prob.nu, ex.diag.rho_bound, cfg.xi, "c"
         max_it = cfg.max_iterations
 

@@ -1,8 +1,9 @@
 """Tikhonov regularization with certified approximate minimizers.
 
 The functional is ``||F_n[x_xi] - y_delta||^2_L2 + alpha ||x - x0||^2_X``
-where ``F_n`` is one of three interchangeable surrogates (direct FEM
-solve, rank-N linear expansion, branch/trunk sigmoid operator) and
+where ``F_n`` is one of three interchangeable forward maps (``FemMap``,
+the direct FEM solve; ``RankMap``, the rank-N linear expansion;
+``NeuralMap``, the branch/trunk sigmoid operator) and
 ``x_xi`` is the mollified iterate when a smoothing width is configured.
 Minimization is projected gradient descent with a backtracking line
 search; the returned certificate bounds the gap to the infimum by
@@ -34,11 +35,7 @@ from .grid import (
     trapezoid_weights,
 )
 from .mollify import mollify, mollify_matrix
-from .neural import (
-    StructuredSurrogateCoeffs,
-    eval_structured,
-    eval_structured_with_gradient,
-)
+from .neural import StructuredSurrogateCoeffs, eval_structured_with_gradient
 from .training import LinearSurrogate
 
 ARMIJO = 1e-4
@@ -75,103 +72,105 @@ class TikhonovConfig:
 
 
 # ---------------------------------------------------------------------------
-# surrogate handles
+# forward maps
 
 
-@dataclass(frozen=True)
 class SurrogateHandle:
-    """One of the interchangeable forward maps used inside the functional.
+    """A forward map F_n inside the functional: FemMap, RankMap or NeuralMap.
 
-    ``fem``: the Galerkin solver itself on an n-cell mesh.
-    ``rank``: the rank-N linear expansion around its training center.
-    ``neural``: the branch/trunk sigmoid realization around the same center.
+    Each map provides ``label``, ``n_terms`` and ``_evaluate(x)``, which
+    returns the data y for the (already mollified) input x and a pullback
+    taking r to the Euclidean nodal gradient of inner(y, r, L2) in x.
     """
-
-    kind: str  # "fem" | "rank" | "neural"
-    problem: Optional[ProblemKind] = None
-    load: Optional[GridFunction] = None
-    n: Optional[int] = None
-    ls: Optional[LinearSurrogate] = None
-    coeffs: Optional[StructuredSurrogateCoeffs] = None
-    center: Optional[tuple] = None  # (x_hat0, y_hat0)
-
-    @staticmethod
-    def fem(problem: ProblemKind, load: GridFunction, n: int) -> "SurrogateHandle":
-        return SurrogateHandle("fem", problem=problem, load=load, n=n)
-
-    @staticmethod
-    def rank(ls: LinearSurrogate) -> "SurrogateHandle":
-        if ls.center is None:
-            raise DimensionMismatch("rank surrogate needs the training center")
-        return SurrogateHandle("rank", ls=ls, center=ls.center)
-
-    @staticmethod
-    def neural(coeffs: StructuredSurrogateCoeffs, center: tuple) -> "SurrogateHandle":
-        return SurrogateHandle("neural", coeffs=coeffs, center=center)
-
-    @property
-    def label(self) -> str:
-        return {"fem": "FemForward", "rank": "LinearRankN",
-                "neural": "NeuralOperator"}[self.kind]
-
-    @property
-    def n_terms(self) -> int:
-        if self.kind == "rank":
-            return self.ls.n_terms
-        if self.kind == "neural":
-            return self.coeffs.n_terms
-        return 0
-
-    def data_cells(self) -> int:
-        if self.kind == "fem":
-            return self.n
-        return self.center[1].n_cells
 
     def forward(self, x: GridFunction) -> GridFunction:
         """Surrogate data for the (already mollified) input x."""
-        if self.kind == "fem":
-            return solve_forward_fem(self.problem, x, self.load, self.n)
-        if self.kind == "rank":
-            x0, y0 = self.center
-            out = y0.values.copy()
-            xc = x.resample(x0.n_cells) - x0
-            for b, y in zip(self.ls.basis, self.ls.induced):
-                out += inner(xc, b, self.ls.space) * y.values
-            return GridFunction(y0.n_cells, out)
-        x0, y0 = self.center
-        out = eval_structured(self.coeffs, x.resample(x0.n_cells), y0.nodes)
-        return GridFunction(y0.n_cells, y0.values + out)
+        return self._evaluate(x)[0]
 
     def misfit_and_gradient(self, x: GridFunction, y_delta: GridFunction):
         """Data misfit ||forward(x) - y_delta||^2 and its Euclidean nodal
         gradient with respect to the values of x."""
-        if self.kind == "fem":
+        y, pullback = self._evaluate(x)
+        r = y - y_delta.resample(y.n_cells)
+        return inner(r, r, SpaceKind.L2), 2.0 * pullback(r)
+
+
+@dataclass(frozen=True)
+class FemMap(SurrogateHandle):
+    """The Galerkin solver itself on an n-cell mesh."""
+
+    problem: ProblemKind
+    load: GridFunction
+    n: int
+    label = "FemForward"
+    n_terms = 0
+
+    def _evaluate(self, x: GridFunction):
+        y = solve_forward_fem(self.problem, x, self.load, self.n)
+
+        def pullback(r: GridFunction) -> np.ndarray:
             if x.n_cells != self.n:
                 raise DimensionMismatch("FEM surrogate expects inputs on its mesh")
-            y = self.forward(x)
-            r = y - y_delta.resample(self.n)
-            value = inner(r, r, SpaceKind.L2)
-            grad = 2.0 * misfit_gradient_nodal(self.problem, x, y, r, self.n)
-            return value, grad
-        if self.kind == "rank":
-            x0, y0 = self.center
-            xc = x.resample(x0.n_cells) - x0
-            r = self.forward(x) - y_delta.resample(y0.n_cells)
-            value = inner(r, r, SpaceKind.L2)
+            return misfit_gradient_nodal(self.problem, x, y, r, self.n)
+
+        return y, pullback
+
+
+@dataclass(frozen=True)
+class RankMap(SurrogateHandle):
+    """The rank-N linear expansion around its training center."""
+
+    ls: LinearSurrogate
+    label = "LinearRankN"
+
+    def __post_init__(self):
+        if self.ls.center is None:
+            raise DimensionMismatch("rank surrogate needs the training center")
+
+    @property
+    def n_terms(self) -> int:
+        return self.ls.n_terms
+
+    def _evaluate(self, x: GridFunction):
+        x0, y0 = self.ls.center
+        out = y0.values.copy()
+        xc = x.resample(x0.n_cells) - x0
+        for b, y in zip(self.ls.basis, self.ls.induced):
+            out += inner(xc, b, self.ls.space) * y.values
+
+        def pullback(r: GridFunction) -> np.ndarray:
             grad = np.zeros(x.n_cells + 1)
             for b, y in zip(self.ls.basis, self.ls.induced):
-                coeff = 2.0 * inner(r, y, SpaceKind.L2)
-                grad += coeff * gram_apply(b.values, b.n_cells, self.ls.space)
-            return value, grad
+                g = gram_apply(b.values, b.n_cells, self.ls.space)
+                grad += inner(r, y, SpaceKind.L2) * g
+            return grad
+
+        return GridFunction(y0.n_cells, out), pullback
+
+
+@dataclass(frozen=True)
+class NeuralMap(SurrogateHandle):
+    """The branch/trunk sigmoid realization around the center (x_hat0, y_hat0).
+    Value and Jacobian come from one pass, so ``forward`` costs a gradient."""
+
+    coeffs: StructuredSurrogateCoeffs
+    center: tuple
+    label = "NeuralOperator"
+
+    @property
+    def n_terms(self) -> int:
+        return self.coeffs.n_terms
+
+    def _evaluate(self, x: GridFunction):
         x0, y0 = self.center
         out, jac = eval_structured_with_gradient(
             self.coeffs, x.resample(x0.n_cells), y0.nodes
         )
-        rv = y0.values + out - y_delta.resample(y0.n_cells).values
-        w = trapezoid_weights(y0.n_cells)
-        value = float(np.dot(w * rv, rv))
-        grad = 2.0 * (jac.T @ (w * rv))
-        return value, grad
+
+        def pullback(r: GridFunction) -> np.ndarray:
+            return jac.T @ (trapezoid_weights(r.n_cells) * r.values)
+
+        return GridFunction(y0.n_cells, y0.values + out), pullback
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,8 @@ def tikhonov_value(
 ) -> float:
     _check_admissible(x, cfg)
     v = _smoothed(x, cfg)
-    r = h.forward(v) - y_delta.resample(h.data_cells())
+    y = h.forward(v)
+    r = y - y_delta.resample(y.n_cells)
     d = x - cfg.x0.resample(x.n_cells)
     return inner(r, r, SpaceKind.L2) + cfg.alpha * inner(d, d, cfg.space)
 

@@ -26,7 +26,9 @@ from invop.studies import (
     run_study,
 )
 from invop.tikhonov import (
-    SurrogateHandle,
+    FemMap,
+    NeuralMap,
+    RankMap,
     TikhonovConfig,
     add_noise,
     choose_parameters,
@@ -86,7 +88,7 @@ def test_criterion_3_regularization_rate_c_example(c_surrogate):
 
     # additive smoothing term: errors at two widths differ by <= 3x the gap
     s = c_surrogate
-    h = SurrogateHandle.neural(s.coeffs, s.ls.center)
+    h = NeuralMap(s.coeffs, s.ls.center)
     y_true = solve_forward_reference(C, s.xt, s.load)
     delta = deltas[2]
     yd = add_noise(y_true, delta, seed=205)
@@ -119,7 +121,7 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     for c, d in zip(rng.standard_normal(n_terms), dirs):
         span = span + float(c) * d
     expect = derivative_apply(C, x0, span, f, n)
-    rank = SurrogateHandle.rank(ls)  # zero data at the center x0
+    rank = RankMap(ls)  # zero data at the center x0
     got = rank.forward(x0 + span)
     assert norm(got - expect, SpaceKind.L2) <= 1e-9 * norm(expect, SpaceKind.L2)
 
@@ -160,7 +162,7 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     )
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
 
-    h = SurrogateHandle.neural(coeffs, ls.center)
+    h = NeuralMap(coeffs, ls.center)
     bound = diag.rho_bound + 10.0 * diag.r_N
     worst = 0.0
     for trial in range(20):
@@ -200,7 +202,7 @@ def test_criterion_8_optimization_soundness():
     ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4, seed=3))
     ls = build_linear_surrogate(center_training_set(ts))
     coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1)
-    h_rank = SurrogateHandle.rank(ls)
+    h_rank = RankMap(ls)
 
     # closed-form minimizer of the exactly-quadratic rank functional:
     # deviation lies in span(basis) with coefficients from (G + alpha I)c = b
@@ -233,8 +235,7 @@ def test_criterion_8_optimization_soundness():
     assert gap == pytest.approx(eta_bound, rel=1e-6)
 
     # gradient consistency on every surrogate kind
-    handles = [SurrogateHandle.fem(C, f, n), h_rank,
-               SurrogateHandle.neural(coeffs, ls.center)]
+    handles = [FemMap(C, f, n), h_rank, NeuralMap(coeffs, ls.center)]
     x = GridFunction(n, 1.0 + 0.03 * rng.standard_normal(n + 1))
     d = GridFunction(n, rng.standard_normal(n + 1))
     for h in handles:

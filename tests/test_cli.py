@@ -3,12 +3,18 @@ import pytest
 
 from invop.cli import cli_main
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
-from invop.tikhonov import SurrogateHandle
+from invop.tikhonov import NeuralMap, SurrogateHandle
 
 
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _row_without_runtime(path):
+    cells = path.read_text().splitlines()[1].split(",")
+    cells[11] = ""
+    return cells
 
 
 def test_verify_passes(capsys):
@@ -125,13 +131,21 @@ delta = 0.001
     assert cli_main(["solve", "--config", cfg, "--out", str(out2),
                      "--seed", "5", "--quiet"]) == 0
 
-    def strip_runtime(p):
-        cells = p.read_text().splitlines()[1].split(",")
-        cells[11] = ""
-        return cells
+    assert _row_without_runtime(out1) == _row_without_runtime(out2)
+    assert _row_without_runtime(out1)[12] == "5"
 
-    assert strip_runtime(out1) == strip_runtime(out2)
-    assert strip_runtime(out1)[12] == "5"
+
+def test_fem_solve_defaults_to_the_problem_space(tmp_path):
+    # problem c identifies a reaction coefficient, whose solution space is L2
+    text = ("[solve]\nproblem = c\nsurrogate = fem\nn_cells = 64\nload = 50.0\n"
+            "delta = 0.001\nmax_iterations = 200\n")
+    rows = []
+    for name, extra in (("default", ""), ("l2", "space = L2\n")):
+        cfg = _write(tmp_path / f"{name}.cfg", text + extra)
+        out = tmp_path / f"{name}.csv"
+        assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        rows.append(_row_without_runtime(out))
+    assert rows[0] == rows[1]
 
 
 _SMALL_GENERATE = """
@@ -259,7 +273,7 @@ def test_verify_checks_neural_gradient(monkeypatch, capsys):
 
     def off_by_a_permille(self, x, y_delta):
         value, grad = misfit_and_gradient(self, x, y_delta)
-        return value, grad * 1.001 if self.kind == "neural" else grad
+        return value, grad * 1.001 if isinstance(self, NeuralMap) else grad
 
     monkeypatch.setattr(SurrogateHandle, "misfit_and_gradient", off_by_a_permille)
     assert cli_main(["verify"]) == 2

@@ -8,7 +8,7 @@ from invop.grid import GridFunction, SpaceKind, gram_apply, gram_solve, inner, n
 
 
 def test_trapezoid_weights_sum_to_one():
-    for n in (2, 7, 64):
+    for n in (2, 7, 17, 64):
         w = trapezoid_weights(n)
         assert w.shape == (n + 1,)
         assert abs(w.sum() - 1.0) < 1e-15

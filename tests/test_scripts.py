@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import invop
+from invop.tikhonov import FemMap, NeuralMap, RankMap, SurrogateHandle
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_surrogate_pipeline_prints_one_row_per_map():
@@ -27,3 +29,17 @@ def test_scripts_import_only_public_names():
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("invop"):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, node.module, private)
+
+
+def test_benchmark_tracer_hooks_hold():
+    # perfbench/tracing.py wraps SurrogateHandle.forward and
+    # .misfit_and_gradient by name; a map that overrides either one would
+    # escape the wrapper and leave the tikhonov.map_s metric at zero
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    maps = SurrogateHandle.__subclasses__()
+    assert {FemMap, RankMap, NeuralMap} <= set(maps)
+    for cls in maps:
+        overridden = {"forward", "misfit_and_gradient"} & set(vars(cls))
+        assert not overridden, (cls.__name__, overridden)

@@ -11,7 +11,9 @@ from invop.grid import GridFunction, SpaceKind, inner, norm
 from invop.neural import ActivationKind
 from invop.tikhonov import (
     RUN_COLUMNS,
-    SurrogateHandle,
+    FemMap,
+    NeuralMap,
+    RankMap,
     TikhonovConfig,
     add_noise,
     choose_parameters,
@@ -42,9 +44,9 @@ def handles():
     ls = build_linear_surrogate(center_training_set(ts))
     coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1)
     return {
-        "fem": SurrogateHandle.fem(C, f, N),
-        "rank": SurrogateHandle.rank(ls),
-        "neural": SurrogateHandle.neural(coeffs, ls.center),
+        "fem": FemMap(C, f, N),
+        "rank": RankMap(ls),
+        "neural": NeuralMap(coeffs, ls.center),
         "f": f,
         "x0": x0,
     }

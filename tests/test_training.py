@@ -7,10 +7,10 @@ from invop.errors import (
     NonAdmissiblePerturbation,
 )
 from invop.fem import ProblemKind, ProblemTag, derivative_apply, solve_forward_reference
-from invop.grid import GridFunction, SpaceKind, inner, norm, trapezoid_weights
+from invop.grid import GridFunction, SpaceKind, inner, norm
 from invop.neural import ActivationKind, eval_branch
 from invop.studies import StudyConfig, c_example_setup
-from invop.tikhonov import SurrogateHandle
+from invop.tikhonov import RankMap
 from invop.training import (
     LinearSurrogate,
     PerturbationSpec,
@@ -116,7 +116,7 @@ def test_gram_schmidt_orthonormal_and_triangular(c_setup):
 
 def test_surrogate_reproduces_training_pairs(c_setup):
     f, x0, ts, ls = c_setup
-    rank = SurrogateHandle.rank(ls)
+    rank = RankMap(ls)
     for x, y in ts.pairs[1:]:
         pred = rank.forward(x) - ts.pairs[0][1]
         assert norm(pred - (y - ts.pairs[0][1]), SpaceKind.L2) < 1e-12
@@ -128,7 +128,7 @@ def test_surrogate_matches_linearization_on_span(c_setup):
     f, x0, ts, ls = c_setup
     d = ts.pairs[1][0] - x0
     lin = derivative_apply(C, x0, d, f, N)
-    pred = SurrogateHandle.rank(ls).forward(ts.pairs[1][0]) - ts.pairs[0][1]
+    pred = RankMap(ls).forward(ts.pairs[1][0]) - ts.pairs[0][1]
     rel = norm(pred - lin, SpaceKind.L2) / norm(lin, SpaceKind.L2)
     assert rel < 2e-2  # amplitude 0.1 => quadratic remainder ~ 1e-2
 
@@ -136,14 +136,9 @@ def test_surrogate_matches_linearization_on_span(c_setup):
 # -- branch construction ----------------------------------------------------
 
 
-def test_quadrature_weights_sum_to_one():
-    w = trapezoid_weights(17)
-    assert w.sum() == pytest.approx(1.0, abs=1e-15)
-    assert len(quadrature_nodes(17)) == 18
-
-
 def test_assembled_branches_vanish_at_center():
     # each branch realizes <x - center, basis_ell>, so it is zero at the center
+    assert len(quadrature_nodes(17)) == 18
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
     x0 = ex.ls.center[0]
     assert ex.coeffs.n_terms == 6
