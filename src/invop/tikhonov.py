@@ -5,9 +5,13 @@ where ``F_n`` is one of three interchangeable forward maps (``FemMap``,
 the direct FEM solve; ``RankMap``, the rank-N linear expansion;
 ``NeuralMap``, the branch/trunk sigmoid operator) and
 ``x_xi`` is the mollified iterate when a smoothing width is configured.
-Minimization is projected gradient descent with a backtracking line
-search; the returned certificate bounds the gap to the infimum by
-``gradient_norm^2 / (4 alpha)``, which is exact for quadratic models.
+Minimization is spectral (Barzilai-Borwein) projected gradient descent in
+the X metric with a monotone backtracking line search.  It stops when
+the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the gap to
+the infimum and is exact for quadratic models, drops below eta, when the
+best value has not strictly decreased for STALL_ITERATIONS iterations
+(floating-point precision reached), or when the iteration budget is
+spent; ``Certificate.status`` says which.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .training import LinearSurrogate
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
+STEP_MIN, STEP_MAX = 1e-12, 1e12
+STALL_ITERATIONS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +251,8 @@ def tikhonov_value_and_gradient(
 class Certificate:
     gradient_norm: float
     eta_bound: float
-    iterations: int
+    iterations: int  # index of the returned iterate
+    status: str  # "converged", "budget" or "stagnated"
 
 
 @dataclass(frozen=True)
@@ -266,12 +273,19 @@ def minimize_tikhonov(
     cfg: TikhonovConfig,
     x_init: GridFunction,
 ) -> ApproximateMinimizer:
-    """Projected gradient descent with backtracking (halving) line search.
+    """Spectral projected gradient descent with a monotone backtracking
+    (halving) line search.
 
-    Terminates when the certificate gradient_norm^2/(4 alpha) drops below
-    eta or the iteration budget is exhausted; in the latter case the best
-    iterate found is returned with its certificate.  Accepted steps never
-    increase the functional.
+    Each trial step starts from the Barzilai-Borwein quotient
+    <dx, dx>_X / <dx, dg>_X of the last two accepted iterates, clamped to
+    [STEP_MIN, STEP_MAX]; where <dx, dg>_X <= 0 the previous step is
+    doubled.  Accepted steps satisfy the Armijo condition and never
+    increase the functional.  The run stops with status ``"converged"``
+    when the certificate gradient_norm^2/(4 alpha) drops below eta, with
+    ``"stagnated"`` when STALL_ITERATIONS consecutive iterations bring no
+    strict decrease of the best value, and with ``"budget"`` when
+    max_iterations is spent; the last two return the best iterate, and
+    ``Certificate.iterations`` is the index of the returned iterate.
     """
     if float(np.min(x_init.values)) < cfg.nu - 1e-12:
         raise NonAdmissibleCoefficient("initial guess violates the bound nu")
@@ -280,11 +294,14 @@ def minimize_tikhonov(
     gnorm = norm(grad, cfg.space)
     best = (x, value, gnorm, 0)
     step = 1.0
+    it = 0
 
-    for it in range(1, cfg.max_iterations + 1):
-        if gnorm * gnorm / (4.0 * cfg.alpha) <= cfg.eta:
-            return _finish(best[0], best[1], best[2], it - 1, cfg)
-
+    while gnorm * gnorm / (4.0 * cfg.alpha) > cfg.eta:
+        if it == cfg.max_iterations:
+            return _finish(*best, "budget", cfg)
+        if it - best[3] >= STALL_ITERATIONS:
+            return _finish(*best, "stagnated", cfg)
+        it += 1
         accepted = False
         s = step
         for _ in range(MAX_HALVINGS):
@@ -304,20 +321,28 @@ def minimize_tikhonov(
             raise Stalled(
                 f"line search failed {MAX_HALVINGS} halvings at iteration {it}"
             )
+        # grad is the X-Riesz representer, so this X inner product is the
+        # curvature of the functional along the accepted move in L2 and H1
+        curvature = inner(move, grad - cand_grad, cfg.space)
+        if curvature > 0:
+            bb = inner(move, move, cfg.space) / curvature
+            step = min(max(bb, STEP_MIN), STEP_MAX)
+        else:
+            step = s * 2.0
         x, value, grad = cand, cand_value, cand_grad
         gnorm = norm(grad, cfg.space)
-        step = s * 2.0
         if value < best[1]:
             best = (x, value, gnorm, it)
 
-    return _finish(best[0], best[1], best[2], cfg.max_iterations, cfg)
+    return _finish(x, value, gnorm, it, "converged", cfg)
 
 
-def _finish(x, value, gnorm, iterations, cfg) -> ApproximateMinimizer:
+def _finish(x, value, gnorm, iterations, status, cfg) -> ApproximateMinimizer:
     cert = Certificate(
         gradient_norm=gnorm,
         eta_bound=gnorm * gnorm / (4.0 * cfg.alpha),
         iterations=iterations,
+        status=status,
     )
     return ApproximateMinimizer(x, value, cert, cfg)
 

@@ -23,6 +23,21 @@ def test_surrogate_pipeline_prints_one_row_per_map():
         "FemForward", "LinearRankN", "NeuralOperator"]
 
 
+def test_run_all_studies_writes_five_tables(tmp_path):
+    src = str(Path(invop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, str(SCRIPTS / "run_all_studies.py"), str(tmp_path)],
+                         capture_output=True, text=True, check=True, timeout=300, env=env)
+    names = ("fem_rate", "quadrature_rate", "mollify_rate", "reg_rate_a", "reg_rate_c")
+    for name in names:
+        assert (tmp_path / f"{name}.csv").is_file(), name
+    for name in ("reg_rate_a", "reg_rate_c"):
+        header = (tmp_path / f"{name}.csv").read_text().splitlines()[0]
+        assert tuple(header.split(",")) == invop.RUN_COLUMNS, name
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == list(names)
+
+
 def test_scripts_import_only_public_names():
     for path in sorted(SCRIPTS.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,15 +8,19 @@ from hypothesis import strategies as st
 
 import invop.fem
 import invop.tikhonov
+from invop.config import load_config, study_config
 from invop.errors import DegenerateScale, NonAdmissibleCoefficient
-from invop.fem import ProblemKind, ProblemTag, solve_forward_fem
+from invop.fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, inner, norm
 from invop.neural import ActivationKind
+from invop.studies import c_example_setup, fem_rho, source_target_a
 from invop.tikhonov import (
     RUN_COLUMNS,
+    STALL_ITERATIONS,
     FemMap,
     NeuralMap,
     RankMap,
+    SurrogateHandle,
     TikhonovConfig,
     add_noise,
     choose_parameters,
@@ -33,6 +40,7 @@ from invop.training import (
 A = ProblemKind(ProblemTag.A_EXAMPLE)
 C = ProblemKind(ProblemTag.C_EXAMPLE)
 N = 96
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +196,7 @@ def test_quadratic_proxy_recovered(handles):
     cfg = _config(x0, SpaceKind.L2, alpha=1e-2, eta=1e-16, max_iterations=100000)
     res = minimize_tikhonov(h, y, cfg, x0)
     # optimality: gradient at the returned point is certificate-small
+    assert res.certificate.status == "converged"
     assert res.certificate.eta_bound <= cfg.eta
     _, g = tikhonov_value_and_gradient(h, res.x, y, cfg)
     assert norm(g, SpaceKind.L2) < 1e-8
@@ -221,7 +230,8 @@ def test_budget_exhaustion_returns_best(handles):
     yd = add_noise(h.forward(x0), 1e-2, seed=7)
     cfg = _config(x0, SpaceKind.L2, alpha=1e-6, eta=1e-30, max_iterations=3)
     res = minimize_tikhonov(h, yd, cfg, x0)
-    assert res.certificate.iterations <= 3
+    assert res.certificate.iterations == 3
+    assert res.certificate.status == "budget"
     v0 = tikhonov_value(h, x0, yd, cfg)
     assert res.functional_value <= v0
 
@@ -233,6 +243,94 @@ def test_monotone_decrease(handles):
     cfg = _config(x0, SpaceKind.L2, alpha=1e-3, eta=1e-12, max_iterations=30)
     res = minimize_tikhonov(h, yd, cfg, x0)
     assert res.functional_value <= tikhonov_value(h, x0, yd, cfg) + 1e-15
+
+
+def _count_gradients(monkeypatch):
+    calls = []
+    original = SurrogateHandle.misfit_and_gradient
+
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(SurrogateHandle, "misfit_and_gradient", counting)
+    return calls
+
+
+def _precision_floor_problem(handles):
+    """Criterion 8's rank quadratic: its closed-form minimizer and a
+    tolerance eta = 1e-20 that rounding keeps the certificate above."""
+    h, ls, x0 = handles["rank"], handles["rank"].ls, handles["x0"]
+    alpha = 1e-2
+    r = GridFunction(N, 1e-2 * np.random.default_rng(1).standard_normal(N + 1))
+    y_delta = h.forward(x0) + r
+    G = np.array([[inner(a, b, SpaceKind.L2) for b in ls.induced] for a in ls.induced])
+    c = np.linalg.solve(G + alpha * np.eye(len(G)),
+                        [inner(y, r, SpaceKind.L2) for y in ls.induced])
+    x_star = x0 + GridFunction(N, sum(ci * b.values for ci, b in zip(c, ls.basis)))
+    return h, y_delta, x_star, _config(x0, SpaceKind.L2, alpha=alpha, delta=1e-2,
+                                       eta=1e-20, nu=C.nu, max_iterations=200000)
+
+
+def test_stagnation_stop_at_precision_floor(handles, monkeypatch):
+    h, yd, x_star, cfg = _precision_floor_problem(handles)
+    calls = _count_gradients(monkeypatch)
+    res = minimize_tikhonov(h, yd, cfg, cfg.x0)
+    c = res.certificate
+    assert c.status == "stagnated"
+    assert c.eta_bound > cfg.eta
+    assert c.iterations < 1000
+    # iterations is the index of the returned iterate: the run went on for
+    # STALL_ITERATIONS more, each costing at least one gradient
+    assert len(calls) >= 1 + c.iterations + STALL_ITERATIONS
+    assert norm(res.x - x_star, SpaceKind.L2) <= 1e-8
+
+
+def test_budget_run_reports_index_of_best_iterate(handles):
+    # a budget that ends inside the stagnation window: the best iterate is
+    # older than the last one, and its index is what the certificate reports
+    h, yd, _, cfg = _precision_floor_problem(handles)
+    best = minimize_tikhonov(h, yd, cfg, cfg.x0)
+    budget = best.certificate.iterations + STALL_ITERATIONS // 2
+    res = minimize_tikhonov(h, yd, replace(cfg, max_iterations=budget), cfg.x0)
+    assert res.certificate.status == "budget"
+    assert res.certificate.iterations == best.certificate.iterations
+    assert res.functional_value == best.functional_value
+
+
+def test_h1_fem_solve_converges():
+    n, delta = 64, 1e-4
+    f = GridFunction.constant(1.0, n)
+    x0 = GridFunction.constant(1.0, n)
+    h = FemMap(A, f, n)
+    yd = add_noise(h.forward(source_target_a(A, x0, f, n)), delta, seed=11)
+    alpha, eta = choose_parameters(delta, fem_rho(A, n))
+    cfg = _config(x0, SpaceKind.H1, alpha=alpha, delta=delta, eta=eta, nu=A.nu)
+    c = minimize_tikhonov(h, yd, cfg, x0).certificate
+    assert c.status == "converged"
+    assert c.eta_bound <= cfg.eta
+
+
+def test_c_rank_solve_gradient_evaluations(monkeypatch):
+    # smallest noise level of configs/reg_rate_c.cfg through the rank map,
+    # set up as the reg_rate study does; the spectral step takes 123
+    # gradient evaluations here, step doubling took 1224
+    sec = load_config(ROOT / "configs" / "reg_rate_c.cfg")
+    sec["study"]["surrogate"] = "rank"
+    study = study_config(sec)
+    assert study.seed == 100
+    ex = c_example_setup(study)
+    i = len(study.ladder) - 1
+    delta = study.ladder[i]
+    yd = add_noise(solve_forward_reference(C, ex.xt, ex.load), delta,
+                   study.seed + 100 + i)
+    alpha, eta = choose_parameters(delta, ex.diag.rho_bound, study.constant)
+    cfg = _config(ex.x0, SpaceKind.L2, alpha=alpha, delta=delta, eta=eta,
+                  xi=study.xi, nu=C.nu, max_iterations=study.max_iterations)
+    calls = _count_gradients(monkeypatch)
+    res = minimize_tikhonov(RankMap(ex.ls), yd, cfg, ex.x0)
+    assert res.certificate.status == "converged"
+    assert len(calls) <= 2 * 123
 
 
 # -- run records ------------------------------------------------------------
