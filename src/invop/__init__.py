@@ -38,15 +38,11 @@ from .mollify import MollifierParams, mollification_report, mollifier_kernel, mo
 from .neural import (
     ActivationKind,
     BranchCoeffs,
-    NeuralOperatorCoeffs,
     StructuredSurrogateCoeffs,
     TrunkCoeffs,
     eval_branch,
-    eval_neural_operator,
-    eval_structured,
     eval_structured_with_gradient,
     eval_trunk,
-    flatten_structured,
 )
 from .studies import RateTable, StudyConfig, calibrate_fem_rho, fem_rho, fit_slope, run_study
 from .tikhonov import (

@@ -4,12 +4,11 @@ Format: a header line ``invop 1 <KIND>``, then one field per record as
 ``<name> <type> <dims...>`` followed by the numeric payload in row-major
 order, one leading-index row per line, terminated by ``end``.  All floats
 are written with 17 significant digits, so write-then-read reproduces every
-finite value bit for bit.  Array entries equal to +0.0 are written as ``0``,
-the text ``.17g`` gives them, and only the other entries (-0.0 included) are
-formatted one by one: the branch weights are almost all zero.  Each array
-payload is parsed in one call.  A truncated file, or a payload with the
-wrong number of rows or entries, raises :class:`ConfigInvalid` naming the
-file and the field.
+finite value bit for bit.  Each array payload is parsed in one call.  A
+truncated file, or a payload with the wrong number of rows or entries,
+raises :class:`ConfigInvalid` naming the file and the field; so does a
+surrogate file whose branch weights are a matrix, the layout written before
+branches stored one weight per sample.
 """
 
 from __future__ import annotations
@@ -49,10 +48,7 @@ def _write_field(lines: list, name: str, value):
         dims = " ".join(str(d) for d in a.shape)
         lines.append(f"{name} array{a.ndim} {dims}")
         rows = a.reshape(-1, a.shape[-1]) if a.ndim > 1 else a.reshape(1, -1)
-        text = np.full(rows.shape, "0", dtype=object)
-        nonzero = (rows != 0.0) | np.signbit(rows)
-        text[nonzero] = [_fmt(v) for v in rows[nonzero].tolist()]
-        lines.extend(" ".join(row) for row in text.tolist())
+        lines.extend(" ".join(_fmt(v) for v in row) for row in rows.tolist())
 
 
 def _write(path, kind: str, fields):
@@ -150,6 +146,9 @@ def load_structured(path) -> StructuredSurrogateCoeffs:
     f = _read(path, "StructuredSurrogateCoeffs")
     branches, trunks, pts = [], [], []
     for i in range(f["n_terms"]):
+        if f[f"term{i}.branch.w"].ndim != 1:
+            raise ConfigInvalid(f"{path}: field 'term{i}.branch.w' is a matrix, the layout "
+                                "before per-sample branch weights; rebuild the surrogate")
         branches.append(BranchCoeffs(
             f[f"term{i}.branch.c"], f[f"term{i}.branch.w"], f[f"term{i}.branch.theta"]
         ))

@@ -157,7 +157,8 @@ class RankMap(SurrogateHandle):
 @dataclass(frozen=True)
 class NeuralMap(SurrogateHandle):
     """The branch/trunk sigmoid realization around the center (x_hat0, y_hat0).
-    Value and Jacobian come from one pass, so ``forward`` costs a gradient."""
+    ``forward`` evaluates the values only; the pullback does the
+    vector-Jacobian product when a gradient is asked for."""
 
     coeffs: StructuredSurrogateCoeffs
     center: tuple
@@ -169,12 +170,12 @@ class NeuralMap(SurrogateHandle):
 
     def _evaluate(self, x: GridFunction):
         x0, y0 = self.center
-        out, jac = eval_structured_with_gradient(
+        out, vjp = eval_structured_with_gradient(
             self.coeffs, x.resample(x0.n_cells), y0.nodes
         )
 
         def pullback(r: GridFunction) -> np.ndarray:
-            return jac.T @ (trapezoid_weights(r.n_cells) * r.values)
+            return vjp(trapezoid_weights(r.n_cells) * r.values)
 
         return GridFunction(y0.n_cells, y0.values + out), pullback
 

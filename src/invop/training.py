@@ -212,20 +212,14 @@ def _near_linear_branch(
     One near-linear node per sample carries the slope; one constant node
     cancels the nodes' value at the anchor samples to rounding.
     """
-    n = anchor_vals.size
     eps = LINEAR_NODE_EPS
-    w = np.zeros((n, n))
-    np.fill_diagonal(w, eps)
-    partial = BranchCoeffs(
-        slopes / (activation_derivative(kind, 0.0) * eps), w, -eps * anchor_vals
-    )
+    c = slopes / (activation_derivative(kind, 0.0) * eps)
+    w = np.full(anchor_vals.size, eps)
+    theta = -eps * anchor_vals
+    at_anchor = float(np.dot(c, activation(kind, w * anchor_vals + theta)))
     # 0.0 - v, not -v: an exact cancellation gives c0 = +0.0
-    c0 = (0.0 - eval_branch(partial, kind, anchor_vals)) / activation(kind, 0.0)
-    return BranchCoeffs(
-        np.concatenate([partial.c, [c0]]),
-        np.vstack([partial.w, np.zeros(n)]),
-        np.concatenate([partial.theta, [0.0]]),
-    )
+    c0 = (0.0 - at_anchor) / activation(kind, 0.0)
+    return BranchCoeffs(np.append(c, c0), w, np.append(theta, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,38 @@ def test_solve_without_stored_diagnostics_names_field(tmp_path, capsys):
     assert "'nu_N'" in capsys.readouterr().err
 
 
+def test_stale_surrogate_file_exits_one(tmp_path, capsys):
+    # a file from before per-sample branch weights stores each as a matrix
+    surr_path = _small_surrogate(tmp_path)
+    lines = surr_path.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("term0.branch.w "))
+    w = np.array(lines[i + 1].split(), dtype=float)
+    dense = np.vstack([np.diag(w), np.zeros(w.size)])
+    lines[i:i + 2] = [f"term0.branch.w array2 {w.size + 1} {w.size}"] + [
+        " ".join(f"{v:.17g}" for v in row) for row in dense]
+    surr_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(surr_path) in err and "'term0.branch.w'" in err and "rebuild" in err
+
+
+def test_non_finite_surrogate_coefficient_reported_by_name(tmp_path, capsys):
+    surr_path = _small_surrogate(tmp_path)
+    lines = surr_path.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("term0.branch.theta "))
+    values = lines[i + 1].split()
+    values[2] = "inf"
+    lines[i + 1] = " ".join(values)
+    surr_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "NonFiniteValue" in err and "branch.theta" in err
+
+
 def test_build_without_load_exits_one(tmp_path, capsys):
     gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
     ts_path = tmp_path / "train.txt"

@@ -3,23 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invop import neural
 from invop.errors import DimensionMismatch, NonFiniteValue
 from invop.grid import GridFunction
 from invop.neural import (
     ActivationKind,
     BranchCoeffs,
-    NeuralOperatorCoeffs,
     StructuredSurrogateCoeffs,
     TrunkCoeffs,
     activation,
     activation_derivative,
     eval_branch,
-    eval_branch_gradient,
-    eval_neural_operator,
-    eval_structured,
     eval_structured_with_gradient,
     eval_trunk,
+)
+from invop.studies import StudyConfig, c_example_setup
+from invop.tikhonov import NeuralMap
+from neural_reference import (
+    NeuralOperatorCoeffs,
+    dense_weights,
+    eval_neural_operator,
+    eval_structured_dense,
     flatten_structured,
+    jacobian_structured_dense,
 )
 
 KINDS = list(ActivationKind)
@@ -57,11 +63,11 @@ def test_activation_monotone_in_unit_interval(t):
 # -- branch / trunk ---------------------------------------------------------
 
 
-def _random_branch(rng, n_k=3, n_l=5):
+def _random_branch(rng, n_l=5):
     return BranchCoeffs(
-        rng.standard_normal(n_k),
-        rng.standard_normal((n_k, n_l)),
-        rng.standard_normal(n_k),
+        rng.standard_normal(n_l + 1),
+        rng.standard_normal(n_l),
+        rng.standard_normal(n_l + 1),
     )
 
 
@@ -69,7 +75,8 @@ def test_eval_branch_is_weighted_sigmoid_sum():
     rng = np.random.default_rng(0)
     b = _random_branch(rng)
     xs = rng.standard_normal(5)
-    expect = float(np.dot(b.c, activation(ActivationKind.LOGISTIC, b.w @ xs + b.theta)))
+    z = dense_weights(b) @ xs + b.theta
+    expect = float(np.dot(b.c, activation(ActivationKind.LOGISTIC, z)))
     assert eval_branch(b, ActivationKind.LOGISTIC, xs) == pytest.approx(expect, rel=1e-14)
 
 
@@ -80,18 +87,11 @@ def test_eval_branch_rejects_wrong_sample_count():
         eval_branch(b, ActivationKind.LOGISTIC, np.zeros(4))
 
 
-def test_eval_branch_gradient_matches_fd():
+def test_branch_rejects_dense_weights():
     rng = np.random.default_rng(2)
-    b = _random_branch(rng)
-    xs = rng.standard_normal(5)
-    g = eval_branch_gradient(b, ActivationKind.LOGISTIC, xs)
-    eps = 1e-6
-    for i in range(5):
-        e = np.zeros(5)
-        e[i] = eps
-        fd = (eval_branch(b, ActivationKind.LOGISTIC, xs + e)
-              - eval_branch(b, ActivationKind.LOGISTIC, xs - e)) / (2 * eps)
-        assert g[i] == pytest.approx(fd, abs=1e-8)
+    with pytest.raises(DimensionMismatch, match="branch.w"):
+        BranchCoeffs(rng.standard_normal(3), rng.standard_normal((3, 2)),
+                     rng.standard_normal(3))
 
 
 def test_eval_trunk_shape_and_value():
@@ -101,26 +101,27 @@ def test_eval_trunk_shape_and_value():
     assert out == pytest.approx([1.0, 1.0], abs=1e-15)
 
 
-# -- structured form and its flattening -------------------------------------
+# -- the kernel against the dense oracle ------------------------------------
 
 
-def _random_structured(rng, n_terms=3, n_cells=32):
+def _random_structured(rng, n_terms=3, kind=ActivationKind.LOGISTIC):
+    """Random, far from near-linear coefficients with ragged term widths and
+    sample points off the mesh nodes."""
     branches, trunks, pts = [], [], []
     for j in range(n_terms):
-        n_k, n_j, n_l = 2 + j, 3, 4 + j
-        branches.append(BranchCoeffs(
-            rng.standard_normal(n_k),
-            rng.standard_normal((n_k, n_l)),
-            rng.standard_normal(n_k),
-        ))
+        n_j, n_l = 3, 4 + j
+        branches.append(_random_branch(rng, n_l))
         trunks.append(TrunkCoeffs(
             rng.standard_normal(n_j),
             rng.standard_normal(n_j),
             rng.standard_normal(n_j),
         ))
-        pts.append(np.linspace(0, 1, n_l))
-    return StructuredSurrogateCoeffs(tuple(branches), tuple(trunks), tuple(pts),
-                                     ActivationKind.LOGISTIC)
+        pts.append(np.sort(rng.uniform(0.0, 1.0, n_l)))
+    return StructuredSurrogateCoeffs(tuple(branches), tuple(trunks), tuple(pts), kind)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 def test_flatten_preserves_evaluation():
@@ -128,9 +129,10 @@ def test_flatten_preserves_evaluation():
     s = _random_structured(rng)
     x = GridFunction.from_callable(lambda t: np.sin(np.pi * t), 32)
     t_points = np.linspace(0, 1, 11)
-    direct = eval_structured(s, x, t_points)
+    values, _ = eval_structured_with_gradient(s, x, t_points)
     flat = eval_neural_operator(flatten_structured(s), x, t_points)
-    assert flat == pytest.approx(direct, abs=1e-12)
+    assert _rel(values, flat) < 1e-12
+    assert _rel(values, eval_structured_dense(s, x, t_points)) < 1e-12
 
 
 def test_coefficient_count_formula():
@@ -147,23 +149,75 @@ def test_coefficient_count_formula():
     assert c.coefficient_count == n_j * (n_k * (n_l + 2) + 3)
 
 
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_pullback_matches_dense_jacobian(kind):
+    rng = np.random.default_rng(8)
+    s = _random_structured(rng, kind=kind)
+    n = 32
+    x = GridFunction(n, rng.standard_normal(n + 1))
+    t_points = np.linspace(0, 1, 9)
+    v = rng.standard_normal(t_points.size)
+    _, pullback = eval_structured_with_gradient(s, x, t_points)
+    expect = jacobian_structured_dense(s, x, t_points).T @ v
+    assert _rel(pullback(v), expect) < 1e-12
+
+
 def test_structured_gradient_matches_fd():
     rng = np.random.default_rng(5)
     s = _random_structured(rng, n_terms=2)
     n = 32
     x = GridFunction(n, 1.0 + 0.1 * rng.standard_normal(n + 1))
     t_points = np.linspace(0, 1, 7)
-    vals, jac = eval_structured_with_gradient(s, x, t_points)
-    assert vals == pytest.approx(eval_structured(s, x, t_points), abs=1e-13)
+    _, pullback = eval_structured_with_gradient(s, x, t_points)
     d = rng.standard_normal(n + 1)
+    v = rng.standard_normal(t_points.size)
     eps = 1e-6
-    fd = (eval_structured(s, GridFunction(n, x.values + eps * d), t_points)
-          - eval_structured(s, GridFunction(n, x.values - eps * d), t_points)) / (2 * eps)
-    assert jac @ d == pytest.approx(fd, abs=1e-7)
+
+    def values(sign):
+        return eval_structured_with_gradient(s, GridFunction(n, x.values + sign * eps * d),
+                                             t_points)[0]
+
+    fd = np.dot(v, values(1.0) - values(-1.0)) / (2 * eps)
+    assert np.dot(pullback(v), d) == pytest.approx(fd, abs=1e-7)
+
+
+def test_neural_forward_matches_dense_evaluation_bitwise():
+    ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
+    x0, y0 = ex.ls.center
+    h = NeuralMap(ex.coeffs, ex.ls.center)
+    x = GridFunction(x0.n_cells, x0.values + 0.05 * np.sin(3 * np.pi * x0.nodes))
+    expect = y0.values + eval_structured_dense(ex.coeffs, x, y0.nodes)
+    assert np.array_equal(h.forward(x).values, expect)
+
+
+def test_neural_forward_computes_no_derivative(monkeypatch):
+    rng = np.random.default_rng(9)
+    s = _random_structured(rng)
+    n = 16
+    center = (GridFunction.constant(1.0, n), GridFunction.zero(n))
+    x = GridFunction(n, 1.0 + 0.1 * rng.standard_normal(n + 1))
+    calls = []
+
+    def counted(kind, t):
+        calls.append(1)
+        return activation_derivative(kind, t)
+
+    monkeypatch.setattr(neural, "activation_derivative", counted)
+    h = NeuralMap(s, center)
+    h.forward(x)
+    assert calls == []
+    h.misfit_and_gradient(x, GridFunction.zero(n))
+    assert len(calls) == s.n_terms
 
 
 def test_operator_rejects_out_of_range_sample_points():
     rng = np.random.default_rng(6)
+    b = _random_branch(rng, n_l=2)
+    t = TrunkCoeffs(rng.standard_normal(1), rng.standard_normal(1), rng.standard_normal(1))
+    with pytest.raises(DimensionMismatch, match=r"\[0, 1\]"):
+        StructuredSurrogateCoeffs((b,), (t,), (np.array([0.5, 1.25]),))
+    with pytest.raises(NonFiniteValue, match="s_points"):
+        StructuredSurrogateCoeffs((b,), (t,), (np.array([0.5, np.nan]),))
     with pytest.raises(DimensionMismatch):
         NeuralOperatorCoeffs(
             alpha=rng.standard_normal((1, 1)),
@@ -178,14 +232,9 @@ def test_operator_rejects_out_of_range_sample_points():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_operator_rejects_non_finite_coefficients(bad):
     rng = np.random.default_rng(7)
-    theta = rng.standard_normal((1, 1))
-    theta[0, 0] = bad
-    with pytest.raises(NonFiniteValue, match="theta"):
-        NeuralOperatorCoeffs(
-            alpha=rng.standard_normal((1, 1)),
-            w=rng.standard_normal((1, 1, 2)),
-            w_vec=rng.standard_normal(1),
-            theta=theta,
-            s_points=np.array([0.0, 1.0]),
-            zeta=rng.standard_normal(1),
-        )
+    theta = rng.standard_normal(3)
+    theta[1] = bad
+    with pytest.raises(NonFiniteValue, match="branch.theta"):
+        BranchCoeffs(rng.standard_normal(3), rng.standard_normal(2), theta)
+    with pytest.raises(NonFiniteValue, match="trunk.zeta"):
+        TrunkCoeffs(rng.standard_normal(3), rng.standard_normal(3), theta)

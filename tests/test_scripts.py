@@ -1,10 +1,15 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import invop
+from invop.grid import GridFunction
+from invop.neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
 from invop.tikhonov import FemMap, NeuralMap, RankMap, SurrogateHandle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +63,26 @@ def test_benchmark_tracer_hooks_hold():
     for cls in maps:
         overridden = {"forward", "misfit_and_gradient"} & set(vars(cls))
         assert not overridden, (cls.__name__, overridden)
+
+
+def test_neural_kernel_traced_once_per_map_call():
+    # perfbench/run.py counts neural.eval_grad_calls as the spans of this name
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    kernel = "neural.eval_structured_with_gradient"
+    coeffs = StructuredSurrogateCoeffs(
+        (BranchCoeffs([1.0, -0.5, 2.0, 0.3], [0.5, 1.0, -1.0], [0.1, 0.0, -0.2, 0.0]),),
+        (TrunkCoeffs([1.0, 0.5], [2.0, -3.0], [0.0, 1.0]),),
+        (np.array([0.0, 0.5, 1.0]),),
+    )
+    n = 8
+    h = NeuralMap(coeffs, (GridFunction.constant(1.0, n), GridFunction.zero(n)))
+    x = GridFunction.constant(1.1, n)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer, {}):
+        h.forward(x)
+        h.misfit_and_gradient(x, GridFunction.zero(n))
+    spans = [i for i, name in enumerate(tracer.name) if name == kernel]
+    assert [tracer.name[tracer.parent[i]] for i in spans] == [
+        "tikhonov.SurrogateHandle.forward", "tikhonov.SurrogateHandle.misfit_and_gradient"]

@@ -5,7 +5,7 @@ from invop import serialize
 from invop.errors import ConfigInvalid
 from invop.fem import ProblemKind, ProblemTag
 from invop.grid import GridFunction
-from invop.neural import ActivationKind, eval_structured
+from invop.neural import ActivationKind, eval_structured_with_gradient
 from invop.serialize import (
     load_linear_surrogate,
     load_structured,
@@ -68,9 +68,16 @@ def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
     p = tmp_path / "st.txt"
     save_structured(p, coeffs)
     c2 = load_structured(p)
+    assert c2.activation == coeffs.activation
+    for b, b2 in zip(coeffs.branches + coeffs.trunks, c2.branches + c2.trunks):
+        for name in vars(b):
+            assert np.array_equal(_bits(getattr(b, name)), _bits(getattr(b2, name))), name
+    for pts, pts2 in zip(coeffs.s_points, c2.s_points):
+        assert np.array_equal(_bits(pts), _bits(pts2))
     x = GridFunction.from_callable(lambda s: 1.0 + 0.05 * np.sin(np.pi * s), N)
     t = np.linspace(0, 1, 17)
-    assert np.array_equal(eval_structured(coeffs, x, t), eval_structured(c2, x, t))
+    assert np.array_equal(eval_structured_with_gradient(coeffs, x, t)[0],
+                          eval_structured_with_gradient(c2, x, t)[0])
 
 
 def test_wrong_kind_rejected(pipeline, tmp_path):
@@ -126,8 +133,7 @@ def test_extreme_and_random_values_round_trip_bitwise(tmp_path):
 
 
 def _reference_write_field(lines, name, value):
-    """The writer as it was before zeros were special-cased: every entry
-    formatted on its own."""
+    """Every entry formatted on its own, one row at a time."""
     if isinstance(value, str):
         lines.append(f"{name} str {value}")
     elif isinstance(value, (int, np.integer)):
@@ -166,24 +172,25 @@ def _damaged(tmp_path, text: str):
 
 
 def test_file_cut_mid_payload_names_path_and_field(pipeline, tmp_path):
-    _, _, coeffs, _ = pipeline
-    p = tmp_path / "st.txt"
-    save_structured(p, coeffs)
+    _, ls, _, diag = pipeline
+    assert ls.transform.shape == (3, 3)
+    p = tmp_path / "ls.txt"
+    save_linear_surrogate(p, ls, diag)
     text = p.read_text()
     lines = text.splitlines()
-    header = next(i for i, line in enumerate(lines) if line.startswith("term1.branch.w "))
+    header = next(i for i, line in enumerate(lines) if line.startswith("transform "))
     cut_rows = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n")
-    with pytest.raises(ConfigInvalid, match=r"damaged\.txt.*'term1\.branch\.w'"):
-        load_structured(cut_rows)
-    cut_line = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n" + lines[header + 3][:40])
-    with pytest.raises(ConfigInvalid, match="'term1.branch.w'"):
-        load_structured(cut_line)
-    cut_header = _damaged(tmp_path, "\n".join(lines[:header]) + "\nterm1.branch.w array2 5")
-    with pytest.raises(ConfigInvalid, match="'term1.branch.w'"):
-        load_structured(cut_header)
+    with pytest.raises(ConfigInvalid, match=r"damaged\.txt.*'transform'"):
+        load_linear_surrogate(cut_rows)
+    cut_line = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n" + lines[header + 3][:30])
+    with pytest.raises(ConfigInvalid, match="'transform'"):
+        load_linear_surrogate(cut_line)
+    cut_header = _damaged(tmp_path, "\n".join(lines[:header]) + "\ntransform array2 5")
+    with pytest.raises(ConfigInvalid, match="'transform'"):
+        load_linear_surrogate(cut_header)
     cut_bytes = _damaged(tmp_path, text[:len(text) // 3])
     with pytest.raises(ConfigInvalid, match="damaged.txt"):
-        load_structured(cut_bytes)
+        load_linear_surrogate(cut_bytes)
 
 
 def test_ragged_or_short_payload_rejected(pipeline, tmp_path):
