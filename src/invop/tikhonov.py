@@ -5,8 +5,9 @@ where ``F_n`` is one of three interchangeable forward maps (``FemMap``,
 the direct FEM solve; ``RankMap``, the rank-N linear expansion;
 ``NeuralMap``, the branch/trunk sigmoid operator) and
 ``x_xi`` is the mollified iterate when a smoothing width is configured.
-Minimization is spectral (Barzilai-Borwein) projected gradient descent in
-the X metric with a monotone backtracking line search.  It stops when
+Minimization is limited-memory BFGS (the two-loop recursion of Liu &
+Nocedal, 1989) with every inner product taken in the X metric, projected
+onto x >= nu, with a monotone backtracking line search.  It stops when
 the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the gap to
 the infimum and is exact for quadratic models, drops below eta, when the
 best value has not strictly decreased for STALL_ITERATIONS iterations
@@ -17,6 +18,7 @@ spent; ``Certificate.status`` says which.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,6 +48,7 @@ ARMIJO = 1e-4
 MAX_HALVINGS = 60
 STEP_MIN, STEP_MAX = 1e-12, 1e12
 STALL_ITERATIONS = 50
+MEMORY = 8  # L-BFGS pairs; above N + 2 for the 6-term c-example surrogates
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +271,64 @@ def _project(x: GridFunction, nu: float) -> GridFunction:
     return GridFunction(x.n_cells, np.maximum(x.values, nu))
 
 
+class _LbfgsMemory:
+    """L-BFGS inverse Hessian H of the last MEMORY pairs (s, y) by the
+    two-loop recursion (Nocedal & Wright, 2006, Algorithm 7.4) in the X
+    inner product, on nodal arrays.  Gradients are X-Riesz representers,
+    so one formula serves L2 and H1; keeping G s and G y (G the Gram
+    matrix) makes each X product one dot product."""
+
+    def __init__(self, n_cells: int, space: SpaceKind):
+        self.gram = lambda v: gram_apply(v, n_cells, space)
+        self.pairs = deque(maxlen=MEMORY)  # (s, y, G s, G y, <s, y>_X)
+        self.gamma = 1.0
+
+    def update(self, s: np.ndarray, y: np.ndarray):
+        """Keep the pair only if <s, y>_X > 0; then H0 = gamma I with
+        gamma = <s, y>_X / <y, y>_X."""
+        gy = self.gram(y)
+        sy = s @ gy
+        if sy > 0:
+            self.pairs.append((s, y, self.gram(s), gy, sy))
+            self.gamma = min(max(sy / (y @ gy), STEP_MIN), STEP_MAX)
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """H g, or gamma g with the memory dropped if <g, H g>_X <= 0."""
+        q = g.copy()
+        coefs = []
+        for _, y, gs, _, sy in reversed(self.pairs):
+            coefs.append(gs @ q / sy)
+            q -= coefs[-1] * y
+        r = self.gamma * q
+        for (s, _, _, gy, sy), a in zip(self.pairs, reversed(coefs)):
+            r += (a - gy @ r / sy) * s
+        if r @ self.gram(g) <= 0:
+            self.pairs.clear()
+            return self.gamma * g
+        return r
+
+
 def minimize_tikhonov(
     h: SurrogateHandle,
     y_delta: GridFunction,
     cfg: TikhonovConfig,
     x_init: GridFunction,
 ) -> ApproximateMinimizer:
-    """Spectral projected gradient descent with a monotone backtracking
-    (halving) line search.
+    """Projected limited-memory BFGS with a monotone backtracking (halving)
+    line search.
 
-    Each trial step starts from the Barzilai-Borwein quotient
-    <dx, dx>_X / <dx, dg>_X of the last two accepted iterates, clamped to
-    [STEP_MIN, STEP_MAX]; where <dx, dg>_X <= 0 the previous step is
-    doubled.  Accepted steps satisfy the Armijo condition and never
-    increase the functional.  The run stops with status ``"converged"``
-    when the certificate gradient_norm^2/(4 alpha) drops below eta, with
-    ``"stagnated"`` when STALL_ITERATIONS consecutive iterations bring no
-    strict decrease of the best value, and with ``"budget"`` when
-    max_iterations is spent; the last two return the best iterate, and
-    ``Certificate.iterations`` is the index of the returned iterate.
+    Each iteration moves along d = H g from ``_LbfgsMemory``, the L-BFGS
+    inverse Hessian of the last MEMORY accepted pairs in the X metric,
+    and tries x - t d projected onto x >= nu.  The first trial fraction is
+    t = min(1, 2 t_prev), t_prev the last accepted one, so iterations that
+    stall at rounding level do not halve from 1 again.  Accepted steps
+    satisfy the Armijo condition and never increase the functional.  The
+    run stops with status ``"converged"`` when the certificate
+    gradient_norm^2/(4 alpha) drops below eta, with ``"stagnated"`` when
+    STALL_ITERATIONS consecutive iterations bring no strict decrease of
+    the best value, and with ``"budget"`` when max_iterations is spent;
+    the last two return the best iterate, and ``Certificate.iterations``
+    is the index of the returned iterate.
     """
     if float(np.min(x_init.values)) < cfg.nu - 1e-12:
         raise NonAdmissibleCoefficient("initial guess violates the bound nu")
@@ -294,7 +336,8 @@ def minimize_tikhonov(
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
     gnorm = norm(grad, cfg.space)
     best = (x, value, gnorm, 0)
-    step = 1.0
+    memory = _LbfgsMemory(x.n_cells, cfg.space)
+    t = 1.0
     it = 0
 
     while gnorm * gnorm / (4.0 * cfg.alpha) > cfg.eta:
@@ -304,11 +347,10 @@ def minimize_tikhonov(
             return _finish(*best, "stagnated", cfg)
         it += 1
         accepted = False
-        s = step
+        d = memory.direction(grad.values)
+        t = min(1.0, 2.0 * t)
         for _ in range(MAX_HALVINGS):
-            cand = _project(
-                GridFunction(x.n_cells, x.values - s * grad.values), cfg.nu
-            )
+            cand = _project(GridFunction(x.n_cells, x.values - t * d), cfg.nu)
             move = x - cand
             decrease = inner(grad, move, cfg.space)
             cand_value, cand_grad = tikhonov_value_and_gradient(
@@ -317,19 +359,12 @@ def minimize_tikhonov(
             if cand_value <= value - ARMIJO * decrease and cand_value <= value:
                 accepted = True
                 break
-            s *= 0.5
+            t *= 0.5
         if not accepted:
             raise Stalled(
                 f"line search failed {MAX_HALVINGS} halvings at iteration {it}"
             )
-        # grad is the X-Riesz representer, so this X inner product is the
-        # curvature of the functional along the accepted move in L2 and H1
-        curvature = inner(move, grad - cand_grad, cfg.space)
-        if curvature > 0:
-            bb = inner(move, move, cfg.space) / curvature
-            step = min(max(bb, STEP_MIN), STEP_MAX)
-        else:
-            step = s * 2.0
+        memory.update(-move.values, cand_grad.values - grad.values)
         x, value, grad = cand, cand_value, cand_grad
         gnorm = norm(grad, cfg.space)
         if value < best[1]:

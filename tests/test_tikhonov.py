@@ -11,10 +11,11 @@ import invop.tikhonov
 from invop.config import load_config, study_config
 from invop.errors import DegenerateScale, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
-from invop.grid import GridFunction, SpaceKind, inner, norm
+from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm
 from invop.neural import ActivationKind
 from invop.studies import c_example_setup, fem_rho, source_target_a
 from invop.tikhonov import (
+    MEMORY,
     RUN_COLUMNS,
     STALL_ITERATIONS,
     FemMap,
@@ -22,6 +23,7 @@ from invop.tikhonov import (
     RankMap,
     SurrogateHandle,
     TikhonovConfig,
+    _LbfgsMemory,
     add_noise,
     choose_parameters,
     minimize_tikhonov,
@@ -186,6 +188,62 @@ def test_value_and_gradient_rejects_inadmissible_point(handles, kind):
 # -- minimization -----------------------------------------------------------
 
 
+def _bfgs_reference(pairs, gamma, G):
+    """Dense BFGS inverse Hessian from H0 = gamma I in the metric of the
+    Gram matrix G: with (a (x) b) v = <b, v>_X a = a b^T G v,
+    H+ = (I - rho s (x) y) H (I - rho y (x) s) + rho s (x) s."""
+    eye = np.eye(len(G))
+    H = gamma * eye
+    for s, y in pairs:
+        rho = 1.0 / (s @ G @ y)
+        H = (eye - rho * np.outer(s, y) @ G) @ H @ (eye - rho * np.outer(y, s) @ G)
+        H += rho * np.outer(s, s) @ G
+    return H
+
+
+@pytest.mark.parametrize("space", [SpaceKind.L2, SpaceKind.H1])
+def test_lbfgs_two_loop_is_x_metric_bfgs(space):
+    n = 16
+    rng = np.random.default_rng(0)
+    # y = G^-1 B s with B symmetric positive definite: the gradient change
+    # of a quadratic whose gradient is the X-Riesz representer
+    Q = rng.standard_normal((n + 1, n + 1))
+    B = Q @ Q.T + np.eye(n + 1)
+    G = np.array([gram_apply(e, n, space) for e in np.eye(n + 1)]).T
+    mem = _LbfgsMemory(n, space)
+    pairs = []
+    for _ in range(MEMORY + 3):
+        s = rng.standard_normal(n + 1)
+        y = np.linalg.solve(G, B @ s)
+        mem.update(s, y)
+        pairs.append((s, y))
+    assert len(mem.pairs) == MEMORY
+    s_k, y_k = pairs[-1]
+    # secant equation in X for the newest pair
+    hy = mem.direction(y_k)
+    assert np.linalg.norm(hy - s_k) <= 1e-10 * np.linalg.norm(s_k)
+    # the recursion is the dense X-metric update; Euclidean products in the
+    # recursion give another operator and fail here
+    gamma = (s_k @ G @ y_k) / (y_k @ G @ y_k)
+    H = _bfgs_reference(pairs[-MEMORY:], gamma, G)
+    for _ in range(3):
+        g = rng.standard_normal(n + 1)
+        d = mem.direction(g)
+        assert np.linalg.norm(d - H @ g) <= 1e-10 * np.linalg.norm(H @ g)
+        assert g @ G @ d > 0
+    # <s, y>_X < 0 while the Euclidean s . y = 0.5 > 0: never stored
+    s_bad = np.zeros(n + 1)
+    y_bad = np.zeros(n + 1)
+    s_bad[:2] = 1.0, 1.0
+    y_bad[:2] = 2.0, -1.5
+    assert s_bad @ G @ y_bad < 0 < s_bad @ y_bad
+    before = mem.direction(g)
+    newest = mem.pairs[-1]
+    mem.update(s_bad, y_bad)
+    assert mem.pairs[-1] is newest and len(mem.pairs) == MEMORY
+    assert np.array_equal(mem.direction(g), before)
+
+
 def test_quadratic_proxy_recovered(handles):
     # rank surrogate => the functional is exactly quadratic; the closed-form
     # minimizer satisfies the normal equations, recovered to 1e-8
@@ -283,6 +341,9 @@ def test_stagnation_stop_at_precision_floor(handles, monkeypatch):
     # iterations is the index of the returned iterate: the run went on for
     # STALL_ITERATIONS more, each costing at least one gradient
     assert len(calls) >= 1 + c.iterations + STALL_ITERATIONS
+    # each line search starts from twice the last accepted step fraction,
+    # so the stalled iterations do not halve down from 1 again
+    assert len(calls) <= 201
     assert norm(res.x - x_star, SpaceKind.L2) <= 1e-8
 
 
@@ -313,8 +374,10 @@ def test_h1_fem_solve_converges():
 
 def test_c_rank_solve_gradient_evaluations(monkeypatch):
     # smallest noise level of configs/reg_rate_c.cfg through the rank map,
-    # set up as the reg_rate study does; the spectral step takes 123
-    # gradient evaluations here, step doubling took 1224
+    # set up as the reg_rate study does; the functional is exactly quadratic
+    # with a rank-6 misfit Hessian, which L-BFGS with memory 8 captures: 13
+    # gradient evaluations here, against 123 for Barzilai-Borwein steps and
+    # 1224 for step doubling
     sec = load_config(ROOT / "configs" / "reg_rate_c.cfg")
     sec["study"]["surrogate"] = "rank"
     study = study_config(sec)
@@ -330,7 +393,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     calls = _count_gradients(monkeypatch)
     res = minimize_tikhonov(RankMap(ex.ls), yd, cfg, ex.x0)
     assert res.certificate.status == "converged"
-    assert len(calls) <= 2 * 123
+    assert len(calls) <= 2 * 13
 
 
 # -- run records ------------------------------------------------------------
