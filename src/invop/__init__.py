@@ -63,14 +63,12 @@ from .tikhonov import (
     tikhonov_value_and_gradient,
 )
 from .training import (
-    CenteredTrainingSet,
     LinearSurrogate,
     PerturbationSpec,
     SurrogateDiagnostics,
     TrainingSet,
     assemble_neural_surrogate,
     build_linear_surrogate,
-    center_training_set,
     estimate_nu_N,
     generate_training_set,
     gram_schmidt,

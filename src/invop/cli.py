@@ -22,6 +22,7 @@ import numpy as np
 
 from . import serialize
 from .config import (
+    check_keys,
     load_config,
     perturbation_from_section,
     problem_from_name,
@@ -56,9 +57,23 @@ from .tikhonov import (
 from .training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
-    center_training_set,
     generate_training_set,
 )
+
+
+#: the keys each section of a generate, build or solve config accepts
+SECTION_KEYS = {
+    "generate": ("problem", "n_cells", "load", "center"),
+    "perturbation": ("mode", "amplitude", "count", "seed"),
+    "build": ("training", "n_quad", "n_trunk", "activation", "seed"),
+    "solve": ("problem", "surrogate", "surrogate_file", "n_cells", "load", "center",
+              "delta", "xi", "seed", "space", "target", "constant", "max_iterations"),
+}
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The config's [name] section, empty if absent; unknown keys are an error."""
+    return check_keys(cfg.get(name, {}), SECTION_KEYS[name], name)
 
 
 def _say(args, text):
@@ -79,12 +94,12 @@ def _require(args, flag):
 
 def _cmd_generate(args) -> int:
     cfg = load_config(_require(args, "config"))
-    sec = cfg.get("generate", {})
+    sec = _section(cfg, "generate")
     prob = problem_from_name(sec.get("problem", "a"))
     n = int(sec.get("n_cells", 256))
     f = GridFunction.constant(float(sec.get("load", 1.0)), n)
     x0 = GridFunction.constant(float(sec.get("center", 1.0)), n)
-    spec = perturbation_from_section(cfg.get("perturbation", {}), seed=args.seed)
+    spec = perturbation_from_section(_section(cfg, "perturbation"), seed=args.seed)
     ts = generate_training_set(prob, f, x0, spec)
     out = _require(args, "out")
     serialize.save_training_set(out, ts)
@@ -94,13 +109,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_build(args) -> int:
     cfg = load_config(_require(args, "config"))
-    sec = cfg.get("build", {})
+    sec = _section(cfg, "build")
     if "training" not in sec:
         raise ConfigInvalid("[build] needs training = <path to training set>")
     ts = serialize.load_training_set(str(sec["training"]))
     if ts.load is None:
         raise ConfigInvalid(f"{sec['training']}: training set has no load to estimate nu_N")
-    ls = build_linear_surrogate(center_training_set(ts))
+    ls = build_linear_surrogate(ts)
     seed = args.seed if args.seed is not None else int(sec.get("seed", 1))
     coeffs, diag = assemble_neural_surrogate(
         ls,
@@ -121,7 +136,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = load_config(_require(args, "config"))
-    sec = cfg.get("solve", {})
+    sec = _section(cfg, "solve")
     prob = problem_from_name(sec.get("problem", "a"))
     n = int(sec.get("n_cells", 256))
     f = GridFunction.constant(float(sec.get("load", 1.0)), n)

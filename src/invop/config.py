@@ -67,6 +67,14 @@ def _section(cfg: dict, name: str) -> dict:
     return dict(cfg[name])
 
 
+def check_keys(sec: dict, allowed, name: str) -> dict:
+    """``sec`` itself; a key outside ``allowed`` raises ConfigInvalid naming it."""
+    unknown = set(sec) - set(allowed)
+    if unknown:
+        raise ConfigInvalid(f"unknown {name} keys: {sorted(unknown)}")
+    return sec
+
+
 def problem_from_name(name: str) -> ProblemKind:
     name = str(name).strip().lower()
     if name in ("a", "a_example", "divergence"):
@@ -84,10 +92,7 @@ def study_config(cfg: dict, seed=None, out=None) -> StudyConfig:
         sec["seed"] = seed
     if out is not None:
         sec["out"] = str(out)
-    allowed = set(StudyConfig.__dataclass_fields__)
-    unknown = set(sec) - allowed
-    if unknown:
-        raise ConfigInvalid(f"unknown study keys: {sorted(unknown)}")
+    check_keys(sec, StudyConfig.__dataclass_fields__, "study")
     try:
         return StudyConfig(**sec)
     except TypeError as err:

@@ -25,8 +25,6 @@ from .grid import GridFunction, SpaceKind, gram_solve, trapezoid_weights
 
 REFERENCE_CELLS = 4096
 
-SYMMETRY_TOL = 1e-14
-
 
 class ProblemTag(enum.Enum):
     A_EXAMPLE = "a"  # diffusion coefficient, X = H1

@@ -4,8 +4,9 @@ An operator surrogate is a sum over terms of products of a *branch* (a
 one-layer sigmoid network acting on point samples of the input function)
 and a *trunk* (a one-layer sigmoid network of the output location), the
 branch/trunk contraction of DeepONet (Lu et al., Nat. Mach. Intell. 2021).
-Each branch node sees one sample, so a branch stores one weight per sample
-plus a zero-weight constant node; the general dense-weight form is kept only
+Every branch reads the input at one shared set of sensor points, and each
+branch node sees one sample, so a branch stores one weight per sample plus a
+zero-weight constant node; the general dense-weight form is kept only
 as the test suite's reference.  :func:`eval_structured_with_gradient` is the
 one evaluation kernel: it returns the values and a lazy vector-Jacobian
 product, so a value-only call never forms a derivative.
@@ -143,28 +144,26 @@ def eval_trunk(trunk: TrunkCoeffs, kind: ActivationKind, t_points) -> np.ndarray
 
 @dataclass(frozen=True)
 class StructuredSurrogateCoeffs:
-    """Per-training-direction branch/trunk pairs with their sample points."""
+    """Branch/trunk pairs, one per training direction, whose branches all
+    read the input at the same sensor points."""
 
     branches: tuple  # of BranchCoeffs
     trunks: tuple  # of TrunkCoeffs
-    s_points: tuple  # of np.ndarray, one per term
+    s_points: np.ndarray  # (N_l,) sensor points in [0, 1], shared by all branches
     activation: ActivationKind = ActivationKind.LOGISTIC
 
     def __post_init__(self):
-        if not (len(self.branches) == len(self.trunks) == len(self.s_points)):
-            raise DimensionMismatch("per-term lists must have equal length")
-        pts = []
-        for b, s in zip(self.branches, self.s_points):
-            s = _finite_vector(s, "s_points")
-            if s.size != b.n_l:
-                raise DimensionMismatch("sample points disagree with branch width")
-            if np.any(s < 0.0) or np.any(s > 1.0):
-                # np.interp would clamp them, and the pullback would not
-                raise DimensionMismatch("sample points must lie in [0, 1]")
-            pts.append(s)
+        if len(self.branches) != len(self.trunks):
+            raise DimensionMismatch("branches and trunks must have equal length")
+        s = _finite_vector(self.s_points, "s_points")
+        if any(b.n_l != s.size for b in self.branches):
+            raise DimensionMismatch("branch width disagrees with the sensor count")
+        if np.any(s < 0.0) or np.any(s > 1.0):
+            # np.interp would clamp them, and the pullback would not
+            raise DimensionMismatch("sample points must lie in [0, 1]")
         object.__setattr__(self, "branches", tuple(self.branches))
         object.__setattr__(self, "trunks", tuple(self.trunks))
-        object.__setattr__(self, "s_points", tuple(pts))
+        object.__setattr__(self, "s_points", s)
 
     @property
     def n_terms(self) -> int:
@@ -182,23 +181,25 @@ def eval_structured_with_gradient(
     exactly.  The pullback does all derivative work when it is called.
     """
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
+    xs = x.sample(s.s_points)
     out = np.zeros(t.size)
     terms = []
-    for branch, trunk, pts in zip(s.branches, s.trunks, s.s_points):
-        z = branch.arguments(x.sample(pts))
+    for branch, trunk in zip(s.branches, s.trunks):
+        z = branch.arguments(xs)
         tr = eval_trunk(trunk, s.activation, t)
         out += float(np.dot(branch.c, activation(s.activation, z))) * tr
-        terms.append((branch, pts, z, tr))
+        terms.append((branch, z, tr))
 
     def pullback(v) -> np.ndarray:
         n = x.n_cells
+        idx = np.clip(np.floor(s.s_points * n).astype(int), 0, n - 1)
+        frac = s.s_points * n - idx
+        left = 1.0 - frac
         grad = np.zeros(n + 1)
-        for branch, pts, z, tr in terms:
+        for branch, z, tr in terms:
             d = branch.c[:-1] * activation_derivative(s.activation, z[:-1]) * branch.w
             g = np.dot(tr, v) * d
-            idx = np.clip(np.floor(pts * n).astype(int), 0, n - 1)
-            frac = pts * n - idx
-            grad += np.bincount(idx, g * (1.0 - frac), minlength=n + 1)
+            grad += np.bincount(idx, g * left, minlength=n + 1)
             grad += np.bincount(idx + 1, g * frac, minlength=n + 1)
         return grad
 

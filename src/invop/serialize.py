@@ -5,10 +5,10 @@ Format: a header line ``invop 1 <KIND>``, then one field per record as
 order, one leading-index row per line, terminated by ``end``.  All floats
 are written with 17 significant digits, so write-then-read reproduces every
 finite value bit for bit.  Each array payload is parsed in one call.  A
-truncated file, or a payload with the wrong number of rows or entries,
-raises :class:`ConfigInvalid` naming the file and the field; so does a
-surrogate file whose branch weights are a matrix, the layout written before
-branches stored one weight per sample.
+truncated file, a missing field, or a payload with the wrong number of rows
+or entries raises :class:`ConfigInvalid` naming the file and the field; so
+does a surrogate file in an older layout (branch weights as a matrix, or
+sensor points per term in place of one shared ``s_points``).
 """
 
 from __future__ import annotations
@@ -59,14 +59,26 @@ def _write(path, kind: str, fields):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read(path, expect_kind: str) -> dict:
+class _Fields(dict):
+    """The fields of one file; a missing one raises ConfigInvalid naming it."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name):
+        raise ConfigInvalid(f"{self.path}: missing field {name!r} (a damaged file or an "
+                            "older layout); rebuild it with invop generate or invop build")
+
+
+def _read(path, expect_kind: str) -> _Fields:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(MAGIC):
         raise ConfigInvalid(f"{path}: not a recognized coefficient file")
     kind = lines[0][len(MAGIC):].strip()
     if kind != expect_kind:
         raise ConfigInvalid(f"{path}: contains {kind!r}, expected {expect_kind!r}")
-    fields = {}
+    fields = _Fields(path)
     i = 1
     while i < len(lines):
         line = lines[i].strip()
@@ -128,8 +140,9 @@ def _get_grid(fields: dict, prefix: str) -> GridFunction:
 
 
 def save_structured(path, s: StructuredSurrogateCoeffs):
-    fields = [("activation", s.activation.value), ("n_terms", s.n_terms)]
-    for i, (b, t, pts) in enumerate(zip(s.branches, s.trunks, s.s_points)):
+    fields = [("activation", s.activation.value), ("n_terms", s.n_terms),
+              ("s_points", s.s_points)]
+    for i, (b, t) in enumerate(zip(s.branches, s.trunks)):
         fields += [
             (f"term{i}.branch.c", b.c),
             (f"term{i}.branch.w", b.w),
@@ -137,14 +150,13 @@ def save_structured(path, s: StructuredSurrogateCoeffs):
             (f"term{i}.trunk.c", t.c),
             (f"term{i}.trunk.w", t.w),
             (f"term{i}.trunk.zeta", t.zeta),
-            (f"term{i}.s_points", pts),
         ]
     _write(path, "StructuredSurrogateCoeffs", fields)
 
 
 def load_structured(path) -> StructuredSurrogateCoeffs:
     f = _read(path, "StructuredSurrogateCoeffs")
-    branches, trunks, pts = [], [], []
+    branches, trunks = [], []
     for i in range(f["n_terms"]):
         if f[f"term{i}.branch.w"].ndim != 1:
             raise ConfigInvalid(f"{path}: field 'term{i}.branch.w' is a matrix, the layout "
@@ -155,10 +167,8 @@ def load_structured(path) -> StructuredSurrogateCoeffs:
         trunks.append(TrunkCoeffs(
             f[f"term{i}.trunk.c"], f[f"term{i}.trunk.w"], f[f"term{i}.trunk.zeta"]
         ))
-        pts.append(f[f"term{i}.s_points"])
     return StructuredSurrogateCoeffs(
-        tuple(branches), tuple(trunks), tuple(pts),
-        ActivationKind(f["activation"]),
+        tuple(branches), tuple(trunks), f["s_points"], ActivationKind(f["activation"]),
     )
 
 
@@ -221,25 +231,18 @@ def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagn
     for i, (b, y) in enumerate(zip(ls.basis, ls.induced)):
         _put_grid(fields, f"basis{i}", b)
         _put_grid(fields, f"induced{i}", y)
-    if ls.center is not None:
-        _put_grid(fields, "center.x", ls.center[0])
-        _put_grid(fields, "center.y", ls.center[1])
+    _put_grid(fields, "center.x", ls.center[0])
+    _put_grid(fields, "center.y", ls.center[1])
     fields += [(name, float(getattr(diagnostics, name))) for name in DIAGNOSTIC_FIELDS]
     _write(path, "LinearSurrogate", fields)
 
 
 def load_linear_surrogate(path):
-    """(surrogate, diagnostics); a file without the diagnostics raises
-    :class:`ConfigInvalid` naming the first missing field."""
+    """(surrogate, diagnostics)."""
     f = _read(path, "LinearSurrogate")
-    for name in DIAGNOSTIC_FIELDS:
-        if name not in f:
-            raise ConfigInvalid(f"{path}: missing field {name!r}; rebuild the surrogate")
     n = f["n_terms"]
     basis = tuple(_get_grid(f, f"basis{i}") for i in range(n))
     induced = tuple(_get_grid(f, f"induced{i}") for i in range(n))
-    center = None
-    if "center.x.n_cells" in f:
-        center = (_get_grid(f, "center.x"), _get_grid(f, "center.y"))
+    center = (_get_grid(f, "center.x"), _get_grid(f, "center.y"))
     ls = LinearSurrogate(basis, induced, f["transform"], SpaceKind(f["space"]), center)
     return ls, SurrogateDiagnostics(*(f[name] for name in DIAGNOSTIC_FIELDS), n_terms=n)

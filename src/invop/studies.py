@@ -36,7 +36,6 @@ from .training import (
     PerturbationSpec,
     assemble_neural_surrogate,
     build_linear_surrogate,
-    center_training_set,
     generate_training_set,
     perturbation_shape,
     quadrature_nodes,
@@ -303,7 +302,7 @@ def c_example_setup(cfg: StudyConfig) -> CExample:
     x0 = GridFunction.constant(1.0, n)
     spec = PerturbationSpec("sine", 0.1, cfg.n_train, seed=3)
     ts = generate_training_set(prob, f, x0, spec)
-    ls = build_linear_surrogate(center_training_set(ts))
+    ls = build_linear_surrogate(ts)
     xt = source_target_c(x0, ls, n)
     modes = [
         perturbation_shape(PerturbationSpec("sine", 1.0, cfg.n_train), ell, n)
@@ -327,7 +326,6 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         xt = source_target_a(prob, x0, f, n)
         h = FemMap(prob, f, n)
         space, nu, rho, xi, label = SpaceKind.H1, prob.nu, fem_rho(prob, n), cfg.xi, "a"
-        max_it = min(cfg.max_iterations, 4000)
     else:
         ex = c_example_setup(cfg)
         prob, f, x0, xt = ex.problem, ex.load, ex.x0, ex.xt
@@ -336,7 +334,6 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         else:
             h = NeuralMap(ex.coeffs, ex.ls.center)
         space, nu, rho, xi, label = SpaceKind.L2, prob.nu, ex.diag.rho_bound, cfg.xi, "c"
-        max_it = cfg.max_iterations
 
     y_true = solve_forward_reference(prob, xt, f)
 
@@ -346,7 +343,7 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         yd = add_noise(y_true, d, seed)
         alpha, eta = choose_parameters(d, rho, cfg.constant)
         tik = TikhonovConfig(alpha=alpha, delta=d, eta=eta, xi=xi, x0=x0,
-                             space=space, nu=nu, max_iterations=max_it, x_true=xt)
+                             space=space, nu=nu, max_iterations=cfg.max_iterations, x_true=xt)
         return solve_inverse_problem(h, yd, tik, x0, seed=seed, problem_label=label)
 
     runs = []

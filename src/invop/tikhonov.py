@@ -132,10 +132,6 @@ class RankMap(SurrogateHandle):
     ls: LinearSurrogate
     label = "LinearRankN"
 
-    def __post_init__(self):
-        if self.ls.center is None:
-            raise DimensionMismatch("rank surrogate needs the training center")
-
     @property
     def n_terms(self) -> int:
         return self.ls.n_terms

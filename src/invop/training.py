@@ -94,14 +94,6 @@ class TrainingSet:
         return len(self.pairs) - 1
 
 
-@dataclass(frozen=True)
-class CenteredTrainingSet:
-    pairs: tuple  # (x_ell, y_ell), ell = 1..N, center subtracted nodally
-    center: tuple  # (x_hat0, y_hat0)
-    problem: ProblemKind
-    space: SpaceKind
-
-
 def generate_training_set(
     problem: ProblemKind,
     f: GridFunction,
@@ -130,14 +122,6 @@ def generate_training_set(
         raise DependentImages("centered training inputs are numerically dependent")
 
     return TrainingSet(pairs, problem, space, perturbation.seed, perturbation, f)
-
-
-def center_training_set(ts: TrainingSet) -> CenteredTrainingSet:
-    if ts.n_train < 1:
-        raise DimensionMismatch("training set needs at least one non-center pair")
-    x0, y0 = ts.pairs[0]
-    pairs = tuple((x - x0, y - y0) for x, y in ts.pairs[1:])
-    return CenteredTrainingSet(pairs, ts.pairs[0], ts.problem, ts.space)
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +161,29 @@ class LinearSurrogate:
     induced: tuple  # data functions under the same change of basis
     transform: np.ndarray
     space: SpaceKind
-    center: Optional[tuple] = None  # (x_hat0, y_hat0) when built from pairs
+    center: tuple  # (x_hat0, y_hat0), the training center pair
 
     @property
     def n_terms(self) -> int:
         return len(self.basis)
 
 
-def build_linear_surrogate(c: CenteredTrainingSet) -> LinearSurrogate:
-    basis, transform = gram_schmidt([p[0] for p in c.pairs], c.space)
-    ys = [p[1] for p in c.pairs]
+def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
+    """Rank-N expansion of the training pairs around the center pair 0: the
+    center is subtracted from each other pair, the input deviations are
+    orthonormalized, and the data deviations follow the same change of basis."""
+    if ts.n_train < 1:
+        raise DimensionMismatch("training set needs at least one non-center pair")
+    x0, y0 = ts.pairs[0]
+    basis, transform = gram_schmidt([x - x0 for x, _ in ts.pairs[1:]], ts.space)
+    ys = [y - y0 for _, y in ts.pairs[1:]]
     induced = []
     for j in range(len(basis)):
         acc = np.zeros_like(ys[0].values)
         for i in range(j + 1):
             acc += transform[j, i] * ys[i].values
         induced.append(GridFunction(ys[0].n_cells, acc))
-    return LinearSurrogate(tuple(basis), tuple(induced), transform, c.space, c.center)
+    return LinearSurrogate(tuple(basis), tuple(induced), transform, ts.space, ts.pairs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +275,6 @@ def estimate_nu_N(ls: LinearSurrogate, problem: ProblemKind, f: GridFunction, pr
     probes = list(probes)
     if not probes:
         raise EmptyProbeSet("need at least one probe")
-    if ls.center is None:
-        raise DimensionMismatch("surrogate does not carry a center pair")
     x0, y0 = ls.center
     n_cells = y0.n_cells
     sw = np.sqrt(trapezoid_weights(n_cells))
@@ -345,8 +333,6 @@ def assemble_neural_surrogate(
     ``problem`` and ``f`` are given, and is zero otherwise.
     Returns (coefficients, diagnostics).
     """
-    if ls.center is None:
-        raise DimensionMismatch("surrogate does not carry a center pair")
     x0 = ls.center[0]
     t = quadrature_nodes(n_k)
     anchor_vals = x0.sample(t)
@@ -360,9 +346,7 @@ def assemble_neural_surrogate(
         trunks.append(trunk)
         residuals.append(res)
 
-    coeffs = StructuredSurrogateCoeffs(
-        tuple(branches), tuple(trunks), tuple(t for _ in branches), activation_kind
-    )
+    coeffs = StructuredSurrogateCoeffs(tuple(branches), tuple(trunks), t, activation_kind)
 
     probes = list(probes) if probes is not None else _default_probes(ls)
     q_n = 0.0

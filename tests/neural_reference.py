@@ -49,8 +49,8 @@ def eval_structured_dense(s: StructuredSurrogateCoeffs, x: GridFunction, t_point
     """Nested-sum evaluation with the dense branch weights."""
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
     out = np.zeros(t.size)
-    for branch, trunk, pts in zip(s.branches, s.trunks, s.s_points):
-        z = dense_weights(branch) @ x.sample(pts) + branch.theta
+    for branch, trunk in zip(s.branches, s.trunks):
+        z = dense_weights(branch) @ x.sample(s.s_points) + branch.theta
         b = float(np.dot(branch.c, activation(s.activation, z)))
         out += b * eval_trunk(trunk, s.activation, t)
     return out
@@ -60,10 +60,10 @@ def jacobian_structured_dense(s: StructuredSurrogateCoeffs, x: GridFunction, t_p
     """Jacobian[Q, n_nodes] of eval_structured_dense in the nodal values of x."""
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
     jac = np.zeros((t.size, x.n_cells + 1))
-    for branch, trunk, pts in zip(s.branches, s.trunks, s.s_points):
+    for branch, trunk in zip(s.branches, s.trunks):
         w = dense_weights(branch)
-        d = activation_derivative(s.activation, w @ x.sample(pts) + branch.theta)
-        g_nodes = interp_matrix_t(pts, x.n_cells) @ ((branch.c * d) @ w)
+        d = activation_derivative(s.activation, w @ x.sample(s.s_points) + branch.theta)
+        g_nodes = interp_matrix_t(s.s_points, x.n_cells) @ ((branch.c * d) @ w)
         jac += np.outer(eval_trunk(trunk, s.activation, t), g_nodes)
     return jac
 
@@ -139,15 +139,17 @@ def eval_neural_operator(coeffs: NeuralOperatorCoeffs, x: GridFunction, t_points
 def flatten_structured(s: StructuredSurrogateCoeffs) -> NeuralOperatorCoeffs:
     """Block-diagonal embedding of the per-term form into one flat tensor.
 
-    Ragged per-term widths are zero-padded to the maxima first; padded
-    entries carry zero outer weights and therefore do not contribute.
+    Each term gets its own block of the flat sample axis, which repeats the
+    shared sensor points once per term.  Trunk widths may differ; they are
+    zero-padded to the maximum, and padded entries carry zero outer weights
+    and therefore do not contribute.
     """
     n_t = s.n_terms
     if n_t == 0:
         raise DimensionMismatch("cannot flatten an empty surrogate")
     nj = max(t.n_j for t in s.trunks)
-    nk = max(b.c.size for b in s.branches)
-    nl = max(b.n_l for b in s.branches)
+    nk = s.s_points.size + 1
+    nl = s.s_points.size
 
     alpha = np.zeros((n_t * nj, n_t * nk))
     w = np.zeros((n_t * nk, n_t * nl))
@@ -156,16 +158,16 @@ def flatten_structured(s: StructuredSurrogateCoeffs) -> NeuralOperatorCoeffs:
     zeta = np.zeros(n_t * nj)
     s_points = np.zeros(n_t * nl)
 
-    for i, (branch, trunk, pts) in enumerate(zip(s.branches, s.trunks, s.s_points)):
+    for i, (branch, trunk) in enumerate(zip(s.branches, s.trunks)):
         js = slice(i * nj, i * nj + trunk.n_j)
-        ks = slice(i * nk, i * nk + branch.c.size)
-        ls = slice(i * nl, i * nl + branch.n_l)
+        ks = slice(i * nk, (i + 1) * nk)
+        ls = slice(i * nl, (i + 1) * nl)
         alpha[js, ks] = np.outer(trunk.c, branch.c)
         w[ks, ls] = dense_weights(branch)
         theta[ks] = branch.theta
         w_vec[js] = trunk.w
         zeta[js] = trunk.zeta
-        s_points[ls] = pts
+        s_points[ls] = s.s_points
 
     # theta depends on k only; broadcast across the j axis without copying
     return NeuralOperatorCoeffs(

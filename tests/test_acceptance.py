@@ -38,11 +38,10 @@ from invop.tikhonov import (
     tikhonov_value_and_gradient,
 )
 from invop.training import (
-    CenteredTrainingSet,
     PerturbationSpec,
+    TrainingSet,
     assemble_neural_surrogate,
     build_linear_surrogate,
-    center_training_set,
     generate_training_set,
     perturbation_shape,
 )
@@ -112,9 +111,9 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     x0 = GridFunction.constant(1.0, n)
     spec = PerturbationSpec("sine", 1.0, n_terms + 1)
     dirs = [0.1 * perturbation_shape(spec, l, n) for l in range(1, n_terms + 1)]
-    pairs = tuple((d, derivative_apply(C, x0, d, f, n)) for d in dirs)
-    cts = CenteredTrainingSet(pairs, (x0, GridFunction.zero(n)), C, SpaceKind.L2)
-    ls = build_linear_surrogate(cts)
+    pairs = ((x0, GridFunction.zero(n)),) + tuple(
+        (x0 + d, derivative_apply(C, x0, d, f, n)) for d in dirs)
+    ls = build_linear_surrogate(TrainingSet(pairs, C, SpaceKind.L2, seed=0))
 
     rng = np.random.default_rng(0)
     span = GridFunction.zero(n)
@@ -200,7 +199,7 @@ def test_criterion_8_optimization_soundness():
     f = GridFunction.constant(50.0, n)
     x0 = GridFunction.constant(1.0, n)
     ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4, seed=3))
-    ls = build_linear_surrogate(center_training_set(ts))
+    ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1)
     h_rank = RankMap(ls)
 

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from invop.cli import cli_main
+from invop.cli import SECTION_KEYS, cli_main
+from invop.config import check_keys, load_config, study_config
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
 from invop.tikhonov import NeuralMap, SurrogateHandle
 
@@ -270,6 +273,59 @@ def test_stale_surrogate_file_exits_one(tmp_path, capsys):
                      "--quiet"]) == 1
     err = capsys.readouterr().err
     assert str(surr_path) in err and "'term0.branch.w'" in err and "rebuild" in err
+
+
+def test_rank_file_without_a_field_names_it(tmp_path, capsys):
+    surr_path = _small_surrogate(tmp_path)
+    rank_path = tmp_path / "surr.txt.rank"
+    lines = rank_path.read_text().splitlines()
+    rank_path.write_text("\n".join(line for line in lines if not line.startswith("n_terms ")) + "\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "rank", surr_path, 1e-3),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(rank_path) in err and "'n_terms'" in err
+
+
+def test_per_term_sensor_layout_exits_one(tmp_path, capsys):
+    # a file from before the shared sensor grid stores the points once per term
+    surr_path = _small_surrogate(tmp_path)
+    lines = surr_path.read_text().splitlines()
+    n_terms = int(next(line for line in lines if line.startswith("n_terms ")).split()[2])
+    i = next(k for k, line in enumerate(lines) if line.startswith("s_points "))
+    header, payload = lines[i:i + 2]
+    lines[i:i + 2] = [row for t in range(n_terms)
+                      for row in (f"term{t}.{header}", payload)]
+    surr_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(surr_path) in err and "'s_points'" in err and "rebuild" in err
+
+
+@pytest.mark.parametrize("command,section", [
+    ("generate", "generate"), ("generate", "perturbation"), ("build", "build"),
+    ("solve", "solve")])
+def test_unknown_config_key_exits_one(tmp_path, capsys, command, section):
+    cfg = _write(tmp_path / "typo.cfg", f"[{section}]\nsurogate = rank\n")
+    capsys.readouterr()
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+    assert "'surogate'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_config_passes_the_key_check(path):
+    cfg = load_config(path)
+    assert cfg
+    for name, sec in cfg.items():
+        if name == "study":
+            study_config(cfg)
+        else:
+            check_keys(sec, SECTION_KEYS[name], name)
 
 
 def test_non_finite_surrogate_coefficient_reported_by_name(tmp_path, capsys):

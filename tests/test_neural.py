@@ -105,19 +105,20 @@ def test_eval_trunk_shape_and_value():
 
 
 def _random_structured(rng, n_terms=3, kind=ActivationKind.LOGISTIC):
-    """Random, far from near-linear coefficients with ragged term widths and
-    sample points off the mesh nodes."""
-    branches, trunks, pts = [], [], []
+    """Random, far from near-linear coefficients whose branches share random
+    sensor points off the mesh nodes; trunk widths differ between terms."""
+    n_l = 6
+    branches, trunks = [], []
     for j in range(n_terms):
-        n_j, n_l = 3, 4 + j
+        n_j = 3 + j
         branches.append(_random_branch(rng, n_l))
         trunks.append(TrunkCoeffs(
             rng.standard_normal(n_j),
             rng.standard_normal(n_j),
             rng.standard_normal(n_j),
         ))
-        pts.append(np.sort(rng.uniform(0.0, 1.0, n_l)))
-    return StructuredSurrogateCoeffs(tuple(branches), tuple(trunks), tuple(pts), kind)
+    pts = np.sort(rng.uniform(0.0, 1.0, n_l))
+    return StructuredSurrogateCoeffs(tuple(branches), tuple(trunks), pts, kind)
 
 
 def _rel(a, b):
@@ -215,9 +216,9 @@ def test_operator_rejects_out_of_range_sample_points():
     b = _random_branch(rng, n_l=2)
     t = TrunkCoeffs(rng.standard_normal(1), rng.standard_normal(1), rng.standard_normal(1))
     with pytest.raises(DimensionMismatch, match=r"\[0, 1\]"):
-        StructuredSurrogateCoeffs((b,), (t,), (np.array([0.5, 1.25]),))
+        StructuredSurrogateCoeffs((b,), (t,), np.array([0.5, 1.25]))
     with pytest.raises(NonFiniteValue, match="s_points"):
-        StructuredSurrogateCoeffs((b,), (t,), (np.array([0.5, np.nan]),))
+        StructuredSurrogateCoeffs((b,), (t,), np.array([0.5, np.nan]))
     with pytest.raises(DimensionMismatch):
         NeuralOperatorCoeffs(
             alpha=rng.standard_normal((1, 1)),
@@ -227,6 +228,16 @@ def test_operator_rejects_out_of_range_sample_points():
             s_points=np.array([0.0, 1.5]),
             zeta=rng.standard_normal(1),
         )
+
+
+def test_operator_rejects_branch_narrower_than_sensors():
+    rng = np.random.default_rng(10)
+    t = TrunkCoeffs(rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2))
+    wide, narrow = _random_branch(rng, n_l=4), _random_branch(rng, n_l=3)
+    pts = np.linspace(0.0, 1.0, 4)
+    StructuredSurrogateCoeffs((wide,), (t,), pts)
+    with pytest.raises(DimensionMismatch, match="sensor count"):
+        StructuredSurrogateCoeffs((wide, narrow), (t, t), pts)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -74,7 +74,7 @@ def test_neural_kernel_traced_once_per_map_call():
     coeffs = StructuredSurrogateCoeffs(
         (BranchCoeffs([1.0, -0.5, 2.0, 0.3], [0.5, 1.0, -1.0], [0.1, 0.0, -0.2, 0.0]),),
         (TrunkCoeffs([1.0, 0.5], [2.0, -3.0], [0.0, 1.0]),),
-        (np.array([0.0, 0.5, 1.0]),),
+        np.array([0.0, 0.5, 1.0]),
     )
     n = 8
     h = NeuralMap(coeffs, (GridFunction.constant(1.0, n), GridFunction.zero(n)))

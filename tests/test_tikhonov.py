@@ -35,7 +35,6 @@ from invop.training import (
     PerturbationSpec,
     assemble_neural_surrogate,
     build_linear_surrogate,
-    center_training_set,
     generate_training_set,
 )
 
@@ -51,7 +50,7 @@ def handles():
     f = GridFunction.constant(50.0, N)
     x0 = GridFunction.constant(1.0, N)
     ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4, seed=3))
-    ls = build_linear_surrogate(center_training_set(ts))
+    ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1)
     return {
         "fem": FemMap(C, f, N),

@@ -16,7 +16,6 @@ from invop.training import (
     PerturbationSpec,
     assemble_neural_surrogate,
     build_linear_surrogate,
-    center_training_set,
     fit_trunk,
     generate_training_set,
     gram_schmidt,
@@ -34,7 +33,7 @@ def c_setup():
     f = GridFunction.constant(50.0, N)
     x0 = GridFunction.constant(1.0, N)
     ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 5, seed=3))
-    ls = build_linear_surrogate(center_training_set(ts))
+    ls = build_linear_surrogate(ts)
     return f, x0, ts, ls
 
 
@@ -87,9 +86,8 @@ def test_dependent_images_detected():
                                PerturbationSpec("sine", 0.1, 3, seed=3))
     # duplicate a pair to force dependence downstream
     dup = ts.pairs + (ts.pairs[1],)
-    cts = center_training_set(type(ts)(dup, ts.problem, ts.space, ts.seed))
     with pytest.raises(DependentImages):
-        build_linear_surrogate(cts)
+        build_linear_surrogate(type(ts)(dup, ts.problem, ts.space, ts.seed))
 
 
 # -- orthonormalization -----------------------------------------------------
@@ -142,8 +140,8 @@ def test_assembled_branches_vanish_at_center():
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
     x0 = ex.ls.center[0]
     assert ex.coeffs.n_terms == 6
-    for branch, pts in zip(ex.coeffs.branches, ex.coeffs.s_points):
-        at_center = eval_branch(branch, ex.coeffs.activation, x0.sample(pts))
+    for branch in ex.coeffs.branches:
+        at_center = eval_branch(branch, ex.coeffs.activation, x0.sample(ex.coeffs.s_points))
         assert abs(at_center) <= 1e-12 * np.sum(np.abs(branch.c))
 
 
@@ -183,7 +181,7 @@ def test_linearized_branch_accuracy_both_spaces():
         f = GridFunction.constant(50.0 if prob is C else 1.0, N)
         x0 = GridFunction.constant(1.0, N)
         ts = generate_training_set(prob, f, x0, PerturbationSpec("sine", 0.05, 3, seed=3))
-        ls = build_linear_surrogate(center_training_set(ts))
+        ls = build_linear_surrogate(ts)
         probes = [x0 + 0.05 * perturbation_shape(PerturbationSpec("sine", 1.0, 3), l, N)
                   for l in range(1, 4)]
         coeffs, diag = assemble_neural_surrogate(
