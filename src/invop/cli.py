@@ -71,6 +71,22 @@ SECTION_KEYS = {
 }
 
 
+#: the config sections each subcommand reads
+COMMAND_SECTIONS = {
+    "generate": ("generate", "perturbation"),
+    "build": ("build",),
+    "solve": ("solve",),
+    "study": ("study",),
+}
+
+
+def _load(args) -> dict:
+    """The --config file; a section the subcommand does not read is an error."""
+    cfg = load_config(_require(args, "config"))
+    return check_keys(cfg, COMMAND_SECTIONS[args.command], f"{args.command} config",
+                      "sections")
+
+
 def _section(cfg: dict, name: str) -> dict:
     """The config's [name] section, empty if absent; unknown keys are an error."""
     return check_keys(cfg.get(name, {}), SECTION_KEYS[name], name)
@@ -93,7 +109,7 @@ def _require(args, flag):
 
 
 def _cmd_generate(args) -> int:
-    cfg = load_config(_require(args, "config"))
+    cfg = _load(args)
     sec = _section(cfg, "generate")
     prob = problem_from_name(sec.get("problem", "a"))
     n = int(sec.get("n_cells", 256))
@@ -108,7 +124,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    cfg = load_config(_require(args, "config"))
+    cfg = _load(args)
     sec = _section(cfg, "build")
     if "training" not in sec:
         raise ConfigInvalid("[build] needs training = <path to training set>")
@@ -135,7 +151,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = load_config(_require(args, "config"))
+    cfg = _load(args)
     sec = _section(cfg, "solve")
     prob = problem_from_name(sec.get("problem", "a"))
     n = int(sec.get("n_cells", 256))
@@ -189,7 +205,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    cfg = load_config(_require(args, "config"))
+    cfg = _load(args)
     table = run_study(study_config(cfg, seed=args.seed, out=args.out))
     _say(args, f"fitted slope {table.fitted_slope:.6g} "
                f"(stderr {table.slope_stderr:.2g}, {len(table.rows)} rows)")

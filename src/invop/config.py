@@ -67,11 +67,11 @@ def _section(cfg: dict, name: str) -> dict:
     return dict(cfg[name])
 
 
-def check_keys(sec: dict, allowed, name: str) -> dict:
+def check_keys(sec: dict, allowed, name: str, what: str = "keys") -> dict:
     """``sec`` itself; a key outside ``allowed`` raises ConfigInvalid naming it."""
     unknown = set(sec) - set(allowed)
     if unknown:
-        raise ConfigInvalid(f"unknown {name} keys: {sorted(unknown)}")
+        raise ConfigInvalid(f"unknown {name} {what}: {sorted(unknown)}")
     return sec
 
 

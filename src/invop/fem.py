@@ -18,10 +18,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from .errors import NonAdmissibleCoefficient, SingularSystem
-from .grid import GridFunction, SpaceKind, gram_solve, trapezoid_weights
+from .errors import NonAdmissibleCoefficient
+from .grid import GridFunction, SpaceKind, _solve_tridiag_spd, gram_solve, trapezoid_weights
 
 REFERENCE_CELLS = 4096
 
@@ -85,16 +84,6 @@ def _assemble(kind: ProblemKind, x: np.ndarray, n: int):
     k_main, k_off = _stiffness_bands(np.ones(n + 1), h)
     m_main, m_off = _mass_bands(x, h)
     return k_main + m_main, k_off + m_off
-
-
-def _solve_tridiag_spd(main: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    ab = np.zeros((2, main.size))
-    ab[0, 1:] = off
-    ab[1, :] = main
-    try:
-        return solveh_banded(ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"Galerkin system not SPD: {exc}") from exc
 
 
 def _tridiag_apply(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -4,16 +4,22 @@ A :class:`GridFunction` stores nodal values at ``s_i = i / n_cells``.  The
 L2 inner product is the composite trapezoid rule applied to the nodal
 product; the H1 product adds the trapezoid rule of the forward-difference
 derivatives on cells.
+
+The module also holds the one solver of symmetric positive definite
+tridiagonal systems that every Galerkin and Gram solve of the package uses:
+an L·D·Lᵀ factorization that performs LAPACK's dpttrf/dptts2 arithmetic in
+their order on Python floats, so it returns the bits of ``dptsv``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, NonFiniteValue, SingularSystem
 
 
 class SpaceKind(enum.Enum):
@@ -134,20 +140,57 @@ def gram_apply(v: np.ndarray, n_cells: int, space: SpaceKind) -> np.ndarray:
     return out
 
 
-def gram_solve(rhs: np.ndarray, n_cells: int, space: SpaceKind) -> np.ndarray:
-    """Riesz map: solve ``G v = rhs`` for the discrete space Gram matrix."""
-    from scipy.linalg import solveh_banded
+def _ldl_factor(main: np.ndarray, off: np.ndarray):
+    """Pivots d and multipliers l of ``T = L·D·Lᵀ`` (dpttrf's order).
 
-    w = trapezoid_weights(n_cells)
-    if space is SpaceKind.L2:
-        return rhs / w
+    ``T`` has diagonal ``main`` and off-diagonal ``off``.  A pivot that is
+    not > 0, NaN included, raises SingularSystem naming its index.
+    """
+    d = main.tolist()
+    l = off.tolist()
+    for i, ei in enumerate(l):
+        di = d[i]
+        if not di > 0:
+            raise SingularSystem(f"tridiagonal system not SPD: pivot {i} is not positive")
+        l[i] = li = ei / di
+        d[i + 1] -= li * ei
+    if not d[-1] > 0:
+        raise SingularSystem(f"tridiagonal system not SPD: pivot {len(l)} is not positive")
+    return tuple(d), tuple(l)
+
+
+def _ldl_solve(d, l, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L·D·Lᵀ v = rhs`` from the factors of _ldl_factor (dptts2's order)."""
+    b = rhs.tolist()
+    bi = b[0]
+    for i, li in enumerate(l, 1):
+        bi = b[i] - bi * li
+        b[i] = bi
+    x = bi / d[-1]
+    b[-1] = x
+    for i in range(len(l) - 1, -1, -1):
+        x = b[i] / d[i] - x * l[i]
+        b[i] = x
+    return np.array(b)
+
+
+def _solve_tridiag_spd(main: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the SPD tridiagonal system with diagonal ``main``, off-diagonal ``off``."""
+    return _ldl_solve(*_ldl_factor(main, off), rhs)
+
+
+@lru_cache(maxsize=16)
+def _h1_gram_factors(n_cells: int):
+    """L·D·Lᵀ factors of the H1 Gram matrix, which depend on the mesh only."""
     h = 1.0 / n_cells
-    n = n_cells + 1
-    main = w.copy()
+    main = trapezoid_weights(n_cells)
     main[1:] += 1.0 / h
     main[:-1] += 1.0 / h
-    upper = np.full(n - 1, -1.0 / h)
-    ab = np.zeros((2, n))
-    ab[0, 1:] = upper
-    ab[1, :] = main
-    return solveh_banded(ab, rhs)
+    return _ldl_factor(main, np.full(n_cells, -1.0 / h))
+
+
+def gram_solve(rhs: np.ndarray, n_cells: int, space: SpaceKind) -> np.ndarray:
+    """Riesz map: solve ``G v = rhs`` for the discrete space Gram matrix."""
+    if space is SpaceKind.L2:
+        return rhs / trapezoid_weights(n_cells)
+    return _ldl_solve(*_h1_gram_factors(n_cells), rhs)

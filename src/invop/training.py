@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DependentImages,
@@ -300,7 +299,7 @@ def _default_probes(ls: LinearSurrogate):
     recovered from the orthonormal basis through the inverse of the
     Gram-Schmidt transform."""
     x0 = ls.center[0]
-    inv = solve_triangular(ls.transform, np.eye(ls.n_terms), lower=True)
+    inv = np.linalg.solve(ls.transform, np.eye(ls.n_terms))
     devs = []
     for j in range(ls.n_terms):
         orig = np.zeros_like(x0.values)

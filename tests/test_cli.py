@@ -316,6 +316,19 @@ def test_unknown_config_key_exits_one(tmp_path, capsys, command, section):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,section", [
+    ("solve", "slove"), ("solve", "study"), ("generate", "build"), ("build", "solve"),
+    ("study", "solve")])
+def test_section_the_command_does_not_read_exits_one(tmp_path, capsys, command, section):
+    # a misspelt header must not leave the command running on its defaults
+    cfg = _write(tmp_path / "typo.cfg", f"[{section}]\nproblem = c\nsurrogate = rank\n")
+    capsys.readouterr()
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+    assert f"['{section}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
                          ids=lambda p: p.name)
 def test_shipped_config_passes_the_key_check(path):

@@ -58,6 +58,13 @@ def test_reference_solver_resamples_to_input_mesh():
     assert y.n_cells == 40
 
 
+def test_smallest_mesh_solves_its_one_unknown():
+    # two cells leave one interior unknown: 4 y(1/2) = 1/2 for x = f = 1
+    one = GridFunction.constant(1.0, 2)
+    y = solve_forward_fem(A, one, one, 2)
+    assert y.values.tolist() == [0.0, 0.125, 0.0]
+
+
 def test_admissibility_enforced():
     n = 16
     bad = GridFunction.constant(0.05, n)  # below nu = 0.1
