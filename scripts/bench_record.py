@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Write a perf record, BENCH_<tag>.json, for one checkout of the repository.
 
-Usage: python scripts/bench_record.py TAG [--checkout DIR] [--seed 13]
-                                          [--seconds 30] [--out PATH]
+Usage: python scripts/bench_record.py TAG [--checkout DIR] [--out PATH]
 
 For every workload that the checkout's BENCHMARK.json declares, the record
 holds the result and report lines of ``perfbench/run.py`` with ``--trace 0``
 (end-to-end metrics) and ``--trace 1`` (per-layer counts and timings), all at
-one seed.  It adds the Tier-1 test summary with its wall time and the
-environment that perfbench reports.  ``--checkout`` points at another copy
-of the repository (for example an export of the parent commit), so that both
-sides of a change are recorded by the same script; the record is written to
-``--out``, by default ``BENCH_<tag>.json`` in this repository's root.
+seed SEED for the ``run_seconds`` that BENCHMARK.json declares.  It adds the
+Tier-1 test summary with its wall time and the environment that perfbench
+reports.  ``--checkout`` points at another copy of the repository (for
+example an export of the parent commit), so that both sides of a change are
+recorded by the same script; the record is written to ``--out``, by default
+``BENCH_<tag>.json`` in this repository's root.
 """
 
 import argparse
@@ -24,10 +24,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 13
 
 
-def _perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def _perfbench(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = res.stdout.strip().splitlines()
@@ -51,25 +52,24 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("tag")
     p.add_argument("--checkout", type=Path, default=ROOT)
-    p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
     checkout = args.checkout.resolve()
     declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
 
     workloads = {}
     for w in (entry["name"] for entry in declared["workloads"]):
         workloads[w] = {
-            "end_to_end": _perfbench(checkout, w, args.seed, args.seconds, 0),
-            "per_layer": _perfbench(checkout, w, args.seed, args.seconds, 1),
+            "end_to_end": _perfbench(checkout, w, seconds, 0),
+            "per_layer": _perfbench(checkout, w, seconds, 1),
         }
         print(f"{w}: {workloads[w]['end_to_end']['result']['metrics']}", flush=True)
     first = next(iter(workloads.values()))
     record = {
         "tag": args.tag,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "environment": {**first["end_to_end"]["report"]["environment"],
                         "machine": platform.machine(), "system": platform.system()},
         "workloads": workloads,

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonAdmissibleCoefficient
-from .grid import GridFunction, SpaceKind, _solve_tridiag_spd, gram_solve, trapezoid_weights
+from .grid import GridFunction, SpaceKind, _ldl_factor, _ldl_solve, gram_solve, trapezoid_weights
 
 REFERENCE_CELLS = 4096
 
@@ -86,6 +87,21 @@ def _assemble(kind: ProblemKind, x: np.ndarray, n: int):
     return k_main + m_main, k_off + m_off
 
 
+@lru_cache(maxsize=1)
+def _galerkin_factors(kind: ProblemKind, n: int, x_bytes: bytes):
+    """L·D·Lᵀ factors of the Galerkin matrix for the nodal coefficient x.
+
+    Keyed by the bytes of x, so the adjoint solve of a misfit gradient and
+    the forward solve at the same x share one factorization.  One entry is
+    enough: a misfit gradient directly follows its forward solve.
+    """
+    return _ldl_factor(*_assemble(kind, np.frombuffer(x_bytes), n))
+
+
+def _galerkin_solve(kind: ProblemKind, xv: np.ndarray, n: int, rhs: np.ndarray) -> np.ndarray:
+    return _ldl_solve(*_galerkin_factors(kind, n, xv.tobytes()), rhs)
+
+
 def _tridiag_apply(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = main * v
     out[:-1] += off * v[1:]
@@ -102,9 +118,8 @@ def solve_forward_fem(
     kind.check_admissible(x)
     xv = x.resample(n).values
     fv = f.resample(n).values
-    main, off = _assemble(kind, xv, n)
     y = np.zeros(n + 1)
-    y[1:-1] = _solve_tridiag_spd(main, off, _load_vector(fv, 1.0 / n))
+    y[1:-1] = _galerkin_solve(kind, xv, n, _load_vector(fv, 1.0 / n))
     return GridFunction(n, y)
 
 
@@ -133,9 +148,8 @@ def derivative_apply(
     else:
         p_main, p_off = _mass_bands(hv, h)
     rhs = -_tridiag_apply(p_main, p_off, yv[1:-1])
-    main, off = _assemble(kind, xv, n)
     u = np.zeros(n + 1)
-    u[1:-1] = _solve_tridiag_spd(main, off, rhs)
+    u[1:-1] = _galerkin_solve(kind, xv, n, rhs)
     return GridFunction(n, u)
 
 
@@ -177,9 +191,8 @@ def misfit_gradient_nodal(
     h = 1.0 / n
 
     w = trapezoid_weights(n)
-    main, off = _assemble(kind, xv, n)
     p = np.zeros(n + 1)
-    p[1:-1] = _solve_tridiag_spd(main, off, (w * rv)[1:-1])
+    p[1:-1] = _galerkin_solve(kind, xv, n, (w * rv)[1:-1])
 
     z = np.zeros(n + 1)
     if kind.tag is ProblemTag.A_EXAMPLE:

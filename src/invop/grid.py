@@ -174,11 +174,6 @@ def _ldl_solve(d, l, rhs: np.ndarray) -> np.ndarray:
     return np.array(b)
 
 
-def _solve_tridiag_spd(main: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD tridiagonal system with diagonal ``main``, off-diagonal ``off``."""
-    return _ldl_solve(*_ldl_factor(main, off), rhs)
-
-
 @lru_cache(maxsize=16)
 def _h1_gram_factors(n_cells: int):
     """L·D·Lᵀ factors of the H1 Gram matrix, which depend on the mesh only."""

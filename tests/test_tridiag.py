@@ -9,11 +9,22 @@ import pytest
 from scipy.linalg import solveh_banded
 
 from invop.errors import SingularSystem
-from invop.fem import REFERENCE_CELLS, ProblemKind, ProblemTag, _assemble, _load_vector
+from invop.fem import (
+    REFERENCE_CELLS,
+    ProblemKind,
+    ProblemTag,
+    _assemble,
+    _galerkin_factors,
+    _load_vector,
+    misfit_gradient_nodal,
+    solve_forward_fem,
+)
 from invop.grid import (
+    GridFunction,
     SpaceKind,
     _h1_gram_factors,
-    _solve_tridiag_spd,
+    _ldl_factor,
+    _ldl_solve,
     gram_solve,
     trapezoid_weights,
 )
@@ -24,6 +35,10 @@ def _dptsv(main, off, rhs):
     ab[0, 1:] = off
     ab[1] = main
     return solveh_banded(ab, rhs)
+
+
+def _kernel(main, off, rhs):
+    return _ldl_solve(*_ldl_factor(main, off), rhs)
 
 
 def _same_bits(a, b):
@@ -38,7 +53,7 @@ def test_random_dominant_systems_match_dptsv():
         mag = np.abs(off)
         main = np.r_[mag, 0.0] + np.r_[0.0, mag] + rng.uniform(1e-3, 1.0, n)
         rhs = rng.standard_normal(n)
-        assert _same_bits(_solve_tridiag_spd(main, off, rhs), _dptsv(main, off, rhs)), n
+        assert _same_bits(_kernel(main, off, rhs), _dptsv(main, off, rhs)), n
 
 
 @pytest.mark.parametrize("tag", list(ProblemTag), ids=lambda t: t.value)
@@ -49,7 +64,7 @@ def test_assembled_galerkin_systems_match_dptsv(tag, n):
     x = 1.0 + 0.5 * np.sin(3 * np.pi * s) ** 2
     main, off = _assemble(kind, x, n)
     rhs = _load_vector(np.exp(s), 1.0 / n)
-    assert _same_bits(_solve_tridiag_spd(main, off, rhs), _dptsv(main, off, rhs))
+    assert _same_bits(_kernel(main, off, rhs), _dptsv(main, off, rhs))
 
 
 @pytest.mark.parametrize("n_cells", [1, 2, 64, 256, REFERENCE_CELLS])
@@ -70,8 +85,22 @@ def test_h1_gram_factors_are_kept_per_mesh_size():
     assert (len(d), len(l)) == (33, 32)
 
 
+@pytest.mark.parametrize("tag", list(ProblemTag), ids=lambda t: t.value)
+def test_misfit_gradient_reuses_the_forward_factorization(tag):
+    kind, n = ProblemKind(tag), 64
+    x = GridFunction.from_callable(lambda s: 1.0 + 0.3 * s * (1 - s), n)
+    f = GridFunction.constant(1.0, n)
+    r = GridFunction.from_callable(np.sin, n)
+    _galerkin_factors.cache_clear()
+    y = solve_forward_fem(kind, x, f, n)
+    z = misfit_gradient_nodal(kind, x, y, r, n)
+    assert (_galerkin_factors.cache_info().hits, _galerkin_factors.cache_info().misses) == (1, 1)
+    _galerkin_factors.cache_clear()
+    assert _same_bits(misfit_gradient_nodal(kind, x, y, r, n), z)
+
+
 def test_single_unknown_is_rhs_over_pivot():
-    assert _solve_tridiag_spd(np.array([4.0]), np.array([]), np.array([0.5])).tolist() == [0.125]
+    assert _kernel(np.array([4.0]), np.array([]), np.array([0.5])).tolist() == [0.125]
 
 
 @pytest.mark.parametrize("main,off,index", [
@@ -84,4 +113,4 @@ def test_single_unknown_is_rhs_over_pivot():
 ])
 def test_non_positive_or_nan_pivot_raises(main, off, index):
     with pytest.raises(SingularSystem, match=f"pivot {index} "):
-        _solve_tridiag_spd(np.array(main), np.array(off), np.ones(len(main)))
+        _ldl_factor(np.array(main), np.array(off))
