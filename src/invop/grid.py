@@ -7,15 +7,20 @@ derivatives on cells.
 
 The module also holds the one solver of symmetric positive definite
 tridiagonal systems that every Galerkin and Gram solve of the package uses:
-an L·D·Lᵀ factorization that performs LAPACK's dpttrf/dptts2 arithmetic in
-their order on Python floats, so it returns the bits of ``dptsv``.
+an L·D·Lᵀ factorization with the bits of LAPACK's ``dptsv``.  Where numpy's
+wheel bundles OpenBLAS (manylinux), it calls that library's dpttrf/dpttrs
+through ctypes; elsewhere ``_LAPACK`` is None and a Python kernel performs
+the same arithmetic in the same order on Python floats.  The Python kernel
+is also the parity reference of the tests.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -140,12 +145,36 @@ def gram_apply(v: np.ndarray, n_cells: int, space: SpaceKind) -> np.ndarray:
     return out
 
 
-def _ldl_factor(main: np.ndarray, off: np.ndarray):
-    """Pivots d and multipliers l of ``T = L·D·Lᵀ`` (dpttrf's order).
+def _load_lapack(root: Path):
+    """dpttrf and dpttrs of the OpenBLAS that a numpy wheel bundles, or None.
 
-    ``T`` has diagonal ``main`` and off-diagonal ``off``.  A pivot that is
-    not > 0, NaN included, raises SingularSystem naming its index.
+    ``root`` is the directory that holds the ``numpy`` package; manylinux
+    wheels put the library in ``numpy.libs`` beside it.  The build is ILP64,
+    so every integer argument is a 64-bit int passed by reference.
     """
+    path = min(root.glob("numpy.libs/libscipy_openblas64_*.so"), default=None)
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(str(path))
+        pttrf, pttrs = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    pttrf.argtypes = [i64, ptr, ptr, i64]  # N, D, E, INFO
+    pttrs.argtypes = [i64, i64, ptr, ptr, ptr, i64, i64]  # N, NRHS, D, E, B, LDB, INFO
+    pttrf.restype = pttrs.restype = None
+    return pttrf, pttrs
+
+
+#: (dpttrf, dpttrs), or None where numpy bundles no such library (conda/MKL
+#: builds, macOS wheels); None selects the Python kernel below.
+_LAPACK = _load_lapack(Path(np.__file__).parents[1])
+_ONE = ctypes.c_int64(1)
+
+
+def _py_ldl_factor(main: np.ndarray, off: np.ndarray):
+    """The Python kernel: dpttrf's arithmetic in its order on Python floats."""
     d = main.tolist()
     l = off.tolist()
     for i, ei in enumerate(l):
@@ -156,12 +185,12 @@ def _ldl_factor(main: np.ndarray, off: np.ndarray):
         d[i + 1] -= li * ei
     if not d[-1] > 0:
         raise SingularSystem(f"tridiagonal system not SPD: pivot {len(l)} is not positive")
-    return tuple(d), tuple(l)
+    return np.array(d), np.array(l)
 
 
-def _ldl_solve(d, l, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``L·D·Lᵀ v = rhs`` from the factors of _ldl_factor (dptts2's order)."""
-    b = rhs.tolist()
+def _py_ldl_solve(d: np.ndarray, l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The Python kernel: dptts2's arithmetic in its order on Python floats."""
+    d, l, b = d.tolist(), l.tolist(), rhs.tolist()
     bi = b[0]
     for i, li in enumerate(l, 1):
         bi = b[i] - bi * li
@@ -172,6 +201,44 @@ def _ldl_solve(d, l, rhs: np.ndarray) -> np.ndarray:
         x = b[i] / d[i] - x * l[i]
         b[i] = x
     return np.array(b)
+
+
+def _ldl_factor(main: np.ndarray, off: np.ndarray):
+    """Pivots d and multipliers l of ``T = L·D·Lᵀ`` as read-only arrays.
+
+    ``T`` has diagonal ``main`` and off-diagonal ``off``.  A pivot that is
+    not > 0, NaN included, raises SingularSystem naming its index; dpttrf
+    stops at the first pivot <= 0 but carries a NaN on, so the pivots are
+    checked after the call.  One unknown stays on the Python kernel, whose
+    division gives other bits than dptts2's multiplication by 1/d.
+    """
+    if main.ndim != 1 or off.shape != (main.size - 1,):
+        raise DimensionMismatch(f"bands of sizes {main.shape} and {off.shape}")
+    if _LAPACK is None or main.size == 1:
+        d, l = _py_ldl_factor(main, off)
+    else:
+        d = np.array(main, dtype=np.float64)
+        l = np.array(off, dtype=np.float64)
+        _LAPACK[0](ctypes.byref(ctypes.c_int64(d.size)), d.ctypes.data, l.ctypes.data,
+                   ctypes.byref(ctypes.c_int64()))
+        bad = np.flatnonzero(~(d > 0))
+        if bad.size:
+            raise SingularSystem(f"tridiagonal system not SPD: pivot {bad[0]} is not positive")
+    d.flags.writeable = l.flags.writeable = False
+    return d, l
+
+
+def _ldl_solve(d: np.ndarray, l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L·D·Lᵀ v = rhs`` from the factors of _ldl_factor (dpttrs)."""
+    if rhs.shape != d.shape:
+        raise DimensionMismatch(f"right-hand side {rhs.shape} for {d.size} unknowns")
+    if _LAPACK is None or d.size == 1:
+        return _py_ldl_solve(d, l, rhs)
+    b = np.array(rhs, dtype=np.float64)
+    n = ctypes.c_int64(b.size)
+    _LAPACK[1](ctypes.byref(n), ctypes.byref(_ONE), d.ctypes.data, l.ctypes.data,
+               b.ctypes.data, ctypes.byref(n), ctypes.byref(ctypes.c_int64()))
+    return b
 
 
 @lru_cache(maxsize=16)

@@ -134,6 +134,12 @@ def test_calibrated_rho_bounds_measured_errors():
         assert fem_rho(prob, 256) < 1e-4
 
 
+def test_fem_rho_constants_are_the_calibration():
+    # fem_rho keeps calibrate_fem_rho as literals; they must be its exact floats
+    for tag in ProblemTag:
+        assert fem_rho(ProblemKind(tag), 1) == calibrate_fem_rho(ProblemKind(tag))
+
+
 def test_csv_written_and_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_study(StudyConfig("fem_rate", out=str(out1)))

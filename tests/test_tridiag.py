@@ -1,14 +1,20 @@
 """The L·D·Lᵀ tridiagonal kernel returns LAPACK dptsv's bits.
 
 ``scipy.linalg.solveh_banded`` calls dptsv on a two-row banded matrix, so
-it is the reference the kernel must match bit for bit.
+it is the reference the kernel must match bit for bit.  The module-level
+tests run the kernel that this numpy selects (dpttrf/dpttrs of its bundled
+OpenBLAS where the wheel ships one); ``TestPythonKernel`` runs the parity,
+pivot and size-1 tests again with the library handle forced to None.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from invop.errors import SingularSystem
+from invop import grid
+from invop.errors import DimensionMismatch, SingularSystem
 from invop.fem import (
     REFERENCE_CELLS,
     ProblemKind,
@@ -25,9 +31,12 @@ from invop.grid import (
     _h1_gram_factors,
     _ldl_factor,
     _ldl_solve,
+    _load_lapack,
     gram_solve,
     trapezoid_weights,
 )
+from invop.studies import StudyConfig, run_study
+from invop.tikhonov import RUN_COLUMNS
 
 
 def _dptsv(main, off, rhs):
@@ -81,7 +90,7 @@ def test_h1_gram_solve_matches_dptsv(n_cells):
 def test_h1_gram_factors_are_kept_per_mesh_size():
     d, l = _h1_gram_factors(32)
     assert _h1_gram_factors(32) is _h1_gram_factors(32)
-    assert isinstance(d, tuple) and isinstance(l, tuple)
+    assert not d.flags.writeable and not l.flags.writeable
     assert (len(d), len(l)) == (33, 32)
 
 
@@ -101,6 +110,9 @@ def test_misfit_gradient_reuses_the_forward_factorization(tag):
 
 def test_single_unknown_is_rhs_over_pivot():
     assert _kernel(np.array([4.0]), np.array([]), np.array([0.5])).tolist() == [0.125]
+    # a division, not dptts2's multiplication by 1/d, which differs in the last bit
+    for d, b in np.random.default_rng(1).uniform(0.1, 10.0, (30, 2)):
+        assert _kernel(np.array([d]), np.array([]), np.array([b])).tolist() == [b / d]
 
 
 @pytest.mark.parametrize("main,off,index", [
@@ -114,3 +126,70 @@ def test_single_unknown_is_rhs_over_pivot():
 def test_non_positive_or_nan_pivot_raises(main, off, index):
     with pytest.raises(SingularSystem, match=f"pivot {index} "):
         _ldl_factor(np.array(main), np.array(off))
+
+
+def test_band_and_rhs_sizes_are_checked_before_the_call():
+    with pytest.raises(DimensionMismatch):
+        _ldl_factor(np.full(4, 2.0), np.full(4, 0.5))
+    d, l = _ldl_factor(np.full(4, 2.0), np.full(3, 0.5))
+    with pytest.raises(DimensionMismatch):
+        _ldl_solve(d, l, np.ones(5))
+
+
+def test_lapack_is_found_where_numpy_bundles_it():
+    root = Path(np.__file__).parents[1]
+    bundled = list(root.glob("numpy.libs/libscipy_openblas64_*.so"))
+    assert (_load_lapack(root) is not None) == bool(bundled)
+
+
+def test_library_lookup_that_finds_nothing_falls_back(tmp_path):
+    assert _load_lapack(tmp_path) is None
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas64_-0.so").write_bytes(b"not a shared object")
+    assert _load_lapack(tmp_path) is None
+
+
+def _clear_factor_caches():
+    _h1_gram_factors.cache_clear()
+    _galerkin_factors.cache_clear()
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Force the Python kernel; cached factors are recomputed on it."""
+    monkeypatch.setattr(grid, "_LAPACK", None)
+    _clear_factor_caches()
+    yield
+    _clear_factor_caches()
+
+
+class TestPythonKernel:
+    """The parity, pivot and size-1 tests with the library handle set to None."""
+
+    pytestmark = pytest.mark.usefixtures("python_kernel")
+
+    test_random_dominant_systems_match_dptsv = staticmethod(
+        test_random_dominant_systems_match_dptsv)
+    test_assembled_galerkin_systems_match_dptsv = staticmethod(
+        test_assembled_galerkin_systems_match_dptsv)
+    test_h1_gram_solve_matches_dptsv = staticmethod(test_h1_gram_solve_matches_dptsv)
+    test_single_unknown_is_rhs_over_pivot = staticmethod(test_single_unknown_is_rhs_over_pivot)
+    test_non_positive_or_nan_pivot_raises = staticmethod(test_non_positive_or_nan_pivot_raises)
+
+
+def _rows_without_runtime(cfg):
+    drop = RUN_COLUMNS.index("runtime_ms")
+    return [r.split(",")[:drop] + r.split(",")[drop + 1:] for r in run_study(cfg).rows]
+
+
+@pytest.mark.parametrize("cfg", [
+    StudyConfig("reg_rate", problem="a", n_cells=64, ladder=(0.02, 0.01, 0.005, 0.0025)),
+    StudyConfig("reg_rate", problem="c", surrogate="rank", n_cells=64,
+                ladder=(0.02, 0.01, 0.005, 0.0025), constant=0.15, xi=1e-4, seed=100),
+], ids=["a-fem", "c-rank"])
+def test_python_kernel_gives_the_same_study_rows(cfg, monkeypatch):
+    rows = _rows_without_runtime(cfg)
+    monkeypatch.setattr(grid, "_LAPACK", None)
+    _clear_factor_caches()
+    assert _rows_without_runtime(cfg) == rows
