@@ -21,7 +21,6 @@ from invop import (
     add_noise,
     choose_parameters,
     fem_rho,
-    solve_forward_reference,
     solve_inverse_problem,
 )
 from invop.studies import c_example_setup
@@ -35,8 +34,7 @@ def main():
     print(f"diagnostics: nu_N={diag.nu_N:.3e}  q_N={diag.q_N:.3e}  "
           f"r_N={diag.r_N:.3e}  rho_bound={diag.rho_bound:.3e}")
 
-    y = solve_forward_reference(prob, xt, f)
-    yd = add_noise(y, delta, seed=7)
+    yd = add_noise(ex.y_true, delta, seed=7)
     handles = [
         FemMap(prob, f, n),
         RankMap(ex.ls),

@@ -58,6 +58,7 @@ from .training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
+    probe_pairs,
 )
 
 
@@ -138,9 +139,8 @@ def _cmd_build(args) -> int:
         int(sec.get("n_quad", 512)),
         int(sec.get("n_trunk", 14)),
         ActivationKind(str(sec.get("activation", "logistic"))),
-        seed=seed,
-        problem=ts.problem,
-        f=ts.load,
+        seed,
+        probe_pairs(ts),
     )
     out = _require(args, "out")
     serialize.save_structured(out, coeffs)

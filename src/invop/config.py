@@ -39,10 +39,7 @@ def _coerce(text: str):
 
 
 def _ladder(text: str) -> tuple:
-    try:
-        vals = tuple(_coerce(v) for v in text.split(",") if v.strip())
-    except Exception as err:  # pragma: no cover - _coerce never raises
-        raise ConfigInvalid(f"bad ladder {text!r}: {err}")
+    vals = tuple(_coerce(v) for v in text.split(",") if v.strip())
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
         raise ConfigInvalid(f"ladder {text!r} must be numeric")
     return vals

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, DegenerateFit
 from .fem import ProblemKind, ProblemTag, adjoint_apply, solve_forward_fem, solve_forward_reference
-from .grid import GridFunction, SpaceKind, inner, norm, trapezoid_weights
+from .grid import GridFunction, SpaceKind, norm, trapezoid_weights
 from .mollify import mollify
 from .neural import ActivationKind
 from .tikhonov import (
@@ -36,7 +36,6 @@ from .training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
-    perturbation_shape,
     quadrature_nodes,
 )
 
@@ -77,6 +76,15 @@ def fit_slope(x, y):
 # configuration and result table
 
 
+#: StudyConfig's numeric fields and the types they accept (bool excluded)
+_FIELD_TYPES = {
+    **dict.fromkeys(("n_cells", "n_train", "n_quad", "n_trunk", "seed",
+                     "max_iterations", "jobs"), int),
+    **dict.fromkeys(("constant", "xi"), (int, float)),
+}
+_TYPE_WORDS = {int: "an integer", (int, float): "a real number"}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     study: str
@@ -95,6 +103,10 @@ class StudyConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
+        for name, kinds in _FIELD_TYPES.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                raise ConfigInvalid(f"{name} must be {_TYPE_WORDS[kinds]}, not {v!r}")
         if self.study not in STUDY_KINDS:
             raise ConfigInvalid(f"unknown study {self.study!r}; choose from {STUDY_KINDS}")
         if self.problem not in ("a", "c"):
@@ -294,12 +306,13 @@ def source_target_c(x0, ls, n):
 
 
 #: the c-example inversion setup that ``c_example_setup`` returns
-CExample = namedtuple("CExample", "problem load x0 ls xt probes coeffs diag")
+CExample = namedtuple("CExample", "problem load x0 ls xt y_true coeffs diag")
 
 
 def c_example_setup(cfg: StudyConfig) -> CExample:
     """The c-example built from the config's sizes and seed; the diagnostics
-    are measured on the unit training modes at amplitude 0.1 and on xt."""
+    are measured on the training pairs (the unit modes at amplitude 0.1
+    around x0) and on (xt, y_true), each input solved once."""
     n = cfg.n_cells
     prob = ProblemKind(ProblemTag.C_EXAMPLE)
     f = GridFunction.constant(50.0, n)
@@ -308,16 +321,12 @@ def c_example_setup(cfg: StudyConfig) -> CExample:
     ts = generate_training_set(prob, f, x0, spec)
     ls = build_linear_surrogate(ts)
     xt = source_target_c(x0, ls, n)
-    modes = [
-        perturbation_shape(PerturbationSpec("sine", 1.0, cfg.n_train), ell, n)
-        for ell in range(1, cfg.n_train + 1)
-    ]
-    probes = tuple(x0 + 0.1 * m for m in modes) + (xt,)
+    y_true = solve_forward_reference(prob, xt, f)
     coeffs, diag = assemble_neural_surrogate(
-        ls, cfg.n_quad, cfg.n_trunk, ActivationKind.LOGISTIC, seed=cfg.seed + 1,
-        problem=prob, f=f, probes=probes,
+        ls, cfg.n_quad, cfg.n_trunk, ActivationKind.LOGISTIC, cfg.seed + 1,
+        ts.pairs[1:] + ((xt, y_true),),
     )
-    return CExample(prob, f, x0, ls, xt, probes, coeffs, diag)
+    return CExample(prob, f, x0, ls, xt, y_true, coeffs, diag)
 
 
 def _run_reg_rate(cfg: StudyConfig, rows: list):
@@ -329,17 +338,16 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         x0 = GridFunction.constant(1.0, n)
         xt = source_target_a(prob, x0, f, n)
         h = FemMap(prob, f, n)
+        y_true = solve_forward_reference(prob, xt, f)
         space, nu, rho, xi, label = SpaceKind.H1, prob.nu, fem_rho(prob, n), cfg.xi, "a"
     else:
         ex = c_example_setup(cfg)
-        prob, f, x0, xt = ex.problem, ex.load, ex.x0, ex.xt
+        prob, x0, xt, y_true = ex.problem, ex.x0, ex.xt, ex.y_true
         if cfg.surrogate == "rank":
             h = RankMap(ex.ls)
         else:
             h = NeuralMap(ex.coeffs, ex.ls.center)
         space, nu, rho, xi, label = SpaceKind.L2, prob.nu, ex.diag.rho_bound, cfg.xi, "c"
-
-    y_true = solve_forward_reference(prob, xt, f)
 
     def one(i_delta):
         i, d = i_delta

@@ -263,16 +263,15 @@ class SurrogateDiagnostics:
     n_terms: int
 
 
-def estimate_nu_N(ls: LinearSurrogate, problem: ProblemKind, f: GridFunction, probes) -> float:
+def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
     """Largest ratio of the out-of-span data deviation to the input deviation.
 
-    For each probe x the forward data F[x] - F[x_center] is computed by the
-    reference solver and projected off the span of the induced data
-    functions; the ratio to ||x - x_center|| in the surrogate space is
-    maximized over the probe set.
+    For each probe pair (x, F[x]) the data deviation F[x] - F[x_center] is
+    projected off the span of the induced data functions; the ratio to
+    ||x - x_center|| in the surrogate space is maximized over the pairs.
     """
-    probes = list(probes)
-    if not probes:
+    pairs = list(pairs)
+    if not pairs:
         raise EmptyProbeSet("need at least one probe")
     x0, y0 = ls.center
     n_cells = y0.n_cells
@@ -281,55 +280,42 @@ def estimate_nu_N(ls: LinearSurrogate, problem: ProblemKind, f: GridFunction, pr
     q, _ = np.linalg.qr(span)
 
     worst = 0.0
-    for x in probes:
-        x = x.resample(x0.n_cells)
-        dx = norm(x - x0, ls.space)
+    for x, y in pairs:
+        dx = norm(x.resample(x0.n_cells) - x0, ls.space)
         if dx < 1e-14:
             continue
-        y = solve_forward_reference(problem, x, f).resample(n_cells)
-        d = (y.values - y0.values) * sw
+        d = (y.resample(n_cells).values - y0.values) * sw
         resid = d - q @ (q.T @ d)
         worst = max(worst, float(np.linalg.norm(resid)) / dx)
     return worst
 
 
-def _default_probes(ls: LinearSurrogate):
-    """The center shifted by each original training deviation, and by one
-    mixed combination of them with alternating signs.  The deviations are
-    recovered from the orthonormal basis through the inverse of the
-    Gram-Schmidt transform."""
-    x0 = ls.center[0]
-    inv = np.linalg.solve(ls.transform, np.eye(ls.n_terms))
-    devs = []
-    for j in range(ls.n_terms):
-        orig = np.zeros_like(x0.values)
-        for i in range(j + 1):
-            orig += inv[j, i] * ls.basis[i].values
-        devs.append(orig)
+def probe_pairs(ts: TrainingSet) -> tuple:
+    """The training pairs after the center, and the center shifted by one
+    mix of their deviations with alternating signs, solved by the reference
+    solver: the mix is the only new input."""
+    x0 = ts.pairs[0][0]
     mix = np.zeros_like(x0.values)
-    for j, orig in enumerate(devs):
-        mix += (0.6 if j % 2 == 0 else -0.6) * orig
-    return [GridFunction(x0.n_cells, x0.values + d) for d in devs + [mix]]
+    for j, (x, _) in enumerate(ts.pairs[1:]):
+        mix += (0.6 if j % 2 == 0 else -0.6) * (x.values - x0.values)
+    xm = GridFunction(x0.n_cells, x0.values + mix)
+    return ts.pairs[1:] + ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
 
 
 def assemble_neural_surrogate(
     ls: LinearSurrogate,
     n_k: int,
     n_j: int,
-    activation_kind: ActivationKind = ActivationKind.LOGISTIC,
-    seed: int = 0,
-    problem: Optional[ProblemKind] = None,
-    f: Optional[GridFunction] = None,
-    probes=None,
+    activation_kind: ActivationKind,
+    seed: int,
+    probes,
 ):
     """Branch/trunk realization of the rank-N surrogate with diagnostics.
 
     Each term pairs a near-linear branch for the coefficient functional
     <x - center, basis_ell>, accurate to quadrature error everywhere, with
-    a trunk fitted to the induced data function.  q_N is measured on
-    ``probes``, by default the center shifted by each training deviation
-    and by one mix of them; nu_N is estimated on the same probes when
-    ``problem`` and ``f`` are given, and is zero otherwise.
+    a trunk fitted to the induced data function.  q_N and nu_N are measured
+    on the solved probe pairs (x, F[x]).
     Returns (coefficients, diagnostics).
     """
     x0 = ls.center[0]
@@ -347,9 +333,9 @@ def assemble_neural_surrogate(
 
     coeffs = StructuredSurrogateCoeffs(tuple(branches), tuple(trunks), t, activation_kind)
 
-    probes = list(probes) if probes is not None else _default_probes(ls)
+    probes = list(probes)
     q_n = 0.0
-    for x in probes:
+    for x, _ in probes:
         x = x.resample(x0.n_cells)
         xs = x.sample(t)
         for branch, xb in zip(branches, ls.basis):
@@ -357,10 +343,7 @@ def assemble_neural_surrogate(
             q_n = max(q_n, abs(eval_branch(branch, activation_kind, xs) - exact))
 
     r_n = max(residuals)
-    if problem is not None and f is not None:
-        nu_n = estimate_nu_N(ls, problem, f, probes)
-    else:
-        nu_n = 0.0
+    nu_n = estimate_nu_N(ls, probes)
     diag = SurrogateDiagnostics(
         nu_N=nu_n,
         q_N=q_n,

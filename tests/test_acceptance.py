@@ -44,6 +44,7 @@ from invop.training import (
     build_linear_surrogate,
     generate_training_set,
     perturbation_shape,
+    probe_pairs,
 )
 
 A = ProblemKind(ProblemTag.A_EXAMPLE)
@@ -157,7 +158,7 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     diag_probes = [draw(rng) for _ in range(32)]
     coeffs, diag = assemble_neural_surrogate(
         ls, 512, 14, ActivationKind.LOGISTIC, seed=1,
-        problem=C, f=f, probes=diag_probes,
+        probes=[(x, solve_forward_reference(C, x, f)) for x in diag_probes],
     )
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
 
@@ -200,7 +201,8 @@ def test_criterion_8_optimization_soundness():
     x0 = GridFunction.constant(1.0, n)
     ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4, seed=3))
     ls = build_linear_surrogate(ts)
-    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1)
+    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1,
+                                             probes=probe_pairs(ts))
     h_rank = RankMap(ls)
 
     # closed-form minimizer of the exactly-quadratic rank functional:

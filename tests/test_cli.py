@@ -5,8 +5,11 @@ import pytest
 
 from invop.cli import SECTION_KEYS, cli_main
 from invop.config import check_keys, load_config, study_config
+from invop.fem import solve_forward_reference
+from invop.neural import ActivationKind
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
 from invop.tikhonov import NeuralMap, SurrogateHandle
+from invop.training import assemble_neural_surrogate, build_linear_surrogate, probe_pairs
 
 
 def _write(path, text):
@@ -166,6 +169,43 @@ seed = 3
 def _small_build(tmp_path, training):
     return _write(tmp_path / "build.cfg",
                   f"[build]\ntraining = {training}\nn_quad = 32\nn_trunk = 4\n")
+
+
+def test_build_solves_only_the_mixed_probe(tmp_path, reference_solves):
+    gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
+    ts_path = tmp_path / "train.txt"
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
+    reference_solves.clear()
+    assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
+                     "--out", str(tmp_path / "surr.txt"), "--quiet"]) == 0
+    assert len(reference_solves) == 1
+
+
+def test_build_diagnostics_match_fresh_probe_solves(tmp_path):
+    """nu_N, q_N and rho_bound from the stored training pairs equal those
+    from solving every probe input again, bit for bit."""
+    surr_path = _small_surrogate(tmp_path)
+    _, stored = load_linear_surrogate(str(surr_path) + ".rank")
+    ts = load_training_set(tmp_path / "train.txt")
+    fresh = [(x, solve_forward_reference(ts.problem, x, ts.load)) for x, _ in probe_pairs(ts)]
+    _, diag = assemble_neural_surrogate(build_linear_surrogate(ts), 32, 4,
+                                        ActivationKind.LOGISTIC, 1, fresh)
+    assert stored.nu_N > 0.0
+    assert (stored.nu_N, stored.q_N, stored.rho_bound) == (diag.nu_N, diag.q_N, diag.rho_bound)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_cells", "64.5"), ("n_train", "two"), ("n_quad", "600.5"), ("n_trunk", "true"),
+    ("seed", "1.5"), ("max_iterations", "1e4"), ("constant", "abc"), ("xi", "yes")])
+def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, key, value):
+    cfg = _write(tmp_path / "s.cfg", "[study]\nstudy = reg_rate\nproblem = a\n"
+                                      f"ladder = 0.02, 0.01, 0.005, 0.0025\n{key} = {value}\n")
+    capsys.readouterr()
+    assert cli_main(["study", "--config", cfg, "--out", str(tmp_path / "out.csv"),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_truncated_surrogate_file_exits_one(tmp_path, capsys):

@@ -19,6 +19,7 @@ from invop.training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
+    probe_pairs,
 )
 
 C = ProblemKind(ProblemTag.C_EXAMPLE)
@@ -32,7 +33,7 @@ def pipeline():
     ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 3, seed=3))
     ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(ls, 96, 10, ActivationKind.LOGISTIC, seed=1,
-                                             problem=C, f=f)
+                                             probes=probe_pairs(ts))
     return ts, ls, coeffs, diag
 
 

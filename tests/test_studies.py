@@ -4,16 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invop.errors import ConfigInvalid, DegenerateFit
-from invop.fem import ProblemKind, ProblemTag
+from invop.fem import ProblemKind, ProblemTag, solve_forward_reference
+from invop.neural import ActivationKind
 from invop.studies import (
     RateTable,
     StudyConfig,
     analytic_cases,
+    c_example_setup,
     calibrate_fem_rho,
     fem_rho,
     fit_slope,
     run_study,
 )
+from invop.training import PerturbationSpec, assemble_neural_surrogate, perturbation_shape
 
 # -- fit_slope --------------------------------------------------------------
 
@@ -164,6 +167,30 @@ def test_reg_rate_jobs_matches_serial(tmp_path):
         return out
 
     assert strip_runtime(t1.rows) == strip_runtime(t2.rows)
+
+
+def test_c_reg_rate_solves_each_input_once(reference_solves):
+    # 6 training inputs, their center and the target: 8 distinct inputs
+    run_study(StudyConfig("reg_rate", problem="c", surrogate="rank", n_cells=64,
+                          n_train=6, n_quad=64, n_trunk=8))
+    assert len(reference_solves) == 8
+
+
+def test_c_example_diagnostics_match_fresh_probe_solves():
+    """The diagnostics from the training pairs and y_true equal those from
+    solving the same probe inputs again, bit for bit."""
+    cfg = StudyConfig("reg_rate", problem="c", surrogate="neural", seed=100)
+    ex = c_example_setup(cfg)
+    n = cfg.n_cells
+    modes = [perturbation_shape(PerturbationSpec("sine", 1.0, cfg.n_train), ell, n)
+             for ell in range(1, cfg.n_train + 1)]
+    inputs = [ex.x0 + 0.1 * m for m in modes] + [ex.xt]
+    _, diag = assemble_neural_surrogate(
+        ex.ls, cfg.n_quad, cfg.n_trunk, ActivationKind.LOGISTIC, cfg.seed + 1,
+        [(x, solve_forward_reference(ex.problem, x, ex.load)) for x in inputs],
+    )
+    assert ex.diag.nu_N > 0.0
+    assert ex.diag == diag
 
 
 def test_abort_preserves_partial_rows(tmp_path, monkeypatch):

@@ -36,6 +36,7 @@ from invop.training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
+    probe_pairs,
 )
 
 A = ProblemKind(ProblemTag.A_EXAMPLE)
@@ -51,7 +52,8 @@ def handles():
     x0 = GridFunction.constant(1.0, N)
     ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4, seed=3))
     ls = build_linear_surrogate(ts)
-    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1)
+    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1,
+                                             probes=probe_pairs(ts))
     return {
         "fem": FemMap(C, f, N),
         "rank": RankMap(ls),

@@ -168,7 +168,7 @@ def test_assembled_surrogate_diagnostics_identity(c_setup):
     probes = [x0 + 0.1 * m for m in modes]
     coeffs, diag = assemble_neural_surrogate(
         ls, 256, 12, ActivationKind.LOGISTIC, seed=1,
-        problem=C, f=f, probes=probes,
+        probes=[(x, solve_forward_reference(C, x, f)) for x in probes],
     )
     assert diag.n_terms == ls.n_terms
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
@@ -185,7 +185,8 @@ def test_linearized_branch_accuracy_both_spaces():
         probes = [x0 + 0.05 * perturbation_shape(PerturbationSpec("sine", 1.0, 3), l, N)
                   for l in range(1, 4)]
         coeffs, diag = assemble_neural_surrogate(
-            ls, 256, 12, ActivationKind.LOGISTIC, seed=1, probes=probes,
+            ls, 256, 12, ActivationKind.LOGISTIC, seed=1,
+            probes=[(x, solve_forward_reference(prob, x, f)) for x in probes],
         )
         # dominated by resampling the probe onto the finer sample submesh
         assert diag.q_N < 1e-4, (prob.tag, diag.q_N)
