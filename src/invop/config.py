@@ -17,8 +17,8 @@ from .fem import ProblemKind, ProblemTag
 from .studies import StudyConfig
 from .training import PerturbationSpec
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_TRUE = {"true", "yes", "on"}
+_FALSE = {"false", "no", "off"}
 
 
 def _coerce(text: str):

@@ -208,6 +208,19 @@ def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, key, value):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", "0"), ("seed", "1"), ("jobs", "1"), ("n_train", "1"), ("xi", "0"),
+    ("constant", "1")])
+def test_study_field_of_zero_or_one_runs(tmp_path, key, value):
+    # "0" and "1" are integers, not booleans, so they pass the type check
+    assert load_config(_write(tmp_path / "v.cfg", f"[v]\nk = {value}\n")) == {"v": {"k": int(value)}}
+    cfg = _write(tmp_path / "s.cfg", "[study]\nstudy = reg_rate\nproblem = a\nn_cells = 32\n"
+                                      f"ladder = 0.02, 0.01, 0.005, 0.0025\n{key} = {value}\n")
+    assert cli_main(["study", "--config", cfg, "--out", str(tmp_path / "out.csv"),
+                     "--quiet"]) == 0
+    assert (tmp_path / "out.csv").exists()
+
+
 def test_truncated_surrogate_file_exits_one(tmp_path, capsys):
     gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
     ts_path, surr_path = tmp_path / "train.txt", tmp_path / "surr.txt"
