@@ -21,13 +21,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .config import (
-    check_keys,
-    load_config,
-    perturbation_from_section,
-    problem_from_name,
-    study_config,
-)
+from .config import REQUIRED, check_keys, load_config, problem_from_name, read_section, study_config
 from .errors import ConfigInvalid, InvopError
 from .fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, inner, norm
@@ -55,6 +49,7 @@ from .tikhonov import (
     tikhonov_value_and_gradient,
 )
 from .training import (
+    PerturbationSpec,
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
@@ -62,13 +57,17 @@ from .training import (
 )
 
 
-#: the keys each section of a generate, build or solve config accepts
+#: the keys each section of a generate, build or solve config accepts, with
+#: their defaults; a given value is parsed as the type of its key's default
 SECTION_KEYS = {
-    "generate": ("problem", "n_cells", "load", "center"),
-    "perturbation": ("mode", "amplitude", "count", "seed"),
-    "build": ("training", "n_quad", "n_trunk", "activation", "seed"),
-    "solve": ("problem", "surrogate", "surrogate_file", "n_cells", "load", "center",
-              "delta", "xi", "seed", "space", "target", "constant", "max_iterations"),
+    "generate": {"problem": "a", "n_cells": 256, "load": 1.0, "center": 1.0},
+    "perturbation": {"mode": "sine", "amplitude": 0.1, "count": 6, "seed": 0},
+    "build": {"training": REQUIRED, "n_quad": 512, "n_trunk": 14,
+              "activation": "logistic", "seed": 1},
+    "solve": {"problem": "a", "surrogate": "fem", "surrogate_file": None, "n_cells": 256,
+              "load": 1.0, "center": 1.0, "delta": 1e-3, "xi": 0.0, "seed": 0,
+              "space": None,  # the problem's image space
+              "target": "source", "constant": 1.0, "max_iterations": 4000},
 }
 
 
@@ -89,8 +88,8 @@ def _load(args) -> dict:
 
 
 def _section(cfg: dict, name: str) -> dict:
-    """The config's [name] section, empty if absent; unknown keys are an error."""
-    return check_keys(cfg.get(name, {}), SECTION_KEYS[name], name)
+    """Every key of the config's [name] section, parsed, or its default."""
+    return read_section(cfg, name, SECTION_KEYS[name])
 
 
 def _say(args, text):
@@ -112,12 +111,14 @@ def _require(args, flag):
 def _cmd_generate(args) -> int:
     cfg = _load(args)
     sec = _section(cfg, "generate")
-    prob = problem_from_name(sec.get("problem", "a"))
-    n = int(sec.get("n_cells", 256))
-    f = GridFunction.constant(float(sec.get("load", 1.0)), n)
-    x0 = GridFunction.constant(float(sec.get("center", 1.0)), n)
-    spec = perturbation_from_section(_section(cfg, "perturbation"), seed=args.seed)
-    ts = generate_training_set(prob, f, x0, spec)
+    n = sec["n_cells"]
+    pert = _section(cfg, "perturbation")
+    if args.seed is not None:
+        pert["seed"] = args.seed
+    ts = generate_training_set(problem_from_name(sec["problem"]),
+                               GridFunction.constant(sec["load"], n),
+                               GridFunction.constant(sec["center"], n),
+                               PerturbationSpec(**pert))
     out = _require(args, "out")
     serialize.save_training_set(out, ts)
     _say(args, f"wrote training set with {ts.n_train} pairs to {out}")
@@ -127,19 +128,16 @@ def _cmd_generate(args) -> int:
 def _cmd_build(args) -> int:
     cfg = _load(args)
     sec = _section(cfg, "build")
-    if "training" not in sec:
-        raise ConfigInvalid("[build] needs training = <path to training set>")
-    ts = serialize.load_training_set(str(sec["training"]))
+    ts = serialize.load_training_set(sec["training"])
     if ts.load is None:
         raise ConfigInvalid(f"{sec['training']}: training set has no load to estimate nu_N")
     ls = build_linear_surrogate(ts)
-    seed = args.seed if args.seed is not None else int(sec.get("seed", 1))
     coeffs, diag = assemble_neural_surrogate(
         ls,
-        int(sec.get("n_quad", 512)),
-        int(sec.get("n_trunk", 14)),
-        ActivationKind(str(sec.get("activation", "logistic"))),
-        seed,
+        sec["n_quad"],
+        sec["n_trunk"],
+        ActivationKind(sec["activation"]),
+        args.seed if args.seed is not None else sec["seed"],
         probe_pairs(ts),
     )
     out = _require(args, "out")
@@ -153,22 +151,20 @@ def _cmd_build(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _load(args)
     sec = _section(cfg, "solve")
-    prob = problem_from_name(sec.get("problem", "a"))
-    n = int(sec.get("n_cells", 256))
-    f = GridFunction.constant(float(sec.get("load", 1.0)), n)
-    x0 = GridFunction.constant(float(sec.get("center", 1.0)), n)
-    delta = float(sec.get("delta", 1e-3))
-    xi = float(sec.get("xi", 0.0))
-    seed = args.seed if args.seed is not None else int(sec.get("seed", 0))
+    prob = problem_from_name(sec["problem"])
+    n, delta = sec["n_cells"], sec["delta"]
+    f = GridFunction.constant(sec["load"], n)
+    x0 = GridFunction.constant(sec["center"], n)
+    seed = args.seed if args.seed is not None else sec["seed"]
 
-    kind = str(sec.get("surrogate", "fem"))
+    kind = sec["surrogate"]
     if kind == "fem":
         h = FemMap(prob, f, n)
         rho = fem_rho(prob, n)
     elif kind in ("rank", "neural"):
-        if "surrogate_file" not in sec:
+        base = sec["surrogate_file"]
+        if base is None:
             raise ConfigInvalid(f"[solve] surrogate={kind} needs surrogate_file")
-        base = str(sec["surrogate_file"])
         ls, diag = serialize.load_linear_surrogate(base + ".rank")
         rho = diag.rho_bound
         if kind == "rank":
@@ -178,8 +174,8 @@ def _cmd_solve(args) -> int:
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 
-    space = SpaceKind(str(sec.get("space", prob.image_space.value)))
-    target = str(sec.get("target", "source"))
+    space = SpaceKind(sec["space"]) if sec["space"] is not None else prob.image_space
+    target = sec["target"]
     if target == "source":
         xt = source_target_a(prob, x0, f, n)
     elif target == "prior":
@@ -188,13 +184,12 @@ def _cmd_solve(args) -> int:
         raise ConfigInvalid("target must be 'source' or 'prior'")
     y = solve_forward_reference(prob, xt, f)
     yd = add_noise(y, delta, seed)
-    alpha, eta = choose_parameters(delta, rho, float(sec.get("constant", 1.0)))
+    alpha, eta = choose_parameters(delta, rho, sec["constant"])
     tik = TikhonovConfig(
-        alpha=alpha, delta=delta, eta=eta, xi=xi, x0=x0, space=space, nu=prob.nu,
-        max_iterations=int(sec.get("max_iterations", 4000)), x_true=xt,
+        alpha=alpha, delta=delta, eta=eta, xi=sec["xi"], x0=x0, space=space, nu=prob.nu,
+        max_iterations=sec["max_iterations"], x_true=xt,
     )
-    run = solve_inverse_problem(h, yd, tik, x0, seed=seed,
-                                problem_label=str(sec.get("problem", "a")))
+    run = solve_inverse_problem(h, yd, tik, x0, seed=seed, problem_label=sec["problem"])
     lines = [",".join(RUN_COLUMNS), run.csv_row()]
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,52 +1,36 @@
 """Plain-text configuration files.
 
 Grammar: ``[section]`` headers, ``key = value`` entries, ``#`` comments.
-Values are parsed leniently: integers, reals, booleans and bare strings.
-Ladders are comma-separated numbers.  Every run-facing object in the
-package can be described by one section; see ``configs/`` for annotated
-examples of each.
+:func:`load_config` keeps every value as text; :func:`read_section` parses
+each given value once, as the type of its key's default in the section's
+schema ``{key: default}``: an ``int`` default takes an integer (``1e4`` is
+not one), a ``float`` default a real number, a tuple default a
+comma-separated ladder of real numbers, and any other default (a string or
+None) the text itself.  A key outside the schema, a value that does not
+parse, or a missing key whose default is :data:`REQUIRED` raises
+ConfigInvalid naming the key.  See ``configs/`` for annotated examples of
+each section.
 """
 
 from __future__ import annotations
 
 import configparser
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import ConfigInvalid
 from .fem import ProblemKind, ProblemTag
 from .studies import StudyConfig
-from .training import PerturbationSpec
 
-_TRUE = {"true", "yes", "on"}
-_FALSE = {"false", "no", "off"}
+#: the schema default of a key that has none and must be given
+REQUIRED = MISSING
 
-
-def _coerce(text: str):
-    t = text.strip()
-    low = t.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        return t
-
-
-def _ladder(text: str) -> tuple:
-    vals = tuple(_coerce(v) for v in text.split(",") if v.strip())
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
-        raise ConfigInvalid(f"ladder {text!r} must be numeric")
-    return vals
+_TYPE_WORDS = {int: "an integer", float: "a real number",
+               tuple: "comma-separated real numbers"}
 
 
 def load_config(path) -> dict:
-    """Parse a config file into {section: {key: coerced value}}."""
+    """Parse a config file into {section: {key: value text}}."""
     p = Path(path)
     if not p.is_file():
         raise ConfigInvalid(f"config file not found: {p}")
@@ -55,13 +39,7 @@ def load_config(path) -> dict:
         cp.read_string(p.read_text())
     except configparser.Error as err:
         raise ConfigInvalid(f"{p}: {err}")
-    return {s: {k: _coerce(v) for k, v in cp.items(s)} for s in cp.sections()}
-
-
-def _section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
-        raise ConfigInvalid(f"missing [{name}] section")
-    return dict(cfg[name])
+    return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
 def check_keys(sec: dict, allowed, name: str, what: str = "keys") -> dict:
@@ -72,37 +50,42 @@ def check_keys(sec: dict, allowed, name: str, what: str = "keys") -> dict:
     return sec
 
 
+def _parse(name: str, key: str, text: str, default):
+    kind = type(default)
+    try:
+        if kind is tuple:
+            return tuple(float(v) for v in text.split(",") if v.strip())
+        return kind(text) if kind in (int, float) else text
+    except ValueError:
+        raise ConfigInvalid(f"[{name}] {key} must be {_TYPE_WORDS[kind]}, "
+                            f"not {text!r}") from None
+
+
+def read_section(cfg: dict, name: str, schema: dict) -> dict:
+    """Every key of ``schema``: the config's [name] value parsed as the type
+    of the key's default, or the default itself where the key is not given."""
+    given = check_keys(cfg.get(name, {}), schema, name)
+    sec = {}
+    for key, default in schema.items():
+        if key in given:
+            sec[key] = _parse(name, key, given[key], default)
+        elif default is REQUIRED:
+            raise ConfigInvalid(f"[{name}] needs {key} = <value>")
+        else:
+            sec[key] = default
+    return sec
+
+
 def problem_from_name(name: str) -> ProblemKind:
-    name = str(name).strip().lower()
-    if name in ("a", "a_example", "divergence"):
-        return ProblemKind(ProblemTag.A_EXAMPLE)
-    if name in ("c", "c_example", "potential"):
-        return ProblemKind(ProblemTag.C_EXAMPLE)
-    raise ConfigInvalid(f"unknown problem {name!r}; use 'a' or 'c'")
+    if name not in ("a", "c"):
+        raise ConfigInvalid(f"unknown problem {name!r}; use 'a' or 'c'")
+    return ProblemKind(ProblemTag(name))
 
 
 def study_config(cfg: dict, seed=None, out=None) -> StudyConfig:
-    sec = _section(cfg, "study")
-    if "ladder" in sec:
-        sec["ladder"] = _ladder(str(sec["ladder"]))
+    sec = read_section(cfg, "study", {f.name: f.default for f in fields(StudyConfig)})
     if seed is not None:
         sec["seed"] = seed
     if out is not None:
         sec["out"] = str(out)
-    check_keys(sec, StudyConfig.__dataclass_fields__, "study")
-    try:
-        return StudyConfig(**sec)
-    except TypeError as err:
-        raise ConfigInvalid(str(err))
-
-
-def perturbation_from_section(sec: dict, seed=None) -> PerturbationSpec:
-    try:
-        return PerturbationSpec(
-            mode=sec.get("mode", "sine"),
-            amplitude=float(sec.get("amplitude", 0.1)),
-            count=int(sec.get("count", 6)),
-            seed=int(seed if seed is not None else sec.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigInvalid(f"bad perturbation: {err}")
+    return StudyConfig(**sec)

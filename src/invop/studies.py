@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -76,15 +76,6 @@ def fit_slope(x, y):
 # configuration and result table
 
 
-#: StudyConfig's numeric fields and the types they accept (bool excluded)
-_FIELD_TYPES = {
-    **dict.fromkeys(("n_cells", "n_train", "n_quad", "n_trunk", "seed",
-                     "max_iterations", "jobs"), int),
-    **dict.fromkeys(("constant", "xi"), (int, float)),
-}
-_TYPE_WORDS = {int: "an integer", (int, float): "a real number"}
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     study: str
@@ -103,10 +94,13 @@ class StudyConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        for name, kinds in _FIELD_TYPES.items():
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, kinds):
-                raise ConfigInvalid(f"{name} must be {_TYPE_WORDS[kinds]}, not {v!r}")
+        # a field with an int default takes an integer, one with a float
+        # default a real number; neither takes a bool
+        for f in fields(self):
+            v, kind = getattr(self, f.name), type(f.default)
+            if kind in (int, float) and (isinstance(v, bool) or not isinstance(v, (int, kind))):
+                word = "an integer" if kind is int else "a real number"
+                raise ConfigInvalid(f"{f.name} must be {word}, not {v!r}")
         if self.study not in STUDY_KINDS:
             raise ConfigInvalid(f"unknown study {self.study!r}; choose from {STUDY_KINDS}")
         if self.problem not in ("a", "c"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -383,23 +383,6 @@ def _finish(x, value, gnorm, iterations, status, cfg) -> ApproximateMinimizer:
 # orchestration
 
 
-RUN_COLUMNS = (
-    "problem",
-    "surrogate",
-    "n",
-    "N",
-    "delta",
-    "alpha",
-    "eta",
-    "xi",
-    "iterations",
-    "gradient_norm",
-    "error_X",
-    "runtime_ms",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class RegularizationRun:
     problem: str
@@ -425,6 +408,10 @@ class RegularizationRun:
             v = getattr(self, name)
             cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
         return ",".join(cells)
+
+
+#: the columns of a run's CSV record, in field order
+RUN_COLUMNS = tuple(f.name for f in fields(RegularizationRun) if f.name != "minimizer")
 
 
 def solve_inverse_problem(

@@ -19,7 +19,6 @@ from invop.mollify import mollify
 from invop.neural import ActivationKind
 from invop.studies import (
     StudyConfig,
-    analytic_cases,
     c_example_setup,
     fem_rho,
     fit_slope,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invop.cli import SECTION_KEYS, cli_main
-from invop.config import check_keys, load_config, study_config
+from invop.config import load_config, read_section, study_config
 from invop.fem import solve_forward_reference
 from invop.neural import ActivationKind
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
@@ -194,18 +194,47 @@ def test_build_diagnostics_match_fresh_probe_solves(tmp_path):
     assert (stored.nu_N, stored.q_N, stored.rho_bound) == (diag.nu_N, diag.q_N, diag.rho_bound)
 
 
-@pytest.mark.parametrize("key,value", [
+#: configs each command runs on, as {section: {key: value text}}
+_RUNNABLE = {
+    "study": {"study": {"study": "reg_rate", "problem": "a",
+                        "ladder": "0.02, 0.01, 0.005, 0.0025"}},
+    "generate": {"generate": {"problem": "c", "n_cells": "32", "load": "50.0"},
+                 "perturbation": {"count": "2", "seed": "3"}},
+    "build": {"build": {"n_quad": "32", "n_trunk": "4"}},
+    "solve": {"solve": {"problem": "a", "n_cells": "32", "delta": "0.001",
+                        "max_iterations": "20"}},
+}
+
+_WRONG_VALUES = [("study", "study", key, value) for key, value in (
     ("n_cells", "64.5"), ("n_train", "two"), ("n_quad", "600.5"), ("n_trunk", "true"),
-    ("seed", "1.5"), ("max_iterations", "1e4"), ("constant", "abc"), ("xi", "yes")])
-def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, key, value):
-    cfg = _write(tmp_path / "s.cfg", "[study]\nstudy = reg_rate\nproblem = a\n"
-                                      f"ladder = 0.02, 0.01, 0.005, 0.0025\n{key} = {value}\n")
+    ("seed", "1.5"), ("max_iterations", "1e4"), ("constant", "abc"), ("xi", "yes"))] + [
+    ("generate", "generate", "n_cells", "64.5"), ("generate", "perturbation", "count", "2.7"),
+    ("build", "build", "n_quad", "true"), ("solve", "solve", "delta", "yes"),
+    ("solve", "solve", "seed", "1.5"), ("solve", "solve", "xi", "on"),
+    ("solve", "solve", "problem", "A"), ("solve", "solve", "problem", "divergence")]
+
+
+@pytest.mark.parametrize("command,section,key,value", _WRONG_VALUES, ids=[
+    f"{k}-{v}" if c == "study" else f"{s}-{k}-{v}" for c, s, k, v in _WRONG_VALUES])
+def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, command, section, key,
+                                                 value):
+    # every other value is one the command runs on, so the one named fails it
+    cfg = {name: dict(sec) for name, sec in _RUNNABLE[command].items()}
+    if command == "build":
+        ts_path = tmp_path / "train.txt"
+        assert cli_main(["generate", "--config", _write(tmp_path / "gen.cfg", _SMALL_GENERATE),
+                         "--out", str(ts_path), "--quiet"]) == 0
+        cfg["build"]["training"] = str(ts_path)
+    cfg[section][key] = value
+    path = _write(tmp_path / "c.cfg", "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
+        for name, sec in cfg.items()))
+    out = tmp_path / "out"
     capsys.readouterr()
-    assert cli_main(["study", "--config", cfg, "--out", str(tmp_path / "out.csv"),
-                     "--quiet"]) == 1
+    assert cli_main([command, "--config", path, "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
-    assert not (tmp_path / "out.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -213,9 +242,10 @@ def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, key, value):
     ("constant", "1")])
 def test_study_field_of_zero_or_one_runs(tmp_path, key, value):
     # "0" and "1" are integers, not booleans, so they pass the type check
-    assert load_config(_write(tmp_path / "v.cfg", f"[v]\nk = {value}\n")) == {"v": {"k": int(value)}}
     cfg = _write(tmp_path / "s.cfg", "[study]\nstudy = reg_rate\nproblem = a\nn_cells = 32\n"
                                       f"ladder = 0.02, 0.01, 0.005, 0.0025\n{key} = {value}\n")
+    parsed = getattr(study_config(load_config(cfg)), key)
+    assert parsed == int(value) and not isinstance(parsed, bool)
     assert cli_main(["study", "--config", cfg, "--out", str(tmp_path / "out.csv"),
                      "--quiet"]) == 0
     assert (tmp_path / "out.csv").exists()
@@ -391,7 +421,7 @@ def test_shipped_config_passes_the_key_check(path):
         if name == "study":
             study_config(cfg)
         else:
-            check_keys(sec, SECTION_KEYS[name], name)
+            read_section(cfg, name, SECTION_KEYS[name])
 
 
 def test_non_finite_surrogate_coefficient_reported_by_name(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +8,6 @@ from invop.neural import ActivationKind
 from invop.studies import (
     RateTable,
     StudyConfig,
-    analytic_cases,
     c_example_setup,
     calibrate_fem_rho,
     fem_rho,

@@ -12,7 +12,6 @@ from invop.neural import ActivationKind, eval_branch
 from invop.studies import StudyConfig, c_example_setup
 from invop.tikhonov import RankMap
 from invop.training import (
-    LinearSurrogate,
     PerturbationSpec,
     assemble_neural_surrogate,
     build_linear_surrogate,
