@@ -61,7 +61,7 @@ from .training import (
 #: their defaults; a given value is parsed as the type of its key's default
 SECTION_KEYS = {
     "generate": {"problem": "a", "n_cells": 256, "load": 1.0, "center": 1.0},
-    "perturbation": {"mode": "sine", "amplitude": 0.1, "count": 6, "seed": 0},
+    "perturbation": {"mode": "sine", "amplitude": 0.1, "count": 6},
     "build": {"training": REQUIRED, "n_quad": 512, "n_trunk": 14,
               "activation": "logistic", "seed": 1},
     "solve": {"problem": "a", "surrogate": "fem", "surrogate_file": None, "n_cells": 256,
@@ -112,13 +112,10 @@ def _cmd_generate(args) -> int:
     cfg = _load(args)
     sec = _section(cfg, "generate")
     n = sec["n_cells"]
-    pert = _section(cfg, "perturbation")
-    if args.seed is not None:
-        pert["seed"] = args.seed
     ts = generate_training_set(problem_from_name(sec["problem"]),
                                GridFunction.constant(sec["load"], n),
                                GridFunction.constant(sec["center"], n),
-                               PerturbationSpec(**pert))
+                               PerturbationSpec(**_section(cfg, "perturbation")))
     out = _require(args, "out")
     serialize.save_training_set(out, ts)
     _say(args, f"wrote training set with {ts.n_train} pairs to {out}")
@@ -166,6 +163,12 @@ def _cmd_solve(args) -> int:
         if base is None:
             raise ConfigInvalid(f"[solve] surrogate={kind} needs surrogate_file")
         ls, diag = serialize.load_linear_surrogate(base + ".rank")
+        if ls.space is not prob.image_space:  # H1 data for problem a, L2 for c
+            raise ConfigInvalid(f"[solve] problem = {sec['problem']}, but {base}.rank was "
+                                f"built for the other problem (data in {ls.space.value})")
+        if ls.center[0].n_cells != n:
+            raise ConfigInvalid(f"[solve] n_cells = {n}, but {base} has "
+                                f"{ls.center[0].n_cells} cells")
         rho = diag.rho_bound
         if kind == "rank":
             h = RankMap(ls)

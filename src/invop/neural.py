@@ -1,15 +1,16 @@
 """Branch/trunk sigmoid operator representation and evaluation.
 
-An operator surrogate is a sum over terms of products of a *branch* (a
-one-layer sigmoid network acting on point samples of the input function)
+An operator surrogate is a sum over terms of products of a *branch* output
 and a *trunk* (a one-layer sigmoid network of the output location), the
 branch/trunk contraction of DeepONet (Lu et al., Nat. Mach. Intell. 2021).
-Every branch reads the input at one shared set of sensor points, and each
-branch node sees one sample, so a branch stores one weight per sample plus a
-zero-weight constant node; the general dense-weight form is kept only
-as the test suite's reference.  :func:`eval_structured_with_gradient` is the
-one evaluation kernel: it returns the values and a lazy vector-Jacobian
-product, so a value-only call never forms a derivative.
+The branch is one sigmoid network of the input's samples at shared sensor
+points with one output per term (the unstacked DeepONet), so its hidden
+layer is stored and evaluated once.  Each hidden node sees one sample: the
+layer stores one weight per sample plus a zero-weight constant node; the
+dense-weight form is kept only as the test suite's reference.
+:func:`eval_structured_with_gradient` is the one evaluation kernel: it
+returns the values and a lazy vector-Jacobian product, so a value-only
+call never forms a derivative.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ def activation_derivative(kind: ActivationKind, t):
 # ---------------------------------------------------------------------------
 
 
-def _finite_vector(value, name: str) -> np.ndarray:
+def _finite(value, name: str, ndim: int = 1) -> np.ndarray:
     a = np.atleast_1d(np.asarray(value, dtype=float))
-    if a.ndim != 1:
-        raise DimensionMismatch(f"{name} must be a vector, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise DimensionMismatch(f"{name} must have {ndim} dimension(s), got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteValue(f"non-finite entries in {name}")
     return a
@@ -72,22 +73,23 @@ def _finite_vector(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BranchCoeffs:
-    """One-layer sigmoid functional of the samples x_1..x_L:
-    sum_l c_l sigma(w_l x_l + theta_l) + c_L sigma(theta_L).
+    """One-layer sigmoid network of the samples x_1..x_L with one output per
+    term; output i is sum_l c[i, l] sigma(w_l x_l + theta_l) + c[i, L] sigma(theta_L).
 
-    ``w`` holds one weight per sample; ``c`` and ``theta`` have one more
-    entry, for the zero-weight constant node, which comes last.
+    The outputs share the hidden layer: ``w`` holds one weight per sample and
+    ``theta`` one more entry, for the zero-weight constant node, which comes
+    last.  ``c`` holds one row of output weights per term.
     """
 
-    c: np.ndarray  # (N_l + 1,)
-    w: np.ndarray  # (N_l,)
-    theta: np.ndarray  # (N_l + 1,)
+    c: np.ndarray  # (N, L + 1)
+    w: np.ndarray  # (L,)
+    theta: np.ndarray  # (L + 1,)
 
     def __post_init__(self):
-        c = _finite_vector(self.c, "branch.c")
-        w = _finite_vector(self.w, "branch.w")
-        theta = _finite_vector(self.theta, "branch.theta")
-        if c.size != w.size + 1 or theta.size != c.size:
+        c = _finite(self.c, "branch.c", 2)
+        w = _finite(self.w, "branch.w")
+        theta = _finite(self.theta, "branch.theta")
+        if c.shape[1] != w.size + 1 or theta.size != w.size + 1:
             raise DimensionMismatch("branch coefficient shapes disagree")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "w", w)
@@ -111,9 +113,9 @@ class TrunkCoeffs:
     zeta: np.ndarray
 
     def __post_init__(self):
-        c = _finite_vector(self.c, "trunk.c")
-        w = _finite_vector(self.w, "trunk.w")
-        zeta = _finite_vector(self.zeta, "trunk.zeta")
+        c = _finite(self.c, "trunk.c")
+        w = _finite(self.w, "trunk.w")
+        zeta = _finite(self.zeta, "trunk.zeta")
         if w.size != c.size or zeta.size != c.size:
             raise DimensionMismatch("trunk coefficient shapes disagree")
         object.__setattr__(self, "c", c)
@@ -125,13 +127,13 @@ class TrunkCoeffs:
         return self.c.size
 
 
-def eval_branch(branch: BranchCoeffs, kind: ActivationKind, x_samples) -> float:
+def eval_branch(branch: BranchCoeffs, kind: ActivationKind, x_samples) -> np.ndarray:
+    """The branch's N outputs, one per term, at the input samples."""
     xs = np.asarray(x_samples, dtype=float)
     if xs.shape != (branch.n_l,):
-        raise DimensionMismatch(
-            f"expected {branch.n_l} input samples, got {xs.shape}"
-        )
-    return float(np.dot(branch.c, activation(kind, branch.arguments(xs))))
+        raise DimensionMismatch(f"expected {branch.n_l} input samples, got {xs.shape}")
+    sig = activation(kind, branch.arguments(xs))
+    return np.array([np.dot(c_i, sig) for c_i in branch.c])
 
 
 def eval_trunk(trunk: TrunkCoeffs, kind: ActivationKind, t_points) -> np.ndarray:
@@ -144,61 +146,61 @@ def eval_trunk(trunk: TrunkCoeffs, kind: ActivationKind, t_points) -> np.ndarray
 
 @dataclass(frozen=True)
 class StructuredSurrogateCoeffs:
-    """Branch/trunk pairs, one per training direction, whose branches all
-    read the input at the same sensor points."""
+    """One branch network with an output per term, and a trunk per term;
+    the branch reads the input at the sensor points."""
 
-    branches: tuple  # of BranchCoeffs
+    branch: BranchCoeffs
     trunks: tuple  # of TrunkCoeffs
-    s_points: np.ndarray  # (N_l,) sensor points in [0, 1], shared by all branches
+    s_points: np.ndarray  # (L,) sensor points in [0, 1]
     activation: ActivationKind = ActivationKind.LOGISTIC
 
     def __post_init__(self):
-        if len(self.branches) != len(self.trunks):
-            raise DimensionMismatch("branches and trunks must have equal length")
-        s = _finite_vector(self.s_points, "s_points")
-        if any(b.n_l != s.size for b in self.branches):
+        if self.branch.c.shape[0] != len(self.trunks):
+            raise DimensionMismatch("the branch needs one output per trunk")
+        s = _finite(self.s_points, "s_points")
+        if self.branch.n_l != s.size:
             raise DimensionMismatch("branch width disagrees with the sensor count")
         if np.any(s < 0.0) or np.any(s > 1.0):
             # np.interp would clamp them, and the pullback would not
             raise DimensionMismatch("sample points must lie in [0, 1]")
-        object.__setattr__(self, "branches", tuple(self.branches))
         object.__setattr__(self, "trunks", tuple(self.trunks))
         object.__setattr__(self, "s_points", s)
 
     @property
     def n_terms(self) -> int:
-        return len(self.branches)
+        return len(self.trunks)
 
 
 def eval_structured_with_gradient(
     s: StructuredSurrogateCoeffs, x: GridFunction, t_points
 ):
-    """Sum over terms of branch(x) * trunk(t), and its pullback.
+    """Sum over terms of branch_i(x) * trunk_i(t), and its pullback.
 
     Returns (values[Q], pullback), where pullback(v[Q]) is J^T v for the
     Jacobian J of the values with respect to the nodal values of x.  Input
     sampling is linear interpolation, whose weights enter the chain rule
-    exactly.  The pullback does all derivative work when it is called.
+    exactly.  The shared hidden layer is evaluated once per call, and its
+    derivative once per pullback; each term keeps its own output dot
+    product.  The pullback does all derivative work when it is called.
     """
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
-    xs = x.sample(s.s_points)
+    b = s.branch
+    z = b.arguments(x.sample(s.s_points))
+    sig = activation(s.activation, z)
+    trunks = [eval_trunk(trunk, s.activation, t) for trunk in s.trunks]
     out = np.zeros(t.size)
-    terms = []
-    for branch, trunk in zip(s.branches, s.trunks):
-        z = branch.arguments(xs)
-        tr = eval_trunk(trunk, s.activation, t)
-        out += float(np.dot(branch.c, activation(s.activation, z))) * tr
-        terms.append((branch, z, tr))
+    for c_i, tr in zip(b.c, trunks):
+        out += float(np.dot(c_i, sig)) * tr
 
     def pullback(v) -> np.ndarray:
         n = x.n_cells
         idx = np.clip(np.floor(s.s_points * n).astype(int), 0, n - 1)
         frac = s.s_points * n - idx
         left = 1.0 - frac
+        dz = activation_derivative(s.activation, z[:-1])
         grad = np.zeros(n + 1)
-        for branch, z, tr in terms:
-            d = branch.c[:-1] * activation_derivative(s.activation, z[:-1]) * branch.w
-            g = np.dot(tr, v) * d
+        for c_i, tr in zip(b.c, trunks):
+            g = np.dot(tr, v) * (c_i[:-1] * dz * b.w)
             grad += np.bincount(idx, g * left, minlength=n + 1)
             grad += np.bincount(idx + 1, g * frac, minlength=n + 1)
         return grad

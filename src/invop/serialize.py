@@ -6,9 +6,13 @@ order, one leading-index row per line, terminated by ``end``.  All floats
 are written with 17 significant digits, so write-then-read reproduces every
 finite value bit for bit.  Each array payload is parsed in one call.  A
 truncated file, a missing field, or a payload with the wrong number of rows
-or entries raises :class:`ConfigInvalid` naming the file and the field; so
-does a surrogate file in an older layout (branch weights as a matrix, or
-sensor points per term in place of one shared ``s_points``).
+or entries raises :class:`ConfigInvalid` naming the file and the field.  A
+surrogate file holds the one branch network once (``branch.c``, a row per
+term, ``branch.w``, ``branch.theta``) and the trunks per term; a file in an
+older layout, with a ``term0.branch.*`` field or without the shared
+``s_points``, raises :class:`ConfigInvalid` naming the field.  Fields a
+reader does not use, such as ``seed`` or ``transform`` in older files, are
+ignored.
 """
 
 from __future__ import annotations
@@ -141,12 +145,10 @@ def _get_grid(fields: dict, prefix: str) -> GridFunction:
 
 def save_structured(path, s: StructuredSurrogateCoeffs):
     fields = [("activation", s.activation.value), ("n_terms", s.n_terms),
-              ("s_points", s.s_points)]
-    for i, (b, t) in enumerate(zip(s.branches, s.trunks)):
+              ("s_points", s.s_points), ("branch.c", s.branch.c),
+              ("branch.w", s.branch.w), ("branch.theta", s.branch.theta)]
+    for i, t in enumerate(s.trunks):
         fields += [
-            (f"term{i}.branch.c", b.c),
-            (f"term{i}.branch.w", b.w),
-            (f"term{i}.branch.theta", b.theta),
             (f"term{i}.trunk.c", t.c),
             (f"term{i}.trunk.w", t.w),
             (f"term{i}.trunk.zeta", t.zeta),
@@ -156,19 +158,17 @@ def save_structured(path, s: StructuredSurrogateCoeffs):
 
 def load_structured(path) -> StructuredSurrogateCoeffs:
     f = _read(path, "StructuredSurrogateCoeffs")
-    branches, trunks = [], []
-    for i in range(f["n_terms"]):
-        if f[f"term{i}.branch.w"].ndim != 1:
-            raise ConfigInvalid(f"{path}: field 'term{i}.branch.w' is a matrix, the layout "
-                                "before per-sample branch weights; rebuild the surrogate")
-        branches.append(BranchCoeffs(
-            f[f"term{i}.branch.c"], f[f"term{i}.branch.w"], f[f"term{i}.branch.theta"]
-        ))
-        trunks.append(TrunkCoeffs(
-            f[f"term{i}.trunk.c"], f[f"term{i}.trunk.w"], f[f"term{i}.trunk.zeta"]
-        ))
+    old = next((name for name in f if name.startswith("term0.branch.")), None)
+    if old is not None:
+        raise ConfigInvalid(f"{path}: field {old!r} belongs to the layout with one branch "
+                            "network per term; rebuild the surrogate with invop build")
+    trunks = tuple(
+        TrunkCoeffs(f[f"term{i}.trunk.c"], f[f"term{i}.trunk.w"], f[f"term{i}.trunk.zeta"])
+        for i in range(f["n_terms"])
+    )
     return StructuredSurrogateCoeffs(
-        tuple(branches), tuple(trunks), f["s_points"], ActivationKind(f["activation"]),
+        BranchCoeffs(f["branch.c"], f["branch.w"], f["branch.theta"]),
+        trunks, f["s_points"], ActivationKind(f["activation"]),
     )
 
 
@@ -181,7 +181,6 @@ def save_training_set(path, ts: TrainingSet):
         ("problem", ts.problem.tag.value),
         ("nu", ts.problem.nu),
         ("space", ts.space.value),
-        ("seed", ts.seed),
         ("n_pairs", len(ts.pairs)),
     ]
     if ts.perturbation is not None:
@@ -189,7 +188,6 @@ def save_training_set(path, ts: TrainingSet):
             ("perturbation.mode", ts.perturbation.mode),
             ("perturbation.amplitude", ts.perturbation.amplitude),
             ("perturbation.count", ts.perturbation.count),
-            ("perturbation.seed", ts.perturbation.seed),
         ]
     if ts.load is not None:
         _put_grid(fields, "load", ts.load)
@@ -207,14 +205,12 @@ def load_training_set(path) -> TrainingSet:
     )
     pert = None
     if "perturbation.mode" in f:
-        pert = PerturbationSpec(
-            f["perturbation.mode"], f["perturbation.amplitude"],
-            f["perturbation.count"], f["perturbation.seed"],
-        )
+        pert = PerturbationSpec(f["perturbation.mode"], f["perturbation.amplitude"],
+                                f["perturbation.count"])
     load = _get_grid(f, "load") if "load.n_cells" in f else None
     return TrainingSet(
         pairs, ProblemKind(ProblemTag(f["problem"]), f["nu"]),
-        SpaceKind(f["space"]), f["seed"], pert, load,
+        SpaceKind(f["space"]), pert, load,
     )
 
 
@@ -226,7 +222,6 @@ def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagn
     fields = [
         ("space", ls.space.value),
         ("n_terms", ls.n_terms),
-        ("transform", ls.transform),
     ]
     for i, (b, y) in enumerate(zip(ls.basis, ls.induced)):
         _put_grid(fields, f"basis{i}", b)
@@ -244,5 +239,5 @@ def load_linear_surrogate(path):
     basis = tuple(_get_grid(f, f"basis{i}") for i in range(n))
     induced = tuple(_get_grid(f, f"induced{i}") for i in range(n))
     center = (_get_grid(f, "center.x"), _get_grid(f, "center.y"))
-    ls = LinearSurrogate(basis, induced, f["transform"], SpaceKind(f["space"]), center)
+    ls = LinearSurrogate(basis, induced, SpaceKind(f["space"]), center)
     return ls, SurrogateDiagnostics(*(f[name] for name in DIAGNOSTIC_FIELDS), n_terms=n)

@@ -311,7 +311,7 @@ def c_example_setup(cfg: StudyConfig) -> CExample:
     prob = ProblemKind(ProblemTag.C_EXAMPLE)
     f = GridFunction.constant(50.0, n)
     x0 = GridFunction.constant(1.0, n)
-    spec = PerturbationSpec("sine", 0.1, cfg.n_train, seed=3)
+    spec = PerturbationSpec("sine", 0.1, cfg.n_train)
     ts = generate_training_set(prob, f, x0, spec)
     ls = build_linear_surrogate(ts)
     xt = source_target_c(x0, ls, n)

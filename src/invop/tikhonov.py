@@ -144,6 +144,8 @@ class RankMap(SurrogateHandle):
             out += inner(xc, b, self.ls.space) * y.values
 
         def pullback(r: GridFunction) -> np.ndarray:
+            if x.n_cells != x0.n_cells:
+                raise DimensionMismatch("rank-N surrogate expects inputs on its mesh")
             grad = np.zeros(x.n_cells + 1)
             for b, y in zip(self.ls.basis, self.ls.induced):
                 g = gram_apply(b.values, b.n_cells, self.ls.space)
@@ -174,6 +176,8 @@ class NeuralMap(SurrogateHandle):
         )
 
         def pullback(r: GridFunction) -> np.ndarray:
+            if x.n_cells != x0.n_cells:
+                raise DimensionMismatch("neural surrogate expects inputs on its mesh")
             return vjp(trapezoid_weights(r.n_cells) * r.values)
 
         return GridFunction(y0.n_cells, y0.values + out), pullback

@@ -54,7 +54,6 @@ class PerturbationSpec:
     mode: str  # "sine" or "bumps"
     amplitude: float
     count: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("sine", "bumps"):
@@ -84,7 +83,6 @@ class TrainingSet:
     pairs: tuple  # (x_hat, y_hat); index 0 is the center pair
     problem: ProblemKind
     space: SpaceKind
-    seed: int
     perturbation: Optional[PerturbationSpec] = None
     load: Optional[GridFunction] = None
 
@@ -120,7 +118,7 @@ def generate_training_set(
     if np.linalg.det(gram) <= GRAM_DET_TOL:
         raise DependentImages("centered training inputs are numerically dependent")
 
-    return TrainingSet(pairs, problem, space, perturbation.seed, perturbation, f)
+    return TrainingSet(pairs, problem, space, perturbation, f)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,6 @@ def gram_schmidt(images, space: SpaceKind):
 class LinearSurrogate:
     basis: tuple  # orthonormal input directions
     induced: tuple  # data functions under the same change of basis
-    transform: np.ndarray
     space: SpaceKind
     center: tuple  # (x_hat0, y_hat0), the training center pair
 
@@ -182,7 +179,7 @@ def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
         for i in range(j + 1):
             acc += transform[j, i] * ys[i].values
         induced.append(GridFunction(ys[0].n_cells, acc))
-    return LinearSurrogate(tuple(basis), tuple(induced), transform, ts.space, ts.pairs[0])
+    return LinearSurrogate(tuple(basis), tuple(induced), ts.space, ts.pairs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +193,21 @@ def quadrature_nodes(n_k: int) -> np.ndarray:
 def _near_linear_branch(
     kind: ActivationKind, slopes: np.ndarray, anchor_vals: np.ndarray
 ) -> BranchCoeffs:
-    """Sigmoid functional sum_k slopes_k (x(t_k) - anchor_k), zero at the anchor.
+    """Sigmoid network whose output i is sum_k slopes[i, k] (x(t_k) - anchor_k),
+    zero at the anchor.
 
-    One near-linear node per sample carries the slope; one constant node
+    One near-linear node per sample carries the slopes; one constant node
     cancels the nodes' value at the anchor samples to rounding.
     """
     eps = LINEAR_NODE_EPS
     c = slopes / (activation_derivative(kind, 0.0) * eps)
     w = np.full(anchor_vals.size, eps)
     theta = -eps * anchor_vals
-    at_anchor = float(np.dot(c, activation(kind, w * anchor_vals + theta)))
+    sig = activation(kind, w * anchor_vals + theta)
+    at_anchor = np.array([np.dot(c_i, sig) for c_i in c])
     # 0.0 - v, not -v: an exact cancellation gives c0 = +0.0
     c0 = (0.0 - at_anchor) / activation(kind, 0.0)
-    return BranchCoeffs(np.append(c, c0), w, np.append(theta, 0.0))
+    return BranchCoeffs(np.column_stack([c, c0]), w, np.append(theta, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +311,27 @@ def assemble_neural_surrogate(
 ):
     """Branch/trunk realization of the rank-N surrogate with diagnostics.
 
-    Each term pairs a near-linear branch for the coefficient functional
-    <x - center, basis_ell>, accurate to quadrature error everywhere, with
-    a trunk fitted to the induced data function.  q_N and nu_N are measured
-    on the solved probe pairs (x, F[x]).
+    Output ell of the one near-linear branch network realizes the
+    coefficient functional <x - center, basis_ell>, accurate to quadrature
+    error everywhere, and is paired with a trunk fitted to the induced data
+    function.  q_N and nu_N are measured on the solved probe pairs (x, F[x]).
     Returns (coefficients, diagnostics).
     """
     x0 = ls.center[0]
     t = quadrature_nodes(n_k)
-    anchor_vals = x0.sample(t)
-
-    branches, trunks, residuals = [], [], []
-    for ell, (xb, yb) in enumerate(zip(ls.basis, ls.induced)):
-        g = gram_apply(xb.resample(n_k).values, n_k, ls.space)
-        branch = _near_linear_branch(activation_kind, g, anchor_vals)
-        trunk, res = fit_trunk(yb, n_j, activation_kind, seed + 7 * ell)
-        branches.append(branch)
-        trunks.append(trunk)
-        residuals.append(res)
-
-    coeffs = StructuredSurrogateCoeffs(tuple(branches), tuple(trunks), t, activation_kind)
+    slopes = np.array([gram_apply(xb.resample(n_k).values, n_k, ls.space) for xb in ls.basis])
+    branch = _near_linear_branch(activation_kind, slopes, x0.sample(t))
+    trunks, residuals = zip(*(fit_trunk(yb, n_j, activation_kind, seed + 7 * ell)
+                              for ell, yb in enumerate(ls.induced)))
+    coeffs = StructuredSurrogateCoeffs(branch, trunks, t, activation_kind)
 
     probes = list(probes)
     q_n = 0.0
     for x, _ in probes:
         x = x.resample(x0.n_cells)
-        xs = x.sample(t)
-        for branch, xb in zip(branches, ls.basis):
-            exact = inner(x - x0, xb, ls.space)
-            q_n = max(q_n, abs(eval_branch(branch, activation_kind, xs) - exact))
+        outputs = eval_branch(branch, activation_kind, x.sample(t))
+        for b, xb in zip(outputs.tolist(), ls.basis):
+            q_n = max(q_n, abs(b - inner(x - x0, xb, ls.space)))
 
     r_n = max(residuals)
     nu_n = estimate_nu_N(ls, probes)

@@ -1,11 +1,13 @@
 """Dense reference forms of the branch/trunk operator.
 
-The library stores each branch as one weight per sample and evaluates it
-with one kernel.  This module rebuilds the general forms that kernel stands
-for, as an independent oracle for the tests:
+The library stores the one branch network as one weight per sample, with
+an output row per term, and evaluates it with one kernel.  This module
+rebuilds the general forms that kernel stands for, as an independent oracle
+for the tests:
 
 - the dense branch weight matrix W = [diag(w); 0], with the nested-sum
-  evaluation and the dense Jacobian built from it term by term;
+  evaluation and the dense Jacobian built from it term by term, each term
+  recomputing the hidden layer;
 - the flat coefficient tensor of the double-sum operator, with the
   block-diagonal embedding of the per-term form into it.
 """
@@ -49,9 +51,10 @@ def eval_structured_dense(s: StructuredSurrogateCoeffs, x: GridFunction, t_point
     """Nested-sum evaluation with the dense branch weights."""
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
     out = np.zeros(t.size)
-    for branch, trunk in zip(s.branches, s.trunks):
+    branch = s.branch
+    for c_i, trunk in zip(branch.c, s.trunks):
         z = dense_weights(branch) @ x.sample(s.s_points) + branch.theta
-        b = float(np.dot(branch.c, activation(s.activation, z)))
+        b = float(np.dot(c_i, activation(s.activation, z)))
         out += b * eval_trunk(trunk, s.activation, t)
     return out
 
@@ -60,10 +63,11 @@ def jacobian_structured_dense(s: StructuredSurrogateCoeffs, x: GridFunction, t_p
     """Jacobian[Q, n_nodes] of eval_structured_dense in the nodal values of x."""
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
     jac = np.zeros((t.size, x.n_cells + 1))
-    for branch, trunk in zip(s.branches, s.trunks):
+    branch = s.branch
+    for c_i, trunk in zip(branch.c, s.trunks):
         w = dense_weights(branch)
         d = activation_derivative(s.activation, w @ x.sample(s.s_points) + branch.theta)
-        g_nodes = interp_matrix_t(s.s_points, x.n_cells) @ ((branch.c * d) @ w)
+        g_nodes = interp_matrix_t(s.s_points, x.n_cells) @ ((c_i * d) @ w)
         jac += np.outer(eval_trunk(trunk, s.activation, t), g_nodes)
     return jac
 
@@ -140,7 +144,7 @@ def flatten_structured(s: StructuredSurrogateCoeffs) -> NeuralOperatorCoeffs:
     """Block-diagonal embedding of the per-term form into one flat tensor.
 
     Each term gets its own block of the flat sample axis, which repeats the
-    shared sensor points once per term.  Trunk widths may differ; they are
+    shared sensor points once per term, and its own copy of the hidden layer.  Trunk widths may differ; they are
     zero-padded to the maximum, and padded entries carry zero outer weights
     and therefore do not contribute.
     """
@@ -158,11 +162,12 @@ def flatten_structured(s: StructuredSurrogateCoeffs) -> NeuralOperatorCoeffs:
     zeta = np.zeros(n_t * nj)
     s_points = np.zeros(n_t * nl)
 
-    for i, (branch, trunk) in enumerate(zip(s.branches, s.trunks)):
+    branch = s.branch
+    for i, (c_i, trunk) in enumerate(zip(branch.c, s.trunks)):
         js = slice(i * nj, i * nj + trunk.n_j)
         ks = slice(i * nk, (i + 1) * nk)
         ls = slice(i * nl, (i + 1) * nl)
-        alpha[js, ks] = np.outer(trunk.c, branch.c)
+        alpha[js, ks] = np.outer(trunk.c, c_i)
         w[ks, ls] = dense_weights(branch)
         theta[ks] = branch.theta
         w_vec[js] = trunk.w

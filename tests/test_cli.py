@@ -82,7 +82,6 @@ center = 1.0
 mode = sine
 amplitude = 0.1
 count = 3
-seed = 3
 """)
     ts_path = tmp_path / "train.txt"
     assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path)]) == 0
@@ -162,7 +161,6 @@ load = 50.0
 
 [perturbation]
 count = 2
-seed = 3
 """
 
 
@@ -199,7 +197,7 @@ _RUNNABLE = {
     "study": {"study": {"study": "reg_rate", "problem": "a",
                         "ladder": "0.02, 0.01, 0.005, 0.0025"}},
     "generate": {"generate": {"problem": "c", "n_cells": "32", "load": "50.0"},
-                 "perturbation": {"count": "2", "seed": "3"}},
+                 "perturbation": {"count": "2"}},
     "build": {"build": {"n_quad": "32", "n_trunk": "4"}},
     "solve": {"solve": {"problem": "a", "n_cells": "32", "delta": "0.001",
                         "max_iterations": "20"}},
@@ -345,7 +343,7 @@ def test_stale_surrogate_file_exits_one(tmp_path, capsys):
     # a file from before per-sample branch weights stores each as a matrix
     surr_path = _small_surrogate(tmp_path)
     lines = surr_path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("term0.branch.w "))
+    i = next(k for k, line in enumerate(lines) if line.startswith("branch.w "))
     w = np.array(lines[i + 1].split(), dtype=float)
     dense = np.vstack([np.diag(w), np.zeros(w.size)])
     lines[i:i + 2] = [f"term0.branch.w array2 {w.size + 1} {w.size}"] + [
@@ -356,6 +354,54 @@ def test_stale_surrogate_file_exits_one(tmp_path, capsys):
                      "--quiet"]) == 1
     err = capsys.readouterr().err
     assert str(surr_path) in err and "'term0.branch.w'" in err and "rebuild" in err
+
+
+def test_per_term_branch_layout_exits_one(tmp_path, capsys):
+    # a file from before the one branch network stores a branch per term
+    surr_path = _small_surrogate(tmp_path)
+    branch = load_structured(surr_path).branch
+    lines = surr_path.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("branch.c "))
+    per_term = []
+    for t, c_t in enumerate(branch.c):
+        for name, v in (("c", c_t), ("w", branch.w), ("theta", branch.theta)):
+            per_term += [f"term{t}.branch.{name} array1 {v.size}",
+                         " ".join(f"{x:.17g}" for x in v)]
+    lines[i:i + len(branch.c) + 5] = per_term
+    surr_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(surr_path) in err and "'term0.branch.c'" in err and "rebuild" in err
+
+
+@pytest.mark.parametrize("kind", ["rank", "neural"])
+@pytest.mark.parametrize("key,value", [("problem", "a"), ("n_cells", "16")])
+def test_solve_on_a_surrogate_of_another_problem_or_mesh_names_the_key(tmp_path, capsys,
+                                                                       kind, key, value):
+    # a surrogate built for the c-example on 32 cells answers for nothing else
+    surr_path = _small_surrogate(tmp_path)
+    cfg = Path(_small_solve(tmp_path, kind, surr_path, 1e-3))
+    text = cfg.read_text()
+    old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    cfg.write_text(text.replace(old, f"{key} = {value}"))
+    out = tmp_path / "run.csv"
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"{key} = {value}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generate_seed_flag_changes_nothing(tmp_path):
+    # the perturbation directions draw no random numbers
+    gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
+    plain, seeded = tmp_path / "plain.txt", tmp_path / "seeded.txt"
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(plain), "--quiet"]) == 0
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(seeded), "--seed", "5",
+                     "--quiet"]) == 0
+    assert plain.read_bytes() == seeded.read_bytes()
 
 
 def test_rank_file_without_a_field_names_it(tmp_path, capsys):
@@ -387,15 +433,21 @@ def test_per_term_sensor_layout_exits_one(tmp_path, capsys):
     assert str(surr_path) in err and "'s_points'" in err and "rebuild" in err
 
 
-@pytest.mark.parametrize("command,section", [
-    ("generate", "generate"), ("generate", "perturbation"), ("build", "build"),
-    ("solve", "solve")])
-def test_unknown_config_key_exits_one(tmp_path, capsys, command, section):
-    cfg = _write(tmp_path / "typo.cfg", f"[{section}]\nsurogate = rank\n")
+_UNKNOWN_KEYS = [
+    ("generate", "generate", "surogate", "rank"), ("generate", "perturbation", "surogate", "rank"),
+    ("build", "build", "surogate", "rank"), ("solve", "solve", "surogate", "rank"),
+    # the perturbation seed drew no random numbers, and the key is gone
+    ("generate", "perturbation", "seed", "3")]
+
+
+@pytest.mark.parametrize("command,section,key,value", _UNKNOWN_KEYS, ids=[
+    f"{c}-{s}" if k == "surogate" else f"{c}-{s}-{k}" for c, s, k, _ in _UNKNOWN_KEYS])
+def test_unknown_config_key_exits_one(tmp_path, capsys, command, section, key, value):
+    cfg = _write(tmp_path / "typo.cfg", f"[{section}]\n{key} = {value}\n")
     capsys.readouterr()
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                      "--quiet"]) == 1
-    assert "'surogate'" in capsys.readouterr().err
+    assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -427,7 +479,7 @@ def test_shipped_config_passes_the_key_check(path):
 def test_non_finite_surrogate_coefficient_reported_by_name(tmp_path, capsys):
     surr_path = _small_surrogate(tmp_path)
     lines = surr_path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("term0.branch.theta "))
+    i = next(k for k, line in enumerate(lines) if line.startswith("branch.theta "))
     values = lines[i + 1].split()
     values[2] = "inf"
     lines[i + 1] = " ".join(values)

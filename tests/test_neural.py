@@ -63,9 +63,9 @@ def test_activation_monotone_in_unit_interval(t):
 # -- branch / trunk ---------------------------------------------------------
 
 
-def _random_branch(rng, n_l=5):
+def _random_branch(rng, n_l=5, n_terms=1):
     return BranchCoeffs(
-        rng.standard_normal(n_l + 1),
+        rng.standard_normal((n_terms, n_l + 1)),
         rng.standard_normal(n_l),
         rng.standard_normal(n_l + 1),
     )
@@ -73,10 +73,10 @@ def _random_branch(rng, n_l=5):
 
 def test_eval_branch_is_weighted_sigmoid_sum():
     rng = np.random.default_rng(0)
-    b = _random_branch(rng)
+    b = _random_branch(rng, n_terms=3)
     xs = rng.standard_normal(5)
     z = dense_weights(b) @ xs + b.theta
-    expect = float(np.dot(b.c, activation(ActivationKind.LOGISTIC, z)))
+    expect = [float(np.dot(c_i, activation(ActivationKind.LOGISTIC, z))) for c_i in b.c]
     assert eval_branch(b, ActivationKind.LOGISTIC, xs) == pytest.approx(expect, rel=1e-14)
 
 
@@ -90,8 +90,19 @@ def test_eval_branch_rejects_wrong_sample_count():
 def test_branch_rejects_dense_weights():
     rng = np.random.default_rng(2)
     with pytest.raises(DimensionMismatch, match="branch.w"):
-        BranchCoeffs(rng.standard_normal(3), rng.standard_normal((3, 2)),
+        BranchCoeffs(rng.standard_normal((1, 3)), rng.standard_normal((3, 2)),
                      rng.standard_normal(3))
+
+
+def test_branch_rejects_output_weights_of_the_wrong_shape():
+    rng = np.random.default_rng(11)
+    w, theta = rng.standard_normal(2), rng.standard_normal(3)
+    assert BranchCoeffs(rng.standard_normal((1, 3)), w, theta).c.shape == (1, 3)
+    with pytest.raises(DimensionMismatch, match="shapes disagree"):
+        BranchCoeffs(rng.standard_normal((2, 2)), w, theta)
+    for shape in ((3,), (2, 3, 1)):
+        with pytest.raises(DimensionMismatch, match="branch.c"):
+            BranchCoeffs(rng.standard_normal(shape), w, theta)
 
 
 def test_eval_trunk_shape_and_value():
@@ -105,20 +116,20 @@ def test_eval_trunk_shape_and_value():
 
 
 def _random_structured(rng, n_terms=3, kind=ActivationKind.LOGISTIC):
-    """Random, far from near-linear coefficients whose branches share random
+    """Random, far from near-linear coefficients whose branch reads random
     sensor points off the mesh nodes; trunk widths differ between terms."""
     n_l = 6
-    branches, trunks = [], []
+    branch = _random_branch(rng, n_l, n_terms)
+    trunks = []
     for j in range(n_terms):
         n_j = 3 + j
-        branches.append(_random_branch(rng, n_l))
         trunks.append(TrunkCoeffs(
             rng.standard_normal(n_j),
             rng.standard_normal(n_j),
             rng.standard_normal(n_j),
         ))
     pts = np.sort(rng.uniform(0.0, 1.0, n_l))
-    return StructuredSurrogateCoeffs(tuple(branches), tuple(trunks), pts, kind)
+    return StructuredSurrogateCoeffs(branch, tuple(trunks), pts, kind)
 
 
 def _rel(a, b):
@@ -208,7 +219,7 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
     h.forward(x)
     assert calls == []
     h.misfit_and_gradient(x, GridFunction.zero(n))
-    assert len(calls) == s.n_terms
+    assert s.n_terms == 3 and len(calls) == 1
 
 
 def test_operator_rejects_out_of_range_sample_points():
@@ -216,9 +227,9 @@ def test_operator_rejects_out_of_range_sample_points():
     b = _random_branch(rng, n_l=2)
     t = TrunkCoeffs(rng.standard_normal(1), rng.standard_normal(1), rng.standard_normal(1))
     with pytest.raises(DimensionMismatch, match=r"\[0, 1\]"):
-        StructuredSurrogateCoeffs((b,), (t,), np.array([0.5, 1.25]))
+        StructuredSurrogateCoeffs(b, (t,), np.array([0.5, 1.25]))
     with pytest.raises(NonFiniteValue, match="s_points"):
-        StructuredSurrogateCoeffs((b,), (t,), np.array([0.5, np.nan]))
+        StructuredSurrogateCoeffs(b, (t,), np.array([0.5, np.nan]))
     with pytest.raises(DimensionMismatch):
         NeuralOperatorCoeffs(
             alpha=rng.standard_normal((1, 1)),
@@ -235,9 +246,19 @@ def test_operator_rejects_branch_narrower_than_sensors():
     t = TrunkCoeffs(rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2))
     wide, narrow = _random_branch(rng, n_l=4), _random_branch(rng, n_l=3)
     pts = np.linspace(0.0, 1.0, 4)
-    StructuredSurrogateCoeffs((wide,), (t,), pts)
+    StructuredSurrogateCoeffs(wide, (t,), pts)
     with pytest.raises(DimensionMismatch, match="sensor count"):
-        StructuredSurrogateCoeffs((wide, narrow), (t, t), pts)
+        StructuredSurrogateCoeffs(narrow, (t,), pts)
+
+
+def test_operator_rejects_branch_outputs_unequal_to_trunks():
+    rng = np.random.default_rng(12)
+    t = TrunkCoeffs(rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2))
+    pts = np.linspace(0.0, 1.0, 4)
+    StructuredSurrogateCoeffs(_random_branch(rng, n_l=4, n_terms=2), (t, t), pts)
+    for n_terms in (1, 3):
+        with pytest.raises(DimensionMismatch, match="one output per trunk"):
+            StructuredSurrogateCoeffs(_random_branch(rng, n_l=4, n_terms=n_terms), (t, t), pts)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -246,6 +267,8 @@ def test_operator_rejects_non_finite_coefficients(bad):
     theta = rng.standard_normal(3)
     theta[1] = bad
     with pytest.raises(NonFiniteValue, match="branch.theta"):
-        BranchCoeffs(rng.standard_normal(3), rng.standard_normal(2), theta)
+        BranchCoeffs(rng.standard_normal((2, 3)), rng.standard_normal(2), theta)
+    with pytest.raises(NonFiniteValue, match="branch.c"):
+        BranchCoeffs(np.vstack([theta, theta]), rng.standard_normal(2), rng.standard_normal(3))
     with pytest.raises(NonFiniteValue, match="trunk.zeta"):
         TrunkCoeffs(rng.standard_normal(3), rng.standard_normal(3), theta)

@@ -72,7 +72,7 @@ def test_neural_kernel_traced_once_per_map_call():
     spec.loader.exec_module(tracing)
     kernel = "neural.eval_structured_with_gradient"
     coeffs = StructuredSurrogateCoeffs(
-        (BranchCoeffs([1.0, -0.5, 2.0, 0.3], [0.5, 1.0, -1.0], [0.1, 0.0, -0.2, 0.0]),),
+        BranchCoeffs([[1.0, -0.5, 2.0, 0.3]], [0.5, 1.0, -1.0], [0.1, 0.0, -0.2, 0.0]),
         (TrunkCoeffs([1.0, 0.5], [2.0, -3.0], [0.0, 1.0]),),
         np.array([0.0, 0.5, 1.0]),
     )

@@ -30,7 +30,7 @@ N = 64
 def pipeline():
     f = GridFunction.constant(50.0, N)
     x0 = GridFunction.constant(1.0, N)
-    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 3, seed=3))
+    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 3))
     ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(ls, 96, 10, ActivationKind.LOGISTIC, seed=1,
                                              probes=probe_pairs(ts))
@@ -43,7 +43,6 @@ def test_training_set_round_trip_bitwise(pipeline, tmp_path):
     save_training_set(p, ts)
     ts2 = load_training_set(p)
     assert ts2.problem.tag == ts.problem.tag
-    assert ts2.seed == ts.seed
     assert ts2.perturbation == ts.perturbation
     for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
         assert np.array_equal(x.values, x2.values)
@@ -56,11 +55,30 @@ def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
     save_linear_surrogate(p, ls, diag)
     ls2, diag2 = load_linear_surrogate(p)
     assert diag.nu_N > 0.0 and diag2 == diag
-    assert np.array_equal(ls.transform, ls2.transform)
     assert ls2.space == ls.space
-    for b, b2 in zip(ls.basis, ls2.basis):
+    for b, b2 in zip(ls.basis + ls.induced, ls2.basis + ls2.induced):
         assert np.array_equal(b.values, b2.values)
     assert np.array_equal(ls.center[0].values, ls2.center[0].values)
+
+
+def test_fields_of_older_files_are_ignored(pipeline, tmp_path):
+    # training sets with a seed and rank-N files with a transform still load
+    ts, ls, _, diag = pipeline
+    p, q = tmp_path / "ts.txt", tmp_path / "ls.txt"
+    save_training_set(p, ts)
+    save_linear_surrogate(q, ls, diag)
+    for path, old in ((p, ["seed int 3", "perturbation.seed int 3"]),
+                      (q, ["transform array2 2 2", "1 0", "0.5 2"])):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + old + lines[2:]) + "\n")
+    ts2 = load_training_set(p)
+    assert ts2.perturbation == ts.perturbation
+    for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
+        assert np.array_equal(x.values, x2.values) and np.array_equal(y.values, y2.values)
+    ls2, diag2 = load_linear_surrogate(q)
+    assert diag2 == diag
+    for b, b2 in zip(ls.basis + ls.induced, ls2.basis + ls2.induced):
+        assert np.array_equal(b.values, b2.values)
 
 
 def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
@@ -69,7 +87,7 @@ def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
     save_structured(p, coeffs)
     c2 = load_structured(p)
     assert c2.activation == coeffs.activation
-    for b, b2 in zip(coeffs.branches + coeffs.trunks, c2.branches + c2.trunks):
+    for b, b2 in zip((coeffs.branch,) + coeffs.trunks, (c2.branch,) + c2.trunks):
         for name in vars(b):
             assert np.array_equal(_bits(getattr(b, name)), _bits(getattr(b2, name))), name
     assert np.array_equal(_bits(coeffs.s_points), _bits(c2.s_points))
@@ -171,25 +189,25 @@ def _damaged(tmp_path, text: str):
 
 
 def test_file_cut_mid_payload_names_path_and_field(pipeline, tmp_path):
-    _, ls, _, diag = pipeline
-    assert ls.transform.shape == (3, 3)
-    p = tmp_path / "ls.txt"
-    save_linear_surrogate(p, ls, diag)
+    _, _, coeffs, _ = pipeline
+    assert coeffs.branch.c.shape == (3, 98)
+    p = tmp_path / "st.txt"
+    save_structured(p, coeffs)
     text = p.read_text()
     lines = text.splitlines()
-    header = next(i for i, line in enumerate(lines) if line.startswith("transform "))
+    header = next(i for i, line in enumerate(lines) if line.startswith("branch.c "))
     cut_rows = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n")
-    with pytest.raises(ConfigInvalid, match=r"damaged\.txt.*'transform'"):
-        load_linear_surrogate(cut_rows)
+    with pytest.raises(ConfigInvalid, match=r"damaged\.txt.*'branch\.c'"):
+        load_structured(cut_rows)
     cut_line = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n" + lines[header + 3][:30])
-    with pytest.raises(ConfigInvalid, match="'transform'"):
-        load_linear_surrogate(cut_line)
-    cut_header = _damaged(tmp_path, "\n".join(lines[:header]) + "\ntransform array2 5")
-    with pytest.raises(ConfigInvalid, match="'transform'"):
-        load_linear_surrogate(cut_header)
+    with pytest.raises(ConfigInvalid, match=r"'branch\.c'"):
+        load_structured(cut_line)
+    cut_header = _damaged(tmp_path, "\n".join(lines[:header]) + "\nbranch.c array2 5")
+    with pytest.raises(ConfigInvalid, match=r"'branch\.c'"):
+        load_structured(cut_header)
     cut_bytes = _damaged(tmp_path, text[:len(text) // 3])
     with pytest.raises(ConfigInvalid, match="damaged.txt"):
-        load_linear_surrogate(cut_bytes)
+        load_structured(cut_bytes)
 
 
 def test_ragged_or_short_payload_rejected(pipeline, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import invop.fem
 import invop.tikhonov
 from invop.config import load_config, study_config
-from invop.errors import DegenerateScale, NonAdmissibleCoefficient
+from invop.errors import DegenerateScale, DimensionMismatch, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm
 from invop.neural import ActivationKind
@@ -50,7 +50,7 @@ def handles():
     """One handle of each kind on a shared c-example setup."""
     f = GridFunction.constant(50.0, N)
     x0 = GridFunction.constant(1.0, N)
-    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4, seed=3))
+    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4))
     ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1,
                                              probes=probe_pairs(ts))
@@ -61,6 +61,14 @@ def handles():
         "f": f,
         "x0": x0,
     }
+
+
+@pytest.mark.parametrize("kind", ["rank", "neural"])
+def test_pullback_rejects_an_input_on_another_mesh(handles, kind):
+    # as FemMap's does: the gradient would live on the surrogate's mesh
+    x = GridFunction.constant(1.0, N // 2)
+    with pytest.raises(DimensionMismatch, match="mesh"):
+        handles[kind].misfit_and_gradient(x, GridFunction.zero(N))
 
 
 # -- noise ------------------------------------------------------------------

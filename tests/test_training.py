@@ -31,7 +31,7 @@ N = 128
 def c_setup():
     f = GridFunction.constant(50.0, N)
     x0 = GridFunction.constant(1.0, N)
-    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 5, seed=3))
+    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 5))
     ls = build_linear_surrogate(ts)
     return f, x0, ts, ls
 
@@ -65,7 +65,7 @@ def test_bump_mode_is_compactly_supported():
 
 def test_generation_is_deterministic(c_setup):
     f, x0, ts, ls = c_setup
-    ts2 = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 5, seed=3))
+    ts2 = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 5))
     for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
         assert np.array_equal(x.values, x2.values)
         assert np.array_equal(y.values, y2.values)
@@ -82,11 +82,11 @@ def test_dependent_images_detected():
     f = GridFunction.constant(1.0, N)
     x0 = GridFunction.constant(1.0, N)
     ts = generate_training_set(C, GridFunction.constant(50.0, N), x0,
-                               PerturbationSpec("sine", 0.1, 3, seed=3))
+                               PerturbationSpec("sine", 0.1, 3))
     # duplicate a pair to force dependence downstream
     dup = ts.pairs + (ts.pairs[1],)
     with pytest.raises(DependentImages):
-        build_linear_surrogate(type(ts)(dup, ts.problem, ts.space, ts.seed))
+        build_linear_surrogate(type(ts)(dup, ts.problem, ts.space))
 
 
 # -- orthonormalization -----------------------------------------------------
@@ -134,14 +134,16 @@ def test_surrogate_matches_linearization_on_span(c_setup):
 
 
 def test_assembled_branches_vanish_at_center():
-    # each branch realizes <x - center, basis_ell>, so it is zero at the center
+    # each branch output realizes <x - center, basis_ell>, so it is zero at the center
     assert len(quadrature_nodes(17)) == 18
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
     x0 = ex.ls.center[0]
     assert ex.coeffs.n_terms == 6
-    for branch in ex.coeffs.branches:
-        at_center = eval_branch(branch, ex.coeffs.activation, x0.sample(ex.coeffs.s_points))
-        assert abs(at_center) <= 1e-12 * np.sum(np.abs(branch.c))
+    branch = ex.coeffs.branch
+    at_center = eval_branch(branch, ex.coeffs.activation, x0.sample(ex.coeffs.s_points))
+    assert at_center.shape == (6,)
+    for value, c_i in zip(at_center, branch.c):
+        assert abs(value) <= 1e-12 * np.sum(np.abs(c_i))
 
 
 def test_trunk_fit_residual_small(c_setup):
@@ -179,7 +181,7 @@ def test_linearized_branch_accuracy_both_spaces():
     for prob, space in ((C, SpaceKind.L2), (A, SpaceKind.H1)):
         f = GridFunction.constant(50.0 if prob is C else 1.0, N)
         x0 = GridFunction.constant(1.0, N)
-        ts = generate_training_set(prob, f, x0, PerturbationSpec("sine", 0.05, 3, seed=3))
+        ts = generate_training_set(prob, f, x0, PerturbationSpec("sine", 0.05, 3))
         ls = build_linear_surrogate(ts)
         probes = [x0 + 0.05 * perturbation_shape(PerturbationSpec("sine", 1.0, 3), l, N)
                   for l in range(1, 4)]

@@ -1,4 +1,5 @@
-"""No module of the package, its tests or its scripts imports a name it never reads."""
+"""No module of the package, its tests or its scripts imports a name it never reads,
+and no module of the package defines a private top-level name the package never reads."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ ROOT = Path(__file__).parents[1]
 #: the package's __init__ imports its public API, which it does not read itself
 FILES = sorted(p for d in ("src/invop", "tests", "scripts") for p in (ROOT / d).glob("*.py")
                if p != ROOT / "src" / "invop" / "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "invop").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +35,36 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list:
+    """The top-level functions, classes and assigned names of ``source`` that
+    start with one underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def read_names(source: str) -> set:
+    """The names ``source`` reads, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def test_scan_finds_an_unread_private_helper():
+    source = "_A = 1\n__all__ = []\ndef _b():\n    return _A\ndef _c(): pass\n" \
+             "class _D: pass\nx = m._D\n_b()\n"
+    assert [n for n in private_definitions(source) if n not in read_names(source)] == ["_c"]
+
+
+def test_no_unread_private_helper():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    read = set().union(*(read_names(s) for s in sources.values()))
+    assert [f"{name}: {helper}" for name, s in sources.items()
+            for helper in private_definitions(s) if helper not in read] == []
