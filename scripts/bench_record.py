@@ -7,8 +7,9 @@ For every workload that the checkout's BENCHMARK.json declares, the record
 holds the result and report lines of ``perfbench/run.py`` with ``--trace 0``
 (end-to-end metrics) and ``--trace 1`` (per-layer counts and timings), all at
 seed SEED for the ``run_seconds`` that BENCHMARK.json declares.  It adds the
-Tier-1 test summary with its wall time and the environment that perfbench
-reports.  ``--checkout`` points at another copy of the repository (for
+Tier-1 test summary with its wall time, the environment that perfbench
+reports, and the caller's OpenBLAS thread variables (``"unset"`` where
+absent).  ``--checkout`` points at another copy of the repository (for
 example an export of the parent commit), so that both sides of a change are
 recorded by the same script; the record is written to ``--out``, by default
 ``BENCH_<tag>.json`` in this repository's root.
@@ -25,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 13
+#: the variables OpenBLAS reads for its thread count, recorded as the caller set them
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _perfbench(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -71,7 +74,8 @@ def main(argv=None) -> int:
         "seed": SEED,
         "seconds": seconds,
         "environment": {**first["end_to_end"]["report"]["environment"],
-                        "machine": platform.machine(), "system": platform.system()},
+                        "machine": platform.machine(), "system": platform.system(),
+                        **{v: os.environ.get(v, "unset") for v in THREAD_VARS}},
         "workloads": workloads,
         "tier1": _tier1(checkout),
     }

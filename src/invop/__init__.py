@@ -7,6 +7,16 @@ expansion built from training pairs, or a branch/trunk sigmoid operator
 initialized from that expansion.
 """
 
+import os
+import sys
+
+# OpenBLAS's thread pool costs every fresh process about 60 ms, and no BLAS call
+# here is long enough to gain from it: unless numpy is loaded or the caller chose
+# a count, load it with one thread, and leave the variable set for child processes.
+if "numpy" not in sys.modules and not any(
+        os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import (
     ConfigInvalid,
     DegenerateFit,

@@ -263,7 +263,8 @@ def _run_surrogate_error(cfg: StudyConfig, rows: list):
     integrands = _smooth_integrands()
     fine = quadrature_nodes(1 << 16)
     fine_w = trapezoid_weights(1 << 16)
-    refs = [float(np.dot(fine_w, g(fine))) for g in integrands]
+    # exactly rounded; np.dot would split this long sum by the BLAS thread count
+    refs = [math.fsum(fine_w * g(fine)) for g in integrands]
     errs = []
     for n_k in cfg.ladder:
         nodes = quadrature_nodes(int(n_k))

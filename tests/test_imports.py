@@ -1,11 +1,15 @@
 import ast
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import invop
 import invop.errors
+import invop.grid
 
 
 def test_import_loads_no_scipy_module():
@@ -20,6 +24,38 @@ def test_import_loads_no_scipy_module():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(invop.grid._LAPACK is None, reason="numpy bundles no OpenBLAS")
+@pytest.mark.parametrize("given, numpy_first, threads, variable", [
+    ({}, False, 1, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False, 2, "2"),
+    ({"OMP_NUM_THREADS": "2"}, False, 2, None),
+    ({}, True, None, None),
+], ids=["default", "openblas-2", "omp-2", "numpy-first"])
+def test_import_loads_openblas_with_one_thread(given, numpy_first, threads, variable):
+    """Importing the package starts numpy's OpenBLAS with one thread, unless the
+    caller set a count or loaded numpy first; the variable it sets stays set."""
+    if threads == 2 and os.cpu_count() < 2:
+        pytest.skip("OpenBLAS runs no more threads than there are cores")
+    src = str(Path(invop.__file__).resolve().parents[1])
+    code = (
+        "import ctypes, os, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+        + ("import numpy; " if numpy_first else "") + "import invop, numpy; "
+        "lib = ctypes.CDLL(str(min(Path(numpy.__file__).parents[1].glob("
+        "'numpy.libs/libscipy_openblas64_*.so')))); "
+        "print(lib.scipy_openblas_get_num_threads64_(), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         env={**env, **given}, check=True, timeout=120)
+    count, set_variable = out.stdout.split()
+    if threads is not None:
+        assert int(count) == threads
+    assert set_variable == str(variable)
 
 
 def _raised_names(tree):

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invop
 from invop.errors import ConfigInvalid, DegenerateFit
 from invop.fem import ProblemKind, ProblemTag, solve_forward_reference
 from invop.neural import ActivationKind
@@ -165,6 +172,43 @@ def test_reg_rate_jobs_matches_serial(tmp_path):
         return out
 
     assert strip_runtime(t1.rows) == strip_runtime(t2.rows)
+
+
+def test_study_output_independent_of_blas_threads(tmp_path):
+    """Every study kind writes the same CSV, runtime_ms aside, whether numpy's
+    OpenBLAS runs one thread or two: no result may depend on the core count."""
+    ladder = (0.0125, 0.00625, 0.003125, 0.0015625)
+    studies = {
+        "surrogate_error": {"study": "surrogate_error"},
+        "fem_rate": {"study": "fem_rate"},
+        "mollify_rate": {"study": "mollify_rate"},
+        "reg_rate_a": {"study": "reg_rate", "problem": "a", "ladder": ladder,
+                       "n_cells": 64},
+        "reg_rate_c_neural": {"study": "reg_rate", "problem": "c", "surrogate": "neural",
+                              "ladder": ladder, "constant": 0.15, "xi": 1e-4,
+                              "seed": 100},
+    }
+    src = str(Path(invop.__file__).resolve().parents[1])
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from invop import StudyConfig, run_study\n"
+            "for name, kwargs in json.loads(sys.argv[2]).items():\n"
+            "    run_study(StudyConfig(**kwargs, out=f'{sys.argv[3]}/{name}.csv'))")
+    tables = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", code, src, json.dumps(studies), str(out)],
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), check=True,
+                       timeout=120)
+        for name in studies:
+            lines = [ln.split(",") for ln in (out / f"{name}.csv").read_text().splitlines()]
+            if "runtime_ms" in lines[0]:
+                k = lines[0].index("runtime_ms")
+                for cells in lines[1:]:
+                    if len(cells) == len(lines[0]):
+                        cells[k] = ""
+            tables.setdefault(name, []).append(lines)
+    assert [name for name, (one, two) in tables.items() if one != two] == []
 
 
 def test_c_reg_rate_solves_each_input_once(reference_solves):
