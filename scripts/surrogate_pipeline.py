@@ -42,7 +42,7 @@ def main():
     ]
     print(",".join(RUN_COLUMNS))
     for h in handles:
-        rho = fem_rho(prob, n) if isinstance(h, FemMap) else diag.rho_bound
+        rho = fem_rho(prob, n, 50.0, 1.0) if isinstance(h, FemMap) else diag.rho_bound
         alpha, eta = choose_parameters(delta, rho, 0.15)
         cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=1e-4,
                              x0=x0, space=SpaceKind.L2, nu=prob.nu,

@@ -54,7 +54,7 @@ from .neural import (
     eval_structured_with_gradient,
     eval_trunk,
 )
-from .studies import RateTable, StudyConfig, calibrate_fem_rho, fem_rho, fit_slope, run_study
+from .studies import RateTable, StudyConfig, fem_rho, fit_slope, run_study
 from .tikhonov import (
     RUN_COLUMNS,
     ApproximateMinimizer,

@@ -157,7 +157,7 @@ def _cmd_solve(args) -> int:
     kind = sec["surrogate"]
     if kind == "fem":
         h = FemMap(prob, f, n)
-        rho = fem_rho(prob, n)
+        rho = fem_rho(prob, n, sec["load"], sec["center"])
     elif kind in ("rank", "neural"):
         base = sec["surrogate_file"]
         if base is None:
@@ -169,11 +169,19 @@ def _cmd_solve(args) -> int:
         if ls.center[0].n_cells != n:
             raise ConfigInvalid(f"[solve] n_cells = {n}, but {base} has "
                                 f"{ls.center[0].n_cells} cells")
+        if not np.array_equal(ls.load.values, f.values):
+            raise ConfigInvalid(f"[solve] load = {sec['load']!r}, but {base} was built for "
+                                "another load")
         rho = diag.rho_bound
         if kind == "rank":
             h = RankMap(ls)
         else:
-            h = NeuralMap(serialize.load_structured(base), ls.center)
+            coeffs = serialize.load_structured(base)
+            if coeffs.n_terms != ls.n_terms:
+                raise ConfigInvalid(f"[solve] surrogate_file = {base} holds {coeffs.n_terms} "
+                                    f"terms, but {base}.rank holds {ls.n_terms}; rebuild both "
+                                    "with invop build")
+            h = NeuralMap(coeffs, ls.center)
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 

@@ -219,6 +219,8 @@ DIAGNOSTIC_FIELDS = ("nu_N", "q_N", "r_N", "rho_bound")
 
 
 def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagnostics):
+    if ls.load is None:
+        raise ValueError("a rank-N surrogate is saved with the load it was built for")
     fields = [
         ("space", ls.space.value),
         ("n_terms", ls.n_terms),
@@ -228,6 +230,7 @@ def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagn
         _put_grid(fields, f"induced{i}", y)
     _put_grid(fields, "center.x", ls.center[0])
     _put_grid(fields, "center.y", ls.center[1])
+    _put_grid(fields, "load", ls.load)
     fields += [(name, float(getattr(diagnostics, name))) for name in DIAGNOSTIC_FIELDS]
     _write(path, "LinearSurrogate", fields)
 
@@ -239,5 +242,5 @@ def load_linear_surrogate(path):
     basis = tuple(_get_grid(f, f"basis{i}") for i in range(n))
     induced = tuple(_get_grid(f, f"induced{i}") for i in range(n))
     center = (_get_grid(f, "center.x"), _get_grid(f, "center.y"))
-    ls = LinearSurrogate(basis, induced, SpaceKind(f["space"]), center)
+    ls = LinearSurrogate(basis, induced, SpaceKind(f["space"]), center, _get_grid(f, "load"))
     return ls, SurrogateDiagnostics(*(f[name] for name in DIAGNOSTIC_FIELDS), n_terms=n)

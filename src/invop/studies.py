@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -36,6 +37,7 @@ from .training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
+    probe_pairs,
     quadrature_nodes,
 )
 
@@ -210,24 +212,14 @@ def _fem_case_error(case, n: int) -> float:
     return norm(y.resample(_FINE_CELLS) - fine, SpaceKind.L2)
 
 
-def calibrate_fem_rho(problem: ProblemKind) -> float:
-    """Constant c with discretization error <= c / n^2 on the analytic cases,
-    fitted on meshes of 16 to 256 cells."""
-    c = 0.0
-    for n in (16, 32, 64, 128, 256):
-        for case in analytic_cases():
-            if case[1].tag is problem.tag:
-                c = max(c, _fem_case_error(case, n) * n * n)
-    return c
-
-
-#: calibrate_fem_rho of each problem tag, which the tests recompute and
-#: require to be these exact floats
-_FEM_RHO = {ProblemTag.A_EXAMPLE: 1.191356310383966, ProblemTag.C_EXAMPLE: 1.1392426618175409}
-
-
-def fem_rho(problem: ProblemKind, n: int) -> float:
-    return _FEM_RHO[problem.tag] / (n * n)
+@lru_cache(maxsize=None)
+def fem_rho(problem: ProblemKind, n: int, load: float, center: float) -> float:
+    """Surrogate error of the n-cell Galerkin map: its largest L2 data error over
+    the probe pairs of six sine modes at a tenth of the constant center."""
+    f, x0 = GridFunction.constant(load, n), GridFunction.constant(center, n)
+    ts = generate_training_set(problem, f, x0, PerturbationSpec("sine", 0.1 * center, 6))
+    return max(norm(solve_forward_fem(problem, x, f, n) - y, SpaceKind.L2)
+               for x, y in probe_pairs(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +298,8 @@ CExample = namedtuple("CExample", "problem load x0 ls xt y_true coeffs diag")
 
 def c_example_setup(cfg: StudyConfig) -> CExample:
     """The c-example built from the config's sizes and seed; the diagnostics
-    are measured on the training pairs (the unit modes at amplitude 0.1
-    around x0) and on (xt, y_true), each input solved once."""
+    are measured on ``probe_pairs`` of the training set (the unit modes at
+    amplitude 0.1 around x0, and their mix), each input solved once."""
     n = cfg.n_cells
     prob = ProblemKind(ProblemTag.C_EXAMPLE)
     f = GridFunction.constant(50.0, n)
@@ -319,7 +311,7 @@ def c_example_setup(cfg: StudyConfig) -> CExample:
     y_true = solve_forward_reference(prob, xt, f)
     coeffs, diag = assemble_neural_surrogate(
         ls, cfg.n_quad, cfg.n_trunk, ActivationKind.LOGISTIC, cfg.seed + 1,
-        ts.pairs[1:] + ((xt, y_true),),
+        probe_pairs(ts),
     )
     return CExample(prob, f, x0, ls, xt, y_true, coeffs, diag)
 
@@ -334,7 +326,7 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         xt = source_target_a(prob, x0, f, n)
         h = FemMap(prob, f, n)
         y_true = solve_forward_reference(prob, xt, f)
-        space, nu, rho, xi, label = SpaceKind.H1, prob.nu, fem_rho(prob, n), cfg.xi, "a"
+        space, nu, rho, xi, label = SpaceKind.H1, prob.nu, fem_rho(prob, n, 1.0, 1.0), cfg.xi, "a"
     else:
         ex = c_example_setup(cfg)
         prob, x0, xt, y_true = ex.problem, ex.x0, ex.xt, ex.y_true

@@ -158,6 +158,7 @@ class LinearSurrogate:
     induced: tuple  # data functions under the same change of basis
     space: SpaceKind
     center: tuple  # (x_hat0, y_hat0), the training center pair
+    load: Optional[GridFunction]  # the load the pairs were solved with
 
     @property
     def n_terms(self) -> int:
@@ -179,7 +180,7 @@ def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
         for i in range(j + 1):
             acc += transform[j, i] * ys[i].values
         induced.append(GridFunction(ys[0].n_cells, acc))
-    return LinearSurrogate(tuple(basis), tuple(induced), ts.space, ts.pairs[0])
+    return LinearSurrogate(tuple(basis), tuple(induced), ts.space, ts.pairs[0], ts.load)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_criterion_2_regularization_rate_a_example():
     """H1 reconstruction error ~ sqrt(delta) with the FEM forward map,
     parameter-choice constant 1, discretization level below delta_min."""
     deltas = tuple(0.1 * 2.0 ** (-k) for k in range(3, 10))
-    assert fem_rho(A, 256) <= min(deltas)  # delta is the binding term
+    assert fem_rho(A, 256, 1.0, 1.0) <= min(deltas)  # delta is the binding term
     table = run_study(StudyConfig("reg_rate", problem="a", n_cells=256,
                                   ladder=deltas, constant=1.0))
     assert 0.35 <= table.fitted_slope <= 0.65, table.fitted_slope

@@ -5,9 +5,10 @@ import pytest
 
 from invop.cli import SECTION_KEYS, cli_main
 from invop.config import load_config, read_section, study_config
-from invop.fem import solve_forward_reference
+from invop.fem import ProblemKind, ProblemTag, solve_forward_reference
 from invop.neural import ActivationKind
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
+from invop.studies import fem_rho
 from invop.tikhonov import NeuralMap, SurrogateHandle
 from invop.training import assemble_neural_surrogate, build_linear_surrogate, probe_pairs
 
@@ -377,10 +378,11 @@ def test_per_term_branch_layout_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["rank", "neural"])
-@pytest.mark.parametrize("key,value", [("problem", "a"), ("n_cells", "16")])
+@pytest.mark.parametrize("key,value", [("problem", "a"), ("n_cells", "16"), ("load", "1.0")])
 def test_solve_on_a_surrogate_of_another_problem_or_mesh_names_the_key(tmp_path, capsys,
                                                                        kind, key, value):
-    # a surrogate built for the c-example on 32 cells answers for nothing else
+    # a surrogate built for the c-example on 32 cells with load 50 answers for
+    # nothing else
     surr_path = _small_surrogate(tmp_path)
     cfg = Path(_small_solve(tmp_path, kind, surr_path, 1e-3))
     text = cfg.read_text()
@@ -414,6 +416,72 @@ def test_rank_file_without_a_field_names_it(tmp_path, capsys):
                      "--quiet"]) == 1
     err = capsys.readouterr().err
     assert str(rank_path) in err and "'n_terms'" in err
+
+
+def test_rank_file_without_the_load_names_it(tmp_path, capsys):
+    # a .rank file written before the load was recorded
+    surr_path = _small_surrogate(tmp_path)
+    rank_path = tmp_path / "surr.txt.rank"
+    lines = rank_path.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("load.n_cells "))
+    rank_path.write_text("\n".join(lines[:i] + lines[i + 3:]) + "\n")  # load header and payload
+    for kind in ("rank", "neural"):
+        capsys.readouterr()
+        assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
+                         "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert str(rank_path) in err and "'load.n_cells'" in err and "rebuild" in err
+
+
+def test_neural_solve_with_the_rank_file_of_another_build_names_surrogate_file(tmp_path,
+                                                                              capsys):
+    # the coefficients of a 3-term build next to the .rank file of a 2-term one
+    surr_path = _small_surrogate(tmp_path)
+    other = tmp_path / "other"
+    other.mkdir()
+    gen_cfg = _write(other / "gen.cfg", _SMALL_GENERATE.replace("count = 2", "count = 3"))
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(other / "train.txt"),
+                     "--quiet"]) == 0
+    assert cli_main(["build", "--config", _small_build(other, other / "train.txt"),
+                     "--out", str(other / "surr.txt"), "--quiet"]) == 0
+    surr_path.write_bytes((other / "surr.txt").read_bytes())
+    out = tmp_path / "run.csv"
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
+                     "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "surrogate_file" in err and "3 terms" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fem_solve_applies_the_parameter_rule_with_its_own_load(tmp_path):
+    # delta lies below rho, so alpha = constant * rho of the configured load
+    prob = ProblemKind(ProblemTag.A_EXAMPLE)
+    delta = 1e-5
+    assert delta < fem_rho(prob, 16, 2.0, 1.0) != fem_rho(prob, 16, 1.0, 1.0)
+    cfg = _write(tmp_path / "solve.cfg", f"""
+[solve]
+problem = a
+surrogate = fem
+n_cells = 16
+load = 2.0
+delta = {delta!r}
+constant = 0.5
+max_iterations = 50
+""")
+    out = tmp_path / "run.csv"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    header, row = out.read_text().splitlines()
+    alpha = float(row.split(",")[header.split(",").index("alpha")])
+    assert alpha == 0.5 * fem_rho(prob, 16, 2.0, 1.0)
+
+
+def test_fem_solve_near_the_admissibility_bound_runs(tmp_path):
+    # rho's probes scale with the center, so they stay above nu = 0.1 too
+    cfg = _write(tmp_path / "solve.cfg", "[solve]\nproblem = a\nsurrogate = fem\n"
+                 "n_cells = 16\ncenter = 0.2\ntarget = prior\nmax_iterations = 50\n")
+    assert cli_main(["solve", "--config", cfg, "--out", str(tmp_path / "run.csv"),
+                     "--quiet"]) == 0
 
 
 def test_per_term_sensor_layout_exits_one(tmp_path, capsys):

@@ -10,18 +10,27 @@ from hypothesis import strategies as st
 
 import invop
 from invop.errors import ConfigInvalid, DegenerateFit
-from invop.fem import ProblemKind, ProblemTag, solve_forward_reference
+from invop.fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
+from invop.grid import GridFunction, SpaceKind, norm
 from invop.neural import ActivationKind
 from invop.studies import (
     RateTable,
     StudyConfig,
     c_example_setup,
-    calibrate_fem_rho,
     fem_rho,
     fit_slope,
     run_study,
+    source_target_a,
 )
-from invop.training import PerturbationSpec, assemble_neural_surrogate, perturbation_shape
+from invop.tikhonov import RUN_COLUMNS
+from invop.training import (
+    PerturbationSpec,
+    assemble_neural_surrogate,
+    generate_training_set,
+    probe_pairs,
+)
+
+A = ProblemKind(ProblemTag.A_EXAMPLE)
 
 # -- fit_slope --------------------------------------------------------------
 
@@ -133,19 +142,32 @@ def test_slope_recomputable_from_rows():
     assert slope == pytest.approx(table.fitted_slope, abs=1e-12)
 
 
-def test_calibrated_rho_bounds_measured_errors():
-    for tag in ProblemTag:
-        prob = ProblemKind(tag)
-        c = calibrate_fem_rho(prob)
-        assert c > 0
-        assert fem_rho(prob, 256) == pytest.approx(c / 256 ** 2, rel=1e-14)
-        assert fem_rho(prob, 256) < 1e-4
+def test_rho_branch_binds_below_fem_rho():
+    """On a coarse mesh the ladder crosses rho: above it alpha = delta, below
+    it alpha = rho, and the error saturates at a level set by rho."""
+    rho = fem_rho(A, 32, 1.0, 1.0)
+    table = run_study(StudyConfig("reg_rate", problem="a", n_cells=32, constant=1.0,
+                                  ladder=tuple(0.1 * 2.0 ** -k for k in range(3, 16))))
+    rows = [dict(zip(RUN_COLUMNS, r.split(","))) for r in table.rows]
+    above = [r for r in rows if float(r["delta"]) >= rho]
+    below = [r for r in rows if float(r["delta"]) < rho]
+    assert above and len(below) >= 3
+    assert all(float(r["alpha"]) == float(r["delta"]) for r in above)
+    assert all(float(r["alpha"]) == rho for r in below)
+    plateau = [float(r["error_X"]) for r in below]
+    assert max(plateau) <= 1.5 * min(plateau)
+    assert max(plateau) < 0.01
 
 
-def test_fem_rho_constants_are_the_calibration():
-    # fem_rho keeps calibrate_fem_rho as literals; they must be its exact floats
-    for tag in ProblemTag:
-        assert fem_rho(ProblemKind(tag), 1) == calibrate_fem_rho(ProblemKind(tag))
+def test_fem_rho_within_100x_of_the_nodal_error_at_the_target():
+    # rho is measured on probes that exclude the target, so it may differ
+    # from the error there, but by no more than two orders of magnitude
+    for n in (16, 32, 64, 128, 256):
+        f = GridFunction.constant(1.0, n)
+        xt = source_target_a(A, GridFunction.constant(1.0, n), f, n)
+        err = norm(solve_forward_fem(A, xt, f, n) - solve_forward_reference(A, xt, f),
+                   SpaceKind.L2)
+        assert err <= fem_rho(A, n, 1.0, 1.0) <= 100.0 * err, n
 
 
 def test_csv_written_and_deterministic(tmp_path):
@@ -212,24 +234,22 @@ def test_study_output_independent_of_blas_threads(tmp_path):
 
 
 def test_c_reg_rate_solves_each_input_once(reference_solves):
-    # 6 training inputs, their center and the target: 8 distinct inputs
+    # 6 training inputs, their center, their mix and the target: 9 distinct inputs
     run_study(StudyConfig("reg_rate", problem="c", surrogate="rank", n_cells=64,
                           n_train=6, n_quad=64, n_trunk=8))
-    assert len(reference_solves) == 8
+    assert len(reference_solves) == 9
 
 
 def test_c_example_diagnostics_match_fresh_probe_solves():
-    """The diagnostics from the training pairs and y_true equal those from
-    solving the same probe inputs again, bit for bit."""
+    """The diagnostics from the training set's probe pairs equal those from
+    solving the same probe inputs again, bit for bit; the target is no probe."""
     cfg = StudyConfig("reg_rate", problem="c", surrogate="neural", seed=100)
     ex = c_example_setup(cfg)
-    n = cfg.n_cells
-    modes = [perturbation_shape(PerturbationSpec("sine", 1.0, cfg.n_train), ell, n)
-             for ell in range(1, cfg.n_train + 1)]
-    inputs = [ex.x0 + 0.1 * m for m in modes] + [ex.xt]
+    ts = generate_training_set(ex.problem, ex.load, ex.x0,
+                               PerturbationSpec("sine", 0.1, cfg.n_train))
     _, diag = assemble_neural_surrogate(
         ex.ls, cfg.n_quad, cfg.n_trunk, ActivationKind.LOGISTIC, cfg.seed + 1,
-        [(x, solve_forward_reference(ex.problem, x, ex.load)) for x in inputs],
+        [(x, solve_forward_reference(ex.problem, x, ex.load)) for x, _ in probe_pairs(ts)],
     )
     assert ex.diag.nu_N > 0.0
     assert ex.diag == diag

@@ -374,7 +374,7 @@ def test_h1_fem_solve_converges():
     x0 = GridFunction.constant(1.0, n)
     h = FemMap(A, f, n)
     yd = add_noise(h.forward(source_target_a(A, x0, f, n)), delta, seed=11)
-    alpha, eta = choose_parameters(delta, fem_rho(A, n))
+    alpha, eta = choose_parameters(delta, fem_rho(A, n, 1.0, 1.0))
     cfg = _config(x0, SpaceKind.H1, alpha=alpha, delta=delta, eta=eta, nu=A.nu)
     c = minimize_tikhonov(h, yd, cfg, x0).certificate
     assert c.status == "converged"
