@@ -35,14 +35,14 @@ def main():
           f"r_N={diag.r_N:.3e}  rho_bound={diag.rho_bound:.3e}")
 
     yd = add_noise(ex.y_true, delta, seed=7)
-    handles = [
-        FemMap(prob, f, n),
-        RankMap(ex.ls),
-        NeuralMap(ex.coeffs, ex.ls.center),
+    # each map with its own surrogate error: the rank map has no sigmoid errors
+    maps = [
+        (FemMap(prob, f, n), fem_rho(prob, n, 50.0, 1.0)),
+        (RankMap(ex.ls), diag.nu_N),
+        (NeuralMap(ex.coeffs, ex.ls.center), diag.rho_bound),
     ]
     print(",".join(RUN_COLUMNS))
-    for h in handles:
-        rho = fem_rho(prob, n, 50.0, 1.0) if isinstance(h, FemMap) else diag.rho_bound
+    for h, rho in maps:
         alpha, eta = choose_parameters(delta, rho, 0.15)
         cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=1e-4,
                              x0=x0, space=SpaceKind.L2, nu=prob.nu,

@@ -44,9 +44,8 @@ from .fem import (
     solve_forward_reference,
 )
 from .grid import GridFunction, SpaceKind, inner, norm, trapezoid_weights
-from .mollify import MollifierParams, mollification_report, mollifier_kernel, mollify, mollify_matrix
+from .mollify import mollification_report, mollifier_kernel, mollify, mollify_matrix
 from .neural import (
-    ActivationKind,
     BranchCoeffs,
     StructuredSurrogateCoeffs,
     TrunkCoeffs,

@@ -26,7 +26,6 @@ from .errors import ConfigInvalid, InvopError
 from .fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, inner, norm
 from .mollify import mollification_report
-from .neural import ActivationKind
 from .studies import (
     RateTable,
     StudyConfig,
@@ -70,6 +69,9 @@ SECTION_KEYS = {
               "target": "source", "constant": 1.0, "max_iterations": 4000},
 }
 
+#: keys that existing configs set but that take exactly one value, their default
+PINNED = {"perturbation": ("mode",), "build": ("activation",)}
+
 
 #: the config sections each subcommand reads
 COMMAND_SECTIONS = {
@@ -88,8 +90,13 @@ def _load(args) -> dict:
 
 
 def _section(cfg: dict, name: str) -> dict:
-    """Every key of the config's [name] section, parsed, or its default."""
-    return read_section(cfg, name, SECTION_KEYS[name])
+    """Every key of the config's [name] section, parsed, or its default; the
+    pinned keys are checked and left out."""
+    sec = read_section(cfg, name, SECTION_KEYS[name])
+    for key in PINNED.get(name, ()):
+        if sec.pop(key) != SECTION_KEYS[name][key]:
+            raise ConfigInvalid(f"[{name}] {key} takes only {SECTION_KEYS[name][key]!r}")
+    return sec
 
 
 def _say(args, text):
@@ -133,7 +140,6 @@ def _cmd_build(args) -> int:
         ls,
         sec["n_quad"],
         sec["n_trunk"],
-        ActivationKind(sec["activation"]),
         args.seed if args.seed is not None else sec["seed"],
         probe_pairs(ts),
     )
@@ -172,16 +178,15 @@ def _cmd_solve(args) -> int:
         if not np.array_equal(ls.load.values, f.values):
             raise ConfigInvalid(f"[solve] load = {sec['load']!r}, but {base} was built for "
                                 "another load")
-        rho = diag.rho_bound
         if kind == "rank":
-            h = RankMap(ls)
+            h, rho = RankMap(ls), diag.nu_N  # the rank map has no sigmoid errors
         else:
             coeffs = serialize.load_structured(base)
             if coeffs.n_terms != ls.n_terms:
                 raise ConfigInvalid(f"[solve] surrogate_file = {base} holds {coeffs.n_terms} "
                                     f"terms, but {base}.rank holds {ls.n_terms}; rebuild both "
                                     "with invop build")
-            h = NeuralMap(coeffs, ls.center)
+            h, rho = NeuralMap(coeffs, ls.center), diag.rho_bound
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 

@@ -12,7 +12,6 @@ and is kept as a literal, so the package does not import
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,34 +24,22 @@ from .grid import GridFunction, SpaceKind, norm
 POINTS_PER_WIDTH = 64
 
 
-def _normalization() -> float:
-    """Constant C with integral of C*exp(1/(s^2-1)) over (-1, 1) equal to 1:
-    ``1 / quad(..., -1, 1, epsabs=1e-14, epsrel=1e-14)``, which the tests
-    recompute and require to be this exact float."""
-    return 2.2522836210435817
+#: constant C with integral of C*exp(1/(s^2-1)) over (-1, 1) equal to 1:
+#: ``1 / quad(..., -1, 1, epsabs=1e-14, epsrel=1e-14)``, which the tests
+#: recompute and require to be this exact float
+NORMALIZATION = 2.2522836210435817
 
 
-@dataclass(frozen=True)
-class MollifierParams:
-    xi: float
-
-    def __post_init__(self):
-        if self.xi <= 0:
-            raise WidthTooLarge("mollification width must be positive")
-
-    @property
-    def normalization(self) -> float:
-        return _normalization()
-
-
-def mollifier_kernel(p: MollifierParams, s) -> np.ndarray:
-    """Scaled kernel value at s; zero outside (-xi, xi)."""
-    u = np.asarray(s, dtype=float) / p.xi
+def mollifier_kernel(xi: float, s) -> np.ndarray:
+    """Kernel of width xi at s; zero outside (-xi, xi)."""
+    if xi <= 0:
+        raise WidthTooLarge("mollification width must be positive")
+    u = np.asarray(s, dtype=float) / xi
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
     ui = u[inside]
     out[inside] = np.exp(1.0 / (ui * ui - 1.0))
-    out *= p.normalization / p.xi
+    out *= NORMALIZATION / xi
     if out.ndim == 0:
         return float(out)
     return out
@@ -61,7 +48,6 @@ def mollifier_kernel(p: MollifierParams, s) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _mollify_matrix(n_cells: int, xi: float) -> np.ndarray:
     """Nodal matrix A with (A x)_i = trapezoid of kernel(s_i - t) x(t) dt."""
-    p = MollifierParams(xi)
     h = 1.0 / n_cells
     refine = max(1, math.ceil(POINTS_PER_WIDTH * h / xi))
     delta = h / refine
@@ -76,7 +62,7 @@ def _mollify_matrix(n_cells: int, xi: float) -> np.ndarray:
         wq = np.full(q.size, delta)
         wq[q == 0] = 0.5 * delta
         wq[q == m] = 0.5 * delta
-        k = wq * mollifier_kernel(p, s_i - t)
+        k = wq * mollifier_kernel(xi, s_i - t)
         cell = np.minimum(q // refine, n_cells - 1)
         frac = (q - cell * refine) / refine
         np.add.at(A[i], cell, k * (1.0 - frac))
@@ -86,8 +72,8 @@ def _mollify_matrix(n_cells: int, xi: float) -> np.ndarray:
 
 def mollify_matrix(n_cells: int, xi: float) -> np.ndarray:
     """Linear operator of mollification on nodal values (read-only view)."""
-    if xi >= 0.5:
-        raise WidthTooLarge(f"width {xi} too large for the unit interval")
+    if not 0 < xi < 0.5:
+        raise WidthTooLarge(f"width {xi} outside (0, 0.5) for the unit interval")
     A = _mollify_matrix(n_cells, float(xi))
     A.setflags(write=False)
     return A

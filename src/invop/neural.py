@@ -15,7 +15,6 @@ call never forms a derivative.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,36 +23,19 @@ from .errors import DimensionMismatch, NonFiniteValue
 from .grid import GridFunction
 
 
-class ActivationKind(enum.Enum):
-    LOGISTIC = "logistic"
-    TANH_RESCALED = "tanh"
-    ARCTAN_RESCALED = "arctan"
-
-
-def activation(kind: ActivationKind, t):
-    """Sigmoid with limits 0 at -inf and 1 at +inf, strictly increasing."""
+def activation(t):
+    """Logistic sigmoid, limits 0 at -inf and 1 at +inf, strictly increasing."""
     t = np.asarray(t, dtype=float)
-    if kind is ActivationKind.LOGISTIC:
-        e = np.exp(-np.abs(t))
-        out = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    elif kind is ActivationKind.TANH_RESCALED:
-        out = 0.5 * (np.tanh(t) + 1.0)
-    else:
-        out = np.arctan(t) / np.pi + 0.5
+    e = np.exp(-np.abs(t))
+    out = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def activation_derivative(kind: ActivationKind, t):
-    t = np.asarray(t, dtype=float)
-    if kind is ActivationKind.LOGISTIC:
-        s = np.asarray(activation(kind, t))
-        out = s * (1.0 - s)
-    elif kind is ActivationKind.TANH_RESCALED:
-        out = 0.5 / np.cosh(t) ** 2
-    else:
-        out = 1.0 / (np.pi * (1.0 + t * t))
+def activation_derivative(t):
+    s = np.asarray(activation(t))
+    out = s * (1.0 - s)
     if out.ndim == 0:
         return float(out)
     return out
@@ -127,18 +109,18 @@ class TrunkCoeffs:
         return self.c.size
 
 
-def eval_branch(branch: BranchCoeffs, kind: ActivationKind, x_samples) -> np.ndarray:
+def eval_branch(branch: BranchCoeffs, x_samples) -> np.ndarray:
     """The branch's N outputs, one per term, at the input samples."""
     xs = np.asarray(x_samples, dtype=float)
     if xs.shape != (branch.n_l,):
         raise DimensionMismatch(f"expected {branch.n_l} input samples, got {xs.shape}")
-    sig = activation(kind, branch.arguments(xs))
+    sig = activation(branch.arguments(xs))
     return np.array([np.dot(c_i, sig) for c_i in branch.c])
 
 
-def eval_trunk(trunk: TrunkCoeffs, kind: ActivationKind, t_points) -> np.ndarray:
+def eval_trunk(trunk: TrunkCoeffs, t_points) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
-    return activation(kind, np.outer(trunk.w, t) + trunk.zeta[:, None]).T @ trunk.c
+    return activation(np.outer(trunk.w, t) + trunk.zeta[:, None]).T @ trunk.c
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +134,6 @@ class StructuredSurrogateCoeffs:
     branch: BranchCoeffs
     trunks: tuple  # of TrunkCoeffs
     s_points: np.ndarray  # (L,) sensor points in [0, 1]
-    activation: ActivationKind = ActivationKind.LOGISTIC
 
     def __post_init__(self):
         if self.branch.c.shape[0] != len(self.trunks):
@@ -186,8 +167,8 @@ def eval_structured_with_gradient(
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
     b = s.branch
     z = b.arguments(x.sample(s.s_points))
-    sig = activation(s.activation, z)
-    trunks = [eval_trunk(trunk, s.activation, t) for trunk in s.trunks]
+    sig = activation(z)
+    trunks = [eval_trunk(trunk, t) for trunk in s.trunks]
     out = np.zeros(t.size)
     for c_i, tr in zip(b.c, trunks):
         out += float(np.dot(c_i, sig)) * tr
@@ -197,7 +178,7 @@ def eval_structured_with_gradient(
         idx = np.clip(np.floor(s.s_points * n).astype(int), 0, n - 1)
         frac = s.s_points * n - idx
         left = 1.0 - frac
-        dz = activation_derivative(s.activation, z[:-1])
+        dz = activation_derivative(z[:-1])
         grad = np.zeros(n + 1)
         for c_i, tr in zip(b.c, trunks):
             g = np.dot(tr, v) * (c_i[:-1] * dz * b.w)

@@ -12,7 +12,9 @@ term, ``branch.w``, ``branch.theta``) and the trunks per term; a file in an
 older layout, with a ``term0.branch.*`` field or without the shared
 ``s_points``, raises :class:`ConfigInvalid` naming the field.  Fields a
 reader does not use, such as ``seed`` or ``transform`` in older files, are
-ignored.
+ignored.  The surrogate's ``activation`` and the training set's
+``perturbation.mode`` are written as their one supported value, and a file
+where either reads another value raises :class:`ConfigInvalid` naming it.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ import numpy as np
 from .errors import ConfigInvalid
 from .fem import ProblemKind, ProblemTag
 from .grid import GridFunction, SpaceKind
-from .neural import (
-    ActivationKind,
-    BranchCoeffs,
-    StructuredSurrogateCoeffs,
-    TrunkCoeffs,
-)
+from .neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
 from .training import LinearSurrogate, PerturbationSpec, SurrogateDiagnostics, TrainingSet
 
 MAGIC = "invop 1"
@@ -139,12 +136,23 @@ def _get_grid(fields: dict, prefix: str) -> GridFunction:
     return GridFunction(fields[f"{prefix}.n_cells"], fields[f"{prefix}.values"])
 
 
+#: fields every file of its kind holds with this one value
+ACTIVATION = "logistic"
+PERTURBATION_MODE = "sine"
+
+
+def _check_pinned(fields: _Fields, name: str, value: str):
+    if fields[name] != value:
+        raise ConfigInvalid(f"{fields.path}: field {name!r} reads {fields[name]!r}; "
+                            f"only {value!r} is supported")
+
+
 # ---------------------------------------------------------------------------
 # operator coefficients
 
 
 def save_structured(path, s: StructuredSurrogateCoeffs):
-    fields = [("activation", s.activation.value), ("n_terms", s.n_terms),
+    fields = [("activation", ACTIVATION), ("n_terms", s.n_terms),
               ("s_points", s.s_points), ("branch.c", s.branch.c),
               ("branch.w", s.branch.w), ("branch.theta", s.branch.theta)]
     for i, t in enumerate(s.trunks):
@@ -158,6 +166,7 @@ def save_structured(path, s: StructuredSurrogateCoeffs):
 
 def load_structured(path) -> StructuredSurrogateCoeffs:
     f = _read(path, "StructuredSurrogateCoeffs")
+    _check_pinned(f, "activation", ACTIVATION)
     old = next((name for name in f if name.startswith("term0.branch.")), None)
     if old is not None:
         raise ConfigInvalid(f"{path}: field {old!r} belongs to the layout with one branch "
@@ -167,9 +176,7 @@ def load_structured(path) -> StructuredSurrogateCoeffs:
         for i in range(f["n_terms"])
     )
     return StructuredSurrogateCoeffs(
-        BranchCoeffs(f["branch.c"], f["branch.w"], f["branch.theta"]),
-        trunks, f["s_points"], ActivationKind(f["activation"]),
-    )
+        BranchCoeffs(f["branch.c"], f["branch.w"], f["branch.theta"]), trunks, f["s_points"])
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +192,7 @@ def save_training_set(path, ts: TrainingSet):
     ]
     if ts.perturbation is not None:
         fields += [
-            ("perturbation.mode", ts.perturbation.mode),
+            ("perturbation.mode", PERTURBATION_MODE),
             ("perturbation.amplitude", ts.perturbation.amplitude),
             ("perturbation.count", ts.perturbation.count),
         ]
@@ -205,8 +212,8 @@ def load_training_set(path) -> TrainingSet:
     )
     pert = None
     if "perturbation.mode" in f:
-        pert = PerturbationSpec(f["perturbation.mode"], f["perturbation.amplitude"],
-                                f["perturbation.count"])
+        _check_pinned(f, "perturbation.mode", PERTURBATION_MODE)
+        pert = PerturbationSpec(f["perturbation.amplitude"], f["perturbation.count"])
     load = _get_grid(f, "load") if "load.n_cells" in f else None
     return TrainingSet(
         pairs, ProblemKind(ProblemTag(f["problem"]), f["nu"]),

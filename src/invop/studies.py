@@ -21,7 +21,6 @@ from .errors import ConfigInvalid, DegenerateFit
 from .fem import ProblemKind, ProblemTag, adjoint_apply, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, norm, trapezoid_weights
 from .mollify import mollify
-from .neural import ActivationKind
 from .tikhonov import (
     RUN_COLUMNS,
     FemMap,
@@ -92,7 +91,7 @@ class StudyConfig:
     constant: float = 1.0  # parameter-choice constant
     xi: float = 0.0
     max_iterations: int = 20000
-    jobs: int = 1
+    jobs: int = 1  # kept so that existing configs parse; takes only 1
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -126,8 +125,10 @@ class StudyConfig:
             raise ConfigInvalid("ladder entries must be positive")
         if self.n_cells < 4 or self.n_train < 1 or self.n_quad < 2 or self.n_trunk < 2:
             raise ConfigInvalid("resolution parameters out of range")
-        if self.constant <= 0 or self.xi < 0 or self.jobs < 1 or self.max_iterations < 1:
-            raise ConfigInvalid("constant/xi/jobs/max_iterations out of range")
+        if self.constant <= 0 or self.xi < 0 or self.max_iterations < 1:
+            raise ConfigInvalid("constant/xi/max_iterations out of range")
+        if self.jobs != 1:
+            raise ConfigInvalid("jobs takes only 1: studies run serially")
 
     def default_ladder(self) -> tuple:
         if self.study == "fem_rate":
@@ -217,7 +218,7 @@ def fem_rho(problem: ProblemKind, n: int, load: float, center: float) -> float:
     """Surrogate error of the n-cell Galerkin map: its largest L2 data error over
     the probe pairs of six sine modes at a tenth of the constant center."""
     f, x0 = GridFunction.constant(load, n), GridFunction.constant(center, n)
-    ts = generate_training_set(problem, f, x0, PerturbationSpec("sine", 0.1 * center, 6))
+    ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1 * center, 6))
     return max(norm(solve_forward_fem(problem, x, f, n) - y, SpaceKind.L2)
                for x, y in probe_pairs(ts))
 
@@ -304,14 +305,13 @@ def c_example_setup(cfg: StudyConfig) -> CExample:
     prob = ProblemKind(ProblemTag.C_EXAMPLE)
     f = GridFunction.constant(50.0, n)
     x0 = GridFunction.constant(1.0, n)
-    spec = PerturbationSpec("sine", 0.1, cfg.n_train)
+    spec = PerturbationSpec(0.1, cfg.n_train)
     ts = generate_training_set(prob, f, x0, spec)
     ls = build_linear_surrogate(ts)
     xt = source_target_c(x0, ls, n)
     y_true = solve_forward_reference(prob, xt, f)
     coeffs, diag = assemble_neural_surrogate(
-        ls, cfg.n_quad, cfg.n_trunk, ActivationKind.LOGISTIC, cfg.seed + 1,
-        probe_pairs(ts),
+        ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1, probe_pairs(ts),
     )
     return CExample(prob, f, x0, ls, xt, y_true, coeffs, diag)
 
@@ -331,34 +331,21 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         ex = c_example_setup(cfg)
         prob, x0, xt, y_true = ex.problem, ex.x0, ex.xt, ex.y_true
         if cfg.surrogate == "rank":
-            h = RankMap(ex.ls)
+            h, rho = RankMap(ex.ls), ex.diag.nu_N  # the rank map has no sigmoid errors
         else:
-            h = NeuralMap(ex.coeffs, ex.ls.center)
-        space, nu, rho, xi, label = SpaceKind.L2, prob.nu, ex.diag.rho_bound, cfg.xi, "c"
+            h, rho = NeuralMap(ex.coeffs, ex.ls.center), ex.diag.rho_bound
+        space, nu, xi, label = SpaceKind.L2, prob.nu, cfg.xi, "c"
 
-    def one(i_delta):
-        i, d = i_delta
+    runs = []
+    for i, d in enumerate(deltas):
         seed = cfg.seed + 100 + i
         yd = add_noise(y_true, d, seed)
         alpha, eta = choose_parameters(d, rho, cfg.constant)
         tik = TikhonovConfig(alpha=alpha, delta=d, eta=eta, xi=xi, x0=x0,
                              space=space, nu=nu, max_iterations=cfg.max_iterations, x_true=xt)
-        return solve_inverse_problem(h, yd, tik, x0, seed=seed, problem_label=label)
-
-    runs = []
-    if cfg.jobs > 1:
-        # imported here: with logging it adds 0.6 MB resident to every process
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            for r in ex.map(one, enumerate(deltas)):
-                runs.append(r)
-                rows.append(r.csv_row())
-    else:
-        for p in enumerate(deltas):
-            r = one(p)
-            runs.append(r)
-            rows.append(r.csv_row())
+        r = solve_inverse_problem(h, yd, tik, x0, seed=seed, problem_label=label)
+        runs.append(r)
+        rows.append(r.csv_row())
 
     slope, stderr = fit_slope(deltas, [r.error_X for r in runs])
     return RUN_COLUMNS, slope, stderr, ()

@@ -24,7 +24,6 @@ from .errors import (
 from .fem import ProblemKind, solve_forward_reference
 from .grid import GridFunction, SpaceKind, gram_apply, inner, norm, trapezoid_weights
 from .neural import (
-    ActivationKind,
     BranchCoeffs,
     StructuredSurrogateCoeffs,
     TrunkCoeffs,
@@ -51,31 +50,21 @@ TRUNK_CONSTANT_BIAS = 40.0
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    mode: str  # "sine" or "bumps"
     amplitude: float
     count: int
 
     def __post_init__(self):
-        if self.mode not in ("sine", "bumps"):
-            raise ValueError(f"unknown perturbation mode {self.mode!r}")
         if self.count < 1:
             raise ValueError("need at least one perturbation")
         if self.amplitude <= 0:
             raise ValueError("amplitude must be positive")
 
 
-def perturbation_shape(spec: PerturbationSpec, index: int, n_cells: int) -> GridFunction:
-    """The index-th unit-scale perturbation direction (1-based)."""
+def perturbation_shape(index: int, n_cells: int) -> GridFunction:
+    """The index-th perturbation direction (1-based): sqrt(2) sin(index pi s),
+    of unit L2 norm."""
     s = np.linspace(0.0, 1.0, n_cells + 1)
-    if spec.mode == "sine":
-        # sqrt(2) gives each mode unit L2 norm
-        vals = np.sqrt(2.0) * np.sin(index * np.pi * s)
-    else:
-        width = 1.5 / (spec.count + 1)
-        center = index / (spec.count + 1)
-        u = np.clip(1.0 - ((s - center) / width) ** 2, 0.0, None)
-        vals = u**3
-    return GridFunction(n_cells, vals)
+    return GridFunction(n_cells, np.sqrt(2.0) * np.sin(index * np.pi * s))
 
 
 @dataclass(frozen=True)
@@ -99,10 +88,7 @@ def generate_training_set(
 ) -> TrainingSet:
     space = problem.image_space
     n_cells = center_x.n_cells
-    shapes = [
-        perturbation_shape(perturbation, ell, n_cells)
-        for ell in range(1, perturbation.count + 1)
-    ]
+    shapes = [perturbation_shape(ell, n_cells) for ell in range(1, perturbation.count + 1)]
     margin = float(np.min(center_x.values)) - problem.fem_lower_bound()
     reach = perturbation.amplitude * max(float(np.max(np.abs(s.values))) for s in shapes)
     if reach > margin:
@@ -191,9 +177,7 @@ def quadrature_nodes(n_k: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_k + 1)
 
 
-def _near_linear_branch(
-    kind: ActivationKind, slopes: np.ndarray, anchor_vals: np.ndarray
-) -> BranchCoeffs:
+def _near_linear_branch(slopes: np.ndarray, anchor_vals: np.ndarray) -> BranchCoeffs:
     """Sigmoid network whose output i is sum_k slopes[i, k] (x(t_k) - anchor_k),
     zero at the anchor.
 
@@ -201,13 +185,13 @@ def _near_linear_branch(
     cancels the nodes' value at the anchor samples to rounding.
     """
     eps = LINEAR_NODE_EPS
-    c = slopes / (activation_derivative(kind, 0.0) * eps)
+    c = slopes / (activation_derivative(0.0) * eps)
     w = np.full(anchor_vals.size, eps)
     theta = -eps * anchor_vals
-    sig = activation(kind, w * anchor_vals + theta)
+    sig = activation(w * anchor_vals + theta)
     at_anchor = np.array([np.dot(c_i, sig) for c_i in c])
     # 0.0 - v, not -v: an exact cancellation gives c0 = +0.0
-    c0 = (0.0 - at_anchor) / activation(kind, 0.0)
+    c0 = (0.0 - at_anchor) / activation(0.0)
     return BranchCoeffs(np.column_stack([c, c0]), w, np.append(theta, 0.0))
 
 
@@ -215,9 +199,7 @@ def _near_linear_branch(
 # trunk fit
 
 
-def fit_trunk(
-    y_underline: GridFunction, n_j: int, activation_kind: ActivationKind, seed: int
-):
+def fit_trunk(y_underline: GridFunction, n_j: int, seed: int):
     """One-shot least-squares fit of a sigmoid expansion to a data function.
 
     Node 0 is a saturated constant; the rest have random weights and
@@ -237,12 +219,12 @@ def fit_trunk(
         if n_j > 1:
             w[1:] = rng.uniform(-TRUNK_WEIGHT_SPAN, TRUNK_WEIGHT_SPAN, n_j - 1)
             zeta[1:] = -w[1:] * rng.uniform(0.0, 1.0, n_j - 1)
-        features = activation(activation_kind, np.outer(t, w) + zeta)
+        features = activation(np.outer(t, w) + zeta)
         weighted = features * sw[:, None]
         if np.linalg.cond(weighted) <= TRUNK_COND_LIMIT:
             c, *_ = np.linalg.lstsq(weighted, sw * y_underline.values, rcond=None)
             trunk = TrunkCoeffs(c, w, zeta)
-            fit = eval_trunk(trunk, activation_kind, t)
+            fit = eval_trunk(trunk, t)
             residual = float(np.sqrt(np.sum((sw * (fit - y_underline.values)) ** 2)))
             return trunk, residual
     raise IllConditionedFit(
@@ -302,14 +284,7 @@ def probe_pairs(ts: TrainingSet) -> tuple:
     return ts.pairs[1:] + ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
 
 
-def assemble_neural_surrogate(
-    ls: LinearSurrogate,
-    n_k: int,
-    n_j: int,
-    activation_kind: ActivationKind,
-    seed: int,
-    probes,
-):
+def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int, probes):
     """Branch/trunk realization of the rank-N surrogate with diagnostics.
 
     Output ell of the one near-linear branch network realizes the
@@ -321,16 +296,16 @@ def assemble_neural_surrogate(
     x0 = ls.center[0]
     t = quadrature_nodes(n_k)
     slopes = np.array([gram_apply(xb.resample(n_k).values, n_k, ls.space) for xb in ls.basis])
-    branch = _near_linear_branch(activation_kind, slopes, x0.sample(t))
-    trunks, residuals = zip(*(fit_trunk(yb, n_j, activation_kind, seed + 7 * ell)
+    branch = _near_linear_branch(slopes, x0.sample(t))
+    trunks, residuals = zip(*(fit_trunk(yb, n_j, seed + 7 * ell)
                               for ell, yb in enumerate(ls.induced)))
-    coeffs = StructuredSurrogateCoeffs(branch, trunks, t, activation_kind)
+    coeffs = StructuredSurrogateCoeffs(branch, trunks, t)
 
     probes = list(probes)
     q_n = 0.0
     for x, _ in probes:
         x = x.resample(x0.n_cells)
-        outputs = eval_branch(branch, activation_kind, x.sample(t))
+        outputs = eval_branch(branch, x.sample(t))
         for b, xb in zip(outputs.tolist(), ls.basis):
             q_n = max(q_n, abs(b - inner(x - x0, xb, ls.space)))
 

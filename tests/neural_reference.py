@@ -21,7 +21,6 @@ import numpy as np
 from invop.errors import DimensionMismatch, NonFiniteValue
 from invop.grid import GridFunction
 from invop.neural import (
-    ActivationKind,
     BranchCoeffs,
     StructuredSurrogateCoeffs,
     activation,
@@ -54,8 +53,8 @@ def eval_structured_dense(s: StructuredSurrogateCoeffs, x: GridFunction, t_point
     branch = s.branch
     for c_i, trunk in zip(branch.c, s.trunks):
         z = dense_weights(branch) @ x.sample(s.s_points) + branch.theta
-        b = float(np.dot(c_i, activation(s.activation, z)))
-        out += b * eval_trunk(trunk, s.activation, t)
+        b = float(np.dot(c_i, activation(z)))
+        out += b * eval_trunk(trunk, t)
     return out
 
 
@@ -66,9 +65,9 @@ def jacobian_structured_dense(s: StructuredSurrogateCoeffs, x: GridFunction, t_p
     branch = s.branch
     for c_i, trunk in zip(branch.c, s.trunks):
         w = dense_weights(branch)
-        d = activation_derivative(s.activation, w @ x.sample(s.s_points) + branch.theta)
+        d = activation_derivative(w @ x.sample(s.s_points) + branch.theta)
         g_nodes = interp_matrix_t(s.s_points, x.n_cells) @ ((c_i * d) @ w)
-        jac += np.outer(eval_trunk(trunk, s.activation, t), g_nodes)
+        jac += np.outer(eval_trunk(trunk, t), g_nodes)
     return jac
 
 
@@ -86,7 +85,6 @@ class NeuralOperatorCoeffs:
     theta: np.ndarray  # (N_j, N_k)
     s_points: np.ndarray  # (N_l,) sample locations in [0, 1]
     zeta: np.ndarray  # (N_j,)
-    activation: ActivationKind = ActivationKind.LOGISTIC
 
     def __post_init__(self):
         alpha = np.atleast_2d(np.asarray(self.alpha, dtype=float))
@@ -132,11 +130,9 @@ def eval_neural_operator(coeffs: NeuralOperatorCoeffs, x: GridFunction, t_points
     """Evaluate the flat-form operator at the given output locations."""
     xs = x.sample(coeffs.s_points)
     inner = np.einsum("jkl,l->jk", coeffs.w, xs) + coeffs.theta
-    b = np.sum(coeffs.alpha * activation(coeffs.activation, inner), axis=1)
+    b = np.sum(coeffs.alpha * activation(inner), axis=1)
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
-    trunk = activation(
-        coeffs.activation, np.outer(coeffs.w_vec, t) + coeffs.zeta[:, None]
-    )
+    trunk = activation(np.outer(coeffs.w_vec, t) + coeffs.zeta[:, None])
     return b @ trunk
 
 
@@ -182,5 +178,4 @@ def flatten_structured(s: StructuredSurrogateCoeffs) -> NeuralOperatorCoeffs:
         theta=np.broadcast_to(theta, alpha.shape),
         s_points=s_points,
         zeta=zeta,
-        activation=s.activation,
     )

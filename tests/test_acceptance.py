@@ -16,7 +16,6 @@ from invop.fem import (
 )
 from invop.grid import GridFunction, SpaceKind, inner, norm
 from invop.mollify import mollify
-from invop.neural import ActivationKind
 from invop.studies import (
     StudyConfig,
     c_example_setup,
@@ -109,8 +108,7 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     n = 256
     f = GridFunction.constant(50.0, n)
     x0 = GridFunction.constant(1.0, n)
-    spec = PerturbationSpec("sine", 1.0, n_terms + 1)
-    dirs = [0.1 * perturbation_shape(spec, l, n) for l in range(1, n_terms + 1)]
+    dirs = [0.1 * perturbation_shape(l, n) for l in range(1, n_terms + 1)]
     pairs = ((x0, GridFunction.zero(n)),) + tuple(
         (x0 + d, derivative_apply(C, x0, d, f, n)) for d in dirs)
     ls = build_linear_surrogate(TrainingSet(pairs, C, SpaceKind.L2))
@@ -125,7 +123,7 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     assert norm(got - expect, SpaceKind.L2) <= 1e-9 * norm(expect, SpaceKind.L2)
 
     scale = max(norm(y, SpaceKind.L2) for _, y in pairs)
-    ortho = perturbation_shape(spec, n_terms + 1, n)  # L2-orthogonal mode
+    ortho = perturbation_shape(n_terms + 1, n)  # L2-orthogonal mode
     annihilated = rank.forward(x0 + ortho)
     assert norm(annihilated, SpaceKind.L2) <= 1e-9 * scale
 
@@ -144,8 +142,7 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     s = c_surrogate
     f, x0, ls = s.load, s.x0, s.ls
     n = x0.n_cells
-    modes = [perturbation_shape(PerturbationSpec("sine", 1.0, 8), l, n)
-             for l in range(1, 9)]
+    modes = [perturbation_shape(l, n) for l in range(1, 9)]
 
     def draw(rng):
         dev = sum(float(rng.uniform(-1, 1)) * (0.1 / (l + 1)) * m.values
@@ -156,7 +153,7 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     rng = np.random.default_rng(999)
     diag_probes = [draw(rng) for _ in range(32)]
     coeffs, diag = assemble_neural_surrogate(
-        ls, 512, 14, ActivationKind.LOGISTIC, seed=1,
+        ls, 512, 14, seed=1,
         probes=[(x, solve_forward_reference(C, x, f)) for x in diag_probes],
     )
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
@@ -198,10 +195,9 @@ def test_criterion_8_optimization_soundness():
     n = 96
     f = GridFunction.constant(50.0, n)
     x0 = GridFunction.constant(1.0, n)
-    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4))
+    ts = generate_training_set(C, f, x0, PerturbationSpec(0.1, 4))
     ls = build_linear_surrogate(ts)
-    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1,
-                                             probes=probe_pairs(ts))
+    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, seed=1, probes=probe_pairs(ts))
     h_rank = RankMap(ls)
 
     # closed-form minimizer of the exactly-quadratic rank functional:
@@ -224,7 +220,7 @@ def test_criterion_8_optimization_soundness():
     assert norm(res.x - x_star, SpaceKind.L2) <= 1e-8
 
     # certificate exactness along a direction the misfit cannot see
-    ortho = perturbation_shape(PerturbationSpec("sine", 1.0, 6), 6, n)
+    ortho = perturbation_shape(6, n)
     for bi in ls.basis:
         ortho = ortho - inner(ortho, bi, SpaceKind.L2) * bi
     x_probe = x_star + 0.01 * ortho

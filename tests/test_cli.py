@@ -6,7 +6,6 @@ import pytest
 from invop.cli import SECTION_KEYS, cli_main
 from invop.config import load_config, read_section, study_config
 from invop.fem import ProblemKind, ProblemTag, solve_forward_reference
-from invop.neural import ActivationKind
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
 from invop.studies import fem_rho
 from invop.tikhonov import NeuralMap, SurrogateHandle
@@ -187,8 +186,7 @@ def test_build_diagnostics_match_fresh_probe_solves(tmp_path):
     _, stored = load_linear_surrogate(str(surr_path) + ".rank")
     ts = load_training_set(tmp_path / "train.txt")
     fresh = [(x, solve_forward_reference(ts.problem, x, ts.load)) for x, _ in probe_pairs(ts)]
-    _, diag = assemble_neural_surrogate(build_linear_surrogate(ts), 32, 4,
-                                        ActivationKind.LOGISTIC, 1, fresh)
+    _, diag = assemble_neural_surrogate(build_linear_surrogate(ts), 32, 4, 1, fresh)
     assert stored.nu_N > 0.0
     assert (stored.nu_N, stored.q_N, stored.rho_bound) == (diag.nu_N, diag.q_N, diag.rho_bound)
 
@@ -231,6 +229,40 @@ def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, command, secti
     out = tmp_path / "out"
     capsys.readouterr()
     assert cli_main([command, "--config", path, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+#: config keys and file fields that existing configs and files hold, each of
+#: which takes one value, with another value: (command, section or file, key, value)
+_PINNED = [
+    ("generate", "perturbation", "mode", "bumps"), ("build", "build", "activation", "tanh"),
+    ("study", "study", "jobs", "2"), ("solve", "surr.txt", "activation", "tanh"),
+    ("build", "train.txt", "perturbation.mode", "bumps")]
+
+
+@pytest.mark.parametrize("command,where,key,value", _PINNED,
+                         ids=[f"{w}-{k}" for _, w, k, _ in _PINNED])
+def test_pinned_key_or_field_of_another_value_names_it(tmp_path, capsys, command, where, key,
+                                                        value):
+    surr_path = _small_surrogate(tmp_path)  # train.txt and surr.txt, both loadable
+    if where.endswith(".txt"):
+        path = tmp_path / where
+        path.write_text("".join(f"{key} str {value}\n" if line.startswith(f"{key} str ")
+                                else line for line in path.read_text().splitlines(True)))
+        cfg = (_small_solve(tmp_path, "neural", surr_path, 1e-3) if command == "solve"
+               else _small_build(tmp_path, path))
+    else:
+        sections = {name: dict(sec) for name, sec in _RUNNABLE[command].items()}
+        sections.setdefault("build", {})["training"] = str(tmp_path / "train.txt")
+        sections[where][key] = value
+        cfg = _write(tmp_path / "c.cfg", "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
+            for name, sec in sections.items() if name in _RUNNABLE[command]))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli_main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not out.exists()
@@ -319,14 +351,15 @@ def test_solve_uses_surrogate_error_from_build(tmp_path):
     assert diag.nu_N > 0.0
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
     delta = 1e-7
-    assert diag.rho_bound > delta  # so alpha = constant * rho, not constant * delta
-    for kind in ("rank", "neural"):
+    assert diag.nu_N > delta  # so alpha = constant * rho, not constant * delta
+    # the rank map's error is nu_N; the sigmoid map adds its branch and trunk errors
+    for kind, rho in (("rank", diag.nu_N), ("neural", diag.rho_bound)):
         out = tmp_path / f"{kind}.csv"
         assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, delta),
                          "--out", str(out), "--quiet"]) == 0
         header, row = out.read_text().splitlines()
         alpha = float(row.split(",")[header.split(",").index("alpha")])
-        assert alpha == 0.5 * diag.rho_bound, kind
+        assert alpha == 0.5 * rho, kind
 
 
 def test_solve_without_stored_diagnostics_names_field(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from invop.errors import PropertyViolation, WidthTooLarge
 from invop.grid import GridFunction, SpaceKind, norm
 from invop.mollify import (
-    MollifierParams,
+    NORMALIZATION,
     mollification_report,
     mollifier_kernel,
     mollify,
@@ -31,31 +31,28 @@ def _reference_mass():
 
 
 def test_normalization_constant_against_independent_quadrature():
-    p = MollifierParams(0.1)
-    assert p.normalization == pytest.approx(1.0 / _reference_mass(), rel=1e-9)
-    assert p.normalization == pytest.approx(2.2522836210435817, rel=1e-12)
+    assert NORMALIZATION == pytest.approx(1.0 / _reference_mass(), rel=1e-9)
     # the package stores the constant as a literal; it must be the exact
     # float that scipy's adaptive quadrature gives with these settings
     from scipy.integrate import quad
 
     val, _ = quad(lambda s: math.exp(1.0 / (s * s - 1.0)), -1.0, 1.0,
                   epsabs=1e-14, epsrel=1e-14)
-    assert p.normalization == 1.0 / val
+    assert NORMALIZATION == 1.0 / val
 
 
 def test_kernel_has_unit_mass_and_compact_support():
-    p = MollifierParams(0.07)
-    s = np.linspace(-p.xi, p.xi, 200001)
-    mass = np.trapezoid(mollifier_kernel(p, s), s)
+    xi = 0.07
+    s = np.linspace(-xi, xi, 200001)
+    mass = np.trapezoid(mollifier_kernel(xi, s), s)
     assert mass == pytest.approx(1.0, abs=1e-8)
-    assert mollifier_kernel(p, p.xi) == 0.0
-    assert mollifier_kernel(p, -1.5 * p.xi) == 0.0
+    assert mollifier_kernel(xi, xi) == 0.0
+    assert mollifier_kernel(xi, -1.5 * xi) == 0.0
 
 
 def test_kernel_symmetric_and_nonnegative():
-    p = MollifierParams(0.2)
     s = np.linspace(-0.3, 0.3, 301)
-    k = mollifier_kernel(p, s)
+    k = mollifier_kernel(0.2, s)
     assert np.all(k >= 0.0)
     assert k == pytest.approx(k[::-1], rel=1e-9, abs=1e-12)
 
@@ -71,8 +68,11 @@ def test_constant_away_from_boundary_is_preserved():
 def test_width_bound_enforced():
     with pytest.raises(WidthTooLarge):
         mollify_matrix(64, 0.5)
-    with pytest.raises(WidthTooLarge):
-        MollifierParams(0.0)
+    for xi in (0.0, -0.1):
+        with pytest.raises(WidthTooLarge):
+            mollify_matrix(64, xi)
+        with pytest.raises(WidthTooLarge):
+            mollifier_kernel(xi, 0.0)
 
 
 def test_matrix_is_read_only():

@@ -7,7 +7,6 @@ from invop import neural
 from invop.errors import DimensionMismatch, NonFiniteValue
 from invop.grid import GridFunction
 from invop.neural import (
-    ActivationKind,
     BranchCoeffs,
     StructuredSurrogateCoeffs,
     TrunkCoeffs,
@@ -28,36 +27,34 @@ from neural_reference import (
     jacobian_structured_dense,
 )
 
-KINDS = list(ActivationKind)
+#: the ids name the one activation, as a surrogate file's ``activation`` field does
+LOGISTIC = pytest.mark.parametrize("kind", ["logistic"])
 
 
 # -- activations ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@LOGISTIC
 def test_activation_midpoint_and_limits(kind):
-    assert activation(kind, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert activation(kind, 50.0) > 0.99
-    assert activation(kind, -50.0) < 0.01
+    assert activation(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert activation(50.0) > 0.99
+    assert activation(-50.0) < 0.01
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@LOGISTIC
 def test_activation_derivative_matches_fd(kind):
     t = np.linspace(-4, 4, 17)
     eps = 1e-6
-    fd = (activation(kind, t + eps) - activation(kind, t - eps)) / (2 * eps)
-    assert activation_derivative(kind, t) == pytest.approx(fd, abs=1e-9)
+    fd = (activation(t + eps) - activation(t - eps)) / (2 * eps)
+    assert activation_derivative(t) == pytest.approx(fd, abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
 @given(t=st.floats(-15, 15))
 def test_activation_monotone_in_unit_interval(t):
-    # beyond |t| ~ 19 the rescaled tanh saturates to the closed endpoints in
-    # float64, so strict bounds are asserted on the unsaturated range only
-    for kind in KINDS:
-        v = float(activation(kind, t))
-        assert 0.0 < v < 1.0
-        assert float(activation_derivative(kind, t)) >= 0.0
+    v = float(activation(t))
+    assert 0.0 < v < 1.0
+    assert float(activation_derivative(t)) >= 0.0
 
 
 # -- branch / trunk ---------------------------------------------------------
@@ -76,15 +73,15 @@ def test_eval_branch_is_weighted_sigmoid_sum():
     b = _random_branch(rng, n_terms=3)
     xs = rng.standard_normal(5)
     z = dense_weights(b) @ xs + b.theta
-    expect = [float(np.dot(c_i, activation(ActivationKind.LOGISTIC, z))) for c_i in b.c]
-    assert eval_branch(b, ActivationKind.LOGISTIC, xs) == pytest.approx(expect, rel=1e-14)
+    expect = [float(np.dot(c_i, activation(z))) for c_i in b.c]
+    assert eval_branch(b, xs) == pytest.approx(expect, rel=1e-14)
 
 
 def test_eval_branch_rejects_wrong_sample_count():
     rng = np.random.default_rng(1)
     b = _random_branch(rng)
     with pytest.raises(DimensionMismatch):
-        eval_branch(b, ActivationKind.LOGISTIC, np.zeros(4))
+        eval_branch(b, np.zeros(4))
 
 
 def test_branch_rejects_dense_weights():
@@ -107,7 +104,7 @@ def test_branch_rejects_output_weights_of_the_wrong_shape():
 
 def test_eval_trunk_shape_and_value():
     trunk = TrunkCoeffs(np.array([2.0]), np.array([0.0]), np.array([0.0]))
-    out = eval_trunk(trunk, ActivationKind.LOGISTIC, [0.1, 0.9])
+    out = eval_trunk(trunk, [0.1, 0.9])
     # zero weight: sigmoid(0) = 1/2, coefficient 2 -> constant 1
     assert out == pytest.approx([1.0, 1.0], abs=1e-15)
 
@@ -115,7 +112,7 @@ def test_eval_trunk_shape_and_value():
 # -- the kernel against the dense oracle ------------------------------------
 
 
-def _random_structured(rng, n_terms=3, kind=ActivationKind.LOGISTIC):
+def _random_structured(rng, n_terms=3):
     """Random, far from near-linear coefficients whose branch reads random
     sensor points off the mesh nodes; trunk widths differ between terms."""
     n_l = 6
@@ -129,7 +126,7 @@ def _random_structured(rng, n_terms=3, kind=ActivationKind.LOGISTIC):
             rng.standard_normal(n_j),
         ))
     pts = np.sort(rng.uniform(0.0, 1.0, n_l))
-    return StructuredSurrogateCoeffs(branch, tuple(trunks), pts, kind)
+    return StructuredSurrogateCoeffs(branch, tuple(trunks), pts)
 
 
 def _rel(a, b):
@@ -161,10 +158,10 @@ def test_coefficient_count_formula():
     assert c.coefficient_count == n_j * (n_k * (n_l + 2) + 3)
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@LOGISTIC
 def test_pullback_matches_dense_jacobian(kind):
     rng = np.random.default_rng(8)
-    s = _random_structured(rng, kind=kind)
+    s = _random_structured(rng)
     n = 32
     x = GridFunction(n, rng.standard_normal(n + 1))
     t_points = np.linspace(0, 1, 9)
@@ -210,9 +207,9 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
     x = GridFunction(n, 1.0 + 0.1 * rng.standard_normal(n + 1))
     calls = []
 
-    def counted(kind, t):
+    def counted(t):
         calls.append(1)
-        return activation_derivative(kind, t)
+        return activation_derivative(t)
 
     monkeypatch.setattr(neural, "activation_derivative", counted)
     h = NeuralMap(s, center)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import invop
+import invop.cli  # the benchmark's CLI round calls invop.cli.cli_main
 from invop.grid import GridFunction
 from invop.neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
 from invop.tikhonov import FemMap, NeuralMap, RankMap, SurrogateHandle
@@ -65,11 +66,28 @@ def test_benchmark_tracer_hooks_hold():
         assert not overridden, (cls.__name__, overridden)
 
 
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_cli_round_runs(tmp_path):
+    # the benchmark writes its own generate/build/solve configs and reads the
+    # two surrogate files by name; a change that breaks either fails here first
+    workloads = _perfbench_module("workloads")
+    rnd = workloads.cli_pipeline(invop, 13, tmp_path)
+    assert rnd.errors == [] and rnd.problems == []
+    surrogate = invop.RUN_COLUMNS.index("surrogate")
+    assert [row[surrogate] for row in rnd.rows] == ["LinearRankN", "NeuralOperator"]
+
+
 def test_neural_kernel_traced_once_per_map_call():
     # perfbench/run.py counts neural.eval_grad_calls as the spans of this name
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     kernel = "neural.eval_structured_with_gradient"
     coeffs = StructuredSurrogateCoeffs(
         BranchCoeffs([[1.0, -0.5, 2.0, 0.3]], [0.5, 1.0, -1.0], [0.1, 0.0, -0.2, 0.0]),

@@ -12,7 +12,6 @@ from invop.config import load_config, study_config
 from invop.errors import DegenerateScale, DimensionMismatch, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm
-from invop.neural import ActivationKind
 from invop.studies import c_example_setup, fem_rho, source_target_a
 from invop.tikhonov import (
     MEMORY,
@@ -50,10 +49,9 @@ def handles():
     """One handle of each kind on a shared c-example setup."""
     f = GridFunction.constant(50.0, N)
     x0 = GridFunction.constant(1.0, N)
-    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 4))
+    ts = generate_training_set(C, f, x0, PerturbationSpec(0.1, 4))
     ls = build_linear_surrogate(ts)
-    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, ActivationKind.LOGISTIC, seed=1,
-                                             probes=probe_pairs(ts))
+    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, seed=1, probes=probe_pairs(ts))
     return {
         "fem": FemMap(C, f, N),
         "rank": RankMap(ls),
@@ -396,7 +394,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     delta = study.ladder[i]
     yd = add_noise(solve_forward_reference(C, ex.xt, ex.load), delta,
                    study.seed + 100 + i)
-    alpha, eta = choose_parameters(delta, ex.diag.rho_bound, study.constant)
+    alpha, eta = choose_parameters(delta, ex.diag.nu_N, study.constant)
     cfg = _config(ex.x0, SpaceKind.L2, alpha=alpha, delta=delta, eta=eta,
                   xi=study.xi, nu=C.nu, max_iterations=study.max_iterations)
     calls = _count_gradients(monkeypatch)

@@ -8,7 +8,7 @@ from invop.errors import (
 )
 from invop.fem import ProblemKind, ProblemTag, derivative_apply, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, inner, norm
-from invop.neural import ActivationKind, eval_branch
+from invop.neural import eval_branch
 from invop.studies import StudyConfig, c_example_setup
 from invop.tikhonov import RankMap
 from invop.training import (
@@ -31,7 +31,7 @@ N = 128
 def c_setup():
     f = GridFunction.constant(50.0, N)
     x0 = GridFunction.constant(1.0, N)
-    ts = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 5))
+    ts = generate_training_set(C, f, x0, PerturbationSpec(0.1, 5))
     ls = build_linear_surrogate(ts)
     return f, x0, ts, ls
 
@@ -48,24 +48,14 @@ def test_training_set_layout(c_setup):
 
 
 def test_perturbation_shapes_unit_norm():
-    spec = PerturbationSpec("sine", 1.0, 4)
     for ell in range(1, 5):
-        m = perturbation_shape(spec, ell, 512)
+        m = perturbation_shape(ell, 512)
         assert norm(m, SpaceKind.L2) == pytest.approx(1.0, rel=1e-4)
-
-
-def test_bump_mode_is_compactly_supported():
-    spec = PerturbationSpec("bumps", 1.0, 3)
-    m = perturbation_shape(spec, 1, 256)
-    # the bump at the first center dies out before the far boundary
-    assert np.all(m.values >= 0.0)
-    assert np.count_nonzero(m.values) < 200
-    assert np.max(m.values) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_generation_is_deterministic(c_setup):
     f, x0, ts, ls = c_setup
-    ts2 = generate_training_set(C, f, x0, PerturbationSpec("sine", 0.1, 5))
+    ts2 = generate_training_set(C, f, x0, PerturbationSpec(0.1, 5))
     for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
         assert np.array_equal(x.values, x2.values)
         assert np.array_equal(y.values, y2.values)
@@ -75,14 +65,14 @@ def test_inadmissible_amplitude_rejected():
     f = GridFunction.constant(1.0, N)
     x0 = GridFunction.constant(0.15, N)  # only 0.05 above the bound nu=0.1
     with pytest.raises(NonAdmissiblePerturbation):
-        generate_training_set(A, f, x0, PerturbationSpec("sine", 0.2, 3))
+        generate_training_set(A, f, x0, PerturbationSpec(0.2, 3))
 
 
 def test_dependent_images_detected():
     f = GridFunction.constant(1.0, N)
     x0 = GridFunction.constant(1.0, N)
     ts = generate_training_set(C, GridFunction.constant(50.0, N), x0,
-                               PerturbationSpec("sine", 0.1, 3))
+                               PerturbationSpec(0.1, 3))
     # duplicate a pair to force dependence downstream
     dup = ts.pairs + (ts.pairs[1],)
     with pytest.raises(DependentImages):
@@ -140,7 +130,7 @@ def test_assembled_branches_vanish_at_center():
     x0 = ex.ls.center[0]
     assert ex.coeffs.n_terms == 6
     branch = ex.coeffs.branch
-    at_center = eval_branch(branch, ex.coeffs.activation, x0.sample(ex.coeffs.s_points))
+    at_center = eval_branch(branch, x0.sample(ex.coeffs.s_points))
     assert at_center.shape == (6,)
     for value, c_i in zip(at_center, branch.c):
         assert abs(value) <= 1e-12 * np.sum(np.abs(c_i))
@@ -148,7 +138,7 @@ def test_assembled_branches_vanish_at_center():
 
 def test_trunk_fit_residual_small(c_setup):
     f, x0, ts, ls = c_setup
-    trunk, residual = fit_trunk(ls.induced[0], 14, ActivationKind.LOGISTIC, seed=1)
+    trunk, residual = fit_trunk(ls.induced[0], 14, seed=1)
     assert residual < 1e-3
     assert trunk.c.shape == (14,)
 
@@ -156,7 +146,7 @@ def test_trunk_fit_residual_small(c_setup):
 def test_trunk_fit_raises_when_overparameterized(c_setup):
     f, x0, ts, ls = c_setup
     with pytest.raises(IllConditionedFit):
-        fit_trunk(ls.induced[0], 32, ActivationKind.LOGISTIC, seed=0)
+        fit_trunk(ls.induced[0], 32, seed=0)
 
 
 # -- assembled surrogate ----------------------------------------------------
@@ -164,11 +154,10 @@ def test_trunk_fit_raises_when_overparameterized(c_setup):
 
 def test_assembled_surrogate_diagnostics_identity(c_setup):
     f, x0, ts, ls = c_setup
-    modes = [perturbation_shape(PerturbationSpec("sine", 1.0, 5), l, N)
-             for l in range(1, 6)]
+    modes = [perturbation_shape(l, N) for l in range(1, 6)]
     probes = [x0 + 0.1 * m for m in modes]
     coeffs, diag = assemble_neural_surrogate(
-        ls, 256, 12, ActivationKind.LOGISTIC, seed=1,
+        ls, 256, 12, seed=1,
         probes=[(x, solve_forward_reference(C, x, f)) for x in probes],
     )
     assert diag.n_terms == ls.n_terms
@@ -181,12 +170,11 @@ def test_linearized_branch_accuracy_both_spaces():
     for prob, space in ((C, SpaceKind.L2), (A, SpaceKind.H1)):
         f = GridFunction.constant(50.0 if prob is C else 1.0, N)
         x0 = GridFunction.constant(1.0, N)
-        ts = generate_training_set(prob, f, x0, PerturbationSpec("sine", 0.05, 3))
+        ts = generate_training_set(prob, f, x0, PerturbationSpec(0.05, 3))
         ls = build_linear_surrogate(ts)
-        probes = [x0 + 0.05 * perturbation_shape(PerturbationSpec("sine", 1.0, 3), l, N)
-                  for l in range(1, 4)]
+        probes = [x0 + 0.05 * perturbation_shape(l, N) for l in range(1, 4)]
         coeffs, diag = assemble_neural_surrogate(
-            ls, 256, 12, ActivationKind.LOGISTIC, seed=1,
+            ls, 256, 12, seed=1,
             probes=[(x, solve_forward_reference(prob, x, f)) for x in probes],
         )
         # dominated by resampling the probe onto the finer sample submesh
