@@ -1,36 +1,30 @@
 #!/usr/bin/env python3
-"""Run the four convergence-rate studies and write their CSV tables.
+"""Run the five headline convergence-rate studies and write their CSV tables.
 
 Usage: python scripts/run_all_studies.py [outdir]
 
-Produces fem_rate.csv, quadrature_rate.csv, reg_rate_a.csv, reg_rate_c.csv
-and mollify_rate.csv in the output directory (default ./results) and
-prints one summary line per study.
+Runs the studies of configs/fem_rate.cfg, quadrature_rate.cfg,
+mollify_rate.cfg, reg_rate_a.cfg and reg_rate_c.cfg, writes each table to
+<name>.csv in the output directory (default ./results) and prints one
+summary line per study.
 """
 
 import sys
 import time
 from pathlib import Path
 
-from invop import StudyConfig, run_study
+from invop import run_study
+from invop.config import load_config, study_config
 
-STUDIES = [
-    ("fem_rate", StudyConfig("fem_rate")),
-    ("quadrature_rate", StudyConfig("surrogate_error")),
-    ("mollify_rate", StudyConfig("mollify_rate")),
-    ("reg_rate_a", StudyConfig("reg_rate", problem="a")),
-    ("reg_rate_c", StudyConfig(
-        "reg_rate", problem="c", surrogate="neural",
-        constant=0.15, xi=1e-4, seed=100,
-    )),
-]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+STUDIES = ("fem_rate", "quadrature_rate", "mollify_rate", "reg_rate_a", "reg_rate_c")
 
 
 def main():
     outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "results")
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, cfg in STUDIES:
-        cfg = StudyConfig(**{**cfg.__dict__, "out": str(outdir / f"{name}.csv")})
+    for name in STUDIES:
+        cfg = study_config(load_config(CONFIGS / f"{name}.cfg"), out=outdir / f"{name}.csv")
         start = time.perf_counter()
         table = run_study(cfg)
         elapsed = time.perf_counter() - start

@@ -178,6 +178,9 @@ def _cmd_solve(args) -> int:
         if not np.array_equal(ls.load.values, f.values):
             raise ConfigInvalid(f"[solve] load = {sec['load']!r}, but {base} was built for "
                                 "another load")
+        if not np.array_equal(ls.center[0].values, x0.values):
+            raise ConfigInvalid(f"[solve] center = {sec['center']!r}, but {base} was built "
+                                "around another center")
         if kind == "rank":
             h, rho = RankMap(ls), diag.nu_N  # the rank map has no sigmoid errors
         else:

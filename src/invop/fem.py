@@ -136,20 +136,19 @@ def derivative_apply(
     f: GridFunction,
     n: int,
 ) -> GridFunction:
-    """Directional derivative of the FEM forward map at x in direction hdir."""
-    kind.check_admissible(x)
-    xv = x.resample(n).values
-    hv = hdir.resample(n).values
+    """Directional derivative of the FEM forward map at x in direction hdir,
+    both on the n-cell mesh."""
+    x._check_mesh(n)
+    hdir._check_mesh(n)
     y = solve_forward_fem(kind, x, f, n)
-    yv = y.values
     h = 1.0 / n
     if kind.tag is ProblemTag.A_EXAMPLE:
-        p_main, p_off = _stiffness_bands(hv, h)
+        p_main, p_off = _stiffness_bands(hdir.values, h)
     else:
-        p_main, p_off = _mass_bands(hv, h)
-    rhs = -_tridiag_apply(p_main, p_off, yv[1:-1])
+        p_main, p_off = _mass_bands(hdir.values, h)
+    rhs = -_tridiag_apply(p_main, p_off, y.values[1:-1])
     u = np.zeros(n + 1)
-    u[1:-1] = _galerkin_solve(kind, xv, n, rhs)
+    u[1:-1] = _galerkin_solve(kind, x.values, n, rhs)
     return GridFunction(n, u)
 
 
@@ -181,18 +180,18 @@ def misfit_gradient_nodal(
     """Euclidean-gradient form of the adjoint, before the Riesz map.
 
     ``y`` is the forward solution solve_forward_fem(kind, x, f, n), which
-    the caller has already computed.  Returns z with
-    z_j = <F'[x] e_j, r>_L2 for nodal directions e_j.
+    the caller has already computed; x, y and r lie on the n-cell mesh.
+    Returns z with z_j = <F'[x] e_j, r>_L2 for nodal directions e_j.
     """
+    for g in (x, y, r):
+        g._check_mesh(n)
     kind.check_admissible(x)
-    xv = x.resample(n).values
-    rv = r.resample(n).values
-    yv = y.resample(n).values
+    yv = y.values
     h = 1.0 / n
 
     w = trapezoid_weights(n)
     p = np.zeros(n + 1)
-    p[1:-1] = _galerkin_solve(kind, xv, n, (w * rv)[1:-1])
+    p[1:-1] = _galerkin_solve(kind, x.values, n, (w * r.values)[1:-1])
 
     z = np.zeros(n + 1)
     if kind.tag is ProblemTag.A_EXAMPLE:

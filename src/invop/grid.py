@@ -50,10 +50,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     @property
-    def h(self) -> float:
-        return 1.0 / self.n_cells
-
-    @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_cells + 1)
 
@@ -74,18 +70,18 @@ class GridFunction:
 
     # -- arithmetic (same mesh only; resampling is explicit) ---------------
 
-    def _check_mesh(self, other: "GridFunction"):
-        if self.n_cells != other.n_cells:
-            raise DimensionMismatch(
-                f"mesh mismatch: {self.n_cells} vs {other.n_cells} cells"
-            )
+    def _check_mesh(self, n_cells: int):
+        """Raise DimensionMismatch unless this function lies on the n_cells mesh."""
+        if self.n_cells != n_cells:
+            raise DimensionMismatch(f"mesh mismatch: {self.n_cells} cells where the "
+                                    f"{n_cells}-cell mesh is expected")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_mesh(other)
+        other._check_mesh(self.n_cells)
         return GridFunction(self.n_cells, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_mesh(other)
+        other._check_mesh(self.n_cells)
         return GridFunction(self.n_cells, self.values - other.values)
 
     def __mul__(self, c: float) -> "GridFunction":
@@ -117,16 +113,22 @@ def trapezoid_weights(n_cells: int) -> np.ndarray:
     return w
 
 
-def inner(x: GridFunction, z: GridFunction, space: SpaceKind = SpaceKind.L2) -> float:
-    x._check_mesh(z)
-    w = trapezoid_weights(x.n_cells)
-    val = float(np.dot(w * x.values, z.values))
+def _inner_nodal(u: np.ndarray, v: np.ndarray, n_cells: int, space: SpaceKind) -> float:
+    """The inner product of the functions with nodal values u and v on the
+    n_cells mesh."""
+    w = trapezoid_weights(n_cells)
+    val = float(np.dot(w * u, v))
     if space is SpaceKind.H1:
-        h = x.h
-        dx = np.diff(x.values) / h
-        dz = np.diff(z.values) / h
-        val += float(np.dot(dx, dz)) * h
+        h = 1.0 / n_cells
+        du = np.diff(u) / h
+        dv = np.diff(v) / h
+        val += float(np.dot(du, dv)) * h
     return val
+
+
+def inner(x: GridFunction, z: GridFunction, space: SpaceKind = SpaceKind.L2) -> float:
+    z._check_mesh(x.n_cells)
+    return _inner_nodal(x.values, z.values, x.n_cells, space)
 
 
 def norm(x: GridFunction, space: SpaceKind = SpaceKind.L2) -> float:

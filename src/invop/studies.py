@@ -148,7 +148,6 @@ class RateTable:
     fitted_slope: float
     slope_stderr: float
     case_slopes: tuple = ()
-    aborted: bool = False
 
     def csv_lines(self):
         yield ",".join(self.columns)
@@ -373,15 +372,14 @@ _BODIES = {
 
 def run_study(cfg: StudyConfig) -> RateTable:
     """Execute the configured study; on failure the rows completed so far are
-    still written (flagged as aborted) before the error propagates."""
+    still written, with an ``# aborted: ...`` note, before the error propagates."""
     body = _BODIES[cfg.study]
     rows: list = []
     try:
         columns, slope, stderr, case_slopes = body(cfg, rows)
     except Exception as err:
         if cfg.out:
-            table = RateTable(("partial",), tuple(rows), float("nan"),
-                              float("nan"), aborted=True)
+            table = RateTable(("partial",), tuple(rows), float("nan"), float("nan"))
             _write_table(cfg.out, table, f"aborted: {type(err).__name__}: {err}")
         raise
     table = RateTable(tuple(columns), tuple(rows), slope, stderr, case_slopes)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     DegenerateScale,
-    DimensionMismatch,
     NonAdmissibleCoefficient,
     Stalled,
 )
@@ -34,6 +33,7 @@ from .fem import ProblemKind, misfit_gradient_nodal, solve_forward_fem
 from .grid import (
     GridFunction,
     SpaceKind,
+    _inner_nodal,
     gram_apply,
     gram_solve,
     inner,
@@ -65,7 +65,7 @@ class TikhonovConfig:
     space: SpaceKind
     nu: float
     max_iterations: int = 2000
-    x_true: Optional[GridFunction] = None  # reporting metadata only
+    x_true: Optional[GridFunction] = None  # reporting metadata only, on x0's mesh
 
     def __post_init__(self):
         if self.alpha <= 0 or self.eta <= 0:
@@ -78,6 +78,8 @@ class TikhonovConfig:
             raise ValueError("max_iterations must be positive")
         if float(np.min(self.x0.values)) < self.nu:
             raise NonAdmissibleCoefficient("prior center violates the bound nu")
+        if self.x_true is not None:
+            self.x_true._check_mesh(self.x0.n_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +90,9 @@ class SurrogateHandle:
     """A forward map F_n inside the functional: FemMap, RankMap or NeuralMap.
 
     Each map provides ``label``, ``n_terms`` and ``_evaluate(x)``, which
-    returns the data y for the (already mollified) input x and a pullback
-    taking r to the Euclidean nodal gradient of inner(y, r, L2) in x.
+    checks that the (already mollified) input x lies on the map's mesh and
+    returns the data y and a pullback taking r, on y's mesh, to the
+    Euclidean nodal gradient of inner(y, r, L2) in x.
     """
 
     def forward(self, x: GridFunction) -> GridFunction:
@@ -100,7 +103,7 @@ class SurrogateHandle:
         """Data misfit ||forward(x) - y_delta||^2 and its Euclidean nodal
         gradient with respect to the values of x."""
         y, pullback = self._evaluate(x)
-        r = y - y_delta.resample(y.n_cells)
+        r = y - y_delta
         return inner(r, r, SpaceKind.L2), 2.0 * pullback(r)
 
 
@@ -115,11 +118,10 @@ class FemMap(SurrogateHandle):
     n_terms = 0
 
     def _evaluate(self, x: GridFunction):
+        x._check_mesh(self.n)
         y = solve_forward_fem(self.problem, x, self.load, self.n)
 
         def pullback(r: GridFunction) -> np.ndarray:
-            if x.n_cells != self.n:
-                raise DimensionMismatch("FEM surrogate expects inputs on its mesh")
             return misfit_gradient_nodal(self.problem, x, y, r, self.n)
 
         return y, pullback
@@ -139,13 +141,11 @@ class RankMap(SurrogateHandle):
     def _evaluate(self, x: GridFunction):
         x0, y0 = self.ls.center
         out = y0.values.copy()
-        xc = x.resample(x0.n_cells) - x0
+        xc = x - x0
         for b, y in zip(self.ls.basis, self.ls.induced):
             out += inner(xc, b, self.ls.space) * y.values
 
         def pullback(r: GridFunction) -> np.ndarray:
-            if x.n_cells != x0.n_cells:
-                raise DimensionMismatch("rank-N surrogate expects inputs on its mesh")
             grad = np.zeros(x.n_cells + 1)
             for b, y in zip(self.ls.basis, self.ls.induced):
                 g = gram_apply(b.values, b.n_cells, self.ls.space)
@@ -171,13 +171,10 @@ class NeuralMap(SurrogateHandle):
 
     def _evaluate(self, x: GridFunction):
         x0, y0 = self.center
-        out, vjp = eval_structured_with_gradient(
-            self.coeffs, x.resample(x0.n_cells), y0.nodes
-        )
+        x._check_mesh(x0.n_cells)
+        out, vjp = eval_structured_with_gradient(self.coeffs, x, y0.nodes)
 
         def pullback(r: GridFunction) -> np.ndarray:
-            if x.n_cells != x0.n_cells:
-                raise DimensionMismatch("neural surrogate expects inputs on its mesh")
             return vjp(trapezoid_weights(r.n_cells) * r.values)
 
         return GridFunction(y0.n_cells, y0.values + out), pullback
@@ -227,8 +224,8 @@ def tikhonov_value(
     _check_admissible(x, cfg)
     v = _smoothed(x, cfg)
     y = h.forward(v)
-    r = y - y_delta.resample(y.n_cells)
-    d = x - cfg.x0.resample(x.n_cells)
+    r = y - y_delta
+    d = x - cfg.x0
     return inner(r, r, SpaceKind.L2) + cfg.alpha * inner(d, d, cfg.space)
 
 
@@ -236,14 +233,15 @@ def tikhonov_value_and_gradient(
     h: SurrogateHandle, x: GridFunction, y_delta: GridFunction, cfg: TikhonovConfig
 ):
     """Functional value and its gradient in the configured solution space."""
+    x._check_mesh(cfg.x0.n_cells)
     _check_admissible(x, cfg)
     v = _smoothed(x, cfg)
     misfit, gz = h.misfit_and_gradient(v, y_delta)
     if cfg.xi > 0:
         gz = mollify_matrix(x.n_cells, cfg.xi).T @ gz
-    d = x - cfg.x0.resample(x.n_cells)
-    value = misfit + cfg.alpha * inner(d, d, cfg.space)
-    grad = gram_solve(gz, x.n_cells, cfg.space) + 2.0 * cfg.alpha * d.values
+    d = x.values - cfg.x0.values
+    value = misfit + cfg.alpha * _inner_nodal(d, d, x.n_cells, cfg.space)
+    grad = gram_solve(gz, x.n_cells, cfg.space) + 2.0 * cfg.alpha * d
     return value, GridFunction(x.n_cells, grad)
 
 
@@ -265,10 +263,6 @@ class ApproximateMinimizer:
     functional_value: float
     certificate: Certificate
     config: TikhonovConfig
-
-
-def _project(x: GridFunction, nu: float) -> GridFunction:
-    return GridFunction(x.n_cells, np.maximum(x.values, nu))
 
 
 class _LbfgsMemory:
@@ -315,7 +309,7 @@ def minimize_tikhonov(
     x_init: GridFunction,
 ) -> ApproximateMinimizer:
     """Projected limited-memory BFGS with a monotone backtracking (halving)
-    line search.
+    line search, run on nodal arrays: each trial builds one GridFunction.
 
     Each iteration moves along d = H g from ``_LbfgsMemory``, the L-BFGS
     inverse Hessian of the last MEMORY accepted pairs in the X metric,
@@ -332,7 +326,7 @@ def minimize_tikhonov(
     """
     if float(np.min(x_init.values)) < cfg.nu - 1e-12:
         raise NonAdmissibleCoefficient("initial guess violates the bound nu")
-    x = _project(x_init, cfg.nu)
+    x = GridFunction(x_init.n_cells, np.maximum(x_init.values, cfg.nu))
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
     gnorm = norm(grad, cfg.space)
     best = (x, value, gnorm, 0)
@@ -346,25 +340,23 @@ def minimize_tikhonov(
         if it - best[3] >= STALL_ITERATIONS:
             return _finish(*best, "stagnated", cfg)
         it += 1
-        accepted = False
         d = memory.direction(grad.values)
         t = min(1.0, 2.0 * t)
         for _ in range(MAX_HALVINGS):
-            cand = _project(GridFunction(x.n_cells, x.values - t * d), cfg.nu)
-            move = x - cand
-            decrease = inner(grad, move, cfg.space)
+            cand = GridFunction(x.n_cells, np.maximum(x.values - t * d, cfg.nu))
+            move = x.values - cand.values
+            decrease = _inner_nodal(grad.values, move, x.n_cells, cfg.space)
             cand_value, cand_grad = tikhonov_value_and_gradient(
                 h, cand, y_delta, cfg
             )
             if cand_value <= value - ARMIJO * decrease and cand_value <= value:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             raise Stalled(
                 f"line search failed {MAX_HALVINGS} halvings at iteration {it}"
             )
-        memory.update(-move.values, cand_grad.values - grad.values)
+        memory.update(-move, cand_grad.values - grad.values)
         x, value, grad = cand, cand_value, cand_grad
         gnorm = norm(grad, cfg.space)
         if value < best[1]:
@@ -430,7 +422,7 @@ def solve_inverse_problem(
     result = minimize_tikhonov(h, y_delta, cfg, x_init)
     runtime_ms = (time.perf_counter() - start) * 1e3
     if cfg.x_true is not None:
-        err = norm(result.x - cfg.x_true.resample(result.x.n_cells), cfg.space)
+        err = norm(result.x - cfg.x_true, cfg.space)
     else:
         err = float("nan")
     return RegularizationRun(

@@ -22,7 +22,7 @@ from .errors import (
     NonAdmissiblePerturbation,
 )
 from .fem import ProblemKind, solve_forward_reference
-from .grid import GridFunction, SpaceKind, gram_apply, inner, norm, trapezoid_weights
+from .grid import GridFunction, SpaceKind, _inner_nodal, gram_apply, inner, norm, trapezoid_weights
 from .neural import (
     BranchCoeffs,
     StructuredSurrogateCoeffs,
@@ -251,6 +251,7 @@ def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
     For each probe pair (x, F[x]) the data deviation F[x] - F[x_center] is
     projected off the span of the induced data functions; the ratio to
     ||x - x_center|| in the surrogate space is maximized over the pairs.
+    Every x and F[x] lies on the mesh of the center pair.
     """
     pairs = list(pairs)
     if not pairs:
@@ -263,10 +264,13 @@ def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
 
     worst = 0.0
     for x, y in pairs:
-        dx = norm(x.resample(x0.n_cells) - x0, ls.space)
+        x._check_mesh(x0.n_cells)
+        y._check_mesh(n_cells)
+        e = x.values - x0.values
+        dx = float(np.sqrt(_inner_nodal(e, e, x0.n_cells, ls.space)))
         if dx < 1e-14:
             continue
-        d = (y.resample(n_cells).values - y0.values) * sw
+        d = (y.values - y0.values) * sw
         resid = d - q @ (q.T @ d)
         worst = max(worst, float(np.linalg.norm(resid)) / dx)
     return worst
@@ -304,10 +308,11 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
     probes = list(probes)
     q_n = 0.0
     for x, _ in probes:
-        x = x.resample(x0.n_cells)
+        x._check_mesh(x0.n_cells)
+        e = x.values - x0.values
         outputs = eval_branch(branch, x.sample(t))
         for b, xb in zip(outputs.tolist(), ls.basis):
-            q_n = max(q_n, abs(b - inner(x - x0, xb, ls.space)))
+            q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, x0.n_cells, ls.space)))
 
     r_n = max(residuals)
     nu_n = estimate_nu_N(ls, probes)

@@ -337,6 +337,7 @@ surrogate = {kind}
 surrogate_file = {surr_path}
 n_cells = 32
 load = 50.0
+center = 1.0
 delta = {delta!r}
 constant = 0.5
 target = prior
@@ -411,11 +412,12 @@ def test_per_term_branch_layout_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["rank", "neural"])
-@pytest.mark.parametrize("key,value", [("problem", "a"), ("n_cells", "16"), ("load", "1.0")])
+@pytest.mark.parametrize("key,value", [("problem", "a"), ("n_cells", "16"), ("load", "1.0"),
+                                       ("center", "0.5")])
 def test_solve_on_a_surrogate_of_another_problem_or_mesh_names_the_key(tmp_path, capsys,
                                                                        kind, key, value):
-    # a surrogate built for the c-example on 32 cells with load 50 answers for
-    # nothing else
+    # a surrogate built for the c-example on 32 cells with load 50 around
+    # center 1 answers for nothing else
     surr_path = _small_surrogate(tmp_path)
     cfg = Path(_small_solve(tmp_path, kind, surr_path, 1e-3))
     text = cfg.read_text()

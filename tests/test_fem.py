@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from invop.errors import NonAdmissibleCoefficient
+from invop.errors import DimensionMismatch, NonAdmissibleCoefficient
 from invop.fem import (
     ProblemKind,
     ProblemTag,
     adjoint_apply,
     derivative_apply,
+    misfit_gradient_nodal,
     solve_forward_fem,
     solve_forward_reference,
 )
@@ -106,6 +107,19 @@ def test_adjoint_identity(prob):
     lhs = inner(derivative_apply(prob, x, h, f, n), r, SpaceKind.L2)
     rhs = inner(h, adjoint_apply(prob, x, r, f, n), prob.image_space)
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_kernels_reject_an_input_on_another_mesh():
+    # the misfit gradient and the derivative take r and hdir on the n-cell
+    # mesh and resample neither
+    n = 32
+    x = f = GridFunction.constant(1.0, n)
+    y = solve_forward_fem(A, x, f, n)
+    other = GridFunction.constant(1.0, n // 2)
+    with pytest.raises(DimensionMismatch, match="32-cell mesh"):
+        misfit_gradient_nodal(A, x, y, other, n)
+    with pytest.raises(DimensionMismatch, match="32-cell mesh"):
+        derivative_apply(A, x, other, f, n)
 
 
 def test_linearity_of_derivative():

@@ -61,12 +61,37 @@ def handles():
     }
 
 
-@pytest.mark.parametrize("kind", ["rank", "neural"])
+@pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
 def test_pullback_rejects_an_input_on_another_mesh(handles, kind):
-    # as FemMap's does: the gradient would live on the surrogate's mesh
-    x = GridFunction.constant(1.0, N // 2)
+    # every entry point takes its inputs on the map's mesh and resamples
+    # neither an input x nor the data y_delta
+    h, x0 = handles[kind], handles["x0"]
+    cfg = _config(x0, SpaceKind.L2)
+    y = h.forward(x0)
+    x_other, y_other = GridFunction.constant(1.0, N // 2), y.resample(N // 2)
+    calls = {
+        "forward": lambda: h.forward(x_other),
+        "misfit_and_gradient": lambda: h.misfit_and_gradient(x_other, y),
+        "tikhonov_value": lambda: tikhonov_value(h, x_other, y, cfg),
+        "tikhonov_value_and_gradient": lambda: tikhonov_value_and_gradient(h, x_other, y, cfg),
+        "misfit_and_gradient, data": lambda: h.misfit_and_gradient(x0, y_other),
+        "tikhonov_value, data": lambda: tikhonov_value(h, x0, y_other, cfg),
+        "tikhonov_value_and_gradient, data":
+            lambda: tikhonov_value_and_gradient(h, x0, y_other, cfg),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except DimensionMismatch as err:
+            assert "mesh" in str(err), (name, str(err))
+        else:
+            pytest.fail(f"{name} accepted an input on another mesh")
+
+
+def test_config_rejects_a_true_coefficient_on_another_mesh(handles):
+    # the error against x_true would otherwise fail only after the solve
     with pytest.raises(DimensionMismatch, match="mesh"):
-        handles[kind].misfit_and_gradient(x, GridFunction.zero(N))
+        _config(handles["x0"], SpaceKind.L2, x_true=GridFunction.constant(1.0, N // 2))
 
 
 # -- noise ------------------------------------------------------------------
@@ -377,6 +402,32 @@ def test_h1_fem_solve_converges():
     c = minimize_tikhonov(h, yd, cfg, x0).certificate
     assert c.status == "converged"
     assert c.eta_bound <= cfg.eta
+
+
+def test_line_search_builds_four_grid_functions_per_gradient(monkeypatch):
+    # the line search runs on nodal arrays: per evaluation one GridFunction
+    # for the trial point, and the data, residual and gradient of the map;
+    # counted as perfbench counts grid.functions_per_grad_eval
+    n = 64
+    f = x0 = GridFunction.constant(1.0, n)
+    yd = add_noise(solve_forward_reference(A, source_target_a(A, x0, f, n), f), 1e-3, seed=3)
+    cfg = _config(x0, SpaceKind.H1, eta=1e-30, nu=A.nu, max_iterations=10)
+    counts = {"built": 0, "evaluations": 0}
+    post_init, evaluate = GridFunction.__post_init__, tikhonov_value_and_gradient
+
+    def counting_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    def counting_evaluate(*args):
+        counts["evaluations"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(invop.tikhonov, "tikhonov_value_and_gradient", counting_evaluate)
+    res = minimize_tikhonov(FemMap(A, f, n), yd, cfg, x0)
+    assert res.certificate.status == "budget"
+    assert counts["built"] <= 4 * counts["evaluations"], counts
 
 
 def test_c_rank_solve_gradient_evaluations(monkeypatch):
