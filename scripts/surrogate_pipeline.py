@@ -47,8 +47,7 @@ def main():
         cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=1e-4,
                              x0=x0, space=SpaceKind.L2, nu=prob.nu,
                              max_iterations=20000, x_true=xt)
-        print(solve_inverse_problem(h, yd, cfg, x0, seed=7,
-                                    problem_label="c").csv_row())
+        print(solve_inverse_problem(h, yd, cfg, seed=7, problem_label="c").csv_row())
 
 
 if __name__ == "__main__":

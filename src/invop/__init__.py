@@ -68,7 +68,6 @@ from .tikhonov import (
     choose_parameters,
     minimize_tikhonov,
     solve_inverse_problem,
-    tikhonov_value,
     tikhonov_value_and_gradient,
 )
 from .training import (

@@ -44,7 +44,6 @@ from .tikhonov import (
     add_noise,
     choose_parameters,
     solve_inverse_problem,
-    tikhonov_value,
     tikhonov_value_and_gradient,
 )
 from .training import (
@@ -208,7 +207,7 @@ def _cmd_solve(args) -> int:
         alpha=alpha, delta=delta, eta=eta, xi=sec["xi"], x0=x0, space=space, nu=prob.nu,
         max_iterations=sec["max_iterations"], x_true=xt,
     )
-    run = solve_inverse_problem(h, yd, tik, x0, seed=seed, problem_label=sec["problem"])
+    run = solve_inverse_problem(h, yd, tik, seed=seed, problem_label=sec["problem"])
     lines = [",".join(RUN_COLUMNS), run.csv_row()]
     if args.out:
         with open(args.out, "w") as fh:
@@ -274,8 +273,8 @@ def _verify_groups():
             cfg = TikhonovConfig(alpha=1e-8, delta=1e-3, eta=1e-6, xi=0.0, x0=x0,
                                  space=space, nu=nu)
             _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
-            fd = (tikhonov_value(h, x + eps * d, yd, cfg)
-                  - tikhonov_value(h, x - eps * d, yd, cfg)) / (2 * eps)
+            fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
+                  - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
             an = inner(g, d, space)
             assert abs(fd - an) <= 1e-4 * abs(an), (h.label, fd, an)
 

@@ -64,10 +64,6 @@ class GridFunction:
     def constant(c: float, n_cells: int) -> "GridFunction":
         return GridFunction(n_cells, np.full(n_cells + 1, float(c)))
 
-    @staticmethod
-    def zero(n_cells: int) -> "GridFunction":
-        return GridFunction(n_cells, np.zeros(n_cells + 1))
-
     # -- arithmetic (same mesh only; resampling is explicit) ---------------
 
     def _check_mesh(self, n_cells: int):
@@ -88,9 +84,6 @@ class GridFunction:
         return GridFunction(self.n_cells, self.values * float(c))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.n_cells, -self.values)
 
     # -- evaluation / resampling ------------------------------------------
 

@@ -81,10 +81,6 @@ class BranchCoeffs:
     def n_l(self) -> int:
         return self.w.size
 
-    def arguments(self, xs: np.ndarray) -> np.ndarray:
-        """Node arguments w_l x_l + theta_l, the constant node's last."""
-        return np.append(self.w * xs, 0.0) + self.theta
-
 
 @dataclass(frozen=True)
 class TrunkCoeffs:
@@ -114,7 +110,8 @@ def eval_branch(branch: BranchCoeffs, x_samples) -> np.ndarray:
     xs = np.asarray(x_samples, dtype=float)
     if xs.shape != (branch.n_l,):
         raise DimensionMismatch(f"expected {branch.n_l} input samples, got {xs.shape}")
-    sig = activation(branch.arguments(xs))
+    # node arguments w_l x_l + theta_l, the constant node's last
+    sig = activation(np.append(branch.w * xs, 0.0) + branch.theta)
     return np.array([np.dot(c_i, sig) for c_i in branch.c])
 
 
@@ -166,19 +163,18 @@ def eval_structured_with_gradient(
     """
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
     b = s.branch
-    z = b.arguments(x.sample(s.s_points))
-    sig = activation(z)
+    xs = x.sample(s.s_points)
     trunks = [eval_trunk(trunk, t) for trunk in s.trunks]
     out = np.zeros(t.size)
-    for c_i, tr in zip(b.c, trunks):
-        out += float(np.dot(c_i, sig)) * tr
+    for b_i, tr in zip(eval_branch(b, xs), trunks):
+        out += float(b_i) * tr
 
     def pullback(v) -> np.ndarray:
         n = x.n_cells
         idx = np.clip(np.floor(s.s_points * n).astype(int), 0, n - 1)
         frac = s.s_points * n - idx
         left = 1.0 - frac
-        dz = activation_derivative(z[:-1])
+        dz = activation_derivative(b.w * xs + b.theta[:-1])
         grad = np.zeros(n + 1)
         for c_i, tr in zip(b.c, trunks):
             g = np.dot(tr, v) * (c_i[:-1] * dz * b.w)

@@ -5,8 +5,9 @@ Format: a header line ``invop 1 <KIND>``, then one field per record as
 order, one leading-index row per line, terminated by ``end``.  All floats
 are written with 17 significant digits, so write-then-read reproduces every
 finite value bit for bit.  Each array payload is parsed in one call.  A
-truncated file, a missing field, or a payload with the wrong number of rows
-or entries raises :class:`ConfigInvalid` naming the file and the field.  A
+truncated file, a missing field, a payload with the wrong number of rows
+or entries, or fields whose shapes disagree raises :class:`ConfigInvalid`
+naming the file and the field.  A
 surrogate file holds the one branch network once (``branch.c``, a row per
 term, ``branch.w``, ``branch.theta``) and the trunks per term; a file in an
 older layout, with a ``term0.branch.*`` field or without the shared
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, DimensionMismatch
 from .fem import ProblemKind, ProblemTag
 from .grid import GridFunction, SpaceKind
 from .neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
@@ -132,8 +133,18 @@ def _put_grid(fields: list, prefix: str, g: GridFunction):
     fields.append((f"{prefix}.values", g.values))
 
 
-def _get_grid(fields: dict, prefix: str) -> GridFunction:
-    return GridFunction(fields[f"{prefix}.n_cells"], fields[f"{prefix}.values"])
+def _get_grid(fields: _Fields, prefix: str) -> GridFunction:
+    return _shaped(fields.path, f"{prefix}.*", GridFunction,
+                   fields[f"{prefix}.n_cells"], fields[f"{prefix}.values"])
+
+
+def _shaped(path, name: str, make, *args):
+    """make(*args), where a DimensionMismatch (fields whose shapes disagree)
+    raises ConfigInvalid naming the file and the fields."""
+    try:
+        return make(*args)
+    except DimensionMismatch as err:
+        raise ConfigInvalid(f"{path}: fields {name}: {err}") from None
 
 
 #: fields every file of its kind holds with this one value
@@ -172,11 +183,14 @@ def load_structured(path) -> StructuredSurrogateCoeffs:
         raise ConfigInvalid(f"{path}: field {old!r} belongs to the layout with one branch "
                             "network per term; rebuild the surrogate with invop build")
     trunks = tuple(
-        TrunkCoeffs(f[f"term{i}.trunk.c"], f[f"term{i}.trunk.w"], f[f"term{i}.trunk.zeta"])
+        _shaped(path, f"term{i}.trunk.*", TrunkCoeffs,
+                f[f"term{i}.trunk.c"], f[f"term{i}.trunk.w"], f[f"term{i}.trunk.zeta"])
         for i in range(f["n_terms"])
     )
-    return StructuredSurrogateCoeffs(
-        BranchCoeffs(f["branch.c"], f["branch.w"], f["branch.theta"]), trunks, f["s_points"])
+    branch = _shaped(path, "branch.*", BranchCoeffs, f["branch.c"], f["branch.w"],
+                     f["branch.theta"])
+    return _shaped(path, "branch.*, n_terms and s_points", StructuredSurrogateCoeffs,
+                   branch, trunks, f["s_points"])
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,10 @@ class StudyConfig:
             raise ConfigInvalid("ladder must be strictly monotone")
         if any(v <= 0 for v in lad):
             raise ConfigInvalid("ladder entries must be positive")
+        if self.study in ("fem_rate", "surrogate_error") and not all(
+                float(v).is_integer() for v in lad):
+            raise ConfigInvalid(f"the {self.study} ladder counts cells, so each entry must "
+                                f"be an integer, not {lad!r}")
         if self.n_cells < 4 or self.n_train < 1 or self.n_quad < 2 or self.n_trunk < 2:
             raise ConfigInvalid("resolution parameters out of range")
         if self.constant <= 0 or self.xi < 0 or self.max_iterations < 1:
@@ -215,9 +219,10 @@ def _fem_case_error(case, n: int) -> float:
 @lru_cache(maxsize=None)
 def fem_rho(problem: ProblemKind, n: int, load: float, center: float) -> float:
     """Surrogate error of the n-cell Galerkin map: its largest L2 data error over
-    the probe pairs of six sine modes at a tenth of the constant center."""
+    the probe pairs of six sine modes (the n - 1 the mesh holds, if fewer) at a
+    tenth of the constant center."""
     f, x0 = GridFunction.constant(load, n), GridFunction.constant(center, n)
-    ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1 * center, 6))
+    ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1 * center, min(6, n - 1)))
     return max(norm(solve_forward_fem(problem, x, f, n) - y, SpaceKind.L2)
                for x, y in probe_pairs(ts))
 
@@ -342,7 +347,7 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
         alpha, eta = choose_parameters(d, rho, cfg.constant)
         tik = TikhonovConfig(alpha=alpha, delta=d, eta=eta, xi=xi, x0=x0,
                              space=space, nu=nu, max_iterations=cfg.max_iterations, x_true=xt)
-        r = solve_inverse_problem(h, yd, tik, x0, seed=seed, problem_label=label)
+        r = solve_inverse_problem(h, yd, tik, seed=seed, problem_label=label)
         runs.append(r)
         rows.append(r.csv_row())
 

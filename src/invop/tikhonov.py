@@ -209,33 +209,15 @@ def choose_parameters(delta: float, rho_n: float, constant: float = 1.0):
     return alpha, alpha * alpha
 
 
-def _smoothed(x: GridFunction, cfg: TikhonovConfig) -> GridFunction:
-    return mollify(x, cfg.xi) if cfg.xi > 0 else x
-
-
-def _check_admissible(x: GridFunction, cfg: TikhonovConfig):
-    if float(np.min(x.values)) < cfg.nu - 1e-12:
-        raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
-
-
-def tikhonov_value(
-    h: SurrogateHandle, x: GridFunction, y_delta: GridFunction, cfg: TikhonovConfig
-) -> float:
-    _check_admissible(x, cfg)
-    v = _smoothed(x, cfg)
-    y = h.forward(v)
-    r = y - y_delta
-    d = x - cfg.x0
-    return inner(r, r, SpaceKind.L2) + cfg.alpha * inner(d, d, cfg.space)
-
-
 def tikhonov_value_and_gradient(
     h: SurrogateHandle, x: GridFunction, y_delta: GridFunction, cfg: TikhonovConfig
 ):
-    """Functional value and its gradient in the configured solution space."""
+    """Functional value and its gradient in the configured solution space;
+    the one evaluator of the functional."""
     x._check_mesh(cfg.x0.n_cells)
-    _check_admissible(x, cfg)
-    v = _smoothed(x, cfg)
+    if float(np.min(x.values)) < cfg.nu - 1e-12:
+        raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
+    v = mollify(x, cfg.xi) if cfg.xi > 0 else x
     misfit, gz = h.misfit_and_gradient(v, y_delta)
     if cfg.xi > 0:
         gz = mollify_matrix(x.n_cells, cfg.xi).T @ gz
@@ -262,7 +244,6 @@ class ApproximateMinimizer:
     x: GridFunction
     functional_value: float
     certificate: Certificate
-    config: TikhonovConfig
 
 
 class _LbfgsMemory:
@@ -306,14 +287,15 @@ def minimize_tikhonov(
     h: SurrogateHandle,
     y_delta: GridFunction,
     cfg: TikhonovConfig,
-    x_init: GridFunction,
 ) -> ApproximateMinimizer:
     """Projected limited-memory BFGS with a monotone backtracking (halving)
     line search, run on nodal arrays: each trial builds one GridFunction.
 
-    Each iteration moves along d = H g from ``_LbfgsMemory``, the L-BFGS
-    inverse Hessian of the last MEMORY accepted pairs in the X metric,
-    and tries x - t d projected onto x >= nu.  The first trial fraction is
+    The run starts from the prior ``cfg.x0``, which ``TikhonovConfig``
+    keeps admissible.  Each iteration moves along d = H g from
+    ``_LbfgsMemory``, the L-BFGS inverse Hessian of the last MEMORY
+    accepted pairs in the X metric, and tries x - t d projected onto
+    x >= nu.  The first trial fraction is
     t = min(1, 2 t_prev), t_prev the last accepted one, so iterations that
     stall at rounding level do not halve from 1 again.  Accepted steps
     satisfy the Armijo condition and never increase the functional.  The
@@ -324,9 +306,7 @@ def minimize_tikhonov(
     the last two return the best iterate, and ``Certificate.iterations``
     is the index of the returned iterate.
     """
-    if float(np.min(x_init.values)) < cfg.nu - 1e-12:
-        raise NonAdmissibleCoefficient("initial guess violates the bound nu")
-    x = GridFunction(x_init.n_cells, np.maximum(x_init.values, cfg.nu))
+    x = cfg.x0
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
     gnorm = norm(grad, cfg.space)
     best = (x, value, gnorm, 0)
@@ -372,7 +352,7 @@ def _finish(x, value, gnorm, iterations, status, cfg) -> ApproximateMinimizer:
         iterations=iterations,
         status=status,
     )
-    return ApproximateMinimizer(x, value, cert, cfg)
+    return ApproximateMinimizer(x, value, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +394,11 @@ def solve_inverse_problem(
     h: SurrogateHandle,
     y_delta: GridFunction,
     cfg: TikhonovConfig,
-    x_init: GridFunction,
     seed: int = 0,
     problem_label: str = "",
 ) -> RegularizationRun:
     start = time.perf_counter()
-    result = minimize_tikhonov(h, y_delta, cfg, x_init)
+    result = minimize_tikhonov(h, y_delta, cfg)
     runtime_ms = (time.perf_counter() - start) * 1e3
     if cfg.x_true is not None:
         err = norm(result.x - cfg.x_true, cfg.space)
@@ -428,7 +407,7 @@ def solve_inverse_problem(
     return RegularizationRun(
         problem=problem_label,
         surrogate=h.label,
-        n=x_init.n_cells,
+        n=cfg.x0.n_cells,
         N=h.n_terms,
         delta=cfg.delta,
         alpha=cfg.alpha,

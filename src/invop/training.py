@@ -37,7 +37,6 @@ from .neural import (
 #: functionals of the input samples; their cubic error is O(eps^2) relative
 LINEAR_NODE_EPS = 1e-3
 
-GRAM_DET_TOL = 1e-12
 DEPENDENT_TOL = 1e-10
 TRUNK_COND_LIMIT = 1e12
 TRUNK_WEIGHT_SPAN = 20.0
@@ -88,6 +87,13 @@ def generate_training_set(
 ) -> TrainingSet:
     space = problem.image_space
     n_cells = center_x.n_cells
+    if perturbation.count >= n_cells:
+        # sin(n pi s) vanishes at every node of the n-cell mesh, and higher
+        # modes alias lower ones; modes 1 .. n - 1 are independent there
+        raise DependentImages(
+            f"{perturbation.count} sine modes on the {n_cells}-cell mesh: it holds "
+            f"at most {n_cells - 1} independent ones"
+        )
     shapes = [perturbation_shape(ell, n_cells) for ell in range(1, perturbation.count + 1)]
     margin = float(np.min(center_x.values)) - problem.fem_lower_bound()
     reach = perturbation.amplitude * max(float(np.max(np.abs(s.values))) for s in shapes)
@@ -97,13 +103,6 @@ def generate_training_set(
         )
     xs = [center_x] + [center_x + perturbation.amplitude * s for s in shapes]
     pairs = tuple((x, solve_forward_reference(problem, x, f)) for x in xs)
-
-    unit = [p[0] - pairs[0][0] for p in pairs[1:]]
-    unit = [u * (1.0 / norm(u, space)) for u in unit]
-    gram = np.array([[inner(u, v, space) for v in unit] for u in unit])
-    if np.linalg.det(gram) <= GRAM_DET_TOL:
-        raise DependentImages("centered training inputs are numerically dependent")
-
     return TrainingSet(pairs, problem, space, perturbation, f)
 
 

@@ -519,6 +519,59 @@ def test_fem_solve_near_the_admissibility_bound_runs(tmp_path):
                      "--quiet"]) == 0
 
 
+def test_generate_rejects_a_sine_mode_the_mesh_cannot_hold(tmp_path, capsys):
+    # sin(4 pi s) vanishes at every node of the 4-cell mesh
+    cfg = _write(tmp_path / "gen.cfg", "[generate]\nproblem = a\nn_cells = 4\n"
+                                        "[perturbation]\ncount = 4\n")
+    out = tmp_path / "train.txt"
+    capsys.readouterr()
+    assert cli_main(["generate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "DependentImages" in err and "4 sine modes" in err and "4-cell mesh" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_cells", [4, 5])
+def test_fem_solve_on_a_mesh_of_fewer_than_seven_cells_runs(tmp_path, n_cells):
+    # rho's probes take only the n - 1 sine modes the mesh holds
+    cfg = _write(tmp_path / "solve.cfg", "[solve]\nproblem = a\nsurrogate = fem\n"
+                 f"n_cells = {n_cells}\nmax_iterations = 50\n")
+    assert cli_main(["solve", "--config", cfg, "--out", str(tmp_path / "run.csv"),
+                     "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("study,ladder", [
+    ("fem_rate", "16, 32.7, 64, 128.9, 256"), ("surrogate_error", "8, 16.5, 32, 64, 128")])
+def test_cell_count_ladder_of_non_integers_names_it(tmp_path, capsys, study, ladder):
+    cfg = _write(tmp_path / "s.cfg", f"[study]\nstudy = {study}\nladder = {ladder}\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert cli_main(["study", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "ladder" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,suffix,field", [
+    ("neural", "", "term0.trunk.c"), ("rank", ".rank", "basis0.values")])
+def test_coefficient_fields_that_disagree_in_shape_exit_one(tmp_path, capsys, kind, suffix,
+                                                            field):
+    # drop the field's last entry; the payload stays well-formed on its own
+    surr_path = _small_surrogate(tmp_path)
+    path = Path(str(surr_path) + suffix)
+    lines = path.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith(f"{field} array1 "))
+    size = int(lines[i].split()[2])
+    lines[i] = f"{field} array1 {size - 1}"
+    lines[i + 1] = " ".join(lines[i + 1].split()[:-1])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and field.rsplit(".", 1)[0] in err and "Traceback" not in err
+
+
 def test_per_term_sensor_layout_exits_one(tmp_path, capsys):
     # a file from before the shared sensor grid stores the points once per term
     surr_path = _small_surrogate(tmp_path)

@@ -81,8 +81,8 @@ def test_resample_identity_and_refinement():
 
 
 def test_arithmetic_requires_matching_mesh():
-    a = GridFunction.zero(8)
-    b = GridFunction.zero(16)
+    a = GridFunction.constant(0.0, 8)
+    b = GridFunction.constant(0.0, 16)
     with pytest.raises(DimensionMismatch):
         _ = a + b
 

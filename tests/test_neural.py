@@ -203,7 +203,7 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
     rng = np.random.default_rng(9)
     s = _random_structured(rng)
     n = 16
-    center = (GridFunction.constant(1.0, n), GridFunction.zero(n))
+    center = (GridFunction.constant(1.0, n), GridFunction.constant(0.0, n))
     x = GridFunction(n, 1.0 + 0.1 * rng.standard_normal(n + 1))
     calls = []
 
@@ -215,7 +215,7 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
     h = NeuralMap(s, center)
     h.forward(x)
     assert calls == []
-    h.misfit_and_gradient(x, GridFunction.zero(n))
+    h.misfit_and_gradient(x, GridFunction.constant(0.0, n))
     assert s.n_terms == 3 and len(calls) == 1
 
 

@@ -1,4 +1,6 @@
 import ast
+import ctypes
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -17,6 +19,45 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
+def _environment():
+    """numpy's version and the core its bundled OpenBLAS runs on: the bits of
+    the scripts' outputs are recorded per such environment."""
+    lib = min((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"),
+              default=None)
+    if lib is None:
+        return np.__version__, None
+    corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return np.__version__, corename().decode()
+
+
+def _digest(text):
+    """sha256 of an output with its runtime_ms column, if any, blanked."""
+    col, lines = None, []
+    for line in text.splitlines():
+        cells = line.split(",")
+        if "runtime_ms" in cells:
+            col = cells.index("runtime_ms")
+        elif col is not None and len(cells) > col:
+            cells[col] = ""
+        lines.append(",".join(cells))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+#: digests of the scripts' outputs, by environment; a change that moves any
+#: bit updates them and says why
+DIGESTS = {
+    ("2.4.6", "SkylakeX"): {
+        "surrogate_pipeline 0.05": "60f57b7598fda5dc4f0d4718a6c499a23ad28357121818e82beb27d29ec51bc1",
+        "fem_rate.csv": "5cb840ad3ce6c9aaf6e368202a14ef2920d28e07b2f518f8342645d42bb86656",
+        "quadrature_rate.csv": "62e3ce7411fb723fdc709ed6e28dfd355dbd5f9edd249f26d96185035be89361",
+        "mollify_rate.csv": "0fcd2881bcb285c7cf750e79db21f3da803fbbadba8841b1d216aac877bbcabe",
+        "reg_rate_a.csv": "9cfb6c68bdd7a22bbc0e0996604df703b516a93b0cb13de72e8561722f5428a9",
+        "reg_rate_c.csv": "f602ff58b36f378f87ef7e3aff84349398731787e0f4b0b49d07e0c99bdd4dce",
+    },
+}
+
+
 def test_surrogate_pipeline_prints_one_row_per_map():
     src = str(Path(invop.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -27,6 +68,9 @@ def test_surrogate_pipeline_prints_one_row_per_map():
     assert tuple(lines[1].split(",")) == invop.RUN_COLUMNS
     assert [row.split(",")[1] for row in lines[2:]] == [
         "FemForward", "LinearRankN", "NeuralOperator"]
+    digests = DIGESTS.get(_environment())
+    if digests is not None:
+        assert _digest(out.stdout) == digests["surrogate_pipeline 0.05"]
 
 
 def test_run_all_studies_writes_five_tables(tmp_path):
@@ -42,6 +86,10 @@ def test_run_all_studies_writes_five_tables(tmp_path):
         assert tuple(header.split(",")) == invop.RUN_COLUMNS, name
     lines = out.stdout.splitlines()
     assert [line.split()[0] for line in lines] == list(names)
+    digests = DIGESTS.get(_environment())
+    if digests is not None:
+        for name in names:
+            assert _digest((tmp_path / f"{name}.csv").read_text()) == digests[f"{name}.csv"], name
 
 
 def test_scripts_import_only_public_names():
@@ -95,12 +143,12 @@ def test_neural_kernel_traced_once_per_map_call():
         np.array([0.0, 0.5, 1.0]),
     )
     n = 8
-    h = NeuralMap(coeffs, (GridFunction.constant(1.0, n), GridFunction.zero(n)))
+    h = NeuralMap(coeffs, (GridFunction.constant(1.0, n), GridFunction.constant(0.0, n)))
     x = GridFunction.constant(1.1, n)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer, {}):
         h.forward(x)
-        h.misfit_and_gradient(x, GridFunction.zero(n))
+        h.misfit_and_gradient(x, GridFunction.constant(0.0, n))
     spans = [i for i, name in enumerate(tracer.name) if name == kernel]
     assert [tracer.name[tracer.parent[i]] for i in spans] == [
         "tikhonov.SurrogateHandle.forward", "tikhonov.SurrogateHandle.misfit_and_gradient"]

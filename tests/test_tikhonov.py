@@ -27,7 +27,6 @@ from invop.tikhonov import (
     choose_parameters,
     minimize_tikhonov,
     solve_inverse_problem,
-    tikhonov_value,
     tikhonov_value_and_gradient,
 )
 from invop.training import (
@@ -72,10 +71,8 @@ def test_pullback_rejects_an_input_on_another_mesh(handles, kind):
     calls = {
         "forward": lambda: h.forward(x_other),
         "misfit_and_gradient": lambda: h.misfit_and_gradient(x_other, y),
-        "tikhonov_value": lambda: tikhonov_value(h, x_other, y, cfg),
         "tikhonov_value_and_gradient": lambda: tikhonov_value_and_gradient(h, x_other, y, cfg),
         "misfit_and_gradient, data": lambda: h.misfit_and_gradient(x0, y_other),
-        "tikhonov_value, data": lambda: tikhonov_value(h, x0, y_other, cfg),
         "tikhonov_value_and_gradient, data":
             lambda: tikhonov_value_and_gradient(h, x0, y_other, cfg),
     }
@@ -163,8 +160,8 @@ def test_gradient_matches_finite_differences(handles, kind):
     d = GridFunction(N, rng.standard_normal(N + 1))
     _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
     eps = 1e-6
-    fd = (tikhonov_value(h, x + eps * d, yd, cfg)
-          - tikhonov_value(h, x - eps * d, yd, cfg)) / (2 * eps)
+    fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
+          - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
     an = inner(g, d, SpaceKind.L2)
     assert abs(fd - an) <= 1e-4 * max(1.0, abs(an))
 
@@ -179,8 +176,8 @@ def test_gradient_with_mollification(handles):
     d = GridFunction(N, rng.standard_normal(N + 1))
     _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
     eps = 1e-6
-    fd = (tikhonov_value(h, x + eps * d, yd, cfg)
-          - tikhonov_value(h, x - eps * d, yd, cfg)) / (2 * eps)
+    fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
+          - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
     an = inner(g, d, SpaceKind.L2)
     assert abs(fd - an) <= 1e-4 * max(1.0, abs(an))
 
@@ -200,13 +197,6 @@ def test_fem_misfit_gradient_solves_forward_once(handles, monkeypatch):
     monkeypatch.setattr(invop.fem, "solve_forward_fem", counting_solve)
     h.misfit_and_gradient(x, yd)
     assert len(calls) == 1
-
-
-def test_value_rejects_inadmissible_point(handles):
-    cfg = _config(handles["x0"], SpaceKind.L2)
-    bad = GridFunction.constant(0.05, N)
-    with pytest.raises(NonAdmissibleCoefficient):
-        tikhonov_value(handles["fem"], bad, handles["x0"], cfg)
 
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
@@ -284,7 +274,7 @@ def test_quadratic_proxy_recovered(handles):
     y = h.forward(x0 + 0.05 * GridFunction.from_callable(
         lambda s: np.sin(np.pi * s), N))
     cfg = _config(x0, SpaceKind.L2, alpha=1e-2, eta=1e-16, max_iterations=100000)
-    res = minimize_tikhonov(h, y, cfg, x0)
+    res = minimize_tikhonov(h, y, cfg)
     # optimality: gradient at the returned point is certificate-small
     assert res.certificate.status == "converged"
     assert res.certificate.eta_bound <= cfg.eta
@@ -297,7 +287,7 @@ def test_iterates_satisfy_projection_bound(handles):
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-2, seed=5)
     cfg = _config(x0, SpaceKind.L2, alpha=1e-4, eta=1e-10, max_iterations=50)
-    res = minimize_tikhonov(h, yd, cfg, x0)
+    res = minimize_tikhonov(h, yd, cfg)
     assert float(np.min(res.x.values)) >= cfg.nu
 
 
@@ -306,7 +296,7 @@ def test_certificate_reports_gradient_gap(handles):
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=6)
     cfg = _config(x0, SpaceKind.L2, eta=1e-10, max_iterations=100000)
-    res = minimize_tikhonov(h, yd, cfg, x0)
+    res = minimize_tikhonov(h, yd, cfg)
     c = res.certificate
     assert c.eta_bound == pytest.approx(
         c.gradient_norm ** 2 / (4 * cfg.alpha), rel=1e-12
@@ -319,10 +309,10 @@ def test_budget_exhaustion_returns_best(handles):
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-2, seed=7)
     cfg = _config(x0, SpaceKind.L2, alpha=1e-6, eta=1e-30, max_iterations=3)
-    res = minimize_tikhonov(h, yd, cfg, x0)
+    res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.iterations == 3
     assert res.certificate.status == "budget"
-    v0 = tikhonov_value(h, x0, yd, cfg)
+    v0 = tikhonov_value_and_gradient(h, x0, yd, cfg)[0]
     assert res.functional_value <= v0
 
 
@@ -331,8 +321,8 @@ def test_monotone_decrease(handles):
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=8)
     cfg = _config(x0, SpaceKind.L2, alpha=1e-3, eta=1e-12, max_iterations=30)
-    res = minimize_tikhonov(h, yd, cfg, x0)
-    assert res.functional_value <= tikhonov_value(h, x0, yd, cfg) + 1e-15
+    res = minimize_tikhonov(h, yd, cfg)
+    assert res.functional_value <= tikhonov_value_and_gradient(h, x0, yd, cfg)[0] + 1e-15
 
 
 def _count_gradients(monkeypatch):
@@ -365,7 +355,7 @@ def _precision_floor_problem(handles):
 def test_stagnation_stop_at_precision_floor(handles, monkeypatch):
     h, yd, x_star, cfg = _precision_floor_problem(handles)
     calls = _count_gradients(monkeypatch)
-    res = minimize_tikhonov(h, yd, cfg, cfg.x0)
+    res = minimize_tikhonov(h, yd, cfg)
     c = res.certificate
     assert c.status == "stagnated"
     assert c.eta_bound > cfg.eta
@@ -383,9 +373,9 @@ def test_budget_run_reports_index_of_best_iterate(handles):
     # a budget that ends inside the stagnation window: the best iterate is
     # older than the last one, and its index is what the certificate reports
     h, yd, _, cfg = _precision_floor_problem(handles)
-    best = minimize_tikhonov(h, yd, cfg, cfg.x0)
+    best = minimize_tikhonov(h, yd, cfg)
     budget = best.certificate.iterations + STALL_ITERATIONS // 2
-    res = minimize_tikhonov(h, yd, replace(cfg, max_iterations=budget), cfg.x0)
+    res = minimize_tikhonov(h, yd, replace(cfg, max_iterations=budget))
     assert res.certificate.status == "budget"
     assert res.certificate.iterations == best.certificate.iterations
     assert res.functional_value == best.functional_value
@@ -399,7 +389,7 @@ def test_h1_fem_solve_converges():
     yd = add_noise(h.forward(source_target_a(A, x0, f, n)), delta, seed=11)
     alpha, eta = choose_parameters(delta, fem_rho(A, n, 1.0, 1.0))
     cfg = _config(x0, SpaceKind.H1, alpha=alpha, delta=delta, eta=eta, nu=A.nu)
-    c = minimize_tikhonov(h, yd, cfg, x0).certificate
+    c = minimize_tikhonov(h, yd, cfg).certificate
     assert c.status == "converged"
     assert c.eta_bound <= cfg.eta
 
@@ -425,7 +415,7 @@ def test_line_search_builds_four_grid_functions_per_gradient(monkeypatch):
 
     monkeypatch.setattr(GridFunction, "__post_init__", counting_post_init)
     monkeypatch.setattr(invop.tikhonov, "tikhonov_value_and_gradient", counting_evaluate)
-    res = minimize_tikhonov(FemMap(A, f, n), yd, cfg, x0)
+    res = minimize_tikhonov(FemMap(A, f, n), yd, cfg)
     assert res.certificate.status == "budget"
     assert counts["built"] <= 4 * counts["evaluations"], counts
 
@@ -449,7 +439,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     cfg = _config(ex.x0, SpaceKind.L2, alpha=alpha, delta=delta, eta=eta,
                   xi=study.xi, nu=C.nu, max_iterations=study.max_iterations)
     calls = _count_gradients(monkeypatch)
-    res = minimize_tikhonov(RankMap(ex.ls), yd, cfg, ex.x0)
+    res = minimize_tikhonov(RankMap(ex.ls), yd, cfg)
     assert res.certificate.status == "converged"
     assert len(calls) <= 2 * 13
 
@@ -462,7 +452,7 @@ def test_run_record_schema(handles):
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=1)
     cfg = _config(x0, SpaceKind.L2, x_true=x0)
-    run = solve_inverse_problem(h, yd, cfg, x0, seed=1, problem_label="c")
+    run = solve_inverse_problem(h, yd, cfg, seed=1, problem_label="c")
     row = run.csv_row()
     cells = row.split(",")
     assert len(cells) == len(RUN_COLUMNS)
@@ -476,5 +466,5 @@ def test_error_is_nan_without_reference(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=1)
-    run = solve_inverse_problem(h, yd, _config(x0, SpaceKind.L2), x0)
+    run = solve_inverse_problem(h, yd, _config(x0, SpaceKind.L2))
     assert np.isnan(run.error_X)
