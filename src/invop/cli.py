@@ -155,6 +155,8 @@ def _cmd_solve(args) -> int:
     sec = _section(cfg, "solve")
     prob = problem_from_name(sec["problem"])
     n, delta = sec["n_cells"], sec["delta"]
+    if n < 4:  # the bound StudyConfig puts on n_cells
+        raise ConfigInvalid(f"[solve] n_cells = {n}, but a solve needs at least 4 cells")
     f = GridFunction.constant(sec["load"], n)
     x0 = GridFunction.constant(sec["center"], n)
     seed = args.seed if args.seed is not None else sec["seed"]
@@ -275,7 +277,7 @@ def _verify_groups():
             _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
             fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
                   - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
-            an = inner(g, d, space)
+            an = inner(GridFunction(n, g), d, space)
             assert abs(fd - an) <= 1e-4 * abs(an), (h.label, fd, an)
 
     def grp_mollifier():

@@ -49,14 +49,6 @@ class ProblemKind:
         # the stricter reference bound nu is reported in diagnostics only.
         return self.nu if self.tag is ProblemTag.A_EXAMPLE else 0.0
 
-    def check_admissible(self, x: GridFunction):
-        bound = self.fem_lower_bound()
-        lo = float(np.min(x.values))
-        if lo < bound:
-            raise NonAdmissibleCoefficient(
-                f"min nodal value {lo:.6g} below admissibility bound {bound:.6g}"
-            )
-
 
 def _load_vector(f: np.ndarray, h: float) -> np.ndarray:
     """Exact hat-function integrals of the piecewise-linear load, interior nodes."""
@@ -115,7 +107,10 @@ def solve_forward_fem(
     """Galerkin solution on the n-cell mesh, zero at both endpoints."""
     if n < 2:
         raise ValueError("need at least 2 cells")
-    kind.check_admissible(x)
+    lo, bound = float(np.min(x.values)), kind.fem_lower_bound()
+    if lo < bound:
+        raise NonAdmissibleCoefficient(f"min nodal value {lo:.6g} below admissibility bound "
+                                       f"{bound:.6g}")
     xv = x.resample(n).values
     fv = f.resample(n).values
     y = np.zeros(n + 1)
@@ -164,34 +159,31 @@ def adjoint_apply(
     The image-space pairing is H1 for the diffusion problem and L2 for the
     reaction problem; the final step applies the corresponding Riesz map.
     """
+    x._check_mesh(n)
+    r._check_mesh(n)
     y = solve_forward_fem(kind, x, f, n)
-    z = misfit_gradient_nodal(kind, x, y, r, n)
-    g = gram_solve(z, n, kind.image_space)
-    return GridFunction(n, g)
+    z = misfit_gradient_nodal(kind, x.values, y.values, r.values, n)
+    return GridFunction(n, gram_solve(z, n, kind.image_space))
 
 
 def misfit_gradient_nodal(
     kind: ProblemKind,
-    x: GridFunction,
-    y: GridFunction,
-    r: GridFunction,
+    xv: np.ndarray,
+    yv: np.ndarray,
+    rv: np.ndarray,
     n: int,
 ) -> np.ndarray:
     """Euclidean-gradient form of the adjoint, before the Riesz map.
 
-    ``y`` is the forward solution solve_forward_fem(kind, x, f, n), which
-    the caller has already computed; x, y and r lie on the n-cell mesh.
-    Returns z with z_j = <F'[x] e_j, r>_L2 for nodal directions e_j.
+    Takes nodal values on the n-cell mesh: the coefficient xv, the solution
+    yv of solve_forward_fem(kind, x, f, n), which checked x, and the residual
+    rv.  Returns z with z_j = <F'[x] e_j, r>_L2 for nodal directions e_j.
     """
-    for g in (x, y, r):
-        g._check_mesh(n)
-    kind.check_admissible(x)
-    yv = y.values
     h = 1.0 / n
 
     w = trapezoid_weights(n)
     p = np.zeros(n + 1)
-    p[1:-1] = _galerkin_solve(kind, x.values, n, (w * r.values)[1:-1])
+    p[1:-1] = _galerkin_solve(kind, xv, n, (w * rv)[1:-1])
 
     z = np.zeros(n + 1)
     if kind.tag is ProblemTag.A_EXAMPLE:

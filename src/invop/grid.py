@@ -100,9 +100,16 @@ class GridFunction:
 
 
 def trapezoid_weights(n_cells: int) -> np.ndarray:
+    """Trapezoid weights of the n_cells mesh, a cached read-only array."""
+    return _trapezoid_weights(n_cells)
+
+
+@lru_cache(maxsize=16)
+def _trapezoid_weights(n_cells: int) -> np.ndarray:
     h = 1.0 / n_cells
     w = np.full(n_cells + 1, h)
     w[0] = w[-1] = 0.5 * h
+    w.flags.writeable = False
     return w
 
 
@@ -240,7 +247,7 @@ def _ldl_solve(d: np.ndarray, l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _h1_gram_factors(n_cells: int):
     """L·D·Lᵀ factors of the H1 Gram matrix, which depend on the mesh only."""
     h = 1.0 / n_cells
-    main = trapezoid_weights(n_cells)
+    main = trapezoid_weights(n_cells).copy()
     main[1:] += 1.0 / h
     main[:-1] += 1.0 / h
     return _ldl_factor(main, np.full(n_cells, -1.0 / h))

@@ -24,22 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateScale,
-    NonAdmissibleCoefficient,
-    Stalled,
-)
+from .errors import DegenerateScale, NonAdmissibleCoefficient, Stalled
 from .fem import ProblemKind, misfit_gradient_nodal, solve_forward_fem
-from .grid import (
-    GridFunction,
-    SpaceKind,
-    _inner_nodal,
-    gram_apply,
-    gram_solve,
-    inner,
-    norm,
-    trapezoid_weights,
-)
+from .grid import (GridFunction, SpaceKind, _inner_nodal, gram_apply, gram_solve, norm,
+                   trapezoid_weights)
 from .mollify import mollify, mollify_matrix
 from .neural import StructuredSurrogateCoeffs, eval_structured_with_gradient
 from .training import LinearSurrogate
@@ -91,20 +79,23 @@ class SurrogateHandle:
 
     Each map provides ``label``, ``n_terms`` and ``_evaluate(x)``, which
     checks that the (already mollified) input x lies on the map's mesh and
-    returns the data y and a pullback taking r, on y's mesh, to the
-    Euclidean nodal gradient of inner(y, r, L2) in x.
+    returns the nodal data y and a pullback taking the nodal residual r to
+    the Euclidean nodal gradient of inner(y, r, L2) in x.  ``forward`` and
+    ``misfit_and_gradient`` wrap it as the GridFunction entry points.
     """
 
     def forward(self, x: GridFunction) -> GridFunction:
         """Surrogate data for the (already mollified) input x."""
-        return self._evaluate(x)[0]
+        y = self._evaluate(x)[0]
+        return GridFunction(y.size - 1, y)
 
     def misfit_and_gradient(self, x: GridFunction, y_delta: GridFunction):
         """Data misfit ||forward(x) - y_delta||^2 and its Euclidean nodal
         gradient with respect to the values of x."""
         y, pullback = self._evaluate(x)
-        r = y - y_delta
-        return inner(r, r, SpaceKind.L2), 2.0 * pullback(r)
+        y_delta._check_mesh(y.size - 1)
+        r = y - y_delta.values
+        return _inner_nodal(r, r, y_delta.n_cells, SpaceKind.L2), 2.0 * pullback(r)
 
 
 @dataclass(frozen=True)
@@ -119,10 +110,10 @@ class FemMap(SurrogateHandle):
 
     def _evaluate(self, x: GridFunction):
         x._check_mesh(self.n)
-        y = solve_forward_fem(self.problem, x, self.load, self.n)
+        y = solve_forward_fem(self.problem, x, self.load, self.n).values
 
-        def pullback(r: GridFunction) -> np.ndarray:
-            return misfit_gradient_nodal(self.problem, x, y, r, self.n)
+        def pullback(r: np.ndarray) -> np.ndarray:
+            return misfit_gradient_nodal(self.problem, x.values, y, r, self.n)
 
         return y, pullback
 
@@ -140,19 +131,20 @@ class RankMap(SurrogateHandle):
 
     def _evaluate(self, x: GridFunction):
         x0, y0 = self.ls.center
+        x._check_mesh(x0.n_cells)
         out = y0.values.copy()
-        xc = x - x0
+        xc = x.values - x0.values
         for b, y in zip(self.ls.basis, self.ls.induced):
-            out += inner(xc, b, self.ls.space) * y.values
+            out += _inner_nodal(xc, b.values, b.n_cells, self.ls.space) * y.values
 
-        def pullback(r: GridFunction) -> np.ndarray:
+        def pullback(r: np.ndarray) -> np.ndarray:
             grad = np.zeros(x.n_cells + 1)
             for b, y in zip(self.ls.basis, self.ls.induced):
                 g = gram_apply(b.values, b.n_cells, self.ls.space)
-                grad += inner(r, y, SpaceKind.L2) * g
+                grad += _inner_nodal(r, y.values, y.n_cells, SpaceKind.L2) * g
             return grad
 
-        return GridFunction(y0.n_cells, out), pullback
+        return out, pullback
 
 
 @dataclass(frozen=True)
@@ -174,10 +166,10 @@ class NeuralMap(SurrogateHandle):
         x._check_mesh(x0.n_cells)
         out, vjp = eval_structured_with_gradient(self.coeffs, x, y0.nodes)
 
-        def pullback(r: GridFunction) -> np.ndarray:
-            return vjp(trapezoid_weights(r.n_cells) * r.values)
+        def pullback(r: np.ndarray) -> np.ndarray:
+            return vjp(trapezoid_weights(y0.n_cells) * r)
 
-        return GridFunction(y0.n_cells, y0.values + out), pullback
+        return y0.values + out, pullback
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +204,8 @@ def choose_parameters(delta: float, rho_n: float, constant: float = 1.0):
 def tikhonov_value_and_gradient(
     h: SurrogateHandle, x: GridFunction, y_delta: GridFunction, cfg: TikhonovConfig
 ):
-    """Functional value and its gradient in the configured solution space;
-    the one evaluator of the functional."""
+    """Functional value and the nodal values of its gradient in the
+    configured solution space; the one evaluator of the functional."""
     x._check_mesh(cfg.x0.n_cells)
     if float(np.min(x.values)) < cfg.nu - 1e-12:
         raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
@@ -224,7 +216,7 @@ def tikhonov_value_and_gradient(
     d = x.values - cfg.x0.values
     value = misfit + cfg.alpha * _inner_nodal(d, d, x.n_cells, cfg.space)
     grad = gram_solve(gz, x.n_cells, cfg.space) + 2.0 * cfg.alpha * d
-    return value, GridFunction(x.n_cells, grad)
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +300,26 @@ def minimize_tikhonov(
     """
     x = cfg.x0
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
-    gnorm = norm(grad, cfg.space)
-    best = (x, value, gnorm, 0)
     memory = _LbfgsMemory(x.n_cells, cfg.space)
-    t = 1.0
-    it = 0
+    best, t, it = None, 1.0, 0
 
-    while gnorm * gnorm / (4.0 * cfg.alpha) > cfg.eta:
+    while True:
+        gnorm = float(np.sqrt(max(_inner_nodal(grad, grad, x.n_cells, cfg.space), 0.0)))
+        if best is None or value < best[1]:
+            best = (x, value, gnorm, it)
+        if gnorm * gnorm / (4.0 * cfg.alpha) <= cfg.eta:
+            return _finish(x, value, gnorm, it, "converged", cfg)
         if it == cfg.max_iterations:
             return _finish(*best, "budget", cfg)
         if it - best[3] >= STALL_ITERATIONS:
             return _finish(*best, "stagnated", cfg)
         it += 1
-        d = memory.direction(grad.values)
+        d = memory.direction(grad)
         t = min(1.0, 2.0 * t)
         for _ in range(MAX_HALVINGS):
             cand = GridFunction(x.n_cells, np.maximum(x.values - t * d, cfg.nu))
             move = x.values - cand.values
-            decrease = _inner_nodal(grad.values, move, x.n_cells, cfg.space)
+            decrease = _inner_nodal(grad, move, x.n_cells, cfg.space)
             cand_value, cand_grad = tikhonov_value_and_gradient(
                 h, cand, y_delta, cfg
             )
@@ -336,13 +330,8 @@ def minimize_tikhonov(
             raise Stalled(
                 f"line search failed {MAX_HALVINGS} halvings at iteration {it}"
             )
-        memory.update(-move, cand_grad.values - grad.values)
+        memory.update(-move, cand_grad - grad)
         x, value, grad = cand, cand_value, cand_grad
-        gnorm = norm(grad, cfg.space)
-        if value < best[1]:
-            best = (x, value, gnorm, it)
-
-    return _finish(x, value, gnorm, it, "converged", cfg)
 
 
 def _finish(x, value, gnorm, iterations, status, cfg) -> ApproximateMinimizer:

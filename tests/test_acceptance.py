@@ -226,7 +226,7 @@ def test_criterion_8_optimization_soundness():
     v_probe, g_probe = tikhonov_value_and_gradient(h_rank, x_probe, y_delta, cfg)
     v_star = tikhonov_value_and_gradient(h_rank, x_star, y_delta, cfg)[0]
     gap = v_probe - v_star
-    eta_bound = norm(g_probe, SpaceKind.L2) ** 2 / (4.0 * alpha)
+    eta_bound = norm(GridFunction(n, g_probe), SpaceKind.L2) ** 2 / (4.0 * alpha)
     assert gap == pytest.approx(eta_bound, rel=1e-6)
 
     # gradient consistency on every surrogate kind
@@ -238,7 +238,7 @@ def test_criterion_8_optimization_soundness():
         eps = 1e-6
         fd = (tikhonov_value_and_gradient(h, x + eps * d, y_delta, cfg)[0]
               - tikhonov_value_and_gradient(h, x - eps * d, y_delta, cfg)[0]) / (2 * eps)
-        an = inner(g, d, SpaceKind.L2)
+        an = inner(GridFunction(n, g), d, SpaceKind.L2)
         assert abs(fd - an) <= 1e-4 * max(1.0, abs(an)), h.label
 
 

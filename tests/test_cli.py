@@ -540,6 +540,19 @@ def test_fem_solve_on_a_mesh_of_fewer_than_seven_cells_runs(tmp_path, n_cells):
                      "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("n_cells", [1, 2, 3])
+def test_solve_on_a_mesh_of_fewer_than_four_cells_names_n_cells(tmp_path, capsys, n_cells):
+    # the bound a study config puts on n_cells holds for a solve too
+    cfg = _write(tmp_path / "solve.cfg", "[solve]\nproblem = a\nsurrogate = fem\n"
+                 f"n_cells = {n_cells}\nmax_iterations = 50\n")
+    out = tmp_path / "run.csv"
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"n_cells = {n_cells}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("study,ladder", [
     ("fem_rate", "16, 32.7, 64, 128.9, 256"), ("surrogate_error", "8, 16.5, 32, 64, 128")])
 def test_cell_count_ladder_of_non_integers_names_it(tmp_path, capsys, study, ladder):

@@ -7,7 +7,6 @@ from invop.fem import (
     ProblemTag,
     adjoint_apply,
     derivative_apply,
-    misfit_gradient_nodal,
     solve_forward_fem,
     solve_forward_reference,
 )
@@ -110,14 +109,13 @@ def test_adjoint_identity(prob):
 
 
 def test_kernels_reject_an_input_on_another_mesh():
-    # the misfit gradient and the derivative take r and hdir on the n-cell
-    # mesh and resample neither
+    # the adjoint and the derivative take r and hdir on the n-cell mesh and
+    # resample neither
     n = 32
     x = f = GridFunction.constant(1.0, n)
-    y = solve_forward_fem(A, x, f, n)
     other = GridFunction.constant(1.0, n // 2)
     with pytest.raises(DimensionMismatch, match="32-cell mesh"):
-        misfit_gradient_nodal(A, x, y, other, n)
+        adjoint_apply(A, x, other, f, n)
     with pytest.raises(DimensionMismatch, match="32-cell mesh"):
         derivative_apply(A, x, other, f, n)
 

@@ -14,6 +14,14 @@ def test_trapezoid_weights_sum_to_one():
         assert abs(w.sum() - 1.0) < 1e-15
 
 
+def test_trapezoid_weights_are_one_read_only_array_per_mesh():
+    w = trapezoid_weights(16)
+    assert trapezoid_weights(16) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+
+
 def test_l2_norm_matches_analytic_integral():
     # trapezoid rule on sin(pi s): ||sin||_L2^2 = 1/2 up to O(h^2)
     n = 512
