@@ -394,7 +394,7 @@ def test_h1_fem_solve_converges():
     assert c.eta_bound <= cfg.eta
 
 
-@pytest.mark.parametrize("kind", ["fem", "neural, xi > 0"])
+@pytest.mark.parametrize("kind", ["fem", "neural_xi"])
 def test_line_search_builds_at_most_two_grid_functions_per_evaluation(handles, monkeypatch,
                                                                       kind):
     # the maps and the functional run on nodal arrays: per evaluation one
