@@ -15,7 +15,6 @@ from invop import (
     FemMap,
     NeuralMap,
     RankMap,
-    SpaceKind,
     StudyConfig,
     TikhonovConfig,
     add_noise,
@@ -45,7 +44,7 @@ def main():
     for h, rho in maps:
         alpha, eta = choose_parameters(delta, rho, 0.15)
         cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=1e-4,
-                             x0=x0, space=SpaceKind.L2, nu=prob.nu,
+                             x0=x0, space=prob.image_space, nu=prob.nu,
                              max_iterations=20000, x_true=xt)
         print(solve_inverse_problem(h, yd, cfg, seed=7, problem_label="c").csv_row())
 

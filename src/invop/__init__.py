@@ -37,7 +37,6 @@ from .errors import (
 from .fem import (
     REFERENCE_CELLS,
     ProblemKind,
-    ProblemTag,
     adjoint_apply,
     derivative_apply,
     solve_forward_fem,

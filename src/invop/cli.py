@@ -23,7 +23,7 @@ import numpy as np
 from . import serialize
 from .config import REQUIRED, check_keys, load_config, problem_from_name, read_section, study_config
 from .errors import ConfigInvalid, InvopError
-from .fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
+from .fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, inner, norm
 from .mollify import mollification_report
 from .studies import (
@@ -64,7 +64,6 @@ SECTION_KEYS = {
               "activation": "logistic", "seed": 1},
     "solve": {"problem": "a", "surrogate": "fem", "surrogate_file": None, "n_cells": 256,
               "load": 1.0, "center": 1.0, "delta": 1e-3, "xi": 0.0, "seed": 0,
-              "space": None,  # the problem's image space
               "target": "source", "constant": 1.0, "max_iterations": 4000},
 }
 
@@ -131,6 +130,9 @@ def _cmd_generate(args) -> int:
 def _cmd_build(args) -> int:
     cfg = _load(args)
     sec = _section(cfg, "build")
+    for key in ("n_quad", "n_trunk"):  # the bounds StudyConfig puts on them
+        if sec[key] < 2:
+            raise ConfigInvalid(f"[build] {key} = {sec[key]}, but a build needs at least 2")
     ts = serialize.load_training_set(sec["training"])
     if ts.load is None:
         raise ConfigInvalid(f"{sec['training']}: training set has no load to estimate nu_N")
@@ -170,9 +172,9 @@ def _cmd_solve(args) -> int:
         if base is None:
             raise ConfigInvalid(f"[solve] surrogate={kind} needs surrogate_file")
         ls, diag = serialize.load_linear_surrogate(base + ".rank")
-        if ls.space is not prob.image_space:  # H1 data for problem a, L2 for c
+        if ls.problem is not prob:
             raise ConfigInvalid(f"[solve] problem = {sec['problem']}, but {base}.rank was "
-                                f"built for the other problem (data in {ls.space.value})")
+                                f"built for problem {ls.problem.value}")
         if ls.center[0].n_cells != n:
             raise ConfigInvalid(f"[solve] n_cells = {n}, but {base} has "
                                 f"{ls.center[0].n_cells} cells")
@@ -194,7 +196,6 @@ def _cmd_solve(args) -> int:
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 
-    space = SpaceKind(sec["space"]) if sec["space"] is not None else prob.image_space
     target = sec["target"]
     if target == "source":
         xt = source_target_a(prob, x0, f, n)
@@ -206,8 +207,8 @@ def _cmd_solve(args) -> int:
     yd = add_noise(y, delta, seed)
     alpha, eta = choose_parameters(delta, rho, sec["constant"])
     tik = TikhonovConfig(
-        alpha=alpha, delta=delta, eta=eta, xi=sec["xi"], x0=x0, space=space, nu=prob.nu,
-        max_iterations=sec["max_iterations"], x_true=xt,
+        alpha=alpha, delta=delta, eta=eta, xi=sec["xi"], x0=x0, space=prob.image_space,
+        nu=prob.nu, max_iterations=sec["max_iterations"], x_true=xt,
     )
     run = solve_inverse_problem(h, yd, tik, seed=seed, problem_label=sec["problem"])
     lines = [",".join(RUN_COLUMNS), run.csv_row()]
@@ -233,7 +234,7 @@ def _cmd_study(args) -> int:
 
 def _verify_groups():
     n = 64
-    prob_a = ProblemKind(ProblemTag.A_EXAMPLE)
+    prob_a = ProblemKind.A_EXAMPLE
 
     def grp_discretization():
         label, prob, x, f, y_exact = analytic_cases()[0]
@@ -259,21 +260,21 @@ def _verify_groups():
         x0 = GridFunction.constant(1.0, n)
         ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural",
                                          n_cells=n, n_train=3, n_quad=n, n_trunk=8))
-        y0, nu_c = ex.ls.center[1], ex.problem.nu
+        y0 = ex.ls.center[1]
         cases = [
-            (FemMap(prob_a, f, n), solve_forward_fem(prob_a, x0, f, n),
-             SpaceKind.H1, prob_a.nu),
-            (RankMap(ex.ls), y0, SpaceKind.L2, nu_c),
-            (NeuralMap(ex.coeffs, ex.ls.center), y0, SpaceKind.L2, nu_c),
+            (FemMap(prob_a, f, n), solve_forward_fem(prob_a, x0, f, n), prob_a),
+            (RankMap(ex.ls), y0, ex.problem),
+            (NeuralMap(ex.coeffs, ex.ls.center), y0, ex.problem),
         ]
         rng = np.random.default_rng(2)
         x = GridFunction(n, 1.0 + 0.05 * rng.standard_normal(n + 1))
         d = GridFunction(n, rng.standard_normal(n + 1))
         eps = 1e-5
-        for h, y, space, nu in cases:
+        for h, y, prob in cases:
             yd = add_noise(y, 1e-3, 1)
+            space = prob.image_space
             cfg = TikhonovConfig(alpha=1e-8, delta=1e-3, eta=1e-6, xi=0.0, x0=x0,
-                                 space=space, nu=nu)
+                                 space=space, nu=prob.nu)
             _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
             fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
                   - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)

@@ -4,29 +4,30 @@ Grammar: ``[section]`` headers, ``key = value`` entries, ``#`` comments.
 :func:`load_config` keeps every value as text; :func:`read_section` parses
 each given value once, as the type of its key's default in the section's
 schema ``{key: default}``: an ``int`` default takes an integer (``1e4`` is
-not one), a ``float`` default a real number, a tuple default a
-comma-separated ladder of real numbers, and any other default (a string or
-None) the text itself.  A key outside the schema, a value that does not
-parse, or a missing key whose default is :data:`REQUIRED` raises
-ConfigInvalid naming the key.  See ``configs/`` for annotated examples of
-each section.
+not one), a ``float`` default a finite real number (not ``nan`` or ``inf``),
+a tuple default a comma-separated ladder of finite real numbers, and any
+other default (a string or None) the text itself.  A key outside the
+schema, a value that does not parse, or a missing key whose default is
+:data:`REQUIRED` raises ConfigInvalid naming the key.  See ``configs/`` for
+annotated examples of each section.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import ConfigInvalid
-from .fem import ProblemKind, ProblemTag
+from .fem import ProblemKind
 from .studies import StudyConfig
 
 #: the schema default of a key that has none and must be given
 REQUIRED = MISSING
 
-_TYPE_WORDS = {int: "an integer", float: "a real number",
-               tuple: "comma-separated real numbers"}
+_TYPE_WORDS = {int: "an integer", float: "a finite real number",
+               tuple: "comma-separated finite real numbers"}
 
 
 def load_config(path) -> dict:
@@ -52,13 +53,16 @@ def check_keys(sec: dict, allowed, name: str, what: str = "keys") -> dict:
 
 def _parse(name: str, key: str, text: str, default):
     kind = type(default)
+    if kind not in _TYPE_WORDS:
+        return text
     try:
-        if kind is tuple:
-            return tuple(float(v) for v in text.split(",") if v.strip())
-        return kind(text) if kind in (int, float) else text
+        value = (tuple(float(v) for v in text.split(",") if v.strip()) if kind is tuple
+                 else kind(text))
+        if all(map(math.isfinite, value if kind is tuple else (value,))):
+            return value
     except ValueError:
-        raise ConfigInvalid(f"[{name}] {key} must be {_TYPE_WORDS[kind]}, "
-                            f"not {text!r}") from None
+        pass
+    raise ConfigInvalid(f"[{name}] {key} must be {_TYPE_WORDS[kind]}, not {text!r}")
 
 
 def read_section(cfg: dict, name: str, schema: dict) -> dict:
@@ -79,7 +83,7 @@ def read_section(cfg: dict, name: str, schema: dict) -> dict:
 def problem_from_name(name: str) -> ProblemKind:
     if name not in ("a", "c"):
         raise ConfigInvalid(f"unknown problem {name!r}; use 'a' or 'c'")
-    return ProblemKind(ProblemTag(name))
+    return ProblemKind(name)
 
 
 def study_config(cfg: dict, seed=None, out=None) -> StudyConfig:

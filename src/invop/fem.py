@@ -15,7 +15,6 @@ space):    -y'' + x y = f
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,28 +25,25 @@ from .grid import GridFunction, SpaceKind, _ldl_factor, _ldl_solve, gram_solve, 
 REFERENCE_CELLS = 4096
 
 
-class ProblemTag(enum.Enum):
+class ProblemKind(enum.Enum):
+    """The two model problems; each fixes its solution space X and its
+    admissibility bound x >= nu.  ``ProblemKind("c")`` parses a name."""
+
     A_EXAMPLE = "a"  # diffusion coefficient, X = H1
     C_EXAMPLE = "c"  # reaction coefficient, X = L2
 
-
-@dataclass(frozen=True)
-class ProblemKind:
-    tag: ProblemTag
-    nu: float = 0.1
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("admissibility bound nu must be positive")
+    @property
+    def nu(self) -> float:
+        return 0.1
 
     @property
     def image_space(self) -> SpaceKind:
-        return SpaceKind.H1 if self.tag is ProblemTag.A_EXAMPLE else SpaceKind.L2
+        return SpaceKind.H1 if self is ProblemKind.A_EXAMPLE else SpaceKind.L2
 
     def fem_lower_bound(self) -> float:
         # The reaction-coefficient FEM solve stays well-posed down to x >= 0;
         # the stricter reference bound nu is reported in diagnostics only.
-        return self.nu if self.tag is ProblemTag.A_EXAMPLE else 0.0
+        return self.nu if self is ProblemKind.A_EXAMPLE else 0.0
 
 
 def _load_vector(f: np.ndarray, h: float) -> np.ndarray:
@@ -72,7 +68,7 @@ def _mass_bands(x: np.ndarray, h: float):
 
 def _assemble(kind: ProblemKind, x: np.ndarray, n: int):
     h = 1.0 / n
-    if kind.tag is ProblemTag.A_EXAMPLE:
+    if kind is ProblemKind.A_EXAMPLE:
         return _stiffness_bands(x, h)
     k_main, k_off = _stiffness_bands(np.ones(n + 1), h)
     m_main, m_off = _mass_bands(x, h)
@@ -137,7 +133,7 @@ def derivative_apply(
     hdir._check_mesh(n)
     y = solve_forward_fem(kind, x, f, n)
     h = 1.0 / n
-    if kind.tag is ProblemTag.A_EXAMPLE:
+    if kind is ProblemKind.A_EXAMPLE:
         p_main, p_off = _stiffness_bands(hdir.values, h)
     else:
         p_main, p_off = _mass_bands(hdir.values, h)
@@ -186,7 +182,7 @@ def misfit_gradient_nodal(
     p[1:-1] = _galerkin_solve(kind, xv, n, (w * rv)[1:-1])
 
     z = np.zeros(n + 1)
-    if kind.tag is ProblemTag.A_EXAMPLE:
+    if kind is ProblemKind.A_EXAMPLE:
         # d/dh_j of p^T K(h) y with element averages of h
         dp = np.diff(p) / h
         dy = np.diff(yv) / h

@@ -12,10 +12,12 @@ surrogate file holds the one branch network once (``branch.c``, a row per
 term, ``branch.w``, ``branch.theta``) and the trunks per term; a file in an
 older layout, with a ``term0.branch.*`` field or without the shared
 ``s_points``, raises :class:`ConfigInvalid` naming the field.  Fields a
-reader does not use, such as ``seed`` or ``transform`` in older files, are
-ignored.  The surrogate's ``activation`` and the training set's
-``perturbation.mode`` are written as their one supported value, and a file
-where either reads another value raises :class:`ConfigInvalid` naming it.
+reader does not use, such as ``seed``, ``nu``, ``space`` or ``transform`` in
+older files, are ignored; a rank-N file without ``problem`` raises
+:class:`ConfigInvalid` naming it.  The surrogate's ``activation`` and the
+training set's ``perturbation.mode`` are written as their one supported
+value, and a file where either reads another value raises
+:class:`ConfigInvalid` naming it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch
-from .fem import ProblemKind, ProblemTag
-from .grid import GridFunction, SpaceKind
+from .fem import ProblemKind
+from .grid import GridFunction
 from .neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
 from .training import LinearSurrogate, PerturbationSpec, SurrogateDiagnostics, TrainingSet
 
@@ -199,9 +201,7 @@ def load_structured(path) -> StructuredSurrogateCoeffs:
 
 def save_training_set(path, ts: TrainingSet):
     fields = [
-        ("problem", ts.problem.tag.value),
-        ("nu", ts.problem.nu),
-        ("space", ts.space.value),
+        ("problem", ts.problem.value),
         ("n_pairs", len(ts.pairs)),
     ]
     if ts.perturbation is not None:
@@ -229,10 +229,7 @@ def load_training_set(path) -> TrainingSet:
         _check_pinned(f, "perturbation.mode", PERTURBATION_MODE)
         pert = PerturbationSpec(f["perturbation.amplitude"], f["perturbation.count"])
     load = _get_grid(f, "load") if "load.n_cells" in f else None
-    return TrainingSet(
-        pairs, ProblemKind(ProblemTag(f["problem"]), f["nu"]),
-        SpaceKind(f["space"]), pert, load,
-    )
+    return TrainingSet(pairs, ProblemKind(f["problem"]), pert, load)
 
 
 #: the surrogate error diagnostics ``invop build`` stores with the rank-N surrogate
@@ -243,7 +240,7 @@ def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagn
     if ls.load is None:
         raise ValueError("a rank-N surrogate is saved with the load it was built for")
     fields = [
-        ("space", ls.space.value),
+        ("problem", ls.problem.value),
         ("n_terms", ls.n_terms),
     ]
     for i, (b, y) in enumerate(zip(ls.basis, ls.induced)):
@@ -263,5 +260,5 @@ def load_linear_surrogate(path):
     basis = tuple(_get_grid(f, f"basis{i}") for i in range(n))
     induced = tuple(_get_grid(f, f"induced{i}") for i in range(n))
     center = (_get_grid(f, "center.x"), _get_grid(f, "center.y"))
-    ls = LinearSurrogate(basis, induced, SpaceKind(f["space"]), center, _get_grid(f, "load"))
+    ls = LinearSurrogate(basis, induced, ProblemKind(f["problem"]), center, _get_grid(f, "load"))
     return ls, SurrogateDiagnostics(*(f[name] for name in DIAGNOSTIC_FIELDS), n_terms=n)

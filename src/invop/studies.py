@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigInvalid, DegenerateFit
-from .fem import ProblemKind, ProblemTag, adjoint_apply, solve_forward_fem, solve_forward_reference
+from .fem import ProblemKind, adjoint_apply, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, norm, trapezoid_weights
 from .mollify import mollify
 from .tikhonov import (
@@ -96,11 +96,12 @@ class StudyConfig:
 
     def __post_init__(self):
         # a field with an int default takes an integer, one with a float
-        # default a real number; neither takes a bool
+        # default a finite real number; neither takes a bool
         for f in fields(self):
             v, kind = getattr(self, f.name), type(f.default)
-            if kind in (int, float) and (isinstance(v, bool) or not isinstance(v, (int, kind))):
-                word = "an integer" if kind is int else "a real number"
+            if kind in (int, float) and (isinstance(v, bool) or not isinstance(v, (int, kind))
+                                         or not -math.inf < v < math.inf):
+                word = "an integer" if kind is int else "a finite real number"
                 raise ConfigInvalid(f"{f.name} must be {word}, not {v!r}")
         if self.study not in STUDY_KINDS:
             raise ConfigInvalid(f"unknown study {self.study!r}; choose from {STUDY_KINDS}")
@@ -121,8 +122,8 @@ class StudyConfig:
         decreasing = all(b < a for a, b in zip(lad, lad[1:]))
         if not (increasing or decreasing):
             raise ConfigInvalid("ladder must be strictly monotone")
-        if any(v <= 0 for v in lad):
-            raise ConfigInvalid("ladder entries must be positive")
+        if not all(0 < v < math.inf for v in lad):
+            raise ConfigInvalid("ladder entries must be positive and finite")
         if self.study in ("fem_rate", "surrogate_error") and not all(
                 float(v).is_integer() for v in lad):
             raise ConfigInvalid(f"the {self.study} ladder counts cells, so each entry must "
@@ -182,21 +183,21 @@ def analytic_cases():
     return [
         (
             "a-flat",
-            ProblemKind(ProblemTag.A_EXAMPLE),
+            ProblemKind.A_EXAMPLE,
             lambda s: np.ones_like(s),
             lambda s: np.pi ** 2 * np.sin(np.pi * s),
             lambda s: np.sin(np.pi * s),
         ),
         (
             "a-ramp",
-            ProblemKind(ProblemTag.A_EXAMPLE),
+            ProblemKind.A_EXAMPLE,
             lambda s: 1.0 + s,
             lambda s: 1.0 + 4.0 * s,
             lambda s: s * (1.0 - s),
         ),
         (
             "c-flat",
-            ProblemKind(ProblemTag.C_EXAMPLE),
+            ProblemKind.C_EXAMPLE,
             lambda s: np.ones_like(s),
             lambda s: (np.pi ** 2 + 1.0) * np.sin(np.pi * s),
             lambda s: np.sin(np.pi * s),
@@ -306,7 +307,7 @@ def c_example_setup(cfg: StudyConfig) -> CExample:
     are measured on ``probe_pairs`` of the training set (the unit modes at
     amplitude 0.1 around x0, and their mix), each input solved once."""
     n = cfg.n_cells
-    prob = ProblemKind(ProblemTag.C_EXAMPLE)
+    prob = ProblemKind.C_EXAMPLE
     f = GridFunction.constant(50.0, n)
     x0 = GridFunction.constant(1.0, n)
     spec = PerturbationSpec(0.1, cfg.n_train)
@@ -324,13 +325,13 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
     n = cfg.n_cells
     deltas = [float(d) for d in cfg.ladder]
     if cfg.problem == "a":
-        prob = ProblemKind(ProblemTag.A_EXAMPLE)
+        prob = ProblemKind.A_EXAMPLE
         f = GridFunction.constant(1.0, n)
         x0 = GridFunction.constant(1.0, n)
         xt = source_target_a(prob, x0, f, n)
         h = FemMap(prob, f, n)
         y_true = solve_forward_reference(prob, xt, f)
-        space, nu, rho, xi, label = SpaceKind.H1, prob.nu, fem_rho(prob, n, 1.0, 1.0), cfg.xi, "a"
+        rho = fem_rho(prob, n, 1.0, 1.0)
     else:
         ex = c_example_setup(cfg)
         prob, x0, xt, y_true = ex.problem, ex.x0, ex.xt, ex.y_true
@@ -338,16 +339,16 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
             h, rho = RankMap(ex.ls), ex.diag.nu_N  # the rank map has no sigmoid errors
         else:
             h, rho = NeuralMap(ex.coeffs, ex.ls.center), ex.diag.rho_bound
-        space, nu, xi, label = SpaceKind.L2, prob.nu, cfg.xi, "c"
 
     runs = []
     for i, d in enumerate(deltas):
         seed = cfg.seed + 100 + i
         yd = add_noise(y_true, d, seed)
         alpha, eta = choose_parameters(d, rho, cfg.constant)
-        tik = TikhonovConfig(alpha=alpha, delta=d, eta=eta, xi=xi, x0=x0,
-                             space=space, nu=nu, max_iterations=cfg.max_iterations, x_true=xt)
-        r = solve_inverse_problem(h, yd, tik, seed=seed, problem_label=label)
+        tik = TikhonovConfig(alpha=alpha, delta=d, eta=eta, xi=cfg.xi, x0=x0,
+                             space=prob.image_space, nu=prob.nu,
+                             max_iterations=cfg.max_iterations, x_true=xt)
+        r = solve_inverse_problem(h, yd, tik, seed=seed, problem_label=cfg.problem)
         runs.append(r)
         rows.append(r.csv_row())
 

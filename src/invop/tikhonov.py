@@ -17,9 +17,10 @@ spent; ``Certificate.status`` says which.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -56,6 +57,8 @@ class TikhonovConfig:
     x_true: Optional[GridFunction] = None  # reporting metadata only, on x0's mesh
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.delta, self.eta, self.xi, self.nu))):
+            raise ValueError("alpha, delta, eta, xi and nu must be finite")
         if self.alpha <= 0 or self.eta <= 0:
             raise ValueError("alpha and eta must be positive")
         if self.delta < 0 or self.xi < 0:
@@ -132,15 +135,16 @@ class RankMap(SurrogateHandle):
     def _evaluate(self, x: GridFunction):
         x0, y0 = self.ls.center
         x._check_mesh(x0.n_cells)
+        space = self.ls.problem.image_space
         out = y0.values.copy()
         xc = x.values - x0.values
         for b, y in zip(self.ls.basis, self.ls.induced):
-            out += _inner_nodal(xc, b.values, b.n_cells, self.ls.space) * y.values
+            out += _inner_nodal(xc, b.values, b.n_cells, space) * y.values
 
         def pullback(r: np.ndarray) -> np.ndarray:
             grad = np.zeros(x.n_cells + 1)
             for b, y in zip(self.ls.basis, self.ls.induced):
-                g = gram_apply(b.values, b.n_cells, self.ls.space)
+                g = gram_apply(b.values, b.n_cells, space)
                 grad += _inner_nodal(r, y.values, y.n_cells, SpaceKind.L2) * g
             return grad
 
@@ -363,9 +367,6 @@ class RegularizationRun:
     error_X: float
     runtime_ms: float
     seed: int
-    minimizer: Optional[ApproximateMinimizer] = field(
-        default=None, repr=False, compare=False
-    )
 
     def csv_row(self) -> str:
         cells = []
@@ -376,7 +377,7 @@ class RegularizationRun:
 
 
 #: the columns of a run's CSV record, in field order
-RUN_COLUMNS = tuple(f.name for f in fields(RegularizationRun) if f.name != "minimizer")
+RUN_COLUMNS = tuple(f.name for f in fields(RegularizationRun))
 
 
 def solve_inverse_problem(
@@ -407,5 +408,4 @@ def solve_inverse_problem(
         error_X=err,
         runtime_ms=runtime_ms,
         seed=seed,
-        minimizer=result,
     )

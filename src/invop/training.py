@@ -70,7 +70,6 @@ def perturbation_shape(index: int, n_cells: int) -> GridFunction:
 class TrainingSet:
     pairs: tuple  # (x_hat, y_hat); index 0 is the center pair
     problem: ProblemKind
-    space: SpaceKind
     perturbation: Optional[PerturbationSpec] = None
     load: Optional[GridFunction] = None
 
@@ -85,7 +84,6 @@ def generate_training_set(
     center_x: GridFunction,
     perturbation: PerturbationSpec,
 ) -> TrainingSet:
-    space = problem.image_space
     n_cells = center_x.n_cells
     if perturbation.count >= n_cells:
         # sin(n pi s) vanishes at every node of the n-cell mesh, and higher
@@ -103,7 +101,7 @@ def generate_training_set(
         )
     xs = [center_x] + [center_x + perturbation.amplitude * s for s in shapes]
     pairs = tuple((x, solve_forward_reference(problem, x, f)) for x in xs)
-    return TrainingSet(pairs, problem, space, perturbation, f)
+    return TrainingSet(pairs, problem, perturbation, f)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ def gram_schmidt(images, space: SpaceKind):
 class LinearSurrogate:
     basis: tuple  # orthonormal input directions
     induced: tuple  # data functions under the same change of basis
-    space: SpaceKind
+    problem: ProblemKind  # its image space is the surrogate's input space
     center: tuple  # (x_hat0, y_hat0), the training center pair
     load: Optional[GridFunction]  # the load the pairs were solved with
 
@@ -157,7 +155,8 @@ def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
     if ts.n_train < 1:
         raise DimensionMismatch("training set needs at least one non-center pair")
     x0, y0 = ts.pairs[0]
-    basis, transform = gram_schmidt([x - x0 for x, _ in ts.pairs[1:]], ts.space)
+    basis, transform = gram_schmidt([x - x0 for x, _ in ts.pairs[1:]],
+                                    ts.problem.image_space)
     ys = [y - y0 for _, y in ts.pairs[1:]]
     induced = []
     for j in range(len(basis)):
@@ -165,7 +164,7 @@ def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
         for i in range(j + 1):
             acc += transform[j, i] * ys[i].values
         induced.append(GridFunction(ys[0].n_cells, acc))
-    return LinearSurrogate(tuple(basis), tuple(induced), ts.space, ts.pairs[0], ts.load)
+    return LinearSurrogate(tuple(basis), tuple(induced), ts.problem, ts.pairs[0], ts.load)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
     if not pairs:
         raise EmptyProbeSet("need at least one probe")
     x0, y0 = ls.center
-    n_cells = y0.n_cells
+    n_cells, space = y0.n_cells, ls.problem.image_space
     sw = np.sqrt(trapezoid_weights(n_cells))
     span = np.column_stack([y.values * sw for y in ls.induced])
     q, _ = np.linalg.qr(span)
@@ -266,7 +265,7 @@ def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
         x._check_mesh(x0.n_cells)
         y._check_mesh(n_cells)
         e = x.values - x0.values
-        dx = float(np.sqrt(_inner_nodal(e, e, x0.n_cells, ls.space)))
+        dx = float(np.sqrt(_inner_nodal(e, e, x0.n_cells, space)))
         if dx < 1e-14:
             continue
         d = (y.values - y0.values) * sw
@@ -296,9 +295,9 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
     function.  q_N and nu_N are measured on the solved probe pairs (x, F[x]).
     Returns (coefficients, diagnostics).
     """
-    x0 = ls.center[0]
+    x0, space = ls.center[0], ls.problem.image_space
     t = quadrature_nodes(n_k)
-    slopes = np.array([gram_apply(xb.resample(n_k).values, n_k, ls.space) for xb in ls.basis])
+    slopes = np.array([gram_apply(xb.resample(n_k).values, n_k, space) for xb in ls.basis])
     branch = _near_linear_branch(slopes, x0.sample(t))
     trunks, residuals = zip(*(fit_trunk(yb, n_j, seed + 7 * ell)
                               for ell, yb in enumerate(ls.induced)))
@@ -311,7 +310,7 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
         e = x.values - x0.values
         outputs = eval_branch(branch, x.sample(t))
         for b, xb in zip(outputs.tolist(), ls.basis):
-            q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, x0.n_cells, ls.space)))
+            q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, x0.n_cells, space)))
 
     r_n = max(residuals)
     nu_n = estimate_nu_N(ls, probes)

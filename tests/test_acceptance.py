@@ -10,7 +10,6 @@ import pytest
 
 from invop.fem import (
     ProblemKind,
-    ProblemTag,
     derivative_apply,
     solve_forward_reference,
 )
@@ -44,8 +43,8 @@ from invop.training import (
     probe_pairs,
 )
 
-A = ProblemKind(ProblemTag.A_EXAMPLE)
-C = ProblemKind(ProblemTag.C_EXAMPLE)
+A = ProblemKind.A_EXAMPLE
+C = ProblemKind.C_EXAMPLE
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +109,7 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     dirs = [0.1 * perturbation_shape(l, n) for l in range(1, n_terms + 1)]
     pairs = ((x0, GridFunction.constant(0.0, n)),) + tuple(
         (x0 + d, derivative_apply(C, x0, d, f, n)) for d in dirs)
-    ls = build_linear_surrogate(TrainingSet(pairs, C, SpaceKind.L2))
+    ls = build_linear_surrogate(TrainingSet(pairs, C))
 
     rng = np.random.default_rng(0)
     span = GridFunction.constant(0.0, n)

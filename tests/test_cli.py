@@ -1,14 +1,17 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invop.cli import SECTION_KEYS, cli_main
+from invop.cli import COMMAND_SECTIONS, SECTION_KEYS, cli_main
 from invop.config import load_config, read_section, study_config
-from invop.fem import ProblemKind, ProblemTag, solve_forward_reference
+from invop.fem import ProblemKind, solve_forward_reference
+from invop.grid import GridFunction, SpaceKind
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
-from invop.studies import fem_rho
-from invop.tikhonov import NeuralMap, SurrogateHandle
+from invop.studies import StudyConfig, fem_rho, source_target_a
+from invop.tikhonov import (FemMap, NeuralMap, SurrogateHandle, TikhonovConfig, add_noise,
+                            choose_parameters, solve_inverse_problem)
 from invop.training import assemble_neural_surrogate, build_linear_surrogate, probe_pairs
 
 
@@ -111,7 +114,6 @@ load = 50.0
 delta = 0.001
 constant = 0.15
 target = prior
-space = L2
 max_iterations = 2000
 """)
     out_csv = tmp_path / "run.csv"
@@ -141,16 +143,23 @@ delta = 0.001
 
 
 def test_fem_solve_defaults_to_the_problem_space(tmp_path):
-    # problem c identifies a reaction coefficient, whose solution space is L2
-    text = ("[solve]\nproblem = c\nsurrogate = fem\nn_cells = 64\nload = 50.0\n"
-            "delta = 0.001\nmax_iterations = 200\n")
-    rows = []
-    for name, extra in (("default", ""), ("l2", "space = L2\n")):
-        cfg = _write(tmp_path / f"{name}.cfg", text + extra)
-        out = tmp_path / f"{name}.csv"
-        assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-        rows.append(_row_without_runtime(out))
-    assert rows[0] == rows[1]
+    # problem c identifies a reaction coefficient, whose solution space is L2:
+    # the CLI run is the library run with X = L2
+    cfg = _write(tmp_path / "default.cfg", "[solve]\nproblem = c\nsurrogate = fem\n"
+                 "n_cells = 64\nload = 50.0\ndelta = 0.001\nmax_iterations = 200\n")
+    out = tmp_path / "default.csv"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    prob, n, delta = ProblemKind.C_EXAMPLE, 64, 1e-3
+    f, x0 = GridFunction.constant(50.0, n), GridFunction.constant(1.0, n)
+    xt = source_target_a(prob, x0, f, n)
+    alpha, eta = choose_parameters(delta, fem_rho(prob, n, 50.0, 1.0), 1.0)
+    tik = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=0.0, x0=x0, space=SpaceKind.L2,
+                         nu=prob.nu, max_iterations=200, x_true=xt)
+    yd = add_noise(solve_forward_reference(prob, xt, f), delta, 0)
+    run = solve_inverse_problem(FemMap(prob, f, n), yd, tik, problem_label="c")
+    expect = run.csv_row().split(",")
+    expect[11] = ""
+    assert _row_without_runtime(out) == expect
 
 
 _SMALL_GENERATE = """
@@ -211,11 +220,9 @@ _WRONG_VALUES = [("study", "study", key, value) for key, value in (
     ("solve", "solve", "problem", "A"), ("solve", "solve", "problem", "divergence")]
 
 
-@pytest.mark.parametrize("command,section,key,value", _WRONG_VALUES, ids=[
-    f"{k}-{v}" if c == "study" else f"{s}-{k}-{v}" for c, s, k, v in _WRONG_VALUES])
-def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, command, section, key,
-                                                 value):
-    # every other value is one the command runs on, so the one named fails it
+def _fails_naming(tmp_path, capsys, command, section, key, value):
+    """stderr of the command run on its runnable config with [section] key =
+    value, which must exit 1 without a traceback or an output file."""
     cfg = {name: dict(sec) for name, sec in _RUNNABLE[command].items()}
     if command == "build":
         ts_path = tmp_path / "train.txt"
@@ -230,8 +237,51 @@ def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, command, secti
     capsys.readouterr()
     assert cli_main([command, "--config", path, "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert key in err and "Traceback" not in err
+    assert "Traceback" not in err
     assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("command,section,key,value", _WRONG_VALUES, ids=[
+    f"{k}-{v}" if c == "study" else f"{s}-{k}-{v}" for c, s, k, v in _WRONG_VALUES])
+def test_study_field_of_the_wrong_type_names_it(tmp_path, capsys, command, section, key,
+                                                 value):
+    # every other value is one the command runs on, so the one named fails it
+    assert key in _fails_naming(tmp_path, capsys, command, section, key, value)
+
+
+def _non_finite_values():
+    """(command, section, key, value) with nan or inf in every real-valued key of
+    every section: each key with a float default, and the last entry of a ladder."""
+    command_of = {sec: command for command, secs in COMMAND_SECTIONS.items() for sec in secs}
+    schemas = dict(SECTION_KEYS, study={f.name: f.default for f in fields(StudyConfig)})
+    cases = []
+    for sec, schema in schemas.items():
+        for key, default in schema.items():
+            for bad in ("nan", "inf"):
+                if isinstance(default, tuple):
+                    cases.append((command_of[sec], sec, key, f"0.02, 0.01, 0.005, {bad}"))
+                elif isinstance(default, float):
+                    cases.append((command_of[sec], sec, key, bad))
+    return cases
+
+
+_NON_FINITE = _non_finite_values()
+
+
+@pytest.mark.parametrize("command,section,key,value", _NON_FINITE,
+                         ids=[f"{s}-{k}-{v.split()[-1]}" for _, s, k, v in _NON_FINITE])
+def test_non_finite_real_names_its_key(tmp_path, capsys, command, section, key, value):
+    assert f"[{section}] {key}" in _fails_naming(tmp_path, capsys, command, section, key, value)
+
+
+@pytest.mark.parametrize("key", ["n_quad", "n_trunk"])
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_build_with_fewer_than_two_samples_or_trunk_nodes_names_the_key(tmp_path, capsys,
+                                                                        key, value):
+    # the bounds a study config puts on them hold for a build too
+    assert f"[build] {key} = {value}" in _fails_naming(tmp_path, capsys, "build", "build",
+                                                       key, value)
 
 
 #: config keys and file fields that existing configs and files hold, each of
@@ -341,7 +391,6 @@ center = 1.0
 delta = {delta!r}
 constant = 0.5
 target = prior
-space = L2
 max_iterations = 20
 """)
 
@@ -468,6 +517,37 @@ def test_rank_file_without_the_load_names_it(tmp_path, capsys):
         assert str(rank_path) in err and "'load.n_cells'" in err and "rebuild" in err
 
 
+def test_rank_file_of_the_older_layout_names_problem(tmp_path, capsys):
+    # a .rank file written before the problem was recorded holds its space instead
+    surr_path = _small_surrogate(tmp_path)
+    rank_path = tmp_path / "surr.txt.rank"
+    text = rank_path.read_text()
+    assert "problem str c\n" in text and "space " not in text
+    rank_path.write_text(text.replace("problem str c\n", "space str L2\n"))
+    for kind in ("rank", "neural"):
+        capsys.readouterr()
+        assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
+                         "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert str(rank_path) in err and "'problem'" in err and "rebuild" in err
+
+
+def test_training_file_with_the_older_nu_and_space_fields_builds_the_same_surrogate(tmp_path):
+    # the problem fixes both, so a training file no longer holds them
+    surr_path = _small_surrogate(tmp_path)
+    ts_path = tmp_path / "train.txt"
+    lines = ts_path.read_text().splitlines(True)
+    assert lines[1] == "problem str c\n"
+    assert not any(line.startswith(("nu ", "space ")) for line in lines)
+    ts_path.write_text("".join(lines[:2] + ["nu real 0.10000000000000001\n", "space str L2\n"]
+                               + lines[2:]))
+    old = tmp_path / "old.txt"
+    assert cli_main(["build", "--config", _small_build(tmp_path, ts_path), "--out", str(old),
+                     "--quiet"]) == 0
+    for suffix in ("", ".rank"):
+        assert Path(f"{old}{suffix}").read_bytes() == Path(f"{surr_path}{suffix}").read_bytes()
+
+
 def test_neural_solve_with_the_rank_file_of_another_build_names_surrogate_file(tmp_path,
                                                                               capsys):
     # the coefficients of a 3-term build next to the .rank file of a 2-term one
@@ -491,7 +571,7 @@ def test_neural_solve_with_the_rank_file_of_another_build_names_surrogate_file(t
 
 def test_fem_solve_applies_the_parameter_rule_with_its_own_load(tmp_path):
     # delta lies below rho, so alpha = constant * rho of the configured load
-    prob = ProblemKind(ProblemTag.A_EXAMPLE)
+    prob = ProblemKind.A_EXAMPLE
     delta = 1e-5
     assert delta < fem_rho(prob, 16, 2.0, 1.0) != fem_rho(prob, 16, 1.0, 1.0)
     cfg = _write(tmp_path / "solve.cfg", f"""
@@ -606,7 +686,9 @@ _UNKNOWN_KEYS = [
     ("generate", "generate", "surogate", "rank"), ("generate", "perturbation", "surogate", "rank"),
     ("build", "build", "surogate", "rank"), ("solve", "solve", "surogate", "rank"),
     # the perturbation seed drew no random numbers, and the key is gone
-    ("generate", "perturbation", "seed", "3")]
+    ("generate", "perturbation", "seed", "3"),
+    # X is the problem's space, and the key that chose another is gone
+    ("solve", "solve", "space", "L2")]
 
 
 @pytest.mark.parametrize("command,section,key,value", _UNKNOWN_KEYS, ids=[

@@ -4,7 +4,6 @@ import pytest
 from invop.errors import DimensionMismatch, NonAdmissibleCoefficient
 from invop.fem import (
     ProblemKind,
-    ProblemTag,
     adjoint_apply,
     derivative_apply,
     solve_forward_fem,
@@ -13,8 +12,8 @@ from invop.fem import (
 from invop.grid import GridFunction, SpaceKind, inner, norm
 from invop.studies import analytic_cases, fit_slope
 
-A = ProblemKind(ProblemTag.A_EXAMPLE)
-C = ProblemKind(ProblemTag.C_EXAMPLE)
+A = ProblemKind.A_EXAMPLE
+C = ProblemKind.C_EXAMPLE
 
 
 # -- oracles: closed-form solutions -----------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from invop import serialize
 from invop.errors import ConfigInvalid
-from invop.fem import ProblemKind, ProblemTag
+from invop.fem import ProblemKind
 from invop.grid import GridFunction
 from invop.neural import eval_structured_with_gradient
 from invop.serialize import (
@@ -22,7 +22,7 @@ from invop.training import (
     probe_pairs,
 )
 
-C = ProblemKind(ProblemTag.C_EXAMPLE)
+C = ProblemKind.C_EXAMPLE
 N = 64
 
 
@@ -41,7 +41,7 @@ def test_training_set_round_trip_bitwise(pipeline, tmp_path):
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
     ts2 = load_training_set(p)
-    assert ts2.problem.tag == ts.problem.tag
+    assert ts2.problem is ts.problem
     assert ts2.perturbation == ts.perturbation
     for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
         assert np.array_equal(x.values, x2.values)
@@ -54,7 +54,7 @@ def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
     save_linear_surrogate(p, ls, diag)
     ls2, diag2 = load_linear_surrogate(p)
     assert diag.nu_N > 0.0 and diag2 == diag
-    assert ls2.space == ls.space
+    assert ls2.problem is ls.problem
     for b, b2 in zip(ls.basis + ls.induced, ls2.basis + ls2.induced):
         assert np.array_equal(b.values, b2.values)
     assert np.array_equal(ls.center[0].values, ls2.center[0].values)

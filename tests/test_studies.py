@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import invop
 from invop.errors import ConfigInvalid, DegenerateFit
-from invop.fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
+from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, norm
 from invop.studies import (
     RateTable,
@@ -29,7 +29,7 @@ from invop.training import (
     probe_pairs,
 )
 
-A = ProblemKind(ProblemTag.A_EXAMPLE)
+A = ProblemKind.A_EXAMPLE
 
 # -- fit_slope --------------------------------------------------------------
 
@@ -92,6 +92,15 @@ def test_non_monotone_ladder_rejected():
         StudyConfig("fem_rate", ladder=(16, 64, 32, 128))
     with pytest.raises(ConfigInvalid):
         StudyConfig("fem_rate", ladder=(16, 16, 32, 64))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("constant", float("nan")), ("xi", float("inf")), ("constant", float("-inf")),
+    ("ladder", (0.1, 0.05, 0.025, float("nan"))), ("ladder", (0.1, 0.2, 0.3, float("inf")))],
+    ids=["constant-nan", "xi-inf", "constant-minus-inf", "ladder-nan", "ladder-inf"])
+def test_non_finite_real_rejected(field, value):
+    with pytest.raises(ConfigInvalid, match=field):
+        StudyConfig("reg_rate", **{field: value})
 
 
 def test_bad_problem_rejected():

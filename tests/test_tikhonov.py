@@ -10,7 +10,7 @@ import invop.fem
 import invop.tikhonov
 from invop.config import load_config, study_config
 from invop.errors import DegenerateScale, DimensionMismatch, NonAdmissibleCoefficient
-from invop.fem import ProblemKind, ProblemTag, solve_forward_fem, solve_forward_reference
+from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm
 from invop.studies import c_example_setup, fem_rho, source_target_a
 from invop.tikhonov import (
@@ -37,8 +37,8 @@ from invop.training import (
     probe_pairs,
 )
 
-A = ProblemKind(ProblemTag.A_EXAMPLE)
-C = ProblemKind(ProblemTag.C_EXAMPLE)
+A = ProblemKind.A_EXAMPLE
+C = ProblemKind.C_EXAMPLE
 N = 96
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -146,6 +146,13 @@ def _config(x0, space, **kw):
                 space=space, nu=0.1, max_iterations=2000)
     base.update(kw)
     return TikhonovConfig(**base)
+
+
+@pytest.mark.parametrize("key", ["alpha", "delta", "eta", "xi", "nu"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_a_non_finite_real(key, value):
+    with pytest.raises(ValueError, match="finite"):
+        _config(GridFunction.constant(1.0, 16), SpaceKind.L2, **{key: value})
 
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])

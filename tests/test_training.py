@@ -6,7 +6,7 @@ from invop.errors import (
     IllConditionedFit,
     NonAdmissiblePerturbation,
 )
-from invop.fem import ProblemKind, ProblemTag, derivative_apply, solve_forward_reference
+from invop.fem import ProblemKind, derivative_apply, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, inner, norm
 from invop.neural import eval_branch
 from invop.studies import StudyConfig, c_example_setup
@@ -22,8 +22,8 @@ from invop.training import (
     quadrature_nodes,
 )
 
-A = ProblemKind(ProblemTag.A_EXAMPLE)
-C = ProblemKind(ProblemTag.C_EXAMPLE)
+A = ProblemKind.A_EXAMPLE
+C = ProblemKind.C_EXAMPLE
 N = 128
 
 
@@ -76,7 +76,7 @@ def test_dependent_images_detected():
     # duplicate a pair to force dependence downstream
     dup = ts.pairs + (ts.pairs[1],)
     with pytest.raises(DependentImages):
-        build_linear_surrogate(type(ts)(dup, ts.problem, ts.space))
+        build_linear_surrogate(type(ts)(dup, ts.problem))
 
 
 # -- orthonormalization -----------------------------------------------------
@@ -167,7 +167,7 @@ def test_assembled_surrogate_diagnostics_identity(c_setup):
 
 
 def test_linearized_branch_accuracy_both_spaces():
-    for prob, space in ((C, SpaceKind.L2), (A, SpaceKind.H1)):
+    for prob in (C, A):  # X = L2 and X = H1
         f = GridFunction.constant(50.0 if prob is C else 1.0, N)
         x0 = GridFunction.constant(1.0, N)
         ts = generate_training_set(prob, f, x0, PerturbationSpec(0.05, 3))
@@ -178,4 +178,4 @@ def test_linearized_branch_accuracy_both_spaces():
             probes=[(x, solve_forward_reference(prob, x, f)) for x in probes],
         )
         # dominated by resampling the probe onto the finer sample submesh
-        assert diag.q_N < 1e-4, (prob.tag, diag.q_N)
+        assert diag.q_N < 1e-4, (prob, diag.q_N)

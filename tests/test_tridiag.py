@@ -18,7 +18,6 @@ from invop.errors import DimensionMismatch, SingularSystem
 from invop.fem import (
     REFERENCE_CELLS,
     ProblemKind,
-    ProblemTag,
     _assemble,
     _galerkin_factors,
     _load_vector,
@@ -65,10 +64,9 @@ def test_random_dominant_systems_match_dptsv():
         assert _same_bits(_kernel(main, off, rhs), _dptsv(main, off, rhs)), n
 
 
-@pytest.mark.parametrize("tag", list(ProblemTag), ids=lambda t: t.value)
+@pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [256, REFERENCE_CELLS])
-def test_assembled_galerkin_systems_match_dptsv(tag, n):
-    kind = ProblemKind(tag)
+def test_assembled_galerkin_systems_match_dptsv(kind, n):
     s = np.linspace(0.0, 1.0, n + 1)
     x = 1.0 + 0.5 * np.sin(3 * np.pi * s) ** 2
     main, off = _assemble(kind, x, n)
@@ -94,9 +92,9 @@ def test_h1_gram_factors_are_kept_per_mesh_size():
     assert (len(d), len(l)) == (33, 32)
 
 
-@pytest.mark.parametrize("tag", list(ProblemTag), ids=lambda t: t.value)
-def test_misfit_gradient_reuses_the_forward_factorization(tag):
-    kind, n = ProblemKind(tag), 64
+@pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+def test_misfit_gradient_reuses_the_forward_factorization(kind):
+    n = 64
     x = GridFunction.from_callable(lambda s: 1.0 + 0.3 * s * (1 - s), n)
     f = GridFunction.constant(1.0, n)
     r = GridFunction.from_callable(np.sin, n)
