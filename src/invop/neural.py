@@ -15,8 +15,6 @@ call never forms a derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
@@ -53,7 +51,6 @@ def _finite(value, name: str, ndim: int = 1) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class BranchCoeffs:
     """One-layer sigmoid network of the samples x_1..x_L with one output per
     term; output i is sum_l c[i, l] sigma(w_l x_l + theta_l) + c[i, L] sigma(theta_L).
@@ -63,42 +60,31 @@ class BranchCoeffs:
     last.  ``c`` holds one row of output weights per term.
     """
 
-    c: np.ndarray  # (N, L + 1)
-    w: np.ndarray  # (L,)
-    theta: np.ndarray  # (L + 1,)
+    __slots__ = ("c", "w", "theta")
 
-    def __post_init__(self):
-        c = _finite(self.c, "branch.c", 2)
-        w = _finite(self.w, "branch.w")
-        theta = _finite(self.theta, "branch.theta")
-        if c.shape[1] != w.size + 1 or theta.size != w.size + 1:
+    def __init__(self, c, w, theta):
+        self.c = _finite(c, "branch.c", 2)  # (N, L + 1)
+        self.w = _finite(w, "branch.w")  # (L,)
+        self.theta = _finite(theta, "branch.theta")  # (L + 1,)
+        if self.c.shape[1] != self.w.size + 1 or self.theta.size != self.w.size + 1:
             raise DimensionMismatch("branch coefficient shapes disagree")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "theta", theta)
 
     @property
     def n_l(self) -> int:
         return self.w.size
 
 
-@dataclass(frozen=True)
 class TrunkCoeffs:
     """One-layer sigmoid function of t: sum_j c_j sigma(w_j t + zeta_j)."""
 
-    c: np.ndarray
-    w: np.ndarray
-    zeta: np.ndarray
+    __slots__ = ("c", "w", "zeta")
 
-    def __post_init__(self):
-        c = _finite(self.c, "trunk.c")
-        w = _finite(self.w, "trunk.w")
-        zeta = _finite(self.zeta, "trunk.zeta")
-        if w.size != c.size or zeta.size != c.size:
+    def __init__(self, c, w, zeta):
+        self.c = _finite(c, "trunk.c")
+        self.w = _finite(w, "trunk.w")
+        self.zeta = _finite(zeta, "trunk.zeta")
+        if self.w.size != self.c.size or self.zeta.size != self.c.size:
             raise DimensionMismatch("trunk coefficient shapes disagree")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "zeta", zeta)
 
     @property
     def n_j(self) -> int:
@@ -123,26 +109,24 @@ def eval_trunk(trunk: TrunkCoeffs, t_points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StructuredSurrogateCoeffs:
     """One branch network with an output per term, and a trunk per term;
     the branch reads the input at the sensor points."""
 
-    branch: BranchCoeffs
-    trunks: tuple  # of TrunkCoeffs
-    s_points: np.ndarray  # (L,) sensor points in [0, 1]
+    __slots__ = ("branch", "trunks", "s_points")
 
-    def __post_init__(self):
-        if self.branch.c.shape[0] != len(self.trunks):
+    def __init__(self, branch: BranchCoeffs, trunks, s_points):
+        if branch.c.shape[0] != len(trunks):
             raise DimensionMismatch("the branch needs one output per trunk")
-        s = _finite(self.s_points, "s_points")
-        if self.branch.n_l != s.size:
+        s = _finite(s_points, "s_points")  # (L,) sensor points in [0, 1]
+        if branch.n_l != s.size:
             raise DimensionMismatch("branch width disagrees with the sensor count")
         if np.any(s < 0.0) or np.any(s > 1.0):
             # np.interp would clamp them, and the pullback would not
             raise DimensionMismatch("sample points must lie in [0, 1]")
-        object.__setattr__(self, "trunks", tuple(self.trunks))
-        object.__setattr__(self, "s_points", s)
+        self.branch = branch
+        self.trunks = tuple(trunks)  # of TrunkCoeffs
+        self.s_points = s
 
     @property
     def n_terms(self) -> int:

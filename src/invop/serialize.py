@@ -154,6 +154,15 @@ ACTIVATION = "logistic"
 PERTURBATION_MODE = "sine"
 
 
+def _problem(fields: _Fields) -> ProblemKind:
+    try:
+        return ProblemKind(fields["problem"])
+    except ValueError:
+        names = ", ".join(repr(k.value) for k in ProblemKind)
+        raise ConfigInvalid(f"{fields.path}: field 'problem' reads {fields['problem']!r}; "
+                            f"choose from {names}") from None
+
+
 def _check_pinned(fields: _Fields, name: str, value: str):
     if fields[name] != value:
         raise ConfigInvalid(f"{fields.path}: field {name!r} reads {fields[name]!r}; "
@@ -229,7 +238,7 @@ def load_training_set(path) -> TrainingSet:
         _check_pinned(f, "perturbation.mode", PERTURBATION_MODE)
         pert = PerturbationSpec(f["perturbation.amplitude"], f["perturbation.count"])
     load = _get_grid(f, "load") if "load.n_cells" in f else None
-    return TrainingSet(pairs, ProblemKind(f["problem"]), pert, load)
+    return TrainingSet(pairs, _problem(f), pert, load)
 
 
 #: the surrogate error diagnostics ``invop build`` stores with the rank-N surrogate
@@ -260,5 +269,5 @@ def load_linear_surrogate(path):
     basis = tuple(_get_grid(f, f"basis{i}") for i in range(n))
     induced = tuple(_get_grid(f, f"induced{i}") for i in range(n))
     center = (_get_grid(f, "center.x"), _get_grid(f, "center.y"))
-    ls = LinearSurrogate(basis, induced, ProblemKind(f["problem"]), center, _get_grid(f, "load"))
+    ls = LinearSurrogate(basis, induced, _problem(f), center, _get_grid(f, "load"))
     return ls, SurrogateDiagnostics(*(f[name] for name in DIAGNOSTIC_FIELDS), n_terms=n)

@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -146,8 +146,7 @@ class StudyConfig:
         return tuple(0.25 * 2.0 ** (-k) for k in range(5))
 
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(NamedTuple):
     columns: tuple
     rows: tuple
     fitted_slope: float
@@ -302,23 +301,52 @@ def source_target_c(x0, ls, n):
 CExample = namedtuple("CExample", "problem load x0 ls xt y_true coeffs diag")
 
 
+def _read_only(*grids: GridFunction):
+    """Make the nodal values of the memoized grid functions unwritable."""
+    for g in grids:
+        g.values.flags.writeable = False
+
+
+@lru_cache(maxsize=8)
+def _c_example_data(n_cells: int, n_train: int):
+    """The seed-free part of the c-example, shared by every study of the
+    process with these sizes: (load, x0, ls, xt, y_true, probe pairs), all
+    read-only."""
+    prob = ProblemKind.C_EXAMPLE
+    f = GridFunction.constant(50.0, n_cells)
+    x0 = GridFunction.constant(1.0, n_cells)
+    ts = generate_training_set(prob, f, x0, PerturbationSpec(0.1, n_train))
+    ls = build_linear_surrogate(ts)
+    xt = source_target_c(x0, ls, n_cells)
+    y_true = solve_forward_reference(prob, xt, f)
+    probes = probe_pairs(ts)
+    # the load and the center pair (x0 among them) are shared with ts and ls
+    _read_only(f, xt, y_true, *ls.basis, *ls.induced,
+               *(g for pair in ts.pairs + probes for g in pair))
+    return f, x0, ls, xt, y_true, probes
+
+
 def c_example_setup(cfg: StudyConfig) -> CExample:
     """The c-example built from the config's sizes and seed; the diagnostics
     are measured on ``probe_pairs`` of the training set (the unit modes at
-    amplitude 0.1 around x0, and their mix), each input solved once."""
-    n = cfg.n_cells
-    prob = ProblemKind.C_EXAMPLE
-    f = GridFunction.constant(50.0, n)
-    x0 = GridFunction.constant(1.0, n)
-    spec = PerturbationSpec(0.1, cfg.n_train)
-    ts = generate_training_set(prob, f, x0, spec)
-    ls = build_linear_surrogate(ts)
-    xt = source_target_c(x0, ls, n)
+    amplitude 0.1 around x0, and their mix), each input solved once per
+    process.  Only the trunk fits depend on the seed."""
+    f, x0, ls, xt, y_true, probes = _c_example_data(cfg.n_cells, cfg.n_train)
+    coeffs, diag = assemble_neural_surrogate(ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1, probes)
+    return CExample(ProblemKind.C_EXAMPLE, f, x0, ls, xt, y_true, coeffs, diag)
+
+
+@lru_cache(maxsize=8)
+def _a_example_data(n_cells: int):
+    """The a-example setup, which no seed enters, shared by every study of the
+    process on this mesh: (x0, xt, FEM map, y_true, rho), all read-only."""
+    prob = ProblemKind.A_EXAMPLE
+    f = GridFunction.constant(1.0, n_cells)
+    x0 = GridFunction.constant(1.0, n_cells)
+    xt = source_target_a(prob, x0, f, n_cells)
     y_true = solve_forward_reference(prob, xt, f)
-    coeffs, diag = assemble_neural_surrogate(
-        ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1, probe_pairs(ts),
-    )
-    return CExample(prob, f, x0, ls, xt, y_true, coeffs, diag)
+    _read_only(f, x0, xt, y_true)
+    return x0, xt, FemMap(prob, f, n_cells), y_true, fem_rho(prob, n_cells, 1.0, 1.0)
 
 
 def _run_reg_rate(cfg: StudyConfig, rows: list):
@@ -326,12 +354,7 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
     deltas = [float(d) for d in cfg.ladder]
     if cfg.problem == "a":
         prob = ProblemKind.A_EXAMPLE
-        f = GridFunction.constant(1.0, n)
-        x0 = GridFunction.constant(1.0, n)
-        xt = source_target_a(prob, x0, f, n)
-        h = FemMap(prob, f, n)
-        y_true = solve_forward_reference(prob, xt, f)
-        rho = fem_rho(prob, n, 1.0, 1.0)
+        x0, xt, h, y_true, rho = _a_example_data(n)
     else:
         ex = c_example_setup(cfg)
         prob, x0, xt, y_true = ex.problem, ex.x0, ex.xt, ex.y_true

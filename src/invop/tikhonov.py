@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -87,6 +87,8 @@ class SurrogateHandle:
     ``misfit_and_gradient`` wrap it as the GridFunction entry points.
     """
 
+    __slots__ = ()
+
     def forward(self, x: GridFunction) -> GridFunction:
         """Surrogate data for the (already mollified) input x."""
         y = self._evaluate(x)[0]
@@ -101,15 +103,15 @@ class SurrogateHandle:
         return _inner_nodal(r, r, y_delta.n_cells, SpaceKind.L2), 2.0 * pullback(r)
 
 
-@dataclass(frozen=True)
 class FemMap(SurrogateHandle):
     """The Galerkin solver itself on an n-cell mesh."""
 
-    problem: ProblemKind
-    load: GridFunction
-    n: int
+    __slots__ = ("problem", "load", "n")
     label = "FemForward"
     n_terms = 0
+
+    def __init__(self, problem: ProblemKind, load: GridFunction, n: int):
+        self.problem, self.load, self.n = problem, load, n
 
     def _evaluate(self, x: GridFunction):
         x._check_mesh(self.n)
@@ -121,12 +123,14 @@ class FemMap(SurrogateHandle):
         return y, pullback
 
 
-@dataclass(frozen=True)
 class RankMap(SurrogateHandle):
     """The rank-N linear expansion around its training center."""
 
-    ls: LinearSurrogate
+    __slots__ = ("ls",)
     label = "LinearRankN"
+
+    def __init__(self, ls: LinearSurrogate):
+        self.ls = ls
 
     @property
     def n_terms(self) -> int:
@@ -151,15 +155,16 @@ class RankMap(SurrogateHandle):
         return out, pullback
 
 
-@dataclass(frozen=True)
 class NeuralMap(SurrogateHandle):
     """The branch/trunk sigmoid realization around the center (x_hat0, y_hat0).
     ``forward`` evaluates the values only; the pullback does the
     vector-Jacobian product when a gradient is asked for."""
 
-    coeffs: StructuredSurrogateCoeffs
-    center: tuple
+    __slots__ = ("coeffs", "center")
     label = "NeuralOperator"
+
+    def __init__(self, coeffs: StructuredSurrogateCoeffs, center: tuple):
+        self.coeffs, self.center = coeffs, center
 
     @property
     def n_terms(self) -> int:
@@ -186,9 +191,10 @@ def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return y
-    rng = np.random.default_rng(seed)
-    e = GridFunction(y.n_cells, rng.standard_normal(y.n_cells + 1))
-    return y + (delta / norm(e, SpaceKind.L2)) * e
+    n = y.n_cells
+    e = np.random.default_rng(seed).standard_normal(n + 1)
+    scale = delta / float(np.sqrt(max(_inner_nodal(e, e, n, SpaceKind.L2), 0.0)))
+    return GridFunction(n, y.values + scale * e)
 
 
 def choose_parameters(delta: float, rho_n: float, constant: float = 1.0):
@@ -227,16 +233,14 @@ def tikhonov_value_and_gradient(
 # minimization
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     gradient_norm: float
     eta_bound: float
     iterations: int  # index of the returned iterate
     status: str  # "converged", "budget" or "stagnated"
 
 
-@dataclass(frozen=True)
-class ApproximateMinimizer:
+class ApproximateMinimizer(NamedTuple):
     x: GridFunction
     functional_value: float
     certificate: Certificate
@@ -352,8 +356,7 @@ def _finish(x, value, gnorm, iterations, status, cfg) -> ApproximateMinimizer:
 # orchestration
 
 
-@dataclass(frozen=True)
-class RegularizationRun:
+class RegularizationRun(NamedTuple):
     problem: str
     surrogate: str
     n: int
@@ -369,15 +372,11 @@ class RegularizationRun:
     seed: int
 
     def csv_row(self) -> str:
-        cells = []
-        for name in RUN_COLUMNS:
-            v = getattr(self, name)
-            cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-        return ",".join(cells)
+        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in self)
 
 
 #: the columns of a run's CSV record, in field order
-RUN_COLUMNS = tuple(f.name for f in fields(RegularizationRun))
+RUN_COLUMNS = RegularizationRun._fields
 
 
 def solve_inverse_problem(

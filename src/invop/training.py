@@ -9,8 +9,9 @@ measured error diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +56,8 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("need at least one perturbation")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not 0 < self.amplitude < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"amplitude must be positive and finite, not {self.amplitude!r}")
 
 
 def perturbation_shape(index: int, n_cells: int) -> GridFunction:
@@ -66,8 +67,7 @@ def perturbation_shape(index: int, n_cells: int) -> GridFunction:
     return GridFunction(n_cells, np.sqrt(2.0) * np.sin(index * np.pi * s))
 
 
-@dataclass(frozen=True)
-class TrainingSet:
+class TrainingSet(NamedTuple):
     pairs: tuple  # (x_hat, y_hat); index 0 is the center pair
     problem: ProblemKind
     perturbation: Optional[PerturbationSpec] = None
@@ -135,8 +135,7 @@ def gram_schmidt(images, space: SpaceKind):
     return basis, transform
 
 
-@dataclass(frozen=True)
-class LinearSurrogate:
+class LinearSurrogate(NamedTuple):
     basis: tuple  # orthonormal input directions
     induced: tuple  # data functions under the same change of basis
     problem: ProblemKind  # its image space is the surrogate's input space
@@ -234,8 +233,7 @@ def fit_trunk(y_underline: GridFunction, n_j: int, seed: int):
 # assembly and diagnostics
 
 
-@dataclass(frozen=True)
-class SurrogateDiagnostics:
+class SurrogateDiagnostics(NamedTuple):
     nu_N: float  # off-span forward error per unit input deviation
     q_N: float  # worst measured branch functional error
     r_N: float  # worst trunk fit residual

@@ -532,6 +532,31 @@ def test_rank_file_of_the_older_layout_names_problem(tmp_path, capsys):
         assert str(rank_path) in err and "'problem'" in err and "rebuild" in err
 
 
+def test_training_file_with_an_unknown_problem_names_file_and_field(tmp_path, capsys):
+    _small_surrogate(tmp_path)
+    ts_path = tmp_path / "train.txt"
+    text = ts_path.read_text()
+    assert "problem str c\n" in text
+    ts_path.write_text(text.replace("problem str c\n", "problem str b\n"))
+    capsys.readouterr()
+    assert cli_main(["build", "--config", _small_build(tmp_path, ts_path), "--out",
+                     str(tmp_path / "b.txt"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(ts_path) in err and "'problem'" in err and "'b'" in err
+
+
+def test_rank_file_with_an_unknown_problem_names_file_and_field(tmp_path, capsys):
+    surr_path = _small_surrogate(tmp_path)
+    rank_path = tmp_path / "surr.txt.rank"
+    rank_path.write_text(rank_path.read_text().replace("problem str c\n", "problem str b\n"))
+    for kind in ("rank", "neural"):
+        capsys.readouterr()
+        assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
+                         "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert str(rank_path) in err and "'problem'" in err and "'b'" in err
+
+
 def test_training_file_with_the_older_nu_and_space_fields_builds_the_same_surrogate(tmp_path):
     # the problem fixes both, so a training file no longer holds them
     surr_path = _small_surrogate(tmp_path)

@@ -87,7 +87,7 @@ def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
     c2 = load_structured(p)
     assert "activation str logistic" in p.read_text().splitlines()
     for b, b2 in zip((coeffs.branch,) + coeffs.trunks, (c2.branch,) + c2.trunks):
-        for name in vars(b):
+        for name in type(b).__slots__:
             assert np.array_equal(_bits(getattr(b, name)), _bits(getattr(b2, name))), name
     assert np.array_equal(_bits(coeffs.s_points), _bits(c2.s_points))
     x = GridFunction.from_callable(lambda s: 1.0 + 0.05 * np.sin(np.pi * s), N)

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invop
+import invop.studies as studies
 from invop.errors import ConfigInvalid, DegenerateFit
 from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, norm
@@ -21,7 +23,7 @@ from invop.studies import (
     run_study,
     source_target_a,
 )
-from invop.tikhonov import RUN_COLUMNS
+from invop.tikhonov import RUN_COLUMNS, FemMap
 from invop.training import (
     PerturbationSpec,
     assemble_neural_surrogate,
@@ -229,6 +231,59 @@ def test_c_reg_rate_solves_each_input_once(reference_solves):
     run_study(StudyConfig("reg_rate", problem="c", surrogate="rank", n_cells=64,
                           n_train=6, n_quad=64, n_trunk=8))
     assert len(reference_solves) == 9
+
+
+#: small reg_rate studies of both examples, and the memo of each one's seed-free setup
+_SMALL_REG_RATE = {
+    "a": (dict(problem="a", n_cells=64), lambda: studies._a_example_data(64)),
+    "c": (dict(problem="c", surrogate="rank", n_cells=64, n_quad=64, n_trunk=8,
+               constant=0.15), lambda: studies._c_example_data(64, 6)),
+}
+
+
+def _small_rows(problem, seed):
+    kwargs, _ = _SMALL_REG_RATE[problem]
+    table = run_study(StudyConfig("reg_rate", ladder=(0.02, 0.01, 0.005, 0.0025), seed=seed,
+                                  **kwargs))
+    drop = RUN_COLUMNS.index("runtime_ms")
+    return [r.split(",")[:drop] + r.split(",")[drop + 1:] for r in table.rows]
+
+
+@pytest.mark.parametrize("problem", ["a", "c"])
+def test_studies_of_one_process_solve_each_reference_input_once(problem, reference_solves):
+    # c: the 7 training inputs, their mix and the target; a: the 8 inputs of
+    # fem_rho's probe set and the target.  The second seed solves none again.
+    _small_rows(problem, 0)
+    _small_rows(problem, 1)
+    assert len(reference_solves) == len(set(reference_solves)) == 9
+
+
+@pytest.mark.parametrize("problem", ["a", "c"])
+def test_study_rows_are_the_same_from_a_cold_and_a_warm_memo(problem):
+    studies._a_example_data.cache_clear()
+    studies._c_example_data.cache_clear()
+    cold = _small_rows(problem, 3)
+    assert _small_rows(problem, 3) == cold
+
+
+@pytest.mark.parametrize("problem", ["a", "c"])
+def test_memoized_setup_is_read_only(problem):
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, GridFunction):
+            yield value.values
+        elif isinstance(value, FemMap):
+            yield value.load.values
+        elif isinstance(value, tuple):  # LinearSurrogate and the pairs too
+            for v in value:
+                yield from arrays(v)
+
+    found = list(arrays(_SMALL_REG_RATE[problem][1]()))
+    assert len(found) >= (4 if problem == "a" else 30)
+    for a in found:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
 
 def test_c_example_diagnostics_match_fresh_probe_solves():

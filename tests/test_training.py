@@ -68,6 +68,13 @@ def test_inadmissible_amplitude_rejected():
         generate_training_set(A, f, x0, PerturbationSpec(0.2, 3))
 
 
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), float("-inf"), 0.0, -0.1])
+def test_perturbation_amplitude_must_be_positive_and_finite(amplitude):
+    # NaN passes ``amplitude <= 0``, so the check must not rest on that comparison
+    with pytest.raises(ValueError, match="amplitude"):
+        PerturbationSpec(amplitude, 3)
+
+
 def test_dependent_images_detected():
     f = GridFunction.constant(1.0, N)
     x0 = GridFunction.constant(1.0, N)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from invop import grid
+from invop import grid, studies
 from invop.errors import DimensionMismatch, SingularSystem
 from invop.fem import (
     REFERENCE_CELLS,
@@ -149,8 +149,10 @@ def test_library_lookup_that_finds_nothing_falls_back(tmp_path):
 
 
 def _clear_factor_caches():
-    _h1_gram_factors.cache_clear()
-    _galerkin_factors.cache_clear()
+    """Drop the cached factors, and the study setups solved with them."""
+    for cache in (_h1_gram_factors, _galerkin_factors, studies._a_example_data,
+                  studies._c_example_data, studies.fem_rho):
+        cache.cache_clear()
 
 
 @pytest.fixture
