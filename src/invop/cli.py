@@ -42,8 +42,8 @@ from .tikhonov import (
     RankMap,
     TikhonovConfig,
     add_noise,
-    choose_parameters,
     solve_inverse_problem,
+    surrogate_map,
     tikhonov_value_and_gradient,
 )
 from .training import (
@@ -184,15 +184,12 @@ def _cmd_solve(args) -> int:
         if not np.array_equal(ls.center[0].values, x0.values):
             raise ConfigInvalid(f"[solve] center = {sec['center']!r}, but {base} was built "
                                 "around another center")
-        if kind == "rank":
-            h, rho = RankMap(ls), diag.nu_N  # the rank map has no sigmoid errors
-        else:
-            coeffs = serialize.load_structured(base)
-            if coeffs.n_terms != ls.n_terms:
-                raise ConfigInvalid(f"[solve] surrogate_file = {base} holds {coeffs.n_terms} "
-                                    f"terms, but {base}.rank holds {ls.n_terms}; rebuild both "
-                                    "with invop build")
-            h, rho = NeuralMap(coeffs, ls.center), diag.rho_bound
+        coeffs = serialize.load_structured(base) if kind == "neural" else None
+        if coeffs is not None and coeffs.n_terms != ls.n_terms:
+            raise ConfigInvalid(f"[solve] surrogate_file = {base} holds {coeffs.n_terms} "
+                                f"terms, but {base}.rank holds {ls.n_terms}; rebuild both "
+                                "with invop build")
+        h, rho = surrogate_map(kind, ls, diag, coeffs)
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 
@@ -203,14 +200,8 @@ def _cmd_solve(args) -> int:
         xt = x0
     else:
         raise ConfigInvalid("target must be 'source' or 'prior'")
-    y = solve_forward_reference(prob, xt, f)
-    yd = add_noise(y, delta, seed)
-    alpha, eta = choose_parameters(delta, rho, sec["constant"])
-    tik = TikhonovConfig(
-        alpha=alpha, delta=delta, eta=eta, xi=sec["xi"], x0=x0, space=prob.image_space,
-        nu=prob.nu, max_iterations=sec["max_iterations"], x_true=xt,
-    )
-    run = solve_inverse_problem(h, yd, tik, seed=seed, problem_label=sec["problem"])
+    run = solve_inverse_problem(h, rho, prob, x0, xt, solve_forward_reference(prob, xt, f),
+                                delta, seed, sec["constant"], sec["xi"], sec["max_iterations"])
     lines = [",".join(RUN_COLUMNS), run.csv_row()]
     if args.out:
         with open(args.out, "w") as fh:

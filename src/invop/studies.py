@@ -21,16 +21,7 @@ from .errors import ConfigInvalid, DegenerateFit
 from .fem import ProblemKind, adjoint_apply, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, norm, trapezoid_weights
 from .mollify import mollify
-from .tikhonov import (
-    RUN_COLUMNS,
-    FemMap,
-    NeuralMap,
-    RankMap,
-    TikhonovConfig,
-    add_noise,
-    choose_parameters,
-    solve_inverse_problem,
-)
+from .tikhonov import RUN_COLUMNS, FemMap, solve_inverse_problem, surrogate_map
 from .training import (
     PerturbationSpec,
     assemble_neural_surrogate,
@@ -128,10 +119,14 @@ class StudyConfig:
                 float(v).is_integer() for v in lad):
             raise ConfigInvalid(f"the {self.study} ladder counts cells, so each entry must "
                                 f"be an integer, not {lad!r}")
-        if self.n_cells < 4 or self.n_train < 1 or self.n_quad < 2 or self.n_trunk < 2:
-            raise ConfigInvalid("resolution parameters out of range")
-        if self.constant <= 0 or self.xi < 0 or self.max_iterations < 1:
-            raise ConfigInvalid("constant/xi/max_iterations out of range")
+        for name, low in (("n_cells", 4), ("n_train", 1), ("n_quad", 2), ("n_trunk", 2),
+                          ("max_iterations", 1)):
+            if getattr(self, name) < low:
+                raise ConfigInvalid(f"{name} must be at least {low}, not {getattr(self, name)}")
+        if self.constant <= 0:
+            raise ConfigInvalid(f"constant must be positive, not {self.constant!r}")
+        if self.xi < 0:
+            raise ConfigInvalid(f"xi must be nonnegative, not {self.xi!r}")
         if self.jobs != 1:
             raise ConfigInvalid("jobs takes only 1: studies run serially")
 
@@ -350,28 +345,19 @@ def _a_example_data(n_cells: int):
 
 
 def _run_reg_rate(cfg: StudyConfig, rows: list):
-    n = cfg.n_cells
     deltas = [float(d) for d in cfg.ladder]
     if cfg.problem == "a":
         prob = ProblemKind.A_EXAMPLE
-        x0, xt, h, y_true, rho = _a_example_data(n)
+        x0, xt, h, y_true, rho = _a_example_data(cfg.n_cells)
     else:
         ex = c_example_setup(cfg)
         prob, x0, xt, y_true = ex.problem, ex.x0, ex.xt, ex.y_true
-        if cfg.surrogate == "rank":
-            h, rho = RankMap(ex.ls), ex.diag.nu_N  # the rank map has no sigmoid errors
-        else:
-            h, rho = NeuralMap(ex.coeffs, ex.ls.center), ex.diag.rho_bound
+        h, rho = surrogate_map(cfg.surrogate, ex.ls, ex.diag, ex.coeffs)
 
     runs = []
     for i, d in enumerate(deltas):
-        seed = cfg.seed + 100 + i
-        yd = add_noise(y_true, d, seed)
-        alpha, eta = choose_parameters(d, rho, cfg.constant)
-        tik = TikhonovConfig(alpha=alpha, delta=d, eta=eta, xi=cfg.xi, x0=x0,
-                             space=prob.image_space, nu=prob.nu,
-                             max_iterations=cfg.max_iterations, x_true=xt)
-        r = solve_inverse_problem(h, yd, tik, seed=seed, problem_label=cfg.problem)
+        r = solve_inverse_problem(h, rho, prob, x0, xt, y_true, d, cfg.seed + 100 + i,
+                                  cfg.constant, cfg.xi, cfg.max_iterations)
         runs.append(r)
         rows.append(r.csv_row())
 

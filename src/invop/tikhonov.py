@@ -21,7 +21,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .grid import (GridFunction, SpaceKind, _inner_nodal, gram_apply, gram_solve
                    trapezoid_weights)
 from .mollify import mollify, mollify_matrix
 from .neural import StructuredSurrogateCoeffs, eval_structured_with_gradient
-from .training import LinearSurrogate
+from .training import LinearSurrogate, SurrogateDiagnostics
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
@@ -54,23 +54,23 @@ class TikhonovConfig:
     space: SpaceKind
     nu: float
     max_iterations: int = 2000
-    x_true: Optional[GridFunction] = None  # reporting metadata only, on x0's mesh
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.alpha, self.delta, self.eta, self.xi, self.nu))):
-            raise ValueError("alpha, delta, eta, xi and nu must be finite")
-        if self.alpha <= 0 or self.eta <= 0:
-            raise ValueError("alpha and eta must be positive")
-        if self.delta < 0 or self.xi < 0:
-            raise ValueError("delta and xi must be nonnegative")
-        if self.nu <= 0:
-            raise ValueError("admissibility bound nu must be positive")
+        # each error names its one field
+        reals = {k: getattr(self, k) for k in ("alpha", "delta", "eta", "xi", "nu")}
+        for name, v in reals.items():
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, not {v!r}")
+        for name in ("alpha", "eta", "nu"):
+            if reals[name] <= 0:
+                raise ValueError(f"{name} must be positive, not {reals[name]!r}")
+        for name in ("delta", "xi"):
+            if reals[name] < 0:
+                raise ValueError(f"{name} must be nonnegative, not {reals[name]!r}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+            raise ValueError(f"max_iterations must be positive, not {self.max_iterations!r}")
         if float(np.min(self.x0.values)) < self.nu:
             raise NonAdmissibleCoefficient("prior center violates the bound nu")
-        if self.x_true is not None:
-            self.x_true._check_mesh(self.x0.n_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,17 @@ class NeuralMap(SurrogateHandle):
             return vjp(trapezoid_weights(y0.n_cells) * r)
 
         return y0.values + out, pullback
+
+
+def surrogate_map(kind: str, ls: LinearSurrogate, diag: SurrogateDiagnostics,
+                  coeffs: StructuredSurrogateCoeffs | None):
+    """The ``"rank"`` or ``"neural"`` map of one build, paired with the
+    surrogate error rho that the parameter rule balances against the noise:
+    nu_N for the rank map, which has no sigmoid errors, and rho_bound for the
+    neural map built from ``coeffs``."""
+    if kind == "rank":
+        return RankMap(ls), diag.nu_N
+    return NeuralMap(coeffs, ls.center), diag.rho_bound
 
 
 # ---------------------------------------------------------------------------
@@ -379,32 +390,37 @@ class RegularizationRun(NamedTuple):
 RUN_COLUMNS = RegularizationRun._fields
 
 
-def solve_inverse_problem(
-    h: SurrogateHandle,
-    y_delta: GridFunction,
-    cfg: TikhonovConfig,
-    seed: int = 0,
-    problem_label: str = "",
-) -> RegularizationRun:
+def solve_inverse_problem(h: SurrogateHandle, rho: float, problem: ProblemKind,
+                          x0: GridFunction, x_true: GridFunction, y_true: GridFunction,
+                          delta: float, seed: int, constant: float, xi: float,
+                          max_iterations: int) -> RegularizationRun:
+    """One regularized inversion, and the one place the parameter rule is
+    applied: noise of level delta drawn from ``seed`` is added to the clean
+    data y_true, alpha = constant * max(delta, rho) and eta = alpha^2
+    (``choose_parameters``), the functional is minimized from the prior x0
+    in the problem's space and bound, and the run is recorded with its X
+    error against x_true.  ``runtime_ms`` times the minimization alone."""
+    y_delta = add_noise(y_true, delta, seed)
+    alpha, eta = choose_parameters(delta, rho, constant)
+    cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=xi, x0=x0,
+                         space=problem.image_space, nu=problem.nu,
+                         max_iterations=max_iterations)
+    x_true._check_mesh(x0.n_cells)  # before the solve, not after it
     start = time.perf_counter()
     result = minimize_tikhonov(h, y_delta, cfg)
     runtime_ms = (time.perf_counter() - start) * 1e3
-    if cfg.x_true is not None:
-        err = norm(result.x - cfg.x_true, cfg.space)
-    else:
-        err = float("nan")
     return RegularizationRun(
-        problem=problem_label,
+        problem=problem.value,
         surrogate=h.label,
-        n=cfg.x0.n_cells,
+        n=x0.n_cells,
         N=h.n_terms,
-        delta=cfg.delta,
-        alpha=cfg.alpha,
-        eta=cfg.eta,
-        xi=cfg.xi,
+        delta=delta,
+        alpha=alpha,
+        eta=eta,
+        xi=xi,
         iterations=result.certificate.iterations,
         gradient_norm=result.certificate.gradient_norm,
-        error_X=err,
+        error_X=norm(result.x - x_true, cfg.space),
         runtime_ms=runtime_ms,
         seed=seed,
     )

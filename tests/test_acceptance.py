@@ -27,10 +27,9 @@ from invop.tikhonov import (
     NeuralMap,
     RankMap,
     TikhonovConfig,
-    add_noise,
-    choose_parameters,
     minimize_tikhonov,
     solve_inverse_problem,
+    surrogate_map,
     tikhonov_value_and_gradient,
 )
 from invop.training import (
@@ -84,17 +83,10 @@ def test_criterion_3_regularization_rate_c_example(c_surrogate):
 
     # additive smoothing term: errors at two widths differ by <= 3x the gap
     s = c_surrogate
-    h = NeuralMap(s.coeffs, s.ls.center)
+    h, rho = surrogate_map("neural", s.ls, s.diag, s.coeffs)
     y_true = solve_forward_reference(C, s.xt, s.load)
-    delta = deltas[2]
-    yd = add_noise(y_true, delta, seed=205)
-    errs = []
-    for xi_k in (1e-4, 2e-4):
-        alpha, eta = choose_parameters(delta, s.diag.rho_bound, 0.15)
-        cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=xi_k,
-                             x0=s.x0, space=SpaceKind.L2, nu=C.nu,
-                             max_iterations=20000, x_true=s.xt)
-        errs.append(solve_inverse_problem(h, yd, cfg).error_X)
+    errs = [solve_inverse_problem(h, rho, C, s.x0, s.xt, y_true, deltas[2], 205, 0.15, xi_k,
+                                  20000).error_X for xi_k in (1e-4, 2e-4)]
     assert abs(errs[1] - errs[0]) <= 3.0 * (2e-4 - 1e-4), errs
 
 

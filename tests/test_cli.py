@@ -7,11 +7,11 @@ import pytest
 from invop.cli import COMMAND_SECTIONS, SECTION_KEYS, cli_main
 from invop.config import load_config, read_section, study_config
 from invop.fem import ProblemKind, solve_forward_reference
-from invop.grid import GridFunction, SpaceKind
+from invop.grid import GridFunction, SpaceKind, norm
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
 from invop.studies import StudyConfig, fem_rho, source_target_a
-from invop.tikhonov import (FemMap, NeuralMap, SurrogateHandle, TikhonovConfig, add_noise,
-                            choose_parameters, solve_inverse_problem)
+from invop.tikhonov import (FemMap, NeuralMap, RegularizationRun, SurrogateHandle,
+                            TikhonovConfig, add_noise, choose_parameters, minimize_tikhonov)
 from invop.training import assemble_neural_surrogate, build_linear_surrogate, probe_pairs
 
 
@@ -154,10 +154,12 @@ def test_fem_solve_defaults_to_the_problem_space(tmp_path):
     xt = source_target_a(prob, x0, f, n)
     alpha, eta = choose_parameters(delta, fem_rho(prob, n, 50.0, 1.0), 1.0)
     tik = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=0.0, x0=x0, space=SpaceKind.L2,
-                         nu=prob.nu, max_iterations=200, x_true=xt)
+                         nu=prob.nu, max_iterations=200)
     yd = add_noise(solve_forward_reference(prob, xt, f), delta, 0)
-    run = solve_inverse_problem(FemMap(prob, f, n), yd, tik, problem_label="c")
-    expect = run.csv_row().split(",")
+    res = minimize_tikhonov(FemMap(prob, f, n), yd, tik)
+    expect = RegularizationRun("c", "FemForward", n, 0, delta, alpha, eta, 0.0,
+                               res.certificate.iterations, res.certificate.gradient_norm,
+                               norm(res.x - xt, SpaceKind.L2), 0.0, 0).csv_row().split(",")
     expect[11] = ""
     assert _row_without_runtime(out) == expect
 
@@ -273,6 +275,21 @@ _NON_FINITE = _non_finite_values()
                          ids=[f"{s}-{k}-{v.split()[-1]}" for _, s, k, v in _NON_FINITE])
 def test_non_finite_real_names_its_key(tmp_path, capsys, command, section, key, value):
     assert f"[{section}] {key}" in _fails_naming(tmp_path, capsys, command, section, key, value)
+
+
+_OUT_OF_RANGE = [("solve", "xi", "-1"), ("solve", "delta", "-0.001"), ("solve", "constant", "0"),
+                 ("solve", "max_iterations", "0"), ("study", "xi", "-1"),
+                 ("study", "constant", "0"), ("study", "max_iterations", "0"),
+                 ("study", "n_cells", "3"), ("study", "n_train", "0"), ("study", "n_quad", "1"),
+                 ("study", "n_trunk", "1")]
+
+
+@pytest.mark.parametrize("command,key,value", _OUT_OF_RANGE,
+                         ids=[f"{c}-{k}" for c, k, _ in _OUT_OF_RANGE])
+def test_value_out_of_range_names_its_one_field(tmp_path, capsys, command, key, value):
+    # the message names the key it rejects, not a group of keys
+    err = _fails_naming(tmp_path, capsys, command, command, key, value)
+    assert err.startswith(f"error: {key} must be"), err
 
 
 @pytest.mark.parametrize("key", ["n_quad", "n_trunk"])

@@ -20,6 +20,7 @@ from invop.tikhonov import (
     FemMap,
     NeuralMap,
     RankMap,
+    RegularizationRun,
     SurrogateHandle,
     TikhonovConfig,
     _LbfgsMemory,
@@ -27,6 +28,7 @@ from invop.tikhonov import (
     choose_parameters,
     minimize_tikhonov,
     solve_inverse_problem,
+    surrogate_map,
     tikhonov_value_and_gradient,
 )
 from invop.training import (
@@ -57,6 +59,9 @@ def handles():
         "neural": NeuralMap(coeffs, ls.center),
         "f": f,
         "x0": x0,
+        "ls": ls,
+        "coeffs": coeffs,
+        "diag": diag,
     }
 
 
@@ -85,10 +90,16 @@ def test_pullback_rejects_an_input_on_another_mesh(handles, kind):
             pytest.fail(f"{name} accepted an input on another mesh")
 
 
-def test_config_rejects_a_true_coefficient_on_another_mesh(handles):
+def test_solve_rejects_a_true_coefficient_on_another_mesh(handles, monkeypatch):
     # the error against x_true would otherwise fail only after the solve
+    def unreachable(self, x):
+        pytest.fail("the forward map was evaluated")
+
+    monkeypatch.setattr(FemMap, "_evaluate", unreachable)
+    x0 = handles["x0"]
     with pytest.raises(DimensionMismatch, match="mesh"):
-        _config(handles["x0"], SpaceKind.L2, x_true=GridFunction.constant(1.0, N // 2))
+        solve_inverse_problem(handles["fem"], 1e-5, C, x0, GridFunction.constant(1.0, N // 2),
+                              x0, 1e-3, 1, 1.0, 0.0, 10)
 
 
 # -- noise ------------------------------------------------------------------
@@ -146,6 +157,15 @@ def _config(x0, space, **kw):
                 space=space, nu=0.1, max_iterations=2000)
     base.update(kw)
     return TikhonovConfig(**base)
+
+
+@pytest.mark.parametrize("key,value,word", [
+    ("alpha", 0.0, "positive"), ("eta", -1e-8, "positive"), ("nu", 0.0, "positive"),
+    ("delta", -1e-3, "nonnegative"), ("xi", -1.0, "nonnegative"),
+    ("max_iterations", 0, "positive")])
+def test_config_range_error_names_its_one_field(key, value, word):
+    with pytest.raises(ValueError, match=rf"^{key} must be {word}, not {value!r}$"):
+        _config(GridFunction.constant(1.0, 16), SpaceKind.L2, **{key: value})
 
 
 @pytest.mark.parametrize("key", ["alpha", "delta", "eta", "xi", "nu"])
@@ -466,9 +486,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
 def test_run_record_schema(handles):
     h = handles["fem"]
     x0 = handles["x0"]
-    yd = add_noise(h.forward(x0), 1e-3, seed=1)
-    cfg = _config(x0, SpaceKind.L2, x_true=x0)
-    run = solve_inverse_problem(h, yd, cfg, seed=1, problem_label="c")
+    run = solve_inverse_problem(h, 1e-5, C, x0, x0, h.forward(x0), 1e-3, 1, 1.0, 0.0, 2000)
     row = run.csv_row()
     cells = row.split(",")
     assert len(cells) == len(RUN_COLUMNS)
@@ -478,9 +496,28 @@ def test_run_record_schema(handles):
     assert float(cells[5]) == run.alpha
 
 
-def test_error_is_nan_without_reference(handles):
-    h = handles["fem"]
-    x0 = handles["x0"]
-    yd = add_noise(h.forward(x0), 1e-3, seed=1)
-    run = solve_inverse_problem(h, yd, _config(x0, SpaceKind.L2))
-    assert np.isnan(run.error_X)
+@pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
+def test_entry_point_row_is_the_hand_built_row(handles, kind):
+    # the one entry point adds the noise, applies the parameter rule with the
+    # map's own rho, solves in the problem's space and measures the error
+    # against x_true: its row is that of the steps taken by hand, bit for bit
+    # apart from the runtime
+    x0, diag = handles["x0"], handles["diag"]
+    if kind == "fem":
+        h, rho = handles["fem"], 1e-5
+    else:
+        h, rho = surrogate_map(kind, handles["ls"], diag, handles["coeffs"])
+        assert rho == (diag.nu_N if kind == "rank" else diag.rho_bound)
+    xt = GridFunction(N, x0.values + 0.02 * np.sin(np.pi * x0.nodes))
+    y_true = handles["fem"].forward(xt)
+    delta, seed, constant, xi, budget = 1e-3, 3, 0.15, 1e-2, 40
+    run = solve_inverse_problem(h, rho, C, x0, xt, y_true, delta, seed, constant, xi, budget)
+
+    yd = add_noise(y_true, delta, seed)
+    alpha, eta = choose_parameters(delta, rho, constant)
+    cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=xi, x0=x0, space=SpaceKind.L2,
+                         nu=C.nu, max_iterations=budget)
+    res = minimize_tikhonov(h, yd, cfg)
+    assert run == RegularizationRun(
+        "c", h.label, N, h.n_terms, delta, alpha, eta, xi, res.certificate.iterations,
+        res.certificate.gradient_norm, norm(res.x - xt, SpaceKind.L2), run.runtime_ms, seed)
