@@ -7,7 +7,11 @@ the direct FEM solve; ``RankMap``, the rank-N linear expansion;
 ``x_xi`` is the mollified iterate when a smoothing width is configured.
 Minimization is limited-memory BFGS (the two-loop recursion of Liu &
 Nocedal, 1989) with every inner product taken in the X metric, projected
-onto x >= nu, with a monotone backtracking line search.  It stops when
+onto x >= nu, with a monotone backtracking line search.  Its initial
+matrix is the map's exact inverse Hessian where the map has one (the
+rank map, whose functional is quadratic: one Newton step reaches the
+minimizer) and gamma I otherwise, or after a step clipped by x >= nu.
+It stops when
 the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the gap to
 the infimum and is exact for quadratic models, drops below eta, when the
 best value has not strictly decreased for STALL_ITERATIONS iterations
@@ -102,6 +106,12 @@ class SurrogateHandle:
         r = y - y_delta.values
         return _inner_nodal(r, r, y_delta.n_cells, SpaceKind.L2), 2.0 * pullback(r)
 
+    def inverse_hessian(self, cfg: TikhonovConfig):
+        """The exact inverse X-Hessian of the functional as a function on
+        nodal arrays, where the map makes the functional quadratic; None
+        otherwise, and the optimizer scales its initial matrix by gamma."""
+        return None
+
 
 class FemMap(SurrogateHandle):
     """The Galerkin solver itself on an n-cell mesh."""
@@ -153,6 +163,25 @@ class RankMap(SurrogateHandle):
             return grad
 
         return out, pullback
+
+    def inverse_hessian(self, cfg: TikhonovConfig):
+        """Woodbury form of the inverse of the X-Hessian 2 (alpha I + U C V):
+        H^-1 v = (v - U C (alpha I + V U C)^-1 V v) / (2 alpha).  The rows of
+        V are the Riesz functionals G b_i of the basis, mollified when xi > 0,
+        U = G_X^-1 V^T, and C is the L2 Gram matrix of the induced data; one
+        N x N inverse when the function is built."""
+        n = cfg.x0.n_cells
+        V = [gram_apply(b.values, n, self.ls.problem.image_space) for b in self.ls.basis]
+        if cfg.xi > 0:
+            V = [mollify_matrix(n, cfg.xi).T @ v for v in V]
+        V, ys = np.array(V), [y.values for y in self.ls.induced]
+        C = np.array([[_inner_nodal(a, b, n, SpaceKind.L2) for b in ys] for a in ys])
+        # matrix-vector products and lstsq only, kernels the package runs
+        # anyway: each further BLAS or LAPACK kernel adds 0.1-0.2 MB resident
+        CU = np.array([gram_solve(V.T @ c, n, cfg.space) for c in C])  # (U C)^T
+        eye = np.eye(len(C))
+        K = np.linalg.lstsq(cfg.alpha * eye + np.array([CU @ v for v in V]), eye, rcond=None)[0]
+        return lambda v: (v - CU.T @ (K @ (V @ v))) / (2.0 * cfg.alpha)
 
 
 class NeuralMap(SurrogateHandle):
@@ -262,35 +291,40 @@ class _LbfgsMemory:
     two-loop recursion (Nocedal & Wright, 2006, Algorithm 7.4) in the X
     inner product, on nodal arrays.  Gradients are X-Riesz representers,
     so one formula serves L2 and H1; keeping G s and G y (G the Gram
-    matrix) makes each X product one dot product."""
+    matrix) makes each X product one dot product.  The initial matrix H0
+    is ``h0``, the map's exact inverse Hessian, or gamma I where that is
+    None; an exact pair (H0 y = s) leaves an exact H0 unchanged."""
 
-    def __init__(self, n_cells: int, space: SpaceKind):
+    def __init__(self, n_cells: int, space: SpaceKind, h0=None):
         self.gram = lambda v: gram_apply(v, n_cells, space)
         self.pairs = deque(maxlen=MEMORY)  # (s, y, G s, G y, <s, y>_X)
         self.gamma = 1.0
+        self.h0 = h0
 
     def update(self, s: np.ndarray, y: np.ndarray):
-        """Keep the pair only if <s, y>_X > 0; then H0 = gamma I with
-        gamma = <s, y>_X / <y, y>_X."""
+        """Keep the pair only if <s, y>_X > 0; then gamma = <s, y>_X / <y, y>_X."""
         gy = self.gram(y)
         sy = s @ gy
         if sy > 0:
             self.pairs.append((s, y, self.gram(s), gy, sy))
             self.gamma = min(max(sy / (y @ gy), STEP_MIN), STEP_MAX)
 
+    def _initial(self, v: np.ndarray) -> np.ndarray:
+        return self.gamma * v if self.h0 is None else self.h0(v)
+
     def direction(self, g: np.ndarray) -> np.ndarray:
-        """H g, or gamma g with the memory dropped if <g, H g>_X <= 0."""
+        """H g, or H0 g with the memory dropped if <g, H g>_X <= 0."""
         q = g.copy()
         coefs = []
         for _, y, gs, _, sy in reversed(self.pairs):
             coefs.append(gs @ q / sy)
             q -= coefs[-1] * y
-        r = self.gamma * q
+        r = self._initial(q)
         for (s, _, _, gy, sy), a in zip(self.pairs, reversed(coefs)):
             r += (a - gy @ r / sy) * s
         if r @ self.gram(g) <= 0:
             self.pairs.clear()
-            return self.gamma * g
+            return self._initial(g)
         return r
 
 
@@ -305,7 +339,8 @@ def minimize_tikhonov(
     The run starts from the prior ``cfg.x0``, which ``TikhonovConfig``
     keeps admissible.  Each iteration moves along d = H g from
     ``_LbfgsMemory``, the L-BFGS inverse Hessian of the last MEMORY
-    accepted pairs in the X metric, and tries x - t d projected onto
+    accepted pairs in the X metric, with H0 = ``h.inverse_hessian(cfg)``
+    until a step is clipped, and tries x - t d projected onto
     x >= nu.  The first trial fraction is
     t = min(1, 2 t_prev), t_prev the last accepted one, so iterations that
     stall at rounding level do not halve from 1 again.  Accepted steps
@@ -319,7 +354,7 @@ def minimize_tikhonov(
     """
     x = cfg.x0
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
-    memory = _LbfgsMemory(x.n_cells, cfg.space)
+    memory = _LbfgsMemory(x.n_cells, cfg.space, h.inverse_hessian(cfg))
     best, t, it = None, 1.0, 0
 
     while True:
@@ -336,7 +371,8 @@ def minimize_tikhonov(
         d = memory.direction(grad)
         t = min(1.0, 2.0 * t)
         for _ in range(MAX_HALVINGS):
-            cand = GridFunction(x.n_cells, np.maximum(x.values - t * d, cfg.nu))
+            trial = x.values - t * d
+            cand = GridFunction(x.n_cells, np.maximum(trial, cfg.nu))
             move = x.values - cand.values
             decrease = _inner_nodal(grad, move, x.n_cells, cfg.space)
             cand_value, cand_grad = tikhonov_value_and_gradient(
@@ -349,6 +385,8 @@ def minimize_tikhonov(
             raise Stalled(
                 f"line search failed {MAX_HALVINGS} halvings at iteration {it}"
             )
+        if np.min(trial) < cfg.nu:  # without the reduced Hessian, H0 = gamma I
+            memory.h0 = None
         memory.update(-move, cand_grad - grad)
         x, value, grad = cand, cand_value, cand_grad
 

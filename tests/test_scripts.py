@@ -48,7 +48,7 @@ def _digest(text):
 #: bit updates them and says why
 DIGESTS = {
     ("2.4.6", "SkylakeX"): {
-        "surrogate_pipeline 0.05": "60f57b7598fda5dc4f0d4718a6c499a23ad28357121818e82beb27d29ec51bc1",
+        "surrogate_pipeline 0.05": "84349aff7f5e2d1692e916a1c710061c9422e1ed9ac48ca568a8624ec1bc2bf8",
         "fem_rate.csv": "5cb840ad3ce6c9aaf6e368202a14ef2920d28e07b2f518f8342645d42bb86656",
         "quadrature_rate.csv": "62e3ce7411fb723fdc709ed6e28dfd355dbd5f9edd249f26d96185035be89361",
         "mollify_rate.csv": "0fcd2881bcb285c7cf750e79db21f3da803fbbadba8841b1d216aac877bbcabe",

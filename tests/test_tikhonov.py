@@ -364,10 +364,10 @@ def _count_gradients(monkeypatch):
     return calls
 
 
-def _precision_floor_problem(handles):
-    """Criterion 8's rank quadratic: its closed-form minimizer and a
-    tolerance eta = 1e-20 that rounding keeps the certificate above."""
-    h, ls, x0 = handles["rank"], handles["rank"].ls, handles["x0"]
+def _precision_floor_problem(handles, kind):
+    """Criterion 8's quadratic on the map ``kind``: the closed-form minimizer
+    of the rank functional and a tolerance eta = 1e-20."""
+    h, ls, x0 = handles[kind], handles["ls"], handles["x0"]
     alpha = 1e-2
     r = GridFunction(N, 1e-2 * np.random.default_rng(1).standard_normal(N + 1))
     y_delta = h.forward(x0) + r
@@ -380,7 +380,9 @@ def _precision_floor_problem(handles):
 
 
 def test_stagnation_stop_at_precision_floor(handles, monkeypatch):
-    h, yd, x_star, cfg = _precision_floor_problem(handles)
+    # the neural map's rounding keeps its certificate above eta = 1e-20; the
+    # rank map converges on this problem in one step
+    h, yd, _, cfg = _precision_floor_problem(handles, "neural")
     calls = _count_gradients(monkeypatch)
     res = minimize_tikhonov(h, yd, cfg)
     c = res.certificate
@@ -393,19 +395,68 @@ def test_stagnation_stop_at_precision_floor(handles, monkeypatch):
     # each line search starts from twice the last accepted step fraction,
     # so the stalled iterations do not halve down from 1 again
     assert len(calls) <= 201
-    assert norm(res.x - x_star, SpaceKind.L2) <= 1e-8
 
 
 def test_budget_run_reports_index_of_best_iterate(handles):
     # a budget that ends inside the stagnation window: the best iterate is
     # older than the last one, and its index is what the certificate reports
-    h, yd, _, cfg = _precision_floor_problem(handles)
+    h, yd, _, cfg = _precision_floor_problem(handles, "neural")
     best = minimize_tikhonov(h, yd, cfg)
     budget = best.certificate.iterations + STALL_ITERATIONS // 2
     res = minimize_tikhonov(h, yd, replace(cfg, max_iterations=budget))
     assert res.certificate.status == "budget"
     assert res.certificate.iterations == best.certificate.iterations
     assert res.functional_value == best.functional_value
+
+
+def test_only_the_rank_map_gives_its_inverse_hessian(handles):
+    cfg = _config(handles["x0"], SpaceKind.L2)
+    assert handles["fem"].inverse_hessian(cfg) is None
+    assert handles["neural"].inverse_hessian(cfg) is None
+    assert callable(handles["rank"].inverse_hessian(cfg))
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-4])
+def test_rank_solve_is_one_newton_step(handles, xi):
+    # the rank functional is quadratic, and its exact inverse Hessian as the
+    # initial L-BFGS matrix puts the first step on the minimizer
+    h, yd, x_star, cfg = _precision_floor_problem(handles, "rank")
+    cfg = replace(cfg, xi=xi)
+    res = minimize_tikhonov(h, yd, cfg)
+    assert res.certificate.status == "converged"
+    assert res.certificate.iterations == 1
+    if xi == 0:
+        assert norm(res.x - x_star, SpaceKind.L2) <= 1e-10
+    # the nodal X-gradient is affine in x, so its differences along the unit
+    # vectors are the columns of the dense Hessian
+    x0 = cfg.x0.values
+
+    def grad(v):
+        return tikhonov_value_and_gradient(h, GridFunction(N, v), yd, cfg)[1]
+
+    hess = np.array([grad(x0 + e) - grad(x0) for e in np.eye(N + 1)]).T
+    rng = np.random.default_rng(5)
+    s = 0.01 * rng.standard_normal(N + 1)
+    mem = _LbfgsMemory(N, cfg.space, h.inverse_hessian(cfg))
+    mem.update(s, grad(x0 + s) - grad(x0))  # an exact pair leaves H0 exact
+    assert len(mem.pairs) == 1
+    g = rng.standard_normal(N + 1)
+    want = np.linalg.solve(hess, g)
+    assert np.linalg.norm(mem.direction(g) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("xi,gamma_scaled", [(0.0, 6.57613248e4), (1e-4, 6.57613094e4)])
+def test_rank_solve_with_an_active_bound(handles, xi, gamma_scaled):
+    # data far outside the map's range: the unconstrained minimizer violates
+    # nu, the first clipped step returns the run to gamma scaling, and the
+    # run stalls on the bound no higher than a run with gamma scaling alone
+    h, x0 = handles["rank"], handles["x0"]
+    yd = GridFunction(N, 300.0 * np.random.default_rng(1).standard_normal(N + 1))
+    cfg = _config(x0, SpaceKind.L2, alpha=1e-3, eta=1e-6, xi=xi, nu=C.nu)
+    res = minimize_tikhonov(h, yd, cfg)
+    assert res.certificate.status == "stagnated"
+    assert float(np.min(res.x.values)) == C.nu
+    assert res.functional_value <= gamma_scaled
 
 
 def test_h1_fem_solve_converges():
@@ -458,10 +509,10 @@ def test_line_search_builds_at_most_two_grid_functions_per_evaluation(handles, m
 
 def test_c_rank_solve_gradient_evaluations(monkeypatch):
     # smallest noise level of configs/reg_rate_c.cfg through the rank map,
-    # set up as the reg_rate study does; the functional is exactly quadratic
-    # with a rank-6 misfit Hessian, which L-BFGS with memory 8 captures: 13
-    # gradient evaluations here, against 123 for Barzilai-Borwein steps and
-    # 1224 for step doubling
+    # set up as the reg_rate study does; the functional is exactly quadratic,
+    # and the map's exact inverse Hessian as the initial L-BFGS matrix ends
+    # the run after one step: 2 gradient evaluations, against 13 with gamma
+    # scaling, 123 for Barzilai-Borwein steps and 1224 for step doubling
     sec = load_config(ROOT / "configs" / "reg_rate_c.cfg")
     sec["study"]["surrogate"] = "rank"
     study = study_config(sec)
@@ -477,7 +528,8 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     calls = _count_gradients(monkeypatch)
     res = minimize_tikhonov(RankMap(ex.ls), yd, cfg)
     assert res.certificate.status == "converged"
-    assert len(calls) <= 2 * 13
+    assert res.certificate.iterations == 1
+    assert len(calls) == 2
 
 
 # -- run records ------------------------------------------------------------
