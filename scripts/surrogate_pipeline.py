@@ -11,7 +11,7 @@ Usage: python scripts/surrogate_pipeline.py [delta]
 import sys
 
 from invop import RUN_COLUMNS, FemMap, StudyConfig, fem_rho, solve_inverse_problem, surrogate_map
-from invop.studies import c_example_setup
+from invop.studies import C_CENTER, C_LOAD, c_example_setup
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
           f"r_N={diag.r_N:.3e}  rho_bound={diag.rho_bound:.3e}")
 
     # each map with its own surrogate error
-    maps = [(FemMap(prob, ex.load, n), fem_rho(prob, n, 50.0, 1.0))] + [
+    maps = [(FemMap(prob, ex.load), fem_rho(prob, n, C_LOAD, C_CENTER))] + [
         surrogate_map(kind, ex.ls, diag, ex.coeffs) for kind in ("rank", "neural")]
     print(",".join(RUN_COLUMNS))
     for h, rho in maps:

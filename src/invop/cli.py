@@ -27,6 +27,7 @@ from .fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, inner, norm
 from .mollify import mollification_report
 from .studies import (
+    SIZE_BOUNDS,
     RateTable,
     StudyConfig,
     analytic_cases,
@@ -130,9 +131,10 @@ def _cmd_generate(args) -> int:
 def _cmd_build(args) -> int:
     cfg = _load(args)
     sec = _section(cfg, "build")
-    for key in ("n_quad", "n_trunk"):  # the bounds StudyConfig puts on them
-        if sec[key] < 2:
-            raise ConfigInvalid(f"[build] {key} = {sec[key]}, but a build needs at least 2")
+    for key in ("n_quad", "n_trunk"):
+        if sec[key] < SIZE_BOUNDS[key]:
+            raise ConfigInvalid(f"[build] {key} = {sec[key]}, but a build needs at least "
+                                f"{SIZE_BOUNDS[key]}")
     ts = serialize.load_training_set(sec["training"])
     if ts.load is None:
         raise ConfigInvalid(f"{sec['training']}: training set has no load to estimate nu_N")
@@ -157,15 +159,16 @@ def _cmd_solve(args) -> int:
     sec = _section(cfg, "solve")
     prob = problem_from_name(sec["problem"])
     n, delta = sec["n_cells"], sec["delta"]
-    if n < 4:  # the bound StudyConfig puts on n_cells
-        raise ConfigInvalid(f"[solve] n_cells = {n}, but a solve needs at least 4 cells")
+    if n < SIZE_BOUNDS["n_cells"]:
+        raise ConfigInvalid(f"[solve] n_cells = {n}, but a solve needs at least "
+                            f"{SIZE_BOUNDS['n_cells']} cells")
     f = GridFunction.constant(sec["load"], n)
     x0 = GridFunction.constant(sec["center"], n)
     seed = args.seed if args.seed is not None else sec["seed"]
 
     kind = sec["surrogate"]
     if kind == "fem":
-        h = FemMap(prob, f, n)
+        h = FemMap(prob, f)
         rho = fem_rho(prob, n, sec["load"], sec["center"])
     elif kind in ("rank", "neural"):
         base = sec["surrogate_file"]
@@ -195,7 +198,7 @@ def _cmd_solve(args) -> int:
 
     target = sec["target"]
     if target == "source":
-        xt = source_target_a(prob, x0, f, n)
+        xt = source_target_a(prob, x0, f)
     elif target == "prior":
         xt = x0
     else:
@@ -231,7 +234,7 @@ def _verify_groups():
         label, prob, x, f, y_exact = analytic_cases()[0]
         err = norm(
             solve_forward_fem(prob, GridFunction.from_callable(x, n),
-                              GridFunction.from_callable(f, n), n)
+                              GridFunction.from_callable(f, n))
             - GridFunction.from_callable(y_exact, n),
             SpaceKind.L2,
         )
@@ -253,7 +256,7 @@ def _verify_groups():
                                          n_cells=n, n_train=3, n_quad=n, n_trunk=8))
         y0 = ex.ls.center[1]
         cases = [
-            (FemMap(prob_a, f, n), solve_forward_fem(prob_a, x0, f, n), prob_a),
+            (FemMap(prob_a, f), solve_forward_fem(prob_a, x0, f), prob_a),
             (RankMap(ex.ls), y0, ex.problem),
             (NeuralMap(ex.coeffs, ex.ls.center), y0, ex.problem),
         ]
@@ -263,13 +266,11 @@ def _verify_groups():
         eps = 1e-5
         for h, y, prob in cases:
             yd = add_noise(y, 1e-3, 1)
-            space = prob.image_space
-            cfg = TikhonovConfig(alpha=1e-8, delta=1e-3, eta=1e-6, xi=0.0, x0=x0,
-                                 space=space, nu=prob.nu)
+            cfg = TikhonovConfig(alpha=1e-8, eta=1e-6, xi=0.0, x0=x0, problem=prob)
             _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
             fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
                   - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
-            an = inner(GridFunction(n, g), d, space)
+            an = inner(GridFunction(n, g), d, prob.image_space)
             assert abs(fd - an) <= 1e-4 * abs(an), (h.label, fd, an)
 
     def grp_mollifier():

@@ -6,6 +6,11 @@ are interpolated piecewise-linearly before assembly, and all element
 integrals are evaluated in closed form, so the tridiagonal systems are
 deterministic functions of the nodal inputs.
 
+Each operator works on the mesh of its coefficient x; a load, direction or
+residual on another mesh raises ``DimensionMismatch``.  The one function that
+moves a mesh is ``solve_forward_reference``: it interpolates x and f onto
+REFERENCE_CELLS cells and the solution back onto the mesh of x.
+
 ``DarcyCoefficient`` (diffusion coefficient identification, H1 image
 space):    -(x y')' = f
 ``PotentialCoefficient`` (reaction coefficient identification, L2 image
@@ -97,41 +102,42 @@ def _tridiag_apply(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarr
     return out
 
 
-def solve_forward_fem(
-    kind: ProblemKind, x: GridFunction, f: GridFunction, n: int
-) -> GridFunction:
-    """Galerkin solution on the n-cell mesh, zero at both endpoints."""
-    if n < 2:
-        raise ValueError("need at least 2 cells")
+def _check_admissible(kind: ProblemKind, x: GridFunction):
     lo, bound = float(np.min(x.values)), kind.fem_lower_bound()
     if lo < bound:
         raise NonAdmissibleCoefficient(f"min nodal value {lo:.6g} below admissibility bound "
                                        f"{bound:.6g}")
-    xv = x.resample(n).values
-    fv = f.resample(n).values
+
+
+def solve_forward_fem(kind: ProblemKind, x: GridFunction, f: GridFunction) -> GridFunction:
+    """Galerkin solution on the mesh of x, zero at both endpoints; the load f
+    lies on that mesh."""
+    n = x.n_cells
+    if n < 2:
+        raise ValueError("need at least 2 cells")
+    f._check_mesh(n)
+    _check_admissible(kind, x)
     y = np.zeros(n + 1)
-    y[1:-1] = _galerkin_solve(kind, xv, n, _load_vector(fv, 1.0 / n))
+    y[1:-1] = _galerkin_solve(kind, x.values, n, _load_vector(f.values, 1.0 / n))
     return GridFunction(n, y)
 
 
 def solve_forward_reference(kind: ProblemKind, x: GridFunction, f: GridFunction) -> GridFunction:
-    """High-resolution FEM oracle, resampled back to the mesh of x."""
-    y = solve_forward_fem(kind, x, f, REFERENCE_CELLS)
+    """High-resolution FEM oracle: x and f are resampled to REFERENCE_CELLS,
+    solved there, and the data resampled back to the mesh of x.  The bound is
+    checked on x itself, whose nodes need not lie on the reference mesh."""
+    _check_admissible(kind, x)
+    y = solve_forward_fem(kind, x.resample(REFERENCE_CELLS), f.resample(REFERENCE_CELLS))
     return y.resample(x.n_cells)
 
 
-def derivative_apply(
-    kind: ProblemKind,
-    x: GridFunction,
-    hdir: GridFunction,
-    f: GridFunction,
-    n: int,
-) -> GridFunction:
+def derivative_apply(kind: ProblemKind, x: GridFunction, hdir: GridFunction,
+                     f: GridFunction) -> GridFunction:
     """Directional derivative of the FEM forward map at x in direction hdir,
-    both on the n-cell mesh."""
-    x._check_mesh(n)
+    which lies on the mesh of x."""
+    n = x.n_cells
     hdir._check_mesh(n)
-    y = solve_forward_fem(kind, x, f, n)
+    y = solve_forward_fem(kind, x, f)
     h = 1.0 / n
     if kind is ProblemKind.A_EXAMPLE:
         p_main, p_off = _stiffness_bands(hdir.values, h)
@@ -143,38 +149,29 @@ def derivative_apply(
     return GridFunction(n, u)
 
 
-def adjoint_apply(
-    kind: ProblemKind,
-    x: GridFunction,
-    r: GridFunction,
-    f: GridFunction,
-    n: int,
-) -> GridFunction:
+def adjoint_apply(kind: ProblemKind, x: GridFunction, r: GridFunction,
+                  f: GridFunction) -> GridFunction:
     """Adjoint of derivative_apply: <F'[x]h, r>_L2 = <h, g>_X for all h.
 
     The image-space pairing is H1 for the diffusion problem and L2 for the
     reaction problem; the final step applies the corresponding Riesz map.
     """
-    x._check_mesh(n)
+    n = x.n_cells
     r._check_mesh(n)
-    y = solve_forward_fem(kind, x, f, n)
-    z = misfit_gradient_nodal(kind, x.values, y.values, r.values, n)
+    y = solve_forward_fem(kind, x, f)
+    z = misfit_gradient_nodal(kind, x.values, y.values, r.values)
     return GridFunction(n, gram_solve(z, n, kind.image_space))
 
 
-def misfit_gradient_nodal(
-    kind: ProblemKind,
-    xv: np.ndarray,
-    yv: np.ndarray,
-    rv: np.ndarray,
-    n: int,
-) -> np.ndarray:
+def misfit_gradient_nodal(kind: ProblemKind, xv: np.ndarray, yv: np.ndarray,
+                          rv: np.ndarray) -> np.ndarray:
     """Euclidean-gradient form of the adjoint, before the Riesz map.
 
-    Takes nodal values on the n-cell mesh: the coefficient xv, the solution
-    yv of solve_forward_fem(kind, x, f, n), which checked x, and the residual
-    rv.  Returns z with z_j = <F'[x] e_j, r>_L2 for nodal directions e_j.
+    Takes nodal values on one mesh: the coefficient xv, the solution yv of
+    solve_forward_fem(kind, x, f), which checked x, and the residual rv.
+    Returns z with z_j = <F'[x] e_j, r>_L2 for nodal directions e_j.
     """
+    n = xv.size - 1
     h = 1.0 / n
 
     w = trapezoid_weights(n)

@@ -33,6 +33,11 @@ from .training import (
 
 STUDY_KINDS = ("fem_rate", "surrogate_error", "reg_rate", "mollify_rate")
 
+#: the least value of each size, for a study and for the CLI commands that set it
+SIZE_BOUNDS = {"n_cells": 4, "n_train": 1, "n_quad": 2, "n_trunk": 2, "max_iterations": 1}
+
+C_LOAD, C_CENTER = 50.0, 1.0  # the c-example's constant load and prior center
+
 
 # ---------------------------------------------------------------------------
 # slope fitting
@@ -119,8 +124,7 @@ class StudyConfig:
                 float(v).is_integer() for v in lad):
             raise ConfigInvalid(f"the {self.study} ladder counts cells, so each entry must "
                                 f"be an integer, not {lad!r}")
-        for name, low in (("n_cells", 4), ("n_train", 1), ("n_quad", 2), ("n_trunk", 2),
-                          ("max_iterations", 1)):
+        for name, low in SIZE_BOUNDS.items():
             if getattr(self, name) < low:
                 raise ConfigInvalid(f"{name} must be at least {low}, not {getattr(self, name)}")
         if self.constant <= 0:
@@ -206,7 +210,7 @@ def _fem_case_error(case, n: int) -> float:
     label, prob, x, f, y_exact = case
     xn = GridFunction.from_callable(x, n)
     fn = GridFunction.from_callable(f, n)
-    y = solve_forward_fem(prob, xn, fn, n)
+    y = solve_forward_fem(prob, xn, fn)
     fine = GridFunction.from_callable(y_exact, _FINE_CELLS)
     return norm(y.resample(_FINE_CELLS) - fine, SpaceKind.L2)
 
@@ -218,7 +222,7 @@ def fem_rho(problem: ProblemKind, n: int, load: float, center: float) -> float:
     tenth of the constant center."""
     f, x0 = GridFunction.constant(load, n), GridFunction.constant(center, n)
     ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1 * center, min(6, n - 1)))
-    return max(norm(solve_forward_fem(problem, x, f, n) - y, SpaceKind.L2)
+    return max(norm(solve_forward_fem(problem, x, f) - y, SpaceKind.L2)
                for x, y in probe_pairs(ts))
 
 
@@ -271,16 +275,15 @@ def _run_surrogate_error(cfg: StudyConfig, rows: list):
     return ("n_quad", "quad_error"), slope, stderr, ()
 
 
-def source_target_a(prob, x0, f, n):
+def source_target_a(prob, x0, f):
     """Target with a genuine source representation: prior offset equal to the
     adjoint of a step load, scaled to a 0.2 amplitude."""
-    s = x0.nodes
-    w = GridFunction(n, np.where(s > 0.5, 1.0, 0.0))
-    g = adjoint_apply(prob, x0, w, f, n)
+    w = GridFunction(x0.n_cells, np.where(x0.nodes > 0.5, 1.0, 0.0))
+    g = adjoint_apply(prob, x0, w, f)
     return x0 + (0.2 / np.max(np.abs(g.values))) * g
 
 
-def source_target_c(x0, ls, n):
+def source_target_c(x0, ls):
     """Target whose coefficients along the training span track the surrogate
     spectrum, confined to the three best-resolved directions."""
     sig = np.array([norm(y, SpaceKind.L2) for y in ls.induced])
@@ -289,7 +292,7 @@ def source_target_c(x0, ls, n):
     coef[:m] = sig[:m] * np.array([1.0, -1.0, 1.0])[:m]
     gp = sum(c * b.values for c, b in zip(coef, ls.basis))
     gp *= 0.08 / np.max(np.abs(gp))
-    return GridFunction(n, x0.values + gp)
+    return GridFunction(x0.n_cells, x0.values + gp)
 
 
 #: the c-example inversion setup that ``c_example_setup`` returns
@@ -308,11 +311,11 @@ def _c_example_data(n_cells: int, n_train: int):
     process with these sizes: (load, x0, ls, xt, y_true, probe pairs), all
     read-only."""
     prob = ProblemKind.C_EXAMPLE
-    f = GridFunction.constant(50.0, n_cells)
-    x0 = GridFunction.constant(1.0, n_cells)
+    f = GridFunction.constant(C_LOAD, n_cells)
+    x0 = GridFunction.constant(C_CENTER, n_cells)
     ts = generate_training_set(prob, f, x0, PerturbationSpec(0.1, n_train))
     ls = build_linear_surrogate(ts)
-    xt = source_target_c(x0, ls, n_cells)
+    xt = source_target_c(x0, ls)
     y_true = solve_forward_reference(prob, xt, f)
     probes = probe_pairs(ts)
     # the load and the center pair (x0 among them) are shared with ts and ls
@@ -338,10 +341,10 @@ def _a_example_data(n_cells: int):
     prob = ProblemKind.A_EXAMPLE
     f = GridFunction.constant(1.0, n_cells)
     x0 = GridFunction.constant(1.0, n_cells)
-    xt = source_target_a(prob, x0, f, n_cells)
+    xt = source_target_a(prob, x0, f)
     y_true = solve_forward_reference(prob, xt, f)
     _read_only(f, x0, xt, y_true)
-    return x0, xt, FemMap(prob, f, n_cells), y_true, fem_rho(prob, n_cells, 1.0, 1.0)
+    return x0, xt, FemMap(prob, f), y_true, fem_rho(prob, n_cells, 1.0, 1.0)
 
 
 def _run_reg_rate(cfg: StudyConfig, rows: list):

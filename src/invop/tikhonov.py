@@ -11,7 +11,7 @@ onto x >= nu, with a monotone backtracking line search.  Its initial
 matrix is the map's exact inverse Hessian where the map has one (the
 rank map, whose functional is quadratic: one Newton step reaches the
 minimizer) and gamma I otherwise, or after a step clipped by x >= nu.
-It stops when
+X and nu are those of ``TikhonovConfig.problem``.  It stops when
 the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the gap to
 the infimum and is exact for quadratic models, drops below eta, when the
 best value has not strictly decreased for STALL_ITERATIONS iterations
@@ -50,30 +50,27 @@ MEMORY = 8  # L-BFGS pairs; above N + 2 for the 6-term c-example surrogates
 
 @dataclass(frozen=True)
 class TikhonovConfig:
+    """The functional's weights, its prior center x0 and the problem, whose
+    ``image_space`` is X and whose ``nu`` is the bound x >= nu."""
+
     alpha: float
-    delta: float
     eta: float
     xi: float
     x0: GridFunction
-    space: SpaceKind
-    nu: float
+    problem: ProblemKind
     max_iterations: int = 2000
 
     def __post_init__(self):
         # each error names its one field
-        reals = {k: getattr(self, k) for k in ("alpha", "delta", "eta", "xi", "nu")}
-        for name, v in reals.items():
+        for name, v in (("alpha", self.alpha), ("eta", self.eta), ("xi", self.xi)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, not {v!r}")
-        for name in ("alpha", "eta", "nu"):
-            if reals[name] <= 0:
-                raise ValueError(f"{name} must be positive, not {reals[name]!r}")
-        for name in ("delta", "xi"):
-            if reals[name] < 0:
-                raise ValueError(f"{name} must be nonnegative, not {reals[name]!r}")
+            if v < 0 or (v == 0 and name != "xi"):
+                word = "nonnegative" if name == "xi" else "positive"
+                raise ValueError(f"{name} must be {word}, not {v!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, not {self.max_iterations!r}")
-        if float(np.min(self.x0.values)) < self.nu:
+        if float(np.min(self.x0.values)) < self.problem.nu:
             raise NonAdmissibleCoefficient("prior center violates the bound nu")
 
 
@@ -114,21 +111,21 @@ class SurrogateHandle:
 
 
 class FemMap(SurrogateHandle):
-    """The Galerkin solver itself on an n-cell mesh."""
+    """The Galerkin solver itself on the mesh of its load."""
 
-    __slots__ = ("problem", "load", "n")
+    __slots__ = ("problem", "load")
     label = "FemForward"
     n_terms = 0
 
-    def __init__(self, problem: ProblemKind, load: GridFunction, n: int):
-        self.problem, self.load, self.n = problem, load, n
+    def __init__(self, problem: ProblemKind, load: GridFunction):
+        self.problem, self.load = problem, load
 
     def _evaluate(self, x: GridFunction):
-        x._check_mesh(self.n)
-        y = solve_forward_fem(self.problem, x, self.load, self.n).values
+        x._check_mesh(self.load.n_cells)
+        y = solve_forward_fem(self.problem, x, self.load).values
 
         def pullback(r: np.ndarray) -> np.ndarray:
-            return misfit_gradient_nodal(self.problem, x.values, y, r, self.n)
+            return misfit_gradient_nodal(self.problem, x.values, y, r)
 
         return y, pullback
 
@@ -178,7 +175,7 @@ class RankMap(SurrogateHandle):
         C = np.array([[_inner_nodal(a, b, n, SpaceKind.L2) for b in ys] for a in ys])
         # matrix-vector products and lstsq only, kernels the package runs
         # anyway: each further BLAS or LAPACK kernel adds 0.1-0.2 MB resident
-        CU = np.array([gram_solve(V.T @ c, n, cfg.space) for c in C])  # (U C)^T
+        CU = np.array([gram_solve(V.T @ c, n, cfg.problem.image_space) for c in C])  # (U C)^T
         eye = np.eye(len(C))
         K = np.linalg.lstsq(cfg.alpha * eye + np.array([CU @ v for v in V]), eye, rcond=None)[0]
         return lambda v: (v - CU.T @ (K @ (V @ v))) / (2.0 * cfg.alpha)
@@ -257,15 +254,16 @@ def tikhonov_value_and_gradient(
     """Functional value and the nodal values of its gradient in the
     configured solution space; the one evaluator of the functional."""
     x._check_mesh(cfg.x0.n_cells)
-    if float(np.min(x.values)) < cfg.nu - 1e-12:
+    space = cfg.problem.image_space
+    if float(np.min(x.values)) < cfg.problem.nu - 1e-12:
         raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
     v = mollify(x, cfg.xi) if cfg.xi > 0 else x
     misfit, gz = h.misfit_and_gradient(v, y_delta)
     if cfg.xi > 0:
         gz = mollify_matrix(x.n_cells, cfg.xi).T @ gz
     d = x.values - cfg.x0.values
-    value = misfit + cfg.alpha * _inner_nodal(d, d, x.n_cells, cfg.space)
-    grad = gram_solve(gz, x.n_cells, cfg.space) + 2.0 * cfg.alpha * d
+    value = misfit + cfg.alpha * _inner_nodal(d, d, x.n_cells, space)
+    grad = gram_solve(gz, x.n_cells, space) + 2.0 * cfg.alpha * d
     return value, grad
 
 
@@ -352,13 +350,13 @@ def minimize_tikhonov(
     the last two return the best iterate, and ``Certificate.iterations``
     is the index of the returned iterate.
     """
-    x = cfg.x0
+    x, space, nu = cfg.x0, cfg.problem.image_space, cfg.problem.nu
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
-    memory = _LbfgsMemory(x.n_cells, cfg.space, h.inverse_hessian(cfg))
+    memory = _LbfgsMemory(x.n_cells, space, h.inverse_hessian(cfg))
     best, t, it = None, 1.0, 0
 
     while True:
-        gnorm = float(np.sqrt(max(_inner_nodal(grad, grad, x.n_cells, cfg.space), 0.0)))
+        gnorm = float(np.sqrt(max(_inner_nodal(grad, grad, x.n_cells, space), 0.0)))
         if best is None or value < best[1]:
             best = (x, value, gnorm, it)
         if gnorm * gnorm / (4.0 * cfg.alpha) <= cfg.eta:
@@ -372,9 +370,9 @@ def minimize_tikhonov(
         t = min(1.0, 2.0 * t)
         for _ in range(MAX_HALVINGS):
             trial = x.values - t * d
-            cand = GridFunction(x.n_cells, np.maximum(trial, cfg.nu))
+            cand = GridFunction(x.n_cells, np.maximum(trial, nu))
             move = x.values - cand.values
-            decrease = _inner_nodal(grad, move, x.n_cells, cfg.space)
+            decrease = _inner_nodal(grad, move, x.n_cells, space)
             cand_value, cand_grad = tikhonov_value_and_gradient(
                 h, cand, y_delta, cfg
             )
@@ -385,7 +383,7 @@ def minimize_tikhonov(
             raise Stalled(
                 f"line search failed {MAX_HALVINGS} halvings at iteration {it}"
             )
-        if np.min(trial) < cfg.nu:  # without the reduced Hessian, H0 = gamma I
+        if np.min(trial) < nu:  # without the reduced Hessian, H0 = gamma I
             memory.h0 = None
         memory.update(-move, cand_grad - grad)
         x, value, grad = cand, cand_value, cand_grad
@@ -440,8 +438,7 @@ def solve_inverse_problem(h: SurrogateHandle, rho: float, problem: ProblemKind,
     error against x_true.  ``runtime_ms`` times the minimization alone."""
     y_delta = add_noise(y_true, delta, seed)
     alpha, eta = choose_parameters(delta, rho, constant)
-    cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=xi, x0=x0,
-                         space=problem.image_space, nu=problem.nu,
+    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, problem=problem,
                          max_iterations=max_iterations)
     x_true._check_mesh(x0.n_cells)  # before the solve, not after it
     start = time.perf_counter()
@@ -458,7 +455,7 @@ def solve_inverse_problem(h: SurrogateHandle, rho: float, problem: ProblemKind,
         xi=xi,
         iterations=result.certificate.iterations,
         gradient_norm=result.certificate.gradient_norm,
-        error_X=norm(result.x - x_true, cfg.space),
+        error_X=norm(result.x - x_true, problem.image_space),
         runtime_ms=runtime_ms,
         seed=seed,
     )

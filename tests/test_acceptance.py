@@ -100,14 +100,14 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     x0 = GridFunction.constant(1.0, n)
     dirs = [0.1 * perturbation_shape(l, n) for l in range(1, n_terms + 1)]
     pairs = ((x0, GridFunction.constant(0.0, n)),) + tuple(
-        (x0 + d, derivative_apply(C, x0, d, f, n)) for d in dirs)
+        (x0 + d, derivative_apply(C, x0, d, f)) for d in dirs)
     ls = build_linear_surrogate(TrainingSet(pairs, C))
 
     rng = np.random.default_rng(0)
     span = GridFunction.constant(0.0, n)
     for c, d in zip(rng.standard_normal(n_terms), dirs):
         span = span + float(c) * d
-    expect = derivative_apply(C, x0, span, f, n)
+    expect = derivative_apply(C, x0, span, f)
     rank = RankMap(ls)  # zero data at the center x0
     got = rank.forward(x0 + span)
     assert norm(got - expect, SpaceKind.L2) <= 1e-9 * norm(expect, SpaceKind.L2)
@@ -204,8 +204,8 @@ def test_criterion_8_optimization_soundness():
         ci * bi.values for ci, bi in zip(c, ls.basis)))
     # strong convexity modulus alpha: value gap eta implies a distance bound
     # sqrt(eta/alpha), so eta = 1e-20 certifies the 1e-8 recovery below
-    cfg = TikhonovConfig(alpha=alpha, delta=1e-2, eta=1e-20, xi=0.0, x0=x0,
-                         space=SpaceKind.L2, nu=C.nu, max_iterations=200000)
+    cfg = TikhonovConfig(alpha=alpha, eta=1e-20, xi=0.0, x0=x0, problem=C,
+                         max_iterations=200000)
     res = minimize_tikhonov(h_rank, y_delta, cfg)
     assert norm(res.x - x_star, SpaceKind.L2) <= 1e-8
 
@@ -221,7 +221,7 @@ def test_criterion_8_optimization_soundness():
     assert gap == pytest.approx(eta_bound, rel=1e-6)
 
     # gradient consistency on every surrogate kind
-    handles = [FemMap(C, f, n), h_rank, NeuralMap(coeffs, ls.center)]
+    handles = [FemMap(C, f), h_rank, NeuralMap(coeffs, ls.center)]
     x = GridFunction(n, 1.0 + 0.03 * rng.standard_normal(n + 1))
     d = GridFunction(n, rng.standard_normal(n + 1))
     for h in handles:

@@ -151,12 +151,11 @@ def test_fem_solve_defaults_to_the_problem_space(tmp_path):
     assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     prob, n, delta = ProblemKind.C_EXAMPLE, 64, 1e-3
     f, x0 = GridFunction.constant(50.0, n), GridFunction.constant(1.0, n)
-    xt = source_target_a(prob, x0, f, n)
+    xt = source_target_a(prob, x0, f)
     alpha, eta = choose_parameters(delta, fem_rho(prob, n, 50.0, 1.0), 1.0)
-    tik = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=0.0, x0=x0, space=SpaceKind.L2,
-                         nu=prob.nu, max_iterations=200)
+    tik = TikhonovConfig(alpha=alpha, eta=eta, xi=0.0, x0=x0, problem=prob, max_iterations=200)
     yd = add_noise(solve_forward_reference(prob, xt, f), delta, 0)
-    res = minimize_tikhonov(FemMap(prob, f, n), yd, tik)
+    res = minimize_tikhonov(FemMap(prob, f), yd, tik)
     expect = RegularizationRun("c", "FemForward", n, 0, delta, alpha, eta, 0.0,
                                res.certificate.iterations, res.certificate.gradient_norm,
                                norm(res.x - xt, SpaceKind.L2), 0.0, 0).csv_row().split(",")

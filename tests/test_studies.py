@@ -174,8 +174,8 @@ def test_fem_rho_within_100x_of_the_nodal_error_at_the_target():
     # from the error there, but by no more than two orders of magnitude
     for n in (16, 32, 64, 128, 256):
         f = GridFunction.constant(1.0, n)
-        xt = source_target_a(A, GridFunction.constant(1.0, n), f, n)
-        err = norm(solve_forward_fem(A, xt, f, n) - solve_forward_reference(A, xt, f),
+        xt = source_target_a(A, GridFunction.constant(1.0, n), f)
+        err = norm(solve_forward_fem(A, xt, f) - solve_forward_reference(A, xt, f),
                    SpaceKind.L2)
         assert err <= fem_rho(A, n, 1.0, 1.0) <= 100.0 * err, n
 

@@ -54,7 +54,7 @@ def handles():
     ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(ls, 192, 12, seed=1, probes=probe_pairs(ts))
     return {
-        "fem": FemMap(C, f, N),
+        "fem": FemMap(C, f),
         "rank": RankMap(ls),
         "neural": NeuralMap(coeffs, ls.center),
         "f": f,
@@ -70,7 +70,7 @@ def test_pullback_rejects_an_input_on_another_mesh(handles, kind):
     # every entry point takes its inputs on the map's mesh and resamples
     # neither an input x nor the data y_delta
     h, x0 = handles[kind], handles["x0"]
-    cfg = _config(x0, SpaceKind.L2)
+    cfg = _config(x0, C)
     y = h.forward(x0)
     x_other, y_other = GridFunction.constant(1.0, N // 2), y.resample(N // 2)
     calls = {
@@ -152,27 +152,25 @@ def test_choose_parameters_degenerate():
 # -- functional and gradient ------------------------------------------------
 
 
-def _config(x0, space, **kw):
-    base = dict(alpha=1e-3, delta=1e-3, eta=1e-8, xi=0.0, x0=x0,
-                space=space, nu=0.1, max_iterations=2000)
+def _config(x0, problem, **kw):
+    base = dict(alpha=1e-3, eta=1e-8, xi=0.0, x0=x0, problem=problem, max_iterations=2000)
     base.update(kw)
     return TikhonovConfig(**base)
 
 
 @pytest.mark.parametrize("key,value,word", [
-    ("alpha", 0.0, "positive"), ("eta", -1e-8, "positive"), ("nu", 0.0, "positive"),
-    ("delta", -1e-3, "nonnegative"), ("xi", -1.0, "nonnegative"),
+    ("alpha", 0.0, "positive"), ("eta", -1e-8, "positive"), ("xi", -1.0, "nonnegative"),
     ("max_iterations", 0, "positive")])
 def test_config_range_error_names_its_one_field(key, value, word):
     with pytest.raises(ValueError, match=rf"^{key} must be {word}, not {value!r}$"):
-        _config(GridFunction.constant(1.0, 16), SpaceKind.L2, **{key: value})
+        _config(GridFunction.constant(1.0, 16), C, **{key: value})
 
 
-@pytest.mark.parametrize("key", ["alpha", "delta", "eta", "xi", "nu"])
+@pytest.mark.parametrize("key", ["alpha", "eta", "xi"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_a_non_finite_real(key, value):
     with pytest.raises(ValueError, match="finite"):
-        _config(GridFunction.constant(1.0, 16), SpaceKind.L2, **{key: value})
+        _config(GridFunction.constant(1.0, 16), C, **{key: value})
 
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
@@ -181,7 +179,7 @@ def test_gradient_matches_finite_differences(handles, kind):
     x0 = handles["x0"]
     y = h.forward(x0)
     yd = add_noise(y, 1e-3, seed=1)
-    cfg = _config(x0, SpaceKind.L2)
+    cfg = _config(x0, C)
     rng = np.random.default_rng(2)
     x = GridFunction(N, 1.0 + 0.03 * rng.standard_normal(N + 1))
     d = GridFunction(N, rng.standard_normal(N + 1))
@@ -197,7 +195,7 @@ def test_gradient_with_mollification(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=3)
-    cfg = _config(x0, SpaceKind.L2, xi=5e-3)
+    cfg = _config(x0, C, xi=5e-3)
     rng = np.random.default_rng(4)
     x = GridFunction(N, 1.0 + 0.03 * rng.standard_normal(N + 1))
     d = GridFunction(N, rng.standard_normal(N + 1))
@@ -228,7 +226,7 @@ def test_fem_misfit_gradient_solves_forward_once(handles, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
 def test_value_and_gradient_rejects_inadmissible_point(handles, kind):
-    cfg = _config(handles["x0"], SpaceKind.L2)
+    cfg = _config(handles["x0"], C)
     bad = GridFunction.constant(0.05, N)
     with pytest.raises(NonAdmissibleCoefficient):
         tikhonov_value_and_gradient(handles[kind], bad, handles["x0"], cfg)
@@ -300,7 +298,7 @@ def test_quadratic_proxy_recovered(handles):
     x0 = handles["x0"]
     y = h.forward(x0 + 0.05 * GridFunction.from_callable(
         lambda s: np.sin(np.pi * s), N))
-    cfg = _config(x0, SpaceKind.L2, alpha=1e-2, eta=1e-16, max_iterations=100000)
+    cfg = _config(x0, C, alpha=1e-2, eta=1e-16, max_iterations=100000)
     res = minimize_tikhonov(h, y, cfg)
     # optimality: gradient at the returned point is certificate-small
     assert res.certificate.status == "converged"
@@ -313,16 +311,16 @@ def test_iterates_satisfy_projection_bound(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-2, seed=5)
-    cfg = _config(x0, SpaceKind.L2, alpha=1e-4, eta=1e-10, max_iterations=50)
+    cfg = _config(x0, C, alpha=1e-4, eta=1e-10, max_iterations=50)
     res = minimize_tikhonov(h, yd, cfg)
-    assert float(np.min(res.x.values)) >= cfg.nu
+    assert float(np.min(res.x.values)) >= cfg.problem.nu
 
 
 def test_certificate_reports_gradient_gap(handles):
     h = handles["rank"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=6)
-    cfg = _config(x0, SpaceKind.L2, eta=1e-10, max_iterations=100000)
+    cfg = _config(x0, C, eta=1e-10, max_iterations=100000)
     res = minimize_tikhonov(h, yd, cfg)
     c = res.certificate
     assert c.eta_bound == pytest.approx(
@@ -335,7 +333,7 @@ def test_budget_exhaustion_returns_best(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-2, seed=7)
-    cfg = _config(x0, SpaceKind.L2, alpha=1e-6, eta=1e-30, max_iterations=3)
+    cfg = _config(x0, C, alpha=1e-6, eta=1e-30, max_iterations=3)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.iterations == 3
     assert res.certificate.status == "budget"
@@ -347,7 +345,7 @@ def test_monotone_decrease(handles):
     h = handles["neural"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=8)
-    cfg = _config(x0, SpaceKind.L2, alpha=1e-3, eta=1e-12, max_iterations=30)
+    cfg = _config(x0, C, alpha=1e-3, eta=1e-12, max_iterations=30)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.functional_value <= tikhonov_value_and_gradient(h, x0, yd, cfg)[0] + 1e-15
 
@@ -375,8 +373,8 @@ def _precision_floor_problem(handles, kind):
     c = np.linalg.solve(G + alpha * np.eye(len(G)),
                         [inner(y, r, SpaceKind.L2) for y in ls.induced])
     x_star = x0 + GridFunction(N, sum(ci * b.values for ci, b in zip(c, ls.basis)))
-    return h, y_delta, x_star, _config(x0, SpaceKind.L2, alpha=alpha, delta=1e-2,
-                                       eta=1e-20, nu=C.nu, max_iterations=200000)
+    return h, y_delta, x_star, _config(x0, C, alpha=alpha, eta=1e-20,
+                                       max_iterations=200000)
 
 
 def test_stagnation_stop_at_precision_floor(handles, monkeypatch):
@@ -410,7 +408,7 @@ def test_budget_run_reports_index_of_best_iterate(handles):
 
 
 def test_only_the_rank_map_gives_its_inverse_hessian(handles):
-    cfg = _config(handles["x0"], SpaceKind.L2)
+    cfg = _config(handles["x0"], C)
     assert handles["fem"].inverse_hessian(cfg) is None
     assert handles["neural"].inverse_hessian(cfg) is None
     assert callable(handles["rank"].inverse_hessian(cfg))
@@ -437,7 +435,7 @@ def test_rank_solve_is_one_newton_step(handles, xi):
     hess = np.array([grad(x0 + e) - grad(x0) for e in np.eye(N + 1)]).T
     rng = np.random.default_rng(5)
     s = 0.01 * rng.standard_normal(N + 1)
-    mem = _LbfgsMemory(N, cfg.space, h.inverse_hessian(cfg))
+    mem = _LbfgsMemory(N, cfg.problem.image_space, h.inverse_hessian(cfg))
     mem.update(s, grad(x0 + s) - grad(x0))  # an exact pair leaves H0 exact
     assert len(mem.pairs) == 1
     g = rng.standard_normal(N + 1)
@@ -452,7 +450,7 @@ def test_rank_solve_with_an_active_bound(handles, xi, gamma_scaled):
     # run stalls on the bound no higher than a run with gamma scaling alone
     h, x0 = handles["rank"], handles["x0"]
     yd = GridFunction(N, 300.0 * np.random.default_rng(1).standard_normal(N + 1))
-    cfg = _config(x0, SpaceKind.L2, alpha=1e-3, eta=1e-6, xi=xi, nu=C.nu)
+    cfg = _config(x0, C, alpha=1e-3, eta=1e-6, xi=xi)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.status == "stagnated"
     assert float(np.min(res.x.values)) == C.nu
@@ -463,10 +461,10 @@ def test_h1_fem_solve_converges():
     n, delta = 64, 1e-4
     f = GridFunction.constant(1.0, n)
     x0 = GridFunction.constant(1.0, n)
-    h = FemMap(A, f, n)
-    yd = add_noise(h.forward(source_target_a(A, x0, f, n)), delta, seed=11)
+    h = FemMap(A, f)
+    yd = add_noise(h.forward(source_target_a(A, x0, f)), delta, seed=11)
     alpha, eta = choose_parameters(delta, fem_rho(A, n, 1.0, 1.0))
-    cfg = _config(x0, SpaceKind.H1, alpha=alpha, delta=delta, eta=eta, nu=A.nu)
+    cfg = _config(x0, A, alpha=alpha, eta=eta)
     c = minimize_tikhonov(h, yd, cfg).certificate
     assert c.status == "converged"
     assert c.eta_bound <= cfg.eta
@@ -481,14 +479,14 @@ def test_line_search_builds_at_most_two_grid_functions_per_evaluation(handles, m
     if kind == "fem":
         n = 64
         f = x0 = GridFunction.constant(1.0, n)
-        h = FemMap(A, f, n)
-        yd = add_noise(solve_forward_reference(A, source_target_a(A, x0, f, n), f), 1e-3,
+        h = FemMap(A, f)
+        yd = add_noise(solve_forward_reference(A, source_target_a(A, x0, f), f), 1e-3,
                        seed=3)
-        cfg = _config(x0, SpaceKind.H1, eta=1e-30, nu=A.nu, max_iterations=10)
+        cfg = _config(x0, A, eta=1e-30, max_iterations=10)
     else:
         h, x0 = handles["neural"], handles["x0"]
         yd = add_noise(h.forward(1.02 * x0), 1e-3, seed=3)
-        cfg = _config(x0, SpaceKind.L2, eta=1e-30, xi=0.05, nu=C.nu, max_iterations=10)
+        cfg = _config(x0, C, eta=1e-30, xi=0.05, max_iterations=10)
     counts = {"built": 0, "evaluations": 0}
     post_init, evaluate = GridFunction.__post_init__, tikhonov_value_and_gradient
 
@@ -523,8 +521,8 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     yd = add_noise(solve_forward_reference(C, ex.xt, ex.load), delta,
                    study.seed + 100 + i)
     alpha, eta = choose_parameters(delta, ex.diag.nu_N, study.constant)
-    cfg = _config(ex.x0, SpaceKind.L2, alpha=alpha, delta=delta, eta=eta,
-                  xi=study.xi, nu=C.nu, max_iterations=study.max_iterations)
+    cfg = _config(ex.x0, C, alpha=alpha, eta=eta, xi=study.xi,
+                  max_iterations=study.max_iterations)
     calls = _count_gradients(monkeypatch)
     res = minimize_tikhonov(RankMap(ex.ls), yd, cfg)
     assert res.certificate.status == "converged"
@@ -567,8 +565,7 @@ def test_entry_point_row_is_the_hand_built_row(handles, kind):
 
     yd = add_noise(y_true, delta, seed)
     alpha, eta = choose_parameters(delta, rho, constant)
-    cfg = TikhonovConfig(alpha=alpha, delta=delta, eta=eta, xi=xi, x0=x0, space=SpaceKind.L2,
-                         nu=C.nu, max_iterations=budget)
+    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, problem=C, max_iterations=budget)
     res = minimize_tikhonov(h, yd, cfg)
     assert run == RegularizationRun(
         "c", h.label, N, h.n_terms, delta, alpha, eta, xi, res.certificate.iterations,

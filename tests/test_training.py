@@ -121,7 +121,7 @@ def test_surrogate_matches_linearization_on_span(c_setup):
     # training directions up to the linearization (not rounding) error
     f, x0, ts, ls = c_setup
     d = ts.pairs[1][0] - x0
-    lin = derivative_apply(C, x0, d, f, N)
+    lin = derivative_apply(C, x0, d, f)
     pred = RankMap(ls).forward(ts.pairs[1][0]) - ts.pairs[0][1]
     rel = norm(pred - lin, SpaceKind.L2) / norm(lin, SpaceKind.L2)
     assert rel < 2e-2  # amplitude 0.1 => quadratic remainder ~ 1e-2

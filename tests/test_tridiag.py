@@ -99,11 +99,11 @@ def test_misfit_gradient_reuses_the_forward_factorization(kind):
     f = GridFunction.constant(1.0, n)
     r = GridFunction.from_callable(np.sin, n)
     _galerkin_factors.cache_clear()
-    y = solve_forward_fem(kind, x, f, n)
-    z = misfit_gradient_nodal(kind, x.values, y.values, r.values, n)
+    y = solve_forward_fem(kind, x, f)
+    z = misfit_gradient_nodal(kind, x.values, y.values, r.values)
     assert (_galerkin_factors.cache_info().hits, _galerkin_factors.cache_info().misses) == (1, 1)
     _galerkin_factors.cache_clear()
-    assert _same_bits(misfit_gradient_nodal(kind, x.values, y.values, r.values, n), z)
+    assert _same_bits(misfit_gradient_nodal(kind, x.values, y.values, r.values), z)
 
 
 def test_single_unknown_is_rhs_over_pivot():
