@@ -136,8 +136,6 @@ def _cmd_build(args) -> int:
             raise ConfigInvalid(f"[build] {key} = {sec[key]}, but a build needs at least "
                                 f"{SIZE_BOUNDS[key]}")
     ts = serialize.load_training_set(sec["training"])
-    if ts.load is None:
-        raise ConfigInvalid(f"{sec['training']}: training set has no load to estimate nu_N")
     ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(
         ls,
@@ -261,8 +259,8 @@ def _verify_groups():
             (NeuralMap(ex.coeffs, ex.ls.center), y0, ex.problem),
         ]
         rng = np.random.default_rng(2)
-        x = GridFunction(n, 1.0 + 0.05 * rng.standard_normal(n + 1))
-        d = GridFunction(n, rng.standard_normal(n + 1))
+        x = GridFunction(1.0 + 0.05 * rng.standard_normal(n + 1))
+        d = GridFunction(rng.standard_normal(n + 1))
         eps = 1e-5
         for h, y, prob in cases:
             yd = add_noise(y, 1e-3, 1)
@@ -270,7 +268,7 @@ def _verify_groups():
             _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
             fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
                   - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
-            an = inner(GridFunction(n, g), d, prob.image_space)
+            an = inner(GridFunction(g), d, prob.image_space)
             assert abs(fd - an) <= 1e-4 * abs(an), (h.label, fd, an)
 
     def grp_mollifier():

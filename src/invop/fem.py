@@ -6,10 +6,12 @@ are interpolated piecewise-linearly before assembly, and all element
 integrals are evaluated in closed form, so the tridiagonal systems are
 deterministic functions of the nodal inputs.
 
-Each operator works on the mesh of its coefficient x; a load, direction or
-residual on another mesh raises ``DimensionMismatch``.  The one function that
-moves a mesh is ``solve_forward_reference``: it interpolates x and f onto
-REFERENCE_CELLS cells and the solution back onto the mesh of x.
+Each operator works on the mesh of its coefficient x, which its n + 1 nodal
+values fix; the assembly and Galerkin solve take nodal arrays and no cell
+count.  A load, direction or residual on another mesh raises
+``DimensionMismatch``.  The one function that moves a mesh is
+``solve_forward_reference``: it interpolates x and f onto REFERENCE_CELLS
+cells and the solution back onto the mesh of x.
 
 ``DarcyCoefficient`` (diffusion coefficient identification, H1 image
 space):    -(x y')' = f
@@ -71,28 +73,28 @@ def _mass_bands(x: np.ndarray, h: float):
     return main, off
 
 
-def _assemble(kind: ProblemKind, x: np.ndarray, n: int):
-    h = 1.0 / n
+def _assemble(kind: ProblemKind, x: np.ndarray):
+    h = 1.0 / (x.size - 1)
     if kind is ProblemKind.A_EXAMPLE:
         return _stiffness_bands(x, h)
-    k_main, k_off = _stiffness_bands(np.ones(n + 1), h)
+    k_main, k_off = _stiffness_bands(np.ones(x.size), h)
     m_main, m_off = _mass_bands(x, h)
     return k_main + m_main, k_off + m_off
 
 
 @lru_cache(maxsize=1)
-def _galerkin_factors(kind: ProblemKind, n: int, x_bytes: bytes):
+def _galerkin_factors(kind: ProblemKind, x_bytes: bytes):
     """L·D·Lᵀ factors of the Galerkin matrix for the nodal coefficient x.
 
     Keyed by the bytes of x, so the adjoint solve of a misfit gradient and
     the forward solve at the same x share one factorization.  One entry is
     enough: a misfit gradient directly follows its forward solve.
     """
-    return _ldl_factor(*_assemble(kind, np.frombuffer(x_bytes), n))
+    return _ldl_factor(*_assemble(kind, np.frombuffer(x_bytes)))
 
 
-def _galerkin_solve(kind: ProblemKind, xv: np.ndarray, n: int, rhs: np.ndarray) -> np.ndarray:
-    return _ldl_solve(*_galerkin_factors(kind, n, xv.tobytes()), rhs)
+def _galerkin_solve(kind: ProblemKind, xv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return _ldl_solve(*_galerkin_factors(kind, xv.tobytes()), rhs)
 
 
 def _tridiag_apply(main: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -118,8 +120,8 @@ def solve_forward_fem(kind: ProblemKind, x: GridFunction, f: GridFunction) -> Gr
     f._check_mesh(n)
     _check_admissible(kind, x)
     y = np.zeros(n + 1)
-    y[1:-1] = _galerkin_solve(kind, x.values, n, _load_vector(f.values, 1.0 / n))
-    return GridFunction(n, y)
+    y[1:-1] = _galerkin_solve(kind, x.values, _load_vector(f.values, 1.0 / n))
+    return GridFunction(y)
 
 
 def solve_forward_reference(kind: ProblemKind, x: GridFunction, f: GridFunction) -> GridFunction:
@@ -145,8 +147,8 @@ def derivative_apply(kind: ProblemKind, x: GridFunction, hdir: GridFunction,
         p_main, p_off = _mass_bands(hdir.values, h)
     rhs = -_tridiag_apply(p_main, p_off, y.values[1:-1])
     u = np.zeros(n + 1)
-    u[1:-1] = _galerkin_solve(kind, x.values, n, rhs)
-    return GridFunction(n, u)
+    u[1:-1] = _galerkin_solve(kind, x.values, rhs)
+    return GridFunction(u)
 
 
 def adjoint_apply(kind: ProblemKind, x: GridFunction, r: GridFunction,
@@ -156,11 +158,10 @@ def adjoint_apply(kind: ProblemKind, x: GridFunction, r: GridFunction,
     The image-space pairing is H1 for the diffusion problem and L2 for the
     reaction problem; the final step applies the corresponding Riesz map.
     """
-    n = x.n_cells
-    r._check_mesh(n)
+    r._check_mesh(x.n_cells)
     y = solve_forward_fem(kind, x, f)
     z = misfit_gradient_nodal(kind, x.values, y.values, r.values)
-    return GridFunction(n, gram_solve(z, n, kind.image_space))
+    return GridFunction(gram_solve(z, kind.image_space))
 
 
 def misfit_gradient_nodal(kind: ProblemKind, xv: np.ndarray, yv: np.ndarray,
@@ -176,7 +177,7 @@ def misfit_gradient_nodal(kind: ProblemKind, xv: np.ndarray, yv: np.ndarray,
 
     w = trapezoid_weights(n)
     p = np.zeros(n + 1)
-    p[1:-1] = _galerkin_solve(kind, xv, n, (w * rv)[1:-1])
+    p[1:-1] = _galerkin_solve(kind, xv, (w * rv)[1:-1])
 
     z = np.zeros(n + 1)
     if kind is ProblemKind.A_EXAMPLE:

@@ -1,9 +1,10 @@
 """Functions on a uniform mesh of [0, 1] and the discrete inner products.
 
-A :class:`GridFunction` stores nodal values at ``s_i = i / n_cells``.  The
-L2 inner product is the composite trapezoid rule applied to the nodal
-product; the H1 product adds the trapezoid rule of the forward-difference
-derivatives on cells.
+A :class:`GridFunction` is its nodal values: n + 1 of them lie at
+``s_i = i / n``, so the array fixes the mesh, and so does the array of every
+kernel below.  The L2 inner product is the composite trapezoid rule applied
+to the nodal product; the H1 product adds the trapezoid rule of the
+forward-difference derivatives on cells.
 
 The module also holds the one solver of symmetric positive definite
 tridiagonal systems that every Galerkin and Gram solve of the package uses:
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -34,20 +35,20 @@ class SpaceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GridFunction:
-    n_cells: int
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if self.n_cells < 1:
-            raise DimensionMismatch("n_cells must be >= 1")
-        if vals.shape != (self.n_cells + 1,):
-            raise DimensionMismatch(
-                f"expected {self.n_cells + 1} nodal values, got {vals.shape}"
-            )
+        if vals.ndim != 1 or vals.size < 2:
+            raise DimensionMismatch(f"expected a 1-D array of at least 2 nodal values, "
+                                    f"got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue("nodal values must be finite")
         object.__setattr__(self, "values", vals)
+
+    @property
+    def n_cells(self) -> int:
+        return self.values.size - 1
 
     @property
     def nodes(self) -> np.ndarray:
@@ -58,11 +59,11 @@ class GridFunction:
     @staticmethod
     def from_callable(f, n_cells: int) -> "GridFunction":
         s = np.linspace(0.0, 1.0, n_cells + 1)
-        return GridFunction(n_cells, np.asarray(f(s), dtype=float) * np.ones_like(s))
+        return GridFunction(np.asarray(f(s), dtype=float) * np.ones_like(s))
 
     @staticmethod
     def constant(c: float, n_cells: int) -> "GridFunction":
-        return GridFunction(n_cells, np.full(n_cells + 1, float(c)))
+        return GridFunction(np.full(n_cells + 1, float(c)))
 
     # -- arithmetic (same mesh only; resampling is explicit) ---------------
 
@@ -74,14 +75,14 @@ class GridFunction:
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         other._check_mesh(self.n_cells)
-        return GridFunction(self.n_cells, self.values + other.values)
+        return GridFunction(self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         other._check_mesh(self.n_cells)
-        return GridFunction(self.n_cells, self.values - other.values)
+        return GridFunction(self.values - other.values)
 
     def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.n_cells, self.values * float(c))
+        return GridFunction(self.values * float(c))
 
     __rmul__ = __mul__
 
@@ -96,7 +97,7 @@ class GridFunction:
         if n_cells == self.n_cells:
             return self
         s = np.linspace(0.0, 1.0, n_cells + 1)
-        return GridFunction(n_cells, self.sample(s))
+        return GridFunction(self.sample(s))
 
 
 def trapezoid_weights(n_cells: int) -> np.ndarray:
@@ -113,13 +114,12 @@ def _trapezoid_weights(n_cells: int) -> np.ndarray:
     return w
 
 
-def _inner_nodal(u: np.ndarray, v: np.ndarray, n_cells: int, space: SpaceKind) -> float:
-    """The inner product of the functions with nodal values u and v on the
-    n_cells mesh."""
-    w = trapezoid_weights(n_cells)
+def _inner_nodal(u: np.ndarray, v: np.ndarray, space: SpaceKind) -> float:
+    """The inner product of the functions with nodal values u and v on one mesh."""
+    w = trapezoid_weights(u.size - 1)
     val = float(np.dot(w * u, v))
     if space is SpaceKind.H1:
-        h = 1.0 / n_cells
+        h = 1.0 / (u.size - 1)
         du = np.diff(u) / h
         dv = np.diff(v) / h
         val += float(np.dot(du, dv)) * h
@@ -128,19 +128,18 @@ def _inner_nodal(u: np.ndarray, v: np.ndarray, n_cells: int, space: SpaceKind) -
 
 def inner(x: GridFunction, z: GridFunction, space: SpaceKind = SpaceKind.L2) -> float:
     z._check_mesh(x.n_cells)
-    return _inner_nodal(x.values, z.values, x.n_cells, space)
+    return _inner_nodal(x.values, z.values, space)
 
 
 def norm(x: GridFunction, space: SpaceKind = SpaceKind.L2) -> float:
     return float(np.sqrt(max(inner(x, x, space), 0.0)))
 
 
-def gram_apply(v: np.ndarray, n_cells: int, space: SpaceKind) -> np.ndarray:
-    """Apply the Gram matrix without forming it."""
-    w = trapezoid_weights(n_cells)
-    out = w * v
+def gram_apply(v: np.ndarray, space: SpaceKind) -> np.ndarray:
+    """Apply the Gram matrix of the mesh of v without forming it."""
+    out = trapezoid_weights(v.size - 1) * v
     if space is SpaceKind.H1:
-        h = 1.0 / n_cells
+        h = 1.0 / (v.size - 1)
         d = np.diff(v) / h
         out[:-1] -= d
         out[1:] += d
@@ -253,8 +252,8 @@ def _h1_gram_factors(n_cells: int):
     return _ldl_factor(main, np.full(n_cells, -1.0 / h))
 
 
-def gram_solve(rhs: np.ndarray, n_cells: int, space: SpaceKind) -> np.ndarray:
-    """Riesz map: solve ``G v = rhs`` for the discrete space Gram matrix."""
+def gram_solve(rhs: np.ndarray, space: SpaceKind) -> np.ndarray:
+    """Riesz map: solve ``G v = rhs`` for the Gram matrix of the mesh of rhs."""
     if space is SpaceKind.L2:
-        return rhs / trapezoid_weights(n_cells)
-    return _ldl_solve(*_h1_gram_factors(n_cells), rhs)
+        return rhs / trapezoid_weights(rhs.size - 1)
+    return _ldl_solve(*_h1_gram_factors(rhs.size - 1), rhs)

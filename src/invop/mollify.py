@@ -80,7 +80,7 @@ def mollify_matrix(n_cells: int, xi: float) -> np.ndarray:
 
 
 def mollify(x: GridFunction, xi: float) -> GridFunction:
-    return GridFunction(x.n_cells, mollify_matrix(x.n_cells, xi) @ x.values)
+    return GridFunction(mollify_matrix(x.n_cells, xi) @ x.values)
 
 
 def mollification_report(x: GridFunction, xis) -> list:

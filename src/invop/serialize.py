@@ -7,12 +7,15 @@ are written with 17 significant digits, so write-then-read reproduces every
 finite value bit for bit.  Each array payload is parsed in one call.  A
 truncated file, a missing field, a payload with the wrong number of rows
 or entries, or fields whose shapes disagree raises :class:`ConfigInvalid`
-naming the file and the field.  A
-surrogate file holds the one branch network once (``branch.c``, a row per
-term, ``branch.w``, ``branch.theta``) and the trunks per term; a file in an
-older layout, with a ``term0.branch.*`` field or without the shared
-``s_points``, raises :class:`ConfigInvalid` naming the field.  Fields a
-reader does not use, such as ``seed``, ``nu``, ``space`` or ``transform`` in
+naming the file and the field.  A grid function is written as
+``<prefix>.n_cells`` and ``<prefix>.values``; the reader builds it from the
+values and checks the cell count against them.  Every training set and
+rank-N surrogate holds its ``load``, and every training set its
+``perturbation.*``.  A surrogate file holds the one branch network once
+(``branch.c``, a row per term, ``branch.w``, ``branch.theta``) and the
+trunks per term; a file in an older layout, with a ``term0.branch.*``
+field or without the shared ``s_points``, raises :class:`ConfigInvalid`
+naming the field.  Fields a reader does not use, such as ``seed``, ``nu``, ``space`` or ``transform`` in
 older files, are ignored; a rank-N file without ``problem`` raises
 :class:`ConfigInvalid` naming it.  The surrogate's ``activation`` and the
 training set's ``perturbation.mode`` are written as their one supported
@@ -136,8 +139,12 @@ def _put_grid(fields: list, prefix: str, g: GridFunction):
 
 
 def _get_grid(fields: _Fields, prefix: str) -> GridFunction:
-    return _shaped(fields.path, f"{prefix}.*", GridFunction,
-                   fields[f"{prefix}.n_cells"], fields[f"{prefix}.values"])
+    n, values = fields[f"{prefix}.n_cells"], fields[f"{prefix}.values"]
+    g = _shaped(fields.path, f"{prefix}.*", GridFunction, values)
+    if g.n_cells != n:
+        raise ConfigInvalid(f"{fields.path}: fields {prefix}.*: {n} cells need {n + 1} "
+                            f"nodal values, got {values.size}")
+    return g
 
 
 def _shaped(path, name: str, make, *args):
@@ -212,15 +219,11 @@ def save_training_set(path, ts: TrainingSet):
     fields = [
         ("problem", ts.problem.value),
         ("n_pairs", len(ts.pairs)),
+        ("perturbation.mode", PERTURBATION_MODE),
+        ("perturbation.amplitude", ts.perturbation.amplitude),
+        ("perturbation.count", ts.perturbation.count),
     ]
-    if ts.perturbation is not None:
-        fields += [
-            ("perturbation.mode", PERTURBATION_MODE),
-            ("perturbation.amplitude", ts.perturbation.amplitude),
-            ("perturbation.count", ts.perturbation.count),
-        ]
-    if ts.load is not None:
-        _put_grid(fields, "load", ts.load)
+    _put_grid(fields, "load", ts.load)
     for i, (x, y) in enumerate(ts.pairs):
         _put_grid(fields, f"pair{i}.x", x)
         _put_grid(fields, f"pair{i}.y", y)
@@ -233,12 +236,9 @@ def load_training_set(path) -> TrainingSet:
         (_get_grid(f, f"pair{i}.x"), _get_grid(f, f"pair{i}.y"))
         for i in range(f["n_pairs"])
     )
-    pert = None
-    if "perturbation.mode" in f:
-        _check_pinned(f, "perturbation.mode", PERTURBATION_MODE)
-        pert = PerturbationSpec(f["perturbation.amplitude"], f["perturbation.count"])
-    load = _get_grid(f, "load") if "load.n_cells" in f else None
-    return TrainingSet(pairs, _problem(f), pert, load)
+    _check_pinned(f, "perturbation.mode", PERTURBATION_MODE)
+    pert = PerturbationSpec(f["perturbation.amplitude"], f["perturbation.count"])
+    return TrainingSet(pairs, _problem(f), pert, _get_grid(f, "load"))
 
 
 #: the surrogate error diagnostics ``invop build`` stores with the rank-N surrogate
@@ -246,8 +246,6 @@ DIAGNOSTIC_FIELDS = ("nu_N", "q_N", "r_N", "rho_bound")
 
 
 def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagnostics):
-    if ls.load is None:
-        raise ValueError("a rank-N surrogate is saved with the load it was built for")
     fields = [
         ("problem", ls.problem.value),
         ("n_terms", ls.n_terms),

@@ -278,21 +278,22 @@ def _run_surrogate_error(cfg: StudyConfig, rows: list):
 def source_target_a(prob, x0, f):
     """Target with a genuine source representation: prior offset equal to the
     adjoint of a step load, scaled to a 0.2 amplitude."""
-    w = GridFunction(x0.n_cells, np.where(x0.nodes > 0.5, 1.0, 0.0))
+    w = GridFunction(np.where(x0.nodes > 0.5, 1.0, 0.0))
     g = adjoint_apply(prob, x0, w, f)
     return x0 + (0.2 / np.max(np.abs(g.values))) * g
 
 
-def source_target_c(x0, ls):
+def source_target_c(ls):
     """Target whose coefficients along the training span track the surrogate
-    spectrum, confined to the three best-resolved directions."""
+    spectrum, confined to the three best-resolved directions, around the
+    training center."""
     sig = np.array([norm(y, SpaceKind.L2) for y in ls.induced])
     coef = np.zeros(len(ls.basis))
     m = min(3, len(ls.basis))
     coef[:m] = sig[:m] * np.array([1.0, -1.0, 1.0])[:m]
     gp = sum(c * b.values for c, b in zip(coef, ls.basis))
     gp *= 0.08 / np.max(np.abs(gp))
-    return GridFunction(x0.n_cells, x0.values + gp)
+    return GridFunction(ls.center[0].values + gp)
 
 
 #: the c-example inversion setup that ``c_example_setup`` returns
@@ -315,7 +316,7 @@ def _c_example_data(n_cells: int, n_train: int):
     x0 = GridFunction.constant(C_CENTER, n_cells)
     ts = generate_training_set(prob, f, x0, PerturbationSpec(0.1, n_train))
     ls = build_linear_surrogate(ts)
-    xt = source_target_c(x0, ls)
+    xt = source_target_c(ls)
     y_true = solve_forward_reference(prob, xt, f)
     probes = probe_pairs(ts)
     # the load and the center pair (x0 among them) are shared with ts and ls

@@ -93,7 +93,7 @@ class SurrogateHandle:
     def forward(self, x: GridFunction) -> GridFunction:
         """Surrogate data for the (already mollified) input x."""
         y = self._evaluate(x)[0]
-        return GridFunction(y.size - 1, y)
+        return GridFunction(y)
 
     def misfit_and_gradient(self, x: GridFunction, y_delta: GridFunction):
         """Data misfit ||forward(x) - y_delta||^2 and its Euclidean nodal
@@ -101,7 +101,7 @@ class SurrogateHandle:
         y, pullback = self._evaluate(x)
         y_delta._check_mesh(y.size - 1)
         r = y - y_delta.values
-        return _inner_nodal(r, r, y_delta.n_cells, SpaceKind.L2), 2.0 * pullback(r)
+        return _inner_nodal(r, r, SpaceKind.L2), 2.0 * pullback(r)
 
     def inverse_hessian(self, cfg: TikhonovConfig):
         """The exact inverse X-Hessian of the functional as a function on
@@ -150,13 +150,13 @@ class RankMap(SurrogateHandle):
         out = y0.values.copy()
         xc = x.values - x0.values
         for b, y in zip(self.ls.basis, self.ls.induced):
-            out += _inner_nodal(xc, b.values, b.n_cells, space) * y.values
+            out += _inner_nodal(xc, b.values, space) * y.values
 
         def pullback(r: np.ndarray) -> np.ndarray:
             grad = np.zeros(x.n_cells + 1)
             for b, y in zip(self.ls.basis, self.ls.induced):
-                g = gram_apply(b.values, b.n_cells, space)
-                grad += _inner_nodal(r, y.values, y.n_cells, SpaceKind.L2) * g
+                g = gram_apply(b.values, space)
+                grad += _inner_nodal(r, y.values, SpaceKind.L2) * g
             return grad
 
         return out, pullback
@@ -167,15 +167,14 @@ class RankMap(SurrogateHandle):
         V are the Riesz functionals G b_i of the basis, mollified when xi > 0,
         U = G_X^-1 V^T, and C is the L2 Gram matrix of the induced data; one
         N x N inverse when the function is built."""
-        n = cfg.x0.n_cells
-        V = [gram_apply(b.values, n, self.ls.problem.image_space) for b in self.ls.basis]
+        V = [gram_apply(b.values, self.ls.problem.image_space) for b in self.ls.basis]
         if cfg.xi > 0:
-            V = [mollify_matrix(n, cfg.xi).T @ v for v in V]
+            V = [mollify_matrix(cfg.x0.n_cells, cfg.xi).T @ v for v in V]
         V, ys = np.array(V), [y.values for y in self.ls.induced]
-        C = np.array([[_inner_nodal(a, b, n, SpaceKind.L2) for b in ys] for a in ys])
+        C = np.array([[_inner_nodal(a, b, SpaceKind.L2) for b in ys] for a in ys])
         # matrix-vector products and lstsq only, kernels the package runs
         # anyway: each further BLAS or LAPACK kernel adds 0.1-0.2 MB resident
-        CU = np.array([gram_solve(V.T @ c, n, cfg.problem.image_space) for c in C])  # (U C)^T
+        CU = np.array([gram_solve(V.T @ c, cfg.problem.image_space) for c in C])  # (U C)^T
         eye = np.eye(len(C))
         K = np.linalg.lstsq(cfg.alpha * eye + np.array([CU @ v for v in V]), eye, rcond=None)[0]
         return lambda v: (v - CU.T @ (K @ (V @ v))) / (2.0 * cfg.alpha)
@@ -228,10 +227,9 @@ def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return y
-    n = y.n_cells
-    e = np.random.default_rng(seed).standard_normal(n + 1)
-    scale = delta / float(np.sqrt(max(_inner_nodal(e, e, n, SpaceKind.L2), 0.0)))
-    return GridFunction(n, y.values + scale * e)
+    e = np.random.default_rng(seed).standard_normal(y.values.size)
+    scale = delta / float(np.sqrt(max(_inner_nodal(e, e, SpaceKind.L2), 0.0)))
+    return GridFunction(y.values + scale * e)
 
 
 def choose_parameters(delta: float, rho_n: float, constant: float = 1.0):
@@ -262,8 +260,8 @@ def tikhonov_value_and_gradient(
     if cfg.xi > 0:
         gz = mollify_matrix(x.n_cells, cfg.xi).T @ gz
     d = x.values - cfg.x0.values
-    value = misfit + cfg.alpha * _inner_nodal(d, d, x.n_cells, space)
-    grad = gram_solve(gz, x.n_cells, space) + 2.0 * cfg.alpha * d
+    value = misfit + cfg.alpha * _inner_nodal(d, d, space)
+    grad = gram_solve(gz, space) + 2.0 * cfg.alpha * d
     return value, grad
 
 
@@ -293,8 +291,8 @@ class _LbfgsMemory:
     is ``h0``, the map's exact inverse Hessian, or gamma I where that is
     None; an exact pair (H0 y = s) leaves an exact H0 unchanged."""
 
-    def __init__(self, n_cells: int, space: SpaceKind, h0=None):
-        self.gram = lambda v: gram_apply(v, n_cells, space)
+    def __init__(self, space: SpaceKind, h0=None):
+        self.gram = lambda v: gram_apply(v, space)
         self.pairs = deque(maxlen=MEMORY)  # (s, y, G s, G y, <s, y>_X)
         self.gamma = 1.0
         self.h0 = h0
@@ -352,11 +350,11 @@ def minimize_tikhonov(
     """
     x, space, nu = cfg.x0, cfg.problem.image_space, cfg.problem.nu
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
-    memory = _LbfgsMemory(x.n_cells, space, h.inverse_hessian(cfg))
+    memory = _LbfgsMemory(space, h.inverse_hessian(cfg))
     best, t, it = None, 1.0, 0
 
     while True:
-        gnorm = float(np.sqrt(max(_inner_nodal(grad, grad, x.n_cells, space), 0.0)))
+        gnorm = float(np.sqrt(max(_inner_nodal(grad, grad, space), 0.0)))
         if best is None or value < best[1]:
             best = (x, value, gnorm, it)
         if gnorm * gnorm / (4.0 * cfg.alpha) <= cfg.eta:
@@ -370,9 +368,9 @@ def minimize_tikhonov(
         t = min(1.0, 2.0 * t)
         for _ in range(MAX_HALVINGS):
             trial = x.values - t * d
-            cand = GridFunction(x.n_cells, np.maximum(trial, nu))
+            cand = GridFunction(np.maximum(trial, nu))
             move = x.values - cand.values
-            decrease = _inner_nodal(grad, move, x.n_cells, space)
+            decrease = _inner_nodal(grad, move, space)
             cand_value, cand_grad = tikhonov_value_and_gradient(
                 h, cand, y_delta, cfg
             )

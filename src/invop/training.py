@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,14 +64,14 @@ def perturbation_shape(index: int, n_cells: int) -> GridFunction:
     """The index-th perturbation direction (1-based): sqrt(2) sin(index pi s),
     of unit L2 norm."""
     s = np.linspace(0.0, 1.0, n_cells + 1)
-    return GridFunction(n_cells, np.sqrt(2.0) * np.sin(index * np.pi * s))
+    return GridFunction(np.sqrt(2.0) * np.sin(index * np.pi * s))
 
 
 class TrainingSet(NamedTuple):
     pairs: tuple  # (x_hat, y_hat); index 0 is the center pair
     problem: ProblemKind
-    perturbation: Optional[PerturbationSpec] = None
-    load: Optional[GridFunction] = None
+    perturbation: PerturbationSpec
+    load: GridFunction
 
     @property
     def n_train(self) -> int:
@@ -124,13 +124,13 @@ def gram_schmidt(images, space: SpaceKind):
         row[j] = 1.0
         for _ in range(2):  # MGS sweep plus one reorthogonalization
             for i, b in enumerate(basis):
-                c = inner(GridFunction(img.n_cells, v), b, space)
+                c = inner(GridFunction(v), b, space)
                 v -= c * b.values
                 row -= c * transform[i]
-        nv = norm(GridFunction(img.n_cells, v), space)
+        nv = norm(GridFunction(v), space)
         if nv < DEPENDENT_TOL * norm(img, space):
             raise DependentImages(f"input {j} is dependent on its predecessors")
-        basis.append(GridFunction(img.n_cells, v / nv))
+        basis.append(GridFunction(v / nv))
         transform[j] = row / nv
     return basis, transform
 
@@ -140,7 +140,7 @@ class LinearSurrogate(NamedTuple):
     induced: tuple  # data functions under the same change of basis
     problem: ProblemKind  # its image space is the surrogate's input space
     center: tuple  # (x_hat0, y_hat0), the training center pair
-    load: Optional[GridFunction]  # the load the pairs were solved with
+    load: GridFunction  # the load the pairs were solved with
 
     @property
     def n_terms(self) -> int:
@@ -162,7 +162,7 @@ def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
         acc = np.zeros_like(ys[0].values)
         for i in range(j + 1):
             acc += transform[j, i] * ys[i].values
-        induced.append(GridFunction(ys[0].n_cells, acc))
+        induced.append(GridFunction(acc))
     return LinearSurrogate(tuple(basis), tuple(induced), ts.problem, ts.pairs[0], ts.load)
 
 
@@ -263,7 +263,7 @@ def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
         x._check_mesh(x0.n_cells)
         y._check_mesh(n_cells)
         e = x.values - x0.values
-        dx = float(np.sqrt(_inner_nodal(e, e, x0.n_cells, space)))
+        dx = float(np.sqrt(_inner_nodal(e, e, space)))
         if dx < 1e-14:
             continue
         d = (y.values - y0.values) * sw
@@ -280,7 +280,7 @@ def probe_pairs(ts: TrainingSet) -> tuple:
     mix = np.zeros_like(x0.values)
     for j, (x, _) in enumerate(ts.pairs[1:]):
         mix += (0.6 if j % 2 == 0 else -0.6) * (x.values - x0.values)
-    xm = GridFunction(x0.n_cells, x0.values + mix)
+    xm = GridFunction(x0.values + mix)
     return ts.pairs[1:] + ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
 
 
@@ -295,7 +295,7 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
     """
     x0, space = ls.center[0], ls.problem.image_space
     t = quadrature_nodes(n_k)
-    slopes = np.array([gram_apply(xb.resample(n_k).values, n_k, space) for xb in ls.basis])
+    slopes = np.array([gram_apply(xb.resample(n_k).values, space) for xb in ls.basis])
     branch = _near_linear_branch(slopes, x0.sample(t))
     trunks, residuals = zip(*(fit_trunk(yb, n_j, seed + 7 * ell)
                               for ell, yb in enumerate(ls.induced)))
@@ -308,7 +308,7 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
         e = x.values - x0.values
         outputs = eval_branch(branch, x.sample(t))
         for b, xb in zip(outputs.tolist(), ls.basis):
-            q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, x0.n_cells, space)))
+            q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, space)))
 
     r_n = max(residuals)
     nu_n = estimate_nu_N(ls, probes)

@@ -101,7 +101,7 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     dirs = [0.1 * perturbation_shape(l, n) for l in range(1, n_terms + 1)]
     pairs = ((x0, GridFunction.constant(0.0, n)),) + tuple(
         (x0 + d, derivative_apply(C, x0, d, f)) for d in dirs)
-    ls = build_linear_surrogate(TrainingSet(pairs, C))
+    ls = build_linear_surrogate(TrainingSet(pairs, C, PerturbationSpec(0.1, n_terms), f))
 
     rng = np.random.default_rng(0)
     span = GridFunction.constant(0.0, n)
@@ -137,7 +137,7 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     def draw(rng):
         dev = sum(float(rng.uniform(-1, 1)) * (0.1 / (l + 1)) * m.values
                   for l, m in enumerate(modes))
-        return GridFunction(n, x0.values + dev)
+        return GridFunction(x0.values + dev)
 
     # diagnostics measured on an independent probe sample
     rng = np.random.default_rng(999)
@@ -167,7 +167,7 @@ def test_criterion_7_mollification_properties():
     xis = [0.25 * 2.0 ** (-k) for k in range(5)]
     rng = np.random.default_rng(0)
     for trial in range(5):
-        x = GridFunction(n, rng.standard_normal(n + 1))
+        x = GridFunction(rng.standard_normal(n + 1))
         for xi in xis:
             assert norm(mollify(x, xi), SpaceKind.L2) \
                 <= norm(x, SpaceKind.L2) * (1.0 + 1e-8)
@@ -194,13 +194,13 @@ def test_criterion_8_optimization_soundness():
     # deviation lies in span(basis) with coefficients from (G + alpha I)c = b
     alpha = 1e-2
     rng = np.random.default_rng(1)
-    r = GridFunction(n, 1e-2 * rng.standard_normal(n + 1))
+    r = GridFunction(1e-2 * rng.standard_normal(n + 1))
     y_delta = h_rank.forward(x0) + r
     G = np.array([[inner(yi, yj, SpaceKind.L2) for yj in ls.induced]
                   for yi in ls.induced])
     b = np.array([inner(yi, r, SpaceKind.L2) for yi in ls.induced])
     c = np.linalg.solve(G + alpha * np.eye(len(b)), b)
-    x_star = GridFunction(n, x0.values + sum(
+    x_star = GridFunction(x0.values + sum(
         ci * bi.values for ci, bi in zip(c, ls.basis)))
     # strong convexity modulus alpha: value gap eta implies a distance bound
     # sqrt(eta/alpha), so eta = 1e-20 certifies the 1e-8 recovery below
@@ -217,19 +217,19 @@ def test_criterion_8_optimization_soundness():
     v_probe, g_probe = tikhonov_value_and_gradient(h_rank, x_probe, y_delta, cfg)
     v_star = tikhonov_value_and_gradient(h_rank, x_star, y_delta, cfg)[0]
     gap = v_probe - v_star
-    eta_bound = norm(GridFunction(n, g_probe), SpaceKind.L2) ** 2 / (4.0 * alpha)
+    eta_bound = norm(GridFunction(g_probe), SpaceKind.L2) ** 2 / (4.0 * alpha)
     assert gap == pytest.approx(eta_bound, rel=1e-6)
 
     # gradient consistency on every surrogate kind
     handles = [FemMap(C, f), h_rank, NeuralMap(coeffs, ls.center)]
-    x = GridFunction(n, 1.0 + 0.03 * rng.standard_normal(n + 1))
-    d = GridFunction(n, rng.standard_normal(n + 1))
+    x = GridFunction(1.0 + 0.03 * rng.standard_normal(n + 1))
+    d = GridFunction(rng.standard_normal(n + 1))
     for h in handles:
         _, g = tikhonov_value_and_gradient(h, x, y_delta, cfg)
         eps = 1e-6
         fd = (tikhonov_value_and_gradient(h, x + eps * d, y_delta, cfg)[0]
               - tikhonov_value_and_gradient(h, x - eps * d, y_delta, cfg)[0]) / (2 * eps)
-        an = inner(GridFunction(n, g), d, SpaceKind.L2)
+        an = inner(GridFunction(g), d, SpaceKind.L2)
         assert abs(fd - an) <= 1e-4 * max(1.0, abs(an)), h.label
 
 

@@ -793,7 +793,7 @@ def test_build_without_load_exits_one(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
                      "--out", str(tmp_path / "surr.txt"), "--quiet"]) == 1
-    assert "no load" in capsys.readouterr().err
+    assert "'load.n_cells'" in capsys.readouterr().err
 
 
 def test_verify_checks_neural_gradient(monkeypatch, capsys):

@@ -39,7 +39,7 @@ def test_ramp_case_is_nodally_exact():
     # exact solution at the nodes; this pins the assembly quadrature.
     n = 64
     s = np.linspace(0, 1, n + 1)
-    y = solve_forward_fem(A, GridFunction(n, 1 + s), GridFunction(n, 1 + 4 * s))
+    y = solve_forward_fem(A, GridFunction(1 + s), GridFunction(1 + 4 * s))
     assert np.max(np.abs(y.values - s * (1 - s))) < 1e-13
 
 
@@ -93,8 +93,8 @@ def test_admissibility_enforced():
 def test_derivative_matches_finite_differences(prob):
     n = 128
     rng = np.random.default_rng(3)
-    x = GridFunction(n, 1.0 + 0.1 * rng.standard_normal(n + 1))
-    h = GridFunction(n, rng.standard_normal(n + 1))
+    x = GridFunction(1.0 + 0.1 * rng.standard_normal(n + 1))
+    h = GridFunction(rng.standard_normal(n + 1))
     f = GridFunction.constant(1.0, n)
     dy = derivative_apply(prob, x, h, f)
     eps = 1e-6
@@ -109,9 +109,9 @@ def test_adjoint_identity(prob):
     # <F'(x)h, r>_L2 == <h, F'(x)* r>_X for the problem's solution space
     n = 96
     rng = np.random.default_rng(4)
-    x = GridFunction(n, 1.0 + 0.1 * rng.standard_normal(n + 1))
-    h = GridFunction(n, rng.standard_normal(n + 1))
-    r = GridFunction(n, rng.standard_normal(n + 1))
+    x = GridFunction(1.0 + 0.1 * rng.standard_normal(n + 1))
+    h = GridFunction(rng.standard_normal(n + 1))
+    r = GridFunction(rng.standard_normal(n + 1))
     f = GridFunction.constant(1.0, n)
     lhs = inner(derivative_apply(prob, x, h, f), r, SpaceKind.L2)
     rhs = inner(h, adjoint_apply(prob, x, r, f), prob.image_space)
@@ -143,8 +143,8 @@ def test_linearity_of_derivative():
     f = GridFunction.constant(1.0, n)
     x = GridFunction.constant(1.0, n)
     rng = np.random.default_rng(5)
-    h1 = GridFunction(n, rng.standard_normal(n + 1))
-    h2 = GridFunction(n, rng.standard_normal(n + 1))
+    h1 = GridFunction(rng.standard_normal(n + 1))
+    h2 = GridFunction(rng.standard_normal(n + 1))
     lhs = derivative_apply(A, x, h1 + 2.0 * h2, f)
     rhs = derivative_apply(A, x, h1, f) + 2.0 * derivative_apply(A, x, h2, f)
     assert norm(lhs - rhs, SpaceKind.L2) < 1e-12

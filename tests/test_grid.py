@@ -39,9 +39,9 @@ def test_h1_norm_adds_derivative_energy():
 def test_inner_symmetric_and_bilinear():
     n = 32
     rng = np.random.default_rng(0)
-    x = GridFunction(n, rng.standard_normal(n + 1))
-    y = GridFunction(n, rng.standard_normal(n + 1))
-    z = GridFunction(n, rng.standard_normal(n + 1))
+    x = GridFunction(rng.standard_normal(n + 1))
+    y = GridFunction(rng.standard_normal(n + 1))
+    z = GridFunction(rng.standard_normal(n + 1))
     for space in SpaceKind:
         assert inner(x, y, space) == pytest.approx(inner(y, x, space), rel=1e-14)
         assert inner(x + z, y, space) == pytest.approx(
@@ -55,8 +55,7 @@ def test_inner_symmetric_and_bilinear():
     c=st.floats(-5, 5),
 )
 def test_norm_absolute_homogeneity(vals, c):
-    n = len(vals) - 1
-    x = GridFunction(n, np.array(vals))
+    x = GridFunction(np.array(vals))
     for space in SpaceKind:
         assert norm(c * x, space) == pytest.approx(abs(c) * norm(x, space), abs=1e-10)
 
@@ -64,10 +63,10 @@ def test_norm_absolute_homogeneity(vals, c):
 def test_gram_apply_reproduces_inner_product():
     n = 48
     rng = np.random.default_rng(1)
-    x = GridFunction(n, rng.standard_normal(n + 1))
-    y = GridFunction(n, rng.standard_normal(n + 1))
+    x = GridFunction(rng.standard_normal(n + 1))
+    y = GridFunction(rng.standard_normal(n + 1))
     for space in SpaceKind:
-        lhs = float(np.dot(x.values, gram_apply(y.values, n, space)))
+        lhs = float(np.dot(x.values, gram_apply(y.values, space)))
         assert lhs == pytest.approx(inner(x, y, space), rel=1e-12)
 
 
@@ -76,7 +75,7 @@ def test_gram_solve_inverts_gram_apply():
     rng = np.random.default_rng(2)
     z = rng.standard_normal(n + 1)
     for space in SpaceKind:
-        assert gram_apply(gram_solve(z, n, space), n, space) == pytest.approx(z, abs=1e-10)
+        assert gram_apply(gram_solve(z, space), space) == pytest.approx(z, abs=1e-10)
 
 
 def test_resample_identity_and_refinement():
@@ -95,12 +94,28 @@ def test_arithmetic_requires_matching_mesh():
         _ = a + b
 
 
+def test_the_values_fix_the_mesh():
+    x = GridFunction(np.zeros(5))
+    assert x.n_cells == 4
+    assert x.nodes.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    with pytest.raises(AttributeError):
+        x.n_cells = 8
+
+
+@pytest.mark.parametrize("values", [np.float64(1.0), np.zeros((3, 3)), np.zeros((1, 5)),
+                                    np.zeros(1), np.zeros(0)],
+                         ids=["0-d", "2-D", "row", "one entry", "empty"])
+def test_values_that_fix_no_mesh_rejected(values):
+    with pytest.raises(DimensionMismatch):
+        GridFunction(values)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_rejected(bad):
     values = np.ones(9)
     values[4] = bad
     with pytest.raises(NonFiniteValue):
-        GridFunction(8, values)
+        GridFunction(values)
 
 
 def test_sample_evaluates_interpolant():

@@ -85,7 +85,7 @@ def test_contraction_in_l2():
     n = 256
     rng = np.random.default_rng(0)
     for trial in range(5):
-        x = GridFunction(n, rng.standard_normal(n + 1))
+        x = GridFunction(rng.standard_normal(n + 1))
         for xi in (0.2, 0.05, 0.01):
             assert norm(mollify(x, xi), SpaceKind.L2) <= norm(x, SpaceKind.L2) * (1 + 1e-8)
 

@@ -163,7 +163,7 @@ def test_pullback_matches_dense_jacobian(kind):
     rng = np.random.default_rng(8)
     s = _random_structured(rng)
     n = 32
-    x = GridFunction(n, rng.standard_normal(n + 1))
+    x = GridFunction(rng.standard_normal(n + 1))
     t_points = np.linspace(0, 1, 9)
     v = rng.standard_normal(t_points.size)
     _, pullback = eval_structured_with_gradient(s, x, t_points)
@@ -175,7 +175,7 @@ def test_structured_gradient_matches_fd():
     rng = np.random.default_rng(5)
     s = _random_structured(rng, n_terms=2)
     n = 32
-    x = GridFunction(n, 1.0 + 0.1 * rng.standard_normal(n + 1))
+    x = GridFunction(1.0 + 0.1 * rng.standard_normal(n + 1))
     t_points = np.linspace(0, 1, 7)
     _, pullback = eval_structured_with_gradient(s, x, t_points)
     d = rng.standard_normal(n + 1)
@@ -183,7 +183,7 @@ def test_structured_gradient_matches_fd():
     eps = 1e-6
 
     def values(sign):
-        return eval_structured_with_gradient(s, GridFunction(n, x.values + sign * eps * d),
+        return eval_structured_with_gradient(s, GridFunction(x.values + sign * eps * d),
                                              t_points)[0]
 
     fd = np.dot(v, values(1.0) - values(-1.0)) / (2 * eps)
@@ -194,7 +194,7 @@ def test_neural_forward_matches_dense_evaluation_bitwise():
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
     x0, y0 = ex.ls.center
     h = NeuralMap(ex.coeffs, ex.ls.center)
-    x = GridFunction(x0.n_cells, x0.values + 0.05 * np.sin(3 * np.pi * x0.nodes))
+    x = GridFunction(x0.values + 0.05 * np.sin(3 * np.pi * x0.nodes))
     expect = y0.values + eval_structured_dense(ex.coeffs, x, y0.nodes)
     assert np.array_equal(h.forward(x).values, expect)
 
@@ -204,7 +204,7 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
     s = _random_structured(rng)
     n = 16
     center = (GridFunction.constant(1.0, n), GridFunction.constant(0.0, n))
-    x = GridFunction(n, 1.0 + 0.1 * rng.standard_normal(n + 1))
+    x = GridFunction(1.0 + 0.1 * rng.standard_normal(n + 1))
     calls = []
 
     def counted(t):

@@ -226,3 +226,27 @@ def test_ragged_or_short_payload_rejected(pipeline, tmp_path):
     missing_row = lines[:i + 1] + lines[i + 2:]
     with pytest.raises(ConfigInvalid):
         load_training_set(_damaged(tmp_path, "\n".join(missing_row) + "\n"))
+
+
+def test_grid_whose_values_disagree_with_its_n_cells_rejected(pipeline, tmp_path):
+    """A grid's ``values`` of another length than its ``n_cells`` + 1 raises
+    ConfigInvalid naming the file and the grid's fields."""
+    ts, ls, _, diag = pipeline
+    p = tmp_path / "ts.txt"
+    save_training_set(p, ts)
+    lines = p.read_text().splitlines()
+    i = lines.index(f"pair0.x.n_cells int {N}")
+    for n_cells in (N - 1, N + 1, 0):
+        bad = lines[:i] + [f"pair0.x.n_cells int {n_cells}"] + lines[i + 1:]
+        with pytest.raises(ConfigInvalid, match=r"damaged\.txt: fields pair0\.x\.\*"):
+            load_training_set(_damaged(tmp_path, "\n".join(bad) + "\n"))
+    one_node = lines[:i] + ["pair0.x.n_cells int 0", "pair0.x.values array1 1", "1"] + lines[i + 3:]
+    with pytest.raises(ConfigInvalid, match=r"damaged\.txt: fields pair0\.x\.\*"):
+        load_training_set(_damaged(tmp_path, "\n".join(one_node) + "\n"))
+    p = tmp_path / "ls.txt"
+    save_linear_surrogate(p, ls, diag)
+    lines = p.read_text().splitlines()
+    i = lines.index(f"load.n_cells int {N}")
+    bad = lines[:i] + [f"load.n_cells int {2 * N}"] + lines[i + 1:]
+    with pytest.raises(ConfigInvalid, match=r"damaged\.txt: fields load\.\*"):
+        load_linear_surrogate(_damaged(tmp_path, "\n".join(bad) + "\n"))

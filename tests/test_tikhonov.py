@@ -181,13 +181,13 @@ def test_gradient_matches_finite_differences(handles, kind):
     yd = add_noise(y, 1e-3, seed=1)
     cfg = _config(x0, C)
     rng = np.random.default_rng(2)
-    x = GridFunction(N, 1.0 + 0.03 * rng.standard_normal(N + 1))
-    d = GridFunction(N, rng.standard_normal(N + 1))
+    x = GridFunction(1.0 + 0.03 * rng.standard_normal(N + 1))
+    d = GridFunction(rng.standard_normal(N + 1))
     _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
     eps = 1e-6
     fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
           - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
-    an = inner(GridFunction(N, g), d, SpaceKind.L2)
+    an = inner(GridFunction(g), d, SpaceKind.L2)
     assert abs(fd - an) <= 1e-4 * max(1.0, abs(an))
 
 
@@ -197,13 +197,13 @@ def test_gradient_with_mollification(handles):
     yd = add_noise(h.forward(x0), 1e-3, seed=3)
     cfg = _config(x0, C, xi=5e-3)
     rng = np.random.default_rng(4)
-    x = GridFunction(N, 1.0 + 0.03 * rng.standard_normal(N + 1))
-    d = GridFunction(N, rng.standard_normal(N + 1))
+    x = GridFunction(1.0 + 0.03 * rng.standard_normal(N + 1))
+    d = GridFunction(rng.standard_normal(N + 1))
     _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
     eps = 1e-6
     fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
           - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
-    an = inner(GridFunction(N, g), d, SpaceKind.L2)
+    an = inner(GridFunction(g), d, SpaceKind.L2)
     assert abs(fd - an) <= 1e-4 * max(1.0, abs(an))
 
 
@@ -256,8 +256,8 @@ def test_lbfgs_two_loop_is_x_metric_bfgs(space):
     # of a quadratic whose gradient is the X-Riesz representer
     Q = rng.standard_normal((n + 1, n + 1))
     B = Q @ Q.T + np.eye(n + 1)
-    G = np.array([gram_apply(e, n, space) for e in np.eye(n + 1)]).T
-    mem = _LbfgsMemory(n, space)
+    G = np.array([gram_apply(e, space) for e in np.eye(n + 1)]).T
+    mem = _LbfgsMemory(space)
     pairs = []
     for _ in range(MEMORY + 3):
         s = rng.standard_normal(n + 1)
@@ -304,7 +304,7 @@ def test_quadratic_proxy_recovered(handles):
     assert res.certificate.status == "converged"
     assert res.certificate.eta_bound <= cfg.eta
     _, g = tikhonov_value_and_gradient(h, res.x, y, cfg)
-    assert norm(GridFunction(N, g), SpaceKind.L2) < 1e-8
+    assert norm(GridFunction(g), SpaceKind.L2) < 1e-8
 
 
 def test_iterates_satisfy_projection_bound(handles):
@@ -367,12 +367,12 @@ def _precision_floor_problem(handles, kind):
     of the rank functional and a tolerance eta = 1e-20."""
     h, ls, x0 = handles[kind], handles["ls"], handles["x0"]
     alpha = 1e-2
-    r = GridFunction(N, 1e-2 * np.random.default_rng(1).standard_normal(N + 1))
+    r = GridFunction(1e-2 * np.random.default_rng(1).standard_normal(N + 1))
     y_delta = h.forward(x0) + r
     G = np.array([[inner(a, b, SpaceKind.L2) for b in ls.induced] for a in ls.induced])
     c = np.linalg.solve(G + alpha * np.eye(len(G)),
                         [inner(y, r, SpaceKind.L2) for y in ls.induced])
-    x_star = x0 + GridFunction(N, sum(ci * b.values for ci, b in zip(c, ls.basis)))
+    x_star = x0 + GridFunction(sum(ci * b.values for ci, b in zip(c, ls.basis)))
     return h, y_delta, x_star, _config(x0, C, alpha=alpha, eta=1e-20,
                                        max_iterations=200000)
 
@@ -430,12 +430,12 @@ def test_rank_solve_is_one_newton_step(handles, xi):
     x0 = cfg.x0.values
 
     def grad(v):
-        return tikhonov_value_and_gradient(h, GridFunction(N, v), yd, cfg)[1]
+        return tikhonov_value_and_gradient(h, GridFunction(v), yd, cfg)[1]
 
     hess = np.array([grad(x0 + e) - grad(x0) for e in np.eye(N + 1)]).T
     rng = np.random.default_rng(5)
     s = 0.01 * rng.standard_normal(N + 1)
-    mem = _LbfgsMemory(N, cfg.problem.image_space, h.inverse_hessian(cfg))
+    mem = _LbfgsMemory(cfg.problem.image_space, h.inverse_hessian(cfg))
     mem.update(s, grad(x0 + s) - grad(x0))  # an exact pair leaves H0 exact
     assert len(mem.pairs) == 1
     g = rng.standard_normal(N + 1)
@@ -449,7 +449,7 @@ def test_rank_solve_with_an_active_bound(handles, xi, gamma_scaled):
     # nu, the first clipped step returns the run to gamma scaling, and the
     # run stalls on the bound no higher than a run with gamma scaling alone
     h, x0 = handles["rank"], handles["x0"]
-    yd = GridFunction(N, 300.0 * np.random.default_rng(1).standard_normal(N + 1))
+    yd = GridFunction(300.0 * np.random.default_rng(1).standard_normal(N + 1))
     cfg = _config(x0, C, alpha=1e-3, eta=1e-6, xi=xi)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.status == "stagnated"
@@ -558,7 +558,7 @@ def test_entry_point_row_is_the_hand_built_row(handles, kind):
     else:
         h, rho = surrogate_map(kind, handles["ls"], diag, handles["coeffs"])
         assert rho == (diag.nu_N if kind == "rank" else diag.rho_bound)
-    xt = GridFunction(N, x0.values + 0.02 * np.sin(np.pi * x0.nodes))
+    xt = GridFunction(x0.values + 0.02 * np.sin(np.pi * x0.nodes))
     y_true = handles["fem"].forward(xt)
     delta, seed, constant, xi, budget = 1e-3, 3, 0.15, 1e-2, 40
     run = solve_inverse_problem(h, rho, C, x0, xt, y_true, delta, seed, constant, xi, budget)

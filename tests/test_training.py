@@ -83,7 +83,7 @@ def test_dependent_images_detected():
     # duplicate a pair to force dependence downstream
     dup = ts.pairs + (ts.pairs[1],)
     with pytest.raises(DependentImages):
-        build_linear_surrogate(type(ts)(dup, ts.problem))
+        build_linear_surrogate(ts._replace(pairs=dup))
 
 
 # -- orthonormalization -----------------------------------------------------
@@ -92,7 +92,7 @@ def test_dependent_images_detected():
 def test_gram_schmidt_orthonormal_and_triangular(c_setup):
     f, x0, ts, ls = c_setup
     for space in SpaceKind:
-        imgs = [GridFunction(N, np.sin((k + 1) * np.pi * x0.nodes) + 0.1 * x0.nodes)
+        imgs = [GridFunction(np.sin((k + 1) * np.pi * x0.nodes) + 0.1 * x0.nodes)
                 for k in range(4)]
         basis, T = gram_schmidt(imgs, space)
         for i, bi in enumerate(basis):

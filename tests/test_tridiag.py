@@ -69,7 +69,7 @@ def test_random_dominant_systems_match_dptsv():
 def test_assembled_galerkin_systems_match_dptsv(kind, n):
     s = np.linspace(0.0, 1.0, n + 1)
     x = 1.0 + 0.5 * np.sin(3 * np.pi * s) ** 2
-    main, off = _assemble(kind, x, n)
+    main, off = _assemble(kind, x)
     rhs = _load_vector(np.exp(s), 1.0 / n)
     assert _same_bits(_kernel(main, off, rhs), _dptsv(main, off, rhs))
 
@@ -82,7 +82,7 @@ def test_h1_gram_solve_matches_dptsv(n_cells):
     main[:-1] += 1.0 / h
     rhs = np.random.default_rng(n_cells).standard_normal(n_cells + 1)
     expect = _dptsv(main, np.full(n_cells, -1.0 / h), rhs)
-    assert _same_bits(gram_solve(rhs, n_cells, SpaceKind.H1), expect)
+    assert _same_bits(gram_solve(rhs, SpaceKind.H1), expect)
 
 
 def test_h1_gram_factors_are_kept_per_mesh_size():
