@@ -136,6 +136,9 @@ def _cmd_build(args) -> int:
             raise ConfigInvalid(f"[build] {key} = {sec[key]}, but a build needs at least "
                                 f"{SIZE_BOUNDS[key]}")
     ts = serialize.load_training_set(sec["training"])
+    if sec["n_quad"] < ts.load.n_cells:  # a coarser branch misses nodal values
+        raise ConfigInvalid(f"[build] n_quad = {sec['n_quad']}, but the training set has "
+                            f"{ts.load.n_cells} cells; a build needs n_quad >= n_cells")
     ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(
         ls,

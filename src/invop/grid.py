@@ -33,7 +33,7 @@ class SpaceKind(enum.Enum):
     H1 = "H1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality and hash: == on arrays has no truth value
 class GridFunction:
     values: np.ndarray
 

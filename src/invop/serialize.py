@@ -1,69 +1,45 @@
-"""Self-describing structured text files for coefficients and training data.
+"""Training sets and surrogates as binary containers.
 
-Format: a header line ``invop 1 <KIND>``, then one field per record as
-``<name> <type> <dims...>`` followed by the numeric payload in row-major
-order, one leading-index row per line, terminated by ``end``.  All floats
-are written with 17 significant digits, so write-then-read reproduces every
-finite value bit for bit.  Each array payload is parsed in one call.  A
-truncated file, a missing field, a payload with the wrong number of rows
-or entries, or fields whose shapes disagree raises :class:`ConfigInvalid`
-naming the file and the field.  A grid function is written as
-``<prefix>.n_cells`` and ``<prefix>.values``; the reader builds it from the
-values and checks the cell count against them.  Every training set and
-rank-N surrogate holds its ``load``, and every training set its
-``perturbation.*``.  A surrogate file holds the one branch network once
-(``branch.c``, a row per term, ``branch.w``, ``branch.theta``) and the
-trunks per term; a file in an older layout, with a ``term0.branch.*``
-field or without the shared ``s_points``, raises :class:`ConfigInvalid`
-naming the field.  Fields a reader does not use, such as ``seed``, ``nu``, ``space`` or ``transform`` in
-older files, are ignored; a rank-N file without ``problem`` raises
-:class:`ConfigInvalid` naming it.  The surrogate's ``activation`` and the
-training set's ``perturbation.mode`` are written as their one supported
-value, and a file where either reads another value raises
-:class:`ConfigInvalid` naming it.
+Each file is an uncompressed numpy ``.npz`` archive at exactly the given
+path: a ``kind`` string and one array per field, the grid functions of a
+record stacked as the rows of one array whose last axis is the mesh.
+
+- ``TrainingSet``: ``problem``, ``perturbation.amplitude`` and ``.count``,
+  ``load`` (n + 1,), and ``x`` and ``y`` (pairs, n + 1), row 0 the center.
+- ``LinearSurrogate`` (the ``.rank`` file): ``problem``, ``load`` (n + 1,),
+  ``basis`` and ``induced`` (N, n + 1), ``center`` (2, n + 1), and the
+  diagnostics ``nu_N``, ``q_N``, ``r_N`` and ``rho_bound``.
+- ``StructuredSurrogateCoeffs``: ``s_points``, ``branch.c``, ``branch.w``,
+  ``branch.theta``, and ``trunk.c``, ``trunk.w``, ``trunk.zeta`` (N, n_j).
+
+The arrays fix every count and mesh.  Write then read reproduces every
+array bit for bit, and one record always gives the same bytes.  Files are
+read with ``allow_pickle=False``.  One that does not open as a container
+(the older text layout, an empty or cut file, a bare ``.npy``, an object
+array) raises :class:`ConfigInvalid` naming the file, as do a wrong kind
+and, naming the fields, a missing field, an unknown ``problem``, shapes
+that disagree and grids on different meshes.  A non-finite value raises
+:class:`NonFiniteValue` naming the field.
 """
 
 from __future__ import annotations
 
-import math
-from pathlib import Path
+import zipfile
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch
+from .errors import ConfigInvalid, DimensionMismatch, NonFiniteValue
 from .fem import ProblemKind
 from .grid import GridFunction
 from .neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
 from .training import LinearSurrogate, PerturbationSpec, SurrogateDiagnostics, TrainingSet
 
-MAGIC = "invop 1"
+_REBUILD = "rebuild it with invop generate or invop build"
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def _write_field(lines: list, name: str, value):
-    if isinstance(value, str):
-        lines.append(f"{name} str {value}")
-    elif isinstance(value, (int, np.integer)):
-        lines.append(f"{name} int {int(value)}")
-    elif isinstance(value, float):
-        lines.append(f"{name} real {_fmt(value)}")
-    else:
-        a = np.asarray(value, dtype=float)
-        dims = " ".join(str(d) for d in a.shape)
-        lines.append(f"{name} array{a.ndim} {dims}")
-        rows = a.reshape(-1, a.shape[-1]) if a.ndim > 1 else a.reshape(1, -1)
-        lines.extend(" ".join(_fmt(v) for v in row) for row in rows.tolist())
-
-
-def _write(path, kind: str, fields):
-    lines = [f"{MAGIC} {kind}"]
-    for name, value in fields:
-        _write_field(lines, name, value)
-    lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write(path, kind: str, fields: dict):
+    with open(path, "wb") as fh:  # given a name, np.savez would append ".npz"
+        np.savez(fh, kind=kind, **fields)
 
 
 class _Fields(dict):
@@ -75,170 +51,104 @@ class _Fields(dict):
 
     def __missing__(self, name):
         raise ConfigInvalid(f"{self.path}: missing field {name!r} (a damaged file or an "
-                            "older layout); rebuild it with invop generate or invop build")
+                            f"older layout); {_REBUILD}")
+
+    def scalar(self, name: str):
+        if self[name].shape != ():
+            raise ConfigInvalid(f"{self.path}: field {name!r} holds shape "
+                                f"{self[name].shape}, not one value")
+        return self[name].item()
+
+    def agree(self, names, axis: int = 0, what: str = "disagree in shape") -> list:
+        """The named arrays, whose shapes from ``axis`` on must agree."""
+        arrays = [self[name] for name in names]
+        if len({a.shape[axis:] for a in arrays}) > 1 or min(a.ndim for a in arrays) == 0:
+            shapes = ", ".join(f"{n} {a.shape}" for n, a in zip(names, arrays))
+            raise ConfigInvalid(f"{self.path}: fields {', '.join(names)} {what}: {shapes}")
+        return arrays
 
 
-def _read(path, expect_kind: str) -> _Fields:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith(MAGIC):
-        raise ConfigInvalid(f"{path}: not a recognized coefficient file")
-    kind = lines[0][len(MAGIC):].strip()
-    if kind != expect_kind:
-        raise ConfigInvalid(f"{path}: contains {kind!r}, expected {expect_kind!r}")
-    fields = _Fields(path)
-    i = 1
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if line == "end":
-            return fields
-        if not line:
-            continue
-        name = line.split()[0]
+def _read(path, kind: str) -> _Fields:
+    f = _Fields(path)
+    with open(path, "rb") as fh:
         try:
-            fields[name], i = _read_field(line, lines, i)
-        except (IndexError, ValueError) as err:
-            raise ConfigInvalid(f"{path}: field {name!r} is truncated or malformed: {err}") from None
-    raise ConfigInvalid(f"{path}: missing end marker")
-
-
-def _read_field(line: str, lines: list, i: int):
-    """Value of the field whose header is ``line`` and the index of the line
-    after its payload, which starts at ``lines[i]``."""
-    parts = line.split()
-    typ = parts[1]
-    if typ == "str":
-        return line.split(None, 2)[2], i
-    if typ == "int":
-        return int(parts[2]), i
-    if typ == "real":
-        return float(parts[2]), i
-    if not typ.startswith("array"):
-        raise ValueError(f"unknown field type {typ!r}")
-    shape = tuple(int(d) for d in parts[2:])
-    if len(shape) != int(typ[len("array"):]):
-        raise ValueError(f"{typ} with dimensions {shape}")
-    n_rows = 1 if len(shape) == 1 else math.prod(shape[:-1])
-    block = lines[i:i + n_rows]
-    if len(block) != n_rows:
-        raise ValueError(f"expected {n_rows} payload rows, found {len(block)}")
-    data = np.loadtxt(block, ndmin=2)
-    size = math.prod(shape)
-    if data.size != size:
-        raise ValueError(f"expected {size} entries, found {data.size}")
-    return data.reshape(shape), i + n_rows
-
-
-# ---------------------------------------------------------------------------
-# grid functions
-
-
-def _put_grid(fields: list, prefix: str, g: GridFunction):
-    fields.append((f"{prefix}.n_cells", g.n_cells))
-    fields.append((f"{prefix}.values", g.values))
-
-
-def _get_grid(fields: _Fields, prefix: str) -> GridFunction:
-    n, values = fields[f"{prefix}.n_cells"], fields[f"{prefix}.values"]
-    g = _shaped(fields.path, f"{prefix}.*", GridFunction, values)
-    if g.n_cells != n:
-        raise ConfigInvalid(f"{fields.path}: fields {prefix}.*: {n} cells need {n + 1} "
-                            f"nodal values, got {values.size}")
-    return g
+            # np.load takes any other file for a bare .npy or a pickle
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("no zip archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as z:
+                f.update((name, z[name]) for name in z.files)
+        except (ValueError, EOFError, OSError, NotImplementedError, zipfile.BadZipFile) as err:
+            raise ConfigInvalid(f"{path}: not an invop container ({err}): a damaged file or "
+                                f"the older text layout; {_REBUILD}") from None
+    if f.scalar("kind") != kind:
+        raise ConfigInvalid(f"{path}: contains {f.scalar('kind')!r}, expected {kind!r}")
+    for name, a in f.items():
+        if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
+            raise NonFiniteValue(f"{path}: field {name!r} holds a non-finite value")
+    return f
 
 
 def _shaped(path, name: str, make, *args):
-    """make(*args), where a DimensionMismatch (fields whose shapes disagree)
-    raises ConfigInvalid naming the file and the fields."""
+    """make(*args); a DimensionMismatch raises ConfigInvalid naming the fields."""
     try:
         return make(*args)
     except DimensionMismatch as err:
         raise ConfigInvalid(f"{path}: fields {name}: {err}") from None
 
 
-#: fields every file of its kind holds with this one value
-ACTIVATION = "logistic"
-PERTURBATION_MODE = "sine"
+def _grids(f: _Fields, *stacks: str) -> list:
+    """The ``load`` as a grid function, then each named stacked field as a
+    tuple of grid functions, one per row, all on the load's mesh."""
+    load, *arrays = f.agree(("load",) + stacks, -1, "lie on different meshes")
+    return [_shaped(f.path, "load", GridFunction, load)] + [
+        _shaped(f.path, name, lambda a: tuple(map(GridFunction, a)), a)
+        for name, a in zip(stacks, arrays)]
 
 
-def _problem(fields: _Fields) -> ProblemKind:
+def _problem(f: _Fields) -> ProblemKind:
+    name = f.scalar("problem")
     try:
-        return ProblemKind(fields["problem"])
+        return ProblemKind(name)
     except ValueError:
         names = ", ".join(repr(k.value) for k in ProblemKind)
-        raise ConfigInvalid(f"{fields.path}: field 'problem' reads {fields['problem']!r}; "
+        raise ConfigInvalid(f"{f.path}: field 'problem' reads {name!r}; "
                             f"choose from {names}") from None
 
 
-def _check_pinned(fields: _Fields, name: str, value: str):
-    if fields[name] != value:
-        raise ConfigInvalid(f"{fields.path}: field {name!r} reads {fields[name]!r}; "
-                            f"only {value!r} is supported")
-
-
-# ---------------------------------------------------------------------------
-# operator coefficients
-
-
 def save_structured(path, s: StructuredSurrogateCoeffs):
-    fields = [("activation", ACTIVATION), ("n_terms", s.n_terms),
-              ("s_points", s.s_points), ("branch.c", s.branch.c),
-              ("branch.w", s.branch.w), ("branch.theta", s.branch.theta)]
-    for i, t in enumerate(s.trunks):
-        fields += [
-            (f"term{i}.trunk.c", t.c),
-            (f"term{i}.trunk.w", t.w),
-            (f"term{i}.trunk.zeta", t.zeta),
-        ]
-    _write(path, "StructuredSurrogateCoeffs", fields)
+    b = s.branch
+    trunks = {f"trunk.{k}": np.stack([getattr(t, k) for t in s.trunks])
+              for k in TrunkCoeffs.__slots__}
+    _write(path, "StructuredSurrogateCoeffs", {
+        "s_points": s.s_points, "branch.c": b.c, "branch.w": b.w, "branch.theta": b.theta,
+        **trunks})
 
 
 def load_structured(path) -> StructuredSurrogateCoeffs:
     f = _read(path, "StructuredSurrogateCoeffs")
-    _check_pinned(f, "activation", ACTIVATION)
-    old = next((name for name in f if name.startswith("term0.branch.")), None)
-    if old is not None:
-        raise ConfigInvalid(f"{path}: field {old!r} belongs to the layout with one branch "
-                            "network per term; rebuild the surrogate with invop build")
-    trunks = tuple(
-        _shaped(path, f"term{i}.trunk.*", TrunkCoeffs,
-                f[f"term{i}.trunk.c"], f[f"term{i}.trunk.w"], f[f"term{i}.trunk.zeta"])
-        for i in range(f["n_terms"])
-    )
+    trunks = tuple(_shaped(path, "trunk.*", TrunkCoeffs, *row)
+                   for row in zip(*f.agree(("trunk.c", "trunk.w", "trunk.zeta"))))
     branch = _shaped(path, "branch.*", BranchCoeffs, f["branch.c"], f["branch.w"],
                      f["branch.theta"])
-    return _shaped(path, "branch.*, n_terms and s_points", StructuredSurrogateCoeffs,
+    return _shaped(path, "branch.*, trunk.* and s_points", StructuredSurrogateCoeffs,
                    branch, trunks, f["s_points"])
 
 
-# ---------------------------------------------------------------------------
-# training sets and linear surrogates
-
-
 def save_training_set(path, ts: TrainingSet):
-    fields = [
-        ("problem", ts.problem.value),
-        ("n_pairs", len(ts.pairs)),
-        ("perturbation.mode", PERTURBATION_MODE),
-        ("perturbation.amplitude", ts.perturbation.amplitude),
-        ("perturbation.count", ts.perturbation.count),
-    ]
-    _put_grid(fields, "load", ts.load)
-    for i, (x, y) in enumerate(ts.pairs):
-        _put_grid(fields, f"pair{i}.x", x)
-        _put_grid(fields, f"pair{i}.y", y)
-    _write(path, "TrainingSet", fields)
+    _write(path, "TrainingSet", {
+        "problem": ts.problem.value, "perturbation.amplitude": ts.perturbation.amplitude,
+        "perturbation.count": ts.perturbation.count, "load": ts.load.values,
+        "x": np.stack([x.values for x, _ in ts.pairs]),
+        "y": np.stack([y.values for _, y in ts.pairs])})
 
 
 def load_training_set(path) -> TrainingSet:
     f = _read(path, "TrainingSet")
-    pairs = tuple(
-        (_get_grid(f, f"pair{i}.x"), _get_grid(f, f"pair{i}.y"))
-        for i in range(f["n_pairs"])
-    )
-    _check_pinned(f, "perturbation.mode", PERTURBATION_MODE)
-    pert = PerturbationSpec(f["perturbation.amplitude"], f["perturbation.count"])
-    return TrainingSet(pairs, _problem(f), pert, _get_grid(f, "load"))
+    f.agree(("x", "y"))
+    load, xs, ys = _grids(f, "x", "y")
+    pert = PerturbationSpec(f.scalar("perturbation.amplitude"), f.scalar("perturbation.count"))
+    return TrainingSet(tuple(zip(xs, ys)), _problem(f), pert, load)
 
 
 #: the surrogate error diagnostics ``invop build`` stores with the rank-N surrogate
@@ -246,26 +156,20 @@ DIAGNOSTIC_FIELDS = ("nu_N", "q_N", "r_N", "rho_bound")
 
 
 def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagnostics):
-    fields = [
-        ("problem", ls.problem.value),
-        ("n_terms", ls.n_terms),
-    ]
-    for i, (b, y) in enumerate(zip(ls.basis, ls.induced)):
-        _put_grid(fields, f"basis{i}", b)
-        _put_grid(fields, f"induced{i}", y)
-    _put_grid(fields, "center.x", ls.center[0])
-    _put_grid(fields, "center.y", ls.center[1])
-    _put_grid(fields, "load", ls.load)
-    fields += [(name, float(getattr(diagnostics, name))) for name in DIAGNOSTIC_FIELDS]
-    _write(path, "LinearSurrogate", fields)
+    _write(path, "LinearSurrogate", {
+        "problem": ls.problem.value, "load": ls.load.values,
+        **{k: np.stack([g.values for g in getattr(ls, k)]) for k in ("basis", "induced", "center")},
+        **{name: float(getattr(diagnostics, name)) for name in DIAGNOSTIC_FIELDS}})
 
 
 def load_linear_surrogate(path):
     """(surrogate, diagnostics)."""
     f = _read(path, "LinearSurrogate")
-    n = f["n_terms"]
-    basis = tuple(_get_grid(f, f"basis{i}") for i in range(n))
-    induced = tuple(_get_grid(f, f"induced{i}") for i in range(n))
-    center = (_get_grid(f, "center.x"), _get_grid(f, "center.y"))
-    ls = LinearSurrogate(basis, induced, _problem(f), center, _get_grid(f, "load"))
-    return ls, SurrogateDiagnostics(*(f[name] for name in DIAGNOSTIC_FIELDS), n_terms=n)
+    f.agree(("basis", "induced"))
+    if f["center"].shape[:1] != (2,):
+        raise ConfigInvalid(f"{path}: field 'center' holds shape {f['center'].shape}, "
+                            "not the two rows x and y")
+    load, basis, induced, center = _grids(f, "basis", "induced", "center")
+    ls = LinearSurrogate(basis, induced, _problem(f), center, load)
+    diag = (f.scalar(name) for name in DIAGNOSTIC_FIELDS)
+    return ls, SurrogateDiagnostics(*diag, n_terms=ls.n_terms)

@@ -127,6 +127,10 @@ class StudyConfig:
         for name, low in SIZE_BOUNDS.items():
             if getattr(self, name) < low:
                 raise ConfigInvalid(f"{name} must be at least {low}, not {getattr(self, name)}")
+        if self.study == "reg_rate" and self.problem == "c" and self.n_quad < self.n_cells:
+            # a branch with fewer sensors than cells misses nodal values
+            raise ConfigInvalid(f"n_quad = {self.n_quad} is below n_cells = {self.n_cells}; "
+                                "a c reg_rate study needs n_quad >= n_cells")
         if self.constant <= 0:
             raise ConfigInvalid(f"constant must be positive, not {self.constant!r}")
         if self.xi < 0:

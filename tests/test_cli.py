@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from containers import edit, read_fields
 
 from invop.cli import COMMAND_SECTIONS, SECTION_KEYS, cli_main
 from invop.config import load_config, read_section, study_config
@@ -300,32 +301,50 @@ def test_build_with_fewer_than_two_samples_or_trunk_nodes_names_the_key(tmp_path
                                                        key, value)
 
 
-#: config keys and file fields that existing configs and files hold, each of
-#: which takes one value, with another value: (command, section or file, key, value)
+def test_build_with_fewer_samples_than_cells_names_n_quad(tmp_path, capsys):
+    # 16 sensors on the 32-cell mesh sit on the even nodes and miss the odd ones
+    ts_path = tmp_path / "train.txt"
+    assert cli_main(["generate", "--config", _write(tmp_path / "gen.cfg", _SMALL_GENERATE),
+                     "--out", str(ts_path), "--quiet"]) == 0
+    cfg = _write(tmp_path / "build.cfg", f"[build]\ntraining = {ts_path}\nn_quad = 16\n")
+    out = tmp_path / "surr.txt"
+    capsys.readouterr()
+    assert cli_main(["build", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "[build] n_quad = 16" in err and "32 cells" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("surrogate", ["rank", "neural"])
+def test_c_study_with_fewer_samples_than_cells_names_n_quad(tmp_path, capsys, surrogate):
+    cfg = _write(tmp_path / "s.cfg", f"[study]\nstudy = reg_rate\nproblem = c\n"
+                                      f"surrogate = {surrogate}\nn_cells = 64\nn_quad = 32\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert cli_main(["study", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "n_quad = 32" in err and "n_cells = 64" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+#: config keys that existing configs hold, each of which takes one value, with
+#: another value: (command, section, key, value)
 _PINNED = [
     ("generate", "perturbation", "mode", "bumps"), ("build", "build", "activation", "tanh"),
-    ("study", "study", "jobs", "2"), ("solve", "surr.txt", "activation", "tanh"),
-    ("build", "train.txt", "perturbation.mode", "bumps")]
+    ("study", "study", "jobs", "2")]
 
 
 @pytest.mark.parametrize("command,where,key,value", _PINNED,
                          ids=[f"{w}-{k}" for _, w, k, _ in _PINNED])
 def test_pinned_key_or_field_of_another_value_names_it(tmp_path, capsys, command, where, key,
                                                         value):
-    surr_path = _small_surrogate(tmp_path)  # train.txt and surr.txt, both loadable
-    if where.endswith(".txt"):
-        path = tmp_path / where
-        path.write_text("".join(f"{key} str {value}\n" if line.startswith(f"{key} str ")
-                                else line for line in path.read_text().splitlines(True)))
-        cfg = (_small_solve(tmp_path, "neural", surr_path, 1e-3) if command == "solve"
-               else _small_build(tmp_path, path))
-    else:
-        sections = {name: dict(sec) for name, sec in _RUNNABLE[command].items()}
-        sections.setdefault("build", {})["training"] = str(tmp_path / "train.txt")
-        sections[where][key] = value
-        cfg = _write(tmp_path / "c.cfg", "".join(
-            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
-            for name, sec in sections.items() if name in _RUNNABLE[command]))
+    _small_surrogate(tmp_path)  # train.txt, loadable
+    sections = {name: dict(sec) for name, sec in _RUNNABLE[command].items()}
+    sections.setdefault("build", {})["training"] = str(tmp_path / "train.txt")
+    sections[where][key] = value
+    cfg = _write(tmp_path / "c.cfg", "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
+        for name, sec in sections.items() if name in _RUNNABLE[command]))
     out = tmp_path / "out"
     capsys.readouterr()
     assert cli_main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
@@ -354,8 +373,7 @@ def test_truncated_surrogate_file_exits_one(tmp_path, capsys):
     assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
     assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
                      "--out", str(surr_path), "--quiet"]) == 0
-    text = surr_path.read_text()
-    surr_path.write_text(text[:len(text) // 2])
+    data = surr_path.read_bytes()
     solve_cfg = _write(tmp_path / "solve.cfg", f"""
 [solve]
 problem = c
@@ -364,26 +382,27 @@ surrogate_file = {surr_path}
 n_cells = 32
 load = 50.0
 """)
-    capsys.readouterr()
-    assert cli_main(["solve", "--config", solve_cfg, "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert str(surr_path) in err and "field" in err
+    for cut in (0, 2, 4, 64, len(data) // 3, len(data) // 2, len(data) - 22, len(data) - 1):
+        surr_path.write_bytes(data[:cut])
+        capsys.readouterr()
+        assert cli_main(["solve", "--config", solve_cfg, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {surr_path}: ") and "rebuild" in err
+        assert "Traceback" not in err
 
 
 def test_non_finite_training_value_reported_by_name(tmp_path, capsys):
     gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
     ts_path = tmp_path / "train.txt"
     assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
-    lines = ts_path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("pair1.y.values "))
-    values = lines[i + 1].split()
-    values[1] = "nan"
-    lines[i + 1] = " ".join(values)
-    ts_path.write_text("\n".join(lines) + "\n")
+    y = read_fields(ts_path)["y"].copy()
+    y[1, 1] = np.nan
+    edit(ts_path, {"y": y})
     capsys.readouterr()
     assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
                      "--out", str(tmp_path / "surr.txt"), "--quiet"]) == 2
-    assert "NonFiniteValue" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "NonFiniteValue" in err and f"{ts_path}: field 'y'" in err
 
 
 def _small_surrogate(tmp_path):
@@ -430,9 +449,7 @@ def test_solve_uses_surrogate_error_from_build(tmp_path):
 
 def test_solve_without_stored_diagnostics_names_field(tmp_path, capsys):
     surr_path = _small_surrogate(tmp_path)
-    rank_path = tmp_path / "surr.txt.rank"
-    lines = rank_path.read_text().splitlines()
-    rank_path.write_text("\n".join(line for line in lines if not line.startswith("nu_N ")) + "\n")
+    edit(tmp_path / "surr.txt.rank", {"nu_N": None})
     capsys.readouterr()
     assert cli_main(["solve", "--config", _small_solve(tmp_path, "rank", surr_path, 1e-3),
                      "--quiet"]) == 1
@@ -442,38 +459,30 @@ def test_solve_without_stored_diagnostics_names_field(tmp_path, capsys):
 def test_stale_surrogate_file_exits_one(tmp_path, capsys):
     # a file from before per-sample branch weights stores each as a matrix
     surr_path = _small_surrogate(tmp_path)
-    lines = surr_path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("branch.w "))
-    w = np.array(lines[i + 1].split(), dtype=float)
-    dense = np.vstack([np.diag(w), np.zeros(w.size)])
-    lines[i:i + 2] = [f"term0.branch.w array2 {w.size + 1} {w.size}"] + [
-        " ".join(f"{v:.17g}" for v in row) for row in dense]
-    surr_path.write_text("\n".join(lines) + "\n")
+    w = read_fields(surr_path)["branch.w"]
+    edit(surr_path, {"branch.w": None,
+                     "term0.branch.w": np.vstack([np.diag(w), np.zeros(w.size)])})
     capsys.readouterr()
     assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
                      "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert str(surr_path) in err and "'term0.branch.w'" in err and "rebuild" in err
+    assert str(surr_path) in err and "'branch.w'" in err and "rebuild" in err
 
 
 def test_per_term_branch_layout_exits_one(tmp_path, capsys):
     # a file from before the one branch network stores a branch per term
     surr_path = _small_surrogate(tmp_path)
     branch = load_structured(surr_path).branch
-    lines = surr_path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("branch.c "))
-    per_term = []
+    per_term = {f"branch.{name}": None for name in ("c", "w", "theta")}
     for t, c_t in enumerate(branch.c):
         for name, v in (("c", c_t), ("w", branch.w), ("theta", branch.theta)):
-            per_term += [f"term{t}.branch.{name} array1 {v.size}",
-                         " ".join(f"{x:.17g}" for x in v)]
-    lines[i:i + len(branch.c) + 5] = per_term
-    surr_path.write_text("\n".join(lines) + "\n")
+            per_term[f"term{t}.branch.{name}"] = v
+    edit(surr_path, per_term)
     capsys.readouterr()
     assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
                      "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert str(surr_path) in err and "'term0.branch.c'" in err and "rebuild" in err
+    assert str(surr_path) in err and "'branch.c'" in err and "rebuild" in err
 
 
 @pytest.mark.parametrize("kind", ["rank", "neural"])
@@ -509,37 +518,33 @@ def test_generate_seed_flag_changes_nothing(tmp_path):
 def test_rank_file_without_a_field_names_it(tmp_path, capsys):
     surr_path = _small_surrogate(tmp_path)
     rank_path = tmp_path / "surr.txt.rank"
-    lines = rank_path.read_text().splitlines()
-    rank_path.write_text("\n".join(line for line in lines if not line.startswith("n_terms ")) + "\n")
+    edit(rank_path, {"induced": None})
     capsys.readouterr()
     assert cli_main(["solve", "--config", _small_solve(tmp_path, "rank", surr_path, 1e-3),
                      "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert str(rank_path) in err and "'n_terms'" in err
+    assert str(rank_path) in err and "'induced'" in err
 
 
 def test_rank_file_without_the_load_names_it(tmp_path, capsys):
     # a .rank file written before the load was recorded
     surr_path = _small_surrogate(tmp_path)
     rank_path = tmp_path / "surr.txt.rank"
-    lines = rank_path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("load.n_cells "))
-    rank_path.write_text("\n".join(lines[:i] + lines[i + 3:]) + "\n")  # load header and payload
+    edit(rank_path, {"load": None})
     for kind in ("rank", "neural"):
         capsys.readouterr()
         assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
                          "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert str(rank_path) in err and "'load.n_cells'" in err and "rebuild" in err
+        assert str(rank_path) in err and "'load'" in err and "rebuild" in err
 
 
 def test_rank_file_of_the_older_layout_names_problem(tmp_path, capsys):
     # a .rank file written before the problem was recorded holds its space instead
     surr_path = _small_surrogate(tmp_path)
     rank_path = tmp_path / "surr.txt.rank"
-    text = rank_path.read_text()
-    assert "problem str c\n" in text and "space " not in text
-    rank_path.write_text(text.replace("problem str c\n", "space str L2\n"))
+    assert read_fields(rank_path)["problem"] == "c" and "space" not in read_fields(rank_path)
+    edit(rank_path, {"problem": None, "space": "L2"})
     for kind in ("rank", "neural"):
         capsys.readouterr()
         assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
@@ -551,9 +556,8 @@ def test_rank_file_of_the_older_layout_names_problem(tmp_path, capsys):
 def test_training_file_with_an_unknown_problem_names_file_and_field(tmp_path, capsys):
     _small_surrogate(tmp_path)
     ts_path = tmp_path / "train.txt"
-    text = ts_path.read_text()
-    assert "problem str c\n" in text
-    ts_path.write_text(text.replace("problem str c\n", "problem str b\n"))
+    assert read_fields(ts_path)["problem"] == "c"
+    edit(ts_path, {"problem": "b"})
     capsys.readouterr()
     assert cli_main(["build", "--config", _small_build(tmp_path, ts_path), "--out",
                      str(tmp_path / "b.txt"), "--quiet"]) == 1
@@ -564,7 +568,7 @@ def test_training_file_with_an_unknown_problem_names_file_and_field(tmp_path, ca
 def test_rank_file_with_an_unknown_problem_names_file_and_field(tmp_path, capsys):
     surr_path = _small_surrogate(tmp_path)
     rank_path = tmp_path / "surr.txt.rank"
-    rank_path.write_text(rank_path.read_text().replace("problem str c\n", "problem str b\n"))
+    edit(rank_path, {"problem": "b"})
     for kind in ("rank", "neural"):
         capsys.readouterr()
         assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
@@ -577,11 +581,9 @@ def test_training_file_with_the_older_nu_and_space_fields_builds_the_same_surrog
     # the problem fixes both, so a training file no longer holds them
     surr_path = _small_surrogate(tmp_path)
     ts_path = tmp_path / "train.txt"
-    lines = ts_path.read_text().splitlines(True)
-    assert lines[1] == "problem str c\n"
-    assert not any(line.startswith(("nu ", "space ")) for line in lines)
-    ts_path.write_text("".join(lines[:2] + ["nu real 0.10000000000000001\n", "space str L2\n"]
-                               + lines[2:]))
+    assert read_fields(ts_path)["problem"] == "c"
+    assert "nu" not in read_fields(ts_path) and "space" not in read_fields(ts_path)
+    edit(ts_path, {"nu": 0.1, "space": "L2"})
     old = tmp_path / "old.txt"
     assert cli_main(["build", "--config", _small_build(tmp_path, ts_path), "--out", str(old),
                      "--quiet"]) == 0
@@ -687,35 +689,60 @@ def test_cell_count_ladder_of_non_integers_names_it(tmp_path, capsys, study, lad
 
 
 @pytest.mark.parametrize("kind,suffix,field", [
-    ("neural", "", "term0.trunk.c"), ("rank", ".rank", "basis0.values")])
+    ("neural", "", "trunk.c"), ("rank", ".rank", "basis")])
 def test_coefficient_fields_that_disagree_in_shape_exit_one(tmp_path, capsys, kind, suffix,
                                                             field):
-    # drop the field's last entry; the payload stays well-formed on its own
+    # drop the field's last column; the array stays well-formed on its own
     surr_path = _small_surrogate(tmp_path)
     path = Path(str(surr_path) + suffix)
-    lines = path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith(f"{field} array1 "))
-    size = int(lines[i].split()[2])
-    lines[i] = f"{field} array1 {size - 1}"
-    lines[i + 1] = " ".join(lines[i + 1].split()[:-1])
-    path.write_text("\n".join(lines) + "\n")
+    edit(path, {field: read_fields(path)[field][:, :-1]})
     capsys.readouterr()
     assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
                      "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert str(path) in err and field.rsplit(".", 1)[0] in err and "Traceback" not in err
+    assert str(path) in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["rank", "neural"])
+def test_rank_file_grids_on_different_meshes_exit_one(tmp_path, capsys, kind):
+    surr_path = _small_surrogate(tmp_path)
+    rank_path = Path(str(surr_path) + ".rank")
+    edit(rank_path, {"load": np.full(65, 50.0)})
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"{rank_path}: fields load, basis, induced, center lie on different meshes" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", ["text", "empty", "bare array", "wrong kind"])
+def test_surrogate_file_that_is_no_container_of_its_kind_exits_one(tmp_path, capsys,
+                                                                   damage):
+    surr_path = _small_surrogate(tmp_path)
+    if damage == "text":
+        surr_path.write_text("invop 1 StructuredSurrogateCoeffs\nend\n")
+    elif damage == "empty":
+        surr_path.write_bytes(b"")
+    elif damage == "bare array":
+        c = read_fields(surr_path)["branch.c"]
+        with open(surr_path, "wb") as fh:
+            np.save(fh, c)
+    else:
+        surr_path.write_bytes((tmp_path / "train.txt").read_bytes())
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {surr_path}: ") and "Traceback" not in err
 
 
 def test_per_term_sensor_layout_exits_one(tmp_path, capsys):
     # a file from before the shared sensor grid stores the points once per term
     surr_path = _small_surrogate(tmp_path)
-    lines = surr_path.read_text().splitlines()
-    n_terms = int(next(line for line in lines if line.startswith("n_terms ")).split()[2])
-    i = next(k for k, line in enumerate(lines) if line.startswith("s_points "))
-    header, payload = lines[i:i + 2]
-    lines[i:i + 2] = [row for t in range(n_terms)
-                      for row in (f"term{t}.{header}", payload)]
-    surr_path.write_text("\n".join(lines) + "\n")
+    f = read_fields(surr_path)
+    per_term = {f"term{t}.s_points": f["s_points"] for t in range(len(f["trunk.c"]))}
+    edit(surr_path, {"s_points": None, **per_term})
     capsys.readouterr()
     assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
                      "--quiet"]) == 1
@@ -770,12 +797,9 @@ def test_shipped_config_passes_the_key_check(path):
 
 def test_non_finite_surrogate_coefficient_reported_by_name(tmp_path, capsys):
     surr_path = _small_surrogate(tmp_path)
-    lines = surr_path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("branch.theta "))
-    values = lines[i + 1].split()
-    values[2] = "inf"
-    lines[i + 1] = " ".join(values)
-    surr_path.write_text("\n".join(lines) + "\n")
+    theta = read_fields(surr_path)["branch.theta"].copy()
+    theta[2] = np.inf
+    edit(surr_path, {"branch.theta": theta})
     capsys.readouterr()
     assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-3),
                      "--quiet"]) == 2
@@ -787,13 +811,11 @@ def test_build_without_load_exits_one(tmp_path, capsys):
     gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
     ts_path = tmp_path / "train.txt"
     assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
-    lines = ts_path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("load.n_cells "))
-    ts_path.write_text("\n".join(lines[:i] + lines[i + 3:]) + "\n")  # load header and payload
+    edit(ts_path, {"load": None})
     capsys.readouterr()
     assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
                      "--out", str(tmp_path / "surr.txt"), "--quiet"]) == 1
-    assert "'load.n_cells'" in capsys.readouterr().err
+    assert "'load'" in capsys.readouterr().err
 
 
 def test_verify_checks_neural_gradient(monkeypatch, capsys):

@@ -102,6 +102,15 @@ def test_the_values_fix_the_mesh():
         x.n_cells = 8
 
 
+def test_equality_and_hash_are_identity():
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    a = GridFunction.from_callable(lambda s: s * s, 8)
+    assert a == a
+    assert a != GridFunction(a.values.copy())
+    assert {a} == {a} and hash(a) == hash(a)
+    assert a in (GridFunction(a.values.copy()), a)
+
+
 @pytest.mark.parametrize("values", [np.float64(1.0), np.zeros((3, 3)), np.zeros((1, 5)),
                                     np.zeros(1), np.zeros(0)],
                          ids=["0-d", "2-D", "row", "one entry", "empty"])

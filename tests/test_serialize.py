@@ -1,8 +1,11 @@
+import zipfile
+
 import numpy as np
 import pytest
+from containers import edit, read_fields
 
 from invop import serialize
-from invop.errors import ConfigInvalid
+from invop.errors import ConfigInvalid, NonFiniteValue
 from invop.fem import ProblemKind
 from invop.grid import GridFunction
 from invop.neural import eval_structured_with_gradient
@@ -66,10 +69,8 @@ def test_fields_of_older_files_are_ignored(pipeline, tmp_path):
     p, q = tmp_path / "ts.txt", tmp_path / "ls.txt"
     save_training_set(p, ts)
     save_linear_surrogate(q, ls, diag)
-    for path, old in ((p, ["seed int 3", "perturbation.seed int 3"]),
-                      (q, ["transform array2 2 2", "1 0", "0.5 2"])):
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:2] + old + lines[2:]) + "\n")
+    edit(p, {"seed": 3, "perturbation.seed": 3})
+    edit(q, {"transform": np.array([[1.0, 0.0], [0.5, 2.0]])})
     ts2 = load_training_set(p)
     assert ts2.perturbation == ts.perturbation
     for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
@@ -80,12 +81,37 @@ def test_fields_of_older_files_are_ignored(pipeline, tmp_path):
         assert np.array_equal(b.values, b2.values)
 
 
+def test_files_hold_one_stacked_array_per_field(pipeline, tmp_path):
+    # each file lands at exactly its path, and the same record gives the same bytes
+    ts, ls, coeffs, diag = pipeline
+    pairs, terms, n_j = len(ts.pairs), ls.n_terms, coeffs.trunks[0].n_j
+    grid, one = (N + 1,), ()
+    training = {"kind": one, "problem": one, "perturbation.amplitude": one,
+                "perturbation.count": one, "load": grid, "x": (pairs, N + 1),
+                "y": (pairs, N + 1)}
+    rank = {"kind": one, "problem": one, "load": grid, "basis": (terms, N + 1),
+            "induced": (terms, N + 1), "center": (2, N + 1), "nu_N": one, "q_N": one,
+            "r_N": one, "rho_bound": one}
+    structured = {"kind": one, "s_points": (97,), "branch.c": (terms, 98), "branch.w": (97,),
+                  "branch.theta": (98,), "trunk.c": (terms, n_j), "trunk.w": (terms, n_j),
+                  "trunk.zeta": (terms, n_j)}
+    for save, args, layout in ((save_training_set, (ts,), training),
+                               (save_linear_surrogate, (ls, diag), rank),
+                               (save_structured, (coeffs,), structured)):
+        p = tmp_path / "f.txt"
+        save(p, *args)
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["f.txt"]
+        assert {k: a.shape for k, a in read_fields(p).items()} == layout
+        first = p.read_bytes()
+        save(p, *args)
+        assert p.read_bytes() == first
+
+
 def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
     _, _, coeffs, _ = pipeline
     p = tmp_path / "st.txt"
     save_structured(p, coeffs)
     c2 = load_structured(p)
-    assert "activation str logistic" in p.read_text().splitlines()
     for b, b2 in zip((coeffs.branch,) + coeffs.trunks, (c2.branch,) + c2.trunks):
         for name in type(b).__slots__:
             assert np.array_equal(_bits(getattr(b, name)), _bits(getattr(b2, name))), name
@@ -115,13 +141,14 @@ def test_truncated_file_rejected(pipeline, tmp_path):
     ts, _, _, _ = pipeline
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
-    text = p.read_text().splitlines()
-    (tmp_path / "cut.txt").write_text("\n".join(text[:-1]) + "\n")  # drop "end"
-    with pytest.raises(ConfigInvalid):
-        load_training_set(tmp_path / "cut.txt")
+    data = p.read_bytes()
+    for cut in (0, 1, 3, 4, 30, 100, 1000, len(data) // 2, len(data) - 22, len(data) - 1):
+        (tmp_path / "cut.txt").write_bytes(data[:cut])
+        with pytest.raises(ConfigInvalid, match=r"cut\.txt: not an invop container"):
+            load_training_set(tmp_path / "cut.txt")
 
 
-# -- bitwise round trip and the reference writer ----------------------------
+# -- bitwise round trip -------------------------------------------------------
 
 
 def _bits(a):
@@ -136,117 +163,112 @@ def test_extreme_and_random_values_round_trip_bitwise(tmp_path):
     flat = np.concatenate([special, patterns[np.isfinite(patterns)][:99_000]])
     square = flat[:300 * 330].reshape(300, 330)
     p = tmp_path / "values.txt"
-    serialize._write(p, "Values", [("flat", flat), ("square", square),
-                                   ("special", special)])
+    serialize._write(p, "Values", {"flat": flat, "square": square, "special": special})
     f = serialize._read(p, "Values")
     assert f["square"].shape == (300, 330)
     for name, a in (("flat", flat), ("square", square), ("special", special)):
         assert np.array_equal(_bits(f[name]), _bits(a)), name
-    assert p.read_text().splitlines()[-2] == (
-        "-0 0 4.9406564584124654e-324 -4.9406564584124654e-324 "
-        "1.7976931348623157e+308 -1.7976931348623157e+308 "
-        "2.2250738585072014e-308")
-
-
-def _reference_write_field(lines, name, value):
-    """Every entry formatted on its own, one row at a time."""
-    if isinstance(value, str):
-        lines.append(f"{name} str {value}")
-    elif isinstance(value, (int, np.integer)):
-        lines.append(f"{name} int {int(value)}")
-    elif isinstance(value, float):
-        lines.append(f"{name} real {float(value):.17g}")
-    else:
-        a = np.asarray(value, dtype=float)
-        dims = " ".join(str(d) for d in a.shape)
-        lines.append(f"{name} array{a.ndim} {dims}")
-        rows = a.reshape(-1, a.shape[-1]) if a.ndim > 1 else a.reshape(1, -1)
-        for row in rows:
-            lines.append(" ".join(f"{float(v):.17g}" for v in row))
-
-
-def test_writer_text_matches_per_entry_reference(pipeline, tmp_path, monkeypatch):
-    ts, ls, coeffs, diag = pipeline
-    assert coeffs.n_terms >= 2
-    saves = ((save_structured, (coeffs,)), (save_linear_surrogate, (ls, diag)),
-             (save_training_set, (ts,)))
-    for i, (save, args) in enumerate(saves):
-        save(tmp_path / f"new{i}.txt", *args)
-    monkeypatch.setattr(serialize, "_write_field", _reference_write_field)
-    for i, (save, args) in enumerate(saves):
-        save(tmp_path / f"ref{i}.txt", *args)
-        assert (tmp_path / f"new{i}.txt").read_bytes() == (tmp_path / f"ref{i}.txt").read_bytes()
 
 
 # -- damaged files ------------------------------------------------------------
 
 
-def _damaged(tmp_path, text: str):
-    p = tmp_path / "damaged.txt"
-    p.write_text(text)
-    return p
-
-
-def test_file_cut_mid_payload_names_path_and_field(pipeline, tmp_path):
+def test_file_cut_mid_member_names_path(pipeline, tmp_path):
     _, _, coeffs, _ = pipeline
     assert coeffs.branch.c.shape == (3, 98)
     p = tmp_path / "st.txt"
     save_structured(p, coeffs)
-    text = p.read_text()
-    lines = text.splitlines()
-    header = next(i for i, line in enumerate(lines) if line.startswith("branch.c "))
-    cut_rows = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n")
-    with pytest.raises(ConfigInvalid, match=r"damaged\.txt.*'branch\.c'"):
-        load_structured(cut_rows)
-    cut_line = _damaged(tmp_path, "\n".join(lines[:header + 3]) + "\n" + lines[header + 3][:30])
-    with pytest.raises(ConfigInvalid, match=r"'branch\.c'"):
-        load_structured(cut_line)
-    cut_header = _damaged(tmp_path, "\n".join(lines[:header]) + "\nbranch.c array2 5")
-    with pytest.raises(ConfigInvalid, match=r"'branch\.c'"):
-        load_structured(cut_header)
-    cut_bytes = _damaged(tmp_path, text[:len(text) // 3])
-    with pytest.raises(ConfigInvalid, match="damaged.txt"):
-        load_structured(cut_bytes)
+    data = p.read_bytes()
+    with zipfile.ZipFile(p) as z:
+        member = z.getinfo("branch.c.npy")
+    for cut in range(member.header_offset, member.header_offset + member.file_size, 301):
+        (tmp_path / "damaged.txt").write_bytes(data[:cut])
+        with pytest.raises(ConfigInvalid, match=r"damaged\.txt: not an invop container"):
+            load_structured(tmp_path / "damaged.txt")
 
 
 def test_ragged_or_short_payload_rejected(pipeline, tmp_path):
+    # a member whose array data ends before the shape in its header is filled
     ts, _, _, _ = pipeline
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
-    lines = p.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.startswith("pair0.x.values "))
-    short_row = lines.copy()
-    short_row[i + 1] = short_row[i + 1].rsplit(" ", 1)[0]
-    with pytest.raises(ConfigInvalid, match="'pair0.x.values'"):
-        load_training_set(_damaged(tmp_path, "\n".join(short_row) + "\n"))
-    long_row = lines.copy()
-    long_row[i + 1] += " 1"
-    with pytest.raises(ConfigInvalid, match="'pair0.x.values'"):
-        load_training_set(_damaged(tmp_path, "\n".join(long_row) + "\n"))
-    missing_row = lines[:i + 1] + lines[i + 2:]
-    with pytest.raises(ConfigInvalid):
-        load_training_set(_damaged(tmp_path, "\n".join(missing_row) + "\n"))
+    with zipfile.ZipFile(p) as z, zipfile.ZipFile(tmp_path / "damaged.txt", "w") as out:
+        for info in z.infolist():
+            data = z.read(info)
+            out.writestr(info.filename, data[:-8] if info.filename == "x.npy" else data)
+    with pytest.raises(ConfigInvalid, match=r"damaged\.txt: not an invop container"):
+        load_training_set(tmp_path / "damaged.txt")
 
 
-def test_grid_whose_values_disagree_with_its_n_cells_rejected(pipeline, tmp_path):
-    """A grid's ``values`` of another length than its ``n_cells`` + 1 raises
-    ConfigInvalid naming the file and the grid's fields."""
+def test_bare_array_or_object_array_rejected(tmp_path):
+    p = tmp_path / "bare.txt"
+    with open(p, "wb") as fh:
+        np.save(fh, np.zeros(3))
+    with pytest.raises(ConfigInvalid, match=r"bare\.txt: not an invop container"):
+        load_training_set(p)
+    with open(p, "wb") as fh:
+        np.savez(fh, kind="TrainingSet", x=np.array([None, 1.0], dtype=object))
+    with pytest.raises(ConfigInvalid, match=r"bare\.txt: not an invop container"):
+        load_training_set(p)
+
+
+def test_grids_on_different_meshes_rejected(pipeline, tmp_path):
+    """Grid fields of one file whose last axes differ raise ConfigInvalid
+    naming the file and the fields."""
     ts, ls, _, diag = pipeline
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
-    lines = p.read_text().splitlines()
-    i = lines.index(f"pair0.x.n_cells int {N}")
-    for n_cells in (N - 1, N + 1, 0):
-        bad = lines[:i] + [f"pair0.x.n_cells int {n_cells}"] + lines[i + 1:]
-        with pytest.raises(ConfigInvalid, match=r"damaged\.txt: fields pair0\.x\.\*"):
-            load_training_set(_damaged(tmp_path, "\n".join(bad) + "\n"))
-    one_node = lines[:i] + ["pair0.x.n_cells int 0", "pair0.x.values array1 1", "1"] + lines[i + 3:]
-    with pytest.raises(ConfigInvalid, match=r"damaged\.txt: fields pair0\.x\.\*"):
-        load_training_set(_damaged(tmp_path, "\n".join(one_node) + "\n"))
-    p = tmp_path / "ls.txt"
-    save_linear_surrogate(p, ls, diag)
-    lines = p.read_text().splitlines()
-    i = lines.index(f"load.n_cells int {N}")
-    bad = lines[:i] + [f"load.n_cells int {2 * N}"] + lines[i + 1:]
-    with pytest.raises(ConfigInvalid, match=r"damaged\.txt: fields load\.\*"):
-        load_linear_surrogate(_damaged(tmp_path, "\n".join(bad) + "\n"))
+    x, y = read_fields(p)["x"], read_fields(p)["y"]
+    for n_values in (N, N + 2):
+        xy = {"x": np.resize(x, (len(x), n_values)), "y": np.resize(y, (len(y), n_values))}
+        edit(p, xy)
+        with pytest.raises(ConfigInvalid, match=r"ts\.txt: fields load, x, y lie on "
+                                                r"different meshes"):
+            load_training_set(p)
+    edit(p, {"x": x[:, :1], "y": y[:, :1], "load": np.ones(1)})
+    with pytest.raises(ConfigInvalid, match=r"ts\.txt: fields load"):
+        load_training_set(p)
+    q = tmp_path / "ls.txt"
+    save_linear_surrogate(q, ls, diag)
+    edit(q, {"load": np.ones(2 * N + 1)})
+    with pytest.raises(ConfigInvalid, match=r"ls\.txt: fields load, basis, induced, center "
+                                            r"lie on different meshes"):
+        load_linear_surrogate(q)
+
+
+_DISAGREE = [
+    ("y", lambda a: a[:-1], r"fields x, y disagree in shape"),
+    ("center", lambda a: a[:1], r"field 'center' holds shape \(1, 65\)"),
+    ("induced", lambda a: a[:, :-1], r"fields basis, induced disagree in shape"),
+    ("trunk.w", lambda a: a[:, :-1], r"fields trunk\.c, trunk\.w, trunk\.zeta disagree"),
+    ("branch.theta", lambda a: a[:-1], r"fields branch\.\*"),
+    ("perturbation.count", lambda a: np.array([3, 3]), r"'perturbation\.count' holds shape"),
+]
+
+
+@pytest.mark.parametrize("name,value,match", _DISAGREE, ids=[name for name, _, _ in _DISAGREE])
+def test_fields_whose_shapes_disagree_name_them(pipeline, tmp_path, name, value, match):
+    ts, ls, coeffs, diag = pipeline
+    saves = {"y": (save_training_set, load_training_set, (ts,)),
+             "perturbation.count": (save_training_set, load_training_set, (ts,)),
+             "center": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
+             "induced": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
+             "trunk.w": (save_structured, load_structured, (coeffs,)),
+             "branch.theta": (save_structured, load_structured, (coeffs,))}
+    save, load, args = saves[name]
+    p = tmp_path / "f.txt"
+    save(p, *args)
+    edit(p, {name: value(read_fields(p)[name])})
+    with pytest.raises(ConfigInvalid, match=r"f\.txt: .*" + match):
+        load(p)
+
+
+def test_non_finite_value_names_the_field(pipeline, tmp_path):
+    ts, _, _, _ = pipeline
+    p = tmp_path / "ts.txt"
+    save_training_set(p, ts)
+    y = read_fields(p)["y"].copy()
+    y[1, 1] = np.inf
+    edit(p, {"y": y})
+    with pytest.raises(NonFiniteValue, match=r"ts\.txt: field 'y'"):
+        load_training_set(p)

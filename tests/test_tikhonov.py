@@ -12,7 +12,8 @@ from invop.config import load_config, study_config
 from invop.errors import DegenerateScale, DimensionMismatch, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm
-from invop.studies import c_example_setup, fem_rho, source_target_a
+from invop import studies
+from invop.studies import StudyConfig, c_example_setup, fem_rho, run_study, source_target_a
 from invop.tikhonov import (
     MEMORY,
     RUN_COLUMNS,
@@ -570,3 +571,30 @@ def test_entry_point_row_is_the_hand_built_row(handles, kind):
     assert run == RegularizationRun(
         "c", h.label, N, h.n_terms, delta, alpha, eta, xi, res.certificate.iterations,
         res.certificate.gradient_norm, norm(res.x - xt, SpaceKind.L2), run.runtime_ms, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 100])
+def test_certificate_bounds_the_gap_on_the_fem_map(seed):
+    """At every converged stop of the a-example reg_rate ladder (n = 256), the
+    certificate ||g||^2/(4 alpha) bounds J(x) - J(x*), x* a solve of the same
+    functional at eta = 1e-14 alpha^2.  The FEM functional need not be convex,
+    so this is measured, not implied; the worst ratio reads 0.72 (seed 100)."""
+    cfg = StudyConfig("reg_rate", problem="a", n_cells=256, seed=seed)
+    rows = run_study(cfg).rows
+    x0, _, h, y_true, rho = studies._a_example_data(256)
+    converged = 0
+    for i, (delta, row) in enumerate(zip(cfg.ladder, rows)):
+        y_delta = add_noise(y_true, delta, seed + 100 + i)
+        alpha, eta = choose_parameters(delta, rho, cfg.constant)
+        tik = TikhonovConfig(alpha, eta, cfg.xi, x0, ProblemKind.A_EXAMPLE, cfg.max_iterations)
+        res = minimize_tikhonov(h, y_delta, tik)
+        # the study's own stop, rebuilt
+        assert str(res.certificate.iterations) == row.split(",")[RUN_COLUMNS.index("iterations")]
+        if res.certificate.status != "converged":
+            continue
+        tight = minimize_tikhonov(h, y_delta, replace(tik, eta=1e-14 * alpha ** 2))
+        assert tight.certificate.status != "budget"
+        gap = res.functional_value - tight.functional_value
+        assert gap <= res.certificate.eta_bound, (delta, gap / res.certificate.eta_bound)
+        converged += 1
+    assert converged  # 7 of 7 at both seeds
