@@ -17,17 +17,16 @@ from invop.studies import C_CENTER, C_LOAD, c_example_setup
 def main():
     delta = float(sys.argv[1]) if len(sys.argv) > 1 else 1e-3
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
-    prob, n, diag = ex.problem, ex.x0.n_cells, ex.diag
+    ls, diag, x0 = ex.ls, ex.diag, ex.ls.center[0]
     print(f"diagnostics: nu_N={diag.nu_N:.3e}  q_N={diag.q_N:.3e}  "
           f"r_N={diag.r_N:.3e}  rho_bound={diag.rho_bound:.3e}")
 
     # each map with its own surrogate error
-    maps = [(FemMap(prob, ex.load), fem_rho(prob, n, C_LOAD, C_CENTER))] + [
-        surrogate_map(kind, ex.ls, diag, ex.coeffs) for kind in ("rank", "neural")]
+    maps = [(FemMap(ls.problem, ls.load), fem_rho(ls.problem, x0.n_cells, C_LOAD, C_CENTER))] + [
+        surrogate_map(kind, ls, diag, ex.coeffs) for kind in ("rank", "neural")]
     print(",".join(RUN_COLUMNS))
     for h, rho in maps:
-        run = solve_inverse_problem(h, rho, prob, ex.x0, ex.xt, ex.y_true, delta, 7, 0.15,
-                                    1e-4, 20000)
+        run = solve_inverse_problem(h, rho, x0, ex.xt, ex.y_true, delta, 7, 0.15, 1e-4, 20000)
         print(run.csv_row())
 
 

@@ -204,8 +204,8 @@ def _cmd_solve(args) -> int:
         xt = x0
     else:
         raise ConfigInvalid("target must be 'source' or 'prior'")
-    run = solve_inverse_problem(h, rho, prob, x0, xt, solve_forward_reference(prob, xt, f),
-                                delta, seed, sec["constant"], sec["xi"], sec["max_iterations"])
+    run = solve_inverse_problem(h, rho, x0, xt, solve_forward_reference(prob, xt, f), delta,
+                                seed, sec["constant"], sec["xi"], sec["max_iterations"])
     lines = [",".join(RUN_COLUMNS), run.csv_row()]
     if args.out:
         with open(args.out, "w") as fh:
@@ -256,22 +256,19 @@ def _verify_groups():
         ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural",
                                          n_cells=n, n_train=3, n_quad=n, n_trunk=8))
         y0 = ex.ls.center[1]
-        cases = [
-            (FemMap(prob_a, f), solve_forward_fem(prob_a, x0, f), prob_a),
-            (RankMap(ex.ls), y0, ex.problem),
-            (NeuralMap(ex.coeffs, ex.ls.center), y0, ex.problem),
-        ]
+        cases = [(FemMap(prob_a, f), solve_forward_fem(prob_a, x0, f)),
+                 (RankMap(ex.ls), y0), (NeuralMap(ex.coeffs, ex.ls), y0)]
         rng = np.random.default_rng(2)
         x = GridFunction(1.0 + 0.05 * rng.standard_normal(n + 1))
         d = GridFunction(rng.standard_normal(n + 1))
         eps = 1e-5
-        for h, y, prob in cases:
+        for h, y in cases:
             yd = add_noise(y, 1e-3, 1)
-            cfg = TikhonovConfig(alpha=1e-8, eta=1e-6, xi=0.0, x0=x0, problem=prob)
+            cfg = TikhonovConfig(alpha=1e-8, eta=1e-6, xi=0.0, x0=x0, problem=h.problem)
             _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
             fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
                   - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)
-            an = inner(GridFunction(g), d, prob.image_space)
+            an = inner(GridFunction(g), d, h.problem.image_space)
             assert abs(fd - an) <= 1e-4 * abs(an), (h.label, fd, an)
 
     def grp_mollifier():

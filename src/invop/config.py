@@ -56,8 +56,8 @@ def _parse(name: str, key: str, text: str, default):
     if kind not in _TYPE_WORDS:
         return text
     try:
-        value = (tuple(float(v) for v in text.split(",") if v.strip()) if kind is tuple
-                 else kind(text))
+        # float("") and float(" ") raise, so a blank ladder item is an error
+        value = tuple(map(float, text.split(","))) if kind is tuple else kind(text)
         if all(map(math.isfinite, value if kind is tuple else (value,))):
             return value
     except ValueError:

@@ -110,7 +110,7 @@ class StudyConfig:
                 "reg_rate runs problem 'a' with surrogate 'fem' and problem 'c' "
                 f"with 'rank' or 'neural', not {self.problem!r} with {self.surrogate!r}"
             )
-        lad = tuple(self.ladder) if self.ladder else self.default_ladder()
+        lad = tuple(self.ladder) if len(self.ladder) else self.default_ladder()
         object.__setattr__(self, "ladder", lad)
         if len(lad) < 4:
             raise ConfigInvalid("ladder needs at least four points for a rate fit")
@@ -300,8 +300,9 @@ def source_target_c(ls):
     return GridFunction(ls.center[0].values + gp)
 
 
-#: the c-example inversion setup that ``c_example_setup`` returns
-CExample = namedtuple("CExample", "problem load x0 ls xt y_true coeffs diag")
+#: the c-example inversion setup that ``c_example_setup`` returns; its
+#: problem, load and prior center are those of the expansion ``ls``
+CExample = namedtuple("CExample", "ls xt y_true coeffs diag")
 
 
 def _read_only(*grids: GridFunction):
@@ -313,8 +314,7 @@ def _read_only(*grids: GridFunction):
 @lru_cache(maxsize=8)
 def _c_example_data(n_cells: int, n_train: int):
     """The seed-free part of the c-example, shared by every study of the
-    process with these sizes: (load, x0, ls, xt, y_true, probe pairs), all
-    read-only."""
+    process with these sizes: (ls, xt, y_true, probe pairs), all read-only."""
     prob = ProblemKind.C_EXAMPLE
     f = GridFunction.constant(C_LOAD, n_cells)
     x0 = GridFunction.constant(C_CENTER, n_cells)
@@ -326,7 +326,7 @@ def _c_example_data(n_cells: int, n_train: int):
     # the load and the center pair (x0 among them) are shared with ts and ls
     _read_only(f, xt, y_true, *ls.basis, *ls.induced,
                *(g for pair in ts.pairs + probes for g in pair))
-    return f, x0, ls, xt, y_true, probes
+    return ls, xt, y_true, probes
 
 
 def c_example_setup(cfg: StudyConfig) -> CExample:
@@ -334,9 +334,9 @@ def c_example_setup(cfg: StudyConfig) -> CExample:
     are measured on ``probe_pairs`` of the training set (the unit modes at
     amplitude 0.1 around x0, and their mix), each input solved once per
     process.  Only the trunk fits depend on the seed."""
-    f, x0, ls, xt, y_true, probes = _c_example_data(cfg.n_cells, cfg.n_train)
+    ls, xt, y_true, probes = _c_example_data(cfg.n_cells, cfg.n_train)
     coeffs, diag = assemble_neural_surrogate(ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1, probes)
-    return CExample(ProblemKind.C_EXAMPLE, f, x0, ls, xt, y_true, coeffs, diag)
+    return CExample(ls, xt, y_true, coeffs, diag)
 
 
 @lru_cache(maxsize=8)
@@ -355,16 +355,15 @@ def _a_example_data(n_cells: int):
 def _run_reg_rate(cfg: StudyConfig, rows: list):
     deltas = [float(d) for d in cfg.ladder]
     if cfg.problem == "a":
-        prob = ProblemKind.A_EXAMPLE
         x0, xt, h, y_true, rho = _a_example_data(cfg.n_cells)
     else:
         ex = c_example_setup(cfg)
-        prob, x0, xt, y_true = ex.problem, ex.x0, ex.xt, ex.y_true
+        x0, xt, y_true = ex.ls.center[0], ex.xt, ex.y_true
         h, rho = surrogate_map(cfg.surrogate, ex.ls, ex.diag, ex.coeffs)
 
     runs = []
     for i, d in enumerate(deltas):
-        r = solve_inverse_problem(h, rho, prob, x0, xt, y_true, d, cfg.seed + 100 + i,
+        r = solve_inverse_problem(h, rho, x0, xt, y_true, d, cfg.seed + 100 + i,
                                   cfg.constant, cfg.xi, cfg.max_iterations)
         runs.append(r)
         rows.append(r.csv_row())

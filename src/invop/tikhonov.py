@@ -81,10 +81,10 @@ class TikhonovConfig:
 class SurrogateHandle:
     """A forward map F_n inside the functional: FemMap, RankMap or NeuralMap.
 
-    Each map provides ``label``, ``n_terms`` and ``_evaluate(x)``, which
-    checks that the (already mollified) input x lies on the map's mesh and
-    returns the nodal data y and a pullback taking the nodal residual r to
-    the Euclidean nodal gradient of inner(y, r, L2) in x.  ``forward`` and
+    Each map provides ``label``, ``n_terms``, ``problem`` and ``_evaluate(x)``,
+    which checks that the (already mollified) input x lies on the map's mesh
+    and returns the nodal data y and a pullback taking the nodal residual r
+    to the Euclidean nodal gradient of inner(y, r, L2) in x.  ``forward`` and
     ``misfit_and_gradient`` wrap it as the GridFunction entry points.
     """
 
@@ -135,6 +135,7 @@ class RankMap(SurrogateHandle):
 
     __slots__ = ("ls",)
     label = "LinearRankN"
+    problem = property(lambda self: self.ls.problem)
 
     def __init__(self, ls: LinearSurrogate):
         self.ls = ls
@@ -181,22 +182,24 @@ class RankMap(SurrogateHandle):
 
 
 class NeuralMap(SurrogateHandle):
-    """The branch/trunk sigmoid realization around the center (x_hat0, y_hat0).
-    ``forward`` evaluates the values only; the pullback does the
-    vector-Jacobian product when a gradient is asked for."""
+    """The branch/trunk sigmoid realization ``coeffs`` of the expansion ``ls``,
+    around its center (x_hat0, y_hat0).  ``forward`` evaluates the values
+    only; the pullback does the vector-Jacobian product when a gradient is
+    asked for."""
 
-    __slots__ = ("coeffs", "center")
+    __slots__ = ("coeffs", "ls")
     label = "NeuralOperator"
+    problem = property(lambda self: self.ls.problem)
 
-    def __init__(self, coeffs: StructuredSurrogateCoeffs, center: tuple):
-        self.coeffs, self.center = coeffs, center
+    def __init__(self, coeffs: StructuredSurrogateCoeffs, ls: LinearSurrogate):
+        self.coeffs, self.ls = coeffs, ls
 
     @property
     def n_terms(self) -> int:
         return self.coeffs.n_terms
 
     def _evaluate(self, x: GridFunction):
-        x0, y0 = self.center
+        x0, y0 = self.ls.center
         x._check_mesh(x0.n_cells)
         out, vjp = eval_structured_with_gradient(self.coeffs, x, y0.nodes)
 
@@ -214,7 +217,7 @@ def surrogate_map(kind: str, ls: LinearSurrogate, diag: SurrogateDiagnostics,
     neural map built from ``coeffs``."""
     if kind == "rank":
         return RankMap(ls), diag.nu_N
-    return NeuralMap(coeffs, ls.center), diag.rho_bound
+    return NeuralMap(coeffs, ls), diag.rho_bound
 
 
 # ---------------------------------------------------------------------------
@@ -424,26 +427,26 @@ class RegularizationRun(NamedTuple):
 RUN_COLUMNS = RegularizationRun._fields
 
 
-def solve_inverse_problem(h: SurrogateHandle, rho: float, problem: ProblemKind,
-                          x0: GridFunction, x_true: GridFunction, y_true: GridFunction,
-                          delta: float, seed: int, constant: float, xi: float,
-                          max_iterations: int) -> RegularizationRun:
+def solve_inverse_problem(h: SurrogateHandle, rho: float, x0: GridFunction, x_true: GridFunction,
+                          y_true: GridFunction, delta: float, seed: int, constant: float,
+                          xi: float, max_iterations: int) -> RegularizationRun:
     """One regularized inversion, and the one place the parameter rule is
     applied: noise of level delta drawn from ``seed`` is added to the clean
     data y_true, alpha = constant * max(delta, rho) and eta = alpha^2
     (``choose_parameters``), the functional is minimized from the prior x0
-    in the problem's space and bound, and the run is recorded with its X
-    error against x_true.  ``runtime_ms`` times the minimization alone."""
+    in the space and bound of the map's problem, and the run is recorded
+    with its X error against x_true.  ``runtime_ms`` times the minimization
+    alone."""
     y_delta = add_noise(y_true, delta, seed)
     alpha, eta = choose_parameters(delta, rho, constant)
-    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, problem=problem,
+    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, problem=h.problem,
                          max_iterations=max_iterations)
     x_true._check_mesh(x0.n_cells)  # before the solve, not after it
     start = time.perf_counter()
     result = minimize_tikhonov(h, y_delta, cfg)
     runtime_ms = (time.perf_counter() - start) * 1e3
     return RegularizationRun(
-        problem=problem.value,
+        problem=cfg.problem.value,
         surrogate=h.label,
         n=x0.n_cells,
         N=h.n_terms,
@@ -453,7 +456,7 @@ def solve_inverse_problem(h: SurrogateHandle, rho: float, problem: ProblemKind,
         xi=xi,
         iterations=result.certificate.iterations,
         gradient_norm=result.certificate.gradient_norm,
-        error_X=norm(result.x - x_true, problem.image_space),
+        error_X=norm(result.x - x_true, cfg.problem.image_space),
         runtime_ms=runtime_ms,
         seed=seed,
     )

@@ -237,8 +237,12 @@ class SurrogateDiagnostics(NamedTuple):
     nu_N: float  # off-span forward error per unit input deviation
     q_N: float  # worst measured branch functional error
     r_N: float  # worst trunk fit residual
-    rho_bound: float  # nu_N + n_terms * q_N * r_N
     n_terms: int
+
+    @property
+    def rho_bound(self) -> float:
+        """The sigmoid surrogate's error bound nu_N + n_terms * q_N * r_N."""
+        return self.nu_N + self.n_terms * self.q_N * self.r_N
 
 
 def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
@@ -310,13 +314,5 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
         for b, xb in zip(outputs.tolist(), ls.basis):
             q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, space)))
 
-    r_n = max(residuals)
-    nu_n = estimate_nu_N(ls, probes)
-    diag = SurrogateDiagnostics(
-        nu_N=nu_n,
-        q_N=q_n,
-        r_N=r_n,
-        rho_bound=nu_n + ls.n_terms * q_n * r_n,
-        n_terms=ls.n_terms,
-    )
-    return coeffs, diag
+    return coeffs, SurrogateDiagnostics(estimate_nu_N(ls, probes), q_n, max(residuals),
+                                        ls.n_terms)

@@ -84,9 +84,9 @@ def test_criterion_3_regularization_rate_c_example(c_surrogate):
     # additive smoothing term: errors at two widths differ by <= 3x the gap
     s = c_surrogate
     h, rho = surrogate_map("neural", s.ls, s.diag, s.coeffs)
-    y_true = solve_forward_reference(C, s.xt, s.load)
-    errs = [solve_inverse_problem(h, rho, C, s.x0, s.xt, y_true, deltas[2], 205, 0.15, xi_k,
-                                  20000).error_X for xi_k in (1e-4, 2e-4)]
+    y_true = solve_forward_reference(C, s.xt, s.ls.load)
+    errs = [solve_inverse_problem(h, rho, s.ls.center[0], s.xt, y_true, deltas[2], 205, 0.15,
+                                  xi_k, 20000).error_X for xi_k in (1e-4, 2e-4)]
     assert abs(errs[1] - errs[0]) <= 3.0 * (2e-4 - 1e-4), errs
 
 
@@ -130,7 +130,8 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     surrogate forward error never exceeds rho_bound + 10 r_N on 20 seeded
     trials of random admissible probes."""
     s = c_surrogate
-    f, x0, ls = s.load, s.x0, s.ls
+    ls = s.ls
+    f, x0 = ls.load, ls.center[0]
     n = x0.n_cells
     modes = [perturbation_shape(l, n) for l in range(1, 9)]
 
@@ -148,7 +149,7 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     )
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
 
-    h = NeuralMap(coeffs, ls.center)
+    h = NeuralMap(coeffs, ls)
     bound = diag.rho_bound + 10.0 * diag.r_N
     worst = 0.0
     for trial in range(20):
@@ -221,7 +222,7 @@ def test_criterion_8_optimization_soundness():
     assert gap == pytest.approx(eta_bound, rel=1e-6)
 
     # gradient consistency on every surrogate kind
-    handles = [FemMap(C, f), h_rank, NeuralMap(coeffs, ls.center)]
+    handles = [FemMap(C, f), h_rank, NeuralMap(coeffs, ls)]
     x = GridFunction(1.0 + 0.03 * rng.standard_normal(n + 1))
     d = GridFunction(rng.standard_normal(n + 1))
     for h in handles:

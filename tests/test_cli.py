@@ -688,6 +688,19 @@ def test_cell_count_ladder_of_non_integers_names_it(tmp_path, capsys, study, lad
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ladder", ["", ",,", "0.2, 0.1, , 0.05, 0.025", "0.2, 0.1, 0.05, 0.025,"],
+                         ids=["empty", "commas", "blank-item", "trailing-comma"])
+def test_ladder_with_an_empty_or_blank_item_names_it(tmp_path, capsys, ladder):
+    # an empty item is no finite real: it neither drops out nor selects the default ladder
+    cfg = _write(tmp_path / "s.cfg", f"[study]\nstudy = mollify_rate\nladder = {ladder}\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert cli_main(["study", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "[study] ladder" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,suffix,field", [
     ("neural", "", "trunk.c"), ("rank", ".rank", "basis")])
 def test_coefficient_fields_that_disagree_in_shape_exit_one(tmp_path, capsys, kind, suffix,

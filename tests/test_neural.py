@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from invop import neural
 from invop.errors import DimensionMismatch, NonFiniteValue
+from invop.fem import ProblemKind
 from invop.grid import GridFunction
 from invop.neural import (
     BranchCoeffs,
@@ -18,6 +19,7 @@ from invop.neural import (
 )
 from invop.studies import StudyConfig, c_example_setup
 from invop.tikhonov import NeuralMap
+from invop.training import LinearSurrogate
 from neural_reference import (
     NeuralOperatorCoeffs,
     dense_weights,
@@ -193,7 +195,7 @@ def test_structured_gradient_matches_fd():
 def test_neural_forward_matches_dense_evaluation_bitwise():
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
     x0, y0 = ex.ls.center
-    h = NeuralMap(ex.coeffs, ex.ls.center)
+    h = NeuralMap(ex.coeffs, ex.ls)
     x = GridFunction(x0.values + 0.05 * np.sin(3 * np.pi * x0.nodes))
     expect = y0.values + eval_structured_dense(ex.coeffs, x, y0.nodes)
     assert np.array_equal(h.forward(x).values, expect)
@@ -204,6 +206,8 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
     s = _random_structured(rng)
     n = 16
     center = (GridFunction.constant(1.0, n), GridFunction.constant(0.0, n))
+    # an expansion of its center pair alone: the map reads nothing else of it
+    ls = LinearSurrogate((), (), ProblemKind.C_EXAMPLE, center, center[1])
     x = GridFunction(1.0 + 0.1 * rng.standard_normal(n + 1))
     calls = []
 
@@ -212,7 +216,7 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
         return activation_derivative(t)
 
     monkeypatch.setattr(neural, "activation_derivative", counted)
-    h = NeuralMap(s, center)
+    h = NeuralMap(s, ls)
     h.forward(x)
     assert calls == []
     h.misfit_and_gradient(x, GridFunction.constant(0.0, n))

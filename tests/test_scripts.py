@@ -11,9 +11,11 @@ import numpy as np
 
 import invop
 import invop.cli  # the benchmark's CLI round calls invop.cli.cli_main
+from invop.fem import ProblemKind
 from invop.grid import GridFunction
 from invop.neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
 from invop.tikhonov import FemMap, NeuralMap, RankMap, SurrogateHandle
+from invop.training import LinearSurrogate
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -143,7 +145,9 @@ def test_neural_kernel_traced_once_per_map_call():
         np.array([0.0, 0.5, 1.0]),
     )
     n = 8
-    h = NeuralMap(coeffs, (GridFunction.constant(1.0, n), GridFunction.constant(0.0, n)))
+    center = (GridFunction.constant(1.0, n), GridFunction.constant(0.0, n))
+    # an expansion of its center pair alone: the map reads nothing else of it
+    h = NeuralMap(coeffs, LinearSurrogate((), (), ProblemKind.C_EXAMPLE, center, center[1]))
     x = GridFunction.constant(1.1, n)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer, {}):

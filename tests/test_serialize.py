@@ -63,6 +63,37 @@ def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
     assert np.array_equal(ls.center[0].values, ls2.center[0].values)
 
 
+def test_perturbation_count_is_the_pair_count(pipeline, tmp_path):
+    # the pairs fix the count: a stored count that disagrees with them is ignored
+    ts, _, _, _ = pipeline
+    p = tmp_path / "ts.txt"
+    save_training_set(p, ts)
+    edit(p, {"perturbation.count": 9})
+    ts2 = load_training_set(p)
+    assert ts2.perturbation.count == ts2.n_train == ts.n_train == 3
+
+
+def test_training_set_without_a_pair_after_the_center_rejected(pipeline, tmp_path):
+    ts, _, _, _ = pipeline
+    p = tmp_path / "ts.txt"
+    save_training_set(p, ts)
+    x, y = read_fields(p)["x"], read_fields(p)["y"]
+    for rows in (1, 0):
+        edit(p, {"x": x[:rows], "y": y[:rows]})
+        with pytest.raises(ConfigInvalid, match=rf"ts\.txt: fields x and y hold {rows} pair"):
+            load_training_set(p)
+
+
+def test_rank_file_derives_rho_bound(pipeline, tmp_path):
+    # rho_bound is no field: the loaded diagnostics compute it from nu_N, q_N and r_N
+    _, ls, _, diag = pipeline
+    p = tmp_path / "ls.txt"
+    save_linear_surrogate(p, ls, diag)
+    edit(p, {"rho_bound": 1.0})
+    _, diag2 = load_linear_surrogate(p)
+    assert diag2.rho_bound == diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
+
+
 def test_fields_of_older_files_are_ignored(pipeline, tmp_path):
     # training sets with a seed and rank-N files with a transform still load
     ts, ls, _, diag = pipeline
@@ -86,12 +117,11 @@ def test_files_hold_one_stacked_array_per_field(pipeline, tmp_path):
     ts, ls, coeffs, diag = pipeline
     pairs, terms, n_j = len(ts.pairs), ls.n_terms, coeffs.trunks[0].n_j
     grid, one = (N + 1,), ()
-    training = {"kind": one, "problem": one, "perturbation.amplitude": one,
-                "perturbation.count": one, "load": grid, "x": (pairs, N + 1),
-                "y": (pairs, N + 1)}
+    training = {"kind": one, "problem": one, "perturbation.amplitude": one, "load": grid,
+                "x": (pairs, N + 1), "y": (pairs, N + 1)}
     rank = {"kind": one, "problem": one, "load": grid, "basis": (terms, N + 1),
             "induced": (terms, N + 1), "center": (2, N + 1), "nu_N": one, "q_N": one,
-            "r_N": one, "rho_bound": one}
+            "r_N": one}
     structured = {"kind": one, "s_points": (97,), "branch.c": (terms, 98), "branch.w": (97,),
                   "branch.theta": (98,), "trunk.c": (terms, n_j), "trunk.w": (terms, n_j),
                   "trunk.zeta": (terms, n_j)}
@@ -242,7 +272,8 @@ _DISAGREE = [
     ("induced", lambda a: a[:, :-1], r"fields basis, induced disagree in shape"),
     ("trunk.w", lambda a: a[:, :-1], r"fields trunk\.c, trunk\.w, trunk\.zeta disagree"),
     ("branch.theta", lambda a: a[:-1], r"fields branch\.\*"),
-    ("perturbation.count", lambda a: np.array([3, 3]), r"'perturbation\.count' holds shape"),
+    ("perturbation.amplitude", lambda a: np.array([a, a]),
+     r"'perturbation\.amplitude' holds shape"),
 ]
 
 
@@ -250,7 +281,7 @@ _DISAGREE = [
 def test_fields_whose_shapes_disagree_name_them(pipeline, tmp_path, name, value, match):
     ts, ls, coeffs, diag = pipeline
     saves = {"y": (save_training_set, load_training_set, (ts,)),
-             "perturbation.count": (save_training_set, load_training_set, (ts,)),
+             "perturbation.amplitude": (save_training_set, load_training_set, (ts,)),
              "center": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
              "induced": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
              "trunk.w": (save_structured, load_structured, (coeffs,)),

@@ -286,16 +286,25 @@ def test_memoized_setup_is_read_only(problem):
             a[0] = 1.0
 
 
+def test_array_ladder_gives_the_table_of_the_equal_tuple():
+    ladder = (0.2, 0.1, 0.05, 0.025)
+    table = run_study(StudyConfig("mollify_rate", ladder=np.array(ladder)))
+    assert table == run_study(StudyConfig("mollify_rate", ladder=ladder))
+    assert StudyConfig("mollify_rate", ladder=np.array([])).ladder == \
+        StudyConfig("mollify_rate").ladder
+
+
 def test_c_example_diagnostics_match_fresh_probe_solves():
     """The diagnostics from the training set's probe pairs equal those from
     solving the same probe inputs again, bit for bit; the target is no probe."""
     cfg = StudyConfig("reg_rate", problem="c", surrogate="neural", seed=100)
     ex = c_example_setup(cfg)
-    ts = generate_training_set(ex.problem, ex.load, ex.x0,
+    ls = ex.ls
+    ts = generate_training_set(ls.problem, ls.load, ls.center[0],
                                PerturbationSpec(0.1, cfg.n_train))
     _, diag = assemble_neural_surrogate(
-        ex.ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1,
-        [(x, solve_forward_reference(ex.problem, x, ex.load)) for x, _ in probe_pairs(ts)],
+        ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1,
+        [(x, solve_forward_reference(ls.problem, x, ls.load)) for x, _ in probe_pairs(ts)],
     )
     assert ex.diag.nu_N > 0.0
     assert ex.diag == diag

@@ -57,7 +57,7 @@ def handles():
     return {
         "fem": FemMap(C, f),
         "rank": RankMap(ls),
-        "neural": NeuralMap(coeffs, ls.center),
+        "neural": NeuralMap(coeffs, ls),
         "f": f,
         "x0": x0,
         "ls": ls,
@@ -99,7 +99,7 @@ def test_solve_rejects_a_true_coefficient_on_another_mesh(handles, monkeypatch):
     monkeypatch.setattr(FemMap, "_evaluate", unreachable)
     x0 = handles["x0"]
     with pytest.raises(DimensionMismatch, match="mesh"):
-        solve_inverse_problem(handles["fem"], 1e-5, C, x0, GridFunction.constant(1.0, N // 2),
+        solve_inverse_problem(handles["fem"], 1e-5, x0, GridFunction.constant(1.0, N // 2),
                               x0, 1e-3, 1, 1.0, 0.0, 10)
 
 
@@ -519,10 +519,10 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     ex = c_example_setup(study)
     i = len(study.ladder) - 1
     delta = study.ladder[i]
-    yd = add_noise(solve_forward_reference(C, ex.xt, ex.load), delta,
+    yd = add_noise(solve_forward_reference(C, ex.xt, ex.ls.load), delta,
                    study.seed + 100 + i)
     alpha, eta = choose_parameters(delta, ex.diag.nu_N, study.constant)
-    cfg = _config(ex.x0, C, alpha=alpha, eta=eta, xi=study.xi,
+    cfg = _config(ex.ls.center[0], C, alpha=alpha, eta=eta, xi=study.xi,
                   max_iterations=study.max_iterations)
     calls = _count_gradients(monkeypatch)
     res = minimize_tikhonov(RankMap(ex.ls), yd, cfg)
@@ -537,7 +537,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
 def test_run_record_schema(handles):
     h = handles["fem"]
     x0 = handles["x0"]
-    run = solve_inverse_problem(h, 1e-5, C, x0, x0, h.forward(x0), 1e-3, 1, 1.0, 0.0, 2000)
+    run = solve_inverse_problem(h, 1e-5, x0, x0, h.forward(x0), 1e-3, 1, 1.0, 0.0, 2000)
     row = run.csv_row()
     cells = row.split(",")
     assert len(cells) == len(RUN_COLUMNS)
@@ -545,6 +545,18 @@ def test_run_record_schema(handles):
     assert int(cells[2]) == N
     # floats are emitted at 17 significant digits: parsing round-trips
     assert float(cells[5]) == run.alpha
+
+
+def test_c_rank_map_solves_the_c_problem():
+    # the map brings its problem, so a c-example rank map solves in L2 with
+    # the c bound and records c; given the a-example's H1, error_X read 0.197
+    ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="rank"))
+    h, rho = surrogate_map("rank", ex.ls, ex.diag, ex.coeffs)
+    assert h.problem is C and NeuralMap(ex.coeffs, ex.ls).problem is C
+    run = solve_inverse_problem(h, rho, ex.ls.center[0], ex.xt, ex.y_true, 1e-3, 7, 0.15,
+                                1e-4, 20000)
+    assert (run.problem, run.surrogate) == ("c", "LinearRankN")
+    assert run.error_X < 0.01  # 0.0032
 
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
@@ -562,7 +574,7 @@ def test_entry_point_row_is_the_hand_built_row(handles, kind):
     xt = GridFunction(x0.values + 0.02 * np.sin(np.pi * x0.nodes))
     y_true = handles["fem"].forward(xt)
     delta, seed, constant, xi, budget = 1e-3, 3, 0.15, 1e-2, 40
-    run = solve_inverse_problem(h, rho, C, x0, xt, y_true, delta, seed, constant, xi, budget)
+    run = solve_inverse_problem(h, rho, x0, xt, y_true, delta, seed, constant, xi, budget)
 
     yd = add_noise(y_true, delta, seed)
     alpha, eta = choose_parameters(delta, rho, constant)

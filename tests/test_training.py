@@ -3,6 +3,7 @@ import pytest
 
 from invop.errors import (
     DependentImages,
+    EmptyProbeSet,
     IllConditionedFit,
     NonAdmissiblePerturbation,
 )
@@ -13,6 +14,7 @@ from invop.studies import StudyConfig, c_example_setup
 from invop.tikhonov import RankMap
 from invop.training import (
     PerturbationSpec,
+    SurrogateDiagnostics,
     assemble_neural_surrogate,
     build_linear_surrogate,
     fit_trunk,
@@ -171,6 +173,19 @@ def test_assembled_surrogate_diagnostics_identity(c_setup):
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
     assert diag.q_N < 1e-3
     assert diag.r_N < 1e-2
+
+
+def test_assembly_without_probes_raises_empty_probe_set(c_setup):
+    # nu_N is a maximum over the probe pairs, which has no value over none
+    _, _, _, ls = c_setup
+    with pytest.raises(EmptyProbeSet):
+        assemble_neural_surrogate(ls, 256, 12, seed=1, probes=[])
+
+
+def test_rho_bound_is_derived_from_the_measured_errors():
+    assert SurrogateDiagnostics._fields == ("nu_N", "q_N", "r_N", "n_terms")
+    diag = SurrogateDiagnostics(nu_N=1e-6, q_N=2e-3, r_N=5e-4, n_terms=6)
+    assert diag.rho_bound == 1e-6 + 6 * 2e-3 * 5e-4
 
 
 def test_linearized_branch_accuracy_both_spaces():
