@@ -163,6 +163,10 @@ def _cmd_solve(args) -> int:
     if n < SIZE_BOUNDS["n_cells"]:
         raise ConfigInvalid(f"[solve] n_cells = {n}, but a solve needs at least "
                             f"{SIZE_BOUNDS['n_cells']} cells")
+    if sec["center"] < prob.nu:  # the prior must be admissible
+        raise ConfigInvalid(f"[solve] center = {sec['center']!r} lies below nu = {prob.nu}")
+    if not 0 <= sec["xi"] < 0.5:
+        raise ConfigInvalid(f"xi must be in [0, 0.5), the widths that fit, not {sec['xi']!r}")
     f = GridFunction.constant(sec["load"], n)
     x0 = GridFunction.constant(sec["center"], n)
     seed = args.seed if args.seed is not None else sec["seed"]
@@ -199,6 +203,9 @@ def _cmd_solve(args) -> int:
 
     target = sec["target"]
     if target == "source":
+        if sec["load"] == 0:  # zero data: the source direction is 0 / 0
+            raise ConfigInvalid("[solve] load = 0.0 gives zero data, from which target = "
+                                "source builds no target; set a nonzero load or target = prior")
         xt = source_target_a(prob, x0, f)
     elif target == "prior":
         xt = x0
@@ -264,7 +271,7 @@ def _verify_groups():
         eps = 1e-5
         for h, y in cases:
             yd = add_noise(y, 1e-3, 1)
-            cfg = TikhonovConfig(alpha=1e-8, eta=1e-6, xi=0.0, x0=x0, problem=h.problem)
+            cfg = TikhonovConfig(alpha=1e-8, eta=1e-6, xi=0.0, x0=x0)
             _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
             fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
                   - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)

@@ -4,9 +4,8 @@ Each file is an uncompressed numpy ``.npz`` archive at exactly the given
 path: a ``kind`` string and one array per field, the grid functions of a
 record stacked as the rows of one array whose last axis is the mesh.
 
-- ``TrainingSet``: ``problem``, ``perturbation.amplitude``, ``load``
-  (n + 1,), and ``x`` and ``y`` (pairs, n + 1), row 0 the center; the
-  perturbation count is the number of pairs after the center.
+- ``TrainingSet``: ``problem``, ``load`` (n + 1,), and ``x`` and ``y``
+  (pairs, n + 1), row 0 the center.
 - ``LinearSurrogate`` (the ``.rank`` file): ``problem``, ``load`` (n + 1,),
   ``basis`` and ``induced`` (N, n + 1), ``center`` (2, n + 1), and the
   diagnostics ``nu_N``, ``q_N`` and ``r_N``, from which
@@ -14,14 +13,16 @@ record stacked as the rows of one array whose last axis is the mesh.
 - ``StructuredSurrogateCoeffs``: ``s_points``, ``branch.c``, ``branch.w``,
   ``branch.theta``, and ``trunk.c``, ``trunk.w``, ``trunk.zeta`` (N, n_j).
 
-The arrays fix every count and mesh, and no file stores what they give.
-Write then read reproduces every array bit for bit, and one record always
-gives the same bytes.  Files are read with ``allow_pickle=False``.  One
-that does not open as a container (the older text layout, an empty or cut
-file, a bare ``.npy``, an object array) raises :class:`ConfigInvalid`
-naming the file, as do a wrong kind and, naming the fields, a missing
-field, an unknown ``problem``, shapes that disagree and grids on different
-meshes.  A non-finite value raises :class:`NonFiniteValue` naming the field.
+The arrays fix every count and mesh, and no file stores what they give or
+what no reader needs; a reader ignores the fields it does not use, such as
+an older training file's perturbation amplitude.  Write then read
+reproduces every array bit for bit, and one record always gives the same
+bytes.  Files are read with ``allow_pickle=False``.  One that does not open
+as a container (the older text layout, an empty or cut file, a bare
+``.npy``, an object array) raises :class:`ConfigInvalid` naming the file,
+as do a wrong kind and, naming the fields, a missing field, an unknown
+``problem``, shapes that disagree and grids on different meshes.  A
+non-finite value raises :class:`NonFiniteValue` naming the field.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import ConfigInvalid, DimensionMismatch, NonFiniteValue
 from .fem import ProblemKind
 from .grid import GridFunction
 from .neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
-from .training import LinearSurrogate, PerturbationSpec, SurrogateDiagnostics, TrainingSet
+from .training import LinearSurrogate, SurrogateDiagnostics, TrainingSet
 
 _REBUILD = "rebuild it with invop generate or invop build"
 
@@ -139,8 +140,7 @@ def load_structured(path) -> StructuredSurrogateCoeffs:
 
 def save_training_set(path, ts: TrainingSet):
     _write(path, "TrainingSet", {
-        "problem": ts.problem.value, "perturbation.amplitude": ts.perturbation.amplitude,
-        "load": ts.load.values,
+        "problem": ts.problem.value, "load": ts.load.values,
         "x": np.stack([x.values for x, _ in ts.pairs]),
         "y": np.stack([y.values for _, y in ts.pairs])})
 
@@ -151,8 +151,7 @@ def load_training_set(path) -> TrainingSet:
     load, xs, ys = _grids(f, "x", "y")
     if len(xs) < 2:  # the count of pairs after the center must be positive
         raise ConfigInvalid(f"{path}: fields x and y hold {len(xs)} pair(s), not 2 or more")
-    pert = PerturbationSpec(f.scalar("perturbation.amplitude"), len(xs) - 1)
-    return TrainingSet(tuple(zip(xs, ys)), _problem(f), pert, load)
+    return TrainingSet(tuple(zip(xs, ys)), _problem(f), load)
 
 
 #: the surrogate error diagnostics ``invop build`` stores with the rank-N surrogate

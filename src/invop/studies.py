@@ -133,8 +133,8 @@ class StudyConfig:
                                 "a c reg_rate study needs n_quad >= n_cells")
         if self.constant <= 0:
             raise ConfigInvalid(f"constant must be positive, not {self.constant!r}")
-        if self.xi < 0:
-            raise ConfigInvalid(f"xi must be nonnegative, not {self.xi!r}")
+        if not 0 <= self.xi < 0.5:
+            raise ConfigInvalid(f"xi must be in [0, 0.5), the widths that fit, not {self.xi!r}")
         if self.jobs != 1:
             raise ConfigInvalid("jobs takes only 1: studies run serially")
 

@@ -11,7 +11,7 @@ onto x >= nu, with a monotone backtracking line search.  Its initial
 matrix is the map's exact inverse Hessian where the map has one (the
 rank map, whose functional is quadratic: one Newton step reaches the
 minimizer) and gamma I otherwise, or after a step clipped by x >= nu.
-X and nu are those of ``TikhonovConfig.problem``.  It stops when
+X and nu are those of the map's problem.  It stops when
 the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the gap to
 the infimum and is exact for quadratic models, drops below eta, when the
 best value has not strictly decreased for STALL_ITERATIONS iterations
@@ -50,14 +50,13 @@ MEMORY = 8  # L-BFGS pairs; above N + 2 for the 6-term c-example surrogates
 
 @dataclass(frozen=True)
 class TikhonovConfig:
-    """The functional's weights, its prior center x0 and the problem, whose
-    ``image_space`` is X and whose ``nu`` is the bound x >= nu."""
+    """The functional's weights and its prior center x0; X and the bound
+    x >= nu are those of the forward map's problem."""
 
     alpha: float
     eta: float
     xi: float
     x0: GridFunction
-    problem: ProblemKind
     max_iterations: int = 2000
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class TikhonovConfig:
                 raise ValueError(f"{name} must be {word}, not {v!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, not {self.max_iterations!r}")
-        if float(np.min(self.x0.values)) < self.problem.nu:
-            raise NonAdmissibleCoefficient("prior center violates the bound nu")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +172,7 @@ class RankMap(SurrogateHandle):
         C = np.array([[_inner_nodal(a, b, SpaceKind.L2) for b in ys] for a in ys])
         # matrix-vector products and lstsq only, kernels the package runs
         # anyway: each further BLAS or LAPACK kernel adds 0.1-0.2 MB resident
-        CU = np.array([gram_solve(V.T @ c, cfg.problem.image_space) for c in C])  # (U C)^T
+        CU = np.array([gram_solve(V.T @ c, self.problem.image_space) for c in C])  # (U C)^T
         eye = np.eye(len(C))
         K = np.linalg.lstsq(cfg.alpha * eye + np.array([CU @ v for v in V]), eye, rcond=None)[0]
         return lambda v: (v - CU.T @ (K @ (V @ v))) / (2.0 * cfg.alpha)
@@ -253,10 +250,10 @@ def tikhonov_value_and_gradient(
     h: SurrogateHandle, x: GridFunction, y_delta: GridFunction, cfg: TikhonovConfig
 ):
     """Functional value and the nodal values of its gradient in the
-    configured solution space; the one evaluator of the functional."""
+    solution space of the map's problem; the one evaluator of the functional."""
     x._check_mesh(cfg.x0.n_cells)
-    space = cfg.problem.image_space
-    if float(np.min(x.values)) < cfg.problem.nu - 1e-12:
+    space = h.problem.image_space
+    if float(np.min(x.values)) < h.problem.nu - 1e-12:
         raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
     v = mollify(x, cfg.xi) if cfg.xi > 0 else x
     misfit, gz = h.misfit_and_gradient(v, y_delta)
@@ -335,8 +332,8 @@ def minimize_tikhonov(
     """Projected limited-memory BFGS with a monotone backtracking (halving)
     line search, run on nodal arrays: each trial builds one GridFunction.
 
-    The run starts from the prior ``cfg.x0``, which ``TikhonovConfig``
-    keeps admissible.  Each iteration moves along d = H g from
+    The run starts from the prior ``cfg.x0``, which must satisfy the bound
+    of ``h.problem``.  Each iteration moves along d = H g from
     ``_LbfgsMemory``, the L-BFGS inverse Hessian of the last MEMORY
     accepted pairs in the X metric, with H0 = ``h.inverse_hessian(cfg)``
     until a step is clipped, and tries x - t d projected onto
@@ -351,7 +348,9 @@ def minimize_tikhonov(
     the last two return the best iterate, and ``Certificate.iterations``
     is the index of the returned iterate.
     """
-    x, space, nu = cfg.x0, cfg.problem.image_space, cfg.problem.nu
+    x, space, nu = cfg.x0, h.problem.image_space, h.problem.nu
+    if float(np.min(x.values)) < nu:
+        raise NonAdmissibleCoefficient("prior center violates the bound nu")
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
     memory = _LbfgsMemory(space, h.inverse_hessian(cfg))
     best, t, it = None, 1.0, 0
@@ -391,12 +390,7 @@ def minimize_tikhonov(
 
 
 def _finish(x, value, gnorm, iterations, status, cfg) -> ApproximateMinimizer:
-    cert = Certificate(
-        gradient_norm=gnorm,
-        eta_bound=gnorm * gnorm / (4.0 * cfg.alpha),
-        iterations=iterations,
-        status=status,
-    )
+    cert = Certificate(gnorm, gnorm * gnorm / (4.0 * cfg.alpha), iterations, status)
     return ApproximateMinimizer(x, value, cert)
 
 
@@ -439,14 +433,13 @@ def solve_inverse_problem(h: SurrogateHandle, rho: float, x0: GridFunction, x_tr
     alone."""
     y_delta = add_noise(y_true, delta, seed)
     alpha, eta = choose_parameters(delta, rho, constant)
-    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, problem=h.problem,
-                         max_iterations=max_iterations)
+    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, max_iterations=max_iterations)
     x_true._check_mesh(x0.n_cells)  # before the solve, not after it
     start = time.perf_counter()
     result = minimize_tikhonov(h, y_delta, cfg)
     runtime_ms = (time.perf_counter() - start) * 1e3
     return RegularizationRun(
-        problem=cfg.problem.value,
+        problem=h.problem.value,
         surrogate=h.label,
         n=x0.n_cells,
         N=h.n_terms,
@@ -456,7 +449,7 @@ def solve_inverse_problem(h: SurrogateHandle, rho: float, x0: GridFunction, x_tr
         xi=xi,
         iterations=result.certificate.iterations,
         gradient_norm=result.certificate.gradient_norm,
-        error_X=norm(result.x - x_true, cfg.problem.image_space),
+        error_X=norm(result.x - x_true, h.problem.image_space),
         runtime_ms=runtime_ms,
         seed=seed,
     )

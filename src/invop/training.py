@@ -70,7 +70,6 @@ def perturbation_shape(index: int, n_cells: int) -> GridFunction:
 class TrainingSet(NamedTuple):
     pairs: tuple  # (x_hat, y_hat); index 0 is the center pair
     problem: ProblemKind
-    perturbation: PerturbationSpec
     load: GridFunction
 
     @property
@@ -101,7 +100,7 @@ def generate_training_set(
         )
     xs = [center_x] + [center_x + perturbation.amplitude * s for s in shapes]
     pairs = tuple((x, solve_forward_reference(problem, x, f)) for x in xs)
-    return TrainingSet(pairs, problem, perturbation, f)
+    return TrainingSet(pairs, problem, f)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     dirs = [0.1 * perturbation_shape(l, n) for l in range(1, n_terms + 1)]
     pairs = ((x0, GridFunction.constant(0.0, n)),) + tuple(
         (x0 + d, derivative_apply(C, x0, d, f)) for d in dirs)
-    ls = build_linear_surrogate(TrainingSet(pairs, C, PerturbationSpec(0.1, n_terms), f))
+    ls = build_linear_surrogate(TrainingSet(pairs, C, f))
 
     rng = np.random.default_rng(0)
     span = GridFunction.constant(0.0, n)
@@ -205,8 +205,7 @@ def test_criterion_8_optimization_soundness():
         ci * bi.values for ci, bi in zip(c, ls.basis)))
     # strong convexity modulus alpha: value gap eta implies a distance bound
     # sqrt(eta/alpha), so eta = 1e-20 certifies the 1e-8 recovery below
-    cfg = TikhonovConfig(alpha=alpha, eta=1e-20, xi=0.0, x0=x0, problem=C,
-                         max_iterations=200000)
+    cfg = TikhonovConfig(alpha=alpha, eta=1e-20, xi=0.0, x0=x0, max_iterations=200000)
     res = minimize_tikhonov(h_rank, y_delta, cfg)
     assert norm(res.x - x_star, SpaceKind.L2) <= 1e-8
 

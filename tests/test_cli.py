@@ -154,7 +154,7 @@ def test_fem_solve_defaults_to_the_problem_space(tmp_path):
     f, x0 = GridFunction.constant(50.0, n), GridFunction.constant(1.0, n)
     xt = source_target_a(prob, x0, f)
     alpha, eta = choose_parameters(delta, fem_rho(prob, n, 50.0, 1.0), 1.0)
-    tik = TikhonovConfig(alpha=alpha, eta=eta, xi=0.0, x0=x0, problem=prob, max_iterations=200)
+    tik = TikhonovConfig(alpha=alpha, eta=eta, xi=0.0, x0=x0, max_iterations=200)
     yd = add_noise(solve_forward_reference(prob, xt, f), delta, 0)
     res = minimize_tikhonov(FemMap(prob, f), yd, tik)
     expect = RegularizationRun("c", "FemForward", n, 0, delta, alpha, eta, 0.0,
@@ -290,6 +290,32 @@ def test_value_out_of_range_names_its_one_field(tmp_path, capsys, command, key, 
     # the message names the key it rejects, not a group of keys
     err = _fails_naming(tmp_path, capsys, command, command, key, value)
     assert err.startswith(f"error: {key} must be"), err
+
+
+@pytest.mark.parametrize("command,value", [("solve", "0.6"), ("study", "0.7"), ("study", "0.5")])
+def test_mollifier_width_of_half_or_more_names_xi(tmp_path, capsys, command, value):
+    # a width the unit interval cannot hold is a config error, not the
+    # numerical failure WidthTooLarge from inside the first solve
+    err = _fails_naming(tmp_path, capsys, command, command, "xi", value)
+    assert err.startswith(f"error: xi must be in [0, 0.5), the widths that fit, not {value}"), err
+
+
+@pytest.mark.parametrize("problem", ["a", "c"])
+def test_prior_center_below_nu_names_center(tmp_path, capsys, problem):
+    # the prior must be admissible; a center below nu exited 2 with an error
+    # from the FEM rho's probes (a) or from the target's solve (c)
+    cfg = _write(tmp_path / "s.cfg", f"[solve]\nproblem = {problem}\nn_cells = 32\n"
+                                      "center = 0.05\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [solve] center = 0.05 lies below nu = 0.1"), err
+
+
+def test_zero_load_with_a_source_target_names_load(tmp_path, capsys):
+    # zero data leave the source direction 0 / 0, which exited 2 as NonFiniteValue
+    err = _fails_naming(tmp_path, capsys, "solve", "solve", "load", "0.0")
+    assert err.startswith("error: [solve] load = 0.0"), err
 
 
 @pytest.mark.parametrize("key", ["n_quad", "n_trunk"])

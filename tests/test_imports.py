@@ -32,8 +32,9 @@ def test_only_the_records_that_use_dataclass_methods_are_dataclasses():
     ``__slots__`` classes.  GridFunction (whose ``__post_init__`` the
     benchmark's tracer wraps), StudyConfig (whose ``fields`` the config
     reader lists), TikhonovConfig (which callers ``replace``) and
-    PerturbationSpec (compared with ``==``, and whose ``count`` field would
-    shadow ``tuple.count``) stay dataclasses."""
+    PerturbationSpec (whose ``__post_init__`` checks the arguments of
+    ``generate_training_set``, and whose ``count`` field would shadow
+    ``tuple.count``) stay dataclasses."""
     src = str(Path(invop.__file__).resolve().parents[1])
     code = (
         "import dataclasses, inspect, sys; sys.path.insert(0, sys.argv[1]); "

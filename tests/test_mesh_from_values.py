@@ -2,17 +2,28 @@
 its scripts passes a cell count beside them: ``GridFunction`` takes the
 values alone, and the array kernels take their arrays and a space.  In the
 same way a forward map brings its problem and the neural map its center:
-no call passes a problem to ``solve_inverse_problem`` or a center pair to
-``NeuralMap``.  A call in the old form fails only when it runs, or not at
-all; this scan also covers the paths that no test runs."""
+no call passes a problem to ``solve_inverse_problem`` or ``TikhonovConfig``
+or a center pair to ``NeuralMap``, and the package reads no problem off a
+``TikhonovConfig``: the functional takes X and nu from the map.  A call in
+the old form fails only when it runs, or not at all; this scan also covers
+the paths that no test runs."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from invop.fem import ProblemKind
+from invop.grid import GridFunction, SpaceKind, inner, norm
+from invop.tikhonov import (RankMap, TikhonovConfig, add_noise, minimize_tikhonov,
+                            tikhonov_value_and_gradient)
+from invop.training import PerturbationSpec, build_linear_surrogate, generate_training_set
 
 ROOT = Path(__file__).parents[1]
 FILES = sorted(p for d in ("src/invop", "scripts") for p in (ROOT / d).glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "invop").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 #: kernel -> the number of arguments of each call
 KERNEL_ARITY = {"_inner_nodal": 3, "gram_apply": 2, "gram_solve": 2,
@@ -79,6 +90,89 @@ def test_maps_bring_their_problem_and_center(name):
     assert all_calls(name)
     assert [f"{p.relative_to(ROOT)}:{line}"
             for p in FILES for line in restated(p.read_text(), name)] == []
+
+
+#: the fields of TikhonovConfig: alpha, eta, xi, x0 and max_iterations
+CONFIG_ARITY = 5
+
+
+def config_given_a_problem(source: str) -> list:
+    """Lines of the ``TikhonovConfig`` calls that pass more arguments than
+    it has fields, a ``problem`` keyword, or an argument that names a
+    problem: a ``problem`` or ``prob`` name, a ProblemKind member or its
+    ``A`` or ``C`` alias, or an attribute named ``problem``."""
+    def names_one(node):
+        return (getattr(node, "id", None) in ("problem", "prob", "A", "C")
+                or getattr(node, "attr", None) in ("problem", "A_EXAMPLE", "C_EXAMPLE"))
+
+    return [node.lineno for node in call_nodes(source, "TikhonovConfig")
+            if len(node.args) + len(node.keywords) > CONFIG_ARITY
+            or any(k.arg == "problem" or names_one(k.value) for k in node.keywords)
+            or any(map(names_one, node.args))]
+
+
+def config_problem_reads(source: str) -> list:
+    """Lines that read ``problem`` off a TikhonovConfig: off a name annotated
+    as one, or off a ``cfg`` that its function does not annotate as a
+    StudyConfig (whose ``problem`` is the study's problem name)."""
+    found = []
+
+    def visit(node, annotations):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            annotations = {**annotations, **{
+                arg.arg: arg.annotation and ast.unparse(arg.annotation)
+                for arg in a.posonlyargs + a.args + a.kwonlyargs}}
+        if (isinstance(node, ast.Attribute) and node.attr == "problem"
+                and isinstance(node.value, ast.Name)):
+            kind = annotations.get(node.value.id)
+            if kind == "TikhonovConfig" or (node.value.id == "cfg" and kind != "StudyConfig"):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, annotations)
+
+    visit(ast.parse(source), {})
+    return found
+
+
+def test_scan_finds_a_problem_given_to_or_read_off_a_config():
+    source = ("TikhonovConfig(a, e, xi, x0, problem=p)\nTikhonovConfig(a, e, xi, x0, C, 20)\n"
+              "TikhonovConfig(a, e, xi, x0, h.problem)\nTikhonovConfig(a, e, xi, x0, 20, 1)\n"
+              "TikhonovConfig(a, e, xi, x0, max_iterations=20)\n"
+              "def f(cfg):\n    return cfg.problem\n"
+              "def g(c: TikhonovConfig, h):\n    return c.problem.nu, h.problem\n"
+              "def k(cfg: StudyConfig):\n    return cfg.problem == 'a'\n"
+              "cfg = m.TikhonovConfig(1, 1, 0, x0)\nspace = cfg.problem.image_space\n")
+    assert config_given_a_problem(source) == [1, 2, 3, 4]
+    assert config_problem_reads(source) == [7, 9, 13]
+
+
+def test_the_functional_takes_its_problem_from_the_map():
+    assert [f"{p.relative_to(ROOT)}:{line}" for p in FILES + TESTS
+            for line in config_given_a_problem(p.read_text())] == []
+    assert [f"{p.relative_to(ROOT)}:{line}" for p in PACKAGE
+            for line in config_problem_reads(p.read_text())] == []
+
+
+def test_c_rank_map_certifies_its_stop_in_l2():
+    # the c rank map brings X = L2: its run stops at the closed-form L2
+    # minimizer, with the gradient norm of the certificate taken in L2; a
+    # config that brought H1 stopped elsewhere and reported "converged"
+    C, L2, n, alpha = ProblemKind.C_EXAMPLE, SpaceKind.L2, 32, 1e-3
+    f, x0 = GridFunction.constant(50.0, n), GridFunction.constant(1.0, n)
+    ls = build_linear_surrogate(generate_training_set(C, f, x0, PerturbationSpec(0.1, 3)))
+    h = RankMap(ls)
+    y_delta = add_noise(h.forward(x0 + 0.05 * ls.basis[0]), 1e-3, 1)
+    cfg = TikhonovConfig(alpha, alpha ** 2, 0.0, x0)
+    res = minimize_tikhonov(h, y_delta, cfg)
+    r = y_delta - ls.center[1]
+    G = np.array([[inner(a, b, L2) for b in ls.induced] for a in ls.induced])
+    c = np.linalg.solve(G + alpha * np.eye(len(G)), [inner(y, r, L2) for y in ls.induced])
+    x_star = x0 + GridFunction(sum(ci * b.values for ci, b in zip(c, ls.basis)))
+    assert res.certificate.status == "converged"
+    assert norm(res.x - x_star, L2) <= 1e-10
+    _, g = tikhonov_value_and_gradient(h, res.x, y_delta, cfg)
+    assert res.certificate.gradient_norm == norm(GridFunction(g), L2)
 
 
 def test_grid_functions_are_built_from_their_values_alone():

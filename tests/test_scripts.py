@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import invop
 import invop.cli  # the benchmark's CLI round calls invop.cli.cli_main
@@ -133,6 +134,17 @@ def test_benchmark_cli_round_runs(tmp_path):
     assert rnd.errors == [] and rnd.problems == []
     surrogate = invop.RUN_COLUMNS.index("surrogate")
     assert [row[surrogate] for row in rnd.rows] == ["LinearRankN", "NeuralOperator"]
+
+
+@pytest.mark.parametrize("name,iterations", [("c_neural_study", 114), ("a_fem_sweep", 622)])
+def test_benchmark_study_round_runs(tmp_path, name, iterations):
+    # the benchmark builds its studies from StudyConfig keywords of its own and
+    # counts their iterations; a change that breaks a keyword or moves a count
+    # fails here first (seed 13, as the benchmark reports it)
+    workloads = _perfbench_module("workloads")
+    rnd = workloads.WORKLOADS[name](invop, 13, tmp_path)
+    assert rnd.errors == [] and rnd.problems == []
+    assert rnd.iterations(invop) == iterations
 
 
 def test_neural_kernel_traced_once_per_map_call():

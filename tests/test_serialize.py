@@ -45,7 +45,7 @@ def test_training_set_round_trip_bitwise(pipeline, tmp_path):
     save_training_set(p, ts)
     ts2 = load_training_set(p)
     assert ts2.problem is ts.problem
-    assert ts2.perturbation == ts.perturbation
+    assert np.array_equal(ts2.load.values, ts.load.values)
     for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
         assert np.array_equal(x.values, x2.values)
         assert np.array_equal(y.values, y2.values)
@@ -69,8 +69,7 @@ def test_perturbation_count_is_the_pair_count(pipeline, tmp_path):
     p = tmp_path / "ts.txt"
     save_training_set(p, ts)
     edit(p, {"perturbation.count": 9})
-    ts2 = load_training_set(p)
-    assert ts2.perturbation.count == ts2.n_train == ts.n_train == 3
+    assert load_training_set(p).n_train == ts.n_train == 3
 
 
 def test_training_set_without_a_pair_after_the_center_rejected(pipeline, tmp_path):
@@ -95,17 +94,19 @@ def test_rank_file_derives_rho_bound(pipeline, tmp_path):
 
 
 def test_fields_of_older_files_are_ignored(pipeline, tmp_path):
-    # training sets with a seed and rank-N files with a transform still load
+    # training sets with a seed or a perturbation amplitude, whatever the
+    # amplitude holds, and rank-N files with a transform still load
     ts, ls, _, diag = pipeline
     p, q = tmp_path / "ts.txt", tmp_path / "ls.txt"
-    save_training_set(p, ts)
     save_linear_surrogate(q, ls, diag)
-    edit(p, {"seed": 3, "perturbation.seed": 3})
     edit(q, {"transform": np.array([[1.0, 0.0], [0.5, 2.0]])})
-    ts2 = load_training_set(p)
-    assert ts2.perturbation == ts.perturbation
-    for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
-        assert np.array_equal(x.values, x2.values) and np.array_equal(y.values, y2.values)
+    for amplitude in (0.1, 5.0, np.array([0.1, 0.1])):
+        save_training_set(p, ts)
+        edit(p, {"seed": 3, "perturbation.seed": 3, "perturbation.amplitude": amplitude})
+        ts2 = load_training_set(p)
+        assert ts2.problem is ts.problem and np.array_equal(ts2.load.values, ts.load.values)
+        for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
+            assert np.array_equal(x.values, x2.values) and np.array_equal(y.values, y2.values)
     ls2, diag2 = load_linear_surrogate(q)
     assert diag2 == diag
     for b, b2 in zip(ls.basis + ls.induced, ls2.basis + ls2.induced):
@@ -117,8 +118,8 @@ def test_files_hold_one_stacked_array_per_field(pipeline, tmp_path):
     ts, ls, coeffs, diag = pipeline
     pairs, terms, n_j = len(ts.pairs), ls.n_terms, coeffs.trunks[0].n_j
     grid, one = (N + 1,), ()
-    training = {"kind": one, "problem": one, "perturbation.amplitude": one, "load": grid,
-                "x": (pairs, N + 1), "y": (pairs, N + 1)}
+    training = {"kind": one, "problem": one, "load": grid, "x": (pairs, N + 1),
+                "y": (pairs, N + 1)}
     rank = {"kind": one, "problem": one, "load": grid, "basis": (terms, N + 1),
             "induced": (terms, N + 1), "center": (2, N + 1), "nu_N": one, "q_N": one,
             "r_N": one}
@@ -272,8 +273,6 @@ _DISAGREE = [
     ("induced", lambda a: a[:, :-1], r"fields basis, induced disagree in shape"),
     ("trunk.w", lambda a: a[:, :-1], r"fields trunk\.c, trunk\.w, trunk\.zeta disagree"),
     ("branch.theta", lambda a: a[:-1], r"fields branch\.\*"),
-    ("perturbation.amplitude", lambda a: np.array([a, a]),
-     r"'perturbation\.amplitude' holds shape"),
 ]
 
 
@@ -281,7 +280,6 @@ _DISAGREE = [
 def test_fields_whose_shapes_disagree_name_them(pipeline, tmp_path, name, value, match):
     ts, ls, coeffs, diag = pipeline
     saves = {"y": (save_training_set, load_training_set, (ts,)),
-             "perturbation.amplitude": (save_training_set, load_training_set, (ts,)),
              "center": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
              "induced": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
              "trunk.w": (save_structured, load_structured, (coeffs,)),

@@ -71,7 +71,7 @@ def test_pullback_rejects_an_input_on_another_mesh(handles, kind):
     # every entry point takes its inputs on the map's mesh and resamples
     # neither an input x nor the data y_delta
     h, x0 = handles[kind], handles["x0"]
-    cfg = _config(x0, C)
+    cfg = _config(x0)
     y = h.forward(x0)
     x_other, y_other = GridFunction.constant(1.0, N // 2), y.resample(N // 2)
     calls = {
@@ -153,8 +153,8 @@ def test_choose_parameters_degenerate():
 # -- functional and gradient ------------------------------------------------
 
 
-def _config(x0, problem, **kw):
-    base = dict(alpha=1e-3, eta=1e-8, xi=0.0, x0=x0, problem=problem, max_iterations=2000)
+def _config(x0, **kw):
+    base = dict(alpha=1e-3, eta=1e-8, xi=0.0, x0=x0, max_iterations=2000)
     base.update(kw)
     return TikhonovConfig(**base)
 
@@ -164,14 +164,14 @@ def _config(x0, problem, **kw):
     ("max_iterations", 0, "positive")])
 def test_config_range_error_names_its_one_field(key, value, word):
     with pytest.raises(ValueError, match=rf"^{key} must be {word}, not {value!r}$"):
-        _config(GridFunction.constant(1.0, 16), C, **{key: value})
+        _config(GridFunction.constant(1.0, 16), **{key: value})
 
 
 @pytest.mark.parametrize("key", ["alpha", "eta", "xi"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_a_non_finite_real(key, value):
     with pytest.raises(ValueError, match="finite"):
-        _config(GridFunction.constant(1.0, 16), C, **{key: value})
+        _config(GridFunction.constant(1.0, 16), **{key: value})
 
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
@@ -180,7 +180,7 @@ def test_gradient_matches_finite_differences(handles, kind):
     x0 = handles["x0"]
     y = h.forward(x0)
     yd = add_noise(y, 1e-3, seed=1)
-    cfg = _config(x0, C)
+    cfg = _config(x0)
     rng = np.random.default_rng(2)
     x = GridFunction(1.0 + 0.03 * rng.standard_normal(N + 1))
     d = GridFunction(rng.standard_normal(N + 1))
@@ -196,7 +196,7 @@ def test_gradient_with_mollification(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=3)
-    cfg = _config(x0, C, xi=5e-3)
+    cfg = _config(x0, xi=5e-3)
     rng = np.random.default_rng(4)
     x = GridFunction(1.0 + 0.03 * rng.standard_normal(N + 1))
     d = GridFunction(rng.standard_normal(N + 1))
@@ -227,10 +227,19 @@ def test_fem_misfit_gradient_solves_forward_once(handles, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
 def test_value_and_gradient_rejects_inadmissible_point(handles, kind):
-    cfg = _config(handles["x0"], C)
+    cfg = _config(handles["x0"])
     bad = GridFunction.constant(0.05, N)
     with pytest.raises(NonAdmissibleCoefficient):
         tikhonov_value_and_gradient(handles[kind], bad, handles["x0"], cfg)
+
+
+@pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
+def test_minimizer_rejects_a_prior_below_the_maps_bound(handles, kind):
+    # the config holds no problem: the run checks the prior against the bound
+    # nu of the map's problem before it evaluates anything, to the last bit
+    cfg = _config(GridFunction.constant(C.nu - 1e-13, N))
+    with pytest.raises(NonAdmissibleCoefficient, match="^prior center violates the bound nu$"):
+        minimize_tikhonov(handles[kind], handles["x0"], cfg)
 
 
 # -- minimization -----------------------------------------------------------
@@ -299,7 +308,7 @@ def test_quadratic_proxy_recovered(handles):
     x0 = handles["x0"]
     y = h.forward(x0 + 0.05 * GridFunction.from_callable(
         lambda s: np.sin(np.pi * s), N))
-    cfg = _config(x0, C, alpha=1e-2, eta=1e-16, max_iterations=100000)
+    cfg = _config(x0, alpha=1e-2, eta=1e-16, max_iterations=100000)
     res = minimize_tikhonov(h, y, cfg)
     # optimality: gradient at the returned point is certificate-small
     assert res.certificate.status == "converged"
@@ -312,16 +321,16 @@ def test_iterates_satisfy_projection_bound(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-2, seed=5)
-    cfg = _config(x0, C, alpha=1e-4, eta=1e-10, max_iterations=50)
+    cfg = _config(x0, alpha=1e-4, eta=1e-10, max_iterations=50)
     res = minimize_tikhonov(h, yd, cfg)
-    assert float(np.min(res.x.values)) >= cfg.problem.nu
+    assert float(np.min(res.x.values)) >= h.problem.nu
 
 
 def test_certificate_reports_gradient_gap(handles):
     h = handles["rank"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=6)
-    cfg = _config(x0, C, eta=1e-10, max_iterations=100000)
+    cfg = _config(x0, eta=1e-10, max_iterations=100000)
     res = minimize_tikhonov(h, yd, cfg)
     c = res.certificate
     assert c.eta_bound == pytest.approx(
@@ -334,7 +343,7 @@ def test_budget_exhaustion_returns_best(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-2, seed=7)
-    cfg = _config(x0, C, alpha=1e-6, eta=1e-30, max_iterations=3)
+    cfg = _config(x0, alpha=1e-6, eta=1e-30, max_iterations=3)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.iterations == 3
     assert res.certificate.status == "budget"
@@ -346,7 +355,7 @@ def test_monotone_decrease(handles):
     h = handles["neural"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=8)
-    cfg = _config(x0, C, alpha=1e-3, eta=1e-12, max_iterations=30)
+    cfg = _config(x0, alpha=1e-3, eta=1e-12, max_iterations=30)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.functional_value <= tikhonov_value_and_gradient(h, x0, yd, cfg)[0] + 1e-15
 
@@ -374,7 +383,7 @@ def _precision_floor_problem(handles, kind):
     c = np.linalg.solve(G + alpha * np.eye(len(G)),
                         [inner(y, r, SpaceKind.L2) for y in ls.induced])
     x_star = x0 + GridFunction(sum(ci * b.values for ci, b in zip(c, ls.basis)))
-    return h, y_delta, x_star, _config(x0, C, alpha=alpha, eta=1e-20,
+    return h, y_delta, x_star, _config(x0, alpha=alpha, eta=1e-20,
                                        max_iterations=200000)
 
 
@@ -409,7 +418,7 @@ def test_budget_run_reports_index_of_best_iterate(handles):
 
 
 def test_only_the_rank_map_gives_its_inverse_hessian(handles):
-    cfg = _config(handles["x0"], C)
+    cfg = _config(handles["x0"])
     assert handles["fem"].inverse_hessian(cfg) is None
     assert handles["neural"].inverse_hessian(cfg) is None
     assert callable(handles["rank"].inverse_hessian(cfg))
@@ -436,7 +445,7 @@ def test_rank_solve_is_one_newton_step(handles, xi):
     hess = np.array([grad(x0 + e) - grad(x0) for e in np.eye(N + 1)]).T
     rng = np.random.default_rng(5)
     s = 0.01 * rng.standard_normal(N + 1)
-    mem = _LbfgsMemory(cfg.problem.image_space, h.inverse_hessian(cfg))
+    mem = _LbfgsMemory(h.problem.image_space, h.inverse_hessian(cfg))
     mem.update(s, grad(x0 + s) - grad(x0))  # an exact pair leaves H0 exact
     assert len(mem.pairs) == 1
     g = rng.standard_normal(N + 1)
@@ -451,7 +460,7 @@ def test_rank_solve_with_an_active_bound(handles, xi, gamma_scaled):
     # run stalls on the bound no higher than a run with gamma scaling alone
     h, x0 = handles["rank"], handles["x0"]
     yd = GridFunction(300.0 * np.random.default_rng(1).standard_normal(N + 1))
-    cfg = _config(x0, C, alpha=1e-3, eta=1e-6, xi=xi)
+    cfg = _config(x0, alpha=1e-3, eta=1e-6, xi=xi)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.status == "stagnated"
     assert float(np.min(res.x.values)) == C.nu
@@ -465,7 +474,7 @@ def test_h1_fem_solve_converges():
     h = FemMap(A, f)
     yd = add_noise(h.forward(source_target_a(A, x0, f)), delta, seed=11)
     alpha, eta = choose_parameters(delta, fem_rho(A, n, 1.0, 1.0))
-    cfg = _config(x0, A, alpha=alpha, eta=eta)
+    cfg = _config(x0, alpha=alpha, eta=eta)
     c = minimize_tikhonov(h, yd, cfg).certificate
     assert c.status == "converged"
     assert c.eta_bound <= cfg.eta
@@ -483,11 +492,11 @@ def test_line_search_builds_at_most_two_grid_functions_per_evaluation(handles, m
         h = FemMap(A, f)
         yd = add_noise(solve_forward_reference(A, source_target_a(A, x0, f), f), 1e-3,
                        seed=3)
-        cfg = _config(x0, A, eta=1e-30, max_iterations=10)
+        cfg = _config(x0, eta=1e-30, max_iterations=10)
     else:
         h, x0 = handles["neural"], handles["x0"]
         yd = add_noise(h.forward(1.02 * x0), 1e-3, seed=3)
-        cfg = _config(x0, C, eta=1e-30, xi=0.05, max_iterations=10)
+        cfg = _config(x0, eta=1e-30, xi=0.05, max_iterations=10)
     counts = {"built": 0, "evaluations": 0}
     post_init, evaluate = GridFunction.__post_init__, tikhonov_value_and_gradient
 
@@ -522,7 +531,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     yd = add_noise(solve_forward_reference(C, ex.xt, ex.ls.load), delta,
                    study.seed + 100 + i)
     alpha, eta = choose_parameters(delta, ex.diag.nu_N, study.constant)
-    cfg = _config(ex.ls.center[0], C, alpha=alpha, eta=eta, xi=study.xi,
+    cfg = _config(ex.ls.center[0], alpha=alpha, eta=eta, xi=study.xi,
                   max_iterations=study.max_iterations)
     calls = _count_gradients(monkeypatch)
     res = minimize_tikhonov(RankMap(ex.ls), yd, cfg)
@@ -578,7 +587,7 @@ def test_entry_point_row_is_the_hand_built_row(handles, kind):
 
     yd = add_noise(y_true, delta, seed)
     alpha, eta = choose_parameters(delta, rho, constant)
-    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, problem=C, max_iterations=budget)
+    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, max_iterations=budget)
     res = minimize_tikhonov(h, yd, cfg)
     assert run == RegularizationRun(
         "c", h.label, N, h.n_terms, delta, alpha, eta, xi, res.certificate.iterations,
@@ -598,7 +607,7 @@ def test_certificate_bounds_the_gap_on_the_fem_map(seed):
     for i, (delta, row) in enumerate(zip(cfg.ladder, rows)):
         y_delta = add_noise(y_true, delta, seed + 100 + i)
         alpha, eta = choose_parameters(delta, rho, cfg.constant)
-        tik = TikhonovConfig(alpha, eta, cfg.xi, x0, ProblemKind.A_EXAMPLE, cfg.max_iterations)
+        tik = TikhonovConfig(alpha, eta, cfg.xi, x0, cfg.max_iterations)
         res = minimize_tikhonov(h, y_delta, tik)
         # the study's own stop, rebuilt
         assert str(res.certificate.iterations) == row.split(",")[RUN_COLUMNS.index("iterations")]
