@@ -8,8 +8,9 @@ holds the result and report lines of ``perfbench/run.py`` with ``--trace 0``
 (end-to-end metrics) and ``--trace 1`` (per-layer counts and timings), all at
 seed SEED for the ``run_seconds`` that BENCHMARK.json declares.  It adds the
 Tier-1 test summary with its wall time, the environment that perfbench
-reports, and the caller's OpenBLAS thread variables (``"unset"`` where
-absent).  ``--checkout`` points at another copy of the repository (for
+reports, the caller's OpenBLAS thread variables (``"unset"`` where
+absent), and ``src_lines``, the line count of ``src/invop/*.py`` that
+``wc -l`` gives.  ``--checkout`` points at another copy of the repository (for
 example an export of the parent commit), so that both sides of a change are
 recorded by the same script; the record is written to ``--out``, by default
 ``BENCH_<tag>.json`` in this repository's root.
@@ -51,6 +52,10 @@ def _tier1(checkout: Path) -> dict:
             "summary": summary, "wall_s": wall}
 
 
+def _src_lines(checkout: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "invop").glob("*.py"))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("tag")
@@ -78,6 +83,7 @@ def main(argv=None) -> int:
                         **{v: os.environ.get(v, "unset") for v in THREAD_VARS}},
         "workloads": workloads,
         "tier1": _tier1(checkout),
+        "src_lines": _src_lines(checkout),
     }
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

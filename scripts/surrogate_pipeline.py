@@ -10,8 +10,9 @@ Usage: python scripts/surrogate_pipeline.py [delta]
 
 import sys
 
-from invop import RUN_COLUMNS, FemMap, StudyConfig, fem_rho, solve_inverse_problem, surrogate_map
-from invop.studies import C_CENTER, C_LOAD, c_example_setup
+from invop import (RUN_COLUMNS, FemMap, NeuralMap, RankMap, StudyConfig, solve_inverse_problem,
+                   surrogate_error)
+from invop.studies import c_example_setup
 
 
 def main():
@@ -21,11 +22,10 @@ def main():
     print(f"diagnostics: nu_N={diag.nu_N:.3e}  q_N={diag.q_N:.3e}  "
           f"r_N={diag.r_N:.3e}  rho_bound={diag.rho_bound:.3e}")
 
-    # each map with its own surrogate error
-    maps = [(FemMap(ls.problem, ls.load), fem_rho(ls.problem, x0.n_cells, C_LOAD, C_CENTER))] + [
-        surrogate_map(kind, ls, diag, ex.coeffs) for kind in ("rank", "neural")]
     print(",".join(RUN_COLUMNS))
-    for h, rho in maps:
+    for h in (FemMap(ls.problem, ls.load), RankMap(ls), NeuralMap(ex.coeffs, ls)):
+        # each map's own surrogate error, on the probe pairs of the build
+        rho = surrogate_error(h, ls.probes)
         run = solve_inverse_problem(h, rho, x0, ex.xt, ex.y_true, delta, 7, 0.15, 1e-4, 20000)
         print(run.csv_row())
 

@@ -67,7 +67,7 @@ from .tikhonov import (
     choose_parameters,
     minimize_tikhonov,
     solve_inverse_problem,
-    surrogate_map,
+    surrogate_error,
     tikhonov_value_and_gradient,
 )
 from .training import (

@@ -44,7 +44,7 @@ from .tikhonov import (
     TikhonovConfig,
     add_noise,
     solve_inverse_problem,
-    surrogate_map,
+    surrogate_error,
     tikhonov_value_and_gradient,
 )
 from .training import (
@@ -52,7 +52,6 @@ from .training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
-    probe_pairs,
 )
 
 
@@ -140,13 +139,8 @@ def _cmd_build(args) -> int:
         raise ConfigInvalid(f"[build] n_quad = {sec['n_quad']}, but the training set has "
                             f"{ts.load.n_cells} cells; a build needs n_quad >= n_cells")
     ls = build_linear_surrogate(ts)
-    coeffs, diag = assemble_neural_surrogate(
-        ls,
-        sec["n_quad"],
-        sec["n_trunk"],
-        args.seed if args.seed is not None else sec["seed"],
-        probe_pairs(ts),
-    )
+    seed = args.seed if args.seed is not None else sec["seed"]
+    coeffs, diag = assemble_neural_surrogate(ls, sec["n_quad"], sec["n_trunk"], seed)
     out = _require(args, "out")
     serialize.save_structured(out, coeffs)
     serialize.save_linear_surrogate(str(out) + ".rank", ls, diag)
@@ -165,8 +159,6 @@ def _cmd_solve(args) -> int:
                             f"{SIZE_BOUNDS['n_cells']} cells")
     if sec["center"] < prob.nu:  # the prior must be admissible
         raise ConfigInvalid(f"[solve] center = {sec['center']!r} lies below nu = {prob.nu}")
-    if not 0 <= sec["xi"] < 0.5:
-        raise ConfigInvalid(f"xi must be in [0, 0.5), the widths that fit, not {sec['xi']!r}")
     f = GridFunction.constant(sec["load"], n)
     x0 = GridFunction.constant(sec["center"], n)
     seed = args.seed if args.seed is not None else sec["seed"]
@@ -179,25 +171,20 @@ def _cmd_solve(args) -> int:
         base = sec["surrogate_file"]
         if base is None:
             raise ConfigInvalid(f"[solve] surrogate={kind} needs surrogate_file")
-        ls, diag = serialize.load_linear_surrogate(base + ".rank")
-        if ls.problem is not prob:
-            raise ConfigInvalid(f"[solve] problem = {sec['problem']}, but {base}.rank was "
-                                f"built for problem {ls.problem.value}")
-        if ls.center[0].n_cells != n:
-            raise ConfigInvalid(f"[solve] n_cells = {n}, but {base} has "
-                                f"{ls.center[0].n_cells} cells")
-        if not np.array_equal(ls.load.values, f.values):
-            raise ConfigInvalid(f"[solve] load = {sec['load']!r}, but {base} was built for "
-                                "another load")
-        if not np.array_equal(ls.center[0].values, x0.values):
-            raise ConfigInvalid(f"[solve] center = {sec['center']!r}, but {base} was built "
-                                "around another center")
+        ls, _ = serialize.load_linear_surrogate(base + ".rank")
+        for key, same in (("problem", ls.problem is prob), ("n_cells", ls.center[0].n_cells == n),
+                          ("load", np.array_equal(ls.load.values, f.values)),
+                          ("center", np.array_equal(ls.center[0].values, x0.values))):
+            if not same:
+                raise ConfigInvalid(f"[solve] {key} = {sec[key]}, but {base}.rank was built "
+                                    f"for another {key}")
         coeffs = serialize.load_structured(base) if kind == "neural" else None
         if coeffs is not None and coeffs.n_terms != ls.n_terms:
             raise ConfigInvalid(f"[solve] surrogate_file = {base} holds {coeffs.n_terms} "
                                 f"terms, but {base}.rank holds {ls.n_terms}; rebuild both "
                                 "with invop build")
-        h, rho = surrogate_map(kind, ls, diag, coeffs)
+        h = RankMap(ls) if coeffs is None else NeuralMap(coeffs, ls)
+        rho = surrogate_error(h, ls.probes)
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 

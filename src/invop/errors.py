@@ -50,7 +50,8 @@ class PropertyViolation(InvopError):
 
 
 class DegenerateScale(InvopError):
-    """Both noise level and surrogate accuracy are zero."""
+    """A scale to divide by is zero: both the noise level and the surrogate
+    error, or the source direction of a target."""
 
 
 class Stalled(InvopError):

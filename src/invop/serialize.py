@@ -7,8 +7,9 @@ record stacked as the rows of one array whose last axis is the mesh.
 - ``TrainingSet``: ``problem``, ``load`` (n + 1,), and ``x`` and ``y``
   (pairs, n + 1), row 0 the center.
 - ``LinearSurrogate`` (the ``.rank`` file): ``problem``, ``load`` (n + 1,),
-  ``basis`` and ``induced`` (N, n + 1), ``center`` (2, n + 1), and the
-  diagnostics ``nu_N``, ``q_N`` and ``r_N``, from which
+  ``basis`` and ``induced`` (N, n + 1), ``center`` (2, n + 1), the probe
+  pairs ``probes.x`` and ``probes.y`` (probes, n + 1), and the diagnostics
+  ``nu_N``, ``q_N`` and ``r_N``, from which
   ``SurrogateDiagnostics.rho_bound`` follows.
 - ``StructuredSurrogateCoeffs``: ``s_points``, ``branch.c``, ``branch.w``,
   ``branch.theta``, and ``trunk.c``, ``trunk.w``, ``trunk.zeta`` (N, n_j).
@@ -162,6 +163,7 @@ def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagn
     _write(path, "LinearSurrogate", {
         "problem": ls.problem.value, "load": ls.load.values,
         **{k: np.stack([g.values for g in getattr(ls, k)]) for k in ("basis", "induced", "center")},
+        **{f"probes.{k}": np.stack([p[i].values for p in ls.probes]) for i, k in enumerate("xy")},
         **{name: float(getattr(diagnostics, name)) for name in DIAGNOSTIC_FIELDS}})
 
 
@@ -169,10 +171,12 @@ def load_linear_surrogate(path):
     """(surrogate, diagnostics)."""
     f = _read(path, "LinearSurrogate")
     f.agree(("basis", "induced"))
+    f.agree(("probes.x", "probes.y"))
     if f["center"].shape[:1] != (2,):
         raise ConfigInvalid(f"{path}: field 'center' holds shape {f['center'].shape}, "
                             "not the two rows x and y")
-    load, basis, induced, center = _grids(f, "basis", "induced", "center")
-    ls = LinearSurrogate(basis, induced, _problem(f), center, load)
+    load, basis, induced, center, *probes = _grids(f, "basis", "induced", "center",
+                                                   "probes.x", "probes.y")
+    ls = LinearSurrogate(basis, induced, _problem(f), center, load, tuple(zip(*probes)))
     diag = (f.scalar(name) for name in DIAGNOSTIC_FIELDS)
     return ls, SurrogateDiagnostics(*diag, n_terms=ls.n_terms)

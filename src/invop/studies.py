@@ -17,16 +17,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateFit
+from .errors import ConfigInvalid, DegenerateFit, DegenerateScale, NonAdmissiblePerturbation
 from .fem import ProblemKind, adjoint_apply, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, norm, trapezoid_weights
 from .mollify import mollify
-from .tikhonov import RUN_COLUMNS, FemMap, solve_inverse_problem, surrogate_map
+from .tikhonov import (RUN_COLUMNS, FemMap, NeuralMap, RankMap, solve_inverse_problem,
+                       surrogate_error)
 from .training import (
     PerturbationSpec,
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
+    perturbation_shape,
     probe_pairs,
     quadrature_nodes,
 )
@@ -221,13 +223,20 @@ def _fem_case_error(case, n: int) -> float:
 
 @lru_cache(maxsize=None)
 def fem_rho(problem: ProblemKind, n: int, load: float, center: float) -> float:
-    """Surrogate error of the n-cell Galerkin map: its largest L2 data error over
+    """Surrogate error of the n-cell Galerkin map: its ``surrogate_error`` on
     the probe pairs of six sine modes (the n - 1 the mesh holds, if fewer) at a
-    tenth of the constant center."""
+    tenth of the constant center.  A center too close to the bound for them
+    raises ValueError naming the least center they admit."""
     f, x0 = GridFunction.constant(load, n), GridFunction.constant(center, n)
-    ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1 * center, min(6, n - 1)))
-    return max(norm(solve_forward_fem(problem, x, f) - y, SpaceKind.L2)
-               for x, y in probe_pairs(ts))
+    modes = min(6, n - 1)
+    try:
+        ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1 * center, modes))
+    except NonAdmissiblePerturbation:
+        reach = max(np.max(np.abs(perturbation_shape(k, n).values)) for k in range(1, modes + 1))
+        least = problem.fem_lower_bound() / (1.0 - 0.1 * reach)
+        raise ValueError(f"center = {center!r} puts the FEM rho's probes below the bound; "
+                         f"the least center they admit is {least:.6g}") from None
+    return surrogate_error(FemMap(problem, f), probe_pairs(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +290,14 @@ def _run_surrogate_error(cfg: StudyConfig, rows: list):
 
 def source_target_a(prob, x0, f):
     """Target with a genuine source representation: prior offset equal to the
-    adjoint of a step load, scaled to a 0.2 amplitude."""
+    adjoint of a step load, scaled to a 0.2 amplitude.  A zero adjoint (a
+    zero load) raises DegenerateScale."""
     w = GridFunction(np.where(x0.nodes > 0.5, 1.0, 0.0))
     g = adjoint_apply(prob, x0, w, f)
-    return x0 + (0.2 / np.max(np.abs(g.values))) * g
+    peak = np.max(np.abs(g.values))
+    if peak == 0.0:
+        raise DegenerateScale("the source direction is zero (a zero load): no target")
+    return x0 + (0.2 / peak) * g
 
 
 def source_target_c(ls):
@@ -314,7 +327,7 @@ def _read_only(*grids: GridFunction):
 @lru_cache(maxsize=8)
 def _c_example_data(n_cells: int, n_train: int):
     """The seed-free part of the c-example, shared by every study of the
-    process with these sizes: (ls, xt, y_true, probe pairs), all read-only."""
+    process with these sizes: (ls, xt, y_true), all read-only."""
     prob = ProblemKind.C_EXAMPLE
     f = GridFunction.constant(C_LOAD, n_cells)
     x0 = GridFunction.constant(C_CENTER, n_cells)
@@ -322,20 +335,19 @@ def _c_example_data(n_cells: int, n_train: int):
     ls = build_linear_surrogate(ts)
     xt = source_target_c(ls)
     y_true = solve_forward_reference(prob, xt, f)
-    probes = probe_pairs(ts)
-    # the load and the center pair (x0 among them) are shared with ts and ls
-    _read_only(f, xt, y_true, *ls.basis, *ls.induced,
-               *(g for pair in ts.pairs + probes for g in pair))
-    return ls, xt, y_true, probes
+    # the load and x0 are shared with ls; the probes hold every pair after the center
+    _read_only(f, xt, y_true, *ls.basis, *ls.induced, *ls.center,
+               *(g for pair in ls.probes for g in pair))
+    return ls, xt, y_true
 
 
 def c_example_setup(cfg: StudyConfig) -> CExample:
-    """The c-example built from the config's sizes and seed; the diagnostics
-    are measured on ``probe_pairs`` of the training set (the unit modes at
-    amplitude 0.1 around x0, and their mix), each input solved once per
-    process.  Only the trunk fits depend on the seed."""
-    ls, xt, y_true, probes = _c_example_data(cfg.n_cells, cfg.n_train)
-    coeffs, diag = assemble_neural_surrogate(ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1, probes)
+    """The c-example built from the config's sizes and seed; its probe pairs
+    (the unit modes at amplitude 0.1 around x0, and their mix) are those of
+    ``ls``, each input solved once per process.  Only the trunk fits depend
+    on the seed."""
+    ls, xt, y_true = _c_example_data(cfg.n_cells, cfg.n_train)
+    coeffs, diag = assemble_neural_surrogate(ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1)
     return CExample(ls, xt, y_true, coeffs, diag)
 
 
@@ -359,7 +371,8 @@ def _run_reg_rate(cfg: StudyConfig, rows: list):
     else:
         ex = c_example_setup(cfg)
         x0, xt, y_true = ex.ls.center[0], ex.xt, ex.y_true
-        h, rho = surrogate_map(cfg.surrogate, ex.ls, ex.diag, ex.coeffs)
+        h = RankMap(ex.ls) if cfg.surrogate == "rank" else NeuralMap(ex.coeffs, ex.ls)
+        rho = surrogate_error(h, ex.ls.probes)
 
     runs = []
     for i, d in enumerate(deltas):

@@ -29,13 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateScale, NonAdmissibleCoefficient, Stalled
+from .errors import DegenerateScale, EmptyProbeSet, NonAdmissibleCoefficient, Stalled
 from .fem import ProblemKind, misfit_gradient_nodal, solve_forward_fem
 from .grid import (GridFunction, SpaceKind, _inner_nodal, gram_apply, gram_solve, norm,
                    trapezoid_weights)
 from .mollify import mollify, mollify_matrix
 from .neural import StructuredSurrogateCoeffs, eval_structured_with_gradient
-from .training import LinearSurrogate, SurrogateDiagnostics
+from .training import LinearSurrogate
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
@@ -67,6 +67,8 @@ class TikhonovConfig:
             if v < 0 or (v == 0 and name != "xi"):
                 word = "nonnegative" if name == "xi" else "positive"
                 raise ValueError(f"{name} must be {word}, not {v!r}")
+        if self.xi >= 0.5:
+            raise ValueError(f"xi must be in [0, 0.5), the widths that fit, not {self.xi!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, not {self.max_iterations!r}")
 
@@ -133,13 +135,10 @@ class RankMap(SurrogateHandle):
     __slots__ = ("ls",)
     label = "LinearRankN"
     problem = property(lambda self: self.ls.problem)
+    n_terms = property(lambda self: self.ls.n_terms)
 
     def __init__(self, ls: LinearSurrogate):
         self.ls = ls
-
-    @property
-    def n_terms(self) -> int:
-        return self.ls.n_terms
 
     def _evaluate(self, x: GridFunction):
         x0, y0 = self.ls.center
@@ -187,13 +186,10 @@ class NeuralMap(SurrogateHandle):
     __slots__ = ("coeffs", "ls")
     label = "NeuralOperator"
     problem = property(lambda self: self.ls.problem)
+    n_terms = property(lambda self: self.coeffs.n_terms)
 
     def __init__(self, coeffs: StructuredSurrogateCoeffs, ls: LinearSurrogate):
         self.coeffs, self.ls = coeffs, ls
-
-    @property
-    def n_terms(self) -> int:
-        return self.coeffs.n_terms
 
     def _evaluate(self, x: GridFunction):
         x0, y0 = self.ls.center
@@ -206,15 +202,14 @@ class NeuralMap(SurrogateHandle):
         return y0.values + out, pullback
 
 
-def surrogate_map(kind: str, ls: LinearSurrogate, diag: SurrogateDiagnostics,
-                  coeffs: StructuredSurrogateCoeffs | None):
-    """The ``"rank"`` or ``"neural"`` map of one build, paired with the
-    surrogate error rho that the parameter rule balances against the noise:
-    nu_N for the rank map, which has no sigmoid errors, and rho_bound for the
-    neural map built from ``coeffs``."""
-    if kind == "rank":
-        return RankMap(ls), diag.nu_N
-    return NeuralMap(coeffs, ls), diag.rho_bound
+def surrogate_error(h: SurrogateHandle, pairs) -> float:
+    """The surrogate error rho of the map h that the parameter rule balances
+    against the noise: the largest ||h.forward(x) - y||_L2 over the probe
+    pairs (x, y = F[x])."""
+    errors = [norm(h.forward(x) - y, SpaceKind.L2) for x, y in pairs]
+    if not errors:
+        raise EmptyProbeSet("need at least one probe pair")
+    return max(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +421,8 @@ def solve_inverse_problem(h: SurrogateHandle, rho: float, x0: GridFunction, x_tr
                           xi: float, max_iterations: int) -> RegularizationRun:
     """One regularized inversion, and the one place the parameter rule is
     applied: noise of level delta drawn from ``seed`` is added to the clean
-    data y_true, alpha = constant * max(delta, rho) and eta = alpha^2
+    data y_true, alpha = constant * max(delta, rho), rho the map's
+    ``surrogate_error``, and eta = alpha^2
     (``choose_parameters``), the functional is minimized from the prior x0
     in the space and bound of the map's problem, and the run is recorded
     with its X error against x_true.  ``runtime_ms`` times the minimization

@@ -140,16 +140,30 @@ class LinearSurrogate(NamedTuple):
     problem: ProblemKind  # its image space is the surrogate's input space
     center: tuple  # (x_hat0, y_hat0), the training center pair
     load: GridFunction  # the load the pairs were solved with
+    probes: tuple  # (x, F[x]) pairs that measure the error of a map: probe_pairs
 
     @property
     def n_terms(self) -> int:
         return len(self.basis)
 
 
+def probe_pairs(ts: TrainingSet) -> tuple:
+    """The training pairs after the center, and the center shifted by one
+    mix of their deviations with alternating signs, solved by the reference
+    solver: the mix is the only new input."""
+    x0 = ts.pairs[0][0]
+    mix = np.zeros_like(x0.values)
+    for j, (x, _) in enumerate(ts.pairs[1:]):
+        mix += (0.6 if j % 2 == 0 else -0.6) * (x.values - x0.values)
+    xm = GridFunction(x0.values + mix)
+    return ts.pairs[1:] + ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
+
+
 def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
     """Rank-N expansion of the training pairs around the center pair 0: the
     center is subtracted from each other pair, the input deviations are
-    orthonormalized, and the data deviations follow the same change of basis."""
+    orthonormalized, and the data deviations follow the same change of basis.
+    It carries the ``probe_pairs`` of the training set."""
     if ts.n_train < 1:
         raise DimensionMismatch("training set needs at least one non-center pair")
     x0, y0 = ts.pairs[0]
@@ -162,7 +176,8 @@ def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
         for i in range(j + 1):
             acc += transform[j, i] * ys[i].values
         induced.append(GridFunction(acc))
-    return LinearSurrogate(tuple(basis), tuple(induced), ts.problem, ts.pairs[0], ts.load)
+    return LinearSurrogate(tuple(basis), tuple(induced), ts.problem, ts.pairs[0], ts.load,
+                           probe_pairs(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +259,15 @@ class SurrogateDiagnostics(NamedTuple):
         return self.nu_N + self.n_terms * self.q_N * self.r_N
 
 
-def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
+def estimate_nu_N(ls: LinearSurrogate) -> float:
     """Largest ratio of the out-of-span data deviation to the input deviation.
 
-    For each probe pair (x, F[x]) the data deviation F[x] - F[x_center] is
-    projected off the span of the induced data functions; the ratio to
-    ||x - x_center|| in the surrogate space is maximized over the pairs.
-    Every x and F[x] lies on the mesh of the center pair.
+    For each probe pair (x, F[x]) of ``ls`` the data deviation F[x] -
+    F[x_center] is projected off the span of the induced data functions; the
+    ratio to ||x - x_center|| in the surrogate space is maximized over the
+    pairs.
     """
-    pairs = list(pairs)
-    if not pairs:
+    if not ls.probes:
         raise EmptyProbeSet("need at least one probe")
     x0, y0 = ls.center
     n_cells, space = y0.n_cells, ls.problem.image_space
@@ -262,9 +276,7 @@ def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
     q, _ = np.linalg.qr(span)
 
     worst = 0.0
-    for x, y in pairs:
-        x._check_mesh(x0.n_cells)
-        y._check_mesh(n_cells)
+    for x, y in ls.probes:
         e = x.values - x0.values
         dx = float(np.sqrt(_inner_nodal(e, e, space)))
         if dx < 1e-14:
@@ -275,25 +287,13 @@ def estimate_nu_N(ls: LinearSurrogate, pairs) -> float:
     return worst
 
 
-def probe_pairs(ts: TrainingSet) -> tuple:
-    """The training pairs after the center, and the center shifted by one
-    mix of their deviations with alternating signs, solved by the reference
-    solver: the mix is the only new input."""
-    x0 = ts.pairs[0][0]
-    mix = np.zeros_like(x0.values)
-    for j, (x, _) in enumerate(ts.pairs[1:]):
-        mix += (0.6 if j % 2 == 0 else -0.6) * (x.values - x0.values)
-    xm = GridFunction(x0.values + mix)
-    return ts.pairs[1:] + ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
-
-
-def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int, probes):
+def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int):
     """Branch/trunk realization of the rank-N surrogate with diagnostics.
 
     Output ell of the one near-linear branch network realizes the
     coefficient functional <x - center, basis_ell>, accurate to quadrature
     error everywhere, and is paired with a trunk fitted to the induced data
-    function.  q_N and nu_N are measured on the solved probe pairs (x, F[x]).
+    function.  q_N and nu_N are measured on the probe pairs of ``ls``.
     Returns (coefficients, diagnostics).
     """
     x0, space = ls.center[0], ls.problem.image_space
@@ -304,14 +304,12 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
                               for ell, yb in enumerate(ls.induced)))
     coeffs = StructuredSurrogateCoeffs(branch, trunks, t)
 
-    probes = list(probes)
     q_n = 0.0
-    for x, _ in probes:
-        x._check_mesh(x0.n_cells)
+    for x, _ in ls.probes:
         e = x.values - x0.values
         outputs = eval_branch(branch, x.sample(t))
         for b, xb in zip(outputs.tolist(), ls.basis):
             q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, space)))
 
-    return coeffs, SurrogateDiagnostics(estimate_nu_N(ls, probes), q_n, max(residuals),
+    return coeffs, SurrogateDiagnostics(estimate_nu_N(ls), q_n, max(residuals),
                                         ls.n_terms)

@@ -23,13 +23,16 @@ from invop.studies import (
     run_study,
 )
 from invop.tikhonov import (
+    RUN_COLUMNS,
     FemMap,
     NeuralMap,
     RankMap,
     TikhonovConfig,
+    add_noise,
+    choose_parameters,
     minimize_tikhonov,
     solve_inverse_problem,
-    surrogate_map,
+    surrogate_error,
     tikhonov_value_and_gradient,
 )
 from invop.training import (
@@ -39,7 +42,6 @@ from invop.training import (
     build_linear_surrogate,
     generate_training_set,
     perturbation_shape,
-    probe_pairs,
 )
 
 A = ProblemKind.A_EXAMPLE
@@ -83,7 +85,8 @@ def test_criterion_3_regularization_rate_c_example(c_surrogate):
 
     # additive smoothing term: errors at two widths differ by <= 3x the gap
     s = c_surrogate
-    h, rho = surrogate_map("neural", s.ls, s.diag, s.coeffs)
+    h = NeuralMap(s.coeffs, s.ls)
+    rho = surrogate_error(h, s.ls.probes)
     y_true = solve_forward_reference(C, s.xt, s.ls.load)
     errs = [solve_inverse_problem(h, rho, s.ls.center[0], s.xt, y_true, deltas[2], 205, 0.15,
                                   xi_k, 20000).error_X for xi_k in (1e-4, 2e-4)]
@@ -143,10 +146,8 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     # diagnostics measured on an independent probe sample
     rng = np.random.default_rng(999)
     diag_probes = [draw(rng) for _ in range(32)]
-    coeffs, diag = assemble_neural_surrogate(
-        ls, 512, 14, seed=1,
-        probes=[(x, solve_forward_reference(C, x, f)) for x in diag_probes],
-    )
+    probes = tuple((x, solve_forward_reference(C, x, f)) for x in diag_probes)
+    coeffs, diag = assemble_neural_surrogate(ls._replace(probes=probes), 512, 14, seed=1)
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
 
     h = NeuralMap(coeffs, ls)
@@ -159,6 +160,36 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
             err = norm(h.forward(x) - solve_forward_reference(C, x, f), SpaceKind.L2)
             worst = max(worst, err)
     assert worst <= bound, (worst, bound)
+
+
+@pytest.mark.parametrize("kind", ["rank", "neural"])
+def test_measured_rho_bounds_the_map_error_where_the_solutions_lie(kind):
+    """The rho the parameter rule balances, the map's largest L2 error over
+    the probe pairs of its build, bounds ||F_N(x) - F[x]||_L2 at the target
+    and at each minimizer of criterion 3's study (seed 100), and at the
+    minimizers' mollified inputs, which the map evaluates.  Measured: rho
+    1.383e-4 (rank) and 1.388e-4 (neural) against at most 1.272e-4 and
+    1.286e-4."""
+    deltas = tuple(0.1 * 2.0 ** (-k) for k in range(3, 9))
+    cfg = StudyConfig("reg_rate", problem="c", surrogate=kind, n_cells=256, ladder=deltas,
+                      constant=0.15, xi=1e-4, seed=100)
+    rows = run_study(cfg).rows
+    ex = c_example_setup(cfg)
+    x0, f = ex.ls.center[0], ex.ls.load
+    h = RankMap(ex.ls) if kind == "rank" else NeuralMap(ex.coeffs, ex.ls)
+    rho = surrogate_error(h, ex.ls.probes)
+    inputs = [ex.xt]
+    for i, (delta, row) in enumerate(zip(deltas, rows)):
+        alpha, eta = choose_parameters(delta, rho, cfg.constant)
+        x = minimize_tikhonov(h, add_noise(ex.y_true, delta, cfg.seed + 100 + i),
+                              TikhonovConfig(alpha, eta, cfg.xi, x0, cfg.max_iterations)).x
+        # the study's own minimizer, rebuilt
+        assert norm(x - ex.xt, SpaceKind.L2) == float(row.split(",")[
+            RUN_COLUMNS.index("error_X")])
+        inputs += [x, mollify(x, cfg.xi)]
+    errors = [norm(h.forward(x) - solve_forward_reference(C, x, f), SpaceKind.L2)
+              for x in inputs]
+    assert max(errors) <= rho, (max(errors), rho)
 
 
 def test_criterion_7_mollification_properties():
@@ -188,7 +219,7 @@ def test_criterion_8_optimization_soundness():
     x0 = GridFunction.constant(1.0, n)
     ts = generate_training_set(C, f, x0, PerturbationSpec(0.1, 4))
     ls = build_linear_surrogate(ts)
-    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, seed=1, probes=probe_pairs(ts))
+    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, seed=1)
     h_rank = RankMap(ls)
 
     # closed-form minimizer of the exactly-quadratic rank functional:

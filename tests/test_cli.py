@@ -11,9 +11,10 @@ from invop.fem import ProblemKind, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, norm
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
 from invop.studies import StudyConfig, fem_rho, source_target_a
-from invop.tikhonov import (FemMap, NeuralMap, RegularizationRun, SurrogateHandle,
-                            TikhonovConfig, add_noise, choose_parameters, minimize_tikhonov)
-from invop.training import assemble_neural_surrogate, build_linear_surrogate, probe_pairs
+from invop.tikhonov import (FemMap, NeuralMap, RankMap, RegularizationRun, SurrogateHandle,
+                            TikhonovConfig, add_noise, choose_parameters, minimize_tikhonov,
+                            surrogate_error)
+from invop.training import assemble_neural_surrogate, build_linear_surrogate
 
 
 def _write(path, text):
@@ -195,9 +196,9 @@ def test_build_diagnostics_match_fresh_probe_solves(tmp_path):
     from solving every probe input again, bit for bit."""
     surr_path = _small_surrogate(tmp_path)
     _, stored = load_linear_surrogate(str(surr_path) + ".rank")
-    ts = load_training_set(tmp_path / "train.txt")
-    fresh = [(x, solve_forward_reference(ts.problem, x, ts.load)) for x, _ in probe_pairs(ts)]
-    _, diag = assemble_neural_surrogate(build_linear_surrogate(ts), 32, 4, 1, fresh)
+    ls = build_linear_surrogate(load_training_set(tmp_path / "train.txt"))
+    fresh = tuple((x, solve_forward_reference(ls.problem, x, ls.load)) for x, _ in ls.probes)
+    _, diag = assemble_neural_surrogate(ls._replace(probes=fresh), 32, 4, 1)
     assert stored.nu_N > 0.0
     assert (stored.nu_N, stored.q_N, stored.rho_bound) == (diag.nu_N, diag.q_N, diag.rho_bound)
 
@@ -457,14 +458,16 @@ max_iterations = 20
 
 
 def test_solve_uses_surrogate_error_from_build(tmp_path):
+    # rho is the loaded map's largest L2 error over the probe pairs the build
+    # stored; the recorded nu_N and rho_bound do not enter the rule
     surr_path = _small_surrogate(tmp_path)
-    _, diag = load_linear_surrogate(str(surr_path) + ".rank")
-    assert diag.nu_N > 0.0
-    assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
+    ls, diag = load_linear_surrogate(str(surr_path) + ".rank")
     delta = 1e-7
-    assert diag.nu_N > delta  # so alpha = constant * rho, not constant * delta
-    # the rank map's error is nu_N; the sigmoid map adds its branch and trunk errors
-    for kind, rho in (("rank", diag.nu_N), ("neural", diag.rho_bound)):
+    rhos = {"rank": surrogate_error(RankMap(ls), ls.probes),
+            "neural": surrogate_error(NeuralMap(load_structured(surr_path), ls), ls.probes)}
+    assert min(rhos.values()) > delta  # so alpha = constant * rho, not constant * delta
+    assert diag.nu_N not in rhos.values() and diag.rho_bound not in rhos.values()
+    for kind, rho in rhos.items():
         out = tmp_path / f"{kind}.csv"
         assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, delta),
                          "--out", str(out), "--quiet"]) == 0
@@ -480,6 +483,18 @@ def test_solve_without_stored_diagnostics_names_field(tmp_path, capsys):
     assert cli_main(["solve", "--config", _small_solve(tmp_path, "rank", surr_path, 1e-3),
                      "--quiet"]) == 1
     assert "'nu_N'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["rank", "neural"])
+def test_solve_on_a_rank_file_without_probe_pairs_asks_for_a_rebuild(tmp_path, capsys, kind):
+    # a file from before the expansion carried the probe pairs that measure rho
+    surr_path = _small_surrogate(tmp_path)
+    edit(tmp_path / "surr.txt.rank", {"probes.x": None, "probes.y": None})
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "surr.txt.rank: missing field 'probes.x'" in err and "rebuild" in err, err
 
 
 def test_stale_surrogate_file_exits_one(tmp_path, capsys):
@@ -660,6 +675,19 @@ max_iterations = 50
     assert alpha == 0.5 * fem_rho(prob, 16, 2.0, 1.0)
 
 
+def test_fem_solve_with_a_center_too_near_the_bound_for_rho_names_center(tmp_path, capsys):
+    # the FEM rho perturbs the center by up to 0.1 sqrt(2) of itself; this
+    # exited 2 with NonAdmissiblePerturbation about probes nobody configured
+    cfg = _write(tmp_path / "solve.cfg", "[solve]\nproblem = a\nsurrogate = fem\n"
+                 "n_cells = 32\ncenter = 0.11\nmax_iterations = 50\n")
+    out = tmp_path / "run.csv"
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: center = 0.11 ") and "least center" in err, err
+    assert "0.116472" in err and not out.exists()
+
+
 def test_fem_solve_near_the_admissibility_bound_runs(tmp_path):
     # rho's probes scale with the center, so they stay above nu = 0.1 too
     cfg = _write(tmp_path / "solve.cfg", "[solve]\nproblem = a\nsurrogate = fem\n"
@@ -751,7 +779,8 @@ def test_rank_file_grids_on_different_meshes_exit_one(tmp_path, capsys, kind):
     assert cli_main(["solve", "--config", _small_solve(tmp_path, kind, surr_path, 1e-3),
                      "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert f"{rank_path}: fields load, basis, induced, center lie on different meshes" in err
+    assert (f"{rank_path}: fields load, basis, induced, center, probes.x, probes.y lie on "
+            "different meshes") in err
     assert "Traceback" not in err
 
 

@@ -207,7 +207,7 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
     n = 16
     center = (GridFunction.constant(1.0, n), GridFunction.constant(0.0, n))
     # an expansion of its center pair alone: the map reads nothing else of it
-    ls = LinearSurrogate((), (), ProblemKind.C_EXAMPLE, center, center[1])
+    ls = LinearSurrogate((), (), ProblemKind.C_EXAMPLE, center, center[1], ())
     x = GridFunction(1.0 + 0.1 * rng.standard_normal(n + 1))
     calls = []
 

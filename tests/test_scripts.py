@@ -2,6 +2,7 @@ import ast
 import ctypes
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -103,6 +104,23 @@ def test_scripts_import_only_public_names():
                 assert not private, (path.name, node.module, private)
 
 
+def test_bench_record_counts_the_source_lines_as_wc_does(tmp_path, monkeypatch):
+    # the record carries the src/ line count beside the benchmark; the
+    # perfbench runs and the test suite are stubbed out here
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    stub = {"result": {"metrics": {}}, "report": {"environment": {}}}
+    monkeypatch.setattr(record, "_perfbench", lambda *args: stub)
+    monkeypatch.setattr(record, "_tier1", lambda checkout: {"summary": "", "wall_s": 0.0})
+    out = tmp_path / "BENCH_test.json"
+    assert record.main(["test", "--out", str(out)]) == 0
+    sources = sorted(str(p) for p in (ROOT / "src" / "invop").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *sources], capture_output=True, text=True, check=True)
+    total = int(wc.stdout.splitlines()[-1].split()[0])
+    assert json.loads(out.read_text())["src_lines"] == total > 0
+
+
 def test_benchmark_tracer_hooks_hold():
     # perfbench/tracing.py wraps SurrogateHandle.forward and
     # .misfit_and_gradient by name; a map that overrides either one would
@@ -159,7 +177,8 @@ def test_neural_kernel_traced_once_per_map_call():
     n = 8
     center = (GridFunction.constant(1.0, n), GridFunction.constant(0.0, n))
     # an expansion of its center pair alone: the map reads nothing else of it
-    h = NeuralMap(coeffs, LinearSurrogate((), (), ProblemKind.C_EXAMPLE, center, center[1]))
+    h = NeuralMap(coeffs, LinearSurrogate((), (), ProblemKind.C_EXAMPLE, center, center[1],
+                                                ()))
     x = GridFunction.constant(1.1, n)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer, {}):

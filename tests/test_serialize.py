@@ -22,7 +22,6 @@ from invop.training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
-    probe_pairs,
 )
 
 C = ProblemKind.C_EXAMPLE
@@ -35,7 +34,7 @@ def pipeline():
     x0 = GridFunction.constant(1.0, N)
     ts = generate_training_set(C, f, x0, PerturbationSpec(0.1, 3))
     ls = build_linear_surrogate(ts)
-    coeffs, diag = assemble_neural_surrogate(ls, 96, 10, seed=1, probes=probe_pairs(ts))
+    coeffs, diag = assemble_neural_surrogate(ls, 96, 10, seed=1)
     return ts, ls, coeffs, diag
 
 
@@ -61,6 +60,21 @@ def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
     for b, b2 in zip(ls.basis + ls.induced, ls2.basis + ls2.induced):
         assert np.array_equal(b.values, b2.values)
     assert np.array_equal(ls.center[0].values, ls2.center[0].values)
+    # the probe pairs, which measure the rho of the maps built on the file
+    assert len(ls2.probes) == len(ls.probes) == 4
+    for pair, pair2 in zip(ls.probes, ls2.probes):
+        for g, g2 in zip(pair, pair2):
+            assert np.array_equal(g.values, g2.values)
+
+
+def test_rank_file_without_probe_pairs_names_the_field(pipeline, tmp_path):
+    # a file written before the expansion carried its probe pairs
+    _, ls, _, diag = pipeline
+    p = tmp_path / "ls.txt"
+    save_linear_surrogate(p, ls, diag)
+    edit(p, {"probes.x": None, "probes.y": None})
+    with pytest.raises(ConfigInvalid, match=r"ls\.txt: missing field 'probes\.x'.*rebuild"):
+        load_linear_surrogate(p)
 
 
 def test_perturbation_count_is_the_pair_count(pipeline, tmp_path):
@@ -121,8 +135,8 @@ def test_files_hold_one_stacked_array_per_field(pipeline, tmp_path):
     training = {"kind": one, "problem": one, "load": grid, "x": (pairs, N + 1),
                 "y": (pairs, N + 1)}
     rank = {"kind": one, "problem": one, "load": grid, "basis": (terms, N + 1),
-            "induced": (terms, N + 1), "center": (2, N + 1), "nu_N": one, "q_N": one,
-            "r_N": one}
+            "induced": (terms, N + 1), "center": (2, N + 1), "probes.x": (pairs, N + 1),
+            "probes.y": (pairs, N + 1), "nu_N": one, "q_N": one, "r_N": one}
     structured = {"kind": one, "s_points": (97,), "branch.c": (terms, 98), "branch.w": (97,),
                   "branch.theta": (98,), "trunk.c": (terms, n_j), "trunk.w": (terms, n_j),
                   "trunk.zeta": (terms, n_j)}
@@ -262,8 +276,8 @@ def test_grids_on_different_meshes_rejected(pipeline, tmp_path):
     q = tmp_path / "ls.txt"
     save_linear_surrogate(q, ls, diag)
     edit(q, {"load": np.ones(2 * N + 1)})
-    with pytest.raises(ConfigInvalid, match=r"ls\.txt: fields load, basis, induced, center "
-                                            r"lie on different meshes"):
+    with pytest.raises(ConfigInvalid, match=r"ls\.txt: fields load, basis, induced, center, "
+                                            r"probes\.x, probes\.y lie on different meshes"):
         load_linear_surrogate(q)
 
 
@@ -271,6 +285,7 @@ _DISAGREE = [
     ("y", lambda a: a[:-1], r"fields x, y disagree in shape"),
     ("center", lambda a: a[:1], r"field 'center' holds shape \(1, 65\)"),
     ("induced", lambda a: a[:, :-1], r"fields basis, induced disagree in shape"),
+    ("probes.y", lambda a: a[:2], r"fields probes\.x, probes\.y disagree in shape"),
     ("trunk.w", lambda a: a[:, :-1], r"fields trunk\.c, trunk\.w, trunk\.zeta disagree"),
     ("branch.theta", lambda a: a[:-1], r"fields branch\.\*"),
 ]
@@ -282,6 +297,7 @@ def test_fields_whose_shapes_disagree_name_them(pipeline, tmp_path, name, value,
     saves = {"y": (save_training_set, load_training_set, (ts,)),
              "center": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
              "induced": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
+             "probes.y": (save_linear_surrogate, load_linear_surrogate, (ls, diag)),
              "trunk.w": (save_structured, load_structured, (coeffs,)),
              "branch.theta": (save_structured, load_structured, (coeffs,))}
     save, load, args = saves[name]

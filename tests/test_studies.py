@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import invop
 import invop.studies as studies
-from invop.errors import ConfigInvalid, DegenerateFit
+from invop.errors import ConfigInvalid, DegenerateFit, DegenerateScale
 from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, norm
 from invop.studies import (
@@ -180,6 +181,38 @@ def test_fem_rho_within_100x_of_the_nodal_error_at_the_target():
         assert err <= fem_rho(A, n, 1.0, 1.0) <= 100.0 * err, n
 
 
+@pytest.mark.parametrize("problem,n,load", [(A, 16, 1.0), (A, 256, 1.0),
+                                            (ProblemKind.C_EXAMPLE, 64, 50.0)])
+def test_fem_rho_keeps_the_bits_of_its_probe_maximum(problem, n, load):
+    # the FEM map's surrogate_error on the probe pairs is the largest L2 error
+    # of the Galerkin solve over them, as fem_rho computed it by hand before
+    f, x0 = GridFunction.constant(load, n), GridFunction.constant(1.0, n)
+    ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1, 6))
+    expect = max(norm(solve_forward_fem(problem, x, f) - y, SpaceKind.L2)
+                 for x, y in probe_pairs(ts))
+    assert fem_rho(problem, n, load, 1.0) == expect
+
+
+@pytest.mark.parametrize("center", [0.1, 0.11, 0.1164])
+def test_fem_rho_of_a_center_near_the_bound_names_the_least_center(center):
+    # the probes reach 0.1 sqrt(2) center below the center, so on a mesh with
+    # a node at s = 3/4 they stay above nu = 0.1 from 0.1 / (1 - 0.1 sqrt(2)) on
+    least = 0.1 / (1.0 - 0.1 * np.sqrt(2.0))
+    with pytest.raises(ValueError, match=rf"^center = {center!r} .* least center they "
+                                         rf"admit is {least:.6g}$"):
+        fem_rho(A, 32, 1.0, center)
+    assert fem_rho(A, 32, 1.0, float(f"{least:.6g}")) > 0.0
+
+
+def test_source_target_of_a_zero_load_raises_degenerate_scale():
+    # the adjoint of zero data is zero, and 0.2 / max|g| was a division by zero
+    x0 = GridFunction.constant(1.0, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateScale, match="source direction is zero"):
+            source_target_a(A, x0, GridFunction.constant(0.0, 16))
+
+
 def test_csv_written_and_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_study(StudyConfig("fem_rate", out=str(out1)))
@@ -295,19 +328,17 @@ def test_array_ladder_gives_the_table_of_the_equal_tuple():
 
 
 def test_c_example_diagnostics_match_fresh_probe_solves():
-    """The diagnostics from the training set's probe pairs equal those from
+    """The diagnostics from the expansion's probe pairs equal those from
     solving the same probe inputs again, bit for bit; the target is no probe."""
     cfg = StudyConfig("reg_rate", problem="c", surrogate="neural", seed=100)
     ex = c_example_setup(cfg)
     ls = ex.ls
-    ts = generate_training_set(ls.problem, ls.load, ls.center[0],
-                               PerturbationSpec(0.1, cfg.n_train))
-    _, diag = assemble_neural_surrogate(
-        ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1,
-        [(x, solve_forward_reference(ls.problem, x, ls.load)) for x, _ in probe_pairs(ts)],
-    )
+    fresh = tuple((x, solve_forward_reference(ls.problem, x, ls.load)) for x, _ in ls.probes)
+    _, diag = assemble_neural_surrogate(ls._replace(probes=fresh), cfg.n_quad, cfg.n_trunk,
+                                        cfg.seed + 1)
     assert ex.diag.nu_N > 0.0
     assert ex.diag == diag
+    assert not any(np.array_equal(x.values, ex.xt.values) for x, _ in ls.probes)
 
 
 def test_abort_preserves_partial_rows(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import invop.fem
 import invop.tikhonov
 from invop.config import load_config, study_config
-from invop.errors import DegenerateScale, DimensionMismatch, NonAdmissibleCoefficient
+from invop.errors import DegenerateScale, DimensionMismatch, EmptyProbeSet, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm
 from invop import studies
@@ -29,7 +29,7 @@ from invop.tikhonov import (
     choose_parameters,
     minimize_tikhonov,
     solve_inverse_problem,
-    surrogate_map,
+    surrogate_error,
     tikhonov_value_and_gradient,
 )
 from invop.training import (
@@ -37,7 +37,6 @@ from invop.training import (
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
-    probe_pairs,
 )
 
 A = ProblemKind.A_EXAMPLE
@@ -53,7 +52,7 @@ def handles():
     x0 = GridFunction.constant(1.0, N)
     ts = generate_training_set(C, f, x0, PerturbationSpec(0.1, 4))
     ls = build_linear_surrogate(ts)
-    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, seed=1, probes=probe_pairs(ts))
+    coeffs, diag = assemble_neural_surrogate(ls, 192, 12, seed=1)
     return {
         "fem": FemMap(C, f),
         "rank": RankMap(ls),
@@ -150,6 +149,19 @@ def test_choose_parameters_degenerate():
         choose_parameters(0.0, 0.0)
 
 
+@pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
+def test_surrogate_error_is_the_largest_l2_error_over_the_pairs(handles, kind):
+    h, pairs = handles[kind], handles["ls"].probes
+    errors = [norm(h.forward(x) - y, SpaceKind.L2) for x, y in pairs]
+    assert surrogate_error(h, pairs) == max(errors) > 0.0
+    assert surrogate_error(h, pairs[:1]) == errors[0]
+
+
+def test_surrogate_error_over_no_pairs_raises_empty_probe_set(handles):
+    with pytest.raises(EmptyProbeSet):
+        surrogate_error(handles["rank"], ())
+
+
 # -- functional and gradient ------------------------------------------------
 
 
@@ -165,6 +177,14 @@ def _config(x0, **kw):
 def test_config_range_error_names_its_one_field(key, value, word):
     with pytest.raises(ValueError, match=rf"^{key} must be {word}, not {value!r}$"):
         _config(GridFunction.constant(1.0, 16), **{key: value})
+
+
+def test_config_rejects_a_mollifier_width_of_half_or_more():
+    # the unit interval holds no wider kernel; it failed only at the first
+    # evaluation, with WidthTooLarge from inside mollify_matrix
+    with pytest.raises(ValueError, match=r"^xi must be in \[0, 0\.5\), the widths that fit, "
+                                         r"not 0\.6$"):
+        TikhonovConfig(alpha=1e-3, eta=1e-6, xi=0.6, x0=GridFunction.constant(1.0, 16))
 
 
 @pytest.mark.parametrize("key", ["alpha", "eta", "xi"])
@@ -530,11 +550,12 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     delta = study.ladder[i]
     yd = add_noise(solve_forward_reference(C, ex.xt, ex.ls.load), delta,
                    study.seed + 100 + i)
-    alpha, eta = choose_parameters(delta, ex.diag.nu_N, study.constant)
+    h = RankMap(ex.ls)
+    alpha, eta = choose_parameters(delta, surrogate_error(h, ex.ls.probes), study.constant)
     cfg = _config(ex.ls.center[0], alpha=alpha, eta=eta, xi=study.xi,
                   max_iterations=study.max_iterations)
     calls = _count_gradients(monkeypatch)
-    res = minimize_tikhonov(RankMap(ex.ls), yd, cfg)
+    res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.status == "converged"
     assert res.certificate.iterations == 1
     assert len(calls) == 2
@@ -560,7 +581,8 @@ def test_c_rank_map_solves_the_c_problem():
     # the map brings its problem, so a c-example rank map solves in L2 with
     # the c bound and records c; given the a-example's H1, error_X read 0.197
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="rank"))
-    h, rho = surrogate_map("rank", ex.ls, ex.diag, ex.coeffs)
+    h = RankMap(ex.ls)
+    rho = surrogate_error(h, ex.ls.probes)
     assert h.problem is C and NeuralMap(ex.coeffs, ex.ls).problem is C
     run = solve_inverse_problem(h, rho, ex.ls.center[0], ex.xt, ex.y_true, 1e-3, 7, 0.15,
                                 1e-4, 20000)
@@ -574,12 +596,8 @@ def test_entry_point_row_is_the_hand_built_row(handles, kind):
     # map's own rho, solves in the problem's space and measures the error
     # against x_true: its row is that of the steps taken by hand, bit for bit
     # apart from the runtime
-    x0, diag = handles["x0"], handles["diag"]
-    if kind == "fem":
-        h, rho = handles["fem"], 1e-5
-    else:
-        h, rho = surrogate_map(kind, handles["ls"], diag, handles["coeffs"])
-        assert rho == (diag.nu_N if kind == "rank" else diag.rho_bound)
+    x0, h = handles["x0"], handles[kind]
+    rho = surrogate_error(h, handles["ls"].probes)
     xt = GridFunction(x0.values + 0.02 * np.sin(np.pi * x0.nodes))
     y_true = handles["fem"].forward(xt)
     delta, seed, constant, xi, budget = 1e-3, 3, 0.15, 1e-2, 40

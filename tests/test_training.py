@@ -163,23 +163,28 @@ def test_trunk_fit_raises_when_overparameterized(c_setup):
 
 def test_assembled_surrogate_diagnostics_identity(c_setup):
     f, x0, ts, ls = c_setup
-    modes = [perturbation_shape(l, N) for l in range(1, 6)]
-    probes = [x0 + 0.1 * m for m in modes]
-    coeffs, diag = assemble_neural_surrogate(
-        ls, 256, 12, seed=1,
-        probes=[(x, solve_forward_reference(C, x, f)) for x in probes],
-    )
+    xs = [x0 + 0.1 * perturbation_shape(l, N) for l in range(1, 6)]
+    probes = tuple((x, solve_forward_reference(C, x, f)) for x in xs)
+    coeffs, diag = assemble_neural_surrogate(ls._replace(probes=probes), 256, 12, seed=1)
     assert diag.n_terms == ls.n_terms
     assert diag.rho_bound == diag.nu_N + diag.n_terms * diag.q_N * diag.r_N
     assert diag.q_N < 1e-3
     assert diag.r_N < 1e-2
 
 
+def test_build_carries_the_probe_pairs(c_setup):
+    # the training pairs after the center, then the one solved mix of them
+    f, x0, ts, ls = c_setup
+    assert ls.probes[:-1] == ts.pairs[1:] and len(ls.probes) == ts.n_train + 1
+    xm, ym = ls.probes[-1]
+    assert np.array_equal(ym.values, solve_forward_reference(C, xm, f).values)
+
+
 def test_assembly_without_probes_raises_empty_probe_set(c_setup):
     # nu_N is a maximum over the probe pairs, which has no value over none
     _, _, _, ls = c_setup
     with pytest.raises(EmptyProbeSet):
-        assemble_neural_surrogate(ls, 256, 12, seed=1, probes=[])
+        assemble_neural_surrogate(ls._replace(probes=()), 256, 12, seed=1)
 
 
 def test_rho_bound_is_derived_from_the_measured_errors():
@@ -194,10 +199,8 @@ def test_linearized_branch_accuracy_both_spaces():
         x0 = GridFunction.constant(1.0, N)
         ts = generate_training_set(prob, f, x0, PerturbationSpec(0.05, 3))
         ls = build_linear_surrogate(ts)
-        probes = [x0 + 0.05 * perturbation_shape(l, N) for l in range(1, 4)]
-        coeffs, diag = assemble_neural_surrogate(
-            ls, 256, 12, seed=1,
-            probes=[(x, solve_forward_reference(prob, x, f)) for x in probes],
-        )
+        xs = [x0 + 0.05 * perturbation_shape(l, N) for l in range(1, 4)]
+        probes = tuple((x, solve_forward_reference(prob, x, f)) for x in xs)
+        coeffs, diag = assemble_neural_surrogate(ls._replace(probes=probes), 256, 12, seed=1)
         # dominated by resampling the probe onto the finer sample submesh
         assert diag.q_N < 1e-4, (prob, diag.q_N)
