@@ -3,7 +3,9 @@
 
 Generates training pairs, orthonormalizes them into the rank-N expansion,
 assembles the sigmoid branch/trunk surrogate, prints its diagnostics, and
-solves one noisy inversion with each of the three forward maps.
+solves one noisy inversion with each of the three forward maps.  Each row
+ends with the map's own surrogate error rho, the one that the parameter
+rule balances against delta; the diagnostics line is the build's record.
 
 Usage: python scripts/surrogate_pipeline.py [delta]
 """
@@ -22,12 +24,12 @@ def main():
     print(f"diagnostics: nu_N={diag.nu_N:.3e}  q_N={diag.q_N:.3e}  "
           f"r_N={diag.r_N:.3e}  rho_bound={diag.rho_bound:.3e}")
 
-    print(",".join(RUN_COLUMNS))
+    print(",".join(RUN_COLUMNS + ("rho",)))
     for h in (FemMap(ls.problem, ls.load), RankMap(ls), NeuralMap(ex.coeffs, ls)):
         # each map's own surrogate error, on the probe pairs of the build
         rho = surrogate_error(h, ls.probes)
         run = solve_inverse_problem(h, rho, x0, ex.xt, ex.y_true, delta, 7, 0.15, 1e-4, 20000)
-        print(run.csv_row())
+        print(f"{run.csv_row()},{rho:.17g}")
 
 
 if __name__ == "__main__":

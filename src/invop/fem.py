@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonAdmissibleCoefficient
-from .grid import GridFunction, SpaceKind, _ldl_factor, _ldl_solve, gram_solve, trapezoid_weights
+from .grid import (GridFunction, SpaceKind, _ldl_factor, _ldl_solve, gram_apply, gram_solve,
+                   trapezoid_weights)
 
 REFERENCE_CELLS = 4096
 
@@ -119,9 +120,14 @@ def solve_forward_fem(kind: ProblemKind, x: GridFunction, f: GridFunction) -> Gr
         raise ValueError("need at least 2 cells")
     f._check_mesh(n)
     _check_admissible(kind, x)
-    y = np.zeros(n + 1)
-    y[1:-1] = _galerkin_solve(kind, x.values, _load_vector(f.values, 1.0 / n))
-    return GridFunction(y)
+    return GridFunction(_forward_nodal(kind, x.values, f.values))
+
+
+def _forward_nodal(kind: ProblemKind, xv: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """solve_forward_fem on nodal arrays that the caller has checked."""
+    y = np.zeros(xv.size)
+    y[1:-1] = _galerkin_solve(kind, xv, _load_vector(fv, 1.0 / (xv.size - 1)))
+    return y
 
 
 def solve_forward_reference(kind: ProblemKind, x: GridFunction, f: GridFunction) -> GridFunction:
@@ -137,18 +143,27 @@ def derivative_apply(kind: ProblemKind, x: GridFunction, hdir: GridFunction,
                      f: GridFunction) -> GridFunction:
     """Directional derivative of the FEM forward map at x in direction hdir,
     which lies on the mesh of x."""
-    n = x.n_cells
-    hdir._check_mesh(n)
+    hdir._check_mesh(x.n_cells)
     y = solve_forward_fem(kind, x, f)
-    h = 1.0 / n
+    return GridFunction(derivative_nodal(kind, x.values, y.values, hdir.values))
+
+
+def derivative_nodal(kind: ProblemKind, xv: np.ndarray, yv: np.ndarray,
+                     hv: np.ndarray) -> np.ndarray:
+    """Array kernel of derivative_apply, the partner of misfit_gradient_nodal.
+
+    Takes nodal values on one mesh: the coefficient xv, the solution yv of
+    solve_forward_fem(kind, x, f), which checked x, and the direction hv.
+    Returns the nodal values of F'[x] hv.
+    """
+    h = 1.0 / (xv.size - 1)
     if kind is ProblemKind.A_EXAMPLE:
-        p_main, p_off = _stiffness_bands(hdir.values, h)
+        p_main, p_off = _stiffness_bands(hv, h)
     else:
-        p_main, p_off = _mass_bands(hdir.values, h)
-    rhs = -_tridiag_apply(p_main, p_off, y.values[1:-1])
-    u = np.zeros(n + 1)
-    u[1:-1] = _galerkin_solve(kind, x.values, rhs)
-    return GridFunction(u)
+        p_main, p_off = _mass_bands(hv, h)
+    u = np.zeros(xv.size)
+    u[1:-1] = _galerkin_solve(kind, xv, -_tridiag_apply(p_main, p_off, yv[1:-1]))
+    return u
 
 
 def adjoint_apply(kind: ProblemKind, x: GridFunction, r: GridFunction,
@@ -197,3 +212,35 @@ def misfit_gradient_nodal(kind: ProblemKind, xv: np.ndarray, yv: np.ndarray,
         z[:-1] += left
         z[1:] += right
     return -z
+
+
+def gauss_newton_directions(kind: ProblemKind, xv: np.ndarray, fv: np.ndarray, steps: int):
+    """X-orthonormal nodal directions b_i and their images J b_i, J = F'[x]
+    at the nodal coefficient xv, which solve_forward_fem has checked, with
+    the load fv on its mesh.
+
+    The b_i span the Krylov space of ``steps`` Lanczos steps (at most one per
+    nodal value) on the Gauss-Newton operator G^-1 J^T W J (W the trapezoid
+    weights, G the Gram matrix of X), which is self-adjoint in X, so they
+    hold its leading eigendirections.  The start is the node coordinate s,
+    which is neither even nor odd about 1/2: a start of either parity misses
+    the other half of the eigendirections of a problem symmetric about 1/2.
+    Each step costs one derivative, one adjoint and one Gram solve.  The
+    steps stop early where J^T W J vanishes (a zero load).
+    """
+    space = kind.image_space
+    yv = _forward_nodal(kind, xv, fv)
+    q, basis, images = np.linspace(0.0, 1.0, xv.size), [], []
+    while len(basis) < min(steps, xv.size):
+        size = float(np.sqrt(q @ gram_apply(q, space)))
+        if not size > 0:
+            break
+        q = q / size
+        basis.append(q)
+        images.append(derivative_nodal(kind, xv, yv, q))
+        q = gram_solve(misfit_gradient_nodal(kind, xv, yv, images[-1]), space)
+        # twice: on a mesh of fewer than steps cells the last q is rounding
+        # error, which one pass leaves far from orthogonal
+        for b in basis + basis:
+            q = q - (b @ gram_apply(q, space)) * b
+    return basis, images

@@ -8,9 +8,11 @@ the direct FEM solve; ``RankMap``, the rank-N linear expansion;
 Minimization is limited-memory BFGS (the two-loop recursion of Liu &
 Nocedal, 1989) with every inner product taken in the X metric, projected
 onto x >= nu, with a monotone backtracking line search.  Its initial
-matrix is the map's exact inverse Hessian where the map has one (the
-rank map, whose functional is quadratic: one Newton step reaches the
-minimizer) and gamma I otherwise, or after a step clipped by x >= nu.
+matrix is the map's inverse Hessian where the map gives one: exact for the
+rank map, whose functional is quadratic (one Newton step reaches the
+minimizer), and the Gauss-Newton one at the prior center for the FEM map,
+on a few leading directions of its Jacobian.  It is gamma I for the
+neural map, and after a step clipped by x >= nu.
 X and nu are those of the map's problem.  It stops when
 the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the gap to
 the infimum and is exact for quadratic models, drops below eta, when the
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateScale, EmptyProbeSet, NonAdmissibleCoefficient, Stalled
-from .fem import ProblemKind, misfit_gradient_nodal, solve_forward_fem
+from .fem import ProblemKind, gauss_newton_directions, misfit_gradient_nodal, solve_forward_fem
 from .grid import (GridFunction, SpaceKind, _inner_nodal, gram_apply, gram_solve, norm,
                    trapezoid_weights)
 from .mollify import mollify, mollify_matrix
@@ -42,6 +44,9 @@ MAX_HALVINGS = 60
 STEP_MIN, STEP_MAX = 1e-12, 1e12
 STALL_ITERATIONS = 50
 MEMORY = 8  # L-BFGS pairs; above N + 2 for the 6-term c-example surrogates
+#: Lanczos steps of the FEM map's initial matrix; at n = 256 the a-example's
+#: Gauss-Newton operator has 3 to 7 eigenvalues above 1e-3 alpha
+GAUSS_NEWTON_STEPS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +108,22 @@ class SurrogateHandle:
         return _inner_nodal(r, r, SpaceKind.L2), 2.0 * pullback(r)
 
     def inverse_hessian(self, cfg: TikhonovConfig):
-        """The exact inverse X-Hessian of the functional as a function on
-        nodal arrays, where the map makes the functional quadratic; None
-        otherwise, and the optimizer scales its initial matrix by gamma."""
+        """The inverse X-Hessian of the functional, or an approximation of
+        it, as a function on nodal arrays; None where the map gives none, and
+        the optimizer scales its initial matrix by gamma."""
         return None
 
 
 class FemMap(SurrogateHandle):
     """The Galerkin solver itself on the mesh of its load."""
 
-    __slots__ = ("problem", "load")
+    __slots__ = ("problem", "load", "_directions")
     label = "FemForward"
     n_terms = 0
 
     def __init__(self, problem: ProblemKind, load: GridFunction):
         self.problem, self.load = problem, load
+        self._directions = None  # (center bytes, basis, images) of the last center
 
     def _evaluate(self, x: GridFunction):
         x._check_mesh(self.load.n_cells)
@@ -127,6 +133,23 @@ class FemMap(SurrogateHandle):
             return misfit_gradient_nodal(self.problem, x.values, y, r)
 
         return y, pullback
+
+    def inverse_hessian(self, cfg: TikhonovConfig):
+        """The inverse of the Gauss-Newton X-Hessian 2 (alpha I + G^-1 J^T W J)
+        with J = F'[x_xi] at the (mollified) prior center, restricted to the
+        GAUSS_NEWTON_STEPS leading directions b_i of ``gauss_newton_directions``
+        in Woodbury form: it inverts that Hessian on them and is
+        1 / (2 alpha) X-orthogonal to them.  The directions and their images
+        J b_i depend on the center alone, so each map builds them once per
+        center and every solve from it reuses them."""
+        xc = cfg.x0.values
+        if cfg.xi > 0:
+            xc = mollify_matrix(cfg.x0.n_cells, cfg.xi) @ xc
+        built = self._directions
+        if built is None or built[0] != xc.tobytes():
+            built = self._directions = (xc.tobytes(), *gauss_newton_directions(
+                self.problem, xc, self.load.values, GAUSS_NEWTON_STEPS))
+        return _woodbury_inverse(*built[1:], self.problem.image_space, cfg)
 
 
 class RankMap(SurrogateHandle):
@@ -159,22 +182,10 @@ class RankMap(SurrogateHandle):
         return out, pullback
 
     def inverse_hessian(self, cfg: TikhonovConfig):
-        """Woodbury form of the inverse of the X-Hessian 2 (alpha I + U C V):
-        H^-1 v = (v - U C (alpha I + V U C)^-1 V v) / (2 alpha).  The rows of
-        V are the Riesz functionals G b_i of the basis, mollified when xi > 0,
-        U = G_X^-1 V^T, and C is the L2 Gram matrix of the induced data; one
-        N x N inverse when the function is built."""
-        V = [gram_apply(b.values, self.ls.problem.image_space) for b in self.ls.basis]
-        if cfg.xi > 0:
-            V = [mollify_matrix(cfg.x0.n_cells, cfg.xi).T @ v for v in V]
-        V, ys = np.array(V), [y.values for y in self.ls.induced]
-        C = np.array([[_inner_nodal(a, b, SpaceKind.L2) for b in ys] for a in ys])
-        # matrix-vector products and lstsq only, kernels the package runs
-        # anyway: each further BLAS or LAPACK kernel adds 0.1-0.2 MB resident
-        CU = np.array([gram_solve(V.T @ c, self.problem.image_space) for c in C])  # (U C)^T
-        eye = np.eye(len(C))
-        K = np.linalg.lstsq(cfg.alpha * eye + np.array([CU @ v for v in V]), eye, rcond=None)[0]
-        return lambda v: (v - CU.T @ (K @ (V @ v))) / (2.0 * cfg.alpha)
+        """The exact inverse X-Hessian: the map is linear in the basis."""
+        return _woodbury_inverse([b.values for b in self.ls.basis],
+                                 [y.values for y in self.ls.induced], self.problem.image_space,
+                                 cfg)
 
 
 class NeuralMap(SurrogateHandle):
@@ -200,6 +211,27 @@ class NeuralMap(SurrogateHandle):
             return vjp(trapezoid_weights(y0.n_cells) * r)
 
         return y0.values + out, pullback
+
+
+def _woodbury_inverse(basis, images, space: SpaceKind, cfg: TikhonovConfig):
+    """The inverse X-Hessian 2 (alpha I + U C V) of the functional of the
+    linear map x -> sum_i <x, b_i>_X y_i (nodal directions b_i, nodal data
+    y_i), in Woodbury form:
+    H^-1 v = (v - U C (alpha I + V U C)^-1 V v) / (2 alpha).  The rows of V
+    are the Riesz functionals G b_i, mollified when xi > 0, U = G_X^-1 V^T,
+    and C is the L2 Gram matrix of the y_i; one N x N inverse when the
+    function is built."""
+    V = [gram_apply(b, space) for b in basis]
+    if cfg.xi > 0:
+        V = [mollify_matrix(cfg.x0.n_cells, cfg.xi).T @ v for v in V]
+    V = np.array(V)
+    C = np.array([[_inner_nodal(a, b, SpaceKind.L2) for b in images] for a in images])
+    # matrix-vector products and lstsq only, kernels the package runs
+    # anyway: each further BLAS or LAPACK kernel adds 0.1-0.2 MB resident
+    CU = np.array([gram_solve(V.T @ c, space) for c in C])  # (U C)^T
+    eye = np.eye(len(C))
+    K = np.linalg.lstsq(cfg.alpha * eye + np.array([CU @ v for v in V]), eye, rcond=None)[0]
+    return lambda v: (v - CU.T @ (K @ (V @ v))) / (2.0 * cfg.alpha)
 
 
 def surrogate_error(h: SurrogateHandle, pairs) -> float:
@@ -283,8 +315,8 @@ class _LbfgsMemory:
     inner product, on nodal arrays.  Gradients are X-Riesz representers,
     so one formula serves L2 and H1; keeping G s and G y (G the Gram
     matrix) makes each X product one dot product.  The initial matrix H0
-    is ``h0``, the map's exact inverse Hessian, or gamma I where that is
-    None; an exact pair (H0 y = s) leaves an exact H0 unchanged."""
+    is ``h0``, the map's inverse Hessian, or gamma I where that is None; an
+    exact pair (H0 y = s) leaves an exact H0 unchanged."""
 
     def __init__(self, space: SpaceKind, h0=None):
         self.gram = lambda v: gram_apply(v, space)

@@ -52,11 +52,11 @@ def _digest(text):
 #: bit updates them and says why
 DIGESTS = {
     ("2.4.6", "SkylakeX"): {
-        "surrogate_pipeline 0.05": "84349aff7f5e2d1692e916a1c710061c9422e1ed9ac48ca568a8624ec1bc2bf8",
+        "surrogate_pipeline 0.05": "0554482d216205cf3553c36937b7f6ee9aba1eb511279a679b33d50beba26f74",
         "fem_rate.csv": "5cb840ad3ce6c9aaf6e368202a14ef2920d28e07b2f518f8342645d42bb86656",
         "quadrature_rate.csv": "62e3ce7411fb723fdc709ed6e28dfd355dbd5f9edd249f26d96185035be89361",
         "mollify_rate.csv": "0fcd2881bcb285c7cf750e79db21f3da803fbbadba8841b1d216aac877bbcabe",
-        "reg_rate_a.csv": "9cfb6c68bdd7a22bbc0e0996604df703b516a93b0cb13de72e8561722f5428a9",
+        "reg_rate_a.csv": "e14242d90607ebefb68c8be95a0ec16e404f4d63d54ae0c4f04fad2156436a53",
         "reg_rate_c.csv": "f602ff58b36f378f87ef7e3aff84349398731787e0f4b0b49d07e0c99bdd4dce",
     },
 }
@@ -69,9 +69,13 @@ def test_surrogate_pipeline_prints_one_row_per_map():
                          capture_output=True, text=True, check=True, timeout=300, env=env)
     lines = out.stdout.splitlines()
     assert lines[0].startswith("diagnostics: nu_N=")
-    assert tuple(lines[1].split(",")) == invop.RUN_COLUMNS
-    assert [row.split(",")[1] for row in lines[2:]] == [
-        "FemForward", "LinearRankN", "NeuralOperator"]
+    assert tuple(lines[1].split(",")) == invop.RUN_COLUMNS + ("rho",)
+    rows = [row.split(",") for row in lines[2:]]
+    assert [row[1] for row in rows] == ["FemForward", "LinearRankN", "NeuralOperator"]
+    # each row carries the rho its alpha balances: alpha = 0.15 max(delta, rho)
+    alpha = invop.RUN_COLUMNS.index("alpha")
+    for row in rows:
+        assert float(row[alpha]) == 0.15 * max(0.05, float(row[-1]))
     digests = DIGESTS.get(_environment())
     if digests is not None:
         assert _digest(out.stdout) == digests["surrogate_pipeline 0.05"]
@@ -154,7 +158,7 @@ def test_benchmark_cli_round_runs(tmp_path):
     assert [row[surrogate] for row in rnd.rows] == ["LinearRankN", "NeuralOperator"]
 
 
-@pytest.mark.parametrize("name,iterations", [("c_neural_study", 114), ("a_fem_sweep", 622)])
+@pytest.mark.parametrize("name,iterations", [("c_neural_study", 114), ("a_fem_sweep", 394)])
 def test_benchmark_study_round_runs(tmp_path, name, iterations):
     # the benchmark builds its studies from StudyConfig keywords of its own and
     # counts their iterations; a change that breaks a keyword or moves a count

@@ -11,10 +11,12 @@ import invop.tikhonov
 from invop.config import load_config, study_config
 from invop.errors import DegenerateScale, DimensionMismatch, EmptyProbeSet, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
-from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm
+from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm, trapezoid_weights
+from invop.mollify import mollify, mollify_matrix
 from invop import studies
 from invop.studies import StudyConfig, c_example_setup, fem_rho, run_study, source_target_a
 from invop.tikhonov import (
+    GAUSS_NEWTON_STEPS,
     MEMORY,
     RUN_COLUMNS,
     STALL_ITERATIONS,
@@ -437,11 +439,84 @@ def test_budget_run_reports_index_of_best_iterate(handles):
     assert res.functional_value == best.functional_value
 
 
-def test_only_the_rank_map_gives_its_inverse_hessian(handles):
+def test_only_the_neural_map_gives_no_inverse_hessian(handles):
     cfg = _config(handles["x0"])
-    assert handles["fem"].inverse_hessian(cfg) is None
     assert handles["neural"].inverse_hessian(cfg) is None
     assert callable(handles["rank"].inverse_hessian(cfg))
+    assert callable(handles["fem"].inverse_hessian(cfg))
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.1])
+@pytest.mark.parametrize("problem,load", [(A, 1.0), (C, 50.0)])
+def test_fem_initial_matrix_inverts_the_gauss_newton_hessian(problem, load, xi):
+    # against a central-difference Jacobian J of the FEM map at the mollified
+    # center: H0 inverts the Gauss-Newton Hessian 2 (M^T J^T W J M + alpha G)
+    # on the map's directions b_i and is I / (2 alpha) on every v with
+    # <b_i, M v>_X = 0.  On 8 cells the 8 directions hold the whole range of
+    # G^-1 J^T W J, so H0 is that Hessian's exact inverse
+    n, alpha = 8, 1e-3
+    space = problem.image_space
+    x0 = GridFunction(1.0 + 0.3 * np.linspace(0.0, 1.0, n + 1) ** 2)  # no symmetry
+    h = FemMap(problem, GridFunction.constant(load, n))
+    h0 = h.inverse_hessian(_config(x0, alpha=alpha, xi=xi))
+    eye = np.eye(n + 1)
+    M = mollify_matrix(n, xi) if xi > 0 else eye
+    xc = M @ x0.values
+    jac = np.array([h.forward(GridFunction(xc + 1e-6 * e)).values
+                    - h.forward(GridFunction(xc - 1e-6 * e)).values for e in eye]).T / 2e-6
+    gram = np.array([gram_apply(e, space) for e in eye])
+    hessian = 2.0 * (M.T @ jac.T @ np.diag(trapezoid_weights(n)) @ jac @ M + alpha * gram)
+    x_hessian = np.linalg.solve(gram, hessian)  # on nodal steps, to X-gradients
+    basis, _ = invop.fem.gauss_newton_directions(problem, xc, h.load.values, GAUSS_NEWTON_STEPS)
+    assert len(basis) == GAUSS_NEWTON_STEPS
+    assert np.allclose(np.array(basis) @ gram @ np.array(basis).T, np.eye(len(basis)),
+                       atol=1e-12)  # X-orthonormal
+    for b in basis:
+        assert np.linalg.norm(h0(x_hessian @ b) - b) <= 1e-5 * np.linalg.norm(b)
+    # the rows of the last factor beyond the directions' rank span {v : V v = 0}
+    off = np.linalg.svd(np.array(basis) @ gram @ M)[2][len(basis):]
+    assert len(off) == 1
+    for v in off:
+        assert np.linalg.norm(h0(v) - v / (2.0 * alpha)) <= 1e-12 * np.linalg.norm(v / alpha)
+
+
+@pytest.mark.parametrize("problem", [A, C])
+def test_gauss_newton_directions_are_orthonormal_on_every_mesh(problem):
+    # below 8 cells the last step starts from rounding error, which a single
+    # orthogonalization pass left 0.2-1.0 away from orthogonal
+    for n in range(2, 10):
+        xv = 1.0 + 0.3 * np.linspace(0.0, 1.0, n + 1) ** 2
+        basis, images = invop.fem.gauss_newton_directions(problem, xv, np.ones(n + 1),
+                                                          GAUSS_NEWTON_STEPS)
+        gram = np.array([gram_apply(e, problem.image_space) for e in np.eye(n + 1)])
+        assert len(basis) == len(images) == min(GAUSS_NEWTON_STEPS, n + 1)
+        assert np.allclose(np.array(basis) @ gram @ np.array(basis).T, np.eye(len(basis)),
+                           atol=1e-13), n
+    # no data sensitivity: J = 0 after the start, and the steps stop there
+    basis, images = invop.fem.gauss_newton_directions(problem, xv, np.zeros(n + 1), 8)
+    assert len(basis) == 1 and not np.any(images[0])
+
+
+def test_fem_map_builds_its_directions_once_per_center(monkeypatch):
+    calls = []
+    build = invop.tikhonov.gauss_newton_directions
+
+    def counting(*args):
+        calls.append(args[1].copy())
+        return build(*args)
+
+    monkeypatch.setattr(invop.tikhonov, "gauss_newton_directions", counting)
+    n = 16
+    x0, other = GridFunction.constant(1.0, n), GridFunction.constant(1.5, n)
+    h = FemMap(A, GridFunction.constant(1.0, n))
+    for cfg in (_config(x0), _config(x0, alpha=1e-2), _config(x0, alpha=1e-2, xi=0.1),
+                _config(other), _config(x0)):
+        h.inverse_hessian(cfg)
+    # a new mollified center, and each switch of center, builds once more
+    assert len(calls) == 4
+    assert np.array_equal(calls[1], mollify(x0, 0.1).values)
+    assert np.array_equal(calls[2], other.values)
+    assert np.array_equal(calls[3], x0.values)
 
 
 @pytest.mark.parametrize("xi", [0.0, 1e-4])
@@ -471,6 +546,38 @@ def test_rank_solve_is_one_newton_step(handles, xi):
     g = rng.standard_normal(N + 1)
     want = np.linalg.solve(hess, g)
     assert np.linalg.norm(mem.direction(g) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-2])
+def test_gradient_bounds_the_distance_to_the_rank_minimizer(handles, monkeypatch, xi):
+    # the distance form of the certificate: the rank functional is quadratic
+    # with X-Hessian at least 2 alpha I, so ||x - x*||_X <= ||g(x)||_X / (2 alpha)
+    # at every x, and a stop with ||g||^2 / (4 alpha) <= eta lies within
+    # sqrt(eta / alpha) of x*.  x* is the one-step solve, whose own gradient
+    # norm is added to each bound; the points are the iterates of gamma-scaled
+    # runs, which do not reach x* in one step
+    h, x0 = handles["rank"], handles["x0"]
+    xt = GridFunction(x0.values + 0.05 * np.sin(np.pi * x0.nodes))
+    yd = add_noise(h.forward(xt), 1e-3, seed=2)
+    cfg = _config(x0, alpha=1e-3, eta=1e-12, xi=xi)
+    one_step = minimize_tikhonov(h, yd, replace(cfg, eta=1e-24))
+    assert one_step.certificate.iterations == 1
+    slack = one_step.certificate.gradient_norm / (2.0 * cfg.alpha)
+    monkeypatch.setattr(RankMap, "inverse_hessian", lambda self, cfg: None)
+    ratios = []
+    for budget in range(1, 40):
+        run = minimize_tikhonov(h, yd, replace(cfg, max_iterations=budget))
+        grad = tikhonov_value_and_gradient(h, run.x, yd, cfg)[1]
+        bound = norm(GridFunction(grad), SpaceKind.L2) / (2.0 * cfg.alpha)
+        distance = norm(run.x - one_step.x, SpaceKind.L2)
+        assert distance <= bound + slack, (budget, distance, bound)
+        ratios.append(distance / bound)
+        if run.certificate.status == "converged":
+            assert distance <= np.sqrt(cfg.eta / cfg.alpha) + slack
+            break
+    else:
+        pytest.fail("the gamma-scaled run did not converge")
+    assert len(ratios) > 2 and max(ratios) > 0.5  # 0.67: the bound is not loose here
 
 
 @pytest.mark.parametrize("xi,gamma_scaled", [(0.0, 6.57613248e4), (1e-4, 6.57613094e4)])
@@ -617,7 +724,7 @@ def test_certificate_bounds_the_gap_on_the_fem_map(seed):
     """At every converged stop of the a-example reg_rate ladder (n = 256), the
     certificate ||g||^2/(4 alpha) bounds J(x) - J(x*), x* a solve of the same
     functional at eta = 1e-14 alpha^2.  The FEM functional need not be convex,
-    so this is measured, not implied; the worst ratio reads 0.72 (seed 100)."""
+    so this is measured, not implied; the worst ratio reads 0.57 (seed 100)."""
     cfg = StudyConfig("reg_rate", problem="a", n_cells=256, seed=seed)
     rows = run_study(cfg).rows
     x0, _, h, y_true, rho = studies._a_example_data(256)
