@@ -5,16 +5,18 @@ Generates training pairs, orthonormalizes them into the rank-N expansion,
 assembles the sigmoid branch/trunk surrogate, prints its diagnostics, and
 solves one noisy inversion with each of the three forward maps.  Each row
 ends with the map's own surrogate error rho, the one that the parameter
-rule balances against delta; the diagnostics line is the build's record.
+rule balances against delta: ``fem_rho`` for the FEM map, as everywhere,
+and for the two surrogates their error on the held-out probe pair of the
+build.  The diagnostics line is the build's record.
 
 Usage: python scripts/surrogate_pipeline.py [delta]
 """
 
 import sys
 
-from invop import (RUN_COLUMNS, FemMap, NeuralMap, RankMap, StudyConfig, solve_inverse_problem,
-                   surrogate_error)
-from invop.studies import c_example_setup
+from invop import (RUN_COLUMNS, FemMap, NeuralMap, RankMap, StudyConfig, fem_rho,
+                   solve_inverse_problem, surrogate_error)
+from invop.studies import C_CENTER, C_LOAD, c_example_setup
 
 
 def main():
@@ -26,8 +28,10 @@ def main():
 
     print(",".join(RUN_COLUMNS + ("rho",)))
     for h in (FemMap(ls.problem, ls.load), RankMap(ls), NeuralMap(ex.coeffs, ls)):
-        # each map's own surrogate error, on the probe pairs of the build
-        rho = surrogate_error(h, ls.probes)
+        if isinstance(h, FemMap):
+            rho = fem_rho(ls.problem, x0.n_cells, C_LOAD, C_CENTER)
+        else:
+            rho = surrogate_error(h, ls.probes)
         run = solve_inverse_problem(h, rho, x0, ex.xt, ex.y_true, delta, 7, 0.15, 1e-4, 20000)
         print(f"{run.csv_row()},{rho:.17g}")
 

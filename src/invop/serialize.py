@@ -7,12 +7,16 @@ record stacked as the rows of one array whose last axis is the mesh.
 - ``TrainingSet``: ``problem``, ``load`` (n + 1,), and ``x`` and ``y``
   (pairs, n + 1), row 0 the center.
 - ``LinearSurrogate`` (the ``.rank`` file): ``problem``, ``load`` (n + 1,),
-  ``basis`` and ``induced`` (N, n + 1), ``center`` (2, n + 1), the probe
-  pairs ``probes.x`` and ``probes.y`` (probes, n + 1), and the diagnostics
-  ``nu_N``, ``q_N`` and ``r_N``, from which
+  ``basis`` and ``induced`` (N, n + 1), ``center`` (2, n + 1), the
+  held-out probe pair ``probes.x`` and ``probes.y`` (1, n + 1) of
+  ``training.probe_pairs``, which repeats no training pair, and the
+  diagnostics ``nu_N``, ``q_N`` and ``r_N``, from which
   ``SurrogateDiagnostics.rho_bound`` follows.
-- ``StructuredSurrogateCoeffs``: ``s_points``, ``branch.c``, ``branch.w``,
-  ``branch.theta``, and ``trunk.c``, ``trunk.w``, ``trunk.zeta`` (N, n_j).
+- ``StructuredSurrogateCoeffs``: its seven arrays, one field each, in the
+  order of ``neural.FIELDS``: ``s_points`` (L,), ``branch.c`` (N, L + 1),
+  ``branch.w`` (L,), ``branch.theta`` (L + 1,), and ``trunk.c``,
+  ``trunk.w``, ``trunk.zeta`` (N, n_j).  Saving and loading are one loop
+  over the field names, and the record itself checks the arrays.
 
 The arrays fix every count and mesh, and no file stores what they give or
 what no reader needs; a reader ignores the fields it does not use, such as
@@ -35,7 +39,7 @@ import numpy as np
 from .errors import ConfigInvalid, DimensionMismatch, NonFiniteValue
 from .fem import ProblemKind
 from .grid import GridFunction
-from .neural import BranchCoeffs, StructuredSurrogateCoeffs, TrunkCoeffs
+from .neural import FIELDS, StructuredSurrogateCoeffs
 from .training import LinearSurrogate, SurrogateDiagnostics, TrainingSet
 
 _REBUILD = "rebuild it with invop generate or invop build"
@@ -121,22 +125,15 @@ def _problem(f: _Fields) -> ProblemKind:
 
 
 def save_structured(path, s: StructuredSurrogateCoeffs):
-    b = s.branch
-    trunks = {f"trunk.{k}": np.stack([getattr(t, k) for t in s.trunks])
-              for k in TrunkCoeffs.__slots__}
-    _write(path, "StructuredSurrogateCoeffs", {
-        "s_points": s.s_points, "branch.c": b.c, "branch.w": b.w, "branch.theta": b.theta,
-        **trunks})
+    _write(path, "StructuredSurrogateCoeffs",
+           {name: getattr(s, slot) for name, slot in zip(FIELDS, s.__slots__)})
 
 
 def load_structured(path) -> StructuredSurrogateCoeffs:
     f = _read(path, "StructuredSurrogateCoeffs")
-    trunks = tuple(_shaped(path, "trunk.*", TrunkCoeffs, *row)
-                   for row in zip(*f.agree(("trunk.c", "trunk.w", "trunk.zeta"))))
-    branch = _shaped(path, "branch.*", BranchCoeffs, f["branch.c"], f["branch.w"],
-                     f["branch.theta"])
+    f.agree(FIELDS[4:])  # the trunk arrays first, so that a disagreement names them
     return _shaped(path, "branch.*, trunk.* and s_points", StructuredSurrogateCoeffs,
-                   branch, trunks, f["s_points"])
+                   *(f[name] for name in FIELDS))
 
 
 def save_training_set(path, ts: TrainingSet):

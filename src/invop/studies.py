@@ -224,8 +224,9 @@ def _fem_case_error(case, n: int) -> float:
 @lru_cache(maxsize=None)
 def fem_rho(problem: ProblemKind, n: int, load: float, center: float) -> float:
     """Surrogate error of the n-cell Galerkin map: its ``surrogate_error`` on
-    the probe pairs of six sine modes (the n - 1 the mesh holds, if fewer) at a
-    tenth of the constant center.  A center too close to the bound for them
+    the training pairs of six sine modes (the n - 1 the mesh holds, if fewer)
+    at a tenth of the constant center, and on their ``probe_pairs`` mix; the
+    FEM map fits none of them.  A center too close to the bound for them
     raises ValueError naming the least center they admit."""
     f, x0 = GridFunction.constant(load, n), GridFunction.constant(center, n)
     modes = min(6, n - 1)
@@ -236,7 +237,7 @@ def fem_rho(problem: ProblemKind, n: int, load: float, center: float) -> float:
         least = problem.fem_lower_bound() / (1.0 - 0.1 * reach)
         raise ValueError(f"center = {center!r} puts the FEM rho's probes below the bound; "
                          f"the least center they admit is {least:.6g}") from None
-    return surrogate_error(FemMap(problem, f), probe_pairs(ts))
+    return surrogate_error(FemMap(problem, f), ts.pairs[1:] + probe_pairs(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +336,16 @@ def _c_example_data(n_cells: int, n_train: int):
     ls = build_linear_surrogate(ts)
     xt = source_target_c(ls)
     y_true = solve_forward_reference(prob, xt, f)
-    # the load and x0 are shared with ls; the probes hold every pair after the center
+    # the load and x0 are shared with ls
     _read_only(f, xt, y_true, *ls.basis, *ls.induced, *ls.center,
                *(g for pair in ls.probes for g in pair))
     return ls, xt, y_true
 
 
 def c_example_setup(cfg: StudyConfig) -> CExample:
-    """The c-example built from the config's sizes and seed; its probe pairs
-    (the unit modes at amplitude 0.1 around x0, and their mix) are those of
-    ``ls``, each input solved once per process.  Only the trunk fits depend
-    on the seed."""
+    """The c-example built from the config's sizes and seed; its probe pair
+    (the mix of the unit modes at amplitude 0.1 around x0) is that of ``ls``,
+    solved once per process.  Only the trunk fits depend on the seed."""
     ls, xt, y_true = _c_example_data(cfg.n_cells, cfg.n_train)
     coeffs, diag = assemble_neural_surrogate(ls, cfg.n_quad, cfg.n_trunk, cfg.seed + 1)
     return CExample(ls, xt, y_true, coeffs, diag)

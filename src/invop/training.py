@@ -24,15 +24,8 @@ from .errors import (
 )
 from .fem import ProblemKind, solve_forward_reference
 from .grid import GridFunction, SpaceKind, _inner_nodal, gram_apply, inner, norm, trapezoid_weights
-from .neural import (
-    BranchCoeffs,
-    StructuredSurrogateCoeffs,
-    TrunkCoeffs,
-    activation,
-    activation_derivative,
-    eval_branch,
-    eval_trunk,
-)
+from .neural import (StructuredSurrogateCoeffs, activation, activation_derivative, eval_branch,
+                     eval_trunk)
 
 #: argument scale of the near-linear sigmoid nodes that realize linear
 #: functionals of the input samples; their cubic error is O(eps^2) relative
@@ -148,15 +141,16 @@ class LinearSurrogate(NamedTuple):
 
 
 def probe_pairs(ts: TrainingSet) -> tuple:
-    """The training pairs after the center, and the center shifted by one
-    mix of their deviations with alternating signs, solved by the reference
-    solver: the mix is the only new input."""
+    """The one held-out pair: the center shifted by a mix of the training
+    deviations with alternating signs, solved by the reference solver.  No
+    build fits it, so it measures the error off the training pairs, which
+    the rank-N map reproduces."""
     x0 = ts.pairs[0][0]
     mix = np.zeros_like(x0.values)
     for j, (x, _) in enumerate(ts.pairs[1:]):
         mix += (0.6 if j % 2 == 0 else -0.6) * (x.values - x0.values)
     xm = GridFunction(x0.values + mix)
-    return ts.pairs[1:] + ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
+    return ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
 
 
 def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
@@ -188,9 +182,9 @@ def quadrature_nodes(n_k: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_k + 1)
 
 
-def _near_linear_branch(slopes: np.ndarray, anchor_vals: np.ndarray) -> BranchCoeffs:
-    """Sigmoid network whose output i is sum_k slopes[i, k] (x(t_k) - anchor_k),
-    zero at the anchor.
+def _near_linear_branch(slopes: np.ndarray, anchor_vals: np.ndarray) -> tuple:
+    """The arrays (c, w, theta) of the sigmoid network whose output i is
+    sum_k slopes[i, k] (x(t_k) - anchor_k), zero at the anchor.
 
     One near-linear node per sample carries the slopes; one constant node
     cancels the nodes' value at the anchor samples to rounding.
@@ -203,7 +197,7 @@ def _near_linear_branch(slopes: np.ndarray, anchor_vals: np.ndarray) -> BranchCo
     at_anchor = np.array([np.dot(c_i, sig) for c_i in c])
     # 0.0 - v, not -v: an exact cancellation gives c0 = +0.0
     c0 = (0.0 - at_anchor) / activation(0.0)
-    return BranchCoeffs(np.column_stack([c, c0]), w, np.append(theta, 0.0))
+    return np.column_stack([c, c0]), w, np.append(theta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +208,7 @@ def fit_trunk(y_underline: GridFunction, n_j: int, seed: int):
     """One-shot least-squares fit of a sigmoid expansion to a data function.
 
     Node 0 is a saturated constant; the rest have random weights and
-    uniformly random transition locations.  Returns (coefficients, discrete
+    uniformly random transition locations.  Returns ((c, w, zeta), discrete
     L2 residual).
     """
     if n_j < 1:
@@ -234,10 +228,9 @@ def fit_trunk(y_underline: GridFunction, n_j: int, seed: int):
         weighted = features * sw[:, None]
         if np.linalg.cond(weighted) <= TRUNK_COND_LIMIT:
             c, *_ = np.linalg.lstsq(weighted, sw * y_underline.values, rcond=None)
-            trunk = TrunkCoeffs(c, w, zeta)
-            fit = eval_trunk(trunk, t)
+            fit = eval_trunk(c, w, zeta, t)
             residual = float(np.sqrt(np.sum((sw * (fit - y_underline.values)) ** 2)))
-            return trunk, residual
+            return (c, w, zeta), residual
     raise IllConditionedFit(
         f"trunk feature matrix is numerically singular for sizes n_j={n_j}"
     )
@@ -299,15 +292,15 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
     x0, space = ls.center[0], ls.problem.image_space
     t = quadrature_nodes(n_k)
     slopes = np.array([gram_apply(xb.resample(n_k).values, space) for xb in ls.basis])
-    branch = _near_linear_branch(slopes, x0.sample(t))
     trunks, residuals = zip(*(fit_trunk(yb, n_j, seed + 7 * ell)
                               for ell, yb in enumerate(ls.induced)))
-    coeffs = StructuredSurrogateCoeffs(branch, trunks, t)
+    coeffs = StructuredSurrogateCoeffs(t, *_near_linear_branch(slopes, x0.sample(t)),
+                                       *map(np.stack, zip(*trunks)))
 
     q_n = 0.0
     for x, _ in ls.probes:
         e = x.values - x0.values
-        outputs = eval_branch(branch, x.sample(t))
+        outputs = eval_branch(coeffs, x.sample(t))
         for b, xb in zip(outputs.tolist(), ls.basis):
             q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, space)))
 

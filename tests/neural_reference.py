@@ -21,7 +21,6 @@ import numpy as np
 from invop.errors import DimensionMismatch, NonFiniteValue
 from invop.grid import GridFunction
 from invop.neural import (
-    BranchCoeffs,
     StructuredSurrogateCoeffs,
     activation,
     activation_derivative,
@@ -29,9 +28,14 @@ from invop.neural import (
 )
 
 
-def dense_weights(branch: BranchCoeffs) -> np.ndarray:
-    """(n_l + 1, n_l) weight matrix: one node per sample, then the constant node."""
-    return np.vstack([np.diag(branch.w), np.zeros(branch.n_l)])
+def dense_weights(s: StructuredSurrogateCoeffs) -> np.ndarray:
+    """(n_l + 1, n_l) branch weight matrix: one node per sample, then the constant node."""
+    return np.vstack([np.diag(s.branch_w), np.zeros(s.branch_w.size)])
+
+
+def _terms(s: StructuredSurrogateCoeffs):
+    """Each term's branch output weights and its trunk's three arrays."""
+    return zip(s.branch_c, zip(s.trunk_c, s.trunk_w, s.trunk_zeta))
 
 
 def interp_matrix_t(points: np.ndarray, n_cells: int) -> np.ndarray:
@@ -50,11 +54,10 @@ def eval_structured_dense(s: StructuredSurrogateCoeffs, x: GridFunction, t_point
     """Nested-sum evaluation with the dense branch weights."""
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
     out = np.zeros(t.size)
-    branch = s.branch
-    for c_i, trunk in zip(branch.c, s.trunks):
-        z = dense_weights(branch) @ x.sample(s.s_points) + branch.theta
+    for c_i, trunk in _terms(s):
+        z = dense_weights(s) @ x.sample(s.s_points) + s.branch_theta
         b = float(np.dot(c_i, activation(z)))
-        out += b * eval_trunk(trunk, t)
+        out += b * eval_trunk(*trunk, t)
     return out
 
 
@@ -62,12 +65,11 @@ def jacobian_structured_dense(s: StructuredSurrogateCoeffs, x: GridFunction, t_p
     """Jacobian[Q, n_nodes] of eval_structured_dense in the nodal values of x."""
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
     jac = np.zeros((t.size, x.n_cells + 1))
-    branch = s.branch
-    for c_i, trunk in zip(branch.c, s.trunks):
-        w = dense_weights(branch)
-        d = activation_derivative(w @ x.sample(s.s_points) + branch.theta)
+    for c_i, trunk in _terms(s):
+        w = dense_weights(s)
+        d = activation_derivative(w @ x.sample(s.s_points) + s.branch_theta)
         g_nodes = interp_matrix_t(s.s_points, x.n_cells) @ ((c_i * d) @ w)
-        jac += np.outer(eval_trunk(trunk, t), g_nodes)
+        jac += np.outer(eval_trunk(*trunk, t), g_nodes)
     return jac
 
 
@@ -140,14 +142,12 @@ def flatten_structured(s: StructuredSurrogateCoeffs) -> NeuralOperatorCoeffs:
     """Block-diagonal embedding of the per-term form into one flat tensor.
 
     Each term gets its own block of the flat sample axis, which repeats the
-    shared sensor points once per term, and its own copy of the hidden layer.  Trunk widths may differ; they are
-    zero-padded to the maximum, and padded entries carry zero outer weights
-    and therefore do not contribute.
+    shared sensor points once per term, and its own copy of the hidden layer.
     """
     n_t = s.n_terms
     if n_t == 0:
         raise DimensionMismatch("cannot flatten an empty surrogate")
-    nj = max(t.n_j for t in s.trunks)
+    nj = s.trunk_c.shape[1]
     nk = s.s_points.size + 1
     nl = s.s_points.size
 
@@ -158,16 +158,15 @@ def flatten_structured(s: StructuredSurrogateCoeffs) -> NeuralOperatorCoeffs:
     zeta = np.zeros(n_t * nj)
     s_points = np.zeros(n_t * nl)
 
-    branch = s.branch
-    for i, (c_i, trunk) in enumerate(zip(branch.c, s.trunks)):
-        js = slice(i * nj, i * nj + trunk.n_j)
+    for i, (c_i, (trunk_c, trunk_w, trunk_zeta)) in enumerate(_terms(s)):
+        js = slice(i * nj, (i + 1) * nj)
         ks = slice(i * nk, (i + 1) * nk)
         ls = slice(i * nl, (i + 1) * nl)
-        alpha[js, ks] = np.outer(trunk.c, c_i)
-        w[ks, ls] = dense_weights(branch)
-        theta[ks] = branch.theta
-        w_vec[js] = trunk.w
-        zeta[js] = trunk.zeta
+        alpha[js, ks] = np.outer(trunk_c, c_i)
+        w[ks, ls] = dense_weights(s)
+        theta[ks] = s.branch_theta
+        w_vec[js] = trunk_w
+        zeta[js] = trunk_zeta
         s_points[ls] = s.s_points
 
     # theta depends on k only; broadcast across the j axis without copying

@@ -513,10 +513,10 @@ def test_stale_surrogate_file_exits_one(tmp_path, capsys):
 def test_per_term_branch_layout_exits_one(tmp_path, capsys):
     # a file from before the one branch network stores a branch per term
     surr_path = _small_surrogate(tmp_path)
-    branch = load_structured(surr_path).branch
+    s = load_structured(surr_path)
     per_term = {f"branch.{name}": None for name in ("c", "w", "theta")}
-    for t, c_t in enumerate(branch.c):
-        for name, v in (("c", c_t), ("w", branch.w), ("theta", branch.theta)):
+    for t, c_t in enumerate(s.branch_c):
+        for name, v in (("c", c_t), ("w", s.branch_w), ("theta", s.branch_theta)):
             per_term[f"term{t}.branch.{name}"] = v
     edit(surr_path, per_term)
     capsys.readouterr()

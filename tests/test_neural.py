@@ -8,9 +8,7 @@ from invop.errors import DimensionMismatch, NonFiniteValue
 from invop.fem import ProblemKind
 from invop.grid import GridFunction
 from invop.neural import (
-    BranchCoeffs,
     StructuredSurrogateCoeffs,
-    TrunkCoeffs,
     activation,
     activation_derivative,
     eval_branch,
@@ -62,26 +60,29 @@ def test_activation_monotone_in_unit_interval(t):
 # -- branch / trunk ---------------------------------------------------------
 
 
-def _random_branch(rng, n_l=5, n_terms=1):
-    return BranchCoeffs(
-        rng.standard_normal((n_terms, n_l + 1)),
-        rng.standard_normal(n_l),
-        rng.standard_normal(n_l + 1),
-    )
+def _random_coeffs(rng, n_l=5, n_terms=1, n_j=2, **arrays):
+    """Random coefficients on evenly spaced sensor points; ``arrays``
+    replaces fields, by slot name."""
+    fields = dict(s_points=np.linspace(0.0, 1.0, n_l),
+                  branch_c=rng.standard_normal((n_terms, n_l + 1)),
+                  branch_w=rng.standard_normal(n_l), branch_theta=rng.standard_normal(n_l + 1),
+                  **{k: rng.standard_normal((n_terms, n_j))
+                     for k in ("trunk_c", "trunk_w", "trunk_zeta")})
+    return StructuredSurrogateCoeffs(**{**fields, **arrays})
 
 
 def test_eval_branch_is_weighted_sigmoid_sum():
     rng = np.random.default_rng(0)
-    b = _random_branch(rng, n_terms=3)
+    b = _random_coeffs(rng, n_terms=3)
     xs = rng.standard_normal(5)
-    z = dense_weights(b) @ xs + b.theta
-    expect = [float(np.dot(c_i, activation(z))) for c_i in b.c]
+    z = dense_weights(b) @ xs + b.branch_theta
+    expect = [float(np.dot(c_i, activation(z))) for c_i in b.branch_c]
     assert eval_branch(b, xs) == pytest.approx(expect, rel=1e-14)
 
 
 def test_eval_branch_rejects_wrong_sample_count():
     rng = np.random.default_rng(1)
-    b = _random_branch(rng)
+    b = _random_coeffs(rng)
     with pytest.raises(DimensionMismatch):
         eval_branch(b, np.zeros(4))
 
@@ -89,24 +90,21 @@ def test_eval_branch_rejects_wrong_sample_count():
 def test_branch_rejects_dense_weights():
     rng = np.random.default_rng(2)
     with pytest.raises(DimensionMismatch, match="branch.w"):
-        BranchCoeffs(rng.standard_normal((1, 3)), rng.standard_normal((3, 2)),
-                     rng.standard_normal(3))
+        _random_coeffs(rng, n_l=2, branch_w=rng.standard_normal((3, 2)))
 
 
 def test_branch_rejects_output_weights_of_the_wrong_shape():
     rng = np.random.default_rng(11)
-    w, theta = rng.standard_normal(2), rng.standard_normal(3)
-    assert BranchCoeffs(rng.standard_normal((1, 3)), w, theta).c.shape == (1, 3)
+    assert _random_coeffs(rng, n_l=2).branch_c.shape == (1, 3)
     with pytest.raises(DimensionMismatch, match="shapes disagree"):
-        BranchCoeffs(rng.standard_normal((2, 2)), w, theta)
+        _random_coeffs(rng, n_l=2, branch_c=rng.standard_normal((2, 2)))
     for shape in ((3,), (2, 3, 1)):
         with pytest.raises(DimensionMismatch, match="branch.c"):
-            BranchCoeffs(rng.standard_normal(shape), w, theta)
+            _random_coeffs(rng, n_l=2, branch_c=rng.standard_normal(shape))
 
 
 def test_eval_trunk_shape_and_value():
-    trunk = TrunkCoeffs(np.array([2.0]), np.array([0.0]), np.array([0.0]))
-    out = eval_trunk(trunk, [0.1, 0.9])
+    out = eval_trunk(np.array([2.0]), np.array([0.0]), np.array([0.0]), [0.1, 0.9])
     # zero weight: sigmoid(0) = 1/2, coefficient 2 -> constant 1
     assert out == pytest.approx([1.0, 1.0], abs=1e-15)
 
@@ -116,19 +114,10 @@ def test_eval_trunk_shape_and_value():
 
 def _random_structured(rng, n_terms=3):
     """Random, far from near-linear coefficients whose branch reads random
-    sensor points off the mesh nodes; trunk widths differ between terms."""
+    sensor points off the mesh nodes."""
     n_l = 6
-    branch = _random_branch(rng, n_l, n_terms)
-    trunks = []
-    for j in range(n_terms):
-        n_j = 3 + j
-        trunks.append(TrunkCoeffs(
-            rng.standard_normal(n_j),
-            rng.standard_normal(n_j),
-            rng.standard_normal(n_j),
-        ))
-    pts = np.sort(rng.uniform(0.0, 1.0, n_l))
-    return StructuredSurrogateCoeffs(branch, tuple(trunks), pts)
+    return _random_coeffs(rng, n_l, n_terms, n_j=4,
+                          s_points=np.sort(rng.uniform(0.0, 1.0, n_l)))
 
 
 def _rel(a, b):
@@ -225,12 +214,10 @@ def test_neural_forward_computes_no_derivative(monkeypatch):
 
 def test_operator_rejects_out_of_range_sample_points():
     rng = np.random.default_rng(6)
-    b = _random_branch(rng, n_l=2)
-    t = TrunkCoeffs(rng.standard_normal(1), rng.standard_normal(1), rng.standard_normal(1))
     with pytest.raises(DimensionMismatch, match=r"\[0, 1\]"):
-        StructuredSurrogateCoeffs(b, (t,), np.array([0.5, 1.25]))
+        _random_coeffs(rng, n_l=2, n_j=1, s_points=np.array([0.5, 1.25]))
     with pytest.raises(NonFiniteValue, match="s_points"):
-        StructuredSurrogateCoeffs(b, (t,), np.array([0.5, np.nan]))
+        _random_coeffs(rng, n_l=2, n_j=1, s_points=np.array([0.5, np.nan]))
     with pytest.raises(DimensionMismatch):
         NeuralOperatorCoeffs(
             alpha=rng.standard_normal((1, 1)),
@@ -244,22 +231,27 @@ def test_operator_rejects_out_of_range_sample_points():
 
 def test_operator_rejects_branch_narrower_than_sensors():
     rng = np.random.default_rng(10)
-    t = TrunkCoeffs(rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2))
-    wide, narrow = _random_branch(rng, n_l=4), _random_branch(rng, n_l=3)
     pts = np.linspace(0.0, 1.0, 4)
-    StructuredSurrogateCoeffs(wide, (t,), pts)
+    _random_coeffs(rng, n_l=4, s_points=pts)
     with pytest.raises(DimensionMismatch, match="sensor count"):
-        StructuredSurrogateCoeffs(narrow, (t,), pts)
+        _random_coeffs(rng, n_l=3, s_points=pts)
 
 
 def test_operator_rejects_branch_outputs_unequal_to_trunks():
     rng = np.random.default_rng(12)
-    t = TrunkCoeffs(rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(2))
-    pts = np.linspace(0.0, 1.0, 4)
-    StructuredSurrogateCoeffs(_random_branch(rng, n_l=4, n_terms=2), (t, t), pts)
+    trunks = {k: rng.standard_normal((2, 2)) for k in ("trunk_c", "trunk_w", "trunk_zeta")}
+    _random_coeffs(rng, n_l=4, n_terms=2, **trunks)
     for n_terms in (1, 3):
         with pytest.raises(DimensionMismatch, match="one output per trunk"):
-            StructuredSurrogateCoeffs(_random_branch(rng, n_l=4, n_terms=n_terms), (t, t), pts)
+            _random_coeffs(rng, n_l=4, n_terms=n_terms, **trunks)
+
+
+def test_operator_rejects_trunk_arrays_of_unequal_shapes():
+    rng = np.random.default_rng(13)
+    with pytest.raises(DimensionMismatch, match="trunk coefficient shapes disagree"):
+        _random_coeffs(rng, n_j=3, trunk_w=rng.standard_normal((1, 2)))
+    with pytest.raises(DimensionMismatch, match="trunk.c"):
+        _random_coeffs(rng, n_j=3, trunk_c=rng.standard_normal(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -268,8 +260,8 @@ def test_operator_rejects_non_finite_coefficients(bad):
     theta = rng.standard_normal(3)
     theta[1] = bad
     with pytest.raises(NonFiniteValue, match="branch.theta"):
-        BranchCoeffs(rng.standard_normal((2, 3)), rng.standard_normal(2), theta)
+        _random_coeffs(rng, n_l=2, n_terms=2, branch_theta=theta)
     with pytest.raises(NonFiniteValue, match="branch.c"):
-        BranchCoeffs(np.vstack([theta, theta]), rng.standard_normal(2), rng.standard_normal(3))
+        _random_coeffs(rng, n_l=2, n_terms=2, branch_c=np.vstack([theta, theta]))
     with pytest.raises(NonFiniteValue, match="trunk.zeta"):
-        TrunkCoeffs(rng.standard_normal(3), rng.standard_normal(3), theta)
+        _random_coeffs(rng, n_j=3, trunk_zeta=theta[None, :])

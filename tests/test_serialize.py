@@ -60,8 +60,8 @@ def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
     for b, b2 in zip(ls.basis + ls.induced, ls2.basis + ls2.induced):
         assert np.array_equal(b.values, b2.values)
     assert np.array_equal(ls.center[0].values, ls2.center[0].values)
-    # the probe pairs, which measure the rho of the maps built on the file
-    assert len(ls2.probes) == len(ls.probes) == 4
+    # the held-out probe pair, which measures the rho of the maps built on the file
+    assert len(ls2.probes) == len(ls.probes) == 1
     for pair, pair2 in zip(ls.probes, ls2.probes):
         for g, g2 in zip(pair, pair2):
             assert np.array_equal(g.values, g2.values)
@@ -130,13 +130,13 @@ def test_fields_of_older_files_are_ignored(pipeline, tmp_path):
 def test_files_hold_one_stacked_array_per_field(pipeline, tmp_path):
     # each file lands at exactly its path, and the same record gives the same bytes
     ts, ls, coeffs, diag = pipeline
-    pairs, terms, n_j = len(ts.pairs), ls.n_terms, coeffs.trunks[0].n_j
+    pairs, terms, n_j = len(ts.pairs), ls.n_terms, coeffs.trunk_c.shape[1]
     grid, one = (N + 1,), ()
     training = {"kind": one, "problem": one, "load": grid, "x": (pairs, N + 1),
                 "y": (pairs, N + 1)}
     rank = {"kind": one, "problem": one, "load": grid, "basis": (terms, N + 1),
-            "induced": (terms, N + 1), "center": (2, N + 1), "probes.x": (pairs, N + 1),
-            "probes.y": (pairs, N + 1), "nu_N": one, "q_N": one, "r_N": one}
+            "induced": (terms, N + 1), "center": (2, N + 1), "probes.x": (1, N + 1),
+            "probes.y": (1, N + 1), "nu_N": one, "q_N": one, "r_N": one}
     structured = {"kind": one, "s_points": (97,), "branch.c": (terms, 98), "branch.w": (97,),
                   "branch.theta": (98,), "trunk.c": (terms, n_j), "trunk.w": (terms, n_j),
                   "trunk.zeta": (terms, n_j)}
@@ -157,10 +157,8 @@ def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
     p = tmp_path / "st.txt"
     save_structured(p, coeffs)
     c2 = load_structured(p)
-    for b, b2 in zip((coeffs.branch,) + coeffs.trunks, (c2.branch,) + c2.trunks):
-        for name in type(b).__slots__:
-            assert np.array_equal(_bits(getattr(b, name)), _bits(getattr(b2, name))), name
-    assert np.array_equal(_bits(coeffs.s_points), _bits(c2.s_points))
+    for name in type(coeffs).__slots__:
+        assert np.array_equal(_bits(getattr(coeffs, name)), _bits(getattr(c2, name))), name
     x = GridFunction.from_callable(lambda s: 1.0 + 0.05 * np.sin(np.pi * s), N)
     t = np.linspace(0, 1, 17)
     assert np.array_equal(eval_structured_with_gradient(coeffs, x, t)[0],
@@ -220,7 +218,7 @@ def test_extreme_and_random_values_round_trip_bitwise(tmp_path):
 
 def test_file_cut_mid_member_names_path(pipeline, tmp_path):
     _, _, coeffs, _ = pipeline
-    assert coeffs.branch.c.shape == (3, 98)
+    assert coeffs.branch_c.shape == (3, 98)
     p = tmp_path / "st.txt"
     save_structured(p, coeffs)
     data = p.read_bytes()
@@ -285,7 +283,7 @@ _DISAGREE = [
     ("y", lambda a: a[:-1], r"fields x, y disagree in shape"),
     ("center", lambda a: a[:1], r"field 'center' holds shape \(1, 65\)"),
     ("induced", lambda a: a[:, :-1], r"fields basis, induced disagree in shape"),
-    ("probes.y", lambda a: a[:2], r"fields probes\.x, probes\.y disagree in shape"),
+    ("probes.y", lambda a: a[:0], r"fields probes\.x, probes\.y disagree in shape"),
     ("trunk.w", lambda a: a[:, :-1], r"fields trunk\.c, trunk\.w, trunk\.zeta disagree"),
     ("branch.theta", lambda a: a[:-1], r"fields branch\.\*"),
 ]

@@ -189,7 +189,7 @@ def test_fem_rho_keeps_the_bits_of_its_probe_maximum(problem, n, load):
     f, x0 = GridFunction.constant(load, n), GridFunction.constant(1.0, n)
     ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1, 6))
     expect = max(norm(solve_forward_fem(problem, x, f) - y, SpaceKind.L2)
-                 for x, y in probe_pairs(ts))
+                 for x, y in ts.pairs[1:] + probe_pairs(ts))
     assert fem_rho(problem, n, load, 1.0) == expect
 
 
@@ -313,7 +313,7 @@ def test_memoized_setup_is_read_only(problem):
                 yield from arrays(v)
 
     found = list(arrays(_SMALL_REG_RATE[problem][1]()))
-    assert len(found) >= (4 if problem == "a" else 30)
+    assert len(found) >= (4 if problem == "a" else 19)
     for a in found:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0

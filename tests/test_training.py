@@ -138,18 +138,17 @@ def test_assembled_branches_vanish_at_center():
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
     x0 = ex.ls.center[0]
     assert ex.coeffs.n_terms == 6
-    branch = ex.coeffs.branch
-    at_center = eval_branch(branch, x0.sample(ex.coeffs.s_points))
+    at_center = eval_branch(ex.coeffs, x0.sample(ex.coeffs.s_points))
     assert at_center.shape == (6,)
-    for value, c_i in zip(at_center, branch.c):
+    for value, c_i in zip(at_center, ex.coeffs.branch_c):
         assert abs(value) <= 1e-12 * np.sum(np.abs(c_i))
 
 
 def test_trunk_fit_residual_small(c_setup):
     f, x0, ts, ls = c_setup
-    trunk, residual = fit_trunk(ls.induced[0], 14, seed=1)
+    (c, w, zeta), residual = fit_trunk(ls.induced[0], 14, seed=1)
     assert residual < 1e-3
-    assert trunk.c.shape == (14,)
+    assert c.shape == w.shape == zeta.shape == (14,)
 
 
 def test_trunk_fit_raises_when_overparameterized(c_setup):
@@ -173,10 +172,10 @@ def test_assembled_surrogate_diagnostics_identity(c_setup):
 
 
 def test_build_carries_the_probe_pairs(c_setup):
-    # the training pairs after the center, then the one solved mix of them
+    # the one solved mix of the training pairs, and no training pair
     f, x0, ts, ls = c_setup
-    assert ls.probes[:-1] == ts.pairs[1:] and len(ls.probes) == ts.n_train + 1
-    xm, ym = ls.probes[-1]
+    (xm, ym), = ls.probes
+    assert not any(np.array_equal(xm.values, x.values) for x, _ in ts.pairs)
     assert np.array_equal(ym.values, solve_forward_reference(C, xm, f).values)
 
 
