@@ -45,7 +45,7 @@ from .fem import (
 from .grid import GridFunction, SpaceKind, inner, norm, trapezoid_weights
 from .mollify import mollification_report, mollifier_kernel, mollify, mollify_matrix
 from .neural import StructuredSurrogateCoeffs, eval_branch, eval_structured_with_gradient, eval_trunk
-from .studies import RateTable, StudyConfig, fem_rho, fit_slope, run_study
+from .studies import RateTable, StudyConfig, fit_slope, run_study
 from .tikhonov import (
     RUN_COLUMNS,
     ApproximateMinimizer,

@@ -32,7 +32,6 @@ from .studies import (
     StudyConfig,
     analytic_cases,
     c_example_setup,
-    fem_rho,
     run_study,
     source_target_a,
 )
@@ -44,7 +43,6 @@ from .tikhonov import (
     TikhonovConfig,
     add_noise,
     solve_inverse_problem,
-    surrogate_error,
     tikhonov_value_and_gradient,
 )
 from .training import (
@@ -145,7 +143,7 @@ def _cmd_build(args) -> int:
     serialize.save_structured(out, coeffs)
     serialize.save_linear_surrogate(str(out) + ".rank", ls, diag)
     _say(args, f"wrote surrogate ({coeffs.n_terms} terms, "
-               f"rho_bound {diag.rho_bound:.3e}) to {out}")
+               f"rho {NeuralMap(coeffs, ls).rho:.3e}) to {out}")
     return 0
 
 
@@ -165,8 +163,7 @@ def _cmd_solve(args) -> int:
 
     kind = sec["surrogate"]
     if kind == "fem":
-        h = FemMap(prob, f)
-        rho = fem_rho(prob, n, sec["load"], sec["center"])
+        h = FemMap(prob, f, x0)
     elif kind in ("rank", "neural"):
         base = sec["surrogate_file"]
         if base is None:
@@ -184,7 +181,6 @@ def _cmd_solve(args) -> int:
                                 f"terms, but {base}.rank holds {ls.n_terms}; rebuild both "
                                 "with invop build")
         h = RankMap(ls) if coeffs is None else NeuralMap(coeffs, ls)
-        rho = surrogate_error(h, ls.probes)
     else:
         raise ConfigInvalid(f"unknown surrogate {kind!r}")
 
@@ -198,8 +194,8 @@ def _cmd_solve(args) -> int:
         xt = x0
     else:
         raise ConfigInvalid("target must be 'source' or 'prior'")
-    run = solve_inverse_problem(h, rho, x0, xt, solve_forward_reference(prob, xt, f), delta,
-                                seed, sec["constant"], sec["xi"], sec["max_iterations"])
+    run = solve_inverse_problem(h, xt, solve_forward_reference(prob, xt, f), delta, seed,
+                                sec["constant"], sec["xi"], sec["max_iterations"])
     lines = [",".join(RUN_COLUMNS), run.csv_row()]
     if args.out:
         with open(args.out, "w") as fh:
@@ -250,7 +246,7 @@ def _verify_groups():
         ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural",
                                          n_cells=n, n_train=3, n_quad=n, n_trunk=8))
         y0 = ex.ls.center[1]
-        cases = [(FemMap(prob_a, f), solve_forward_fem(prob_a, x0, f)),
+        cases = [(FemMap(prob_a, f, x0), solve_forward_fem(prob_a, x0, f)),
                  (RankMap(ex.ls), y0), (NeuralMap(ex.coeffs, ex.ls), y0)]
         rng = np.random.default_rng(2)
         x = GridFunction(1.0 + 0.05 * rng.standard_normal(n + 1))

@@ -3,7 +3,9 @@
 Each study sweeps one resolution or level parameter over a ladder, records a
 deterministic table of errors, fits a log-log slope by ordinary least
 squares, and optionally writes the table as CSV.  The regularization study
-emits the full per-run record described in :mod:`invop.tikhonov`.
+emits the full per-run record described in :mod:`invop.tikhonov`; the map
+it inverts brings its prior center and its measured rho, so the study
+passes neither.
 """
 
 from __future__ import annotations
@@ -17,19 +19,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateFit, DegenerateScale, NonAdmissiblePerturbation
+from .errors import ConfigInvalid, DegenerateFit, DegenerateScale
 from .fem import ProblemKind, adjoint_apply, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, norm, trapezoid_weights
 from .mollify import mollify
-from .tikhonov import (RUN_COLUMNS, FemMap, NeuralMap, RankMap, solve_inverse_problem,
-                       surrogate_error)
+from .tikhonov import RUN_COLUMNS, FemMap, NeuralMap, RankMap, solve_inverse_problem
 from .training import (
     PerturbationSpec,
     assemble_neural_surrogate,
     build_linear_surrogate,
     generate_training_set,
-    perturbation_shape,
-    probe_pairs,
     quadrature_nodes,
 )
 
@@ -37,8 +36,6 @@ STUDY_KINDS = ("fem_rate", "surrogate_error", "reg_rate", "mollify_rate")
 
 #: the least value of each size, for a study and for the CLI commands that set it
 SIZE_BOUNDS = {"n_cells": 4, "n_train": 1, "n_quad": 2, "n_trunk": 2, "max_iterations": 1}
-
-C_LOAD, C_CENTER = 50.0, 1.0  # the c-example's constant load and prior center
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +218,6 @@ def _fem_case_error(case, n: int) -> float:
     return norm(y.resample(_FINE_CELLS) - fine, SpaceKind.L2)
 
 
-@lru_cache(maxsize=None)
-def fem_rho(problem: ProblemKind, n: int, load: float, center: float) -> float:
-    """Surrogate error of the n-cell Galerkin map: its ``surrogate_error`` on
-    the training pairs of six sine modes (the n - 1 the mesh holds, if fewer)
-    at a tenth of the constant center, and on their ``probe_pairs`` mix; the
-    FEM map fits none of them.  A center too close to the bound for them
-    raises ValueError naming the least center they admit."""
-    f, x0 = GridFunction.constant(load, n), GridFunction.constant(center, n)
-    modes = min(6, n - 1)
-    try:
-        ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1 * center, modes))
-    except NonAdmissiblePerturbation:
-        reach = max(np.max(np.abs(perturbation_shape(k, n).values)) for k in range(1, modes + 1))
-        least = problem.fem_lower_bound() / (1.0 - 0.1 * reach)
-        raise ValueError(f"center = {center!r} puts the FEM rho's probes below the bound; "
-                         f"the least center they admit is {least:.6g}") from None
-    return surrogate_error(FemMap(problem, f), ts.pairs[1:] + probe_pairs(ts))
-
-
 # ---------------------------------------------------------------------------
 # study bodies
 
@@ -327,11 +305,11 @@ def _read_only(*grids: GridFunction):
 
 @lru_cache(maxsize=8)
 def _c_example_data(n_cells: int, n_train: int):
-    """The seed-free part of the c-example, shared by every study of the
-    process with these sizes: (ls, xt, y_true), all read-only."""
+    """The seed-free part of the c-example (load 50, prior center 1), shared by
+    every study of the process with these sizes: (ls, xt, y_true), all read-only."""
     prob = ProblemKind.C_EXAMPLE
-    f = GridFunction.constant(C_LOAD, n_cells)
-    x0 = GridFunction.constant(C_CENTER, n_cells)
+    f = GridFunction.constant(50.0, n_cells)
+    x0 = GridFunction.constant(1.0, n_cells)
     ts = generate_training_set(prob, f, x0, PerturbationSpec(0.1, n_train))
     ls = build_linear_surrogate(ts)
     xt = source_target_c(ls)
@@ -354,30 +332,30 @@ def c_example_setup(cfg: StudyConfig) -> CExample:
 @lru_cache(maxsize=8)
 def _a_example_data(n_cells: int):
     """The a-example setup, which no seed enters, shared by every study of the
-    process on this mesh: (x0, xt, FEM map, y_true, rho), all read-only."""
+    process on this mesh: (xt, FEM map, y_true), all read-only; the map keeps its rho."""
     prob = ProblemKind.A_EXAMPLE
     f = GridFunction.constant(1.0, n_cells)
     x0 = GridFunction.constant(1.0, n_cells)
     xt = source_target_a(prob, x0, f)
     y_true = solve_forward_reference(prob, xt, f)
-    _read_only(f, x0, xt, y_true)
-    return x0, xt, FemMap(prob, f), y_true, fem_rho(prob, n_cells, 1.0, 1.0)
+    h = FemMap(prob, f, x0)
+    _read_only(f, x0, xt, y_true, *(g for pair in h.probes for g in pair))
+    return xt, h, y_true
 
 
 def _run_reg_rate(cfg: StudyConfig, rows: list):
     deltas = [float(d) for d in cfg.ladder]
     if cfg.problem == "a":
-        x0, xt, h, y_true, rho = _a_example_data(cfg.n_cells)
+        xt, h, y_true = _a_example_data(cfg.n_cells)
     else:
         ex = c_example_setup(cfg)
-        x0, xt, y_true = ex.ls.center[0], ex.xt, ex.y_true
+        xt, y_true = ex.xt, ex.y_true
         h = RankMap(ex.ls) if cfg.surrogate == "rank" else NeuralMap(ex.coeffs, ex.ls)
-        rho = surrogate_error(h, ex.ls.probes)
 
     runs = []
     for i, d in enumerate(deltas):
-        r = solve_inverse_problem(h, rho, x0, xt, y_true, d, cfg.seed + 100 + i,
-                                  cfg.constant, cfg.xi, cfg.max_iterations)
+        r = solve_inverse_problem(h, xt, y_true, d, cfg.seed + 100 + i, cfg.constant, cfg.xi,
+                                  cfg.max_iterations)
         runs.append(r)
         rows.append(r.csv_row())
 

@@ -37,7 +37,7 @@ from .grid import (GridFunction, SpaceKind, _inner_nodal, gram_apply, gram_solve
                    trapezoid_weights)
 from .mollify import mollify, mollify_matrix
 from .neural import StructuredSurrogateCoeffs, eval_structured_with_gradient
-from .training import LinearSurrogate
+from .training import LinearSurrogate, fem_probe_pairs
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
@@ -85,14 +85,23 @@ class TikhonovConfig:
 class SurrogateHandle:
     """A forward map F_n inside the functional: FemMap, RankMap or NeuralMap.
 
-    Each map provides ``label``, ``n_terms``, ``problem`` and ``_evaluate(x)``,
-    which checks that the (already mollified) input x lies on the map's mesh
-    and returns the nodal data y and a pullback taking the nodal residual r
-    to the Euclidean nodal gradient of inner(y, r, L2) in x.  ``forward`` and
-    ``misfit_and_gradient`` wrap it as the GridFunction entry points.
+    Each map provides ``label``, ``n_terms``, ``problem``, its prior
+    ``center``, the solved ``probes`` (x, F[x]) that it does not fit, and
+    ``_evaluate(x)``, which checks that the (already mollified) input x lies
+    on the map's mesh and returns the nodal data y and a pullback taking the
+    nodal residual r to the Euclidean nodal gradient of inner(y, r, L2) in x.
+    ``forward`` and ``misfit_and_gradient`` wrap it as the GridFunction entry points.
     """
 
-    __slots__ = ()
+    __slots__ = ("_rho",)
+
+    @property
+    def rho(self) -> float:
+        """The error that the parameter rule balances against the noise:
+        ``surrogate_error`` on the probes, measured on first use and kept."""
+        if not hasattr(self, "_rho"):
+            self._rho = surrogate_error(self, self.probes)
+        return self._rho
 
     def forward(self, x: GridFunction) -> GridFunction:
         """Surrogate data for the (already mollified) input x."""
@@ -115,14 +124,15 @@ class SurrogateHandle:
 
 
 class FemMap(SurrogateHandle):
-    """The Galerkin solver itself on the mesh of its load."""
+    """The Galerkin solver itself on the mesh of its load, around the prior center."""
 
-    __slots__ = ("problem", "load", "_directions")
+    __slots__ = ("problem", "load", "center", "probes", "_directions")
     label = "FemForward"
     n_terms = 0
 
-    def __init__(self, problem: ProblemKind, load: GridFunction):
-        self.problem, self.load = problem, load
+    def __init__(self, problem: ProblemKind, load: GridFunction, center: GridFunction):
+        self.problem, self.load, self.center = problem, load, center
+        self.probes = fem_probe_pairs(problem, load, center)
         self._directions = None  # (center bytes, basis, images) of the last center
 
     def _evaluate(self, x: GridFunction):
@@ -158,6 +168,8 @@ class RankMap(SurrogateHandle):
     __slots__ = ("ls",)
     label = "LinearRankN"
     problem = property(lambda self: self.ls.problem)
+    center = property(lambda self: self.ls.center[0])
+    probes = property(lambda self: self.ls.probes)
     n_terms = property(lambda self: self.ls.n_terms)
 
     def __init__(self, ls: LinearSurrogate):
@@ -197,6 +209,8 @@ class NeuralMap(SurrogateHandle):
     __slots__ = ("coeffs", "ls")
     label = "NeuralOperator"
     problem = property(lambda self: self.ls.problem)
+    center = property(lambda self: self.ls.center[0])
+    probes = property(lambda self: self.ls.probes)
     n_terms = property(lambda self: self.coeffs.n_terms)
 
     def __init__(self, coeffs: StructuredSurrogateCoeffs, ls: LinearSurrogate):
@@ -448,28 +462,27 @@ class RegularizationRun(NamedTuple):
 RUN_COLUMNS = RegularizationRun._fields
 
 
-def solve_inverse_problem(h: SurrogateHandle, rho: float, x0: GridFunction, x_true: GridFunction,
-                          y_true: GridFunction, delta: float, seed: int, constant: float,
-                          xi: float, max_iterations: int) -> RegularizationRun:
+def solve_inverse_problem(h: SurrogateHandle, x_true: GridFunction, y_true: GridFunction,
+                          delta: float, seed: int, constant: float, xi: float,
+                          max_iterations: int) -> RegularizationRun:
     """One regularized inversion, and the one place the parameter rule is
     applied: noise of level delta drawn from ``seed`` is added to the clean
-    data y_true, alpha = constant * max(delta, rho), rho the map's
-    ``surrogate_error``, and eta = alpha^2
-    (``choose_parameters``), the functional is minimized from the prior x0
-    in the space and bound of the map's problem, and the run is recorded
-    with its X error against x_true.  ``runtime_ms`` times the minimization
-    alone."""
+    data y_true, alpha = constant * max(delta, h.rho) and eta = alpha^2
+    (``choose_parameters``), the functional is minimized from the map's
+    prior ``h.center`` in the space and bound of its problem, and the run
+    is recorded with its X error against x_true.  ``runtime_ms`` times the
+    minimization alone, not the map's first measurement of rho."""
+    x_true._check_mesh(h.center.n_cells)  # before the solve, not after it
     y_delta = add_noise(y_true, delta, seed)
-    alpha, eta = choose_parameters(delta, rho, constant)
-    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, max_iterations=max_iterations)
-    x_true._check_mesh(x0.n_cells)  # before the solve, not after it
+    alpha, eta = choose_parameters(delta, h.rho, constant)
+    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=h.center, max_iterations=max_iterations)
     start = time.perf_counter()
     result = minimize_tikhonov(h, y_delta, cfg)
     runtime_ms = (time.perf_counter() - start) * 1e3
     return RegularizationRun(
         problem=h.problem.value,
         surrogate=h.label,
-        n=x0.n_cells,
+        n=cfg.x0.n_cells,
         N=h.n_terms,
         delta=delta,
         alpha=alpha,

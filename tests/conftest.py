@@ -8,8 +8,7 @@ import invop.studies
 def reference_solves(monkeypatch):
     """List that gains the nodal bytes of each reference-mesh input solved,
     whoever asks for it.  The study memos start empty, so their solves count."""
-    for memo in (invop.studies._a_example_data, invop.studies._c_example_data,
-                 invop.studies.fem_rho):
+    for memo in (invop.studies._a_example_data, invop.studies._c_example_data):
         memo.cache_clear()
     calls = []
     solve = invop.fem.solve_forward_fem

@@ -18,7 +18,6 @@ from invop.mollify import mollify
 from invop.studies import (
     StudyConfig,
     c_example_setup,
-    fem_rho,
     fit_slope,
     run_study,
 )
@@ -32,7 +31,6 @@ from invop.tikhonov import (
     choose_parameters,
     minimize_tikhonov,
     solve_inverse_problem,
-    surrogate_error,
     tikhonov_value_and_gradient,
 )
 from invop.training import (
@@ -66,7 +64,8 @@ def test_criterion_2_regularization_rate_a_example():
     """H1 reconstruction error ~ sqrt(delta) with the FEM forward map,
     parameter-choice constant 1, discretization level below delta_min."""
     deltas = tuple(0.1 * 2.0 ** (-k) for k in range(3, 10))
-    assert fem_rho(A, 256, 1.0, 1.0) <= min(deltas)  # delta is the binding term
+    one = GridFunction.constant(1.0, 256)
+    assert FemMap(A, one, one).rho <= min(deltas)  # delta is the binding term
     table = run_study(StudyConfig("reg_rate", problem="a", n_cells=256,
                                   ladder=deltas, constant=1.0))
     assert 0.35 <= table.fitted_slope <= 0.65, table.fitted_slope
@@ -86,10 +85,9 @@ def test_criterion_3_regularization_rate_c_example(c_surrogate):
     # additive smoothing term: errors at two widths differ by <= 3x the gap
     s = c_surrogate
     h = NeuralMap(s.coeffs, s.ls)
-    rho = surrogate_error(h, s.ls.probes)
     y_true = solve_forward_reference(C, s.xt, s.ls.load)
-    errs = [solve_inverse_problem(h, rho, s.ls.center[0], s.xt, y_true, deltas[2], 205, 0.15,
-                                  xi_k, 20000).error_X for xi_k in (1e-4, 2e-4)]
+    errs = [solve_inverse_problem(h, s.xt, y_true, deltas[2], 205, 0.15, xi_k, 20000).error_X
+            for xi_k in (1e-4, 2e-4)]
     assert abs(errs[1] - errs[0]) <= 3.0 * (2e-4 - 1e-4), errs
 
 
@@ -177,7 +175,7 @@ def test_measured_rho_bounds_the_map_error_where_the_solutions_lie(kind):
     ex = c_example_setup(cfg)
     x0, f = ex.ls.center[0], ex.ls.load
     h = RankMap(ex.ls) if kind == "rank" else NeuralMap(ex.coeffs, ex.ls)
-    rho = surrogate_error(h, ex.ls.probes)
+    rho = h.rho
     inputs = [ex.xt]
     for i, (delta, row) in enumerate(zip(deltas, rows)):
         alpha, eta = choose_parameters(delta, rho, cfg.constant)
@@ -252,7 +250,7 @@ def test_criterion_8_optimization_soundness():
     assert gap == pytest.approx(eta_bound, rel=1e-6)
 
     # gradient consistency on every surrogate kind
-    handles = [FemMap(C, f), h_rank, NeuralMap(coeffs, ls)]
+    handles = [FemMap(C, f, x0), h_rank, NeuralMap(coeffs, ls)]
     x = GridFunction(1.0 + 0.03 * rng.standard_normal(n + 1))
     d = GridFunction(rng.standard_normal(n + 1))
     for h in handles:

@@ -10,7 +10,7 @@ from invop.config import load_config, read_section, study_config
 from invop.fem import ProblemKind, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, norm
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
-from invop.studies import StudyConfig, fem_rho, source_target_a
+from invop.studies import StudyConfig, source_target_a
 from invop.tikhonov import (FemMap, NeuralMap, RankMap, RegularizationRun, SurrogateHandle,
                             TikhonovConfig, add_noise, choose_parameters, minimize_tikhonov,
                             surrogate_error)
@@ -154,10 +154,11 @@ def test_fem_solve_defaults_to_the_problem_space(tmp_path):
     prob, n, delta = ProblemKind.C_EXAMPLE, 64, 1e-3
     f, x0 = GridFunction.constant(50.0, n), GridFunction.constant(1.0, n)
     xt = source_target_a(prob, x0, f)
-    alpha, eta = choose_parameters(delta, fem_rho(prob, n, 50.0, 1.0), 1.0)
+    h = FemMap(prob, f, x0)
+    alpha, eta = choose_parameters(delta, h.rho, 1.0)
     tik = TikhonovConfig(alpha=alpha, eta=eta, xi=0.0, x0=x0, max_iterations=200)
     yd = add_noise(solve_forward_reference(prob, xt, f), delta, 0)
-    res = minimize_tikhonov(FemMap(prob, f), yd, tik)
+    res = minimize_tikhonov(h, yd, tik)
     expect = RegularizationRun("c", "FemForward", n, 0, delta, alpha, eta, 0.0,
                                res.certificate.iterations, res.certificate.gradient_norm,
                                norm(res.x - xt, SpaceKind.L2), 0.0, 0).csv_row().split(",")
@@ -476,6 +477,27 @@ def test_solve_uses_surrogate_error_from_build(tmp_path):
         assert alpha == 0.5 * rho, kind
 
 
+def test_build_prints_the_rho_that_the_neural_solve_balances(tmp_path, capsys):
+    # the status line reports the loaded neural map's measured rho, which the
+    # solve balances, and not the rho_bound diagnostic that no rule uses
+    gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
+    ts_path, surr_path = tmp_path / "train.txt", tmp_path / "surr.txt"
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
+    capsys.readouterr()
+    assert cli_main(["build", "--config", _small_build(tmp_path, ts_path),
+                     "--out", str(surr_path)]) == 0
+    status = capsys.readouterr().out
+    ls, diag = load_linear_surrogate(str(surr_path) + ".rank")
+    rho = NeuralMap(load_structured(surr_path), ls).rho
+    assert status == f"wrote surrogate ({ls.n_terms} terms, rho {rho:.3e}) to {surr_path}\n"
+    assert f"{diag.rho_bound:.3e}" not in status
+    out = tmp_path / "neural.csv"
+    assert cli_main(["solve", "--config", _small_solve(tmp_path, "neural", surr_path, 1e-7),
+                     "--out", str(out), "--quiet"]) == 0
+    header, row = out.read_text().splitlines()
+    assert float(row.split(",")[header.split(",").index("alpha")]) == 0.5 * rho
+
+
 def test_solve_without_stored_diagnostics_names_field(tmp_path, capsys):
     surr_path = _small_surrogate(tmp_path)
     edit(tmp_path / "surr.txt.rank", {"nu_N": None})
@@ -655,9 +677,10 @@ def test_neural_solve_with_the_rank_file_of_another_build_names_surrogate_file(t
 
 def test_fem_solve_applies_the_parameter_rule_with_its_own_load(tmp_path):
     # delta lies below rho, so alpha = constant * rho of the configured load
-    prob = ProblemKind.A_EXAMPLE
+    prob, one = ProblemKind.A_EXAMPLE, GridFunction.constant(1.0, 16)
+    rho = FemMap(prob, GridFunction.constant(2.0, 16), one).rho
     delta = 1e-5
-    assert delta < fem_rho(prob, 16, 2.0, 1.0) != fem_rho(prob, 16, 1.0, 1.0)
+    assert delta < rho != FemMap(prob, one, one).rho
     cfg = _write(tmp_path / "solve.cfg", f"""
 [solve]
 problem = a
@@ -672,7 +695,7 @@ max_iterations = 50
     assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     header, row = out.read_text().splitlines()
     alpha = float(row.split(",")[header.split(",").index("alpha")])
-    assert alpha == 0.5 * fem_rho(prob, 16, 2.0, 1.0)
+    assert alpha == 0.5 * rho
 
 
 def test_fem_solve_with_a_center_too_near_the_bound_for_rho_names_center(tmp_path, capsys):

@@ -135,7 +135,7 @@ def test_kernels_reject_an_input_on_another_mesh():
             kernel(other)
     # the FEM map's mesh is that of its load
     with pytest.raises(DimensionMismatch, match="32 cells where the 16-cell mesh"):
-        FemMap(A, other).forward(x)
+        FemMap(A, other, other).forward(x)
 
 
 def test_linearity_of_derivative():

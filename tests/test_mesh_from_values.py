@@ -1,10 +1,12 @@
 """A grid function's nodal values fix its mesh, so no call in the package or
 its scripts passes a cell count beside them: ``GridFunction`` takes the
 values alone, and the array kernels take their arrays and a space.  In the
-same way a forward map brings its problem and the neural map its center:
-no call passes a problem to ``solve_inverse_problem`` or ``TikhonovConfig``
-or a center pair to ``NeuralMap``, and the package reads no problem off a
-``TikhonovConfig``: the functional takes X and nu from the map.  A call in
+same way a forward map brings its problem, its center and its rho: no call
+passes a problem, a center or a rho to ``solve_inverse_problem``, a problem
+to ``TikhonovConfig`` or a center pair to ``NeuralMap``, and the package
+reads no problem off a ``TikhonovConfig``: the functional takes X and nu
+from the map.  ``FemMap``, which is given its problem and center, takes
+exactly those and its load.  A call in
 the old form fails only when it runs, or not at all; this scan also covers
 the paths that no test runs."""
 
@@ -30,9 +32,9 @@ KERNEL_ARITY = {"_inner_nodal": 3, "gram_apply": 2, "gram_solve": 2,
                 "_assemble": 2, "_galerkin_factors": 2, "_galerkin_solve": 3}
 
 
-#: entry points that take their problem or center from a map or expansion
-#: -> the number of arguments of each call
-ENTRY_ARITY = {"solve_inverse_problem": 10, "NeuralMap": 2}
+#: entry points -> the number of arguments of each call; all but FemMap take
+#: their problem and center from a map or expansion
+ENTRY_ARITY = {"solve_inverse_problem": 8, "NeuralMap": 2, "FemMap": 3}
 
 
 def call_nodes(source: str, name: str) -> list:
@@ -51,17 +53,18 @@ def calls(source: str, name: str) -> list:
 
 
 def restated(source: str, name: str) -> list:
-    """Lines of the calls of ``name`` whose arity is not ENTRY_ARITY's, or
-    that pass a ``problem`` or ``center`` keyword, a tuple display or an
-    attribute named ``problem`` or ``center``."""
+    """Lines of the calls of ``name`` whose arity is not ENTRY_ARITY's, or,
+    but for ``FemMap``, that pass a ``problem`` or ``center`` keyword, a
+    tuple display or an attribute named ``problem`` or ``center``."""
     def names_one(node):
         return (isinstance(node, ast.Tuple) or isinstance(node, ast.Starred)
                 or getattr(node, "attr", None) in ("problem", "center"))
 
     return [node.lineno for node in call_nodes(source, name)
             if len(node.args) + len(node.keywords) != ENTRY_ARITY[name]
-            or any(k.arg in ("problem", "center") or names_one(k.value) for k in node.keywords)
-            or any(map(names_one, node.args))]
+            or name != "FemMap" and (
+                any(k.arg in ("problem", "center") or names_one(k.value) for k in node.keywords)
+                or any(map(names_one, node.args)))]
 
 
 def all_calls(name: str) -> list:
@@ -75,14 +78,16 @@ def test_scan_counts_arguments():
 
 
 def test_scan_finds_a_restated_problem_or_center():
-    source = ("solve_inverse_problem(h, rho, prob, x0, xt, y, d, s, c, xi, it)\n"
-              "solve_inverse_problem(h, rho, x0, xt, y, d, s, c, xi, it, problem=p)\n"
-              "solve_inverse_problem(h, rho, ex.problem, xt, y, d, s, c, xi, it)\n"
-              "solve_inverse_problem(h, rho, x0, xt, y, d, s, c, xi, it)\n"
+    source = ("solve_inverse_problem(h, rho, x0, xt, y, d, s, c, xi, it)\n"
+              "solve_inverse_problem(h, xt, y, d, s, c, xi, problem=p)\n"
+              "solve_inverse_problem(h, ex.center, y, d, s, c, xi, it)\n"
+              "solve_inverse_problem(h, xt, y, d, s, c, xi, it)\n"
               "m.NeuralMap(coeffs, ls.center)\nNeuralMap(coeffs, (x0, y0))\n"
-              "NeuralMap(coeffs, center=c)\nNeuralMap(coeffs, ls)\n")
+              "NeuralMap(coeffs, center=c)\nNeuralMap(coeffs, ls)\n"
+              "FemMap(prob, f)\nFemMap(ls.problem, ls.load, ls.center[0])\n")
     assert restated(source, "solve_inverse_problem") == [1, 2, 3]
     assert restated(source, "NeuralMap") == [5, 6, 7]
+    assert restated(source, "FemMap") == [9]
 
 
 @pytest.mark.parametrize("name", ENTRY_ARITY)

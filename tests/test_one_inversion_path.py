@@ -1,8 +1,8 @@
 """Each inversion in the package and its scripts goes through
 ``tikhonov.solve_inverse_problem``, which alone applies the parameter rule
-alpha ~ max(delta, rho), and the rho it balances is always the value of
-``tikhonov.surrogate_error`` for the map being inverted: no caller passes
-nu_N, rho_bound or any other number."""
+alpha ~ max(delta, rho), and the rho it balances is that of the map being
+inverted: ``SurrogateHandle.rho``, the one caller of ``surrogate_error``.  No
+caller passes nu_N, rho_bound or any other number."""
 
 import ast
 import importlib.util
@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-import invop
-import invop.cli
-import invop.studies
 from invop.cli import cli_main
-from invop.studies import StudyConfig, run_study
+from invop.fem import ProblemKind
+from invop.grid import GridFunction
+from invop.serialize import load_linear_surrogate, load_structured
+from invop.studies import StudyConfig, c_example_setup, run_study
+from invop.tikhonov import RUN_COLUMNS, FemMap, NeuralMap, RankMap
 
 ROOT = Path(__file__).parents[1]
 FILES = sorted(p for d in ("src/invop", "scripts") for p in (ROOT / d).glob("*.py"))
@@ -56,13 +57,15 @@ INVERSIONS = {"src/invop/studies.py:_run_reg_rate", "src/invop/cli.py:_cmd_solve
               "scripts/surrogate_pipeline.py:main"}
 #: the verify command's gradient check evaluates the functional, it solves nothing
 VERIFY = "src/invop/cli.py:grp_gradient"
+#: the build command's status line reports the neural map's rho
+BUILD = "src/invop/cli.py:_cmd_build"
 
 
 @pytest.mark.parametrize("name,allowed", [
     ("choose_parameters", {"src/invop/tikhonov.py:solve_inverse_problem"}),
     ("TikhonovConfig", {"src/invop/tikhonov.py:solve_inverse_problem", VERIFY}),
     ("RankMap", INVERSIONS | {VERIFY}),
-    ("NeuralMap", INVERSIONS | {VERIFY}),
+    ("NeuralMap", INVERSIONS | {VERIFY, BUILD}),
 ])
 def test_only_the_entry_point_builds_an_inversion(name, allowed):
     assert all_callers(name) == allowed
@@ -70,42 +73,33 @@ def test_only_the_entry_point_builds_an_inversion(name, allowed):
 
 def test_the_inversions_and_the_rho_measurements_are_these():
     assert all_callers("solve_inverse_problem") == INVERSIONS
-    assert all_callers("surrogate_error") == INVERSIONS | {"src/invop/studies.py:fem_rho"}
+    assert all_callers("surrogate_error") == {"src/invop/tikhonov.py:rho"}
 
 
-class Measured(float):
-    """A rho that surrogate_error returned, with the label of the map it measured."""
+def assert_balanced(rows, h, constant):
+    """Each run row inverted the map h, built here apart from the run, with
+    alpha = constant * max(delta, h.rho); rho binds on at least one row, so a
+    rho that is not h's shows."""
+    cells = [dict(zip(RUN_COLUMNS, row.split(","))) for row in rows]
+    assert {c["surrogate"] for c in cells} == {h.label}
+    assert [float(c["alpha"]) for c in cells] == [
+        constant * max(float(c["delta"]), h.rho) for c in cells]
+    assert any(float(c["delta"]) < h.rho for c in cells)
 
 
-MEMOS = (invop.studies._a_example_data, invop.studies._c_example_data, invop.studies.fem_rho)
-
-
-@pytest.fixture
-def measured(monkeypatch):
-    """The labels of the maps inverted; an inversion whose rho is not the
-    surrogate_error of a map of its kind fails the run."""
-    measure, solve = invop.surrogate_error, invop.solve_inverse_problem
-    inverted = []
-
-    def tagged(h, pairs):
-        rho = Measured(measure(h, pairs))
-        rho.label = h.label
-        return rho
-
-    def checked(h, rho, *args):
-        assert type(rho) is Measured, f"{h.label} balanced rho = {rho!r}, not a measurement"
-        assert rho.label == h.label, f"{h.label} balanced the rho of {rho.label}"
-        inverted.append(h.label)
-        return solve(h, rho, *args)
-
-    for module in (invop, invop.studies, invop.cli):
-        monkeypatch.setattr(module, "surrogate_error", tagged)
-        monkeypatch.setattr(module, "solve_inverse_problem", checked)
-    for memo in MEMOS:  # a memo holds the untagged rho of an earlier test
-        memo.cache_clear()
-    yield inverted
-    for memo in MEMOS:
-        memo.cache_clear()
+@pytest.mark.parametrize("problem,surrogate,label", [
+    ("a", "fem", "FemForward"), ("c", "rank", "LinearRankN"), ("c", "neural", "NeuralOperator")])
+def test_each_study_inversion_balances_a_measured_rho(problem, surrogate, label):
+    cfg = StudyConfig("reg_rate", problem=problem, surrogate=surrogate, n_cells=32, n_quad=32,
+                      n_trunk=4, ladder=(0.02, 1e-3, 1e-5, 1e-7))
+    if problem == "a":
+        one = GridFunction.constant(1.0, 32)
+        h = FemMap(ProblemKind.A_EXAMPLE, one, one)
+    else:
+        ex = c_example_setup(cfg)
+        h = RankMap(ex.ls) if surrogate == "rank" else NeuralMap(ex.coeffs, ex.ls)
+    assert h.label == label
+    assert_balanced(run_study(cfg).rows, h, cfg.constant)
 
 
 def _write(path, text):
@@ -113,36 +107,40 @@ def _write(path, text):
     return str(path)
 
 
-@pytest.mark.parametrize("problem,surrogate,label", [
-    ("a", "fem", "FemForward"), ("c", "rank", "LinearRankN"), ("c", "neural", "NeuralOperator")])
-def test_each_study_inversion_balances_a_measured_rho(measured, problem, surrogate, label):
-    run_study(StudyConfig("reg_rate", problem=problem, surrogate=surrogate, n_cells=32,
-                          n_quad=32, n_trunk=4, ladder=(0.02, 0.01, 0.005, 0.0025)))
-    assert measured == [label] * 4
-
-
-def test_each_cli_inversion_balances_a_measured_rho(measured, tmp_path):
+def test_each_cli_inversion_balances_a_measured_rho(tmp_path):
     gen = _write(tmp_path / "gen.cfg", "[generate]\nproblem = c\nn_cells = 32\nload = 50.0\n"
                                        "[perturbation]\ncount = 2\n")
     build = _write(tmp_path / "build.cfg", f"[build]\ntraining = {tmp_path / 'train'}\n"
                                            "n_quad = 32\nn_trunk = 4\n")
+    surr = str(tmp_path / "surr")
     assert cli_main(["generate", "--config", gen, "--out", str(tmp_path / "train"),
                      "--quiet"]) == 0
-    assert cli_main(["build", "--config", build, "--out", str(tmp_path / "surr"),
-                     "--quiet"]) == 0
-    for kind in ("fem", "rank", "neural"):
+    assert cli_main(["build", "--config", build, "--out", surr, "--quiet"]) == 0
+    ls, _ = load_linear_surrogate(surr + ".rank")
+    f, x0 = GridFunction.constant(50.0, 32), GridFunction.constant(1.0, 32)
+    maps = {"fem": FemMap(ProblemKind.C_EXAMPLE, f, x0),
+            "rank": RankMap(ls), "neural": NeuralMap(load_structured(surr), ls)}
+    for kind, h in maps.items():
         solve = _write(tmp_path / "solve.cfg", f"[solve]\nproblem = c\nsurrogate = {kind}\n"
-                       f"surrogate_file = {tmp_path / 'surr'}\nn_cells = 32\nload = 50.0\n"
-                       "delta = 1e-7\ntarget = prior\nmax_iterations = 20\n")
-        assert cli_main(["solve", "--config", solve, "--quiet"]) == 0
-    assert measured == ["FemForward", "LinearRankN", "NeuralOperator"]
+                       f"surrogate_file = {surr}\nn_cells = 32\nload = 50.0\n"
+                       "delta = 1e-7\nconstant = 0.5\ntarget = prior\nmax_iterations = 20\n")
+        out = tmp_path / f"{kind}.csv"
+        assert cli_main(["solve", "--config", solve, "--out", str(out), "--quiet"]) == 0
+        assert_balanced(out.read_text().splitlines()[1:], h, 0.5)
 
 
-def test_each_script_inversion_balances_a_measured_rho(measured, monkeypatch, capsys):
+def test_each_script_inversion_balances_a_measured_rho(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("surrogate_pipeline",
                                                   ROOT / "scripts" / "surrogate_pipeline.py")
     script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)  # it imports the checked names from invop
-    monkeypatch.setattr(sys, "argv", ["surrogate_pipeline.py", "0.05"])
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["surrogate_pipeline.py", "1e-6"])
     script.main()
-    assert measured == ["FemForward", "LinearRankN", "NeuralOperator"]
+    rows = capsys.readouterr().out.splitlines()[2:]
+    ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="neural"))
+    maps = (FemMap(ex.ls.problem, ex.ls.load, ex.ls.center[0]), RankMap(ex.ls),
+            NeuralMap(ex.coeffs, ex.ls))
+    for row, h in zip(rows, maps, strict=True):
+        run, rho = row.rsplit(",", 1)
+        assert float(rho) == h.rho
+        assert_balanced([run], h, 0.15)

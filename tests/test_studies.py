@@ -19,7 +19,6 @@ from invop.studies import (
     RateTable,
     StudyConfig,
     c_example_setup,
-    fem_rho,
     fit_slope,
     run_study,
     source_target_a,
@@ -153,10 +152,15 @@ def test_slope_recomputable_from_rows():
     assert slope == pytest.approx(table.fitted_slope, abs=1e-12)
 
 
+def _fem_map(problem, n, load, center):
+    """The FEM map of a constant load around a constant center on n cells."""
+    return FemMap(problem, GridFunction.constant(load, n), GridFunction.constant(center, n))
+
+
 def test_rho_branch_binds_below_fem_rho():
     """On a coarse mesh the ladder crosses rho: above it alpha = delta, below
     it alpha = rho, and the error saturates at a level set by rho."""
-    rho = fem_rho(A, 32, 1.0, 1.0)
+    rho = _fem_map(A, 32, 1.0, 1.0).rho
     table = run_study(StudyConfig("reg_rate", problem="a", n_cells=32, constant=1.0,
                                   ladder=tuple(0.1 * 2.0 ** -k for k in range(3, 16))))
     rows = [dict(zip(RUN_COLUMNS, r.split(","))) for r in table.rows]
@@ -178,19 +182,19 @@ def test_fem_rho_within_100x_of_the_nodal_error_at_the_target():
         xt = source_target_a(A, GridFunction.constant(1.0, n), f)
         err = norm(solve_forward_fem(A, xt, f) - solve_forward_reference(A, xt, f),
                    SpaceKind.L2)
-        assert err <= fem_rho(A, n, 1.0, 1.0) <= 100.0 * err, n
+        assert err <= _fem_map(A, n, 1.0, 1.0).rho <= 100.0 * err, n
 
 
 @pytest.mark.parametrize("problem,n,load", [(A, 16, 1.0), (A, 256, 1.0),
                                             (ProblemKind.C_EXAMPLE, 64, 50.0)])
 def test_fem_rho_keeps_the_bits_of_its_probe_maximum(problem, n, load):
-    # the FEM map's surrogate_error on the probe pairs is the largest L2 error
-    # of the Galerkin solve over them, as fem_rho computed it by hand before
+    # the FEM map's rho is the largest L2 error of the Galerkin solve over its
+    # probe pairs, the six modes and their mix, computed here by hand
     f, x0 = GridFunction.constant(load, n), GridFunction.constant(1.0, n)
     ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1, 6))
     expect = max(norm(solve_forward_fem(problem, x, f) - y, SpaceKind.L2)
                  for x, y in ts.pairs[1:] + probe_pairs(ts))
-    assert fem_rho(problem, n, load, 1.0) == expect
+    assert _fem_map(problem, n, load, 1.0).rho == expect
 
 
 @pytest.mark.parametrize("center", [0.1, 0.11, 0.1164])
@@ -200,8 +204,8 @@ def test_fem_rho_of_a_center_near_the_bound_names_the_least_center(center):
     least = 0.1 / (1.0 - 0.1 * np.sqrt(2.0))
     with pytest.raises(ValueError, match=rf"^center = {center!r} .* least center they "
                                          rf"admit is {least:.6g}$"):
-        fem_rho(A, 32, 1.0, center)
-    assert fem_rho(A, 32, 1.0, float(f"{least:.6g}")) > 0.0
+        _fem_map(A, 32, 1.0, center)
+    assert _fem_map(A, 32, 1.0, float(f"{least:.6g}")).rho > 0.0
 
 
 def test_source_target_of_a_zero_load_raises_degenerate_scale():
@@ -285,7 +289,7 @@ def _small_rows(problem, seed):
 @pytest.mark.parametrize("problem", ["a", "c"])
 def test_studies_of_one_process_solve_each_reference_input_once(problem, reference_solves):
     # c: the 7 training inputs, their mix and the target; a: the 8 inputs of
-    # fem_rho's probe set and the target.  The second seed solves none again.
+    # the FEM map's probe set and the target.  The second seed solves none again.
     _small_rows(problem, 0)
     _small_rows(problem, 1)
     assert len(reference_solves) == len(set(reference_solves)) == 9
@@ -307,7 +311,7 @@ def test_memoized_setup_is_read_only(problem):
         elif isinstance(value, GridFunction):
             yield value.values
         elif isinstance(value, FemMap):
-            yield value.load.values
+            yield from arrays((value.load, value.center, value.probes))
         elif isinstance(value, tuple):  # LinearSurrogate and the pairs too
             for v in value:
                 yield from arrays(v)

@@ -14,7 +14,7 @@ from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm, trapezoid_weights
 from invop.mollify import mollify, mollify_matrix
 from invop import studies
-from invop.studies import StudyConfig, c_example_setup, fem_rho, run_study, source_target_a
+from invop.studies import StudyConfig, c_example_setup, run_study, source_target_a
 from invop.tikhonov import (
     GAUSS_NEWTON_STEPS,
     MEMORY,
@@ -56,7 +56,7 @@ def handles():
     ls = build_linear_surrogate(ts)
     coeffs, diag = assemble_neural_surrogate(ls, 192, 12, seed=1)
     return {
-        "fem": FemMap(C, f),
+        "fem": FemMap(C, f, x0),
         "rank": RankMap(ls),
         "neural": NeuralMap(coeffs, ls),
         "f": f,
@@ -100,8 +100,8 @@ def test_solve_rejects_a_true_coefficient_on_another_mesh(handles, monkeypatch):
     monkeypatch.setattr(FemMap, "_evaluate", unreachable)
     x0 = handles["x0"]
     with pytest.raises(DimensionMismatch, match="mesh"):
-        solve_inverse_problem(handles["fem"], 1e-5, x0, GridFunction.constant(1.0, N // 2),
-                              x0, 1e-3, 1, 1.0, 0.0, 10)
+        solve_inverse_problem(handles["fem"], GridFunction.constant(1.0, N // 2), x0, 1e-3, 1,
+                              1.0, 0.0, 10)
 
 
 # -- noise ------------------------------------------------------------------
@@ -457,7 +457,7 @@ def test_fem_initial_matrix_inverts_the_gauss_newton_hessian(problem, load, xi):
     n, alpha = 8, 1e-3
     space = problem.image_space
     x0 = GridFunction(1.0 + 0.3 * np.linspace(0.0, 1.0, n + 1) ** 2)  # no symmetry
-    h = FemMap(problem, GridFunction.constant(load, n))
+    h = FemMap(problem, GridFunction.constant(load, n), x0)
     h0 = h.inverse_hessian(_config(x0, alpha=alpha, xi=xi))
     eye = np.eye(n + 1)
     M = mollify_matrix(n, xi) if xi > 0 else eye
@@ -508,7 +508,7 @@ def test_fem_map_builds_its_directions_once_per_center(monkeypatch):
     monkeypatch.setattr(invop.tikhonov, "gauss_newton_directions", counting)
     n = 16
     x0, other = GridFunction.constant(1.0, n), GridFunction.constant(1.5, n)
-    h = FemMap(A, GridFunction.constant(1.0, n))
+    h = FemMap(A, GridFunction.constant(1.0, n), x0)
     for cfg in (_config(x0), _config(x0, alpha=1e-2), _config(x0, alpha=1e-2, xi=0.1),
                 _config(other), _config(x0)):
         h.inverse_hessian(cfg)
@@ -598,9 +598,9 @@ def test_h1_fem_solve_converges():
     n, delta = 64, 1e-4
     f = GridFunction.constant(1.0, n)
     x0 = GridFunction.constant(1.0, n)
-    h = FemMap(A, f)
+    h = FemMap(A, f, x0)
     yd = add_noise(h.forward(source_target_a(A, x0, f)), delta, seed=11)
-    alpha, eta = choose_parameters(delta, fem_rho(A, n, 1.0, 1.0))
+    alpha, eta = choose_parameters(delta, h.rho)
     cfg = _config(x0, alpha=alpha, eta=eta)
     c = minimize_tikhonov(h, yd, cfg).certificate
     assert c.status == "converged"
@@ -616,7 +616,7 @@ def test_line_search_builds_at_most_two_grid_functions_per_evaluation(handles, m
     if kind == "fem":
         n = 64
         f = x0 = GridFunction.constant(1.0, n)
-        h = FemMap(A, f)
+        h = FemMap(A, f, x0)
         yd = add_noise(solve_forward_reference(A, source_target_a(A, x0, f), f), 1e-3,
                        seed=3)
         cfg = _config(x0, eta=1e-30, max_iterations=10)
@@ -658,7 +658,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
     yd = add_noise(solve_forward_reference(C, ex.xt, ex.ls.load), delta,
                    study.seed + 100 + i)
     h = RankMap(ex.ls)
-    alpha, eta = choose_parameters(delta, surrogate_error(h, ex.ls.probes), study.constant)
+    alpha, eta = choose_parameters(delta, h.rho, study.constant)
     cfg = _config(ex.ls.center[0], alpha=alpha, eta=eta, xi=study.xi,
                   max_iterations=study.max_iterations)
     calls = _count_gradients(monkeypatch)
@@ -674,7 +674,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
 def test_run_record_schema(handles):
     h = handles["fem"]
     x0 = handles["x0"]
-    run = solve_inverse_problem(h, 1e-5, x0, x0, h.forward(x0), 1e-3, 1, 1.0, 0.0, 2000)
+    run = solve_inverse_problem(h, x0, h.forward(x0), 1e-3, 1, 1.0, 0.0, 2000)
     row = run.csv_row()
     cells = row.split(",")
     assert len(cells) == len(RUN_COLUMNS)
@@ -689,10 +689,8 @@ def test_c_rank_map_solves_the_c_problem():
     # the c bound and records c; given the a-example's H1, error_X read 0.197
     ex = c_example_setup(StudyConfig("reg_rate", problem="c", surrogate="rank"))
     h = RankMap(ex.ls)
-    rho = surrogate_error(h, ex.ls.probes)
     assert h.problem is C and NeuralMap(ex.coeffs, ex.ls).problem is C
-    run = solve_inverse_problem(h, rho, ex.ls.center[0], ex.xt, ex.y_true, 1e-3, 7, 0.15,
-                                1e-4, 20000)
+    run = solve_inverse_problem(h, ex.xt, ex.y_true, 1e-3, 7, 0.15, 1e-4, 20000)
     assert (run.problem, run.surrogate) == ("c", "LinearRankN")
     assert run.error_X < 0.01  # 0.0032
 
@@ -700,18 +698,18 @@ def test_c_rank_map_solves_the_c_problem():
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
 def test_entry_point_row_is_the_hand_built_row(handles, kind):
     # the one entry point adds the noise, applies the parameter rule with the
-    # map's own rho, solves in the problem's space and measures the error
-    # against x_true: its row is that of the steps taken by hand, bit for bit
-    # apart from the runtime
+    # map's own rho, solves from the map's center in the problem's space and
+    # measures the error against x_true: its row is that of the steps taken
+    # by hand, bit for bit apart from the runtime
     x0, h = handles["x0"], handles[kind]
-    rho = surrogate_error(h, handles["ls"].probes)
+    assert h.center is x0
     xt = GridFunction(x0.values + 0.02 * np.sin(np.pi * x0.nodes))
     y_true = handles["fem"].forward(xt)
     delta, seed, constant, xi, budget = 1e-3, 3, 0.15, 1e-2, 40
-    run = solve_inverse_problem(h, rho, x0, xt, y_true, delta, seed, constant, xi, budget)
+    run = solve_inverse_problem(h, xt, y_true, delta, seed, constant, xi, budget)
 
     yd = add_noise(y_true, delta, seed)
-    alpha, eta = choose_parameters(delta, rho, constant)
+    alpha, eta = choose_parameters(delta, surrogate_error(h, h.probes), constant)
     cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, max_iterations=budget)
     res = minimize_tikhonov(h, yd, cfg)
     assert run == RegularizationRun(
@@ -727,12 +725,12 @@ def test_certificate_bounds_the_gap_on_the_fem_map(seed):
     so this is measured, not implied; the worst ratio reads 0.57 (seed 100)."""
     cfg = StudyConfig("reg_rate", problem="a", n_cells=256, seed=seed)
     rows = run_study(cfg).rows
-    x0, _, h, y_true, rho = studies._a_example_data(256)
+    _, h, y_true = studies._a_example_data(256)
     converged = 0
     for i, (delta, row) in enumerate(zip(cfg.ladder, rows)):
         y_delta = add_noise(y_true, delta, seed + 100 + i)
-        alpha, eta = choose_parameters(delta, rho, cfg.constant)
-        tik = TikhonovConfig(alpha, eta, cfg.xi, x0, cfg.max_iterations)
+        alpha, eta = choose_parameters(delta, h.rho, cfg.constant)
+        tik = TikhonovConfig(alpha, eta, cfg.xi, h.center, cfg.max_iterations)
         res = minimize_tikhonov(h, y_delta, tik)
         # the study's own stop, rebuilt
         assert str(res.certificate.iterations) == row.split(",")[RUN_COLUMNS.index("iterations")]

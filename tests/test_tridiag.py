@@ -151,7 +151,7 @@ def test_library_lookup_that_finds_nothing_falls_back(tmp_path):
 def _clear_factor_caches():
     """Drop the cached factors, and the study setups solved with them."""
     for cache in (_h1_gram_factors, _galerkin_factors, studies._a_example_data,
-                  studies._c_example_data, studies.fem_rho):
+                  studies._c_example_data):
         cache.cache_clear()
 
 

@@ -1,5 +1,7 @@
 """No module of the package, its tests or its scripts imports a name it never reads,
-and no module of the package defines a private top-level name the package never reads."""
+no module of the package defines a private top-level name the package never reads,
+and none defines a public one that no module of the package, its scripts, its tests
+or the benchmark reads."""
 
 import ast
 from pathlib import Path
@@ -37,9 +39,8 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def private_definitions(source: str) -> list:
-    """The top-level functions, classes and assigned names of ``source`` that
-    start with one underscore."""
+def definitions(source: str) -> list:
+    """The top-level functions, classes and assigned names of ``source``."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -47,7 +48,13 @@ def private_definitions(source: str) -> list:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def private_definitions(source: str) -> list:
+    """The top-level names of ``source`` that start with one underscore."""
+    return [name for name in definitions(source)
+            if name.startswith("_") and not name.startswith("__")]
 
 
 def read_names(source: str) -> set:
@@ -68,3 +75,23 @@ def test_no_unread_private_helper():
     read = set().union(*(read_names(s) for s in sources.values()))
     assert [f"{name}: {helper}" for name, s in sources.items()
             for helper in private_definitions(s) if helper not in read] == []
+
+
+#: modules whose reads keep a public name of the package in use; the
+#: package's __init__ imports its API without reading it
+READERS = sorted(p for d in ("src/invop", "scripts", "tests", "perfbench")
+                 for p in (ROOT / d).glob("*.py"))
+
+
+def test_scan_finds_an_unread_public_name():
+    source = "A = 1\n__all__ = []\ndef b():\n    return A\ndef c(): pass\nclass D: pass\n"
+    reader = "from m import D\nx = D\nm.b()\n"
+    read = read_names(source) | read_names(reader)
+    assert [n for n in definitions(source) if not n.startswith("_") and n not in read] == ["c"]
+
+
+def test_no_unread_public_name():
+    read = set().union(*(read_names(p.read_text()) for p in READERS))
+    assert [f"{p.name}: {name}" for p in PACKAGE if p.name != "__init__.py"
+            for name in definitions(p.read_text())
+            if not name.startswith("_") and name not in read] == []
