@@ -254,7 +254,7 @@ def _verify_groups():
         eps = 1e-5
         for h, y in cases:
             yd = add_noise(y, 1e-3, 1)
-            cfg = TikhonovConfig(alpha=1e-8, eta=1e-6, xi=0.0, x0=x0)
+            cfg = TikhonovConfig(alpha=1e-8, eta=1e-6, xi=0.0)
             _, g = tikhonov_value_and_gradient(h, x, yd, cfg)
             fd = (tikhonov_value_and_gradient(h, x + eps * d, yd, cfg)[0]
                   - tikhonov_value_and_gradient(h, x - eps * d, yd, cfg)[0]) / (2 * eps)

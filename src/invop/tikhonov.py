@@ -3,8 +3,8 @@
 The functional is ``||F_n[x_xi] - y_delta||^2_L2 + alpha ||x - x0||^2_X``
 where ``F_n`` is one of three interchangeable forward maps (``FemMap``,
 the direct FEM solve; ``RankMap``, the rank-N linear expansion;
-``NeuralMap``, the branch/trunk sigmoid operator) and
-``x_xi`` is the mollified iterate when a smoothing width is configured.
+``NeuralMap``, the branch/trunk sigmoid operator), x0 is its prior ``center``
+and ``x_xi`` is the mollified iterate when a smoothing width is configured.
 Minimization is limited-memory BFGS (the two-loop recursion of Liu &
 Nocedal, 1989) with every inner product taken in the X metric, projected
 onto x >= nu, with a monotone backtracking line search.  Its initial
@@ -55,13 +55,12 @@ GAUSS_NEWTON_STEPS = 8
 
 @dataclass(frozen=True)
 class TikhonovConfig:
-    """The functional's weights and its prior center x0; X and the bound
-    x >= nu are those of the forward map's problem."""
+    """The functional's weights, tolerance and budget; the prior center, X
+    and the bound x >= nu are those of the forward map."""
 
     alpha: float
     eta: float
     xi: float
-    x0: GridFunction
     max_iterations: int = 2000
 
     def __post_init__(self):
@@ -74,8 +73,9 @@ class TikhonovConfig:
                 raise ValueError(f"{name} must be {word}, not {v!r}")
         if self.xi >= 0.5:
             raise ValueError(f"xi must be in [0, 0.5), the widths that fit, not {self.xi!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be positive, not {self.max_iterations!r}")
+        m = self.max_iterations
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ValueError(f"max_iterations must be a positive integer, not {m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ class FemMap(SurrogateHandle):
     def __init__(self, problem: ProblemKind, load: GridFunction, center: GridFunction):
         self.problem, self.load, self.center = problem, load, center
         self.probes = fem_probe_pairs(problem, load, center)
-        self._directions = None  # (center bytes, basis, images) of the last center
+        self._directions = None  # (xi, basis, images) of the last width
 
     def _evaluate(self, x: GridFunction):
         x._check_mesh(self.load.n_cells)
@@ -150,14 +150,14 @@ class FemMap(SurrogateHandle):
         GAUSS_NEWTON_STEPS leading directions b_i of ``gauss_newton_directions``
         in Woodbury form: it inverts that Hessian on them and is
         1 / (2 alpha) X-orthogonal to them.  The directions and their images
-        J b_i depend on the center alone, so each map builds them once per
-        center and every solve from it reuses them."""
-        xc = cfg.x0.values
-        if cfg.xi > 0:
-            xc = mollify_matrix(cfg.x0.n_cells, cfg.xi) @ xc
+        J b_i depend on the map's center and xi alone, so each map builds them
+        once per width and every solve with it reuses them."""
         built = self._directions
-        if built is None or built[0] != xc.tobytes():
-            built = self._directions = (xc.tobytes(), *gauss_newton_directions(
+        if built is None or built[0] != cfg.xi:
+            xc = self.center.values
+            if cfg.xi > 0:
+                xc = mollify_matrix(self.center.n_cells, cfg.xi) @ xc
+            built = self._directions = (cfg.xi, *gauss_newton_directions(
                 self.problem, xc, self.load.values, GAUSS_NEWTON_STEPS))
         return _woodbury_inverse(*built[1:], self.problem.image_space, cfg)
 
@@ -232,12 +232,12 @@ def _woodbury_inverse(basis, images, space: SpaceKind, cfg: TikhonovConfig):
     linear map x -> sum_i <x, b_i>_X y_i (nodal directions b_i, nodal data
     y_i), in Woodbury form:
     H^-1 v = (v - U C (alpha I + V U C)^-1 V v) / (2 alpha).  The rows of V
-    are the Riesz functionals G b_i, mollified when xi > 0, U = G_X^-1 V^T,
-    and C is the L2 Gram matrix of the y_i; one N x N inverse when the
-    function is built."""
+    are the Riesz functionals G b_i, mollified on the mesh of the b_i when
+    xi > 0, U = G_X^-1 V^T, and C is the L2 Gram matrix of the y_i; one
+    N x N inverse when the function is built."""
     V = [gram_apply(b, space) for b in basis]
     if cfg.xi > 0:
-        V = [mollify_matrix(cfg.x0.n_cells, cfg.xi).T @ v for v in V]
+        V = [mollify_matrix(basis[0].size - 1, cfg.xi).T @ v for v in V]
     V = np.array(V)
     C = np.array([[_inner_nodal(a, b, SpaceKind.L2) for b in images] for a in images])
     # matrix-vector products and lstsq only, kernels the package runs
@@ -290,9 +290,9 @@ def choose_parameters(delta: float, rho_n: float, constant: float = 1.0):
 def tikhonov_value_and_gradient(
     h: SurrogateHandle, x: GridFunction, y_delta: GridFunction, cfg: TikhonovConfig
 ):
-    """Functional value and the nodal values of its gradient in the
-    solution space of the map's problem; the one evaluator of the functional."""
-    x._check_mesh(cfg.x0.n_cells)
+    """Functional value and the nodal values of its gradient in the solution
+    space of the map's problem, around its center; the one evaluator of the functional."""
+    x._check_mesh(h.center.n_cells)
     space = h.problem.image_space
     if float(np.min(x.values)) < h.problem.nu - 1e-12:
         raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
@@ -300,7 +300,7 @@ def tikhonov_value_and_gradient(
     misfit, gz = h.misfit_and_gradient(v, y_delta)
     if cfg.xi > 0:
         gz = mollify_matrix(x.n_cells, cfg.xi).T @ gz
-    d = x.values - cfg.x0.values
+    d = x.values - h.center.values
     value = misfit + cfg.alpha * _inner_nodal(d, d, space)
     grad = gram_solve(gz, space) + 2.0 * cfg.alpha * d
     return value, grad
@@ -373,8 +373,8 @@ def minimize_tikhonov(
     """Projected limited-memory BFGS with a monotone backtracking (halving)
     line search, run on nodal arrays: each trial builds one GridFunction.
 
-    The run starts from the prior ``cfg.x0``, which must satisfy the bound
-    of ``h.problem``.  Each iteration moves along d = H g from
+    The run starts from the map's prior ``h.center``, which must satisfy
+    the bound of ``h.problem``.  Each iteration moves along d = H g from
     ``_LbfgsMemory``, the L-BFGS inverse Hessian of the last MEMORY
     accepted pairs in the X metric, with H0 = ``h.inverse_hessian(cfg)``
     until a step is clipped, and tries x - t d projected onto
@@ -389,7 +389,7 @@ def minimize_tikhonov(
     the last two return the best iterate, and ``Certificate.iterations``
     is the index of the returned iterate.
     """
-    x, space, nu = cfg.x0, h.problem.image_space, h.problem.nu
+    x, space, nu = h.center, h.problem.image_space, h.problem.nu
     if float(np.min(x.values)) < nu:
         raise NonAdmissibleCoefficient("prior center violates the bound nu")
     value, grad = tikhonov_value_and_gradient(h, x, y_delta, cfg)
@@ -475,14 +475,14 @@ def solve_inverse_problem(h: SurrogateHandle, x_true: GridFunction, y_true: Grid
     x_true._check_mesh(h.center.n_cells)  # before the solve, not after it
     y_delta = add_noise(y_true, delta, seed)
     alpha, eta = choose_parameters(delta, h.rho, constant)
-    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=h.center, max_iterations=max_iterations)
+    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, max_iterations=max_iterations)
     start = time.perf_counter()
     result = minimize_tikhonov(h, y_delta, cfg)
     runtime_ms = (time.perf_counter() - start) * 1e3
     return RegularizationRun(
         problem=h.problem.value,
         surrogate=h.label,
-        n=cfg.x0.n_cells,
+        n=h.center.n_cells,
         N=h.n_terms,
         delta=delta,
         alpha=alpha,

@@ -244,8 +244,8 @@ def fit_trunk(y_underline: GridFunction, n_j: int, seed: int):
             zeta[1:] = -w[1:] * rng.uniform(0.0, 1.0, n_j - 1)
         features = activation(np.outer(t, w) + zeta)
         weighted = features * sw[:, None]
-        if np.linalg.cond(weighted) <= TRUNK_COND_LIMIT:
-            c, *_ = np.linalg.lstsq(weighted, sw * y_underline.values, rcond=None)
+        c, _, _, s = np.linalg.lstsq(weighted, sw * y_underline.values, rcond=None)
+        if s[0] <= TRUNK_COND_LIMIT * s[-1]:
             fit = eval_trunk(c, w, zeta, t)
             residual = float(np.sqrt(np.sum((sw * (fit - y_underline.values)) ** 2)))
             return (c, w, zeta), residual

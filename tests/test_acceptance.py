@@ -173,14 +173,14 @@ def test_measured_rho_bounds_the_map_error_where_the_solutions_lie(kind):
                       constant=0.15, xi=1e-4, seed=100)
     rows = run_study(cfg).rows
     ex = c_example_setup(cfg)
-    x0, f = ex.ls.center[0], ex.ls.load
+    f = ex.ls.load
     h = RankMap(ex.ls) if kind == "rank" else NeuralMap(ex.coeffs, ex.ls)
     rho = h.rho
     inputs = [ex.xt]
     for i, (delta, row) in enumerate(zip(deltas, rows)):
         alpha, eta = choose_parameters(delta, rho, cfg.constant)
         x = minimize_tikhonov(h, add_noise(ex.y_true, delta, cfg.seed + 100 + i),
-                              TikhonovConfig(alpha, eta, cfg.xi, x0, cfg.max_iterations)).x
+                              TikhonovConfig(alpha, eta, cfg.xi, cfg.max_iterations)).x
         # the study's own minimizer, rebuilt
         assert norm(x - ex.xt, SpaceKind.L2) == float(row.split(",")[
             RUN_COLUMNS.index("error_X")])
@@ -234,7 +234,7 @@ def test_criterion_8_optimization_soundness():
         ci * bi.values for ci, bi in zip(c, ls.basis)))
     # strong convexity modulus alpha: value gap eta implies a distance bound
     # sqrt(eta/alpha), so eta = 1e-20 certifies the 1e-8 recovery below
-    cfg = TikhonovConfig(alpha=alpha, eta=1e-20, xi=0.0, x0=x0, max_iterations=200000)
+    cfg = TikhonovConfig(alpha=alpha, eta=1e-20, xi=0.0, max_iterations=200000)
     res = minimize_tikhonov(h_rank, y_delta, cfg)
     assert norm(res.x - x_star, SpaceKind.L2) <= 1e-8
 

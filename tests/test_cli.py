@@ -156,7 +156,7 @@ def test_fem_solve_defaults_to_the_problem_space(tmp_path):
     xt = source_target_a(prob, x0, f)
     h = FemMap(prob, f, x0)
     alpha, eta = choose_parameters(delta, h.rho, 1.0)
-    tik = TikhonovConfig(alpha=alpha, eta=eta, xi=0.0, x0=x0, max_iterations=200)
+    tik = TikhonovConfig(alpha=alpha, eta=eta, xi=0.0, max_iterations=200)
     yd = add_noise(solve_forward_reference(prob, xt, f), delta, 0)
     res = minimize_tikhonov(h, yd, tik)
     expect = RegularizationRun("c", "FemForward", n, 0, delta, alpha, eta, 0.0,

@@ -3,12 +3,12 @@ its scripts passes a cell count beside them: ``GridFunction`` takes the
 values alone, and the array kernels take their arrays and a space.  In the
 same way a forward map brings its problem, its center and its rho: no call
 passes a problem, a center or a rho to ``solve_inverse_problem``, a problem
-to ``TikhonovConfig`` or a center pair to ``NeuralMap``, and the package
-reads no problem off a ``TikhonovConfig``: the functional takes X and nu
-from the map.  ``FemMap``, which is given its problem and center, takes
-exactly those and its load.  A call in
-the old form fails only when it runs, or not at all; this scan also covers
-the paths that no test runs."""
+or a prior to ``TikhonovConfig`` or a center pair to ``NeuralMap``, and the
+package reads neither off a ``TikhonovConfig``: the functional takes X, nu
+and the prior center from the map.  ``FemMap``, which is given its problem
+and center, takes exactly those and its load.  A call in the old form fails
+only when it runs, or not at all; this scan also covers the paths that no
+test runs."""
 
 import ast
 from pathlib import Path
@@ -97,29 +97,36 @@ def test_maps_bring_their_problem_and_center(name):
             for p in FILES for line in restated(p.read_text(), name)] == []
 
 
-#: the fields of TikhonovConfig: alpha, eta, xi, x0 and max_iterations
-CONFIG_ARITY = 5
+#: the fields of TikhonovConfig: alpha, eta, xi and max_iterations
+CONFIG_ARITY = 4
+
+#: the fields that a map, not a TikhonovConfig, brings: its problem and its
+#: prior center
+MAP_FIELDS = ("problem", "x0")
 
 
 def config_given_a_problem(source: str) -> list:
     """Lines of the ``TikhonovConfig`` calls that pass more arguments than
-    it has fields, a ``problem`` keyword, or an argument that names a
-    problem: a ``problem`` or ``prob`` name, a ProblemKind member or its
-    ``A`` or ``C`` alias, or an attribute named ``problem``."""
+    it has fields, a ``problem`` or ``x0`` keyword, or an argument that
+    names a problem or a prior: a ``problem``, ``prob`` or ``x0`` name, a
+    ProblemKind member or its ``A`` or ``C`` alias, an attribute named
+    ``problem``, ``center`` or ``x0``, or an item of one."""
     def names_one(node):
-        return (getattr(node, "id", None) in ("problem", "prob", "A", "C")
-                or getattr(node, "attr", None) in ("problem", "A_EXAMPLE", "C_EXAMPLE"))
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return (getattr(node, "id", None) in ("problem", "prob", "A", "C", "x0")
+                or getattr(node, "attr", None) in ("problem", "A_EXAMPLE", "C_EXAMPLE",
+                                                   "center", "x0"))
 
     return [node.lineno for node in call_nodes(source, "TikhonovConfig")
             if len(node.args) + len(node.keywords) > CONFIG_ARITY
-            or any(k.arg == "problem" or names_one(k.value) for k in node.keywords)
+            or any(k.arg in MAP_FIELDS or names_one(k.value) for k in node.keywords)
             or any(map(names_one, node.args))]
 
 
 def config_problem_reads(source: str) -> list:
-    """Lines that read ``problem`` off a TikhonovConfig: off a name annotated
-    as one, or off a ``cfg`` that its function does not annotate as a
-    StudyConfig (whose ``problem`` is the study's problem name)."""
+    """Lines that read ``problem`` or ``x0`` off a TikhonovConfig: off a name
+    annotated as one, or off a ``cfg`` that its function does not annotate
+    as a StudyConfig (whose ``problem`` is the study's problem name)."""
     found = []
 
     def visit(node, annotations):
@@ -128,7 +135,7 @@ def config_problem_reads(source: str) -> list:
             annotations = {**annotations, **{
                 arg.arg: arg.annotation and ast.unparse(arg.annotation)
                 for arg in a.posonlyargs + a.args + a.kwonlyargs}}
-        if (isinstance(node, ast.Attribute) and node.attr == "problem"
+        if (isinstance(node, ast.Attribute) and node.attr in MAP_FIELDS
                 and isinstance(node.value, ast.Name)):
             kind = annotations.get(node.value.id)
             if kind == "TikhonovConfig" or (node.value.id == "cfg" and kind != "StudyConfig"):
@@ -141,15 +148,19 @@ def config_problem_reads(source: str) -> list:
 
 
 def test_scan_finds_a_problem_given_to_or_read_off_a_config():
-    source = ("TikhonovConfig(a, e, xi, x0, problem=p)\nTikhonovConfig(a, e, xi, x0, C, 20)\n"
-              "TikhonovConfig(a, e, xi, x0, h.problem)\nTikhonovConfig(a, e, xi, x0, 20, 1)\n"
-              "TikhonovConfig(a, e, xi, x0, max_iterations=20)\n"
-              "def f(cfg):\n    return cfg.problem\n"
+    source = ("TikhonovConfig(a, e, xi, problem=p)\nTikhonovConfig(a, e, xi, C, 20)\n"
+              "TikhonovConfig(a, e, xi, h.problem)\nTikhonovConfig(a, e, xi, 20, 1)\n"
+              "TikhonovConfig(a, e, xi, max_iterations=20)\n"
+              "TikhonovConfig(a, e, xi, x0=h.center)\nTikhonovConfig(a, e, xi, h.center)\n"
+              "TikhonovConfig(a, e, xi, ls.center[0], 20)\n"
+              "def f(cfg):\n    return cfg.problem, cfg.xi\n"
               "def g(c: TikhonovConfig, h):\n    return c.problem.nu, h.problem\n"
               "def k(cfg: StudyConfig):\n    return cfg.problem == 'a'\n"
-              "cfg = m.TikhonovConfig(1, 1, 0, x0)\nspace = cfg.problem.image_space\n")
-    assert config_given_a_problem(source) == [1, 2, 3, 4]
-    assert config_problem_reads(source) == [7, 9, 13]
+              "def p(c: TikhonovConfig, h):\n    return c.x0.values - h.center.values\n"
+              "cfg = m.TikhonovConfig(1, 1, 0, x0)\nspace = cfg.problem.image_space\n"
+              "d = x - cfg.x0\n")
+    assert config_given_a_problem(source) == [1, 2, 3, 4, 6, 7, 8, 17]
+    assert config_problem_reads(source) == [10, 12, 16, 18, 19]
 
 
 def test_the_functional_takes_its_problem_from_the_map():
@@ -168,7 +179,7 @@ def test_c_rank_map_certifies_its_stop_in_l2():
     ls = build_linear_surrogate(generate_training_set(C, f, x0, PerturbationSpec(0.1, 3)))
     h = RankMap(ls)
     y_delta = add_noise(h.forward(x0 + 0.05 * ls.basis[0]), 1e-3, 1)
-    cfg = TikhonovConfig(alpha, alpha ** 2, 0.0, x0)
+    cfg = TikhonovConfig(alpha, alpha ** 2, 0.0)
     res = minimize_tikhonov(h, y_delta, cfg)
     r = y_delta - ls.center[1]
     G = np.array([[inner(a, b, L2) for b in ls.induced] for a in ls.induced])

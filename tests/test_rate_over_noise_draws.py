@@ -39,7 +39,7 @@ def test_median_error_over_twenty_draws_falls_at_the_claimed_rate():
     medians = []
     for i, (delta, row) in enumerate(zip(study.ladder, rows)):
         alpha, eta = choose_parameters(delta, rho, study.constant)
-        cfg = TikhonovConfig(alpha, eta, study.xi, ex.ls.center[0], study.max_iterations)
+        cfg = TikhonovConfig(alpha, eta, study.xi, study.max_iterations)
         errors = []
         for j in range(DRAWS):
             noisy = add_noise(ex.y_true, delta, study.seed + 100 + i + 1000 * j)

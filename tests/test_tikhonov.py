@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,7 +73,7 @@ def test_pullback_rejects_an_input_on_another_mesh(handles, kind):
     # every entry point takes its inputs on the map's mesh and resamples
     # neither an input x nor the data y_delta
     h, x0 = handles[kind], handles["x0"]
-    cfg = _config(x0)
+    cfg = _config()
     y = h.forward(x0)
     x_other, y_other = GridFunction.constant(1.0, N // 2), y.resample(N // 2)
     calls = {
@@ -167,18 +168,23 @@ def test_surrogate_error_over_no_pairs_raises_empty_probe_set(handles):
 # -- functional and gradient ------------------------------------------------
 
 
-def _config(x0, **kw):
-    base = dict(alpha=1e-3, eta=1e-8, xi=0.0, x0=x0, max_iterations=2000)
+def _config(**kw):
+    base = dict(alpha=1e-3, eta=1e-8, xi=0.0, max_iterations=2000)
     base.update(kw)
     return TikhonovConfig(**base)
 
 
 @pytest.mark.parametrize("key,value,word", [
     ("alpha", 0.0, "positive"), ("eta", -1e-8, "positive"), ("xi", -1.0, "nonnegative"),
-    ("max_iterations", 0, "positive")])
+    ("max_iterations", 0, "a positive integer"), ("max_iterations", 2.5, "a positive integer"),
+    ("max_iterations", True, "a positive integer"),
+    # a stale positional call TikhonovConfig(alpha, eta, xi, x0) puts the
+    # prior where the budget goes
+    pytest.param("max_iterations", GridFunction.constant(1.0, 16), "a positive integer",
+                 id="max_iterations-stale-prior-a positive integer")])
 def test_config_range_error_names_its_one_field(key, value, word):
-    with pytest.raises(ValueError, match=rf"^{key} must be {word}, not {value!r}$"):
-        _config(GridFunction.constant(1.0, 16), **{key: value})
+    with pytest.raises(ValueError, match=rf"^{key} must be {word}, not {re.escape(repr(value))}$"):
+        _config(**{key: value})
 
 
 def test_config_rejects_a_mollifier_width_of_half_or_more():
@@ -186,14 +192,14 @@ def test_config_rejects_a_mollifier_width_of_half_or_more():
     # evaluation, with WidthTooLarge from inside mollify_matrix
     with pytest.raises(ValueError, match=r"^xi must be in \[0, 0\.5\), the widths that fit, "
                                          r"not 0\.6$"):
-        TikhonovConfig(alpha=1e-3, eta=1e-6, xi=0.6, x0=GridFunction.constant(1.0, 16))
+        TikhonovConfig(alpha=1e-3, eta=1e-6, xi=0.6)
 
 
 @pytest.mark.parametrize("key", ["alpha", "eta", "xi"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_a_non_finite_real(key, value):
     with pytest.raises(ValueError, match="finite"):
-        _config(GridFunction.constant(1.0, 16), **{key: value})
+        _config(**{key: value})
 
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
@@ -202,7 +208,7 @@ def test_gradient_matches_finite_differences(handles, kind):
     x0 = handles["x0"]
     y = h.forward(x0)
     yd = add_noise(y, 1e-3, seed=1)
-    cfg = _config(x0)
+    cfg = _config()
     rng = np.random.default_rng(2)
     x = GridFunction(1.0 + 0.03 * rng.standard_normal(N + 1))
     d = GridFunction(rng.standard_normal(N + 1))
@@ -218,7 +224,7 @@ def test_gradient_with_mollification(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=3)
-    cfg = _config(x0, xi=5e-3)
+    cfg = _config(xi=5e-3)
     rng = np.random.default_rng(4)
     x = GridFunction(1.0 + 0.03 * rng.standard_normal(N + 1))
     d = GridFunction(rng.standard_normal(N + 1))
@@ -249,7 +255,7 @@ def test_fem_misfit_gradient_solves_forward_once(handles, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
 def test_value_and_gradient_rejects_inadmissible_point(handles, kind):
-    cfg = _config(handles["x0"])
+    cfg = _config()
     bad = GridFunction.constant(0.05, N)
     with pytest.raises(NonAdmissibleCoefficient):
         tikhonov_value_and_gradient(handles[kind], bad, handles["x0"], cfg)
@@ -257,11 +263,19 @@ def test_value_and_gradient_rejects_inadmissible_point(handles, kind):
 
 @pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
 def test_minimizer_rejects_a_prior_below_the_maps_bound(handles, kind):
-    # the config holds no problem: the run checks the prior against the bound
-    # nu of the map's problem before it evaluates anything, to the last bit
-    cfg = _config(GridFunction.constant(C.nu - 1e-13, N))
+    # the config holds neither problem nor prior: the run checks the map's
+    # center against the bound nu of its problem before it evaluates
+    # anything, to the last bit; the c FEM solve itself admits x >= 0
+    f, low = handles["f"], GridFunction.constant(C.nu - 1e-13, N)
+    if kind == "fem":
+        h = FemMap(C, f, low)
+    else:
+        ls = build_linear_surrogate(generate_training_set(C, f, low, PerturbationSpec(0.01, 2)))
+        h = RankMap(ls) if kind == "rank" else NeuralMap(
+            assemble_neural_surrogate(ls, 16, 4, seed=1)[0], ls)
+    assert h.center is low
     with pytest.raises(NonAdmissibleCoefficient, match="^prior center violates the bound nu$"):
-        minimize_tikhonov(handles[kind], handles["x0"], cfg)
+        minimize_tikhonov(h, handles["x0"], _config())
 
 
 # -- minimization -----------------------------------------------------------
@@ -330,7 +344,7 @@ def test_quadratic_proxy_recovered(handles):
     x0 = handles["x0"]
     y = h.forward(x0 + 0.05 * GridFunction.from_callable(
         lambda s: np.sin(np.pi * s), N))
-    cfg = _config(x0, alpha=1e-2, eta=1e-16, max_iterations=100000)
+    cfg = _config(alpha=1e-2, eta=1e-16, max_iterations=100000)
     res = minimize_tikhonov(h, y, cfg)
     # optimality: gradient at the returned point is certificate-small
     assert res.certificate.status == "converged"
@@ -343,7 +357,7 @@ def test_iterates_satisfy_projection_bound(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-2, seed=5)
-    cfg = _config(x0, alpha=1e-4, eta=1e-10, max_iterations=50)
+    cfg = _config(alpha=1e-4, eta=1e-10, max_iterations=50)
     res = minimize_tikhonov(h, yd, cfg)
     assert float(np.min(res.x.values)) >= h.problem.nu
 
@@ -352,7 +366,7 @@ def test_certificate_reports_gradient_gap(handles):
     h = handles["rank"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=6)
-    cfg = _config(x0, eta=1e-10, max_iterations=100000)
+    cfg = _config(eta=1e-10, max_iterations=100000)
     res = minimize_tikhonov(h, yd, cfg)
     c = res.certificate
     assert c.eta_bound == pytest.approx(
@@ -365,7 +379,7 @@ def test_budget_exhaustion_returns_best(handles):
     h = handles["fem"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-2, seed=7)
-    cfg = _config(x0, alpha=1e-6, eta=1e-30, max_iterations=3)
+    cfg = _config(alpha=1e-6, eta=1e-30, max_iterations=3)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.iterations == 3
     assert res.certificate.status == "budget"
@@ -377,7 +391,7 @@ def test_monotone_decrease(handles):
     h = handles["neural"]
     x0 = handles["x0"]
     yd = add_noise(h.forward(x0), 1e-3, seed=8)
-    cfg = _config(x0, alpha=1e-3, eta=1e-12, max_iterations=30)
+    cfg = _config(alpha=1e-3, eta=1e-12, max_iterations=30)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.functional_value <= tikhonov_value_and_gradient(h, x0, yd, cfg)[0] + 1e-15
 
@@ -405,8 +419,7 @@ def _precision_floor_problem(handles, kind):
     c = np.linalg.solve(G + alpha * np.eye(len(G)),
                         [inner(y, r, SpaceKind.L2) for y in ls.induced])
     x_star = x0 + GridFunction(sum(ci * b.values for ci, b in zip(c, ls.basis)))
-    return h, y_delta, x_star, _config(x0, alpha=alpha, eta=1e-20,
-                                       max_iterations=200000)
+    return h, y_delta, x_star, _config(alpha=alpha, eta=1e-20, max_iterations=200000)
 
 
 def test_stagnation_stop_at_precision_floor(handles, monkeypatch):
@@ -440,7 +453,7 @@ def test_budget_run_reports_index_of_best_iterate(handles):
 
 
 def test_only_the_neural_map_gives_no_inverse_hessian(handles):
-    cfg = _config(handles["x0"])
+    cfg = _config()
     assert handles["neural"].inverse_hessian(cfg) is None
     assert callable(handles["rank"].inverse_hessian(cfg))
     assert callable(handles["fem"].inverse_hessian(cfg))
@@ -458,7 +471,7 @@ def test_fem_initial_matrix_inverts_the_gauss_newton_hessian(problem, load, xi):
     space = problem.image_space
     x0 = GridFunction(1.0 + 0.3 * np.linspace(0.0, 1.0, n + 1) ** 2)  # no symmetry
     h = FemMap(problem, GridFunction.constant(load, n), x0)
-    h0 = h.inverse_hessian(_config(x0, alpha=alpha, xi=xi))
+    h0 = h.inverse_hessian(_config(alpha=alpha, xi=xi))
     eye = np.eye(n + 1)
     M = mollify_matrix(n, xi) if xi > 0 else eye
     xc = M @ x0.values
@@ -497,7 +510,7 @@ def test_gauss_newton_directions_are_orthonormal_on_every_mesh(problem):
     assert len(basis) == 1 and not np.any(images[0])
 
 
-def test_fem_map_builds_its_directions_once_per_center(monkeypatch):
+def test_fem_map_builds_its_directions_once_per_xi(monkeypatch):
     calls = []
     build = invop.tikhonov.gauss_newton_directions
 
@@ -507,16 +520,16 @@ def test_fem_map_builds_its_directions_once_per_center(monkeypatch):
 
     monkeypatch.setattr(invop.tikhonov, "gauss_newton_directions", counting)
     n = 16
-    x0, other = GridFunction.constant(1.0, n), GridFunction.constant(1.5, n)
+    x0 = GridFunction(1.0 + 0.3 * np.linspace(0.0, 1.0, n + 1) ** 2)
     h = FemMap(A, GridFunction.constant(1.0, n), x0)
-    for cfg in (_config(x0), _config(x0, alpha=1e-2), _config(x0, alpha=1e-2, xi=0.1),
-                _config(other), _config(x0)):
+    for cfg in (_config(), _config(alpha=1e-2), _config(alpha=1e-2, xi=0.1),
+                _config(xi=0.1), _config(eta=1e-6)):
         h.inverse_hessian(cfg)
-    # a new mollified center, and each switch of center, builds once more
-    assert len(calls) == 4
+    # the directions lie at the map's own center: alpha and eta reuse them,
+    # and each switch of xi builds once more, at the center mollified by it
+    assert len(calls) == 3
+    assert np.array_equal(calls[0], x0.values) and np.array_equal(calls[2], x0.values)
     assert np.array_equal(calls[1], mollify(x0, 0.1).values)
-    assert np.array_equal(calls[2], other.values)
-    assert np.array_equal(calls[3], x0.values)
 
 
 @pytest.mark.parametrize("xi", [0.0, 1e-4])
@@ -532,7 +545,7 @@ def test_rank_solve_is_one_newton_step(handles, xi):
         assert norm(res.x - x_star, SpaceKind.L2) <= 1e-10
     # the nodal X-gradient is affine in x, so its differences along the unit
     # vectors are the columns of the dense Hessian
-    x0 = cfg.x0.values
+    x0 = h.center.values
 
     def grad(v):
         return tikhonov_value_and_gradient(h, GridFunction(v), yd, cfg)[1]
@@ -559,7 +572,7 @@ def test_gradient_bounds_the_distance_to_the_rank_minimizer(handles, monkeypatch
     h, x0 = handles["rank"], handles["x0"]
     xt = GridFunction(x0.values + 0.05 * np.sin(np.pi * x0.nodes))
     yd = add_noise(h.forward(xt), 1e-3, seed=2)
-    cfg = _config(x0, alpha=1e-3, eta=1e-12, xi=xi)
+    cfg = _config(alpha=1e-3, eta=1e-12, xi=xi)
     one_step = minimize_tikhonov(h, yd, replace(cfg, eta=1e-24))
     assert one_step.certificate.iterations == 1
     slack = one_step.certificate.gradient_norm / (2.0 * cfg.alpha)
@@ -587,7 +600,7 @@ def test_rank_solve_with_an_active_bound(handles, xi, gamma_scaled):
     # run stalls on the bound no higher than a run with gamma scaling alone
     h, x0 = handles["rank"], handles["x0"]
     yd = GridFunction(300.0 * np.random.default_rng(1).standard_normal(N + 1))
-    cfg = _config(x0, alpha=1e-3, eta=1e-6, xi=xi)
+    cfg = _config(alpha=1e-3, eta=1e-6, xi=xi)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.status == "stagnated"
     assert float(np.min(res.x.values)) == C.nu
@@ -601,7 +614,7 @@ def test_h1_fem_solve_converges():
     h = FemMap(A, f, x0)
     yd = add_noise(h.forward(source_target_a(A, x0, f)), delta, seed=11)
     alpha, eta = choose_parameters(delta, h.rho)
-    cfg = _config(x0, alpha=alpha, eta=eta)
+    cfg = _config(alpha=alpha, eta=eta)
     c = minimize_tikhonov(h, yd, cfg).certificate
     assert c.status == "converged"
     assert c.eta_bound <= cfg.eta
@@ -619,11 +632,11 @@ def test_line_search_builds_at_most_two_grid_functions_per_evaluation(handles, m
         h = FemMap(A, f, x0)
         yd = add_noise(solve_forward_reference(A, source_target_a(A, x0, f), f), 1e-3,
                        seed=3)
-        cfg = _config(x0, eta=1e-30, max_iterations=10)
+        cfg = _config(eta=1e-30, max_iterations=10)
     else:
         h, x0 = handles["neural"], handles["x0"]
         yd = add_noise(h.forward(1.02 * x0), 1e-3, seed=3)
-        cfg = _config(x0, eta=1e-30, xi=0.05, max_iterations=10)
+        cfg = _config(eta=1e-30, xi=0.05, max_iterations=10)
     counts = {"built": 0, "evaluations": 0}
     post_init, evaluate = GridFunction.__post_init__, tikhonov_value_and_gradient
 
@@ -659,8 +672,7 @@ def test_c_rank_solve_gradient_evaluations(monkeypatch):
                    study.seed + 100 + i)
     h = RankMap(ex.ls)
     alpha, eta = choose_parameters(delta, h.rho, study.constant)
-    cfg = _config(ex.ls.center[0], alpha=alpha, eta=eta, xi=study.xi,
-                  max_iterations=study.max_iterations)
+    cfg = _config(alpha=alpha, eta=eta, xi=study.xi, max_iterations=study.max_iterations)
     calls = _count_gradients(monkeypatch)
     res = minimize_tikhonov(h, yd, cfg)
     assert res.certificate.status == "converged"
@@ -710,7 +722,7 @@ def test_entry_point_row_is_the_hand_built_row(handles, kind):
 
     yd = add_noise(y_true, delta, seed)
     alpha, eta = choose_parameters(delta, surrogate_error(h, h.probes), constant)
-    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, x0=x0, max_iterations=budget)
+    cfg = TikhonovConfig(alpha=alpha, eta=eta, xi=xi, max_iterations=budget)
     res = minimize_tikhonov(h, yd, cfg)
     assert run == RegularizationRun(
         "c", h.label, N, h.n_terms, delta, alpha, eta, xi, res.certificate.iterations,
@@ -730,7 +742,7 @@ def test_certificate_bounds_the_gap_on_the_fem_map(seed):
     for i, (delta, row) in enumerate(zip(cfg.ladder, rows)):
         y_delta = add_noise(y_true, delta, seed + 100 + i)
         alpha, eta = choose_parameters(delta, h.rho, cfg.constant)
-        tik = TikhonovConfig(alpha, eta, cfg.xi, h.center, cfg.max_iterations)
+        tik = TikhonovConfig(alpha, eta, cfg.xi, cfg.max_iterations)
         res = minimize_tikhonov(h, y_delta, tik)
         # the study's own stop, rebuilt
         assert str(res.certificate.iterations) == row.split(",")[RUN_COLUMNS.index("iterations")]
