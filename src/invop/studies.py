@@ -23,7 +23,7 @@ from .errors import ConfigInvalid, DegenerateFit, DegenerateScale
 from .fem import ProblemKind, adjoint_apply, solve_forward_fem, solve_forward_reference
 from .grid import GridFunction, SpaceKind, norm, trapezoid_weights
 from .mollify import mollify
-from .tikhonov import RUN_COLUMNS, FemMap, NeuralMap, RankMap, solve_inverse_problem
+from .tikhonov import RUN_COLUMNS, FemMap, NeuralMap, RankMap, _csv_row, solve_inverse_problem
 from .training import (
     PerturbationSpec,
     assemble_neural_surrogate,
@@ -158,9 +158,7 @@ class RateTable(NamedTuple):
     def csv_lines(self):
         yield ",".join(self.columns)
         for r in self.rows:
-            yield r if isinstance(r, str) else ",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v) for v in r
-            )
+            yield r if isinstance(r, str) else _csv_row(r)
 
 
 def _write_table(path, table: RateTable, note: str = ""):

@@ -5,20 +5,20 @@ where ``F_n`` is one of three interchangeable forward maps (``FemMap``,
 the direct FEM solve; ``RankMap``, the rank-N linear expansion;
 ``NeuralMap``, the branch/trunk sigmoid operator), x0 is its prior ``center``
 and ``x_xi`` is the mollified iterate when a smoothing width is configured.
-Minimization is limited-memory BFGS (the two-loop recursion of Liu &
-Nocedal, 1989) with every inner product taken in the X metric, projected
-onto x >= nu, with a monotone backtracking line search.  Its initial
-matrix is the map's inverse Hessian where the map gives one: exact for the
-rank map, whose functional is quadratic (one Newton step reaches the
-minimizer), and the Gauss-Newton one at the prior center for the FEM map,
-on a few leading directions of its Jacobian.  It is gamma I for the
-neural map, and after a step clipped by x >= nu.
-X and nu are those of the map's problem.  It stops when
-the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the gap to
-the infimum and is exact for quadratic models, drops below eta, when the
-best value has not strictly decreased for STALL_ITERATIONS iterations
-(floating-point precision reached), or when the iteration budget is
-spent; ``Certificate.status`` says which.
+X and nu are those of the map's problem; the map checks once that x lies on
+its center's mesh.  Minimization is limited-memory BFGS (the two-loop
+recursion of Liu & Nocedal, 1989) with every inner product taken in the X
+metric, projected onto x >= nu, with a monotone backtracking line search.
+Its initial matrix inverts the Hessian of the linear model that the map
+gives as its ``_directions``: exactly for the rank map, which is its model
+(one Newton step reaches the minimizer), and the Gauss-Newton one at the
+prior center, on a few leading directions of its Jacobian, for the FEM map.
+It is gamma I for the neural map, and after a step clipped by x >= nu.  It
+stops when the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the
+gap to the infimum and is exact for quadratic models, drops below eta, when
+the best value has not strictly decreased for STALL_ITERATIONS iterations
+(floating-point precision reached), or when the iteration budget is spent;
+``Certificate.status`` says which.
 """
 
 from __future__ import annotations
@@ -87,10 +87,11 @@ class SurrogateHandle:
 
     Each map provides ``label``, ``n_terms``, ``problem``, its prior
     ``center``, the solved ``probes`` (x, F[x]) that it does not fit, and
-    ``_evaluate(x)``, which checks that the (already mollified) input x lies
-    on the map's mesh and returns the nodal data y and a pullback taking the
-    nodal residual r to the Euclidean nodal gradient of inner(y, r, L2) in x.
-    ``forward`` and ``misfit_and_gradient`` wrap it as the GridFunction entry points.
+    ``_evaluate(x)``, which returns the nodal data y of the (already
+    mollified) input x and a pullback taking the nodal residual r to the
+    Euclidean nodal gradient of inner(y, r, L2) in x; it may give a linear
+    model of itself as ``_directions(xi)``.  The GridFunction entry points
+    ``forward`` and ``misfit_and_gradient`` check once that x lies on the center's mesh.
     """
 
     __slots__ = ("_rho",)
@@ -105,38 +106,42 @@ class SurrogateHandle:
 
     def forward(self, x: GridFunction) -> GridFunction:
         """Surrogate data for the (already mollified) input x."""
-        y = self._evaluate(x)[0]
-        return GridFunction(y)
+        x._check_mesh(self.center.n_cells)
+        return GridFunction(self._evaluate(x)[0])
 
     def misfit_and_gradient(self, x: GridFunction, y_delta: GridFunction):
         """Data misfit ||forward(x) - y_delta||^2 and its Euclidean nodal
         gradient with respect to the values of x."""
+        x._check_mesh(self.center.n_cells)
         y, pullback = self._evaluate(x)
         y_delta._check_mesh(y.size - 1)
         r = y - y_delta.values
         return _inner_nodal(r, r, SpaceKind.L2), 2.0 * pullback(r)
 
-    def inverse_hessian(self, cfg: TikhonovConfig):
-        """The inverse X-Hessian of the functional, or an approximation of
-        it, as a function on nodal arrays; None where the map gives none, and
-        the optimizer scales its initial matrix by gamma."""
+    def _directions(self, xi: float):
+        """The nodal (b_i, y_i) of a linear model x -> sum_i <x, b_i>_X y_i, or None."""
         return None
+
+    def inverse_hessian(self, cfg: TikhonovConfig):
+        """``_woodbury_inverse`` of the ``_directions`` model, on nodal arrays;
+        None for no model, and the optimizer scales its initial matrix by gamma."""
+        model = self._directions(cfg.xi)
+        return model and _woodbury_inverse(*model, self.problem.image_space, cfg)
 
 
 class FemMap(SurrogateHandle):
-    """The Galerkin solver itself on the mesh of its load, around the prior center."""
+    """The Galerkin solver itself on the mesh of its load and center."""
 
-    __slots__ = ("problem", "load", "center", "probes", "_directions")
+    __slots__ = ("problem", "load", "center", "probes", "_built")
     label = "FemForward"
     n_terms = 0
 
     def __init__(self, problem: ProblemKind, load: GridFunction, center: GridFunction):
         self.problem, self.load, self.center = problem, load, center
-        self.probes = fem_probe_pairs(problem, load, center)
-        self._directions = None  # (xi, basis, images) of the last width
+        self.probes = fem_probe_pairs(problem, load, center)  # checks the meshes first
+        self._built = None  # (xi, basis, images) of the last width
 
     def _evaluate(self, x: GridFunction):
-        x._check_mesh(self.load.n_cells)
         y = solve_forward_fem(self.problem, x, self.load).values
 
         def pullback(r: np.ndarray) -> np.ndarray:
@@ -144,32 +149,33 @@ class FemMap(SurrogateHandle):
 
         return y, pullback
 
-    def inverse_hessian(self, cfg: TikhonovConfig):
-        """The inverse of the Gauss-Newton X-Hessian 2 (alpha I + G^-1 J^T W J)
-        with J = F'[x_xi] at the (mollified) prior center, restricted to the
-        GAUSS_NEWTON_STEPS leading directions b_i of ``gauss_newton_directions``
-        in Woodbury form: it inverts that Hessian on them and is
-        1 / (2 alpha) X-orthogonal to them.  The directions and their images
-        J b_i depend on the map's center and xi alone, so each map builds them
-        once per width and every solve with it reuses them."""
-        built = self._directions
-        if built is None or built[0] != cfg.xi:
+    def _directions(self, xi: float):
+        """The Gauss-Newton model: the GAUSS_NEWTON_STEPS leading directions b_i
+        of ``gauss_newton_directions`` at the (mollified) prior center and their
+        images J b_i, J = F'[x_xi], built once per width and reused by every solve."""
+        if self._built is None or self._built[0] != xi:
             xc = self.center.values
-            if cfg.xi > 0:
-                xc = mollify_matrix(self.center.n_cells, cfg.xi) @ xc
-            built = self._directions = (cfg.xi, *gauss_newton_directions(
+            if xi > 0:
+                xc = mollify_matrix(self.center.n_cells, xi) @ xc
+            self._built = (xi, *gauss_newton_directions(
                 self.problem, xc, self.load.values, GAUSS_NEWTON_STEPS))
-        return _woodbury_inverse(*built[1:], self.problem.image_space, cfg)
+        return self._built[1:]
 
 
-class RankMap(SurrogateHandle):
-    """The rank-N linear expansion around its training center."""
+class ExpansionMap(SurrogateHandle):
+    """A map of the rank-N expansion ``ls``, with its problem, center and probes."""
 
     __slots__ = ("ls",)
-    label = "LinearRankN"
     problem = property(lambda self: self.ls.problem)
     center = property(lambda self: self.ls.center[0])
     probes = property(lambda self: self.ls.probes)
+
+
+class RankMap(ExpansionMap):
+    """The rank-N linear expansion around its training center."""
+
+    __slots__ = ()
+    label = "LinearRankN"
     n_terms = property(lambda self: self.ls.n_terms)
 
     def __init__(self, ls: LinearSurrogate):
@@ -177,7 +183,6 @@ class RankMap(SurrogateHandle):
 
     def _evaluate(self, x: GridFunction):
         x0, y0 = self.ls.center
-        x._check_mesh(x0.n_cells)
         space = self.ls.problem.image_space
         out = y0.values.copy()
         xc = x.values - x0.values
@@ -187,38 +192,30 @@ class RankMap(SurrogateHandle):
         def pullback(r: np.ndarray) -> np.ndarray:
             grad = np.zeros(x.n_cells + 1)
             for b, y in zip(self.ls.basis, self.ls.induced):
-                g = gram_apply(b.values, space)
-                grad += _inner_nodal(r, y.values, SpaceKind.L2) * g
+                grad += _inner_nodal(r, y.values, SpaceKind.L2) * gram_apply(b.values, space)
             return grad
 
         return out, pullback
 
-    def inverse_hessian(self, cfg: TikhonovConfig):
-        """The exact inverse X-Hessian: the map is linear in the basis."""
-        return _woodbury_inverse([b.values for b in self.ls.basis],
-                                 [y.values for y in self.ls.induced], self.problem.image_space,
-                                 cfg)
+    def _directions(self, xi: float):
+        """The basis and its induced data: the map is its model, the inverse exact."""
+        return [b.values for b in self.ls.basis], [y.values for y in self.ls.induced]
 
 
-class NeuralMap(SurrogateHandle):
-    """The branch/trunk sigmoid realization ``coeffs`` of the expansion ``ls``,
-    around its center (x_hat0, y_hat0).  ``forward`` evaluates the values
-    only; the pullback does the vector-Jacobian product when a gradient is
-    asked for."""
+class NeuralMap(ExpansionMap):
+    """The branch/trunk sigmoid realization ``coeffs`` of the expansion ``ls``.
+    ``forward`` evaluates the values only; the pullback does the
+    vector-Jacobian product when a gradient is asked for."""
 
-    __slots__ = ("coeffs", "ls")
+    __slots__ = ("coeffs",)
     label = "NeuralOperator"
-    problem = property(lambda self: self.ls.problem)
-    center = property(lambda self: self.ls.center[0])
-    probes = property(lambda self: self.ls.probes)
     n_terms = property(lambda self: self.coeffs.n_terms)
 
     def __init__(self, coeffs: StructuredSurrogateCoeffs, ls: LinearSurrogate):
         self.coeffs, self.ls = coeffs, ls
 
     def _evaluate(self, x: GridFunction):
-        x0, y0 = self.ls.center
-        x._check_mesh(x0.n_cells)
+        y0 = self.ls.center[1]
         out, vjp = eval_structured_with_gradient(self.coeffs, x, y0.nodes)
 
         def pullback(r: np.ndarray) -> np.ndarray:
@@ -292,7 +289,6 @@ def tikhonov_value_and_gradient(
 ):
     """Functional value and the nodal values of its gradient in the solution
     space of the map's problem, around its center; the one evaluator of the functional."""
-    x._check_mesh(h.center.n_cells)
     space = h.problem.image_space
     if float(np.min(x.values)) < h.problem.nu - 1e-12:
         raise NonAdmissibleCoefficient("evaluation point violates the bound nu")
@@ -439,6 +435,11 @@ def _finish(x, value, gnorm, iterations, status, cfg) -> ApproximateMinimizer:
 # orchestration
 
 
+def _csv_row(values) -> str:
+    """One CSV record: floats to 17 significant digits, which read back to their bits."""
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values)
+
+
 class RegularizationRun(NamedTuple):
     problem: str
     surrogate: str
@@ -454,8 +455,7 @@ class RegularizationRun(NamedTuple):
     runtime_ms: float
     seed: int
 
-    def csv_row(self) -> str:
-        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in self)
+    csv_row = _csv_row
 
 
 #: the columns of a run's CSV record, in field order

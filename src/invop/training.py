@@ -78,6 +78,8 @@ def generate_training_set(
     perturbation: PerturbationSpec,
 ) -> TrainingSet:
     n_cells = center_x.n_cells
+    if f.n_cells != n_cells:  # before any reference solve
+        raise DimensionMismatch(f"the load lies on {f.n_cells} cells and the center on {n_cells}")
     if perturbation.count >= n_cells:
         # sin(n pi s) vanishes at every node of the n-cell mesh, and higher
         # modes alias lower ones; modes 1 .. n - 1 are independent there

@@ -11,10 +11,16 @@ SOURCE = Path(__file__).parents[1] / "src" / "invop" / "tikhonov.py"
 
 
 def map_classes(tree: ast.Module) -> set:
-    """The classes of the module that derive from SurrogateHandle."""
-    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)
-            and any(isinstance(b, ast.Name) and b.id == "SurrogateHandle"
-                    for b in node.bases)}
+    """The classes of the module that derive from SurrogateHandle, directly
+    or through other classes of the module."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    found = set()
+    while True:
+        below = {name for name, b in bases.items() if b & (found | {"SurrogateHandle"})}
+        if below == found:
+            return found
+        found = below
 
 
 def dispatch(node: ast.AST, classes: set) -> list:
@@ -38,6 +44,9 @@ def test_scan_finds_each_dispatch():
               "    if h.label == 'x':\n        return 2\n    return invop.tikhonov.RankMap\n")
     tree = ast.parse(source)
     assert map_classes(tree) == {"RankMap"}
+    # a class below another map class counts, wherever the module defines it
+    chain = "class R(B):\n    pass\nclass B(SurrogateHandle):\n    pass\nclass X(Y):\n    pass\n"
+    assert map_classes(ast.parse(chain)) == {"R", "B"}
     assert set(dispatch(tree.body[1], {"RankMap"})) == {
         "line 4: names RankMap", "line 6: compares a label", "line 8: names RankMap"}
 

@@ -107,10 +107,11 @@ MAP_FIELDS = ("problem", "x0")
 
 def config_given_a_problem(source: str) -> list:
     """Lines of the ``TikhonovConfig`` calls that pass more arguments than
-    it has fields, a ``problem`` or ``x0`` keyword, or an argument that
-    names a problem or a prior: a ``problem``, ``prob`` or ``x0`` name, a
-    ProblemKind member or its ``A`` or ``C`` alias, an attribute named
-    ``problem``, ``center`` or ``x0``, or an item of one."""
+    it has fields, a ``problem`` or ``x0`` keyword, a ``**mapping`` (whose
+    keys the scan cannot read), or an argument that names a problem or a
+    prior: a ``problem``, ``prob`` or ``x0`` name, a ProblemKind member or
+    its ``A`` or ``C`` alias, an attribute named ``problem``, ``center`` or
+    ``x0``, or an item of one."""
     def names_one(node):
         node = node.value if isinstance(node, ast.Subscript) else node
         return (getattr(node, "id", None) in ("problem", "prob", "A", "C", "x0")
@@ -119,7 +120,8 @@ def config_given_a_problem(source: str) -> list:
 
     return [node.lineno for node in call_nodes(source, "TikhonovConfig")
             if len(node.args) + len(node.keywords) > CONFIG_ARITY
-            or any(k.arg in MAP_FIELDS or names_one(k.value) for k in node.keywords)
+            or any(k.arg is None or k.arg in MAP_FIELDS or names_one(k.value)
+                   for k in node.keywords)
             or any(map(names_one, node.args))]
 
 
@@ -158,8 +160,9 @@ def test_scan_finds_a_problem_given_to_or_read_off_a_config():
               "def k(cfg: StudyConfig):\n    return cfg.problem == 'a'\n"
               "def p(c: TikhonovConfig, h):\n    return c.x0.values - h.center.values\n"
               "cfg = m.TikhonovConfig(1, 1, 0, x0)\nspace = cfg.problem.image_space\n"
-              "d = x - cfg.x0\n")
-    assert config_given_a_problem(source) == [1, 2, 3, 4, 6, 7, 8, 17]
+              "d = x - cfg.x0\n"
+              "TikhonovConfig(**base)\nTikhonovConfig(a, e, **{'xi': 0.0})\n")
+    assert config_given_a_problem(source) == [1, 2, 3, 4, 6, 7, 8, 17, 20, 21]
     assert config_problem_reads(source) == [10, 12, 16, 18, 19]
 
 

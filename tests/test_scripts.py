@@ -132,8 +132,12 @@ def test_benchmark_tracer_hooks_hold():
     out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
-    maps = SurrogateHandle.__subclasses__()
-    assert {FemMap, RankMap, NeuralMap} <= set(maps)
+    maps, todo = set(), [SurrogateHandle]
+    while todo:  # every class below SurrogateHandle, not only its direct subclasses
+        subs = todo.pop().__subclasses__()
+        maps.update(subs)
+        todo += subs
+    assert {FemMap, RankMap, NeuralMap} <= maps
     for cls in maps:
         overridden = {"forward", "misfit_and_gradient"} & set(vars(cls))
         assert not overridden, (cls.__name__, overridden)
@@ -150,12 +154,17 @@ def _perfbench_module(name):
 
 def test_benchmark_cli_round_runs(tmp_path):
     # the benchmark writes its own generate/build/solve configs and reads the
-    # two surrogate files by name; a change that breaks either fails here first
+    # two surrogate files by name; a change that breaks either fails here first.
+    # At seed 13, as the benchmark reports it, the two solves take 5 iterations
+    # and the three files it writes (train.txt, surr.txt, surr.txt.rank) keep
+    # their bytes
     workloads = _perfbench_module("workloads")
     rnd = workloads.cli_pipeline(invop, 13, tmp_path)
     assert rnd.errors == [] and rnd.problems == []
     surrogate = invop.RUN_COLUMNS.index("surrogate")
     assert [row[surrogate] for row in rnd.rows] == ["LinearRankN", "NeuralOperator"]
+    assert rnd.iterations(invop) == 5
+    assert rnd.digest == "240668a02f5a55ece8baff6aff5335948d165a2ecbd66a024c6557adee4096cd"
 
 
 @pytest.mark.parametrize("name,iterations", [("c_neural_study", 114), ("a_fem_sweep", 394)])

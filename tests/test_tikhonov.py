@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import invop.fem
 import invop.tikhonov
+import invop.training
 from invop.config import load_config, study_config
 from invop.errors import DegenerateScale, DimensionMismatch, EmptyProbeSet, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
@@ -93,6 +94,38 @@ def test_pullback_rejects_an_input_on_another_mesh(handles, kind):
             pytest.fail(f"{name} accepted an input on another mesh")
 
 
+@pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
+def test_entry_points_check_the_mesh_before_the_map_evaluates(handles, kind, monkeypatch):
+    # forward and misfit_and_gradient check x against the center's mesh, once,
+    # so no map's _evaluate sees an input on another mesh
+    h = handles[kind]
+    y = h.forward(handles["x0"])
+    monkeypatch.setattr(type(h), "_evaluate", lambda self, x: pytest.fail("the map evaluated"))
+    x_other = GridFunction.constant(1.0, N // 2)
+    message = f"mesh mismatch: {N // 2} cells where the {N}-cell mesh is expected"
+    with pytest.raises(DimensionMismatch, match=message):
+        h.forward(x_other)
+    with pytest.raises(DimensionMismatch, match=message):
+        h.misfit_and_gradient(x_other, y)
+
+
+@pytest.mark.parametrize("build", ["generate_training_set", "FemMap"])
+def test_a_load_off_the_centers_mesh_raises_before_any_reference_solve(build, monkeypatch):
+    # each map fixes one mesh when it is built: a load on 64 cells around a
+    # center on 128 fails by name, not after the reference solves of its pairs
+    calls = []
+    solve = invop.training.solve_forward_reference
+    monkeypatch.setattr(invop.training, "solve_forward_reference",
+                        lambda *args: calls.append(args) or solve(*args))
+    f, x0 = GridFunction.constant(1.0, 64), GridFunction.constant(1.0, 128)
+    with pytest.raises(DimensionMismatch, match="the load lies on 64 cells and the center on 128"):
+        if build == "FemMap":
+            FemMap(A, f, x0)
+        else:
+            generate_training_set(A, f, x0, PerturbationSpec(0.1, 3))
+    assert calls == []
+
+
 def test_solve_rejects_a_true_coefficient_on_another_mesh(handles, monkeypatch):
     # the error against x_true would otherwise fail only after the solve
     def unreachable(self, x):
@@ -168,10 +201,8 @@ def test_surrogate_error_over_no_pairs_raises_empty_probe_set(handles):
 # -- functional and gradient ------------------------------------------------
 
 
-def _config(**kw):
-    base = dict(alpha=1e-3, eta=1e-8, xi=0.0, max_iterations=2000)
-    base.update(kw)
-    return TikhonovConfig(**base)
+def _config(alpha=1e-3, eta=1e-8, xi=0.0, max_iterations=2000):
+    return TikhonovConfig(alpha=alpha, eta=eta, xi=xi, max_iterations=max_iterations)
 
 
 @pytest.mark.parametrize("key,value,word", [
