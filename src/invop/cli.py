@@ -142,8 +142,9 @@ def _cmd_build(args) -> int:
     out = _require(args, "out")
     serialize.save_structured(out, coeffs)
     serialize.save_linear_surrogate(str(out) + ".rank", ls, diag)
-    _say(args, f"wrote surrogate ({coeffs.n_terms} terms, "
-               f"rho {NeuralMap(coeffs, ls).rho:.3e}) to {out}")
+    if not args.quiet:  # rho costs a surrogate_error pass, which a quiet build skips
+        print(f"wrote surrogate ({coeffs.n_terms} terms, "
+              f"rho {NeuralMap(coeffs, ls).rho:.3e}) to {out}")
     return 0
 
 
@@ -161,11 +162,12 @@ def _cmd_solve(args) -> int:
     x0 = GridFunction.constant(sec["center"], n)
     seed = args.seed if args.seed is not None else sec["seed"]
 
-    kind = sec["surrogate"]
+    kind, base = sec["surrogate"], sec["surrogate_file"]
     if kind == "fem":
+        if base is not None:
+            raise ConfigInvalid(f"[solve] surrogate=fem reads no surrogate_file, not {base!r}")
         h = FemMap(prob, f, x0)
     elif kind in ("rank", "neural"):
-        base = sec["surrogate_file"]
         if base is None:
             raise ConfigInvalid(f"[solve] surrogate={kind} needs surrogate_file")
         ls, _ = serialize.load_linear_surrogate(base + ".rank")

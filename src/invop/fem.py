@@ -215,9 +215,9 @@ def misfit_gradient_nodal(kind: ProblemKind, xv: np.ndarray, yv: np.ndarray,
 
 
 def gauss_newton_directions(kind: ProblemKind, xv: np.ndarray, fv: np.ndarray, steps: int):
-    """X-orthonormal nodal directions b_i and their images J b_i, J = F'[x]
-    at the nodal coefficient xv, which solve_forward_fem has checked, with
-    the load fv on its mesh.
+    """X-orthonormal nodal directions b_i and their images J b_i, J = F'[x],
+    the rows of two arrays, at the nodal coefficient xv, which
+    solve_forward_fem has checked, with the load fv on its mesh.
 
     The b_i span the Krylov space of ``steps`` Lanczos steps (at most one per
     nodal value) on the Gauss-Newton operator G^-1 J^T W J (W the trapezoid
@@ -243,4 +243,4 @@ def gauss_newton_directions(kind: ProblemKind, xv: np.ndarray, fv: np.ndarray, s
         # error, which one pass leaves far from orthogonal
         for b in basis + basis:
             q = q - (b @ gram_apply(q, space)) * b
-    return basis, images
+    return np.array(basis), np.array(images)

@@ -2,7 +2,8 @@
 
 Each file is an uncompressed numpy ``.npz`` archive at exactly the given
 path: a ``kind`` string and one array per field, the grid functions of a
-record stacked as the rows of one array whose last axis is the mesh.
+record stacked as the rows of one array whose last axis is the mesh; the
+records hold these arrays, bar the ``.rank`` file's center and probe pairs.
 
 - ``TrainingSet``: ``problem``, ``load`` (n + 1,), and ``x`` and ``y``
   (pairs, n + 1), row 0 the center.
@@ -26,8 +27,8 @@ bytes.  Files are read with ``allow_pickle=False``.  One that does not open
 as a container (the older text layout, an empty or cut file, a bare
 ``.npy``, an object array) raises :class:`ConfigInvalid` naming the file,
 as do a wrong kind and, naming the fields, a missing field, an unknown
-``problem``, shapes that disagree and grids on different meshes.  A
-non-finite value raises :class:`NonFiniteValue` naming the field.
+``problem``, stacks not 2-D, shapes that disagree and grids on different
+meshes.  A non-finite value raises :class:`NonFiniteValue` naming the field.
 """
 
 from __future__ import annotations
@@ -107,11 +108,13 @@ def _shaped(path, name: str, make, *args):
 
 def _grids(f: _Fields, *stacks: str) -> list:
     """The ``load`` as a grid function, then each named stacked field as a
-    tuple of grid functions, one per row, all on the load's mesh."""
+    float array of one row per function, all on the load's mesh."""
     load, *arrays = f.agree(("load",) + stacks, -1, "lie on different meshes")
-    return [_shaped(f.path, "load", GridFunction, load)] + [
-        _shaped(f.path, name, lambda a: tuple(map(GridFunction, a)), a)
-        for name, a in zip(stacks, arrays)]
+    for name, a in zip(stacks, arrays):
+        if a.ndim != 2:
+            raise ConfigInvalid(f"{f.path}: fields {name}: expected one row of nodal values "
+                                f"per function, got shape {a.shape}")
+    return [_shaped(f.path, "load", GridFunction, load)] + [np.asarray(a, float) for a in arrays]
 
 
 def _problem(f: _Fields) -> ProblemKind:
@@ -137,19 +140,17 @@ def load_structured(path) -> StructuredSurrogateCoeffs:
 
 
 def save_training_set(path, ts: TrainingSet):
-    _write(path, "TrainingSet", {
-        "problem": ts.problem.value, "load": ts.load.values,
-        "x": np.stack([x.values for x, _ in ts.pairs]),
-        "y": np.stack([y.values for _, y in ts.pairs])})
+    _write(path, "TrainingSet",
+           {"problem": ts.problem.value, "load": ts.load.values, "x": ts.x, "y": ts.y})
 
 
 def load_training_set(path) -> TrainingSet:
     f = _read(path, "TrainingSet")
     f.agree(("x", "y"))
-    load, xs, ys = _grids(f, "x", "y")
-    if len(xs) < 2:  # the count of pairs after the center must be positive
-        raise ConfigInvalid(f"{path}: fields x and y hold {len(xs)} pair(s), not 2 or more")
-    return TrainingSet(tuple(zip(xs, ys)), _problem(f), load)
+    load, x, y = _grids(f, "x", "y")
+    if len(x) < 2:  # the count of pairs after the center must be positive
+        raise ConfigInvalid(f"{path}: fields x and y hold {len(x)} pair(s), not 2 or more")
+    return TrainingSet(_problem(f), load, x, y)
 
 
 #: the surrogate error diagnostics ``invop build`` stores with the rank-N surrogate
@@ -158,8 +159,8 @@ DIAGNOSTIC_FIELDS = ("nu_N", "q_N", "r_N")
 
 def save_linear_surrogate(path, ls: LinearSurrogate, diagnostics: SurrogateDiagnostics):
     _write(path, "LinearSurrogate", {
-        "problem": ls.problem.value, "load": ls.load.values,
-        **{k: np.stack([g.values for g in getattr(ls, k)]) for k in ("basis", "induced", "center")},
+        "problem": ls.problem.value, "load": ls.load.values, "basis": ls.basis,
+        "induced": ls.induced, "center": np.stack([g.values for g in ls.center]),
         **{f"probes.{k}": np.stack([p[i].values for p in ls.probes]) for i, k in enumerate("xy")},
         **{name: float(getattr(diagnostics, name)) for name in DIAGNOSTIC_FIELDS}})
 
@@ -172,8 +173,9 @@ def load_linear_surrogate(path):
     if f["center"].shape[:1] != (2,):
         raise ConfigInvalid(f"{path}: field 'center' holds shape {f['center'].shape}, "
                             "not the two rows x and y")
-    load, basis, induced, center, *probes = _grids(f, "basis", "induced", "center",
-                                                   "probes.x", "probes.y")
+    load, basis, induced, *pairs = _grids(f, "basis", "induced", "center", "probes.x",
+                                          "probes.y")
+    center, *probes = (tuple(map(GridFunction, a)) for a in pairs)
     ls = LinearSurrogate(basis, induced, _problem(f), center, load, tuple(zip(*probes)))
     diag = (f.scalar(name) for name in DIAGNOSTIC_FIELDS)
     return ls, SurrogateDiagnostics(*diag, n_terms=ls.n_terms)

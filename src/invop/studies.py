@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, DegenerateFit, DegenerateScale
 from .fem import ProblemKind, adjoint_apply, solve_forward_fem, solve_forward_reference
-from .grid import GridFunction, SpaceKind, norm, trapezoid_weights
+from .grid import GridFunction, SpaceKind, _inner_nodal, norm, trapezoid_weights
 from .mollify import mollify
 from .tikhonov import RUN_COLUMNS, FemMap, NeuralMap, RankMap, _csv_row, solve_inverse_problem
 from .training import (
@@ -281,11 +281,11 @@ def source_target_c(ls):
     """Target whose coefficients along the training span track the surrogate
     spectrum, confined to the three best-resolved directions, around the
     training center."""
-    sig = np.array([norm(y, SpaceKind.L2) for y in ls.induced])
+    sig = np.array([math.sqrt(_inner_nodal(y, y, SpaceKind.L2)) for y in ls.induced])
     coef = np.zeros(len(ls.basis))
     m = min(3, len(ls.basis))
     coef[:m] = sig[:m] * np.array([1.0, -1.0, 1.0])[:m]
-    gp = sum(c * b.values for c, b in zip(coef, ls.basis))
+    gp = sum(c * b for c, b in zip(coef, ls.basis))
     gp *= 0.08 / np.max(np.abs(gp))
     return GridFunction(ls.center[0].values + gp)
 
@@ -295,10 +295,10 @@ def source_target_c(ls):
 CExample = namedtuple("CExample", "ls xt y_true coeffs diag")
 
 
-def _read_only(*grids: GridFunction):
-    """Make the nodal values of the memoized grid functions unwritable."""
-    for g in grids:
-        g.values.flags.writeable = False
+def _read_only(*arrays: np.ndarray):
+    """Make the memoized arrays unwritable."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 @lru_cache(maxsize=8)
@@ -312,9 +312,9 @@ def _c_example_data(n_cells: int, n_train: int):
     ls = build_linear_surrogate(ts)
     xt = source_target_c(ls)
     y_true = solve_forward_reference(prob, xt, f)
-    # the load and x0 are shared with ls
-    _read_only(f, xt, y_true, *ls.basis, *ls.induced, *ls.center,
-               *(g for pair in ls.probes for g in pair))
+    # the load is shared with ls
+    _read_only(ls.basis, ls.induced,
+               *(g.values for g in (f, xt, y_true, *ls.center, *sum(ls.probes, ()))))
     return ls, xt, y_true
 
 
@@ -337,7 +337,7 @@ def _a_example_data(n_cells: int):
     xt = source_target_a(prob, x0, f)
     y_true = solve_forward_reference(prob, xt, f)
     h = FemMap(prob, f, x0)
-    _read_only(f, x0, xt, y_true, *(g for pair in h.probes for g in pair))
+    _read_only(*(g.values for g in (f, x0, xt, y_true, *sum(h.probes, ()))))
     return xt, h, y_true
 
 

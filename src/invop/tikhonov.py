@@ -113,13 +113,13 @@ class SurrogateHandle:
         """Data misfit ||forward(x) - y_delta||^2 and its Euclidean nodal
         gradient with respect to the values of x."""
         x._check_mesh(self.center.n_cells)
+        y_delta._check_mesh(self.center.n_cells)  # before the map's evaluation
         y, pullback = self._evaluate(x)
-        y_delta._check_mesh(y.size - 1)
         r = y - y_delta.values
         return _inner_nodal(r, r, SpaceKind.L2), 2.0 * pullback(r)
 
     def _directions(self, xi: float):
-        """The nodal (b_i, y_i) of a linear model x -> sum_i <x, b_i>_X y_i, or None."""
+        """Nodal arrays (b_i) and (y_i) of a linear model x -> sum_i <x, b_i>_X y_i, or None."""
         return None
 
     def inverse_hessian(self, cfg: TikhonovConfig):
@@ -187,19 +187,19 @@ class RankMap(ExpansionMap):
         out = y0.values.copy()
         xc = x.values - x0.values
         for b, y in zip(self.ls.basis, self.ls.induced):
-            out += _inner_nodal(xc, b.values, space) * y.values
+            out += _inner_nodal(xc, b, space) * y
 
         def pullback(r: np.ndarray) -> np.ndarray:
             grad = np.zeros(x.n_cells + 1)
             for b, y in zip(self.ls.basis, self.ls.induced):
-                grad += _inner_nodal(r, y.values, SpaceKind.L2) * gram_apply(b.values, space)
+                grad += _inner_nodal(r, y, SpaceKind.L2) * gram_apply(b, space)
             return grad
 
         return out, pullback
 
     def _directions(self, xi: float):
         """The basis and its induced data: the map is its model, the inverse exact."""
-        return [b.values for b in self.ls.basis], [y.values for y in self.ls.induced]
+        return self.ls.basis, self.ls.induced
 
 
 class NeuralMap(ExpansionMap):

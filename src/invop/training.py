@@ -5,7 +5,8 @@ solve the forward problem for each, center the pairs, orthonormalize the
 centered images in the problem's inner product, and expose the rank-N
 linear surrogate together with its branch/trunk sigmoid realization and
 measured error diagnostics, and the probe pairs on which each forward map
-measures its error rho: ``probe_pairs`` and ``fem_probe_pairs``.
+measures its error rho: ``probe_pairs`` and ``fem_probe_pairs``.  Pairs,
+basis and induced data are the rows of (rows, n + 1) arrays, as filed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NonAdmissiblePerturbation,
 )
 from .fem import ProblemKind, solve_forward_reference
-from .grid import GridFunction, SpaceKind, _inner_nodal, gram_apply, inner, norm, trapezoid_weights
+from .grid import GridFunction, SpaceKind, _inner_nodal, gram_apply, trapezoid_weights
 from .neural import (StructuredSurrogateCoeffs, activation, activation_derivative, eval_branch,
                      eval_trunk)
 
@@ -62,13 +63,14 @@ def perturbation_shape(index: int, n_cells: int) -> GridFunction:
 
 
 class TrainingSet(NamedTuple):
-    pairs: tuple  # (x_hat, y_hat); index 0 is the center pair
     problem: ProblemKind
-    load: GridFunction
+    load: GridFunction  # the load the pairs were solved with
+    x: np.ndarray  # (pairs, n + 1) inputs x_hat; row 0 is the center
+    y: np.ndarray  # (pairs, n + 1) their reference data y_hat
 
     @property
     def n_train(self) -> int:
-        return len(self.pairs) - 1
+        return len(self.x) - 1
 
 
 def generate_training_set(
@@ -87,52 +89,51 @@ def generate_training_set(
             f"{perturbation.count} sine modes on the {n_cells}-cell mesh: it holds "
             f"at most {n_cells - 1} independent ones"
         )
-    shapes = [perturbation_shape(ell, n_cells) for ell in range(1, perturbation.count + 1)]
+    shapes = np.array([perturbation_shape(ell, n_cells).values
+                       for ell in range(1, perturbation.count + 1)])
     margin = float(np.min(center_x.values)) - problem.fem_lower_bound()
-    reach = perturbation.amplitude * max(float(np.max(np.abs(s.values))) for s in shapes)
+    reach = perturbation.amplitude * float(np.max(np.abs(shapes)))
     if reach > margin:
         raise NonAdmissiblePerturbation(
             f"amplitude reach {reach:.4g} exceeds admissibility margin {margin:.4g}"
         )
-    xs = [center_x] + [center_x + perturbation.amplitude * s for s in shapes]
-    pairs = tuple((x, solve_forward_reference(problem, x, f)) for x in xs)
-    return TrainingSet(pairs, problem, f)
+    x = np.vstack([center_x.values, center_x.values + perturbation.amplitude * shapes])
+    y = np.array([solve_forward_reference(problem, GridFunction(row), f).values for row in x])
+    return TrainingSet(problem, f, x, y)
 
 
 # ---------------------------------------------------------------------------
 # orthonormalization and the rank-N linear surrogate
 
 
-def gram_schmidt(images, space: SpaceKind):
-    """Modified Gram-Schmidt with one reorthogonalization pass.
+def gram_schmidt(images: np.ndarray, space: SpaceKind):
+    """Modified Gram-Schmidt with one reorthogonalization pass on the rows of images.
 
     Returns (basis, transform) with transform lower-triangular, positive
     diagonal, and basis[j] = sum_i transform[j, i] * images[i].
     """
-    images = list(images)
     n = len(images)
-    basis = []
+    basis = np.zeros_like(images)
     transform = np.zeros((n, n))
     for j, img in enumerate(images):
-        v = img.values.copy()
-        row = np.zeros(n)
-        row[j] = 1.0
+        v = img.copy()
+        row = np.eye(n)[j]
         for _ in range(2):  # MGS sweep plus one reorthogonalization
-            for i, b in enumerate(basis):
-                c = inner(GridFunction(v), b, space)
-                v -= c * b.values
+            for i, b in enumerate(basis[:j]):
+                c = _inner_nodal(v, b, space)
+                v -= c * b
                 row -= c * transform[i]
-        nv = norm(GridFunction(v), space)
-        if nv < DEPENDENT_TOL * norm(img, space):
+        nv = math.sqrt(_inner_nodal(v, v, space))
+        if nv < DEPENDENT_TOL * math.sqrt(_inner_nodal(img, img, space)):
             raise DependentImages(f"input {j} is dependent on its predecessors")
-        basis.append(GridFunction(v / nv))
+        basis[j] = v / nv
         transform[j] = row / nv
     return basis, transform
 
 
 class LinearSurrogate(NamedTuple):
-    basis: tuple  # orthonormal input directions
-    induced: tuple  # data functions under the same change of basis
+    basis: np.ndarray  # (N, n + 1) orthonormal input directions
+    induced: np.ndarray  # (N, n + 1) data functions under the same change of basis
     problem: ProblemKind  # its image space is the surrogate's input space
     center: tuple  # (x_hat0, y_hat0), the training center pair
     load: GridFunction  # the load the pairs were solved with
@@ -148,11 +149,11 @@ def probe_pairs(ts: TrainingSet) -> tuple:
     deviations with alternating signs, solved by the reference solver.  No
     build fits it, so it measures the error off the training pairs, which
     the rank-N map reproduces."""
-    x0 = ts.pairs[0][0]
-    mix = np.zeros_like(x0.values)
-    for j, (x, _) in enumerate(ts.pairs[1:]):
-        mix += (0.6 if j % 2 == 0 else -0.6) * (x.values - x0.values)
-    xm = GridFunction(x0.values + mix)
+    x0 = ts.x[0]
+    mix = np.zeros_like(x0)
+    for j, x in enumerate(ts.x[1:]):
+        mix += (0.6 if j % 2 == 0 else -0.6) * (x - x0)
+    xm = GridFunction(x0 + mix)
     return ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
 
 
@@ -170,7 +171,7 @@ def fem_probe_pairs(problem: ProblemKind, load: GridFunction, center: GridFuncti
         least = problem.fem_lower_bound() / (1.0 - 0.1 * reach)
         raise ValueError(f"center = {low!r} puts the FEM rho's probes below the bound; "
                          f"the least center they admit is {least:.6g}") from None
-    return ts.pairs[1:] + probe_pairs(ts)
+    return tuple(zip(map(GridFunction, ts.x[1:]), map(GridFunction, ts.y[1:]))) + probe_pairs(ts)
 
 
 def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
@@ -180,18 +181,13 @@ def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:
     It carries the ``probe_pairs`` of the training set."""
     if ts.n_train < 1:
         raise DimensionMismatch("training set needs at least one non-center pair")
-    x0, y0 = ts.pairs[0]
-    basis, transform = gram_schmidt([x - x0 for x, _ in ts.pairs[1:]],
-                                    ts.problem.image_space)
-    ys = [y - y0 for _, y in ts.pairs[1:]]
-    induced = []
-    for j in range(len(basis)):
-        acc = np.zeros_like(ys[0].values)
-        for i in range(j + 1):
-            acc += transform[j, i] * ys[i].values
-        induced.append(GridFunction(acc))
-    return LinearSurrogate(tuple(basis), tuple(induced), ts.problem, ts.pairs[0], ts.load,
-                           probe_pairs(ts))
+    basis, transform = gram_schmidt(ts.x[1:] - ts.x[0], ts.problem.image_space)
+    ys = ts.y[1:] - ts.y[0]
+    induced = np.zeros_like(ys)
+    for j, i in zip(*np.tril_indices(len(basis))):  # i = 0 .. j in turn
+        induced[j] += transform[j, i] * ys[i]
+    center = (GridFunction(ts.x[0]), GridFunction(ts.y[0]))
+    return LinearSurrogate(basis, induced, ts.problem, center, ts.load, probe_pairs(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +220,9 @@ def _near_linear_branch(slopes: np.ndarray, anchor_vals: np.ndarray) -> tuple:
 # trunk fit
 
 
-def fit_trunk(y_underline: GridFunction, n_j: int, seed: int):
-    """One-shot least-squares fit of a sigmoid expansion to a data function.
+def fit_trunk(y_underline: np.ndarray, n_j: int, seed: int):
+    """One-shot least-squares fit of a sigmoid expansion to the data function
+    with the nodal values ``y_underline``.
 
     Node 0 is a saturated constant; the rest have random weights and
     uniformly random transition locations.  Returns ((c, w, zeta), discrete
@@ -233,8 +230,8 @@ def fit_trunk(y_underline: GridFunction, n_j: int, seed: int):
     """
     if n_j < 1:
         raise DimensionMismatch("trunk needs at least one node")
-    t = y_underline.nodes
-    sw = np.sqrt(trapezoid_weights(y_underline.n_cells))
+    t = np.linspace(0.0, 1.0, y_underline.size)
+    sw = np.sqrt(trapezoid_weights(y_underline.size - 1))
 
     for attempt_seed in (seed, seed + 7919):
         rng = np.random.default_rng(attempt_seed)
@@ -246,10 +243,10 @@ def fit_trunk(y_underline: GridFunction, n_j: int, seed: int):
             zeta[1:] = -w[1:] * rng.uniform(0.0, 1.0, n_j - 1)
         features = activation(np.outer(t, w) + zeta)
         weighted = features * sw[:, None]
-        c, _, _, s = np.linalg.lstsq(weighted, sw * y_underline.values, rcond=None)
+        c, _, _, s = np.linalg.lstsq(weighted, sw * y_underline, rcond=None)
         if s[0] <= TRUNK_COND_LIMIT * s[-1]:
             fit = eval_trunk(c, w, zeta, t)
-            residual = float(np.sqrt(np.sum((sw * (fit - y_underline.values)) ** 2)))
+            residual = float(np.sqrt(np.sum((sw * (fit - y_underline)) ** 2)))
             return (c, w, zeta), residual
     raise IllConditionedFit(
         f"trunk feature matrix is numerically singular for sizes n_j={n_j}"
@@ -283,10 +280,8 @@ def estimate_nu_N(ls: LinearSurrogate) -> float:
     if not ls.probes:
         raise EmptyProbeSet("need at least one probe")
     x0, y0 = ls.center
-    n_cells, space = y0.n_cells, ls.problem.image_space
-    sw = np.sqrt(trapezoid_weights(n_cells))
-    span = np.column_stack([y.values * sw for y in ls.induced])
-    q, _ = np.linalg.qr(span)
+    space, sw = ls.problem.image_space, np.sqrt(trapezoid_weights(y0.n_cells))
+    q, _ = np.linalg.qr((ls.induced * sw).T)
 
     worst = 0.0
     for x, y in ls.probes:
@@ -311,7 +306,7 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
     """
     x0, space = ls.center[0], ls.problem.image_space
     t = quadrature_nodes(n_k)
-    slopes = np.array([gram_apply(xb.resample(n_k).values, space) for xb in ls.basis])
+    slopes = np.array([gram_apply(np.interp(t, x0.nodes, xb), space) for xb in ls.basis])
     trunks, residuals = zip(*(fit_trunk(yb, n_j, seed + 7 * ell)
                               for ell, yb in enumerate(ls.induced)))
     coeffs = StructuredSurrogateCoeffs(t, *_near_linear_branch(slopes, x0.sample(t)),
@@ -322,7 +317,7 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
         e = x.values - x0.values
         outputs = eval_branch(coeffs, x.sample(t))
         for b, xb in zip(outputs.tolist(), ls.basis):
-            q_n = max(q_n, abs(b - _inner_nodal(e, xb.values, space)))
+            q_n = max(q_n, abs(b - _inner_nodal(e, xb, space)))
 
     return coeffs, SurrogateDiagnostics(estimate_nu_N(ls), q_n, max(residuals),
                                         ls.n_terms)

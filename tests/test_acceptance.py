@@ -102,7 +102,8 @@ def test_criterion_4_surrogate_exactness_on_span(n_terms):
     dirs = [0.1 * perturbation_shape(l, n) for l in range(1, n_terms + 1)]
     pairs = ((x0, GridFunction.constant(0.0, n)),) + tuple(
         (x0 + d, derivative_apply(C, x0, d, f)) for d in dirs)
-    ls = build_linear_surrogate(TrainingSet(pairs, C, f))
+    x, y = (np.array([g.values for g in column]) for column in zip(*pairs))
+    ls = build_linear_surrogate(TrainingSet(C, f, x, y))
 
     rng = np.random.default_rng(0)
     span = GridFunction.constant(0.0, n)
@@ -226,12 +227,11 @@ def test_criterion_8_optimization_soundness():
     rng = np.random.default_rng(1)
     r = GridFunction(1e-2 * rng.standard_normal(n + 1))
     y_delta = h_rank.forward(x0) + r
-    G = np.array([[inner(yi, yj, SpaceKind.L2) for yj in ls.induced]
-                  for yi in ls.induced])
-    b = np.array([inner(yi, r, SpaceKind.L2) for yi in ls.induced])
+    induced = [GridFunction(yi) for yi in ls.induced]
+    G = np.array([[inner(yi, yj, SpaceKind.L2) for yj in induced] for yi in induced])
+    b = np.array([inner(yi, r, SpaceKind.L2) for yi in induced])
     c = np.linalg.solve(G + alpha * np.eye(len(b)), b)
-    x_star = GridFunction(x0.values + sum(
-        ci * bi.values for ci, bi in zip(c, ls.basis)))
+    x_star = GridFunction(x0.values + sum(ci * bi for ci, bi in zip(c, ls.basis)))
     # strong convexity modulus alpha: value gap eta implies a distance bound
     # sqrt(eta/alpha), so eta = 1e-20 certifies the 1e-8 recovery below
     cfg = TikhonovConfig(alpha=alpha, eta=1e-20, xi=0.0, max_iterations=200000)
@@ -240,7 +240,7 @@ def test_criterion_8_optimization_soundness():
 
     # certificate exactness along a direction the misfit cannot see
     ortho = perturbation_shape(6, n)
-    for bi in ls.basis:
+    for bi in map(GridFunction, ls.basis):
         ortho = ortho - inner(ortho, bi, SpaceKind.L2) * bi
     x_probe = x_star + 0.01 * ortho
     v_probe, g_probe = tikhonov_value_and_gradient(h_rank, x_probe, y_delta, cfg)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from containers import edit, read_fields
 
+import invop.tikhonov
 from invop.cli import COMMAND_SECTIONS, SECTION_KEYS, cli_main
 from invop.config import load_config, read_section, study_config
 from invop.fem import ProblemKind, solve_forward_reference
@@ -204,6 +205,27 @@ def test_build_diagnostics_match_fresh_probe_solves(tmp_path):
     assert (stored.nu_N, stored.q_N, stored.rho_bound) == (diag.nu_N, diag.q_N, diag.rho_bound)
 
 
+def test_a_quiet_build_measures_no_rho(tmp_path, capsys, monkeypatch):
+    # rho costs a surrogate_error pass: a quiet build, which prints it nowhere,
+    # makes none, and a loud build prints the rho of the map on its files
+    gen_cfg = _write(tmp_path / "gen.cfg", _SMALL_GENERATE)
+    ts_path, surr_path = tmp_path / "train.txt", tmp_path / "surr.txt"
+    assert cli_main(["generate", "--config", gen_cfg, "--out", str(ts_path), "--quiet"]) == 0
+    calls, measure = [], invop.tikhonov.surrogate_error
+    monkeypatch.setattr(invop.tikhonov, "surrogate_error",
+                        lambda *args: calls.append(args) or measure(*args))
+    build = ["build", "--config", _small_build(tmp_path, ts_path), "--out", str(surr_path)]
+    assert cli_main(build + ["--quiet"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    assert cli_main(build) == 0
+    assert len(calls) == 1
+    ls, _ = load_linear_surrogate(str(surr_path) + ".rank")
+    rho = NeuralMap(load_structured(surr_path), ls).rho
+    assert capsys.readouterr().out == (f"wrote surrogate ({ls.n_terms} terms, rho {rho:.3e}) "
+                                       f"to {surr_path}\n")
+
+
 #: configs each command runs on, as {section: {key: value text}}
 _RUNNABLE = {
     "study": {"study": {"study": "reg_rate", "problem": "a",
@@ -312,6 +334,15 @@ def test_prior_center_below_nu_names_center(tmp_path, capsys, problem):
     assert cli_main(["solve", "--config", cfg, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [solve] center = 0.05 lies below nu = 0.1"), err
+
+
+def test_a_surrogate_file_for_the_fem_map_names_the_key(tmp_path, capsys):
+    # the FEM map reads no file: one that was named, even one that does not
+    # exist, was ignored and the solve exited 0
+    missing = tmp_path / "missing.txt"
+    err = _fails_naming(tmp_path, capsys, "solve", "solve", "surrogate_file", str(missing))
+    assert err.startswith(f"error: [solve] surrogate=fem reads no surrogate_file, "
+                          f"not '{missing}'"), err
 
 
 def test_zero_load_with_a_source_target_names_load(tmp_path, capsys):

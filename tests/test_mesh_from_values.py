@@ -181,13 +181,14 @@ def test_c_rank_map_certifies_its_stop_in_l2():
     f, x0 = GridFunction.constant(50.0, n), GridFunction.constant(1.0, n)
     ls = build_linear_surrogate(generate_training_set(C, f, x0, PerturbationSpec(0.1, 3)))
     h = RankMap(ls)
-    y_delta = add_noise(h.forward(x0 + 0.05 * ls.basis[0]), 1e-3, 1)
+    y_delta = add_noise(h.forward(x0 + GridFunction(0.05 * ls.basis[0])), 1e-3, 1)
     cfg = TikhonovConfig(alpha, alpha ** 2, 0.0)
     res = minimize_tikhonov(h, y_delta, cfg)
     r = y_delta - ls.center[1]
-    G = np.array([[inner(a, b, L2) for b in ls.induced] for a in ls.induced])
-    c = np.linalg.solve(G + alpha * np.eye(len(G)), [inner(y, r, L2) for y in ls.induced])
-    x_star = x0 + GridFunction(sum(ci * b.values for ci, b in zip(c, ls.basis)))
+    induced = [GridFunction(y) for y in ls.induced]
+    G = np.array([[inner(a, b, L2) for b in induced] for a in induced])
+    c = np.linalg.solve(G + alpha * np.eye(len(G)), [inner(y, r, L2) for y in induced])
+    x_star = x0 + GridFunction(sum(ci * b for ci, b in zip(c, ls.basis)))
     assert res.certificate.status == "converged"
     assert norm(res.x - x_star, L2) <= 1e-10
     _, g = tikhonov_value_and_gradient(h, res.x, y_delta, cfg)

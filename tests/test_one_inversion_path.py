@@ -121,8 +121,10 @@ def test_each_cli_inversion_balances_a_measured_rho(tmp_path):
     maps = {"fem": FemMap(ProblemKind.C_EXAMPLE, f, x0),
             "rank": RankMap(ls), "neural": NeuralMap(load_structured(surr), ls)}
     for kind, h in maps.items():
+        # the FEM map reads no surrogate file
+        file = "" if kind == "fem" else f"surrogate_file = {surr}\n"
         solve = _write(tmp_path / "solve.cfg", f"[solve]\nproblem = c\nsurrogate = {kind}\n"
-                       f"surrogate_file = {surr}\nn_cells = 32\nload = 50.0\n"
+                       f"{file}n_cells = 32\nload = 50.0\n"
                        "delta = 1e-7\nconstant = 0.5\ntarget = prior\nmax_iterations = 20\n")
         out = tmp_path / f"{kind}.csv"
         assert cli_main(["solve", "--config", solve, "--out", str(out), "--quiet"]) == 0

@@ -45,9 +45,8 @@ def test_training_set_round_trip_bitwise(pipeline, tmp_path):
     ts2 = load_training_set(p)
     assert ts2.problem is ts.problem
     assert np.array_equal(ts2.load.values, ts.load.values)
-    for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
-        assert np.array_equal(x.values, x2.values)
-        assert np.array_equal(y.values, y2.values)
+    assert np.array_equal(ts.x, ts2.x) and np.array_equal(ts.y, ts2.y)
+    assert ts2.x.dtype == ts2.y.dtype == float
 
 
 def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
@@ -57,8 +56,7 @@ def test_linear_surrogate_round_trip_bitwise(pipeline, tmp_path):
     ls2, diag2 = load_linear_surrogate(p)
     assert diag.nu_N > 0.0 and diag2 == diag
     assert ls2.problem is ls.problem
-    for b, b2 in zip(ls.basis + ls.induced, ls2.basis + ls2.induced):
-        assert np.array_equal(b.values, b2.values)
+    assert np.array_equal(ls.basis, ls2.basis) and np.array_equal(ls.induced, ls2.induced)
     assert np.array_equal(ls.center[0].values, ls2.center[0].values)
     # the held-out probe pair, which measures the rho of the maps built on the file
     assert len(ls2.probes) == len(ls.probes) == 1
@@ -119,18 +117,16 @@ def test_fields_of_older_files_are_ignored(pipeline, tmp_path):
         edit(p, {"seed": 3, "perturbation.seed": 3, "perturbation.amplitude": amplitude})
         ts2 = load_training_set(p)
         assert ts2.problem is ts.problem and np.array_equal(ts2.load.values, ts.load.values)
-        for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
-            assert np.array_equal(x.values, x2.values) and np.array_equal(y.values, y2.values)
+        assert np.array_equal(ts.x, ts2.x) and np.array_equal(ts.y, ts2.y)
     ls2, diag2 = load_linear_surrogate(q)
     assert diag2 == diag
-    for b, b2 in zip(ls.basis + ls.induced, ls2.basis + ls2.induced):
-        assert np.array_equal(b.values, b2.values)
+    assert np.array_equal(ls.basis, ls2.basis) and np.array_equal(ls.induced, ls2.induced)
 
 
 def test_files_hold_one_stacked_array_per_field(pipeline, tmp_path):
     # each file lands at exactly its path, and the same record gives the same bytes
     ts, ls, coeffs, diag = pipeline
-    pairs, terms, n_j = len(ts.pairs), ls.n_terms, coeffs.trunk_c.shape[1]
+    pairs, terms, n_j = len(ts.x), ls.n_terms, coeffs.trunk_c.shape[1]
     grid, one = (N + 1,), ()
     training = {"kind": one, "problem": one, "load": grid, "x": (pairs, N + 1),
                 "y": (pairs, N + 1)}
@@ -315,3 +311,32 @@ def test_non_finite_value_names_the_field(pipeline, tmp_path):
     edit(p, {"y": y})
     with pytest.raises(NonFiniteValue, match=r"ts\.txt: field 'y'"):
         load_training_set(p)
+
+
+_STACKS = [
+    ("x", lambda a: a[0], r"ts\.txt: fields x: expected .*shape"),
+    ("x", lambda a: a[:, None, :], r"ts\.txt: fields x: expected .*shape"),
+    ("basis", lambda a: a[0], r"ls\.txt: fields basis: expected .*shape"),
+    ("basis", lambda a: a[:, None, :], r"ls\.txt: fields basis: expected .*shape"),
+]
+
+
+@pytest.mark.parametrize("name,reshape,match", _STACKS,
+                         ids=["x-1d", "x-3d", "basis-1d", "basis-3d"])
+def test_stacks_that_are_not_one_row_per_function_name_the_field(pipeline, tmp_path, name,
+                                                                  reshape, match):
+    # both fields of the family take the shape, so that they agree with each
+    # other and with the load's mesh, and only the row layout is wrong
+    ts, ls, _, diag = pipeline
+    if name == "x":
+        p, other = tmp_path / "ts.txt", "y"
+        save_training_set(p, ts)
+        load = load_training_set
+    else:
+        p, other = tmp_path / "ls.txt", "induced"
+        save_linear_surrogate(p, ls, diag)
+        load = load_linear_surrogate
+    f = read_fields(p)
+    edit(p, {name: reshape(f[name]), other: reshape(f[other])})
+    with pytest.raises(ConfigInvalid, match=match):
+        load(p)

@@ -109,6 +109,25 @@ def test_entry_points_check_the_mesh_before_the_map_evaluates(handles, kind, mon
         h.misfit_and_gradient(x_other, y)
 
 
+@pytest.mark.parametrize("kind", ["fem", "rank", "neural"])
+def test_data_on_another_mesh_raise_before_the_map_evaluates(handles, kind, monkeypatch):
+    # y_delta is checked against the center's mesh next to x: for the FEM map
+    # the evaluation that came first was a full Galerkin solve
+    h, x0 = handles[kind], handles["x0"]
+    y_other = h.forward(x0).resample(N // 2)
+    monkeypatch.setattr(type(h), "_evaluate", lambda self, x: pytest.fail("the map evaluated"))
+    with pytest.raises(DimensionMismatch, match=f"{N // 2} cells where the {N}-cell mesh"):
+        h.misfit_and_gradient(x0, y_other)
+
+
+def test_the_rank_maps_model_is_its_expansion(handles):
+    # the Woodbury inputs are the expansion's own (N, n + 1) arrays, not copies
+    ls = handles["ls"]
+    basis, induced = RankMap(ls)._directions(0.0)
+    assert basis is ls.basis and induced is ls.induced
+    assert basis.shape == induced.shape == (ls.n_terms, N + 1)
+
+
 @pytest.mark.parametrize("build", ["generate_training_set", "FemMap"])
 def test_a_load_off_the_centers_mesh_raises_before_any_reference_solve(build, monkeypatch):
     # each map fixes one mesh when it is built: a load on 64 cells around a
@@ -304,7 +323,7 @@ def test_minimizer_rejects_a_prior_below_the_maps_bound(handles, kind):
         ls = build_linear_surrogate(generate_training_set(C, f, low, PerturbationSpec(0.01, 2)))
         h = RankMap(ls) if kind == "rank" else NeuralMap(
             assemble_neural_surrogate(ls, 16, 4, seed=1)[0], ls)
-    assert h.center is low
+    assert np.array_equal(h.center.values, low.values)
     with pytest.raises(NonAdmissibleCoefficient, match="^prior center violates the bound nu$"):
         minimize_tikhonov(h, handles["x0"], _config())
 
@@ -446,10 +465,10 @@ def _precision_floor_problem(handles, kind):
     alpha = 1e-2
     r = GridFunction(1e-2 * np.random.default_rng(1).standard_normal(N + 1))
     y_delta = h.forward(x0) + r
-    G = np.array([[inner(a, b, SpaceKind.L2) for b in ls.induced] for a in ls.induced])
-    c = np.linalg.solve(G + alpha * np.eye(len(G)),
-                        [inner(y, r, SpaceKind.L2) for y in ls.induced])
-    x_star = x0 + GridFunction(sum(ci * b.values for ci, b in zip(c, ls.basis)))
+    induced = [GridFunction(y) for y in ls.induced]
+    G = np.array([[inner(a, b, SpaceKind.L2) for b in induced] for a in induced])
+    c = np.linalg.solve(G + alpha * np.eye(len(G)), [inner(y, r, SpaceKind.L2) for y in induced])
+    x_star = x0 + GridFunction(sum(ci * b for ci, b in zip(c, ls.basis)))
     return h, y_delta, x_star, _config(alpha=alpha, eta=1e-20, max_iterations=200000)
 
 
@@ -745,7 +764,7 @@ def test_entry_point_row_is_the_hand_built_row(handles, kind):
     # measures the error against x_true: its row is that of the steps taken
     # by hand, bit for bit apart from the runtime
     x0, h = handles["x0"], handles[kind]
-    assert h.center is x0
+    assert np.array_equal(h.center.values, x0.values)
     xt = GridFunction(x0.values + 0.02 * np.sin(np.pi * x0.nodes))
     y_true = handles["fem"].forward(xt)
     delta, seed, constant, xi, budget = 1e-3, 3, 0.15, 1e-2, 40

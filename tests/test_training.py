@@ -44,9 +44,9 @@ def c_setup():
 def test_training_set_layout(c_setup):
     f, x0, ts, ls = c_setup
     assert ts.n_train == 5
-    assert len(ts.pairs) == 6
+    assert ts.x.shape == ts.y.shape == (6, N + 1)
     # pair 0 is the unperturbed center
-    assert np.array_equal(ts.pairs[0][0].values, x0.values)
+    assert np.array_equal(ts.x[0], x0.values)
 
 
 def test_perturbation_shapes_unit_norm():
@@ -58,9 +58,7 @@ def test_perturbation_shapes_unit_norm():
 def test_generation_is_deterministic(c_setup):
     f, x0, ts, ls = c_setup
     ts2 = generate_training_set(C, f, x0, PerturbationSpec(0.1, 5))
-    for (x, y), (x2, y2) in zip(ts.pairs, ts2.pairs):
-        assert np.array_equal(x.values, x2.values)
-        assert np.array_equal(y.values, y2.values)
+    assert np.array_equal(ts.x, ts2.x) and np.array_equal(ts.y, ts2.y)
 
 
 def test_inadmissible_amplitude_rejected():
@@ -83,9 +81,9 @@ def test_dependent_images_detected():
     ts = generate_training_set(C, GridFunction.constant(50.0, N), x0,
                                PerturbationSpec(0.1, 3))
     # duplicate a pair to force dependence downstream
-    dup = ts.pairs + (ts.pairs[1],)
+    dup = ts._replace(x=np.vstack([ts.x, ts.x[1]]), y=np.vstack([ts.y, ts.y[1]]))
     with pytest.raises(DependentImages):
-        build_linear_surrogate(ts._replace(pairs=dup))
+        build_linear_surrogate(dup)
 
 
 # -- orthonormalization -----------------------------------------------------
@@ -94,11 +92,12 @@ def test_dependent_images_detected():
 def test_gram_schmidt_orthonormal_and_triangular(c_setup):
     f, x0, ts, ls = c_setup
     for space in SpaceKind:
-        imgs = [GridFunction(np.sin((k + 1) * np.pi * x0.nodes) + 0.1 * x0.nodes)
-                for k in range(4)]
+        imgs = np.array([np.sin((k + 1) * np.pi * x0.nodes) + 0.1 * x0.nodes
+                         for k in range(4)])
         basis, T = gram_schmidt(imgs, space)
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
+        assert basis.shape == imgs.shape
+        for i, bi in enumerate(map(GridFunction, basis)):
+            for j, bj in enumerate(map(GridFunction, basis)):
                 assert inner(bi, bj, space) == pytest.approx(
                     1.0 if i == j else 0.0, abs=1e-12
                 )
@@ -106,25 +105,25 @@ def test_gram_schmidt_orthonormal_and_triangular(c_setup):
         assert np.all(np.diag(T) > 0)
         # basis[j] = sum_i T[j,i] images[i]
         for j, bj in enumerate(basis):
-            rec = sum(T[j, i] * imgs[i].values for i in range(j + 1))
-            assert rec == pytest.approx(bj.values, abs=1e-10)
+            rec = sum(T[j, i] * imgs[i] for i in range(j + 1))
+            assert rec == pytest.approx(bj, abs=1e-10)
 
 
 def test_surrogate_reproduces_training_pairs(c_setup):
     f, x0, ts, ls = c_setup
     rank = RankMap(ls)
-    for x, y in ts.pairs[1:]:
-        pred = rank.forward(x) - ts.pairs[0][1]
-        assert norm(pred - (y - ts.pairs[0][1]), SpaceKind.L2) < 1e-12
+    for x, y in zip(ts.x[1:], ts.y[1:]):
+        pred = rank.forward(GridFunction(x)).values - ts.y[0]
+        assert norm(GridFunction(pred - (y - ts.y[0])), SpaceKind.L2) < 1e-12
 
 
 def test_surrogate_matches_linearization_on_span(c_setup):
     # the rank-N map agrees with the derivative of the forward map in the
     # training directions up to the linearization (not rounding) error
     f, x0, ts, ls = c_setup
-    d = ts.pairs[1][0] - x0
-    lin = derivative_apply(C, x0, d, f)
-    pred = RankMap(ls).forward(ts.pairs[1][0]) - ts.pairs[0][1]
+    x1 = GridFunction(ts.x[1])
+    lin = derivative_apply(C, x0, x1 - x0, f)
+    pred = RankMap(ls).forward(x1) - GridFunction(ts.y[0])
     rel = norm(pred - lin, SpaceKind.L2) / norm(lin, SpaceKind.L2)
     assert rel < 2e-2  # amplitude 0.1 => quadratic remainder ~ 1e-2
 
@@ -175,7 +174,7 @@ def test_build_carries_the_probe_pairs(c_setup):
     # the one solved mix of the training pairs, and no training pair
     f, x0, ts, ls = c_setup
     (xm, ym), = ls.probes
-    assert not any(np.array_equal(xm.values, x.values) for x, _ in ts.pairs)
+    assert not any(np.array_equal(xm.values, x) for x in ts.x)
     assert np.array_equal(ym.values, solve_forward_reference(C, xm, f).values)
 
 
