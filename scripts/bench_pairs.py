@@ -11,7 +11,10 @@ interquartile range of the parent's runs, the change's wins out of N (pairs
 in which the change reads strictly better; a tie counts for neither side),
 and whether the change's median is worse than the parent's by no more than
 the metric's declared bound.  A line per workload gives the failed and
-attempted operations of each side.  Nothing is written.
+attempted operations of each side and the median number of rounds its runs
+took, read from each run's ``report`` line: a run of a faster program takes
+more rounds in its fixed time, and its ``peak_rss_mb`` grows with them.
+Nothing is written.
 """
 
 import argparse
@@ -27,11 +30,15 @@ SIDES = ("parent", "change")
 
 
 def run(checkout: Path, workload: str, seconds: float) -> dict:
-    """The result line of one end-to-end run of the workload in the checkout."""
+    """The result line of one end-to-end run of the workload in the checkout,
+    with the ``rounds`` of its report line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0"]
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(res.stdout.strip().splitlines()[-1])
+    lines = res.stdout.strip().splitlines()
+    report = next(json.loads(line[len("report "):]) for line in lines
+                  if line.startswith("report "))
+    return {**json.loads(lines[-1]), "rounds": report["rounds"]}
 
 
 def summarize(parent, change, better: str, bound: float) -> dict:
@@ -71,9 +78,10 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 results[side].append(run(checkouts[side], workload, declared["run_seconds"]))
-        counts = ", ".join(
+        counts = "; ".join(
             f"{side} {sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)} failed"
             + ("" if all(r["correct"] for r in rs) else " (checks failed)")
+            + f", median {np.median([r['rounds'] for r in rs]):g} rounds"
             for side, rs in results.items())
         print(f"{workload}: {counts}")
         for metric in declared["end_to_end"]:

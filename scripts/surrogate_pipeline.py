@@ -5,9 +5,10 @@ Generates training pairs, orthonormalizes them into the rank-N expansion,
 assembles the sigmoid branch/trunk surrogate, prints its diagnostics, and
 solves one noisy inversion with each of the three forward maps.  Each row
 ends with the map's own surrogate error rho, the one that the parameter
-rule balances against delta: the FEM map's error on its sine-mode probes,
-and the two surrogates' error on the held-out probe pair of the build.  The
-diagnostics line is the build's record.
+rule balances against delta: its error on the held-out probe pair of the
+expansion it stands on, the build's for the two surrogates and that of its
+own six sine modes for the FEM map.  The diagnostics line is the build's
+record.
 
 Usage: python scripts/surrogate_pipeline.py [delta]
 """

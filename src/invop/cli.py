@@ -34,6 +34,7 @@ from .studies import (
     c_example_setup,
     run_study,
     source_target_a,
+    source_target_c,
 )
 from .tikhonov import (
     RUN_COLUMNS,
@@ -191,7 +192,8 @@ def _cmd_solve(args) -> int:
         if sec["load"] == 0:  # zero data: the source direction is 0 / 0
             raise ConfigInvalid("[solve] load = 0.0 gives zero data, from which target = "
                                 "source builds no target; set a nonzero load or target = prior")
-        xt = source_target_a(prob, x0, f)
+        xt = (source_target_a(prob, x0, f) if prob is ProblemKind.A_EXAMPLE
+              else source_target_c(h.ls))
     elif target == "prior":
         xt = x0
     else:

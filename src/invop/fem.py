@@ -197,8 +197,8 @@ def misfit_gradient_nodal(kind: ProblemKind, xv: np.ndarray, yv: np.ndarray,
     z = np.zeros(n + 1)
     if kind is ProblemKind.A_EXAMPLE:
         # d/dh_j of p^T K(h) y with element averages of h
-        dp = np.diff(p) / h
-        dy = np.diff(yv) / h
+        dp = (p[1:] - p[:-1]) / h
+        dy = (yv[1:] - yv[:-1]) / h
         e = 0.5 * dp * dy * h  # per-element sensitivity of the average
         z[:-1] += e
         z[1:] += e

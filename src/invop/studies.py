@@ -295,9 +295,10 @@ def source_target_c(ls):
 CExample = namedtuple("CExample", "ls xt y_true coeffs diag")
 
 
-def _read_only(*arrays: np.ndarray):
-    """Make the memoized arrays unwritable."""
-    for a in arrays:
+def _read_only(ls, *functions: GridFunction):
+    """Make the memoized expansion and functions unwritable."""
+    for a in (ls.basis, ls.induced,
+              *(g.values for g in (ls.load, *ls.center, *sum(ls.probes, ()), *functions))):
         a.flags.writeable = False
 
 
@@ -312,9 +313,7 @@ def _c_example_data(n_cells: int, n_train: int):
     ls = build_linear_surrogate(ts)
     xt = source_target_c(ls)
     y_true = solve_forward_reference(prob, xt, f)
-    # the load is shared with ls
-    _read_only(ls.basis, ls.induced,
-               *(g.values for g in (f, xt, y_true, *ls.center, *sum(ls.probes, ()))))
+    _read_only(ls, xt, y_true)  # f is the load of ls
     return ls, xt, y_true
 
 
@@ -337,7 +336,7 @@ def _a_example_data(n_cells: int):
     xt = source_target_a(prob, x0, f)
     y_true = solve_forward_reference(prob, xt, f)
     h = FemMap(prob, f, x0)
-    _read_only(*(g.values for g in (f, x0, xt, y_true, *sum(h.probes, ()))))
+    _read_only(h.ls, xt, y_true)
     return xt, h, y_true
 
 

@@ -5,6 +5,9 @@ where ``F_n`` is one of three interchangeable forward maps (``FemMap``,
 the direct FEM solve; ``RankMap``, the rank-N linear expansion;
 ``NeuralMap``, the branch/trunk sigmoid operator), x0 is its prior ``center``
 and ``x_xi`` is the mollified iterate when a smoothing width is configured.
+Every map stands on a rank-N expansion of solved training pairs (the FEM map
+on that of six sine modes around its center), which gives it its problem,
+load, center and the held-out probe on which it measures its error rho.
 X and nu are those of the map's problem; the map checks once that x lies on
 its center's mesh.  Minimization is limited-memory BFGS (the two-loop
 recursion of Liu & Nocedal, 1989) with every inner product taken in the X
@@ -31,13 +34,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateScale, EmptyProbeSet, NonAdmissibleCoefficient, Stalled
+from .errors import (DegenerateScale, EmptyProbeSet, NonAdmissibleCoefficient,
+                     NonAdmissiblePerturbation, Stalled)
 from .fem import ProblemKind, gauss_newton_directions, misfit_gradient_nodal, solve_forward_fem
 from .grid import (GridFunction, SpaceKind, _inner_nodal, gram_apply, gram_solve, norm,
                    trapezoid_weights)
 from .mollify import mollify, mollify_matrix
 from .neural import StructuredSurrogateCoeffs, eval_structured_with_gradient
-from .training import LinearSurrogate, fem_probe_pairs
+from .training import (LinearSurrogate, PerturbationSpec, build_linear_surrogate,
+                       generate_training_set, perturbation_shape)
 
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
@@ -85,16 +90,21 @@ class TikhonovConfig:
 class SurrogateHandle:
     """A forward map F_n inside the functional: FemMap, RankMap or NeuralMap.
 
-    Each map provides ``label``, ``n_terms``, ``problem``, its prior
-    ``center``, the solved ``probes`` (x, F[x]) that it does not fit, and
-    ``_evaluate(x)``, which returns the nodal data y of the (already
+    Each map stands on a rank-N expansion ``ls`` of solved training pairs and
+    reads from it its ``problem``, ``load``, prior ``center`` and the solved
+    ``probes`` (x, F[x]) that no map fits.  It provides ``label``, ``n_terms``
+    and ``_evaluate(x)``, which returns the nodal data y of the (already
     mollified) input x and a pullback taking the nodal residual r to the
     Euclidean nodal gradient of inner(y, r, L2) in x; it may give a linear
     model of itself as ``_directions(xi)``.  The GridFunction entry points
     ``forward`` and ``misfit_and_gradient`` check once that x lies on the center's mesh.
     """
 
-    __slots__ = ("_rho",)
+    __slots__ = ("ls", "_rho")
+    problem = property(lambda self: self.ls.problem)
+    load = property(lambda self: self.ls.load)
+    center = property(lambda self: self.ls.center[0])
+    probes = property(lambda self: self.ls.probes)
 
     @property
     def rho(self) -> float:
@@ -130,15 +140,28 @@ class SurrogateHandle:
 
 
 class FemMap(SurrogateHandle):
-    """The Galerkin solver itself on the mesh of its load and center."""
+    """The Galerkin solver itself on the mesh of its load and center.  It
+    stands on the expansion of six sine modes (the n - 1 the mesh holds, if
+    fewer) at a tenth of the center's least value, which it evaluates
+    nowhere; a center too close to the bound for them raises ValueError
+    naming the least center they admit."""
 
-    __slots__ = ("problem", "load", "center", "probes", "_built")
+    __slots__ = ("_built",)
     label = "FemForward"
     n_terms = 0
 
     def __init__(self, problem: ProblemKind, load: GridFunction, center: GridFunction):
-        self.problem, self.load, self.center = problem, load, center
-        self.probes = fem_probe_pairs(problem, load, center)  # checks the meshes first
+        n, low = center.n_cells, float(np.min(center.values))
+        modes = min(6, n - 1)
+        try:  # checks the meshes first
+            ts = generate_training_set(problem, load, center, PerturbationSpec(0.1 * low, modes))
+        except NonAdmissiblePerturbation:
+            reach = max(np.max(np.abs(perturbation_shape(k, n).values))
+                        for k in range(1, modes + 1))
+            least = problem.fem_lower_bound() / (1.0 - 0.1 * reach)
+            raise ValueError(f"center = {low!r} puts the FEM rho's probes below the bound; "
+                             f"the least center they admit is {least:.6g}") from None
+        self.ls = build_linear_surrogate(ts)
         self._built = None  # (xi, basis, images) of the last width
 
     def _evaluate(self, x: GridFunction):
@@ -162,16 +185,7 @@ class FemMap(SurrogateHandle):
         return self._built[1:]
 
 
-class ExpansionMap(SurrogateHandle):
-    """A map of the rank-N expansion ``ls``, with its problem, center and probes."""
-
-    __slots__ = ("ls",)
-    problem = property(lambda self: self.ls.problem)
-    center = property(lambda self: self.ls.center[0])
-    probes = property(lambda self: self.ls.probes)
-
-
-class RankMap(ExpansionMap):
+class RankMap(SurrogateHandle):
     """The rank-N linear expansion around its training center."""
 
     __slots__ = ()
@@ -202,7 +216,7 @@ class RankMap(ExpansionMap):
         return self.ls.basis, self.ls.induced
 
 
-class NeuralMap(ExpansionMap):
+class NeuralMap(SurrogateHandle):
     """The branch/trunk sigmoid realization ``coeffs`` of the expansion ``ls``.
     ``forward`` evaluates the values only; the pullback does the
     vector-Jacobian product when a gradient is asked for."""

@@ -4,9 +4,10 @@ Pipeline: generate admissible coefficient perturbations around a center,
 solve the forward problem for each, center the pairs, orthonormalize the
 centered images in the problem's inner product, and expose the rank-N
 linear surrogate together with its branch/trunk sigmoid realization and
-measured error diagnostics, and the probe pairs on which each forward map
-measures its error rho: ``probe_pairs`` and ``fem_probe_pairs``.  Pairs,
-basis and induced data are the rows of (rows, n + 1) arrays, as filed.
+measured error diagnostics.  The expansion carries ``probe_pairs``, the one
+held-out pair on which every forward map built on it measures its error
+rho.  Pairs, basis and induced data are the rows of (rows, n + 1) arrays,
+as filed.
 """
 
 from __future__ import annotations
@@ -155,23 +156,6 @@ def probe_pairs(ts: TrainingSet) -> tuple:
         mix += (0.6 if j % 2 == 0 else -0.6) * (x - x0)
     xm = GridFunction(x0 + mix)
     return ((xm, solve_forward_reference(ts.problem, xm, ts.load)),)
-
-
-def fem_probe_pairs(problem: ProblemKind, load: GridFunction, center: GridFunction) -> tuple:
-    """The Galerkin map's probes: the training pairs of six sine modes (the n - 1
-    the mesh holds, if fewer) at a tenth of the center's least value, and their
-    ``probe_pairs`` mix, none of which the map fits.  A center too close to the
-    bound for them raises ValueError naming the least center they admit."""
-    n, low = center.n_cells, float(np.min(center.values))
-    modes = min(6, n - 1)
-    try:
-        ts = generate_training_set(problem, load, center, PerturbationSpec(0.1 * low, modes))
-    except NonAdmissiblePerturbation:
-        reach = max(np.max(np.abs(perturbation_shape(k, n).values)) for k in range(1, modes + 1))
-        least = problem.fem_lower_bound() / (1.0 - 0.1 * reach)
-        raise ValueError(f"center = {low!r} puts the FEM rho's probes below the bound; "
-                         f"the least center they admit is {least:.6g}") from None
-    return tuple(zip(map(GridFunction, ts.x[1:]), map(GridFunction, ts.y[1:]))) + probe_pairs(ts)
 
 
 def build_linear_surrogate(ts: TrainingSet) -> LinearSurrogate:

@@ -8,6 +8,7 @@ fixtures (the trained c-example surrogate) are module-scoped.
 import numpy as np
 import pytest
 
+from invop.cli import cli_main
 from invop.fem import (
     ProblemKind,
     derivative_apply,
@@ -15,11 +16,13 @@ from invop.fem import (
 )
 from invop.grid import GridFunction, SpaceKind, inner, norm
 from invop.mollify import mollify
+from invop.serialize import load_linear_surrogate, load_structured
 from invop.studies import (
     StudyConfig,
     c_example_setup,
     fit_slope,
     run_study,
+    source_target_c,
 )
 from invop.tikhonov import (
     RUN_COLUMNS,
@@ -161,14 +164,47 @@ def test_criterion_6_error_decomposition_bound(c_surrogate):
     assert worst <= bound, (worst, bound)
 
 
+#: the c-example configs of the benchmark's CLI round, run at seed 13
+_CLI_CONFIGS = {
+    "generate": "[generate]\nproblem = c\nn_cells = 256\nload = 50.0\ncenter = 1.0\n",
+    "build": "[build]\ntraining = {base}.train\nn_quad = 512\nn_trunk = 14\n",
+    "solve": "[solve]\nproblem = c\nsurrogate = {kind}\nsurrogate_file = {base}\n"
+             "n_cells = 256\nload = 50.0\ncenter = 1.0\ndelta = 0.001\nxi = 0.0001\n"
+             "target = source\nmax_iterations = 4000\n",
+}
+
+
+def _cli(command, path, out, **fields):
+    path.write_text(_CLI_CONFIGS[command].format(**fields))
+    assert cli_main([command, "--config", str(path), "--out", str(out), "--seed", "13",
+                     "--quiet"]) == 0
+
+
+@pytest.fixture(scope="module")
+def cli_surrogate(tmp_path_factory):
+    """The base path of the surrogate that ``invop build`` writes in that round."""
+    base = tmp_path_factory.mktemp("cli") / "surr"
+    _cli("generate", base.with_suffix(".gen.cfg"), f"{base}.train")
+    _cli("build", base.with_suffix(".build.cfg"), base, base=base)
+    return base
+
+
+def _map_errors(h, inputs):
+    return [norm(h.forward(x) - solve_forward_reference(C, x, h.load), SpaceKind.L2)
+            for x in inputs]
+
+
 @pytest.mark.parametrize("kind", ["rank", "neural"])
-def test_measured_rho_bounds_the_map_error_where_the_solutions_lie(kind):
+def test_measured_rho_bounds_the_map_error_where_the_solutions_lie(kind, cli_surrogate):
     """The rho the parameter rule balances, the map's largest L2 error over
     the probe pairs of its build, bounds ||F_N(x) - F[x]||_L2 at the target
     and at each minimizer of criterion 3's study (seed 100), and at the
     minimizers' mollified inputs, which the map evaluates.  Measured: rho
     1.383e-4 (rank) and 1.388e-4 (neural) against at most 1.272e-4 and
-    1.286e-4."""
+    1.286e-4.  It bounds them too at the target and minimizer of the CLI's
+    c solve, which inverts the c target of the expansion it loads: rho
+    1.383e-4 (rank) and 1.393e-4 (neural) against at most 1.283e-4 and
+    1.296e-4, where the adjoint target of the a-example gave 1.29e-3."""
     deltas = tuple(0.1 * 2.0 ** (-k) for k in range(3, 9))
     cfg = StudyConfig("reg_rate", problem="c", surrogate=kind, n_cells=256, ladder=deltas,
                       constant=0.15, xi=1e-4, seed=100)
@@ -186,9 +222,23 @@ def test_measured_rho_bounds_the_map_error_where_the_solutions_lie(kind):
         assert norm(x - ex.xt, SpaceKind.L2) == float(row.split(",")[
             RUN_COLUMNS.index("error_X")])
         inputs += [x, mollify(x, cfg.xi)]
-    errors = [norm(h.forward(x) - solve_forward_reference(C, x, f), SpaceKind.L2)
-              for x in inputs]
+    errors = _map_errors(h, inputs)
     assert max(errors) <= rho, (max(errors), rho)
+
+    base = cli_surrogate
+    out = base.with_name(f"{kind}.csv")
+    _cli("solve", base.with_name(f"{kind}.cfg"), out, kind=kind, base=base)
+    header, row = out.read_text().splitlines()
+    ls, _ = load_linear_surrogate(f"{base}.rank")
+    h = RankMap(ls) if kind == "rank" else NeuralMap(load_structured(base), ls)
+    xt, delta, xi = source_target_c(ls), 1e-3, 1e-4
+    alpha, eta = choose_parameters(delta, h.rho, 1.0)
+    y_delta = add_noise(solve_forward_reference(C, xt, ls.load), delta, 13)
+    x = minimize_tikhonov(h, y_delta, TikhonovConfig(alpha, eta, xi, 4000)).x
+    # the CLI's own minimizer, rebuilt
+    assert norm(x - xt, SpaceKind.L2) == float(row.split(",")[RUN_COLUMNS.index("error_X")])
+    errors = _map_errors(h, [xt, x, mollify(x, xi)])
+    assert max(errors) <= h.rho, (max(errors), h.rho)
 
 
 def test_criterion_7_mollification_properties():

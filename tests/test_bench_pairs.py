@@ -59,7 +59,7 @@ def test_runs_alternate_which_side_goes_first(pairs, tmp_path, monkeypatch, caps
     def fake_run(checkout, workload, seconds):
         calls.append((checkout.name, workload, seconds))
         value = 100.0 if checkout.name == "old" else 90.0
-        return {"correct": True, "attempted": 2, "failed": 0,
+        return {"correct": True, "attempted": 2, "failed": 0, "rounds": 4,
                 "metrics": {"iterations": {"value": value, "unit": "count"}}}
 
     monkeypatch.setattr(pairs, "run", fake_run)
@@ -68,6 +68,32 @@ def test_runs_alternate_which_side_goes_first(pairs, tmp_path, monkeypatch, caps
     assert order == ["old", "new", "new", "old", "old", "new"] * 2
     assert {(w, s) for _, w, s in calls} == {("w1", 7), ("w2", 7)}
     out = capsys.readouterr().out.splitlines()
-    assert out[1] == "w1: parent 0/6 failed, change 0/6 failed"
+    assert out[1] == "w1: parent 0/6 failed, median 4 rounds; change 0/6 failed, median 4 rounds"
     assert out[2].split() == ["w1", "iterations", "100", "90", "0", "3/3", "yes", "(25%,",
                               "lower", "is", "better)"]
+
+
+def test_each_side_reports_the_median_rounds_of_its_runs(pairs, tmp_path, monkeypatch, capsys):
+    # a stubbed perfbench run: the rounds come from its report line, the rest
+    # from its result line, and each side prints the median over its runs
+    declared = {"run_seconds": 3, "workloads": [{"name": "w"}],
+                "end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+    sides = {side: tmp_path / side for side in ("old", "new")}
+    for path in sides.values():
+        path.mkdir()
+        (path / "BENCHMARK.json").write_text(json.dumps(declared))
+    rounds = {"old": iter([10, 30, 12]), "new": iter([25, 21, 40])}
+
+    def fake_subprocess_run(cmd, cwd, **kwargs):
+        n = next(rounds[Path(cwd).name])
+        result = {"correct": True, "attempted": n, "failed": 0,
+                  "metrics": {"peak_rss_mb": {"value": 40.0 + n / 10, "unit": "MB"}}}
+        stdout = f"report {json.dumps({'rounds': n, 'workload': 'w'})}\n{json.dumps(result)}\n"
+        return pairs.subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_subprocess_run)
+    assert pairs.main([str(sides["old"]), str(sides["new"]), "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == ("w: parent 0/52 failed, median 12 rounds; "
+                      "change 0/86 failed, median 25 rounds")
+    assert out[2].split()[:4] == ["w", "peak_rss_mb", "41.2", "42.5"]

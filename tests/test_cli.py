@@ -11,7 +11,7 @@ from invop.config import load_config, read_section, study_config
 from invop.fem import ProblemKind, solve_forward_reference
 from invop.grid import GridFunction, SpaceKind, norm
 from invop.serialize import load_linear_surrogate, load_structured, load_training_set
-from invop.studies import StudyConfig, source_target_a
+from invop.studies import StudyConfig, source_target_c
 from invop.tikhonov import (FemMap, NeuralMap, RankMap, RegularizationRun, SurrogateHandle,
                             TikhonovConfig, add_noise, choose_parameters, minimize_tikhonov,
                             surrogate_error)
@@ -147,15 +147,15 @@ delta = 0.001
 
 def test_fem_solve_defaults_to_the_problem_space(tmp_path):
     # problem c identifies a reaction coefficient, whose solution space is L2:
-    # the CLI run is the library run with X = L2
+    # the CLI run is the library run with X = L2, on the c target of the map's expansion
     cfg = _write(tmp_path / "default.cfg", "[solve]\nproblem = c\nsurrogate = fem\n"
                  "n_cells = 64\nload = 50.0\ndelta = 0.001\nmax_iterations = 200\n")
     out = tmp_path / "default.csv"
     assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     prob, n, delta = ProblemKind.C_EXAMPLE, 64, 1e-3
     f, x0 = GridFunction.constant(50.0, n), GridFunction.constant(1.0, n)
-    xt = source_target_a(prob, x0, f)
     h = FemMap(prob, f, x0)
+    xt = source_target_c(h.ls)
     alpha, eta = choose_parameters(delta, h.rho, 1.0)
     tik = TikhonovConfig(alpha=alpha, eta=eta, xi=0.0, max_iterations=200)
     yd = add_noise(solve_forward_reference(prob, xt, f), delta, 0)

@@ -185,17 +185,33 @@ def test_fem_rho_within_100x_of_the_nodal_error_at_the_target():
         assert err <= _fem_map(A, n, 1.0, 1.0).rho <= 100.0 * err, n
 
 
+def _fem_probes(problem, n, load):
+    """The six sine-mode training pairs around center 1 at amplitude 0.1 and their mix."""
+    f, x0 = GridFunction.constant(load, n), GridFunction.constant(1.0, n)
+    ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1, 6))
+    return f, tuple(zip(map(GridFunction, ts.x[1:]), map(GridFunction, ts.y[1:]))), \
+        probe_pairs(ts)
+
+
 @pytest.mark.parametrize("problem,n,load", [(A, 16, 1.0), (A, 256, 1.0),
                                             (ProblemKind.C_EXAMPLE, 64, 50.0)])
 def test_fem_rho_keeps_the_bits_of_its_probe_maximum(problem, n, load):
-    # the FEM map's rho is the largest L2 error of the Galerkin solve over its
-    # probe pairs, the six modes and their mix, computed here by hand
-    f, x0 = GridFunction.constant(load, n), GridFunction.constant(1.0, n)
-    ts = generate_training_set(problem, f, x0, PerturbationSpec(0.1, 6))
-    pairs = tuple(zip(map(GridFunction, ts.x[1:]), map(GridFunction, ts.y[1:])))
-    expect = max(norm(solve_forward_fem(problem, x, f) - y, SpaceKind.L2)
-                 for x, y in pairs + probe_pairs(ts))
-    assert _fem_map(problem, n, load, 1.0).rho == expect
+    # the FEM map's rho is the L2 error of the Galerkin solve on the one
+    # probe of its expansion, the mix of the six modes, computed here by hand
+    f, _, (mix,) = _fem_probes(problem, n, load)
+    h = _fem_map(problem, n, load, 1.0)
+    (x, y), = h.probes
+    assert np.array_equal(x.values, mix[0].values) and np.array_equal(y.values, mix[1].values)
+    assert h.rho == norm(solve_forward_fem(problem, x, f) - y, SpaceKind.L2)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_a_example_fem_rho_keeps_the_bits_of_the_seven_probe_maximum(n):
+    # on the a-example the mix is the worst of the six training pairs and the
+    # mix, on which the FEM map measured its rho before it stood on its expansion
+    f, pairs, mix = _fem_probes(A, n, 1.0)
+    expect = max(norm(solve_forward_fem(A, x, f) - y, SpaceKind.L2) for x, y in pairs + mix)
+    assert _fem_map(A, n, 1.0, 1.0).rho == expect
 
 
 @pytest.mark.parametrize("center", [0.1, 0.11, 0.1164])
@@ -312,7 +328,7 @@ def test_memoized_setup_is_read_only(problem):
         elif isinstance(value, GridFunction):
             yield value.values
         elif isinstance(value, FemMap):
-            yield from arrays((value.load, value.center, value.probes))
+            yield from arrays(value.ls)
         elif isinstance(value, tuple):  # LinearSurrogate and the pairs too
             for v in value:
                 yield from arrays(v)
