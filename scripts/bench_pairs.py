@@ -4,13 +4,17 @@
 Usage: python scripts/bench_pairs.py PARENT CHANGE [--pairs N]
 
 For every workload that CHANGE's BENCHMARK.json declares, N pairs of runs of
-``perfbench/run.py --trace 0`` at seed SEED and the declared ``run_seconds``,
-one run in each checkout, the side that runs first alternating from pair to
-pair.  For each end-to-end metric it prints the median of each side, the
-interquartile range of the parent's runs, the change's wins out of N (pairs
-in which the change reads strictly better; a tie counts for neither side),
-and whether the change's median is worse than the parent's by no more than
-the metric's declared bound.  A line per workload gives the failed and
+``perfbench/run.py --trace 0`` at seed SEED and the declared
+``run_seconds``, one run in each checkout, the side that runs first
+alternating from pair to pair.  For each end-to-end metric it prints the
+median of each side, the interquartile range of the parent's runs, the
+change's wins out of N (pairs in which the change reads strictly better; a
+tie counts for neither side), and whether the change's median is worse than
+the parent's by no more than the metric's declared bound.  That verdict
+reads ``unresolved`` where the parent's runs spread wider than the bound
+(interquartile range above bound times the parent's median) and not every
+change run beats every parent run: the medians of such runs cannot tell a
+move of the bound's size.  A line per workload gives the failed and
 attempted operations of each side and the median number of rounds its runs
 took, read from each run's ``report`` line: a run of a faster program takes
 more rounds in its fixed time, and its ``peak_rss_mb`` grows with them.
@@ -44,9 +48,11 @@ def run(checkout: Path, workload: str, seconds: float) -> dict:
 def summarize(parent, change, better: str, bound: float) -> dict:
     """Paired samples of one metric, pair i being (parent[i], change[i]): the
     median of each side, the interquartile range of the parent's samples,
-    the change's strict wins, and ``within_bound``, whether the change's
+    the change's strict wins, ``within_bound``, whether the change's
     median is worse than the parent's by at most ``bound`` times the
-    parent's median."""
+    parent's median, and ``unresolved``, whether the parent's
+    interquartile range exceeds ``bound`` times its median while some
+    change sample fails to beat some parent sample."""
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
     if len(parent) != len(change) or not parent:
@@ -54,10 +60,12 @@ def summarize(parent, change, better: str, bound: float) -> dict:
     sign = 1.0 if better == "lower" else -1.0
     p_med, c_med = float(np.median(parent)), float(np.median(change))
     q1, q3 = np.percentile(parent, [25, 75])
+    beats_all = all(sign * (c - p) < 0 for p in parent for c in change)
     return {"parent_median": p_med, "change_median": c_med, "parent_iqr": float(q3 - q1),
             "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
             "pairs": len(parent),
-            "within_bound": sign * (c_med - p_med) <= bound * abs(p_med)}
+            "within_bound": sign * (c_med - p_med) <= bound * abs(p_med),
+            "unresolved": bool(q3 - q1 > bound * abs(p_med)) and not beats_all}
 
 
 def main(argv=None) -> int:
@@ -88,9 +96,11 @@ def main(argv=None) -> int:
             name = metric["name"]
             s = summarize(*([r["metrics"][name]["value"] for r in results[side]]
                             for side in SIDES), metric["better"], metric["bound"])
+            verdict = ("unresolved" if s["unresolved"] else
+                       "yes" if s["within_bound"] else "NO")
             print(f"{workload:<16}{name:<14}{s['parent_median']:>12.6g}"
                   f"{s['change_median']:>12.6g}{s['parent_iqr']:>12.3g}"
-                  f"{s['wins']:>4}/{s['pairs']:<2}  {'yes' if s['within_bound'] else 'NO'} "
+                  f"{s['wins']:>4}/{s['pairs']:<2}  {verdict} "
                   f"({metric['bound']:.0%}, {metric['better']} is better)")
     return 0
 

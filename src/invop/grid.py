@@ -136,13 +136,13 @@ def norm(x: GridFunction, space: SpaceKind = SpaceKind.L2) -> float:
 
 
 def gram_apply(v: np.ndarray, space: SpaceKind) -> np.ndarray:
-    """Apply the Gram matrix of the mesh of v without forming it."""
-    out = trapezoid_weights(v.size - 1) * v
+    """Apply the Gram matrix of the mesh of v (of each row of a 2-D v) without forming it."""
+    out = trapezoid_weights(v.shape[-1] - 1) * v
     if space is SpaceKind.H1:
-        h = 1.0 / (v.size - 1)
-        d = (v[1:] - v[:-1]) / h
-        out[:-1] -= d
-        out[1:] += d
+        h = 1.0 / (v.shape[-1] - 1)
+        d = (v[..., 1:] - v[..., :-1]) / h
+        out[..., :-1] -= d
+        out[..., 1:] += d
     return out
 
 

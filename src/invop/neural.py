@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .grid import GridFunction
 
 
 def activation(t):
@@ -119,25 +118,25 @@ def eval_trunk(c, w, zeta, t_points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def eval_structured_with_gradient(s: StructuredSurrogateCoeffs, x: GridFunction, t_points):
+def eval_structured_with_gradient(s: StructuredSurrogateCoeffs, xv: np.ndarray, t_points):
     """Sum over terms of branch_i(x) * trunk_i(t), and its pullback.
 
     Returns (values[Q], pullback), where pullback(v[Q]) is J^T v for the
-    Jacobian J of the values with respect to the nodal values of x.  Input
-    sampling is linear interpolation, whose weights enter the chain rule
-    exactly.  The shared hidden layer is evaluated once per call, and its
-    derivative once per pullback; each term keeps its own output dot
-    product.  The pullback does all derivative work when it is called.
+    Jacobian J of the values with respect to the nodal values xv of x.  Input
+    sampling is ``GridFunction.sample``'s linear interpolation, whose weights
+    enter the chain rule exactly.  The shared hidden layer is evaluated once
+    per call, and its derivative once per pullback; each term keeps its own
+    output dot product.  The pullback does all derivative work when it is called.
     """
     t = np.atleast_1d(np.asarray(t_points, dtype=float))
-    xs = x.sample(s.s_points)
+    n = xv.size - 1
+    xs = np.interp(s.s_points, np.linspace(0.0, 1.0, n + 1), xv)
     trunks = [eval_trunk(*row, t) for row in zip(s.trunk_c, s.trunk_w, s.trunk_zeta)]
     out = np.zeros(t.size)
     for b_i, tr in zip(eval_branch(s, xs), trunks):
         out += float(b_i) * tr
 
     def pullback(v) -> np.ndarray:
-        n = x.n_cells
         idx = np.clip(np.floor(s.s_points * n).astype(int), 0, n - 1)
         frac = s.s_points * n - idx
         left = 1.0 - frac

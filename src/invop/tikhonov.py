@@ -13,13 +13,14 @@ its center's mesh.  Minimization is limited-memory BFGS (the two-loop
 recursion of Liu & Nocedal, 1989) with every inner product taken in the X
 metric, projected onto x >= nu, with a monotone backtracking line search.
 Its initial matrix inverts the Hessian of the linear model that the map
-gives as its ``_directions``: exactly for the rank map, which is its model
+gives as its ``_directions`` (Riesz rows G b_i, images y_i): exactly for the
+rank map, which is that model and evaluates itself from the same two arrays
 (one Newton step reaches the minimizer), and the Gauss-Newton one at the
-prior center, on a few leading directions of its Jacobian, for the FEM map.
-It is gamma I for the neural map, and after a step clipped by x >= nu.  It
-stops when the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the
-gap to the infimum and is exact for quadratic models, drops below eta, when
-the best value has not strictly decreased for STALL_ITERATIONS iterations
+prior center, on leading directions of its Jacobian, for the FEM map.  It is
+gamma I for the neural map, and after a step clipped by x >= nu.  It stops
+when the certificate ``gradient_norm^2 / (4 alpha)``, which bounds the gap
+to the infimum and is exact for quadratic models, drops below eta, when the
+best value has not strictly decreased for STALL_ITERATIONS iterations
 (floating-point precision reached), or when the iteration budget is spent;
 ``Certificate.status`` says which.
 """
@@ -96,7 +97,8 @@ class SurrogateHandle:
     and ``_evaluate(x)``, which returns the nodal data y of the (already
     mollified) input x and a pullback taking the nodal residual r to the
     Euclidean nodal gradient of inner(y, r, L2) in x; it may give a linear
-    model of itself as ``_directions(xi)``.  The GridFunction entry points
+    model of itself as ``_directions(xi)``, the nodal Riesz rows G b_i (G the
+    Gram matrix of X) and images y_i.  The GridFunction entry points
     ``forward`` and ``misfit_and_gradient`` check once that x lies on the center's mesh.
     """
 
@@ -129,7 +131,7 @@ class SurrogateHandle:
         return _inner_nodal(r, r, SpaceKind.L2), 2.0 * pullback(r)
 
     def _directions(self, xi: float):
-        """Nodal arrays (b_i) and (y_i) of a linear model x -> sum_i <x, b_i>_X y_i, or None."""
+        """Nodal arrays (G b_i) and (y_i) of a linear model x -> sum_i <x, b_i>_X y_i, or None."""
         return None
 
     def inverse_hessian(self, cfg: TikhonovConfig):
@@ -162,7 +164,7 @@ class FemMap(SurrogateHandle):
             raise ValueError(f"center = {low!r} puts the FEM rho's probes below the bound; "
                              f"the least center they admit is {least:.6g}") from None
         self.ls = build_linear_surrogate(ts)
-        self._built = None  # (xi, basis, images) of the last width
+        self._built = None  # (xi, Riesz rows, images) of the last width
 
     def _evaluate(self, x: GridFunction):
         y = solve_forward_fem(self.problem, x, self.load).values
@@ -173,47 +175,42 @@ class FemMap(SurrogateHandle):
         return y, pullback
 
     def _directions(self, xi: float):
-        """The Gauss-Newton model: the GAUSS_NEWTON_STEPS leading directions b_i
-        of ``gauss_newton_directions`` at the (mollified) prior center and their
+        """The Gauss-Newton model: G b_i of the GAUSS_NEWTON_STEPS leading directions
+        b_i of ``gauss_newton_directions`` at the (mollified) prior center and their
         images J b_i, J = F'[x_xi], built once per width and reused by every solve."""
         if self._built is None or self._built[0] != xi:
             xc = self.center.values
             if xi > 0:
                 xc = mollify_matrix(self.center.n_cells, xi) @ xc
-            self._built = (xi, *gauss_newton_directions(
-                self.problem, xc, self.load.values, GAUSS_NEWTON_STEPS))
+            basis, images = gauss_newton_directions(self.problem, xc, self.load.values,
+                                                    GAUSS_NEWTON_STEPS)
+            self._built = (xi, gram_apply(basis, self.problem.image_space), images)
         return self._built[1:]
 
 
 class RankMap(SurrogateHandle):
-    """The rank-N linear expansion around its training center."""
+    """The rank-N expansion y0 + sum_i <x - x0, b_i>_X y_i around its training center,
+    evaluated from its model: the Riesz rows G b_i, built once, and the data y_i."""
 
-    __slots__ = ()
+    __slots__ = ("_rows",)
     label = "LinearRankN"
     n_terms = property(lambda self: self.ls.n_terms)
 
     def __init__(self, ls: LinearSurrogate):
         self.ls = ls
+        self._rows = gram_apply(ls.basis, ls.problem.image_space)
 
     def _evaluate(self, x: GridFunction):
-        x0, y0 = self.ls.center
-        space = self.ls.problem.image_space
-        out = y0.values.copy()
-        xc = x.values - x0.values
-        for b, y in zip(self.ls.basis, self.ls.induced):
-            out += _inner_nodal(xc, b, space) * y
+        (x0, y0), rows, induced = self.ls.center, self._rows, self.ls.induced
 
         def pullback(r: np.ndarray) -> np.ndarray:
-            grad = np.zeros(x.n_cells + 1)
-            for b, y in zip(self.ls.basis, self.ls.induced):
-                grad += _inner_nodal(r, y, SpaceKind.L2) * gram_apply(b, space)
-            return grad
+            return rows.T @ (induced @ (trapezoid_weights(x.n_cells) * r))
 
-        return out, pullback
+        return y0.values + induced.T @ (rows @ (x.values - x0.values)), pullback
 
     def _directions(self, xi: float):
-        """The basis and its induced data: the map is its model, the inverse exact."""
-        return self.ls.basis, self.ls.induced
+        """The Riesz rows and the induced data: the map is its model, the inverse exact."""
+        return self._rows, self.ls.induced
 
 
 class NeuralMap(SurrogateHandle):
@@ -230,7 +227,7 @@ class NeuralMap(SurrogateHandle):
 
     def _evaluate(self, x: GridFunction):
         y0 = self.ls.center[1]
-        out, vjp = eval_structured_with_gradient(self.coeffs, x, y0.nodes)
+        out, vjp = eval_structured_with_gradient(self.coeffs, x.values, y0.nodes)
 
         def pullback(r: np.ndarray) -> np.ndarray:
             return vjp(trapezoid_weights(y0.n_cells) * r)
@@ -238,18 +235,16 @@ class NeuralMap(SurrogateHandle):
         return y0.values + out, pullback
 
 
-def _woodbury_inverse(basis, images, space: SpaceKind, cfg: TikhonovConfig):
+def _woodbury_inverse(rows, images, space: SpaceKind, cfg: TikhonovConfig):
     """The inverse X-Hessian 2 (alpha I + U C V) of the functional of the
-    linear map x -> sum_i <x, b_i>_X y_i (nodal directions b_i, nodal data
-    y_i), in Woodbury form:
+    linear map x -> sum_i (G b_i . x) y_i = sum_i <x, b_i>_X y_i (nodal
+    Riesz rows G b_i, nodal data y_i), in Woodbury form:
     H^-1 v = (v - U C (alpha I + V U C)^-1 V v) / (2 alpha).  The rows of V
-    are the Riesz functionals G b_i, mollified on the mesh of the b_i when
-    xi > 0, U = G_X^-1 V^T, and C is the L2 Gram matrix of the y_i; one
-    N x N inverse when the function is built."""
-    V = [gram_apply(b, space) for b in basis]
-    if cfg.xi > 0:
-        V = [mollify_matrix(basis[0].size - 1, cfg.xi).T @ v for v in V]
-    V = np.array(V)
+    are the G b_i, mollified on their mesh when xi > 0, U = G_X^-1 V^T, and
+    C is the L2 Gram matrix of the y_i; one N x N inverse when the function
+    is built."""
+    V = rows if cfg.xi == 0 else np.array(
+        [mollify_matrix(rows.shape[1] - 1, cfg.xi).T @ v for v in rows])
     C = np.array([[_inner_nodal(a, b, SpaceKind.L2) for b in images] for a in images])
     # matrix-vector products and lstsq only, kernels the package runs
     # anyway: each further BLAS or LAPACK kernel adds 0.1-0.2 MB resident

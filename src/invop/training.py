@@ -289,6 +289,9 @@ def assemble_neural_surrogate(ls: LinearSurrogate, n_k: int, n_j: int, seed: int
     Returns (coefficients, diagnostics).
     """
     x0, space = ls.center[0], ls.problem.image_space
+    if n_k < x0.n_cells:  # a branch with fewer sensors than cells misses nodal values
+        raise DimensionMismatch(f"n_k = {n_k} sensors on the {x0.n_cells}-cell expansion: "
+                                f"the branch needs n_k >= {x0.n_cells}")
     t = quadrature_nodes(n_k)
     slopes = np.array([gram_apply(np.interp(t, x0.nodes, xb), space) for xb in ls.basis])
     trunks, residuals = zip(*(fit_trunk(yb, n_j, seed + 7 * ell)

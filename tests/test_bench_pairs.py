@@ -20,7 +20,7 @@ def test_summary_of_a_lower_is_better_metric(pairs):
     s = pairs.summarize([10.0, 11.0, 12.0, 13.0, 14.0], [9.0, 10.0, 11.0, 13.0, 15.0],
                         "lower", 0.25)
     assert s == {"parent_median": 12.0, "change_median": 11.0, "parent_iqr": 2.0,
-                 "wins": 3, "pairs": 5, "within_bound": True}
+                 "wins": 3, "pairs": 5, "within_bound": True, "unresolved": False}
 
 
 def test_ties_count_for_neither_side(pairs):
@@ -97,3 +97,43 @@ def test_each_side_reports_the_median_rounds_of_its_runs(pairs, tmp_path, monkey
     assert out[1] == ("w: parent 0/52 failed, median 12 rounds; "
                       "change 0/86 failed, median 25 rounds")
     assert out[2].split()[:4] == ["w", "peak_rss_mb", "41.2", "42.5"]
+
+
+@pytest.mark.parametrize("better,parent,change,unresolved", [
+    # the parent's IQR 20 exceeds 25% of its median 30
+    ("lower", [10.0, 20.0, 30.0, 40.0, 50.0], [9.0, 9.0, 9.0, 9.0, 60.0], True),
+    ("lower", [10.0, 20.0, 30.0, 40.0, 50.0], [9.0, 8.0, 9.5, 7.0, 9.9], False),
+    ("lower", [10.0, 20.0, 30.0, 40.0, 50.0], [10.0, 8.0, 9.5, 7.0, 9.9], True),  # a tie
+    ("higher", [10.0, 20.0, 30.0, 40.0, 50.0], [51.0, 52.0, 53.0, 54.0, 55.0], False),
+    ("higher", [10.0, 20.0, 30.0, 40.0, 50.0], [51.0, 52.0, 53.0, 54.0, 45.0], True),
+    # IQR 2 within 25% of the median 12: resolved, better or worse
+    ("lower", [10.0, 11.0, 12.0, 13.0, 14.0], [20.0, 21.0, 22.0, 23.0, 24.0], False),
+    # IQR 1 against a bound of exactly 25% of the median 4: resolved
+    ("lower", [4.0, 4.0, 4.0, 5.0, 5.0], [4.5, 4.5, 4.5, 4.5, 4.5], False)])
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_wins(
+        pairs, better, parent, change, unresolved):
+    assert pairs.summarize(parent, change, better, 0.25)["unresolved"] is unresolved
+
+
+def test_an_unresolved_metric_prints_unresolved(pairs, tmp_path, monkeypatch, capsys):
+    # stubbed runs: setup_s spreads wider than its bound and the sides
+    # overlap, iterations do not spread
+    declared = {"run_seconds": 3, "workloads": [{"name": "w"}],
+                "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25},
+                               {"name": "iterations", "better": "lower", "bound": 0.25}]}
+    sides = {side: tmp_path / side for side in ("old", "new")}
+    for path in sides.values():
+        path.mkdir()
+        (path / "BENCHMARK.json").write_text(json.dumps(declared))
+    setup = {"old": iter([0.1, 0.3, 0.2, 0.05]), "new": iter([0.12, 0.11, 0.4, 0.1])}
+
+    def fake_run(checkout, workload, seconds):
+        return {"correct": True, "attempted": 1, "failed": 0, "rounds": 1,
+                "metrics": {"setup_s": {"value": next(setup[checkout.name]), "unit": "s"},
+                            "iterations": {"value": 5.0, "unit": "count"}}}
+
+    monkeypatch.setattr(pairs, "run", fake_run)
+    assert pairs.main([str(sides["old"]), str(sides["new"]), "--pairs", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].split()[1] == "setup_s" and out[2].split()[6] == "unresolved"
+    assert out[3].split()[1] == "iterations" and out[3].split()[6] == "yes"

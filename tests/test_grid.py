@@ -70,6 +70,12 @@ def test_gram_apply_reproduces_inner_product():
         assert lhs == pytest.approx(inner(x, y, space), rel=1e-12)
 
 
+def test_gram_apply_to_rows_is_one_call_per_row():
+    rows = np.random.default_rng(3).standard_normal((5, 49))
+    for space in SpaceKind:
+        assert np.array_equal(gram_apply(rows, space), [gram_apply(r, space) for r in rows])
+
+
 def test_gram_solve_inverts_gram_apply():
     n = 48
     rng = np.random.default_rng(2)

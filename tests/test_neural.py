@@ -129,7 +129,7 @@ def test_flatten_preserves_evaluation():
     s = _random_structured(rng)
     x = GridFunction.from_callable(lambda t: np.sin(np.pi * t), 32)
     t_points = np.linspace(0, 1, 11)
-    values, _ = eval_structured_with_gradient(s, x, t_points)
+    values, _ = eval_structured_with_gradient(s, x.values, t_points)
     flat = eval_neural_operator(flatten_structured(s), x, t_points)
     assert _rel(values, flat) < 1e-12
     assert _rel(values, eval_structured_dense(s, x, t_points)) < 1e-12
@@ -157,7 +157,7 @@ def test_pullback_matches_dense_jacobian(kind):
     x = GridFunction(rng.standard_normal(n + 1))
     t_points = np.linspace(0, 1, 9)
     v = rng.standard_normal(t_points.size)
-    _, pullback = eval_structured_with_gradient(s, x, t_points)
+    _, pullback = eval_structured_with_gradient(s, x.values, t_points)
     expect = jacobian_structured_dense(s, x, t_points).T @ v
     assert _rel(pullback(v), expect) < 1e-12
 
@@ -168,14 +168,13 @@ def test_structured_gradient_matches_fd():
     n = 32
     x = GridFunction(1.0 + 0.1 * rng.standard_normal(n + 1))
     t_points = np.linspace(0, 1, 7)
-    _, pullback = eval_structured_with_gradient(s, x, t_points)
+    _, pullback = eval_structured_with_gradient(s, x.values, t_points)
     d = rng.standard_normal(n + 1)
     v = rng.standard_normal(t_points.size)
     eps = 1e-6
 
     def values(sign):
-        return eval_structured_with_gradient(s, GridFunction(x.values + sign * eps * d),
-                                             t_points)[0]
+        return eval_structured_with_gradient(s, x.values + sign * eps * d, t_points)[0]
 
     fd = np.dot(v, values(1.0) - values(-1.0)) / (2 * eps)
     assert np.dot(pullback(v), d) == pytest.approx(fd, abs=1e-7)

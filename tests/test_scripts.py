@@ -52,7 +52,7 @@ def _digest(text):
 #: bit updates them and says why
 DIGESTS = {
     ("2.4.6", "SkylakeX"): {
-        "surrogate_pipeline 0.05": "766770687747c0aa91b1ce6683659b7e8b338a444a6bf65ae1ca41a9b3495894",
+        "surrogate_pipeline 0.05": "5cefee8e6f564e85b0a31d72c780a89ca97d8aaea589745b01842fc20ea83c0c",
         "fem_rate.csv": "5cb840ad3ce6c9aaf6e368202a14ef2920d28e07b2f518f8342645d42bb86656",
         "quadrature_rate.csv": "62e3ce7411fb723fdc709ed6e28dfd355dbd5f9edd249f26d96185035be89361",
         "mollify_rate.csv": "0fcd2881bcb285c7cf750e79db21f3da803fbbadba8841b1d216aac877bbcabe",

@@ -157,8 +157,8 @@ def test_structured_round_trip_preserves_evaluation(pipeline, tmp_path):
         assert np.array_equal(_bits(getattr(coeffs, name)), _bits(getattr(c2, name))), name
     x = GridFunction.from_callable(lambda s: 1.0 + 0.05 * np.sin(np.pi * s), N)
     t = np.linspace(0, 1, 17)
-    assert np.array_equal(eval_structured_with_gradient(coeffs, x, t)[0],
-                          eval_structured_with_gradient(c2, x, t)[0])
+    assert np.array_equal(eval_structured_with_gradient(coeffs, x.values, t)[0],
+                          eval_structured_with_gradient(c2, x.values, t)[0])
 
 
 def test_wrong_kind_rejected(pipeline, tmp_path):

@@ -13,7 +13,8 @@ import invop.training
 from invop.config import load_config, study_config
 from invop.errors import DegenerateScale, DimensionMismatch, EmptyProbeSet, NonAdmissibleCoefficient
 from invop.fem import ProblemKind, solve_forward_fem, solve_forward_reference
-from invop.grid import GridFunction, SpaceKind, gram_apply, inner, norm, trapezoid_weights
+from invop.grid import (GridFunction, SpaceKind, _inner_nodal, gram_apply, inner, norm,
+                        trapezoid_weights)
 from invop.mollify import mollify, mollify_matrix
 from invop import studies
 from invop.studies import StudyConfig, c_example_setup, run_study, source_target_a
@@ -120,12 +121,101 @@ def test_data_on_another_mesh_raise_before_the_map_evaluates(handles, kind, monk
         h.misfit_and_gradient(x0, y_other)
 
 
-def test_the_rank_maps_model_is_its_expansion(handles):
-    # the Woodbury inputs are the expansion's own (N, n + 1) arrays, not copies
-    ls = handles["ls"]
-    basis, induced = RankMap(ls)._directions(0.0)
-    assert basis is ls.basis and induced is ls.induced
-    assert basis.shape == induced.shape == (ls.n_terms, N + 1)
+@pytest.fixture(scope="module")
+def expansions(handles):
+    """A rank-N expansion in each space X: the c-example's (L2) and an
+    a-example one (H1), on the same mesh."""
+    ts = generate_training_set(A, GridFunction.constant(1.0, N), GridFunction.constant(1.0, N),
+                               PerturbationSpec(0.1, 4))
+    return {SpaceKind.L2: handles["ls"], SpaceKind.H1: build_linear_surrogate(ts)}
+
+
+def _per_term_rank_map(ls, x, r):
+    """The rank map's value at x and its pullback of r, term by term:
+    sum_i <x - x0, b_i>_X y_i and sum_i <r, y_i>_L2 G b_i, the formulas the
+    map evaluated before it held its Riesz rows."""
+    x0, y0 = ls.center
+    space = ls.problem.image_space
+    out = y0.values.copy()
+    xc = x.values - x0.values
+    for b, y in zip(ls.basis, ls.induced):
+        out += _inner_nodal(xc, b, space) * y
+    grad = np.zeros(x.n_cells + 1)
+    for b, y in zip(ls.basis, ls.induced):
+        grad += _inner_nodal(r, y, SpaceKind.L2) * gram_apply(b, space)
+    return out, grad
+
+
+@pytest.mark.parametrize("space", [SpaceKind.L2, SpaceKind.H1])
+def test_the_rank_maps_model_is_its_riesz_rows_and_data(expansions, space):
+    # the Woodbury inputs are the Riesz rows G b_i, built once with the map,
+    # and the expansion's own (N, n + 1) induced data, not a copy
+    ls = expansions[space]
+    h = RankMap(ls)
+    rows, induced = h._directions(0.0)
+    assert induced is ls.induced and h._directions(1e-4)[0] is rows
+    assert rows.shape == induced.shape == (ls.n_terms, N + 1)
+    assert np.array_equal(rows, [gram_apply(b, space) for b in ls.basis])
+
+
+@pytest.mark.parametrize("space", [SpaceKind.L2, SpaceKind.H1])
+def test_the_rank_map_keeps_its_per_term_values_and_pullback(expansions, space):
+    # two matrix-vector products each way give the per-term sums to rounding
+    ls = expansions[space]
+    assert ls.problem.image_space is space
+    rng = np.random.default_rng(11)
+    x = GridFunction(ls.center[0].values + 0.05 * rng.standard_normal(N + 1))
+    r = rng.standard_normal(N + 1)
+    y, pullback = RankMap(ls)._evaluate(x)
+    want_y, want_g = _per_term_rank_map(ls, x, r)
+    assert np.linalg.norm(y - want_y) <= 1e-15 * np.linalg.norm(want_y)
+    assert np.linalg.norm(pullback(r) - want_g) <= 1e-15 * np.linalg.norm(want_g)
+
+
+@pytest.mark.parametrize("space", [SpaceKind.L2, SpaceKind.H1])
+def test_the_rank_maps_pullback_is_its_exact_derivative(expansions, space):
+    # the map is affine, so <F(x + h) - F(x), r>_L2 = h . pullback(r) for
+    # every step h, not only in the limit of small ones; the rounding is that
+    # of the data F(x + h), which the difference cancels
+    h = RankMap(expansions[space])
+    rng = np.random.default_rng(12)
+    x = GridFunction(h.center.values + 0.05 * rng.standard_normal(N + 1))
+    step = GridFunction(0.05 * rng.standard_normal(N + 1))
+    r = GridFunction(rng.standard_normal(N + 1))
+    y = h.forward(x + step)
+    lhs = inner(y - h.forward(x), r, SpaceKind.L2)
+    rhs = float(step.values @ h._evaluate(x)[1](r.values))
+    assert abs(lhs - rhs) <= 1e-15 * norm(y) * norm(r)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.1])
+@pytest.mark.parametrize("problem,load", [(A, 1.0), (C, 50.0)])
+def test_the_fem_maps_rows_are_the_riesz_rows_of_its_directions(problem, load, xi):
+    # the per-width model holds G b_i of the Gauss-Newton directions at the
+    # mollified center beside their images J b_i
+    n = 16
+    x0 = GridFunction(1.0 + 0.3 * np.linspace(0.0, 1.0, n + 1) ** 2)
+    h = FemMap(problem, GridFunction.constant(load, n), x0)
+    rows, images = h._directions(xi)
+    xc = mollify_matrix(n, xi) @ x0.values if xi > 0 else x0.values
+    basis, want = invop.fem.gauss_newton_directions(problem, xc, h.load.values,
+                                                    GAUSS_NEWTON_STEPS)
+    assert np.array_equal(rows, [gram_apply(b, problem.image_space) for b in basis])
+    assert np.array_equal(images, want)
+
+
+@pytest.mark.parametrize("kind", ["fem", "rank"])
+@pytest.mark.parametrize("xi", [0.0, 1e-2])
+def test_the_woodbury_inverse_reads_the_maps_riesz_rows(handles, monkeypatch, kind, xi):
+    # no Gram product when H0 is built: the map's rows are its V, and a
+    # second build gives H0 with the same bits
+    h, cfg = handles[kind], _config(xi=xi)
+    h._directions(xi)
+    v = np.random.default_rng(13).standard_normal(N + 1)
+    before = h.inverse_hessian(cfg)(v)
+    monkeypatch.setattr(invop.tikhonov, "gram_apply",
+                        lambda *args: pytest.fail("H0 applied the Gram matrix"))
+    assert np.array_equal(h.inverse_hessian(cfg)(v), before)
 
 
 @pytest.mark.parametrize("build", ["generate_training_set", "FemMap"])
@@ -322,7 +412,7 @@ def test_minimizer_rejects_a_prior_below_the_maps_bound(handles, kind):
     else:
         ls = build_linear_surrogate(generate_training_set(C, f, low, PerturbationSpec(0.01, 2)))
         h = RankMap(ls) if kind == "rank" else NeuralMap(
-            assemble_neural_surrogate(ls, 16, 4, seed=1)[0], ls)
+            assemble_neural_surrogate(ls, N, 4, seed=1)[0], ls)
     assert np.array_equal(h.center.values, low.values)
     with pytest.raises(NonAdmissibleCoefficient, match="^prior center violates the bound nu$"):
         minimize_tikhonov(h, handles["x0"], _config())

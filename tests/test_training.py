@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import invop.training
 from invop.errors import (
     DependentImages,
+    DimensionMismatch,
     EmptyProbeSet,
     IllConditionedFit,
     NonAdmissiblePerturbation,
@@ -183,6 +185,21 @@ def test_assembly_without_probes_raises_empty_probe_set(c_setup):
     _, _, _, ls = c_setup
     with pytest.raises(EmptyProbeSet):
         assemble_neural_surrogate(ls._replace(probes=()), 256, 12, seed=1)
+
+
+@pytest.mark.parametrize("n_k", [N // 2, N - 1])
+def test_a_branch_with_fewer_sensors_than_cells_raises_naming_both(c_setup, monkeypatch, n_k):
+    # at n_k = n / 2 the sensors miss every odd node; the error comes before
+    # any trunk is fitted, and n_k = n builds
+    _, _, _, ls = c_setup
+    fit = invop.training.fit_trunk
+    monkeypatch.setattr(invop.training, "fit_trunk",
+                        lambda *args: pytest.fail("a trunk was fitted"))
+    with pytest.raises(DimensionMismatch, match=f"^n_k = {n_k} sensors on the {N}-cell "
+                                                f"expansion: the branch needs n_k >= {N}$"):
+        assemble_neural_surrogate(ls, n_k, 12, seed=1)
+    monkeypatch.setattr(invop.training, "fit_trunk", fit)
+    assert assemble_neural_surrogate(ls, N, 12, seed=1)[0].s_points.size == N + 1
 
 
 def test_rho_bound_is_derived_from_the_measured_errors():
